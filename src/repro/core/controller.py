@@ -226,7 +226,10 @@ class OnlineOptimizer:
         inputs: dict[int, float] = {}
         path_losses: dict[int, float] = {}
         for idx, flow in enumerate(self.flows):
-            y = float(result.flow_rates[idx])
+            # The one place a solver iterate becomes a decision: scipy's
+            # last ULP is not stable across builds, so decisions carry a
+            # 1e-3 b/s grain (far below anything the shapers resolve).
+            y = round(float(result.flow_rates[idx]), 3)
             p_s = path_loss_probability(link_losses, flow.path)
             targets[flow.flow_id] = y
             path_losses[flow.flow_id] = p_s

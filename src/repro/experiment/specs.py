@@ -64,8 +64,11 @@ class SpecError(ValueError):
 #:    (``weight_tail``/``tail_index``), and :class:`ExperimentSpec` grew
 #:    the run-time monitor selection (``monitors`` /
 #:    ``monitor_interval_s``), so every canonical spec dict changed
-#:    again.
-SPEC_SCHEMA_VERSION = 3
+#:    again;
+#: 4. controller decisions are quantized to 1e-3 b/s where they leave
+#:    the solver (``OnlineOptimizer.optimize``), so payloads cached
+#:    under version 3 hold unquantized ``target_bps``.
+SPEC_SCHEMA_VERSION = 4
 
 
 def spec_digest(spec: "ExperimentSpec | Mapping[str, Any]",
