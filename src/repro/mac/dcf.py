@@ -218,12 +218,7 @@ class DcfMac:
         self._access_event = self.sim.schedule(delay, self._transmit_current)
 
     def on_medium_busy(self) -> None:
-        """Carrier sense went busy: freeze the backoff countdown.
-
-        The medium elides this call while ``self._access_event is None``
-        (see :class:`repro.mac.medium.MacListener`), so any new side
-        effect added here must keep that guard a faithful no-op test.
-        """
+        """Carrier sense went busy: freeze the backoff countdown."""
         event = self._access_event
         if event is None:
             return
@@ -241,10 +236,6 @@ class DcfMac:
         the medium invokes it synchronously at the moment it flipped
         this node's busy state to idle, so ``is_busy`` is False by
         construction (not transmitting, sensed energy below threshold).
-        The medium also elides the call entirely while ``self.current is
-        None`` (see :class:`repro.mac.medium.MacListener`), so any new
-        side effect added here must keep that guard a faithful no-op
-        test.
         """
         if (
             self.current is None

@@ -17,22 +17,17 @@ losses:
 ``collision``    SINR below the capture threshold (overlap loss),
 ``channel``      independent channel error (the residual loss process).
 
-Performance note: node positions only change at explicit position
-epochs (:meth:`WirelessMedium.update_positions`), so every pairwise
-received power (dBm and mW) is precomputed into symmetric numpy
-matrices up front and epochs rebuild only the rows/columns of the
-nodes that moved.  Each value is produced by the *same scalar
-formula* the lazy per-call path used, so the fast path is bit-identical
-to the original — the experiment goldens and the sim-level trace goldens
-under ``tests/sim/golden`` are the proof.  The per-event bookkeeping
-(carrier-sense energy in ``_sensed_mw``, interference add/remove)
-deliberately runs on plain-float mirrors of those matrices (nested
-dicts and row lists): at mesh sizes (tens of nodes) numpy element reads
-box a ``np.float64`` per access and ufunc dispatch dominates 18-element
-vector ops, which sampling profiles showed to be *slower* than scalar
-loops over precomputed Python floats.  The matrices stay the canonical
-tables — the mirrors are derived from them via ``tolist()`` (exact) and
-the property suite asserts both agree to the bit.
+Each fact has one home.  Every pairwise received power lives in one
+table per unit (``dBm[tx][rx]`` and ``mW[tx][rx]``, plain floats keyed
+by node id), filled by :meth:`WirelessMedium._link_power` — at
+construction for every pair, at a position epoch
+(:meth:`WirelessMedium.update_positions`) for the pairs that moved.
+Every node has one :class:`_NodeState` (listener, sensed energy, busy
+flag, live-reception count) from construction, so a transmission's
+begin and end each run one loop over the nodes that updates sensed
+energy and notifies carrier-sense flips together.  The from-scratch
+definitions of all of it are the oracle in
+``tests/sim/test_medium_properties.py``.
 """
 
 from __future__ import annotations
@@ -41,8 +36,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Protocol
-
-import numpy as np
 
 from repro.phy.error_models import BerPacketErrorModel, ErrorModel
 from repro.phy.propagation import LogDistancePathLoss, PropagationModel, dbm_to_mw
@@ -53,15 +46,7 @@ from repro.engine import Simulator
 
 
 class MacListener(Protocol):
-    """What the medium expects from a registered MAC entity.
-
-    Implementations may additionally expose the DCF guard attributes
-    ``_access_event`` and ``current``.  When both exist, the medium's
-    fused notification loops elide ``on_medium_busy`` calls while
-    ``_access_event is None`` and ``on_medium_idle`` calls while
-    ``current is None`` — exactly the conditions under which
-    :class:`repro.mac.dcf.DcfMac` makes those handlers no-ops.
-    """
+    """What the medium expects from a registered MAC entity."""
 
     def on_medium_busy(self) -> None: ...
 
@@ -72,46 +57,63 @@ class MacListener(Protocol):
     def on_transmission_end(self, frame: Frame) -> None: ...
 
 
+class _SilentListener:
+    """The listener of a node whose MAC has not registered: hears nothing."""
+
+    def on_medium_busy(self) -> None:
+        pass
+
+    def on_medium_idle(self) -> None:
+        pass
+
+    def on_frame_received(self, frame: Frame, from_id: int) -> None:
+        pass
+
+    def on_transmission_end(self, frame: Frame) -> None:
+        pass
+
+
+@dataclass(slots=True)
+class _NodeState:
+    """Everything the medium tracks per node.
+
+    ``busy`` is the carrier-sense state last reported to ``listener``;
+    ``rx_live`` counts the failure-free receptions in flight at the node,
+    so the rx-locked check is O(1).
+    """
+
+    listener: MacListener
+    sensed_mw: float = 0.0
+    busy: bool = False
+    rx_live: int = 0
+
+
 @dataclass(slots=True)
 class _Reception:
     """Tracks one intended receiver of an ongoing transmission."""
 
-    signal_dbm: float
     cur_interference_mw: float = 0.0
     peak_interference_mw: float = 0.0
     failure: str | None = None
-
-    def add_interference(self, power_mw: float) -> None:
-        self.cur_interference_mw += power_mw
-        self.peak_interference_mw = max(self.peak_interference_mw, self.cur_interference_mw)
-
-    def remove_interference(self, power_mw: float) -> None:
-        self.cur_interference_mw = max(0.0, self.cur_interference_mw - power_mw)
 
 
 @dataclass(slots=True)
 class _Transmission:
     """An ongoing transmission and the state of its intended receivers.
 
-    ``sensed_row`` and ``mw_row`` are the power-table row objects this
-    transmission's energy was *added* with at begin time.  Finish
-    subtracts through these snapshots rather than re-fetching the live
-    tables, so when a position epoch rebuilds the tables mid-flight
-    (:meth:`WirelessMedium.update_positions` replaces row objects, never
-    mutates them) every in-flight add/remove pair stays exactly
-    balanced: sensed energy returns to precisely what the epoch left,
-    with no spurious busy/idle flips.  In a static run the snapshots are
-    the same objects a fresh fetch would return, so behaviour is
-    bit-identical.
+    ``mw_row`` is the ``mW[tx]`` row this transmission's energy was
+    *added* with at begin time.  Finish subtracts through this snapshot
+    rather than re-fetching the live table, so when a position epoch
+    rebuilds the table mid-flight (:meth:`WirelessMedium.update_positions`
+    replaces rows, never mutates them) every in-flight add/remove pair
+    stays exactly balanced: sensed energy returns to precisely what the
+    epoch left, with no spurious busy/idle flips.
     """
 
     tx_id: int
     frame: Frame
-    start: float
-    end: float
+    mw_row: dict[int, float]
     receptions: dict[int, _Reception] = field(default_factory=dict)
-    sensed_row: list[float] | None = None
-    mw_row: dict[int, float] | None = None
 
 
 class WirelessMedium:
@@ -151,14 +153,12 @@ class WirelessMedium:
         self.error_model = error_model or BerPacketErrorModel()
         self.capture = capture or CaptureModel()
         self.link_error_override = dict(link_error_override or {})
-        self._macs: dict[int, MacListener] = {}
-        #: MAC notification order: (node_id, mac, index, hinted) in
-        #: registration order, mirroring the dict iteration the scalar
-        #: path used.  ``hinted`` records that the listener exposes the
-        #: DCF guard attributes (``_access_event``, ``current``) whose
-        #: None-ness makes ``on_medium_busy`` / ``on_medium_idle``
-        #: no-ops, letting the notification loops skip those calls.
-        self._mac_entries: list[tuple[int, MacListener, int, bool]] = []
+        # Per-node state in position order, which is the order busy/idle
+        # notifications go out in.  A node is silent until its MAC
+        # registers.
+        self._nodes: dict[int, _NodeState] = {
+            node: _NodeState(_SilentListener()) for node in self.positions
+        }
         self._ongoing: dict[int, _Transmission] = {}
         self._transmitting: set[int] = set()
         self.loss_counts: Counter[str] = Counter()
@@ -173,15 +173,16 @@ class WirelessMedium:
         self._rand_pos = 0
         self._per_cache: dict[tuple[int, int, float, int], float] = {}
         self._airtime_cache: dict[tuple[int, float], float] = {}
-        # Interference-signature memo: link powers are frozen, so the
-        # whole deterministic part of reception resolution (weak /
-        # capture verdict, residual PER, partial-capture PER) is a pure
-        # function of ``(tx, rx, rate, length, peak interference)``.
-        # Saturated cells repeat the same few overlap patterns for the
-        # whole run, so after warm-up nearly every delivery is a single
-        # dict hit that skips the SINR/error-model math entirely.  The
-        # random draws stay *outside* the memo — the draw sequence is
-        # identical to the uncached path.
+        # Interference-signature memo: link powers are frozen between
+        # position epochs, so the whole deterministic part of reception
+        # resolution (weak / capture verdict, residual PER,
+        # partial-capture PER) is a pure function of ``(tx, rx, rate,
+        # length, peak interference)``.  Saturated cells repeat the same
+        # few overlap patterns for the whole run, so after warm-up nearly
+        # every delivery is a single dict hit that skips the
+        # SINR/error-model math entirely.  The random draws stay
+        # *outside* the memo — the draw sequence is identical to the
+        # uncached path.
         self._resolve_cache: dict[
             tuple[int, int, float, int, float], tuple[str | None, float, float]
         ] = {}
@@ -190,91 +191,52 @@ class WirelessMedium:
         # inactive node fail with "rx_off"; the empty-set falsy check
         # keeps the static hot path to one local load and a bool test.
         self._inactive: set[int] = set()
-        self._build_power_tables()
-
-    def _build_power_tables(self) -> None:
-        """Precompute every pairwise received power once.
-
-        Each entry is computed by the exact scalar expression the lazy
-        path used (``tx_power + 2*gain - path_loss`` then ``dbm_to_mw``),
-        so matrix reads are bit-identical to on-demand recomputation.
-        Shadowing draws are keyed per pair (not by draw order), so eager
-        evaluation yields the same values lazy evaluation did.
-        """
-        ids = list(self.positions)
-        self._node_ids = ids
-        index = {node: i for i, node in enumerate(ids)}
-        self._node_index = index
-        n = len(ids)
-        eirp = self.radio.tx_power_dbm + 2.0 * self.radio.antenna_gain_dbi
-        power_dbm = np.empty((n, n), dtype=np.float64)
-        power_mw = np.empty((n, n), dtype=np.float64)
-        pow_dbm_map: dict[tuple[int, int], float] = {}
-        pow_mw_map: dict[tuple[int, int], float] = {}
-        pow_dbm_from: dict[int, dict[int, float]] = {}
-        pow_mw_from: dict[int, dict[int, float]] = {}
-        snr_from: dict[int, dict[int, float]] = {}
-        noise_dbm = self.capture.noise_floor_dbm
-        for i, a in enumerate(ids):
-            row_dbm = pow_dbm_from[a] = {}
-            row_mw = pow_mw_from[a] = {}
-            row_snr = snr_from[a] = {}
-            for j, b in enumerate(ids):
-                dbm = eirp - self.propagation.path_loss_db(self.distance(a, b), (a, b))
-                mw = dbm_to_mw(dbm)
-                power_dbm[i, j] = dbm
-                power_mw[i, j] = mw
-                pow_dbm_map[(a, b)] = dbm
-                pow_mw_map[(a, b)] = mw
-                row_dbm[b] = dbm
-                row_mw[b] = mw
-                row_snr[b] = dbm - noise_dbm
-        self._power_dbm = power_dbm
-        self._power_mw = power_mw
-        self._pow_dbm = pow_dbm_map
-        self._pow_mw = pow_mw_map
-        self._pow_dbm_from = pow_dbm_from
-        self._pow_mw_from = pow_mw_from
-        self._snr_from = snr_from
-        # Row i with the diagonal zeroed: what node i's transmission adds
-        # to every *other* node's sensed energy (a node never senses its
-        # own signal as foreign energy).  ``tolist()`` round-trips float64
-        # to Python floats exactly, so the scalar mirror carries the same
-        # bits as the matrix.
-        sensed_rows = power_mw.copy()
-        np.fill_diagonal(sensed_rows, 0.0)
-        self._sensed_rows = sensed_rows.tolist()
-        self._sensed_mw = [0.0] * n
-        self._busy_state = [False] * n
-        # Live (failure-free) reception count per node index, maintained
-        # incrementally so the rx-locked check is O(1) instead of a scan
-        # over every ongoing transmission.
-        self._rx_live = [0] * n
+        # The power tables, ``dBm[tx][rx]`` and ``mW[tx][rx]``.  The
+        # diagonal holds the zero-distance value of the same formula; no
+        # loop reads it (a node never senses or interferes with itself).
+        self._dbm: dict[int, dict[int, float]] = {a: {} for a in self.positions}
+        self._mw: dict[int, dict[int, float]] = {a: {} for a in self.positions}
+        for a in self.positions:
+            for b in self.positions:
+                self._dbm[a][b], self._mw[a][b] = self._link_power(a, b)
         self._cs_threshold_mw = dbm_to_mw(self.radio.cs_threshold_dbm)
         # One end-of-transmission callback per node, built once instead
         # of a fresh closure per frame.
         self._finish_callbacks = {
-            node: partial(self._finish_transmission, node) for node in ids
+            node: partial(self._finish_transmission, node) for node in self.positions
         }
+
+    def _link_power(self, tx: int, rx: int) -> tuple[float, float]:
+        """Received power at ``rx`` from ``tx`` as ``(dBm, mW)``.
+
+        The only place the link budget is written.  Shadowing offsets are
+        keyed per pair (not by draw order), so a recomputed entry equals
+        what a fresh medium at the same positions would compute, bit for
+        bit.
+        """
+        radio = self.radio
+        dbm = (
+            radio.tx_power_dbm
+            + 2.0 * radio.antenna_gain_dbi
+            - self.propagation.path_loss_db(self.distance(tx, rx), (tx, rx))
+        )
+        return dbm, dbm_to_mw(dbm)
 
     # --------------------------------------------------------------- dynamics
     def update_positions(self, moved: dict[int, tuple[float, float]]) -> None:
-        """Move nodes and rebuild only the affected power-table state.
+        """Move nodes and recompute only the affected table entries.
 
-        For each moved node the full row *and* column of the power
-        matrices (and their scalar mirrors) are recomputed with the same
-        per-direction scalar formula :meth:`_build_power_tables` uses —
-        shadowing offsets are keyed per pair, so a rebuilt entry equals
-        what a fresh medium at the new positions would compute, bit for
-        bit.  Unmoved-pair entries are untouched.
+        For each moved node the full row *and* column of both tables are
+        recomputed by :meth:`_link_power`; unmoved-pair entries are
+        untouched.
 
         Invariants this method maintains for in-flight transmissions:
 
-        * ``_sensed_rows`` and ``_pow_mw_from`` rows are *replaced* with
-          fresh objects, never mutated — finish subtracts through the
-          begin-time snapshots on :class:`_Transmission`, so every
-          add/remove pair stays exactly balanced across the epoch and no
-          busy/idle notification fires at the epoch instant.
+        * ``mW`` rows are *replaced* with fresh objects, never mutated —
+          finish subtracts through the begin-time snapshot on
+          :class:`_Transmission`, so every add/remove pair stays exactly
+          balanced across the epoch and no busy/idle notification fires
+          at the epoch instant.
         * memo invalidation is exact: ``_per_cache`` and
           ``_resolve_cache`` drop only keys whose tx or rx moved;
           ``_bcast_receivers`` (a function of every pairwise power) is
@@ -284,65 +246,27 @@ class WirelessMedium:
           with zero moves is event- and draw-identical to a static run.
 
         A reception that *begins* after the epoch while an old
-        transmission still interferes sees the new tables for the add
+        transmission still interferes sees the new table for the add
         and the old snapshot for the remove; the residual is clamped at
         zero and bounded by one frame airtime — deterministic, and far
         below the position-epoch timescale.
         """
         if not moved:
             return
-        index = self._node_index
         for node_id in moved:
-            if node_id not in index:
+            if node_id not in self.positions:
                 raise KeyError(f"node {node_id} has no position in the medium")
         for node_id, (x, y) in moved.items():
             self.positions[node_id] = (float(x), float(y))
-        ids = self._node_ids
-        moved_set = set(moved)
-        eirp = self.radio.tx_power_dbm + 2.0 * self.radio.antenna_gain_dbi
-        noise_dbm = self.capture.noise_floor_dbm
-        power_dbm = self._power_dbm
-        power_mw = self._power_mw
-        pow_dbm_map = self._pow_dbm
-        pow_mw_map = self._pow_mw
-        pow_dbm_from = self._pow_dbm_from
-        snr_from = self._snr_from
-        pow_mw_from = self._pow_mw_from = {
-            node: dict(row) for node, row in self._pow_mw_from.items()
-        }
-        sensed_rows = self._sensed_rows = [list(row) for row in self._sensed_rows]
-        for a in sorted(moved_set):
-            i = index[a]
-            row_dbm = pow_dbm_from[a]
-            row_mw = pow_mw_from[a]
-            row_snr = snr_from[a]
-            sensed_row = sensed_rows[i]
-            for b in ids:
-                j = index[b]
-                dbm = eirp - self.propagation.path_loss_db(self.distance(a, b), (a, b))
-                mw = dbm_to_mw(dbm)
-                power_dbm[i, j] = dbm
-                power_mw[i, j] = mw
-                pow_dbm_map[(a, b)] = dbm
-                pow_mw_map[(a, b)] = mw
-                row_dbm[b] = dbm
-                row_mw[b] = mw
-                row_snr[b] = dbm - noise_dbm
-                sensed_row[j] = 0.0 if j == i else mw
-                if b in moved_set:
-                    continue  # (b, a) is covered when b's own row rebuilds
-                dbm_r = eirp - self.propagation.path_loss_db(self.distance(b, a), (b, a))
-                mw_r = dbm_to_mw(dbm_r)
-                power_dbm[j, i] = dbm_r
-                power_mw[j, i] = mw_r
-                pow_dbm_map[(b, a)] = dbm_r
-                pow_mw_map[(b, a)] = mw_r
-                pow_dbm_from[b][a] = dbm_r
-                pow_mw_from[b][a] = mw_r
-                snr_from[b][a] = dbm_r - noise_dbm
-                sensed_rows[j][i] = mw_r
+        dbm = self._dbm
+        mw = self._mw = {node: dict(row) for node, row in self._mw.items()}
+        for a in moved:
+            for b in self.positions:
+                dbm[a][b], mw[a][b] = self._link_power(a, b)
+                if b not in moved:  # else (b, a) is covered by b's own row
+                    dbm[b][a], mw[b][a] = self._link_power(b, a)
         for cache in (self._per_cache, self._resolve_cache):
-            stale = [key for key in cache if key[0] in moved_set or key[1] in moved_set]
+            stale = [key for key in cache if key[0] in moved or key[1] in moved]
             for key in stale:
                 del cache[key]
         self._bcast_receivers.clear()
@@ -358,7 +282,7 @@ class WirelessMedium:
         MAC-level quiesce is the caller's job (see
         :meth:`repro.sim.network.MeshNetwork.fail_node`).
         """
-        if node_id not in self._node_index:
+        if node_id not in self.positions:
             raise KeyError(f"node {node_id} has no position in the medium")
         if active:
             self._inactive.discard(node_id)
@@ -367,32 +291,23 @@ class WirelessMedium:
             return
         self._inactive.add(node_id)
         # Receptions already in flight at the dying node fail now.
-        rx_index = self._node_index[node_id]
-        rx_live = self._rx_live
+        node = self._nodes[node_id]
         for transmission in self._ongoing.values():
             reception = transmission.receptions.get(node_id)
             if reception is not None and reception.failure is None:
                 reception.failure = "rx_off"
-                rx_live[rx_index] -= 1
+                node.rx_live -= 1
 
     # ------------------------------------------------------------ registration
     def register_mac(self, node_id: int, mac: MacListener) -> None:
-        """Attach the MAC entity of ``node_id`` so it receives callbacks."""
+        """Attach the MAC entity of ``node_id`` so it receives callbacks.
+
+        Registering again replaces the listener; the node keeps its
+        place in the notification order.
+        """
         if node_id not in self.positions:
             raise KeyError(f"node {node_id} has no position in the medium")
-        hinted = hasattr(mac, "_access_event") and hasattr(mac, "current")
-        if node_id in self._macs:
-            # Re-registration replaces in place, keeping the original
-            # notification position (dict-overwrite semantics).
-            for k, (existing, _, idx, _) in enumerate(self._mac_entries):
-                if existing == node_id:
-                    self._mac_entries[k] = (node_id, mac, idx, hinted)
-                    break
-        else:
-            self._mac_entries.append(
-                (node_id, mac, self._node_index[node_id], hinted)
-            )
-        self._macs[node_id] = mac
+        self._nodes[node_id].listener = mac
 
     def add_frame_observer(
         self, observer: Callable[[Frame, int, bool, str | None], None]
@@ -412,66 +327,48 @@ class WirelessMedium:
 
     def rx_power_dbm(self, tx: int, rx: int) -> float:
         """Received power at ``rx`` of a transmission from ``tx``."""
-        return self._pow_dbm[(tx, rx)]
+        return self._dbm[tx][rx]
 
     def rx_power_mw(self, tx: int, rx: int) -> float:
-        return self._pow_mw[(tx, rx)]
+        return self._mw[tx][rx]
 
     def sensed_power_mw(self, node_id: int) -> float:
         """Current carrier-sensed foreign energy at ``node_id`` (mW)."""
-        return self._sensed_mw[self._node_index[node_id]]
+        return self._nodes[node_id].sensed_mw
 
     def in_range(self, tx: int, rx: int, sensitivity_dbm: float) -> bool:
         """Whether ``rx`` can decode frames from ``tx`` absent interference."""
-        return self._pow_dbm[(tx, rx)] >= sensitivity_dbm
+        return self._dbm[tx][rx] >= sensitivity_dbm
 
     def can_sense(self, a: int, b: int) -> bool:
         """Whether node ``a`` senses the channel busy while ``b`` transmits."""
-        return self._pow_dbm[(b, a)] >= self.radio.cs_threshold_dbm
+        return self._dbm[b][a] >= self.radio.cs_threshold_dbm
 
     # ----------------------------------------------------------- carrier sense
     def is_busy(self, node_id: int) -> bool:
         """Local carrier-sense state of ``node_id``."""
         if node_id in self._transmitting:
             return True
-        return self._sensed_mw[self._node_index[node_id]] >= self._cs_threshold_mw
-
-    def _refresh_busy_states(self) -> None:
-        """Recompute busy flags and notify MACs whose state flipped."""
-        sensed = self._sensed_mw
-        threshold = self._cs_threshold_mw
-        transmitting = self._transmitting
-        busy_state = self._busy_state
-        for node_id, mac, idx, _ in self._mac_entries:
-            busy = node_id in transmitting or sensed[idx] >= threshold
-            if busy != busy_state[idx]:
-                busy_state[idx] = busy
-                if busy:
-                    mac.on_medium_busy()
-                else:
-                    mac.on_medium_idle()
+        return self._nodes[node_id].sensed_mw >= self._cs_threshold_mw
 
     # ------------------------------------------------------------ transmission
     def _intended_receivers(self, tx_id: int, frame: Frame) -> list[int]:
-        if not frame.is_broadcast:
+        if frame.dst != BROADCAST_ADDR and frame.kind is not FrameKind.BROADCAST:
             return [frame.dst] if frame.dst in self.positions else []
-        # Who hears a broadcast depends only on the (frozen) link powers
-        # and the rate's sensitivity — memoised per (tx, sensitivity).
+        # Who hears a broadcast depends only on the link powers (frozen
+        # between position epochs) and the rate's sensitivity — memoised
+        # per (tx, sensitivity).
         sensitivity = frame.rate.rx_sensitivity_dbm
         key = (tx_id, sensitivity)
         receivers = self._bcast_receivers.get(key)
         if receivers is None:
-            row_dbm = self._pow_dbm_from[tx_id]
+            row_dbm = self._dbm[tx_id]
             receivers = self._bcast_receivers[key] = [
                 node
-                for node in self._node_ids
+                for node in self.positions
                 if node != tx_id and row_dbm[node] >= sensitivity
             ]
         return receivers
-
-    def _receiver_is_locked(self, rx_id: int) -> bool:
-        """Whether ``rx_id`` is currently locked onto an ongoing frame."""
-        return self._rx_live[self._node_index[rx_id]] > 0
 
     def begin_transmission(self, tx_id: int, frame: Frame) -> float:
         """Start putting ``frame`` on the air from ``tx_id``.
@@ -480,7 +377,8 @@ class WirelessMedium:
         transmission processing and will call ``on_transmission_end`` on
         the transmitter's MAC when the frame leaves the air.
         """
-        if tx_id in self._transmitting:
+        transmitting = self._transmitting
+        if tx_id in transmitting:
             raise RuntimeError(f"node {tx_id} is already transmitting")
         airtime_key = (frame.size_bytes, frame.rate.bps)
         duration = self._airtime_cache.get(airtime_key)
@@ -488,17 +386,14 @@ class WirelessMedium:
             duration = self._airtime_cache[airtime_key] = frame_airtime(
                 frame.size_bytes, frame.rate
             )
-        now = self.sim.now
-        transmission = _Transmission(tx_id=tx_id, frame=frame, start=now, end=now + duration)
-        row_mw = transmission.mw_row = self._pow_mw_from[tx_id]
+        mw = self._mw
+        row_mw = mw[tx_id]
+        transmission = _Transmission(tx_id, frame, row_mw)
         ongoing = self._ongoing
+        nodes = self._nodes
 
         # The new transmission interferes with, and may destroy, receptions
-        # already in progress.  The interference accumulate is inlined
-        # (``add_interference`` unrolled) — this pair loop runs once per
-        # (ongoing reception, new transmitter).
-        node_index = self._node_index
-        rx_live = self._rx_live
+        # already in progress.
         for other in ongoing.values():
             for rx_id, reception in other.receptions.items():
                 if rx_id == tx_id:
@@ -506,7 +401,7 @@ class WirelessMedium:
                     # transmitting.
                     if reception.failure is None:
                         reception.failure = "half_duplex"
-                        rx_live[node_index[rx_id]] -= 1
+                        nodes[rx_id].rx_live -= 1
                     continue
                 cur = reception.cur_interference_mw + row_mw[rx_id]
                 reception.cur_interference_mw = cur
@@ -514,92 +409,42 @@ class WirelessMedium:
                     reception.peak_interference_mw = cur
 
         # Build reception state for the new frame's intended receivers.
-        # The unicast case is inlined (one receiver, no sensitivity scan).
-        if frame.dst != BROADCAST_ADDR and frame.kind is not FrameKind.BROADCAST:
-            receivers = [frame.dst] if frame.dst in self.positions else []
-        else:
-            receivers = self._intended_receivers(tx_id, frame)
-        row_dbm = self._pow_dbm_from[tx_id]
-        pow_mw_from = self._pow_mw_from
-        transmitting = self._transmitting
-        receptions = transmission.receptions
-        if len(receivers) >= 4 and ongoing:
-            # Vectorized interference pass over the power matrix: one
-            # fancy-indexed row read per ongoing transmitter, elementwise
-            # adds across receivers.  Elementwise float64 add performs
-            # the exact IEEE operation of the scalar loop in the same
-            # per-receiver order, and ``tolist()`` round-trips exactly,
-            # so this is bit-identical to the scalar fallback below.
-            rx_idx = [node_index[rx_id] for rx_id in receivers]
-            power_mw = self._power_mw
-            acc = None
-            for other in ongoing.values():
-                row_vec = power_mw[node_index[other.tx_id]].take(rx_idx)
-                acc = row_vec if acc is None else acc + row_vec
-            interference_list = acc.tolist()
-        else:
-            interference_list = None
         inactive = self._inactive
-        for k, rx_id in enumerate(receivers):
-            reception = _Reception(signal_dbm=row_dbm[rx_id])
+        receptions = transmission.receptions
+        for rx_id in self._intended_receivers(tx_id, frame):
+            reception = receptions[rx_id] = _Reception()
+            rx = nodes[rx_id]
             if inactive and rx_id in inactive:
                 reception.failure = "rx_off"
             elif rx_id in transmitting:
                 reception.failure = "half_duplex"
-            elif self._receiver_is_locked(rx_id):
+            elif rx.rx_live > 0:
                 reception.failure = "rx_locked"
             else:
-                rx_live[node_index[rx_id]] += 1
-            if interference_list is not None:
-                interference = interference_list[k]
-            else:
-                interference = 0.0
-                for other in ongoing.values():
-                    interference += pow_mw_from[other.tx_id][rx_id]
+                rx.rx_live += 1
+            interference = 0.0
+            for other in ongoing.values():
+                interference += mw[other.tx_id][rx_id]
             reception.cur_interference_mw = interference
             reception.peak_interference_mw = interference
-            receptions[rx_id] = reception
 
         ongoing[tx_id] = transmission
-        transmitting = self._transmitting
         transmitting.add(tx_id)
-        # Add this transmitter's row into every node's sensed energy and
-        # notify busy/idle flips in one fused pass.  Adding 0.0 (the
-        # diagonal) is a bitwise no-op on the non-negative sensed values.
-        # Each node's flip depends only on its own sensed entry, and the
-        # MAC handlers never read another node's carrier-sense state, so
-        # fusing update and notification is observationally identical to
-        # the two-pass form (which remains as the fallback when some
-        # nodes have no registered MAC).  Starting a transmission only
-        # *raises* sensed energy and only *adds* to the transmitting
-        # set, so busy can only flip False -> True here: already-busy
-        # nodes skip the threshold test, and a not-busy node is in the
-        # transmitting set iff it is this very transmitter.  For hinted
-        # listeners the ``on_medium_busy`` call is elided when it would
-        # be a no-op (no pending access event to freeze).
-        row = transmission.sensed_row = self._sensed_rows[self._node_index[tx_id]]
-        sensed = self._sensed_mw
-        entries = self._mac_entries
-        if len(entries) == len(row):
-            threshold = self._cs_threshold_mw
-            busy_state = self._busy_state
-            for node_id, mac, j, hinted in entries:
-                p = row[j]
-                if p:
-                    sensed[j] = s = sensed[j] + p
-                else:
-                    s = sensed[j]
-                if busy_state[j]:
-                    continue
-                if s >= threshold or node_id == tx_id:
-                    busy_state[j] = True
-                    if not hinted or mac._access_event is not None:
-                        mac.on_medium_busy()
-        else:
-            for j, p in enumerate(row):
-                if p:
-                    sensed[j] += p
-            self._refresh_busy_states()
+        # Add this transmitter's row into every other node's sensed
+        # energy and notify the nodes that flip to busy (the transmitter
+        # itself included).  Starting a transmission only *raises* sensed
+        # energy and only *adds* to the transmitting set, so busy can
+        # only flip False -> True here.  Each node's flip depends only on
+        # its own entry and listeners never read another node's
+        # carrier-sense state, so updating and notifying in one pass is
+        # sound.
+        threshold = self._cs_threshold_mw
+        for node_id, node in nodes.items():
+            if node_id != tx_id:
+                node.sensed_mw += row_mw[node_id]
+            if not node.busy and (node_id == tx_id or node.sensed_mw >= threshold):
+                node.busy = True
+                node.listener.on_medium_busy()
         self.sim.schedule(duration, self._finish_callbacks[tx_id])
         return duration
 
@@ -607,54 +452,31 @@ class WirelessMedium:
         transmission = self._ongoing.pop(tx_id)
         transmitting = self._transmitting
         transmitting.discard(tx_id)
+        nodes = self._nodes
         # The frame's still-live receptions leave the air with it: they
         # no longer lock their receivers.
-        node_index = self._node_index
-        rx_live = self._rx_live
         for rx_id, reception in transmission.receptions.items():
             if reception.failure is None:
-                rx_live[node_index[rx_id]] -= 1
-        # Remove this transmitter's row from every node's sensed energy
-        # (clamped at zero, as the incremental float bookkeeping always
-        # was) and notify busy/idle flips in the same fused pass as
-        # ``begin_transmission``.  Ending a transmission only *lowers*
+                nodes[rx_id].rx_live -= 1
+        # Remove this transmitter's row from every other node's sensed
+        # energy (clamped at zero against float residue) and notify the
+        # nodes that flip to idle.  Ending a transmission only *lowers*
         # sensed energy and only *removes* from the transmitting set, so
-        # busy can only flip True -> False here: idle nodes skip the
-        # threshold test entirely.  For hinted listeners the
-        # ``on_medium_idle`` call is elided when it would be a no-op (no
-        # frame in service, hence nothing to resume).  The subtraction
-        # goes through the begin-time row snapshot, so a position epoch
+        # busy can only flip True -> False here.  The subtraction goes
+        # through the begin-time row snapshot, so a position epoch
         # between begin and finish cannot unbalance the sensed energy.
-        row = transmission.sensed_row
-        sensed = self._sensed_mw
-        entries = self._mac_entries
-        if len(entries) == len(row):
-            threshold = self._cs_threshold_mw
-            busy_state = self._busy_state
-            for node_id, mac, j, hinted in entries:
-                p = row[j]
-                if p:
-                    v = sensed[j] - p
-                    sensed[j] = s = v if v > 0.0 else 0.0
-                else:
-                    s = sensed[j]
-                if not busy_state[j]:
-                    continue
-                if s < threshold and node_id not in transmitting:
-                    busy_state[j] = False
-                    if not hinted or mac.current is not None:
-                        mac.on_medium_idle()
-        else:
-            for j, p in enumerate(row):
-                if p:
-                    v = sensed[j] - p
-                    sensed[j] = v if v > 0.0 else 0.0
-            self._refresh_busy_states()
-        # Ongoing receptions no longer suffer this transmitter's
-        # interference (``remove_interference`` unrolled; ``max(0.0, v)``
-        # and the conditional produce the same float).  As above, the
-        # begin-time snapshot removes exactly what was added.
         row_mw = transmission.mw_row
+        threshold = self._cs_threshold_mw
+        for node_id, node in nodes.items():
+            if node_id != tx_id:
+                v = node.sensed_mw - row_mw[node_id]
+                node.sensed_mw = v if v > 0.0 else 0.0
+            if node.busy and node.sensed_mw < threshold and node_id not in transmitting:
+                node.busy = False
+                node.listener.on_medium_idle()
+        # Ongoing receptions no longer suffer this transmitter's
+        # interference; as above, the begin-time snapshot removes exactly
+        # what was added.
         for other in self._ongoing.values():
             for rx_id, reception in other.receptions.items():
                 if rx_id != tx_id:
@@ -662,9 +484,7 @@ class WirelessMedium:
                     reception.cur_interference_mw = v if v > 0.0 else 0.0
 
         self._deliver(transmission)
-        mac = self._macs.get(tx_id)
-        if mac is not None:
-            mac.on_transmission_end(transmission.frame)
+        nodes[tx_id].listener.on_transmission_end(transmission.frame)
 
     # -------------------------------------------------------------- reception
     def _draw_uniform(self) -> float:
@@ -678,7 +498,7 @@ class WirelessMedium:
         return buf[pos]
 
     def _channel_error_probability(self, tx_id: int, rx_id: int, frame: Frame) -> float:
-        # Link SNRs are frozen with the positions, so the residual error
+        # Link SNRs only change at position epochs, so the residual error
         # probability is a constant per (link, rate, length) — memoised
         # here to keep the error model out of the per-frame path.
         key = (tx_id, rx_id, frame.rate.bps, frame.size_bytes)
@@ -700,7 +520,7 @@ class WirelessMedium:
                 return 1.0
             ber = 1.0 - (1.0 - override) ** (1.0 / reference_bits)
             return 1.0 - (1.0 - ber) ** (frame.size_bytes * 8)
-        snr = self._snr_from[tx_id][rx_id]
+        snr = self._dbm[tx_id][rx_id] - self.capture.noise_floor_dbm
         return self.error_model.packet_error_probability(snr, frame.rate, frame.size_bytes)
 
     def _resolve_reception(
@@ -713,10 +533,11 @@ class WirelessMedium:
         probability, and the partial-capture error probability (0.0 when
         there was no overlap).  Everything here is a pure function of
         the key ``(tx, rx, rate, length, peak interference)`` because
-        link powers are frozen at construction.
+        link powers only change at position epochs, which drop the
+        affected keys.
         """
         rate = frame.rate
-        signal_dbm = self._pow_dbm_from[tx_id][rx_id]
+        signal_dbm = self._dbm[tx_id][rx_id]
         if signal_dbm < rate.rx_sensitivity_dbm:
             return ("weak", 0.0, 0.0)
         if not self.capture.decodable(signal_dbm, peak_mw, rate):
@@ -741,7 +562,7 @@ class WirelessMedium:
         rate_bps = frame.rate.bps
         size_bytes = frame.size_bytes
         observers = self.frame_observers
-        macs = self._macs
+        nodes = self._nodes
         tx_id = transmission.tx_id
         cache = self._resolve_cache
         for rx_id, reception in transmission.receptions.items():
@@ -771,8 +592,6 @@ class WirelessMedium:
                 observer(frame, rx_id, success, failure)
             if success:
                 self.delivered_frames += 1
-                mac = macs.get(rx_id)
-                if mac is not None:
-                    mac.on_frame_received(frame, tx_id)
+                nodes[rx_id].listener.on_frame_received(frame, tx_id)
             else:
                 self.loss_counts[failure] += 1

@@ -4,9 +4,12 @@ fail/revive semantics, and trajectory/schedule determinism."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.engine import Simulator
+from repro.mac.frames import Frame, FrameKind
+from repro.mac.medium import WirelessMedium
+from repro.phy.radio import rate_from_mbps
 from repro.sim import (
     DynamicsDriver,
     EventTraceRecorder,
@@ -26,7 +29,7 @@ def _net(num_nodes: int = 5, spacing_m: float = 80.0, seed: int = 11) -> MeshNet
 class TestIncrementalRebuild:
     def test_matches_fresh_medium_bit_for_bit(self):
         """Moving nodes incrementally must equal a fresh build at the new
-        positions in every table and scalar mirror."""
+        positions for every pairwise power."""
         net = _net()
         moved = {1: (95.0, 33.0), 3: (212.0, -41.0)}
         net.update_positions(moved)
@@ -34,14 +37,10 @@ class TestIncrementalRebuild:
         positions = dict(net.positions)
         fresh = MeshNetwork(positions, seed=11)
 
-        assert np.array_equal(net.medium._power_dbm, fresh.medium._power_dbm)
-        assert np.array_equal(net.medium._power_mw, fresh.medium._power_mw)
-        assert net.medium._pow_dbm == fresh.medium._pow_dbm
-        assert net.medium._pow_mw == fresh.medium._pow_mw
-        assert net.medium._pow_dbm_from == fresh.medium._pow_dbm_from
-        assert net.medium._pow_mw_from == fresh.medium._pow_mw_from
-        assert net.medium._snr_from == fresh.medium._snr_from
-        assert net.medium._sensed_rows == fresh.medium._sensed_rows
+        for a in positions:
+            for b in positions:
+                assert net.medium.rx_power_dbm(a, b) == fresh.medium.rx_power_dbm(a, b)
+                assert net.medium.rx_power_mw(a, b) == fresh.medium.rx_power_mw(a, b)
 
     def test_network_positions_follow(self):
         net = _net()
@@ -56,16 +55,45 @@ class TestIncrementalRebuild:
         with pytest.raises(KeyError):
             net.medium.set_node_active(99, False)
 
-    def test_rows_are_replaced_not_mutated(self):
-        """In-flight snapshots must keep pointing at the pre-epoch rows."""
-        net = _net()
-        before_sensed = net.medium._sensed_rows
-        before_mw_row = net.medium._pow_mw_from[1]
-        net.update_positions({1: (95.0, 33.0)})
-        assert net.medium._sensed_rows is not before_sensed
-        assert net.medium._pow_mw_from[1] is not before_mw_row
-        # ... and the old objects still hold their pre-epoch values.
-        assert before_sensed != net.medium._sensed_rows
+    def test_in_flight_frame_stays_balanced_across_an_epoch(self):
+        """A position epoch while a frame is on the air: the frame's
+        energy leaves exactly as it arrived (every sensed power returns
+        to 0.0) and the epoch instant itself flips no carrier-sense
+        state."""
+        sim = Simulator(seed=0)
+        positions = dict(chain_topology(3, spacing_m=40.0))
+        medium = WirelessMedium(sim, positions)
+        flip_times: list[float] = []
+
+        class FlipRecorder:
+            def on_medium_busy(self) -> None:
+                flip_times.append(sim.now)
+
+            on_medium_idle = on_medium_busy
+
+            def on_frame_received(self, frame: Frame, from_id: int) -> None:
+                pass
+
+            def on_transmission_end(self, frame: Frame) -> None:
+                pass
+
+        for node in positions:
+            medium.register_mac(node, FlipRecorder())
+        frame = Frame(
+            kind=FrameKind.DATA, src=0, dst=1, size_bytes=1500, rate=rate_from_mbps(11)
+        )
+        airtime = medium.begin_transmission(0, frame)
+        assert medium.sensed_power_mw(2) > 0.0
+        # Node 2 moves *away* from the transmitter mid-frame: a finish
+        # that subtracted the post-epoch power would leave a positive
+        # residue at node 2.
+        sim.schedule(airtime / 2.0, lambda: medium.update_positions({2: (400.0, 0.0)}))
+        sim.run_until(2.0 * airtime)
+
+        assert medium.rx_power_mw(0, 2) < medium.rx_power_mw(0, 1)
+        assert [medium.sensed_power_mw(node) for node in positions] == [0.0, 0.0, 0.0]
+        assert not any(medium.is_busy(node) for node in positions)
+        assert flip_times and set(flip_times) <= {0.0, airtime}
 
 
 class TestMemoInvalidation:
