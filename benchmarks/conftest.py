@@ -16,14 +16,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 
-#: Cold/warm wall clocks of every figure benchmark that went through
-#: :func:`run_cold_then_warm`, keyed by benchmarked test name.  Collected
-#: here (the one choke point that times figure sweeps) so that
-#: ``test_sim_core.py`` — which sorts after the ``test_fig*`` modules —
-#: can fold the session's figure timings into ``BENCH_sim.json``.
-FIGURE_WALL_CLOCKS: dict[str, dict[str, float]] = {}
-
-
 def run_once(benchmark, func):
     """Run ``func`` exactly once under pytest-benchmark and return its result."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
@@ -33,8 +25,7 @@ def run_cold_then_warm(benchmark, func, cache):
     """Benchmark ``func`` once cold (populating ``cache``), re-run it warm,
     and record the cache speedup in the benchmark's ``extra_info``.
 
-    The cold run is what pytest-benchmark times (so figure timings stay
-    comparable with earlier BENCH_*.json records); the warm run re-executes
+    The cold run is what pytest-benchmark times; the warm run re-executes
     the identical sweep against the now-populated cache.  Returns
     ``(cold, warm, cold_wall_s, warm_wall_s)`` so callers can assert the
     two runs are bit-identical.
@@ -47,10 +38,6 @@ def run_cold_then_warm(benchmark, func, cache):
     start = time.perf_counter()
     warm = func()
     warm_wall_s = time.perf_counter() - start
-    FIGURE_WALL_CLOCKS[benchmark.name] = {
-        "cold_wall_s": round(cold_wall_s, 3),
-        "warm_wall_s": round(warm_wall_s, 3),
-    }
     benchmark.extra_info["result_cache"] = {
         "cold_wall_s": round(cold_wall_s, 3),
         "warm_wall_s": round(warm_wall_s, 3),

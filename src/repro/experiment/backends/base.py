@@ -150,7 +150,6 @@ def backend_names() -> list[str]:
 
 def resolve_backend(
     backend: "ExecutionBackend | str | None",
-    parallel: bool = True,
     max_workers: int | None = None,
 ) -> ExecutionBackend:
     """Resolve the ``backend`` argument of :class:`BatchRunner`.
@@ -158,18 +157,12 @@ def resolve_backend(
     * an :class:`ExecutionBackend` instance is used as given;
     * a name (``"serial"``, ``"process"``, ``"work_queue"``,
       ``"broker"``) is instantiated with ``max_workers``;
-    * ``None`` with ``parallel=False`` is the legacy sequential path and
-      always resolves to :class:`SerialBackend` — explicit code intent
-      beats the environment;
-    * ``None`` otherwise honors ``REPRO_BATCH_BACKEND`` when set (the CI
-      backend matrix uses this) and defaults to
-      :class:`ProcessPoolBackend`.
+    * ``None`` honors ``REPRO_BATCH_BACKEND`` when set (the CI backend
+      matrix uses this) and defaults to :class:`ProcessPoolBackend`.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
-        if not parallel:
-            return SerialBackend()
         backend = os.environ.get(BACKEND_ENV_VAR) or ProcessPoolBackend.name
     name = str(backend)
     try:

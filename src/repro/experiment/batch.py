@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.analysis.reporting import ExperimentReport, batch_summary_table
-from repro.experiment.backends import BackendError, run_spec_payload
+from repro.experiment.backends import BackendError
 from repro.experiment.planner import PlannerStats
 from repro.experiment.runner import ExperimentResult
 from repro.experiment.specs import ExperimentSpec
@@ -50,10 +50,6 @@ from repro.experiment.specs import ExperimentSpec
 if TYPE_CHECKING:
     from repro.experiment.backends import ExecutionBackend, QueueStats
     from repro.experiment.cache import ResultCache
-
-#: Backward-compatible alias: the dict-in/dict-out worker protocol lived
-#: here before the backend abstraction was factored out.
-_run_spec_payload = run_spec_payload
 
 
 def seed_sweep(
@@ -151,11 +147,6 @@ class BatchRunner:
     Args:
         experiments: the specs to run (build with :func:`seed_sweep` for
             the common multi-seed case).
-        parallel: legacy toggle, honored when no ``backend`` is given —
-            ``False`` forces the serial backend (and wins over
-            ``REPRO_BATCH_BACKEND``; explicit code intent beats the
-            environment), ``True`` (the default) uses the environment's
-            backend or the process pool.
         max_workers: worker count for backends that fan out (defaults to
             the CPU count, capped at the number of cells to execute).
         cache: result cache, resolved by
@@ -166,12 +157,11 @@ class BatchRunner:
         backend: an :class:`ExecutionBackend` instance, a backend name
             (``"serial"``, ``"process"``, ``"work_queue"``,
             ``"broker"``), or ``None`` to resolve from
-            ``parallel``/``REPRO_BATCH_BACKEND`` (see
+            ``REPRO_BATCH_BACKEND``, defaulting to the process pool (see
             :func:`repro.experiment.backends.resolve_backend`).
     """
 
     experiments: Sequence[ExperimentSpec]
-    parallel: bool = True
     max_workers: int | None = None
     cache: "ResultCache | None | bool" = None
     backend: "ExecutionBackend | str | None" = None
@@ -191,9 +181,7 @@ class BatchRunner:
 
         wall_start = time.perf_counter()
         cache = resolve_cache(self.cache)
-        backend = resolve_backend(
-            self.backend, parallel=self.parallel, max_workers=self.max_workers
-        )
+        backend = resolve_backend(self.backend, max_workers=self.max_workers)
 
         # Plan in the submitting process, before any fan-out: duplicates
         # collapse to one job each, cache hits never reach the backend

@@ -164,7 +164,7 @@ def _profile_specs():
     return {
         # One Figure 14 grid cell (random_multiflow / tcp / Prop
         # variant) — the repeated unit whose cost dominates the figure
-        # sweeps; same spec as ``benchmarks/test_sim_core.py``.
+        # sweeps; the ledger's ``cell_static`` workload times it.
         "fig14-cell": ExperimentSpec(
             scenario=ScenarioSpec(
                 scenario="random_multiflow",

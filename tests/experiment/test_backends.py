@@ -76,10 +76,6 @@ class TestResolution:
         monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
         assert isinstance(resolve_backend(None), SerialBackend)
 
-    def test_parallel_false_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "work_queue")
-        assert isinstance(resolve_backend(None, parallel=False), SerialBackend)
-
     def test_workers_for(self, tmp_path):
         assert SerialBackend().workers_for(8) == 1
         assert ProcessPoolBackend(max_workers=4).workers_for(8) == 4

@@ -56,7 +56,7 @@ class TestExecution:
     # cannot reroute what these tests deliberately pin down.
     @pytest.fixture(scope="class")
     def sequential(self, sweep):
-        return BatchRunner(sweep, parallel=False, cache=False).run()
+        return BatchRunner(sweep, backend="serial", cache=False).run()
 
     def test_results_in_submission_order(self, sweep, sequential):
         assert [r.spec.scenario.seed for r in sequential] == [0, 1, 2, 3]

@@ -385,7 +385,7 @@ class TestBatchIntegration:
     @pytest.fixture(scope="class")
     def cache_and_cold(self, tmp_path_factory, sweep):
         cache = ResultCache(tmp_path_factory.mktemp("batch-cache"))
-        cold = BatchRunner(sweep, parallel=False, cache=cache).run()
+        cold = BatchRunner(sweep, backend="serial", cache=cache).run()
         return cache, cold
 
     def test_cold_sweep_counts_misses(self, cache_and_cold, sweep):
@@ -396,7 +396,7 @@ class TestBatchIntegration:
 
     def test_warm_sweep_bit_identical_and_poolless(self, cache_and_cold, sweep):
         cache, cold = cache_and_cold
-        warm = BatchRunner(sweep, parallel=True, max_workers=2, cache=cache).run()
+        warm = BatchRunner(sweep, max_workers=2, cache=cache).run()
         assert warm.cache_hits == len(sweep) and warm.cache_misses == 0
         assert warm.cache_hit_rate == 1.0
         assert not warm.parallel  # zero workers spawned on a fully warm sweep
@@ -407,7 +407,7 @@ class TestBatchIntegration:
     def test_partially_warm_sweep_runs_only_misses(self, cache_and_cold, sweep):
         cache, cold = cache_and_cold
         extended = sweep + seed_sweep(SPEC, [7])
-        mixed = BatchRunner(extended, parallel=False, cache=cache).run()
+        mixed = BatchRunner(extended, backend="serial", cache=cache).run()
         assert mixed.cache_hits == len(sweep) and mixed.cache_misses == 1
         assert mixed.to_dicts(include_runtime=True)[: len(sweep)] == cold.to_dicts(
             include_runtime=True
@@ -415,11 +415,11 @@ class TestBatchIntegration:
 
     def test_report_mentions_cache_hits(self, cache_and_cold, sweep):
         cache, _ = cache_and_cold
-        warm = BatchRunner(sweep, parallel=False, cache=cache).run()
+        warm = BatchRunner(sweep, backend="serial", cache=cache).run()
         assert "from cache" in warm.report("warm").render()
 
     def test_uncached_sweep_reports_zero(self, sweep):
-        result = BatchRunner(sweep[:1], parallel=False, cache=False).run()
+        result = BatchRunner(sweep[:1], backend="serial", cache=False).run()
         assert result.cache_hits == 0 and result.cache_misses == 0
         assert "from cache" not in result.report().render()
 

@@ -26,7 +26,7 @@ from repro.experiment import (
     WorkQueueBackend,
 )
 
-#: The same cell ``benchmarks/test_sim_core.py`` times: the repeated
+#: The cell the ledger's ``cell_static`` workload times: the repeated
 #: unit of the Figure 14 grid.
 FIG14_CELL = ExperimentSpec(
     scenario=ScenarioSpec(
