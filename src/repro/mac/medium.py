@@ -41,7 +41,7 @@ from repro.phy.error_models import BerPacketErrorModel, ErrorModel
 from repro.phy.propagation import LogDistancePathLoss, PropagationModel, dbm_to_mw
 from repro.phy.radio import RadioConfig, frame_airtime
 from repro.phy.sinr import CaptureModel
-from repro.mac.frames import BROADCAST_ADDR, Frame, FrameKind
+from repro.mac.frames import Frame
 from repro.engine import Simulator
 
 
@@ -82,7 +82,7 @@ class _NodeState:
     so the rx-locked check is O(1).
     """
 
-    listener: MacListener
+    listener: MacListener = field(default_factory=_SilentListener)
     sensed_mw: float = 0.0
     busy: bool = False
     rx_live: int = 0
@@ -156,9 +156,7 @@ class WirelessMedium:
         # Per-node state in position order, which is the order busy/idle
         # notifications go out in.  A node is silent until its MAC
         # registers.
-        self._nodes: dict[int, _NodeState] = {
-            node: _NodeState(_SilentListener()) for node in self.positions
-        }
+        self._nodes: dict[int, _NodeState] = {node: _NodeState() for node in self.positions}
         self._ongoing: dict[int, _Transmission] = {}
         self._transmitting: set[int] = set()
         self.loss_counts: Counter[str] = Counter()
@@ -353,7 +351,7 @@ class WirelessMedium:
 
     # ------------------------------------------------------------ transmission
     def _intended_receivers(self, tx_id: int, frame: Frame) -> list[int]:
-        if frame.dst != BROADCAST_ADDR and frame.kind is not FrameKind.BROADCAST:
+        if not frame.is_broadcast:
             return [frame.dst] if frame.dst in self.positions else []
         # Who hears a broadcast depends only on the link powers (frozen
         # between position epochs) and the rate's sensitivity — memoised
