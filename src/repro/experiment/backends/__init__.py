@@ -10,30 +10,35 @@ can never change results: by the determinism guarantees of the engine
 (CRC32-derived RNG spawn keys), the payload a backend returns is
 byte-identical no matter where the simulation ran.
 
-Four backends ship with the library:
+Four backend names ship with the library:
 
 * :class:`SerialBackend` — run every cell inline in the calling
   process.  The reference implementation the others are tested against.
 * :class:`ProcessPoolBackend` — fan out across local worker processes
   with :class:`concurrent.futures.ProcessPoolExecutor`.
-* :class:`WorkQueueBackend` — a shared-directory work queue.  The
-  submitting process writes one JSON task file per cell; *any* process
-  that can see the directory — locally spawned drainers, or remote
-  workers started with ``python -m repro.experiment.worker <dir>`` on
-  hosts sharing the filesystem — claims tasks by atomic rename, runs
-  them, and writes result files back.
-* :class:`BrokerBackend` — the same task/claim/result protocol spoken
-  over HTTP to a :mod:`repro.experiment.broker`, dropping the
-  shared-filesystem requirement entirely: submitter and workers need
-  only a URL in common.
+* :class:`WorkQueueBackend` and :class:`BrokerBackend` — **one queue
+  submitter over two transports**.  :class:`QueueBackend` owns
+  everything that is not transport (task ids and envelopes, the local
+  drainer pool, the only submit → collect loop, withdrawal on exit) and
+  reaches its queue through three submitter verbs: ``submit(envelopes)``,
+  ``collect(match=, ack=) -> {"results", "pending", "claimed"}``,
+  ``cancel(ids)``.  A transport is one client class with those three
+  plus the four worker verbs ``python -m repro.experiment.worker``
+  drains with (``claim``, ``heartbeat``, ``complete``, ``recover``):
+  :class:`FileQueueClient` is a shared directory — one JSON task file
+  per cell, claimed by atomic rename by *any* process that can see the
+  directory; :class:`BrokerClient` speaks the same envelopes over HTTP
+  to a :mod:`repro.experiment.broker`, so submitter and workers need
+  only a URL in common.  The two backends only open their transport.
 
-The queue-shaped backends are **self-healing**: a claim is a lease
+The queue is **self-healing**: a claim is a lease
 (``REPRO_QUEUE_LEASE_S``) that the worker heartbeats while it computes;
-a claim whose lease expires — a ``kill -9``'d worker — is requeued with
-a per-task retry budget (``REPRO_QUEUE_MAX_ATTEMPTS``) before the queue
-gives up and synthesizes an error envelope naming the task, and locally
-spawned drainers are topped up from the observed queue depth, so a dead
-worker costs one lease interval, never the sweep.
+every collect sweeps leases, and a claim whose lease expired — a
+``kill -9``'d worker — is requeued with a per-task retry budget
+(``REPRO_QUEUE_MAX_ATTEMPTS``) before the queue gives up and
+synthesizes an error envelope naming the task; locally spawned drainers
+are topped up from the observed queue depth, so a dead worker costs one
+lease interval, never the sweep.
 
 :func:`resolve_backend` maps the ``backend`` argument of
 :class:`BatchRunner` (a name, an instance, or ``None``) to an instance;
@@ -62,6 +67,7 @@ from repro.experiment.backends.queue_common import (
     LEASE_ENV_VAR,
     MAX_ATTEMPTS_ENV_VAR,
     PollBackoff,
+    QueueBackend,
     QueueStats,
     default_broker_token,
     default_lease_s,
@@ -72,8 +78,9 @@ from repro.experiment.backends.work_queue import (
     CLAIMED_DIR,
     RESULTS_DIR,
     TASKS_DIR,
+    FileQueueClient,
     WorkQueueBackend,
-    _atomic_write_json,
+    claim_next_task,
     ensure_queue_dirs,
     requeue_expired_claims,
 )
@@ -97,16 +104,19 @@ __all__ = [
     "DEFAULT_LEASE_S",
     "DEFAULT_MAX_ATTEMPTS",
     "ExecutionBackend",
+    "FileQueueClient",
     "LEASE_ENV_VAR",
     "MAX_ATTEMPTS_ENV_VAR",
     "PollBackoff",
     "ProcessPoolBackend",
+    "QueueBackend",
     "QueueStats",
     "RESULTS_DIR",
     "SerialBackend",
     "TASKS_DIR",
     "WorkQueueBackend",
     "backend_names",
+    "claim_next_task",
     "default_broker_token",
     "default_lease_s",
     "default_max_attempts",

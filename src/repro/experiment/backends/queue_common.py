@@ -1,9 +1,17 @@
-"""Shared machinery of the queue-shaped backends.
+"""The one submitter of the queue-shaped backends, and what it shares.
 
-The file-based :class:`~repro.experiment.backends.work_queue.WorkQueueBackend`
-and the HTTP :class:`~repro.experiment.backends.broker_client.BrokerBackend`
-speak the same task/claim/result envelope protocol and manage local
-drainer subprocesses the same way; this module holds the shared parts:
+``work_queue`` (a shared directory) and ``broker`` (HTTP) are the same
+backend over two transports.  A transport is one client class with two
+halves: four **worker verbs** (``claim``, ``heartbeat``, ``complete``,
+``recover`` — what :func:`repro.experiment.worker.drain` runs on) and
+three **submitter verbs**::
+
+    submit(envelopes)
+    collect(match=, ack=) -> {"results": [...], "pending": n, "claimed": n}
+    cancel(ids)
+
+:class:`QueueBackend` is everything on the submitting side that is not
+transport — and it is written once:
 
 * the **lease/retry knobs** (``REPRO_QUEUE_LEASE_S``,
   ``REPRO_QUEUE_MAX_ATTEMPTS``) and the task envelope constructor that
@@ -20,7 +28,11 @@ drainer subprocesses the same way; this module holds the shared parts:
   requeued) is replaced the moment there is visible work again.  Each
   drainer writes its own log file, so a failure embeds the tail of the
   log of the worker that actually failed instead of an interleaved
-  mess.
+  mess;
+* the submit → collect loop itself (:meth:`QueueBackend._collect`), with
+  every liveness rule in one place: ack-based handover, idle and outage
+  backoff, fail-fast on drainers that keep dying, patience while any
+  claim is live, and a stall timeout only for tasks nobody holds.
 """
 
 from __future__ import annotations
@@ -28,9 +40,16 @@ from __future__ import annotations
 import os
 import random
 import subprocess
+import sys
+import time
+import uuid
+from abc import abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from tempfile import TemporaryDirectory
+from typing import Any, ContextManager, Mapping, Sequence
+
+from repro.experiment.backends.base import BackendError, ExecutionBackend
 
 __all__ = [
     "BROKER_TOKEN_ENV_VAR",
@@ -41,6 +60,7 @@ __all__ = [
     "LEASE_ENV_VAR",
     "MAX_ATTEMPTS_ENV_VAR",
     "PollBackoff",
+    "QueueBackend",
     "QueueStats",
     "default_broker_token",
     "default_lease_s",
@@ -67,8 +87,8 @@ BROKER_URL_ENV_VAR = "REPRO_BROKER_URL"
 
 #: Shared broker secret.  Set on the broker it *requires* the token; set
 #: on clients (submitter, workers) they *send* it.  Export the same
-#: value everywhere — :func:`worker_subprocess_env` copies the
-#: submitter's environment, so locally spawned drainers inherit it.
+#: value everywhere; locally spawned drainers get the submitter's token
+#: through their environment either way (see ``BrokerBackend._open``).
 BROKER_TOKEN_ENV_VAR = "REPRO_BROKER_TOKEN"
 
 
@@ -188,14 +208,6 @@ class QueueStats:
     #: Largest unclaimed backlog the collect loop observed.
     max_depth: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "spawned": self.spawned,
-            "requeued": self.requeued,
-            "exhausted": self.exhausted,
-            "max_depth": self.max_depth,
-        }
-
 
 def worker_subprocess_env() -> dict[str, str]:
     """Environment for spawned drainers.
@@ -221,31 +233,30 @@ class DrainerPool:
     Args:
         command: the drainer argv (``python -m repro.experiment.worker
             ...``); every spawn runs the same command.
-        log_dir: where per-drainer logs go.
-        log_prefix: log files are ``{log_prefix}-{n:02d}.log`` — one per
-            drainer, so a traceback is never interleaved with another
-            process's output.
+        log_dir: where per-drainer logs go, ``worker-{n:02d}.log`` — one
+            per drainer, so a traceback is never interleaved with
+            another process's output.
         cap: most drainers alive at once (0 = external-drain mode, the
             pool never spawns).
+        env: the drainers' environment.
     """
 
     command: Sequence[str]
     log_dir: Path
-    log_prefix: str
     cap: int
+    env: dict[str, str]
     stats: QueueStats = field(default_factory=QueueStats)
     _drainers: list[tuple[subprocess.Popen, Path]] = field(default_factory=list)
-    _env: dict[str, str] = field(default_factory=worker_subprocess_env)
 
     def _spawn(self) -> None:
-        log_path = self.log_dir / f"{self.log_prefix}-{self.stats.spawned:02d}.log"
+        log_path = self.log_dir / f"worker-{self.stats.spawned:02d}.log"
         log = open(log_path, "ab")
         try:
             proc = subprocess.Popen(
                 list(self.command),
                 stdout=log,
                 stderr=subprocess.STDOUT,
-                env=self._env,
+                env=self.env,
             )
         finally:
             log.close()
@@ -268,24 +279,12 @@ class DrainerPool:
     def alive_count(self) -> int:
         return sum(1 for proc, _ in self._drainers if proc.poll() is None)
 
-    def any_alive(self) -> bool:
-        return any(proc.poll() is None for proc, _ in self._drainers)
-
-    def failed_exits(self) -> list[tuple[subprocess.Popen, Path]]:
-        """Drainers that exited with a nonzero status (crash or kill),
-        oldest first."""
-        return [
-            (proc, log_path)
-            for proc, log_path in self._drainers
-            if proc.poll() not in (None, 0)
-        ]
-
     def failing_log_tail(self, limit: int = 2000) -> str:
         """Tail of the log of the most recently failed drainer (or, when
-        none failed, of the last drainer at all) — the satellite fix for
-        the old interleaved shared log: the traceback shown is the
-        *failing* worker's own."""
-        failed = self.failed_exits()
+        none failed, of the last drainer at all): the traceback shown is
+        the *failing* worker's own."""
+        # Nonzero exit = crash or kill; oldest first.
+        failed = [d for d in self._drainers if d[0].poll() not in (None, 0)]
         candidates = failed if failed else self._drainers
         for proc, log_path in reversed(candidates):
             try:
@@ -309,9 +308,296 @@ class DrainerPool:
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
 
-    def remove_logs(self) -> None:
-        for _, log_path in self._drainers:
+
+class QueueBackend(ExecutionBackend):
+    """Submit a sweep to a queue, drain it, collect it — over any transport.
+
+    Subclasses only say how to reach their queue (:meth:`_open`).  Task
+    ids are unique per submission and every verb is scoped to the
+    submission's id prefix, so several submitters (and any number of
+    workers) can share one queue.  Locally spawned drainers are
+    auto-scaled: the collect loop tops the pool up from the observed
+    unclaimed backlog each tick (never above ``workers``), so a drainer
+    that crashed — or exited on a momentarily empty queue before a dead
+    worker's task was requeued — is replaced as soon as there is work
+    for it.
+
+    Args:
+        workers: cap on concurrently live local drainer processes
+            (``python -m repro.experiment.worker``).  ``0`` spawns none
+            and relies entirely on external workers already draining
+            the queue.
+        cache_dir: optional shared :class:`ResultCache` directory the
+            spawned workers write results back to (content-addressed,
+            so concurrent writers are safe) — lets a warm shared store
+            build up even when the submitter itself runs uncached.
+        poll_interval_s: base ``collect`` interval while results are
+            flowing; consecutive empty polls back off exponentially
+            (with jitter, capped well below a lease) so an idle
+            submitter does not hammer a shared queue.
+        timeout_s: give up (``BackendError``) when results stop arriving
+            for this long with nothing claimed — and the outage budget:
+            a durable broker may restart mid-sweep, so the loop rides
+            out unreachability up to this long before declaring the
+            submission lost.
+        lease_s: claim lease embedded in this submission's envelopes;
+            defaults to ``REPRO_QUEUE_LEASE_S`` (30 s).
+        max_attempts: per-task execution budget, likewise embedded;
+            defaults to ``REPRO_QUEUE_MAX_ATTEMPTS`` (3).
+
+    After :meth:`run`, :attr:`last_run_stats` holds the submission's
+    :class:`QueueStats`.
+    """
+
+    def __init__(
+        self,
+        workers: int | None,
+        cache_dir: str | os.PathLike[str] | None,
+        poll_interval_s: float,
+        timeout_s: float,
+        lease_s: float | None,
+        max_attempts: int | None,
+    ) -> None:
+        if workers is not None and workers < 0:
+            raise ValueError("workers must be non-negative")
+        if poll_interval_s <= 0:
+            raise ValueError("poll_interval_s must be positive")
+        if timeout_s <= 0:
+            raise ValueError("timeout_s must be positive")
+        if lease_s is not None and lease_s <= 0:
+            raise ValueError("lease_s must be positive")
+        if max_attempts is not None and max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        self.workers = workers
+        self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
+        self.poll_interval_s = poll_interval_s
+        self.timeout_s = timeout_s
+        self.lease_s = lease_s if lease_s is not None else default_lease_s()
+        self.max_attempts = (
+            max_attempts if max_attempts is not None else default_max_attempts()
+        )
+        self.last_run_stats: QueueStats | None = None
+
+    @abstractmethod
+    def _open(self) -> ContextManager[tuple[Any, list[str], dict[str, str]]]:
+        """Open this backend's queue for one submission.
+
+        Yields ``(transport, target, env)``: the client whose submitter
+        verbs the loop calls, the worker CLI arguments that point a
+        drainer at the same queue, and any environment a drainer needs
+        beyond the submitter's own (credentials — never argv, which
+        ``ps`` shows).  Whatever was opened is released on exit.
+        """
+
+    def workers_for(self, num_tasks: int) -> int:
+        """Local drainer cap (external-drain mode reports 1 — the
+        submitter cannot know how many remote workers are draining)."""
+        if num_tasks <= 0 or self.workers == 0:
+            return 1
+        if self.workers is not None:
+            return min(self.workers, max(num_tasks, 1))
+        return min(num_tasks, os.cpu_count() or 1)
+
+    def _drainer_command(self, target: Sequence[str], match: str) -> list[str]:
+        command = [
+            sys.executable,
+            "-m",
+            "repro.experiment.worker",
+            *target,
+            "--exit-when-empty",
+            "--poll-interval-s",
+            str(self.poll_interval_s),
+            # Scoped to this submission: terminating these drainers at the
+            # end of run() must never kill another submitter's task
+            # mid-simulation in a shared queue.
+            "--match",
+            match,
+        ]
+        if self.cache_dir is not None:
+            command += ["--cache-dir", str(self.cache_dir)]
+        return command
+
+    def run(self, payloads: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
+        self.last_run_stats = None  # never leak a previous run's account
+        if not payloads:
+            return []
+        match = f"{uuid.uuid4().hex[:12]}-"
+        task_ids = [f"{match}{index:05d}" for index in range(len(payloads))]
+        envelopes = [
+            task_envelope(
+                task_id, payload, lease_s=self.lease_s, max_attempts=self.max_attempts
+            )
+            for task_id, payload in zip(task_ids, payloads)
+        ]
+        with self._open() as (transport, target, env), TemporaryDirectory(
+            prefix="repro-drainer-logs-"
+        ) as log_dir:
+            pool = DrainerPool(
+                command=self._drainer_command(target, match),
+                log_dir=Path(log_dir),
+                cap=self.workers_for(len(payloads)) if self.workers != 0 else 0,
+                env={**worker_subprocess_env(), **env},
+            )
+            self.last_run_stats = pool.stats
+            where = target[-1]  # the directory or URL, for messages
             try:
-                log_path.unlink()
-            except OSError:
-                pass
+                try:
+                    transport.submit(envelopes)
+                except ConnectionError as exc:
+                    raise BackendError(
+                        f"could not submit to the {self.name} queue ({where}): {exc}"
+                    ) from exc
+                return self._collect(transport, task_ids, pool, match, where)
+            except PermissionError as exc:
+                # A refused credential (BrokerAuthError) never heals by
+                # waiting, at submit or mid-run: no retry, the fix is in
+                # the transport's message.
+                raise BackendError(
+                    f"the {self.name} queue ({where}) refused this "
+                    f"submitter's credentials: {exc}"
+                ) from exc
+            finally:
+                pool.terminate()
+                # On success, failure or timeout alike, withdraw this
+                # submission's leftovers: external workers must not burn
+                # compute on a sweep nobody is waiting for, and a shared
+                # queue must not accumulate dead submissions.  Best-effort
+                # — a claimant that outlives us can still report an
+                # orphan result; the transports age those out.
+                try:
+                    transport.cancel(task_ids)
+                except (ConnectionError, PermissionError):
+                    pass
+
+    def _collect(
+        self,
+        transport: Any,
+        task_ids: list[str],
+        pool: DrainerPool,
+        match: str,
+        where: str,
+    ) -> list[dict[str, Any]]:
+        pending = set(task_ids)
+        collected: dict[str, dict[str, Any]] = {}
+        last_progress = time.monotonic()
+        spawned_at_progress = 0
+        backlog = len(task_ids)
+        # Idle polls back off exponentially (with jitter) so a submitter
+        # waiting on stragglers polls a shared queue a few times per
+        # second at worst, not at a flat 20 Hz; the cap stays well below
+        # a lease so requeue/auto-scale reactions remain prompt.
+        idle_backoff = PollBackoff(
+            self.poll_interval_s,
+            max(self.poll_interval_s, min(self.lease_s / 4.0, 2.0)),
+        )
+        outage_backoff = PollBackoff(
+            max(self.poll_interval_s, 0.25), min(self.lease_s / 2.0, 5.0)
+        )
+        outage_since: float | None = None
+        # Ack-based handover: each tick acknowledges the results safely
+        # received last tick (the transport then drops them) and addresses
+        # the submission by its id prefix — per-tick traffic scales with
+        # newly finished cells, not with the size of the sweep.
+        ack: list[str] = []
+        while pending:
+            try:
+                response = transport.collect(match=match, ack=ack)
+            except ConnectionError as exc:
+                # An unreachable queue is not a lost queue: a durable
+                # broker comes back with the full submission intact, and
+                # a transient network blip heals by itself (nothing is
+                # lost either way — unacked results are simply re-sent).
+                # Keep polling with backoff until the outage has lasted
+                # a full timeout_s; only then declare the sweep lost.
+                now = time.monotonic()
+                if outage_since is None:
+                    outage_since = now
+                elif now - outage_since > self.timeout_s:
+                    raise BackendError(
+                        f"{self.name} queue ({where}) unreachable for "
+                        f"{self.timeout_s:.0f}s with {len(pending)} task(s) "
+                        f"unfinished: {exc}"
+                    ) from exc
+                time.sleep(outage_backoff.next_delay())
+                continue
+            outage_since = None
+            outage_backoff.reset()
+            ack = [str(envelope.get("id")) for envelope in response["results"]]
+            progressed = False
+            for envelope in response["results"]:
+                task_id = str(envelope.get("id"))
+                if task_id not in pending:
+                    continue  # re-sent while its ack was in flight
+                # Accounting reads the envelope, not any one sweeper: the
+                # submitter, idle workers and the broker all requeue
+                # expired claims, and only the envelope's attempts
+                # counter sees every requeuer exactly once.
+                attempts = int(envelope.get("attempts", 0) or 0)
+                if envelope.get("error") is not None:
+                    # A running worker reports at most max_attempts - 1;
+                    # only a synthesized give-up envelope reaches the cap.
+                    if attempts >= self.max_attempts:
+                        pool.stats.exhausted += 1
+                    raise BackendError(
+                        f"{self.name} task {task_id} failed in a worker:\n"
+                        f"{envelope['error']}"
+                    )
+                pool.stats.requeued += attempts
+                collected[task_id] = envelope["result"]
+                pending.discard(task_id)
+                progressed = True
+            depth = int(response.get("pending", 0))
+            if progressed or depth > backlog:
+                # The backlog only grows when an expired claim is put
+                # back on the queue, and lease recovery is progress too:
+                # the sweep is healing, not hanging.
+                last_progress = time.monotonic()
+                spawned_at_progress = pool.stats.spawned
+            backlog = depth
+            if progressed:
+                idle_backoff.reset()
+                continue
+            # Auto-scaling from the transport's own backlog count:
+            # requeued tasks (their worker died; the collect above swept
+            # the expired lease) become visible here and get a fresh
+            # drainer, never beyond the worker cap.
+            if pool.cap > 0:
+                pool.top_up(depth)
+                if pool.stats.spawned - spawned_at_progress > max(6, 3 * pool.cap):
+                    # Drainers keep exiting without a single result or
+                    # lease recovery in between — a broken environment (import error,
+                    # unwritable queue, refused token), not a worker
+                    # death the lease machinery would heal.  Fail fast
+                    # with the failing worker's own log instead of
+                    # looping until the timeout.
+                    raise BackendError(
+                        f"local {self.name} workers keep exiting without "
+                        f"progress ({pool.stats.spawned} spawned, {len(pending)} "
+                        f"task(s) unfinished) on {where}\n{pool.failing_log_tail()}"
+                    )
+            if pool.alive_count():
+                # A live local drainer is computing (simulations always
+                # terminate) — a big cell legitimately takes as long as
+                # it takes, so the stall timeout does not apply here.
+                time.sleep(idle_backoff.next_delay())
+                continue
+            if time.monotonic() - last_progress > self.timeout_s:
+                # A claim the transport still counts is *live* — every
+                # collect sweeps expired leases, so a dead worker's claim
+                # would already have been requeued (visible backlog) or
+                # exhausted (error envelope).  A live worker computing a
+                # big cell gets the same patience local drainers do; only
+                # tasks sitting unclaimed with nobody to run them can
+                # time out.  The count comes from the same response as
+                # the results, so a worker finishing between the two
+                # reads as claimed now and as a result next tick.
+                if int(response.get("claimed", 0)) > 0:
+                    time.sleep(idle_backoff.next_delay())
+                    continue
+                raise BackendError(
+                    f"timed out after {self.timeout_s:.0f}s waiting for "
+                    f"{len(pending)} unclaimed {self.name} task(s) on {where}"
+                    f"\n{pool.failing_log_tail()}"
+                )
+            time.sleep(idle_backoff.next_delay())
+        return [collected[task_id] for task_id in task_ids]

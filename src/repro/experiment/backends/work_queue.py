@@ -1,15 +1,18 @@
-"""The shared-directory work queue, now lease-based and self-healing.
+"""The shared-directory transport: a lease-based, self-healing file queue.
 
 One task file per cell lands in ``<queue_dir>/tasks/``; workers claim a
 task by atomically renaming it into ``claimed/`` (the rename is the
 lock — exactly one claimant wins), run
 :func:`~repro.experiment.backends.base.run_spec_payload`, and write the
-result JSON into ``results/``.  The submitter polls for result files and
-reassembles them in submission order.
+result JSON into ``results/``.  :class:`FileQueueClient` is the whole
+transport — the worker verbs :func:`repro.experiment.worker.drain` runs
+on and the submitter verbs
+:class:`~repro.experiment.backends.queue_common.QueueBackend` runs on —
+and :class:`WorkQueueBackend` only opens one.
 
 A claim is a **lease**, not a tombstone: the claimed file's mtime is the
 heartbeat (set on claim, refreshed by the worker while it computes), and
-any observer — the submitting process each poll tick, or an idle worker
+any observer — the submitting process on its collects, or an idle worker
 — may requeue a claim whose mtime has gone silent for longer than the
 task's ``lease_s`` by bumping its ``attempts`` counter and renaming it
 back into ``tasks/``.  A ``kill -9``'d drainer therefore costs one lease
@@ -29,33 +32,28 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-import tempfile
 import time
-import uuid
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from tempfile import TemporaryDirectory
+from typing import Any, Iterator, Mapping, Sequence
 
-from repro.experiment.backends.base import (
-    BackendError,
-    ExecutionBackend,
-    register_backend,
-)
+from repro.experiment.backends.base import register_backend
 from repro.experiment.backends.queue_common import (
-    DrainerPool,
-    QueueStats,
+    QueueBackend,
     default_lease_s,
     default_max_attempts,
     exhausted_error,
-    task_envelope,
 )
 from repro.experiment.fsio import atomic_write_text
 
 __all__ = [
     "CLAIMED_DIR",
+    "FileQueueClient",
     "RESULTS_DIR",
     "TASKS_DIR",
     "WorkQueueBackend",
+    "claim_next_task",
     "ensure_queue_dirs",
     "queue_clock",
     "requeue_expired_claims",
@@ -67,7 +65,7 @@ CLAIMED_DIR = "claimed"
 RESULTS_DIR = "results"
 
 #: Queue files this old are orphans of dead submissions (see
-#: :meth:`WorkQueueBackend._reap_stale_files`).
+#: :meth:`FileQueueClient._reap_stale_files`).
 _STALE_RESULT_S = 7 * 24 * 3600.0
 
 
@@ -117,8 +115,8 @@ def requeue_expired_claims(
     in ``results/`` naming the task and its attempt count.  ``match``
     restricts the sweep to one submission's tasks, exactly like claims.
 
-    Any process sharing the directory may call this — the submitting
-    backend does every poll tick, and idle workers do between claims —
+    Any process sharing the directory may call this — the submitter
+    does from its collects, and idle workers do between claims —
     and concurrent sweeps are safe: the bumped envelope is written
     atomically and idempotently (two sweepers compute the same bytes),
     and the rename back into ``tasks/`` is the handover — exactly one
@@ -197,119 +195,133 @@ def requeue_expired_claims(
     return requeued, exhausted
 
 
-class WorkQueueBackend(ExecutionBackend):
-    """A shared-directory work queue any worker process can drain.
+def _queue_names(root: Path, subdir: str, match: str) -> list[str]:
+    """The ``match``-prefixed envelope file names in one queue
+    subdirectory, sorted (ids embed the submitter's planned index, so
+    name order is submission order) — one ``scandir``, not one failing
+    ``open`` per task: the difference between O(files) and O(pending)
+    syscalls matters when thousands of cells wait on a network
+    filesystem."""
+    try:
+        return sorted(
+            entry.name
+            for entry in os.scandir(root / subdir)
+            if entry.name.startswith(match) and entry.name.endswith(".json")
+        )
+    except OSError:
+        return []
 
-    Task ids are unique per submission, so several submitters (and any
-    number of workers) can share one directory.  Locally spawned
-    drainers are auto-scaled: the collect loop tops the pool up from the
-    observed unclaimed backlog each tick (never above ``workers``), so a
-    drainer that crashed — or exited on a momentarily empty queue before
-    a dead worker's task was requeued — is replaced as soon as there is
-    work for it.
 
-    Args:
-        queue_dir: the shared directory.  ``None`` creates a private
-            temporary queue per :meth:`run` — convenient for local use,
-            pointless for remote workers, which need a directory they
-            can see too.
-        workers: cap on concurrently live local drainer processes
-            (``python -m repro.experiment.worker``).  ``0`` spawns none
-            and relies entirely on external workers already watching the
-            directory.
-        cache_dir: optional shared :class:`ResultCache` directory the
-            spawned workers write results back to (content-addressed,
-            so concurrent writers are safe) — lets a warm shared store
-            build up even when the submitter itself runs uncached.
-        poll_interval_s: how often the submitter re-scans ``results/``.
-        timeout_s: give up (``BackendError``) when results stop arriving
-            for this long with no worker holding a live claim.
-        lease_s: claim lease; defaults to ``REPRO_QUEUE_LEASE_S`` (30 s).
-        max_attempts: per-task execution budget; defaults to
-            ``REPRO_QUEUE_MAX_ATTEMPTS`` (3).
+def claim_next_task(root: Path, match: str = "") -> Path | None:
+    """Claim the oldest pending task, or ``None`` when the queue is empty.
 
-    After :meth:`run`, :attr:`last_run_stats` holds the submission's
-    :class:`~repro.experiment.backends.queue_common.QueueStats`.
+    Claiming renames the task file into ``claimed/``; the rename either
+    succeeds (this worker owns the task) or raises because another
+    worker got there first, in which case the next candidate is tried.
+    The file's mtime is refreshed around the rename — the claimed file's
+    mtime is the lease clock, and without the touch a task that waited
+    in ``tasks/`` longer than its lease would look expired the moment it
+    was claimed.  ``match`` restricts claims to task files whose name
+    starts with that prefix — how a submitter's own short-lived drainers
+    stay off other submitters' tasks in a shared directory.
+    """
+    for name in _queue_names(root, TASKS_DIR, match):
+        candidate = root / TASKS_DIR / name
+        claimed = root / CLAIMED_DIR / name
+        try:
+            os.utime(candidate)  # start the lease before the rename lands
+        except FileNotFoundError:
+            continue  # lost the race before even trying
+        except OSError:
+            # Cross-user shares can forbid utime on another user's file
+            # (rename needs only directory write) — claiming must still
+            # work there; the lease clock just starts best-effort.
+            pass
+        try:
+            os.replace(candidate, claimed)
+        except OSError:
+            continue  # lost the race; try the next task
+        try:
+            os.utime(claimed)
+        except OSError:
+            pass
+        return claimed
+    return None
+
+
+class FileQueueClient:
+    """Shared-directory transport: claim by rename, heartbeat by mtime.
+
+    ``match`` scopes the worker verbs (``claim``/``heartbeat``/
+    ``complete``/``recover``) to one submission's id prefix; the
+    submitter verbs (``submit``/``collect``/``cancel``) are addressed
+    per call, exactly like :class:`BrokerClient`'s.
     """
 
-    name = "work_queue"
+    def __init__(self, queue_dir: str | os.PathLike[str], match: str = "") -> None:
+        self.root = ensure_queue_dirs(queue_dir)
+        self.match = match
+        # Sweep for expired leases often enough that recovery costs about
+        # one lease interval, but not on every poll: a fleet (or a
+        # submitter) polling a busy NFS queue at 20 Hz must not
+        # scandir-and-parse every claimed envelope on every tick.
+        self._sweep_every = default_lease_s() / 8.0
+        self._next_sweep = 0.0
 
-    def __init__(
-        self,
-        queue_dir: str | os.PathLike[str] | None = None,
-        workers: int | None = None,
-        cache_dir: str | os.PathLike[str] | None = None,
-        poll_interval_s: float = 0.05,
-        timeout_s: float = 600.0,
-        lease_s: float | None = None,
-        max_attempts: int | None = None,
-    ) -> None:
-        if workers is not None and workers < 0:
-            raise ValueError("workers must be non-negative")
-        if poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if lease_s is not None and lease_s <= 0:
-            raise ValueError("lease_s must be positive")
-        if max_attempts is not None and max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if workers == 0 and queue_dir is None:
-            raise ValueError(
-                "workers=0 (external drain) requires a queue_dir the "
-                "external workers can see; a private temporary queue "
-                "would hang until timeout"
-            )
-        self.queue_dir = Path(queue_dir).expanduser() if queue_dir else None
-        self.workers = workers
-        self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
-        self.poll_interval_s = poll_interval_s
-        self.timeout_s = timeout_s
-        self.lease_s = lease_s if lease_s is not None else default_lease_s()
-        self.max_attempts = (
-            max_attempts if max_attempts is not None else default_max_attempts()
+    # ------------------------------------------------------------ worker half
+    def claim(self) -> tuple[dict[str, Any], Path] | None:
+        claimed = claim_next_task(self.root, self.match)
+        if claimed is None:
+            return None
+        # A torn read right after a rename is a transient of exotic
+        # filesystems (task files are written atomically, so the bytes
+        # are whole) — the same condition collect and
+        # requeue_expired_claims shrug off.  Retry briefly, then hand
+        # the claim back rather than fabricating a fatal error envelope
+        # for a task that is perfectly runnable next tick.
+        for attempt in range(3):
+            try:
+                with open(claimed, encoding="utf-8") as fh:
+                    envelope = json.load(fh)
+                return envelope, claimed
+            except (OSError, ValueError):
+                time.sleep(0.05 * (attempt + 1))
+        try:
+            os.replace(claimed, self.root / TASKS_DIR / claimed.name)
+        except OSError:
+            pass  # requeued or completed under us; either way not ours
+        return None
+
+    def heartbeat(self, token: Path) -> None:
+        try:
+            os.utime(token)
+        except OSError:
+            pass  # requeued under us; the duplicate run is byte-identical
+
+    def complete(self, token: Path, outcome: dict[str, Any]) -> None:
+        _atomic_write_json(
+            self.root / RESULTS_DIR / f"{outcome['id']}.json", outcome
         )
-        self.last_run_stats: QueueStats | None = None
+        try:
+            token.unlink()
+        except OSError:
+            pass
 
-    def workers_for(self, num_tasks: int) -> int:
-        """Local drainer cap (external-drain mode reports 1 — the
-        submitter cannot know how many remote workers are watching)."""
-        if num_tasks <= 0 or self.workers == 0:
-            return 1
-        if self.workers is not None:
-            return min(self.workers, max(num_tasks, 1))
-        return min(num_tasks, os.cpu_count() or 1)
+    def _sweep(self, match: str) -> int:
+        """The throttled lease sweep behind ``recover`` and ``collect``."""
+        now = time.monotonic()
+        if now < self._next_sweep:
+            return 0
+        self._next_sweep = now + self._sweep_every
+        return sum(requeue_expired_claims(self.root, match))
 
-    # ------------------------------------------------------------- internals
-    def _worker_command(self, queue_dir: Path, match: str) -> list[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.experiment.worker",
-            str(queue_dir),
-            "--exit-when-empty",
-            "--poll-interval-s",
-            str(self.poll_interval_s),
-            # Scoped to this submission: terminating these drainers at the
-            # end of run() must never kill another submitter's task
-            # mid-simulation in a shared directory.
-            "--match",
-            match,
-        ]
-        if self.cache_dir is not None:
-            command += ["--cache-dir", str(self.cache_dir)]
-        return command
+    def recover(self) -> int:
+        """Requeue expired claims (scoped to ``match``); the idle-time
+        half of fleet self-healing."""
+        return self._sweep(self.match)
 
-    def run(self, payloads: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        self.last_run_stats = None  # never leak a previous run's account
-        if not payloads:
-            return []
-        if self.queue_dir is not None:
-            return self._run_in(ensure_queue_dirs(self.queue_dir), payloads)
-        with tempfile.TemporaryDirectory(prefix="repro-queue-") as tmp:
-            return self._run_in(ensure_queue_dirs(tmp), payloads)
-
-    def _reap_stale_files(self, root: Path) -> None:
+    # --------------------------------------------------------- submitter half
+    def _reap_stale_files(self) -> None:
         """Collect orphan result *and* claim files abandoned in a shared
         directory.
 
@@ -329,7 +341,7 @@ class WorkQueueBackend(ExecutionBackend):
         horizon = time.time() - _STALE_RESULT_S
         for subdir in (RESULTS_DIR, CLAIMED_DIR):
             try:
-                entries = sorted(os.scandir(root / subdir), key=lambda e: e.name)
+                entries = sorted(os.scandir(self.root / subdir), key=lambda e: e.name)
             except OSError:
                 continue
             for entry in entries:
@@ -339,198 +351,106 @@ class WorkQueueBackend(ExecutionBackend):
                 except OSError:
                     continue
 
-    def _run_in(
-        self, root: Path, payloads: Sequence[Mapping[str, Any]]
-    ) -> list[dict[str, Any]]:
-        self._reap_stale_files(root)
-        job = uuid.uuid4().hex[:12]
-        task_ids = [f"{job}-{index:05d}" for index in range(len(payloads))]
-        for task_id, payload in zip(task_ids, payloads):
+    def submit(self, envelopes: Sequence[Mapping[str, Any]]) -> int:
+        self._reap_stale_files()
+        for envelope in envelopes:
             _atomic_write_json(
-                root / TASKS_DIR / f"{task_id}.json",
-                task_envelope(
-                    task_id,
-                    payload,
-                    lease_s=self.lease_s,
-                    max_attempts=self.max_attempts,
-                ),
+                self.root / TASKS_DIR / f"{envelope['id']}.json", envelope
             )
-        pool = DrainerPool(
-            command=self._worker_command(root, f"{job}-"),
-            log_dir=root,
-            log_prefix=f"worker-{job}",
-            cap=self.workers_for(len(payloads)) if self.workers != 0 else 0,
-        )
-        self.last_run_stats = pool.stats
-        try:
-            return self._collect(root, task_ids, pool, f"{job}-")
-        finally:
-            pool.terminate()
-            # On failure/timeout, withdraw this submission's leftovers so
-            # a shared queue's external workers don't burn compute on a
-            # sweep nobody is waiting for.  Best-effort: a claimant that
-            # outlives our timeout can still write an orphan result
-            # afterwards — _reap_stale_files on the next submission
-            # collects those.
-            for task_id in task_ids:
-                for subdir in (TASKS_DIR, CLAIMED_DIR, RESULTS_DIR):
-                    try:
-                        (root / subdir / f"{task_id}.json").unlink()
-                    except OSError:
-                        pass
-            pool.remove_logs()  # failures embed the failing drainer's tail
+            lease_s = float(envelope.get("lease_s") or default_lease_s())
+            self._sweep_every = min(self._sweep_every, lease_s / 8.0)
+        return len(envelopes)
 
-    def _scan_results(
-        self,
-        results_dir: Path,
-        pending: set[str],
-        collected: dict[str, dict[str, Any]],
-        stats: QueueStats,
-    ) -> bool:
-        """Collect every pending result currently on disk; True if any.
-
-        One ``scandir`` per tick, not one failing ``open`` per pending
-        task — the difference between O(results) and O(pending) syscalls
-        matters when thousands of cells wait on a network filesystem.
-        """
-        try:
-            present = {entry.name for entry in os.scandir(results_dir)}
-        except OSError:
-            return False
-        progressed = False
-        for task_id in sorted(pending):
-            name = f"{task_id}.json"
-            if name not in present:
-                continue
-            path = results_dir / name
+    def collect(self, match: str, ack: Sequence[str] = ()) -> dict[str, Any]:
+        """Finished results under ``match`` plus the unclaimed and
+        claimed counts; a result is handed over again on every call
+        until a later call lists its id in ``ack``, which unlinks it.
+        Every collect sweeps expired leases (throttled), as the broker's
+        does."""
+        for task_id in ack:
             try:
-                with open(path, encoding="utf-8") as fh:
-                    envelope = json.load(fh)
-            except (OSError, ValueError):
-                continue  # mid-replace on an exotic fs; next tick has it
-            if envelope.get("error") is not None:
-                raise BackendError(
-                    f"work-queue task {task_id} failed in a worker:\n"
-                    f"{envelope['error']}"
-                )
-            # Requeue accounting reads the envelope, not the sweep above:
-            # idle *workers* requeue expired claims too, and only the
-            # envelope's attempts counter sees every requeuer exactly once.
-            stats.requeued += int(envelope.get("attempts", 0) or 0)
-            collected[task_id] = envelope["result"]
-            pending.discard(task_id)
-            try:
-                path.unlink()
+                (self.root / RESULTS_DIR / f"{task_id}.json").unlink()
             except OSError:
                 pass
-            progressed = True
-        return progressed
+        self._sweep(match)
+        # Tasks only move forward (tasks -> claimed -> results) outside
+        # the sweep above, so reading the directories in that order can
+        # count a task twice but never lose sight of it — a task seen
+        # nowhere would read as a stall.
+        pending = len(_queue_names(self.root, TASKS_DIR, match))
+        claimed = len(_queue_names(self.root, CLAIMED_DIR, match))
+        results = []
+        for name in _queue_names(self.root, RESULTS_DIR, match):
+            try:
+                with open(self.root / RESULTS_DIR / name, encoding="utf-8") as fh:
+                    results.append(json.load(fh))
+            except (OSError, ValueError):
+                continue  # mid-replace on an exotic fs; next tick has it
+        return {"results": results, "pending": pending, "claimed": claimed}
 
-    def _unclaimed_depth(self, root: Path, match: str) -> int:
-        """How many of this submission's tasks are waiting unclaimed."""
-        try:
-            return sum(
-                1
-                for entry in os.scandir(root / TASKS_DIR)
-                if entry.name.startswith(match) and entry.name.endswith(".json")
-            )
-        except OSError:
-            return 0
+    def cancel(self, ids: Sequence[str]) -> int:
+        """Withdraw these tasks wherever they are; returns how many were
+        still unfinished (pending or claimed)."""
+        cancelled = 0
+        for task_id in ids:
+            for subdir in (TASKS_DIR, CLAIMED_DIR, RESULTS_DIR):
+                try:
+                    (self.root / subdir / f"{task_id}.json").unlink()
+                except OSError:
+                    continue
+                if subdir != RESULTS_DIR:
+                    cancelled += 1
+        return cancelled
 
-    def _collect(
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"FileQueueClient({str(self.root)!r}, match={self.match!r})"
+
+
+class WorkQueueBackend(QueueBackend):
+    """:class:`QueueBackend` over a shared directory any worker process
+    that can see it may drain (``python -m repro.experiment.worker
+    <queue_dir>``).
+
+    Args:
+        queue_dir: the shared directory.  ``None`` creates a private
+            temporary queue per :meth:`run` — convenient for local use,
+            pointless for remote workers, which need a directory they
+            can see too.
+        workers, cache_dir, poll_interval_s, timeout_s, lease_s,
+        max_attempts: see :class:`QueueBackend`.
+    """
+
+    name = "work_queue"
+
+    def __init__(
         self,
-        root: Path,
-        task_ids: list[str],
-        pool: DrainerPool,
-        match: str,
-    ) -> list[dict[str, Any]]:
-        results_dir = root / RESULTS_DIR
-        pending = set(task_ids)
-        collected: dict[str, dict[str, Any]] = {}
-        last_progress = time.monotonic()
-        spawned_at_progress = 0
-        # Sweep for expired leases often enough that recovery costs about
-        # one lease interval, but never more than once per few ticks.
-        sweep_every = max(self.poll_interval_s, self.lease_s / 8.0)
-        next_sweep = time.monotonic()
-        drainers_dead_rescan = False
-        while pending:
-            if self._scan_results(results_dir, pending, collected, pool.stats):
-                last_progress = time.monotonic()
-                spawned_at_progress = pool.stats.spawned
-                drainers_dead_rescan = False
-                continue
-            now = time.monotonic()
-            if now >= next_sweep:
-                next_sweep = now + sweep_every
-                requeued, exhausted = requeue_expired_claims(root, match)
-                pool.stats.exhausted += exhausted
-                if requeued or exhausted:
-                    # Lease recovery is progress: the sweep is healing,
-                    # not hanging.
-                    last_progress = time.monotonic()
-                    spawned_at_progress = pool.stats.spawned
-                    drainers_dead_rescan = False
-                    continue
-            # Auto-scaling: spawn drainers for the observed unclaimed
-            # backlog (includes requeued tasks whose previous drainer
-            # died), never beyond the worker cap.  The depth scandir is
-            # only paid when a spawn could actually happen — at cap (the
-            # steady state) the tick costs nothing extra, which matters
-            # on a network filesystem.
-            if pool.cap > 0 and pool.alive_count() < pool.cap:
-                pool.top_up(self._unclaimed_depth(root, match))
-            if pool.any_alive():
-                # A live local drainer is computing (simulations always
-                # terminate) — a big cell legitimately takes as long as
-                # it takes, so the stall timeout does not apply here.
-                time.sleep(self.poll_interval_s)
-                continue
-            if (
-                pool.cap > 0
-                and pool.stats.spawned - spawned_at_progress > max(6, 3 * pool.cap)
-            ):
-                # Drainers keep exiting without a single result or lease
-                # recovery in between — a broken environment (import
-                # error, unwritable queue), not a worker death the lease
-                # machinery would heal.  Fail fast with the failing
-                # worker's own log instead of looping until the timeout.
-                raise BackendError(
-                    f"local queue workers keep exiting without progress "
-                    f"({pool.stats.spawned} spawned, {len(pending)} task(s) "
-                    f"unfinished) in {root}\n{pool.failing_log_tail()}"
-                )
-            if pool.stats.spawned and not drainers_dead_rescan:
-                # A drainer may write its last result and exit between
-                # scan and liveness check — rescan once before judging,
-                # or that window is a flake.
-                drainers_dead_rescan = True
-                continue
-            # Remaining tasks are either claimed (someone — an external
-            # worker, another submitter's drainer, or a dead worker whose
-            # lease has not yet expired — owns them; expiry is handled by
-            # the sweep above) or unclaimed with nobody local to spawn
-            # for.  Give up only when results stop arriving for
-            # timeout_s *and* nothing is claimed: a claim is either live
-            # (its worker heartbeats, and a big cell legitimately takes
-            # as long as it takes — the same rule local drainers get) or
-            # expired, in which case the sweep above requeues it within
-            # one lease and that counts as progress.  Only tasks sitting
-            # unclaimed with nobody to run them can time out.
-            if time.monotonic() - last_progress > self.timeout_s:
-                if any(
-                    (root / CLAIMED_DIR / f"{task_id}.json").exists()
-                    for task_id in pending
-                ):
-                    time.sleep(self.poll_interval_s)
-                    continue
-                raise BackendError(
-                    f"timed out after {self.timeout_s:.0f}s waiting for "
-                    f"{len(pending)} unclaimed work-queue task(s) in {root}"
-                    f"\n{pool.failing_log_tail()}"
-                )
-            time.sleep(self.poll_interval_s)
-        return [collected[task_id] for task_id in task_ids]
+        queue_dir: str | os.PathLike[str] | None = None,
+        workers: int | None = None,
+        cache_dir: str | os.PathLike[str] | None = None,
+        poll_interval_s: float = 0.05,
+        timeout_s: float = 600.0,
+        lease_s: float | None = None,
+        max_attempts: int | None = None,
+    ) -> None:
+        super().__init__(
+            workers, cache_dir, poll_interval_s, timeout_s, lease_s, max_attempts
+        )
+        if workers == 0 and queue_dir is None:
+            raise ValueError(
+                "workers=0 (external drain) requires a queue_dir the "
+                "external workers can see; a private temporary queue "
+                "would hang until timeout"
+            )
+        self.queue_dir = Path(queue_dir).expanduser() if queue_dir else None
+
+    @contextmanager
+    def _open(self) -> Iterator[tuple[FileQueueClient, list[str], dict[str, str]]]:
+        with ExitStack() as stack:
+            client = FileQueueClient(
+                self.queue_dir
+                or stack.enter_context(TemporaryDirectory(prefix="repro-queue-"))
+            )
+            yield client, [str(client.root)], {}
 
 
 register_backend(

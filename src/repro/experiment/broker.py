@@ -57,7 +57,7 @@ JSON endpoints (bodies and responses are ``application/json``)::
                        -> {"task": <envelope> | null}
     POST /heartbeat  {"id": ...}            -> {"ok": true|false}
     POST /result     <outcome envelope>     -> {"ok": true}
-    POST /collect    {"ids": [...] | "match": prefix, "ack": [...]}
+    POST /collect    {"match": "<id prefix>", "ack": [...]}
                                             -> {"results": [...],
                                                 "pending": n, "claimed": n}
     POST /cancel     {"ids": [...]}         -> {"cancelled": n}
@@ -539,22 +539,16 @@ class BrokerQueue:
             self._drop_if_empty(key)
         return dropped
 
-    def collect(
-        self,
-        ids: list[str] | None = None,
-        match: str | None = None,
-        ack: list[str] | None = None,
-    ) -> dict[str, Any]:
+    def collect(self, match: str, ack: list[str] | None = None) -> dict[str, Any]:
         """Hand over finished results, plus the live pending/claimed
         counts the submitter's auto-scaler and liveness logic need —
         one round trip per poll tick.
 
-        Address the submission either by explicit ``ids`` or by a
-        ``match`` prefix; prefix collection keeps each poll tick's
-        request O(newly finished), not O(submission size), and the
-        bucket table keeps the server-side scan O(own submission) — a
-        busy shared broker never walks every tenant's state to answer
-        one tenant's poll.
+        The submission is addressed by its ``match`` prefix, which keeps
+        each poll tick's request O(newly finished), not O(submission
+        size), and the bucket table keeps the server-side scan O(own
+        submission) — a busy shared broker never walks every tenant's
+        state to answer one tenant's poll.
 
         Handover is **ack-based, never speculative**: results stay in
         the tables (and are re-sent) until a later request lists them in
@@ -573,46 +567,30 @@ class BrokerQueue:
                 self._journal({"op": "ack", "ids": acked})
             results: list[dict[str, Any]] = []
             pending = claimed = 0
-            if match is not None:
-                for key in self._candidates(match):
-                    bucket = self._buckets[key]
-                    # The asker is a live submitter: its submission
-                    # stays fresh for the abandoned-submission GC.
-                    bucket.touched_at = now
-                    if key.startswith(match):
-                        # Whole bucket matches: counts are O(1), results
-                        # are O(finished) — the steady-state poll tick.
-                        wanted = sorted(bucket.results)
-                        pending += len(bucket.order)
-                        claimed += len(bucket.claimed)
-                    else:
-                        wanted = self._matching_ids(bucket.results, match)
-                        index = bisect.bisect_left(bucket.order, match)
-                        while (
-                            index < len(bucket.order)
-                            and bucket.order[index].startswith(match)
-                        ):
-                            pending += 1
-                            index += 1
-                        claimed += sum(
-                            1 for t in bucket.claimed if t.startswith(match)
-                        )
-                    results.extend(dict(bucket.results[t]) for t in wanted)
-            else:
-                wanted_ids = [str(task_id) for task_id in ids or []]
-                touched: set[str] = set()
-                for task_id in wanted_ids:
-                    key = bucket_key(task_id)
-                    bucket = self._buckets.get(key)
-                    if bucket is None:
-                        continue
-                    if key not in touched:
-                        touched.add(key)
-                        bucket.touched_at = now
-                    if task_id in bucket.results:
-                        results.append(dict(bucket.results[task_id]))
-                    pending += task_id in bucket.tasks
-                    claimed += task_id in bucket.claimed
+            for key in self._candidates(match):
+                bucket = self._buckets[key]
+                # The asker is a live submitter: its submission
+                # stays fresh for the abandoned-submission GC.
+                bucket.touched_at = now
+                if key.startswith(match):
+                    # Whole bucket matches: counts are O(1), results
+                    # are O(finished) — the steady-state poll tick.
+                    wanted = sorted(bucket.results)
+                    pending += len(bucket.order)
+                    claimed += len(bucket.claimed)
+                else:
+                    wanted = self._matching_ids(bucket.results, match)
+                    index = bisect.bisect_left(bucket.order, match)
+                    while (
+                        index < len(bucket.order)
+                        and bucket.order[index].startswith(match)
+                    ):
+                        pending += 1
+                        index += 1
+                    claimed += sum(
+                        1 for t in bucket.claimed if t.startswith(match)
+                    )
+                results.extend(dict(bucket.results[t]) for t in wanted)
             return {
                 "results": results,
                 "pending": pending,
@@ -747,13 +725,17 @@ class _Handler(BaseHTTPRequestHandler):
             elif route == "/result":
                 self._reply(200, {"ok": self.queue.result(body)})
             elif route == "/collect":
+                match = body.get("match")
+                if not isinstance(match, str):
+                    # Never default to "": the empty prefix reaches every
+                    # bucket and would hand one submitter every tenant's
+                    # results.
+                    self._reply(
+                        400, {"error": "/collect needs a string 'match' prefix"}
+                    )
+                    return
                 self._reply(
-                    200,
-                    self.queue.collect(
-                        ids=body.get("ids"),
-                        match=body.get("match"),
-                        ack=list(body.get("ack", [])),
-                    ),
+                    200, self.queue.collect(match, ack=list(body.get("ack", [])))
                 )
             elif route == "/cancel":
                 self._reply(

@@ -61,177 +61,33 @@ retry budget's exhaustion path is exercised end to end.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
-import socket
 import threading
 import time
 import traceback
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.experiment.backends import (
-    CLAIMED_DIR,
-    RESULTS_DIR,
-    TASKS_DIR,
-    _atomic_write_json,
+    BrokerClient,
+    FileQueueClient,
+    PollBackoff,
     default_lease_s,
-    ensure_queue_dirs,
-    requeue_expired_claims,
     run_spec_payload,
 )
-from repro.experiment.backends.queue_common import PollBackoff
 
 if TYPE_CHECKING:
     from repro.experiment.cache import ResultCache
 
 __all__ = [
-    "BrokerQueueClient",
     "FileQueueClient",
-    "claim_next_task",
     "drain",
-    "drain_queue",
     "main",
 ]
 
 #: Chaos hooks, read once per claim (see the module docstring).
 KILL_FILE_ENV_VAR = "REPRO_WORKER_KILL_FILE"
 KILL_MATCH_ENV_VAR = "REPRO_WORKER_KILL_MATCH"
-
-
-def claim_next_task(root: Path, match: str = "") -> Path | None:
-    """Claim the oldest pending task, or ``None`` when the queue is empty.
-
-    Claiming renames the task file into ``claimed/``; the rename either
-    succeeds (this worker owns the task) or raises because another
-    worker got there first, in which case the next candidate is tried.
-    The file's mtime is refreshed around the rename — the claimed file's
-    mtime is the lease clock, and without the touch a task that waited
-    in ``tasks/`` longer than its lease would look expired the moment it
-    was claimed.  ``match`` restricts claims to task files whose name
-    starts with that prefix — how a submitter's own short-lived drainers
-    stay off other submitters' tasks in a shared directory.
-    """
-    tasks_dir = root / TASKS_DIR
-    try:
-        candidates = sorted(
-            p
-            for p in tasks_dir.iterdir()
-            if p.suffix == ".json" and p.name.startswith(match)
-        )
-    except OSError:
-        return None
-    for candidate in candidates:
-        claimed = root / CLAIMED_DIR / candidate.name
-        try:
-            os.utime(candidate)  # start the lease before the rename lands
-        except FileNotFoundError:
-            continue  # lost the race before even trying
-        except OSError:
-            # Cross-user shares can forbid utime on another user's file
-            # (rename needs only directory write) — claiming must still
-            # work there; the lease clock just starts best-effort.
-            pass
-        try:
-            os.replace(candidate, claimed)
-        except OSError:
-            continue  # lost the race; try the next task
-        try:
-            os.utime(claimed)
-        except OSError:
-            pass
-        return claimed
-    return None
-
-
-class FileQueueClient:
-    """Shared-directory transport: claim by rename, heartbeat by mtime."""
-
-    def __init__(self, queue_dir: str | os.PathLike[str], match: str = "") -> None:
-        self.root = ensure_queue_dirs(queue_dir)
-        self.match = match
-
-    def claim(self) -> tuple[dict[str, Any], Path] | None:
-        claimed = claim_next_task(self.root, self.match)
-        if claimed is None:
-            return None
-        # A torn read right after a rename is a transient of exotic
-        # filesystems (task files are written atomically, so the bytes
-        # are whole) — the same condition _scan_results and
-        # requeue_expired_claims shrug off.  Retry briefly, then hand
-        # the claim back rather than fabricating a fatal error envelope
-        # for a task that is perfectly runnable next tick.
-        for attempt in range(3):
-            try:
-                with open(claimed, encoding="utf-8") as fh:
-                    envelope = json.load(fh)
-                return envelope, claimed
-            except (OSError, ValueError):
-                time.sleep(0.05 * (attempt + 1))
-        try:
-            os.replace(claimed, self.root / TASKS_DIR / claimed.name)
-        except OSError:
-            pass  # requeued or completed under us; either way not ours
-        return None
-
-    def heartbeat(self, token: Path) -> None:
-        try:
-            os.utime(token)
-        except OSError:
-            pass  # requeued under us; the duplicate run is byte-identical
-
-    def complete(self, token: Path, outcome: dict[str, Any]) -> None:
-        _atomic_write_json(
-            self.root / RESULTS_DIR / f"{outcome['id']}.json", outcome
-        )
-        try:
-            token.unlink()
-        except OSError:
-            pass
-
-    def recover(self) -> int:
-        """Requeue expired claims (scoped to ``match``); the idle-time
-        half of fleet self-healing."""
-        requeued, exhausted = requeue_expired_claims(self.root, self.match)
-        return requeued + exhausted
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FileQueueClient({str(self.root)!r}, match={self.match!r})"
-
-
-class BrokerQueueClient:
-    """HTTP transport: the broker holds the queue and sweeps the leases."""
-
-    def __init__(self, url: str, match: str = "") -> None:
-        from repro.experiment.backends import BrokerClient
-
-        self.client = BrokerClient(url)
-        self.match = match
-        self.worker_id = f"{socket.gethostname()}-{os.getpid()}"
-
-    def claim(self) -> tuple[dict[str, Any], str] | None:
-        envelope = self.client.claim(match=self.match, worker=self.worker_id)
-        if envelope is None:
-            return None
-        return envelope, str(envelope["id"])
-
-    def heartbeat(self, token: str) -> None:
-        from repro.experiment.backends import BrokerUnavailable
-
-        try:
-            self.client.heartbeat(token)
-        except BrokerUnavailable:
-            pass  # the next beat (or the result POST) will retry
-
-    def complete(self, token: str, outcome: dict[str, Any]) -> None:
-        self.client.result(outcome)
-
-    def recover(self) -> int:
-        return 0  # server-side: every broker request sweeps expired leases
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BrokerQueueClient({self.client.url!r}, match={self.match!r})"
 
 
 class _Heartbeat:
@@ -363,11 +219,6 @@ def drain(
     executed = 0
     cache_dirty = False
     idle_since = time.monotonic()
-    # Idle-time lease sweeps are throttled like the submitter's: a fleet
-    # polling a busy NFS queue at 20 Hz must not scandir-and-parse every
-    # claimed envelope on every empty tick.
-    recover_every = max(poll_interval_s, default_lease_s() / 8.0)
-    next_recover = 0.0
     # Consecutive empty claims back off exponentially (jittered, capped
     # well below a lease) — an idle fleet parked on a shared broker
     # between submissions must not keep hammering it at 20 Hz; the first
@@ -404,11 +255,10 @@ def drain(
                 outage = True
             if task is None:
                 # Self-healing before giving up: an expired claim
-                # (somebody's dead worker) is pending work too.
-                if not outage and time.monotonic() >= next_recover:
-                    next_recover = time.monotonic() + recover_every
-                    if client.recover():
-                        continue
+                # (somebody's dead worker) is pending work too.  The
+                # transport throttles its own sweeps.
+                if not outage and client.recover():
+                    continue
                 flush_cache()
                 if exit_when_empty:
                     break
@@ -429,26 +279,6 @@ def drain(
     finally:
         flush_cache()
     return executed
-
-
-def drain_queue(
-    queue_dir: str | os.PathLike[str],
-    max_tasks: int | None = None,
-    idle_timeout_s: float | None = None,
-    poll_interval_s: float = 0.05,
-    exit_when_empty: bool = False,
-    cache: "ResultCache | None" = None,
-    match: str = "",
-) -> int:
-    """Drain a shared-directory queue (see :func:`drain`)."""
-    return drain(
-        FileQueueClient(queue_dir, match=match),
-        max_tasks=max_tasks,
-        idle_timeout_s=idle_timeout_s,
-        poll_interval_s=poll_interval_s,
-        exit_when_empty=exit_when_empty,
-        cache=cache,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -507,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
 
         cache = ResultCache(args.cache_dir)
     if args.broker:
-        client: Any = BrokerQueueClient(args.broker, match=args.match)
+        client: Any = BrokerClient(args.broker, match=args.match)
         source = args.broker
     else:
         client = FileQueueClient(args.queue_dir, match=args.match)

@@ -146,15 +146,14 @@ class LintConfig:
                     # work_queue.py — lease repossession and orphan reaping
                     "requeue_expired_claims",
                     "_reap_stale_files",
-                    # work_queue.py — submission withdrawal + result collection
-                    "_run_in",
-                    "_scan_results",
-                    # worker.py — result handover (write result, drop claim)
-                    # and the chaos-test kill flag
+                    # work_queue.py, FileQueueClient — result handover
+                    # (write result, drop claim), acked-result collection
+                    # and submission withdrawal
                     "complete",
+                    "collect",
+                    "cancel",
+                    # worker.py — the chaos-test kill flag
                     "_chaos_kill",
-                    # queue_common.py — drainer log cleanup
-                    "remove_logs",
                     # broker_store.py — journal generations a snapshot
                     # has superseded (checkpoint compaction)
                     "_retire_journals",

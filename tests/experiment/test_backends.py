@@ -27,8 +27,16 @@ from repro.experiment import (
     run_spec_payload,
     seed_sweep,
 )
-from repro.experiment.backends import BACKEND_ENV_VAR, TASKS_DIR, ensure_queue_dirs
-from repro.experiment.worker import claim_next_task, drain_queue
+from repro.experiment.backends import (
+    BACKEND_ENV_VAR,
+    TASKS_DIR,
+    BrokerClient,
+    claim_next_task,
+    ensure_queue_dirs,
+    task_envelope,
+)
+from repro.experiment.broker import start_broker
+from repro.experiment.worker import FileQueueClient, drain
 
 from _helpers import FAST_SPEC, canonical, strip_runtime as _strip_runtime
 
@@ -135,7 +143,7 @@ class TestWorkQueueProtocol:
         (root / TASKS_DIR / "t-00000.json").write_text(
             json.dumps({"id": "t-00000", "spec": payload}), encoding="utf-8"
         )
-        assert drain_queue(root, exit_when_empty=True) == 1
+        assert drain(FileQueueClient(root), exit_when_empty=True) == 1
         envelope = json.loads(
             (root / "results" / "t-00000.json").read_text(encoding="utf-8")
         )
@@ -152,7 +160,7 @@ class TestWorkQueueProtocol:
             json.dumps({"id": "t-00000", "spec": {"not": "a spec"}}),
             encoding="utf-8",
         )
-        assert drain_queue(root, exit_when_empty=True) == 1
+        assert drain(FileQueueClient(root), exit_when_empty=True) == 1
         envelope = json.loads(
             (root / "results" / "t-00000.json").read_text(encoding="utf-8")
         )
@@ -165,7 +173,7 @@ class TestWorkQueueProtocol:
         (root / TASKS_DIR / "t-00000.json").write_text(
             json.dumps({"id": "t-00000", "spec": payload}), encoding="utf-8"
         )
-        assert drain_queue(root, exit_when_empty=True, cache=cache) == 1
+        assert drain(FileQueueClient(root), exit_when_empty=True, cache=cache) == 1
         shared = ResultCache(tmp_path / "store")  # a different handle
         assert shared.get_payload(payload) is not None
 
@@ -182,7 +190,7 @@ class TestWorkQueueProtocol:
         backend = WorkQueueBackend(tmp_path / "queue", workers=1, timeout_s=60.0)
         backend.run([FAST_SPEC.to_dict()])
         # Reaped past the fixed one-week horizon (_STALE_RESULT_S —
-        # deliberately independent of timeout_s, see _reap_stale_results).
+        # deliberately independent of timeout_s, see _reap_stale_files).
         assert not orphan.exists()
         assert fresh.exists()  # could belong to a live submission: kept
         fresh.unlink()
@@ -195,6 +203,76 @@ class TestWorkQueueProtocol:
         # external workers must not burn compute on an abandoned sweep.
         assert not any((tmp_path / "queue" / TASKS_DIR).iterdir())
         assert not any((tmp_path / "queue" / "results").iterdir())
+
+
+class TestTransportContract:
+    """What ``QueueBackend``'s one loop stands on: the three submitter
+    verbs answer alike on both transports.  Each case gets one client
+    for the submitter and one for a worker on the same queue."""
+
+    @pytest.fixture(params=["file", "broker"])
+    def clients(self, request, tmp_path):
+        if request.param == "file":
+            yield FileQueueClient(tmp_path), FileQueueClient(tmp_path, match="job-")
+            return
+        server = start_broker()
+        try:
+            submitter = BrokerClient(server.url)
+            worker = BrokerClient(server.url, match="job-")
+            yield submitter, worker
+            submitter.close()
+            worker.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_submit_collect_ack_cancel_and_exhaustion(self, clients):
+        submitter, worker = clients
+        ids = [f"job-{index:05d}" for index in range(3)]
+        tasks = [
+            task_envelope(task_id, {"cell": task_id}, lease_s=0.05, max_attempts=1)
+            for task_id in ids
+        ]
+        assert submitter.submit(tasks) == 3
+        assert submitter.collect(match="job-") == {
+            "results": [],
+            "pending": 3,
+            "claimed": 0,
+        }
+        envelope, token = worker.claim()
+        assert envelope["id"] == "job-00000"
+        response = submitter.collect(match="job-")
+        assert (response["pending"], response["claimed"]) == (2, 1)
+
+        worker.complete(token, {"id": "job-00000", "result": {"ok": 1}, "attempts": 0})
+        first = submitter.collect(match="job-")
+        assert [env["id"] for env in first["results"]] == ["job-00000"]
+        assert first["results"][0]["result"] == {"ok": 1}
+        assert (first["pending"], first["claimed"]) == (2, 0)
+        # Handed over again until acked (the response may have been lost)...
+        assert submitter.collect(match="job-")["results"] == first["results"]
+        # ...and gone after the ack.
+        assert submitter.collect(match="job-", ack=["job-00000"])["results"] == []
+        assert submitter.collect(match="job-")["results"] == []
+
+        # A claim whose lease runs out with its budget spent (max_attempts=1)
+        # comes back as an error envelope naming the task.
+        envelope, _ = worker.claim()
+        assert envelope["id"] == "job-00001"
+        time.sleep(0.2)
+        [lost] = submitter.collect(match="job-")["results"]
+        assert lost["id"] == "job-00001"
+        assert "job-00001" in lost["error"] and "max_attempts=1" in lost["error"]
+        assert lost["attempts"] == 1
+
+        # cancel withdraws the rest: one task still pending, one result unacked.
+        assert submitter.cancel(ids) == 1
+        assert submitter.collect(match="job-") == {
+            "results": [],
+            "pending": 0,
+            "claimed": 0,
+        }
+        assert worker.claim() is None
 
 
 class TestCrossBackendDeterminism:

@@ -27,7 +27,7 @@ from repro.experiment.backends import (
     task_envelope,
 )
 from repro.experiment.broker import BrokerQueue, bucket_key, start_broker
-from repro.experiment.worker import BrokerQueueClient, drain
+from repro.experiment.worker import drain
 
 from _helpers import FAST_SPEC
 
@@ -82,15 +82,15 @@ class TestBrokerQueueProtocol:
         queue.submit(envelopes("j-00000"))
         queue.claim()
         assert queue.result({"id": "j-00000", "result": {"ok": 1}})
-        response = queue.collect(["j-00000"])
+        response = queue.collect(match="j-")
         [envelope] = response["results"]
         assert envelope["result"] == {"ok": 1}
         assert envelope["attempts"] == 0  # annotated by the broker
         # Collection is non-destructive: a submitter whose HTTP response
         # was lost can simply ask again.  The final cancel purges.
-        assert queue.collect(["j-00000"])["results"] == [envelope]
+        assert queue.collect(match="j-")["results"] == [envelope]
         queue.cancel(["j-00000"])
-        assert queue.collect(["j-00000"])["results"] == []
+        assert queue.collect(match="j-")["results"] == []
         assert queue.stats()["results"] == 0
 
     def test_lease_expiry_requeues_with_attempts_bumped(self, queue, clock):
@@ -120,7 +120,7 @@ class TestBrokerQueueProtocol:
         # Second expiry burned the budget: no more claims, an error
         # envelope naming the task and the attempt count instead.
         assert queue.claim() is None
-        [envelope] = queue.collect(["j-00000"])["results"]
+        [envelope] = queue.collect(match="j-")["results"]
         assert envelope["error"] is not None
         assert "j-00000" in envelope["error"]
         assert "2 time(s)" in envelope["error"]
@@ -137,7 +137,7 @@ class TestBrokerQueueProtocol:
         clock.now += 6.0  # expired: task requeued on next sweep
         assert queue.result({"id": "j-00000", "result": {"ok": 1}})
         assert queue.claim() is None  # requeued copy was cancelled
-        assert queue.collect(["j-00000"])["results"][0]["result"] == {"ok": 1}
+        assert queue.collect(match="j-")["results"][0]["result"] == {"ok": 1}
 
     def test_cancel_withdraws_a_submission(self, queue):
         queue.submit(envelopes("j-00000", "j-00001"))
@@ -151,7 +151,7 @@ class TestBrokerQueueProtocol:
     def test_collect_reports_backlog_counts(self, queue):
         queue.submit(envelopes("j-00000", "j-00001", "j-00002"))
         queue.claim()
-        response = queue.collect(["j-00000", "j-00001", "j-00002"])
+        response = queue.collect(match="j-")
         assert response == {"results": [], "pending": 2, "claimed": 1}
 
     def test_prefix_collect_is_ack_based(self, queue):
@@ -189,7 +189,7 @@ class TestBrokerQueueProtocol:
         queue.submit(envelopes("live-00000"))
         for _ in range(3):
             clock.now += 60.0
-            queue.collect(["live-00000"])  # each poll tick touches it
+            queue.collect(match="live-")  # each poll tick touches it
         assert queue.stats()["pending"] == 1
 
 
@@ -288,12 +288,12 @@ class TestBrokerAuth:
             client.submit(envelopes("a-00000"))
 
     def test_matching_token_round_trips(self, server):
-        client = BrokerClient(server.url, token="s3cret")
+        client = BrokerClient(server.url, token="s3cret", match="a-")
         assert client.submit(envelopes("a-00000")) == 1
-        task = client.claim(match="a-", worker="t")
-        assert task is not None and task["id"] == "a-00000"
-        assert client.result({"id": "a-00000", "result": {"ok": 1}})
-        assert client.collect(["a-00000"])["results"][0]["result"] == {"ok": 1}
+        task, claim = client.claim()
+        assert task["id"] == "a-00000"
+        client.complete(claim, {"id": "a-00000", "result": {"ok": 1}})
+        assert client.collect(match="a-")["results"][0]["result"] == {"ok": 1}
 
     def test_token_defaults_from_the_environment(self, server, monkeypatch):
         """Export REPRO_BROKER_TOKEN and every client — submitter,
@@ -309,12 +309,23 @@ class TestBrokerAuth:
 
     def test_unauthenticated_worker_refuses_to_run(self, server):
         with pytest.raises(BrokerAuthError):
-            drain(BrokerQueueClient(server.url), exit_when_empty=True)
+            drain(BrokerClient(server.url), exit_when_empty=True)
 
     def test_unauthenticated_submitter_refuses_to_run(self, server):
         backend = BrokerBackend(server.url, workers=1, timeout_s=30.0)
         with pytest.raises(BackendError, match="token"):
             backend.run([FAST_SPEC.to_dict()])
+
+    @pytest.mark.slow
+    def test_explicit_token_reaches_the_backends_own_drainers(self, monkeypatch):
+        """token= with REPRO_BROKER_TOKEN unset: the private broker
+        requires it and the submitter sends it, so the spawned drainers
+        must be handed it too (through their environment, never argv)."""
+        monkeypatch.delenv(BROKER_TOKEN_ENV_VAR, raising=False)
+        backend = BrokerBackend(token="s3cret", workers=1, timeout_s=60.0)
+        [result] = backend.run([FAST_SPEC.to_dict()])
+        assert result["spec"] == FAST_SPEC.to_dict()
+        assert backend.last_run_stats.spawned == 1
 
 
 class TestBrokerHTTP:
@@ -328,13 +339,16 @@ class TestBrokerHTTP:
         server.server_close()
 
     def test_round_trip(self, server):
-        client = BrokerClient(server.url)
+        client = BrokerClient(server.url, match="h-")
         assert client.submit(envelopes("h-00000")) == 1
-        task = client.claim(match="h-", worker="test")
-        assert task is not None and task["id"] == "h-00000"
-        assert client.heartbeat("h-00000")
-        assert client.result({"id": "h-00000", "result": {"ok": 1}})
-        response = client.collect(["h-00000"])
+        task, claim = client.claim()
+        assert task["id"] == "h-00000" == claim
+        assert client._request("/heartbeat", {"id": claim})["ok"]
+        client.heartbeat(claim)
+        assert client._request(
+            "/result", {"id": "h-00000", "result": {"ok": 1}}
+        )["ok"]
+        response = client.collect(match="h-")
         assert response["results"][0]["result"] == {"ok": 1}
         assert client.cancel(["h-00000"]) == 0  # nothing pending/claimed...
         stats = client.stats()
@@ -345,6 +359,19 @@ class TestBrokerHTTP:
         client = BrokerClient(server.url)
         with pytest.raises(BrokerUnavailable, match="404"):
             client._request("/quantum", {})
+
+    def test_collect_without_a_match_is_refused_not_widened(self, server):
+        """A /collect body with no string ``match`` answers 400 naming
+        the field; falling back to the empty prefix would match every
+        bucket and hand one submitter every tenant's results."""
+        client = BrokerClient(server.url, match="theirs-")
+        client.submit(envelopes("theirs-00000"))
+        _, claim = client.claim()
+        client.complete(claim, {"id": "theirs-00000", "result": {"ok": 1}})
+        for body in ({"ack": []}, {"ids": ["theirs-00000"]}, {"match": None}):
+            with pytest.raises(BrokerUnavailable, match="400.*'match'"):
+                client._request("/collect", body)
+        assert client.stats()["results"] == 1  # untouched, unleaked
 
     def test_requests_reuse_one_keepalive_connection(self, server):
         """The connection-churn fix: one TCP connection per thread, not
@@ -379,10 +406,10 @@ class TestBrokerHTTP:
             [task_envelope("h-00000", payload), task_envelope("h-00001", payload)]
         )
         executed = drain(
-            BrokerQueueClient(server.url, match="h-"), exit_when_empty=True
+            BrokerClient(server.url, match="h-"), exit_when_empty=True
         )
         assert executed == 2
-        response = client.collect(["h-00000", "h-00001"])
+        response = client.collect(match="h-")
         assert len(response["results"]) == 2
         assert all(env.get("error") is None for env in response["results"])
 
@@ -412,7 +439,7 @@ class TestBrokerBackendIntegration:
             # A long-lived "remote" worker polling the broker.
             fleet = threading.Thread(
                 target=drain,
-                args=(BrokerQueueClient(server.url),),
+                args=(BrokerClient(server.url),),
                 kwargs={"idle_timeout_s": 30.0, "poll_interval_s": 0.05},
                 daemon=True,
             )

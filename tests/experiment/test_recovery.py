@@ -44,7 +44,7 @@ from repro.experiment.backends.work_queue import (
     _atomic_write_json,
     requeue_expired_claims,
 )
-from repro.experiment.worker import BrokerQueueClient, drain
+from repro.experiment.worker import drain
 
 from _helpers import FAST_SPEC, canonical_batch, strip_runtime
 from _helpers import canonical as canonical_payloads
@@ -133,6 +133,8 @@ class TestSigkilledWorkerRecovery:
         assert "-00000" in message  # the culprit task is named
         assert "2 time(s)" in message and "max_attempts=2" in message
         assert "timed out" not in message
+        # Counted from the give-up envelope, whoever's sweep wrote it.
+        assert backend.last_run_stats.exhausted == 1
 
 
 def _start_broker_proc(store_dir, port: int, lease_s: float = 30.0):
@@ -190,7 +192,7 @@ class TestBrokerRestartDurability:
                 ]
             )
             # One cell finishes before the crash...
-            assert drain(BrokerQueueClient(url, match="job-"), max_tasks=1) == 1
+            assert drain(BrokerClient(url, match="job-"), max_tasks=1) == 1
             assert client.stats()["results"] == 1
             client.close()
         finally:
@@ -206,7 +208,7 @@ class TestBrokerRestartDurability:
             assert stats["results"] == 1
             assert stats["pending"] + stats["claimed"] == len(sweep) - 1
             # The sweep completes against the revived broker...
-            drain(BrokerQueueClient(url, match="job-"), exit_when_empty=True)
+            drain(BrokerClient(url, match="job-"), exit_when_empty=True)
             response = client.collect(match="job-")
             by_id = {env["id"]: env for env in response["results"]}
             assert sorted(by_id) == task_ids
@@ -320,7 +322,7 @@ class TestFileQueueLeaseUnits:
     def test_stale_claimed_leftovers_are_reaped_with_results(self, tmp_path):
         """Pre-lease leftovers: claims abandoned by long-dead submissions
         are collected on the same paranoid week horizon as orphan
-        results (the satellite fix to _reap_stale_results)."""
+        results (FileQueueClient._reap_stale_files)."""
         import os
 
         backend = WorkQueueBackend(tmp_path / "queue", workers=1, timeout_s=60.0)

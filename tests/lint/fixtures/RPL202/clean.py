@@ -11,5 +11,5 @@ def requeue_expired_claims(root: Path, entry_path: str, name: str) -> None:
     os.replace(entry_path, root / "tasks" / name)
 
 
-def _scan_results(path: Path) -> None:
-    path.unlink()  # blessed: the collector consumes result envelopes
+def collect(path: Path) -> None:
+    path.unlink()  # blessed: the collector consumes acked result envelopes
