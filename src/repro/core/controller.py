@@ -38,7 +38,12 @@ from repro.core.loss_estimator import estimate_channel_loss_rate
 from repro.core.optimizer import OptimizationResult, RateOptimizer
 from repro.core.rate_control import RateController
 from repro.core.utility import AlphaFairUtility, PROPORTIONAL_FAIR
-from repro.net.routing import FlowRoute, build_routing_matrix, path_loss_probability
+from repro.net.routing import (
+    FlowRoute,
+    build_routing_matrix,
+    first_use_links,
+    path_loss_probability,
+)
 from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
 
 Link = tuple[int, int]
@@ -120,14 +125,7 @@ class OnlineOptimizer:
     @property
     def links(self) -> list[Link]:
         """Directed links used by at least one flow, in first-use order."""
-        ordered: list[Link] = []
-        seen: set[Link] = set()
-        for flow in self.flows:
-            for link in flow.links:
-                if link not in seen:
-                    seen.add(link)
-                    ordered.append(link)
-        return ordered
+        return first_use_links(self.flows)
 
     def _flow_routes(self) -> list[FlowRoute]:
         routes = []

@@ -77,6 +77,19 @@ def rng_spawn_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+def named_rng(seed: int, name: str) -> np.random.Generator:
+    """The reproducible RNG stream ``name`` of ``seed``.
+
+    Streams of one seed are independent of each other, so a component
+    that adds draws to its own stream cannot perturb another's — the
+    discipline every seeded part of a scenario (kernel components,
+    topology placement, workloads, mobility, churn) follows.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(rng_spawn_key(name),))
+    )
+
+
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
 
@@ -155,9 +168,7 @@ class Simulator:
     def rng_stream(self, name: str) -> np.random.Generator:
         """A named, reproducible RNG stream derived from the master seed."""
         if name not in self._streams:
-            self._streams[name] = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(rng_spawn_key(name),))
-            )
+            self._streams[name] = named_rng(self.seed, name)
         return self._streams[name]
 
     # ------------------------------------------------------------ scheduling

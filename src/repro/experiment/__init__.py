@@ -5,8 +5,9 @@ This package is the canonical public entry point to the reproduction:
 * :mod:`repro.experiment.specs` — frozen, serializable specification
   dataclasses (:class:`ScenarioSpec`, :class:`ExperimentSpec`, ...);
 * :mod:`repro.experiment.registry` — the named scenario registry
-  (:func:`register_scenario`) wrapping the canned builders of
-  :mod:`repro.sim.scenarios`;
+  (:func:`register_scenario`): the declarative ``generated``
+  composition of the :mod:`repro.sim.generators` axes, plus the four
+  canned presets;
 * :mod:`repro.experiment.runner` — :class:`Experiment`, which drives
   warmup -> N optimizer cycles -> measurement and returns an
   :class:`ExperimentResult`;

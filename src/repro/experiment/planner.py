@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.experiment.specs import spec_digest
+from repro.experiment.specs import SpecError, TopologySpec, spec_digest
 
 if TYPE_CHECKING:
     from repro.experiment.cache import ResultCache
@@ -62,17 +62,18 @@ _DEFAULT_NODE_COUNT = 18
 def _node_count(scenario: Mapping[str, Any]) -> int:
     """Best-effort node count of a scenario payload (cost heuristic only).
 
-    Delegates the per-kind arithmetic to
-    :func:`repro.sim.generators.topology_node_count` — one source of
-    truth for what each topology generator produces (the import is
-    deferred, and in any real planning path the generators module is
-    already loaded by the specs the sweep was built from).
+    A topology payload is sized by its own generator's registration,
+    through :class:`TopologySpec` (which supplies the defaults of the
+    fields the payload omits).  Deliberately lenient: a payload the spec
+    layer rejects — a kind registered in the workers but not in this
+    process, say — costs as testbed-sized instead of failing the plan.
     """
     topology = scenario.get("topology")
     if isinstance(topology, Mapping):
-        from repro.sim.generators import topology_node_count
-
-        return topology_node_count(str(topology.get("kind", "")), topology)
+        try:
+            return TopologySpec.from_dict(topology).node_count()
+        except SpecError:
+            return _DEFAULT_NODE_COUNT
     return _SCENARIO_NODE_COUNTS.get(
         str(scenario.get("scenario", "")), _DEFAULT_NODE_COUNT
     )

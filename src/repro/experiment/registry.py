@@ -29,11 +29,35 @@ x radio profiles):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
+from repro.engine import named_rng
 from repro.experiment.specs import FlowSpec, ScenarioSpec, SpecError, TopologySpec
-from repro.sim.generators import GeneratedFlow
+from repro.net.routing import first_use_links
+from repro.phy.propagation import LogDistancePathLoss
+from repro.phy.radio import RadioConfig
+from repro.registry import Registry
+from repro.sim.dynamics import (
+    DynamicsDriver,
+    apply_rate_adaptation,
+    build_mobility,
+    generate_churn_schedule,
+)
+from repro.sim.generators import (
+    GeneratedFlow,
+    Positions,
+    assign_link_rates,
+    generate_workload,
+    radio_profile_config,
+    radio_profile_is_adaptive,
+)
 from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
+from repro.sim.scenarios import (
+    build_testbed_network,
+    random_multiflow_scenario,
+    starvation_scenario,
+    traffic_seed,
+)
 
 FlowHandle = UdpFlowHandle | TcpFlowHandle
 
@@ -55,66 +79,25 @@ class BuiltScenario:
 
     @property
     def links(self) -> list[tuple[int, int]]:
-        ordered: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for flow in self.flows:
-            for link in flow.links:
-                if link not in seen:
-                    seen.add(link)
-                    ordered.append(link)
-        return ordered
+        return first_use_links(self.flows)
 
 
 class ScenarioBuilder(Protocol):
     def __call__(self, spec: ScenarioSpec) -> BuiltScenario: ...
 
 
-@dataclass(frozen=True)
-class _Registration:
-    builder: ScenarioBuilder
-    description: str
+_SCENARIOS: Registry[ScenarioBuilder] = Registry("scenario", error=SpecError)
 
-
-_SCENARIOS: dict[str, _Registration] = {}
-
-
-def register_scenario(
-    name: str, *, description: str = ""
-) -> Callable[[ScenarioBuilder], ScenarioBuilder]:
-    """Class-of-scenarios decorator: register ``builder`` under ``name``."""
-
-    def decorator(builder: ScenarioBuilder) -> ScenarioBuilder:
-        if name in _SCENARIOS:
-            raise ValueError(f"scenario {name!r} is already registered")
-        _SCENARIOS[name] = _Registration(
-            builder=builder, description=description or (builder.__doc__ or "").strip()
-        )
-        return builder
-
-    return decorator
-
-
-def scenario_names() -> list[str]:
-    """Every registered scenario name, sorted."""
-    return sorted(_SCENARIOS)
-
-
-def scenario_description(name: str) -> str:
-    """The one-line description a scenario registered with."""
-    return _get(name).description
+#: ``@register_scenario(name, description=...)`` registers
+#: ``builder(spec: ScenarioSpec) -> BuiltScenario``.
+register_scenario = _SCENARIOS.register
+scenario_names = _SCENARIOS.names
+scenario_description = _SCENARIOS.description
 
 
 def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     """Materialize ``spec`` via its registered builder."""
-    return _get(spec.scenario).builder(spec)
-
-
-def _get(name: str) -> _Registration:
-    if name not in _SCENARIOS:
-        raise SpecError(
-            f"unknown scenario {name!r}; registered: {scenario_names()}"
-        )
-    return _SCENARIOS[name]
+    return _SCENARIOS.lookup(spec.scenario)(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +124,36 @@ def _add_flows(
                 network.add_tcp_flow(list(flow.path), mss_bytes=flow.mss_bytes)
             )
     return handles
+
+
+def _mesh(
+    spec: ScenarioSpec, positions: Positions, radio: RadioConfig | None
+) -> MeshNetwork:
+    """The network of a spec that places its own nodes: log-distance
+    propagation with the spec's shadowing (none by default) drawn from
+    ``seed``, traffic seeded by ``run_seed``."""
+    return MeshNetwork(
+        positions,
+        seed=traffic_seed(spec.seed, spec.run_seed),
+        radio=radio,
+        propagation=LogDistancePathLoss(
+            shadowing_sigma_db=spec.shadowing_sigma_db or 0.0, seed=spec.seed
+        ),
+        data_rate_mbps=spec.data_rate_mbps,
+    )
+
+
+def _reject_unread(spec: ScenarioSpec, *names: str) -> None:
+    """A field that changes the digest must change the build: refuse a
+    field this scenario's builder never reads rather than cache two
+    entries for one experiment."""
+    for name in names:
+        if getattr(spec, name) is not None:
+            raise SpecError(
+                f"ScenarioSpec.{name} is not read by the {spec.scenario!r} "
+                f"scenario (the 'generated' scenario composes it); got "
+                f"{getattr(spec, name)!r}"
+            )
 
 
 @register_scenario(
@@ -170,23 +183,6 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
        whose live ``meta`` dict lands in ``meta["dynamics"]`` so epoch
        and churn counters appear in the experiment result.
     """
-    import numpy as np
-
-    from repro.engine import rng_spawn_key
-    from repro.phy.propagation import LogDistancePathLoss
-    from repro.sim.dynamics import (
-        DynamicsDriver,
-        apply_rate_adaptation,
-        build_mobility,
-        generate_churn_schedule,
-    )
-    from repro.sim.generators import (
-        assign_link_rates,
-        generate_workload,
-        radio_profile_config,
-        radio_profile_is_adaptive,
-    )
-
     if spec.topology is None:
         raise SpecError(
             "the 'generated' scenario needs spec.topology naming a "
@@ -206,14 +202,7 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
         )
     else:
         radio = None
-    sigma = 0.0 if spec.shadowing_sigma_db is None else spec.shadowing_sigma_db
-    network = MeshNetwork(
-        positions,
-        seed=spec.seed if spec.run_seed is None else spec.run_seed,
-        radio=radio,
-        propagation=LogDistancePathLoss(shadowing_sigma_db=sigma, seed=spec.seed),
-        data_rate_mbps=spec.data_rate_mbps,
-    )
+    network = _mesh(spec, positions, radio)
     adaptive = spec.radio_profile is not None and radio_profile_is_adaptive(
         spec.radio_profile
     )
@@ -223,12 +212,9 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
         # perturbs the ``generated.link_rates`` stream of other specs.
         apply_rate_adaptation(network)
     else:
-        link_rate_rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=spec.seed, spawn_key=(rng_spawn_key("generated.link_rates"),)
-            )
+        assign_link_rates(
+            network, spec.rate_mode, named_rng(spec.seed, "generated.link_rates")
         )
-        assign_link_rates(network, spec.rate_mode, link_rate_rng)
     meta: dict[str, object] = {
         "topology_generator": spec.topology.kind,
         "node_count": len(positions),
@@ -250,40 +236,27 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
         meta["transports"] = [flow.transport for flow in generated]
     meta["routes"] = [list(handle.path) for handle in handles]
     if spec.mobility is not None or spec.churn is not None or adaptive:
-        trajectory = None
-        epoch_s = 1.0
+        dynamics: dict[str, object] = {"rate_adaptation": adaptive}
         if spec.mobility is not None:
-            trajectory = build_mobility(
+            dynamics["epoch_s"] = spec.mobility.epoch_s
+            dynamics["trajectory"] = build_mobility(
                 spec.mobility.model,
                 network.positions,
                 spec.mobility.params(),
                 seed=spec.seed,
             )
-            epoch_s = spec.mobility.epoch_s
-        schedule = ()
         if spec.churn is not None:
-            protected: frozenset[int] = frozenset()
-            if spec.churn.protect_endpoints:
-                protected = frozenset(
-                    node for handle in handles for node in (handle.path[0], handle.path[-1])
-                )
-            schedule = generate_churn_schedule(
-                network.node_ids,
-                protected=protected,
-                num_events=spec.churn.num_events,
-                start_s=spec.churn.start_s,
-                end_s=spec.churn.end_s,
-                down_s=spec.churn.down_s,
-                seed=spec.seed,
+            schedule = spec.churn.to_dict()
+            endpoints = frozenset(
+                node for handle in handles for node in (handle.path[0], handle.path[-1])
             )
-        driver = DynamicsDriver(
-            network,
-            trajectory=trajectory,
-            epoch_s=epoch_s,
-            churn=schedule,
-            rate_adaptation=adaptive,
-        )
-        driver.install()
+            dynamics["churn"] = generate_churn_schedule(
+                network.node_ids,
+                protected=endpoints if schedule.pop("protect_endpoints") else frozenset(),
+                seed=spec.seed,
+                **schedule,
+            )
+        driver = DynamicsDriver(network, **dynamics).install()
         # The driver mutates this dict as epochs and churn events apply;
         # the runner copies scenario.meta AFTER the run, so the final
         # counters serialize into the experiment result.
@@ -297,18 +270,9 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
     "chain", description="N-node chain with explicit flows (deterministic propagation)"
 )
 def _build_chain(spec: ScenarioSpec) -> BuiltScenario:
-    from repro.phy.propagation import LogDistancePathLoss
-
-    topology = spec.topology or TopologySpec(kind="chain", num_nodes=3, spacing_m=60.0)
-    positions = topology.build(seed=spec.seed)
-    sigma = 0.0 if spec.shadowing_sigma_db is None else spec.shadowing_sigma_db
-    network = MeshNetwork(
-        positions,
-        seed=spec.seed if spec.run_seed is None else spec.run_seed,
-        radio=spec.radio.build() if spec.radio else None,
-        propagation=LogDistancePathLoss(shadowing_sigma_db=sigma, seed=spec.seed),
-        data_rate_mbps=spec.data_rate_mbps,
-    )
+    _reject_unread(spec, "radio_profile", "workload")
+    positions = (spec.topology or TopologySpec()).build(seed=spec.seed)
+    network = _mesh(spec, positions, spec.radio.build() if spec.radio else None)
     flows = spec.flows or (
         FlowSpec(transport=spec.transport, path=tuple(sorted(positions))),
     )
@@ -321,8 +285,7 @@ def _build_chain(spec: ScenarioSpec) -> BuiltScenario:
     "testbed", description="the synthetic 18-node testbed with explicit flows"
 )
 def _build_testbed(spec: ScenarioSpec) -> BuiltScenario:
-    from repro.sim.scenarios import build_testbed_network
-
+    _reject_unread(spec, "radio_profile", "workload")
     if not spec.flows:
         raise SpecError("the 'testbed' scenario needs explicit FlowSpecs")
     sigma = 6.0 if spec.shadowing_sigma_db is None else spec.shadowing_sigma_db
@@ -343,8 +306,7 @@ def _build_testbed(spec: ScenarioSpec) -> BuiltScenario:
     description="ETT-routed random multi-flow testbed configuration (Sections 4.5/6.3)",
 )
 def _build_random_multiflow(spec: ScenarioSpec) -> BuiltScenario:
-    from repro.sim.scenarios import random_multiflow_scenario
-
+    _reject_unread(spec, "radio_profile", "workload")
     scenario = random_multiflow_scenario(
         seed=spec.seed,
         num_flows=spec.num_flows,
@@ -370,8 +332,7 @@ def _build_random_multiflow(spec: ScenarioSpec) -> BuiltScenario:
     description="two-flow upstream TCP starvation at a gateway (Figure 13)",
 )
 def _build_starvation(spec: ScenarioSpec) -> BuiltScenario:
-    from repro.sim.scenarios import starvation_scenario
-
+    _reject_unread(spec, "radio_profile", "workload")
     scenario = starvation_scenario(
         seed=spec.seed, data_rate_mbps=spec.data_rate_mbps, run_seed=spec.run_seed
     )

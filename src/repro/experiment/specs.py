@@ -26,18 +26,31 @@ described by a tree of frozen dataclasses —
 Every spec validates its fields on construction (raising
 :class:`SpecError`) and round-trips through ``to_dict``/``from_dict``,
 which is what the parallel :class:`repro.experiment.batch.BatchRunner`
-ships across process boundaries.
+ships across process boundaries.  Both directions are driven by the
+dataclass fields (:class:`_Spec`): a spec class declares its fields,
+their types and defaults, and its cross-field rules — nothing about
+serialization.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from typing import Any, TypeVar, get_args, get_origin, get_type_hints
 
 from repro.core.utility import AlphaFairUtility
+from repro.monitors import monitor_names
 from repro.phy.radio import RATE_TABLE, RadioConfig, rate_from_mbps
+from repro.sim.dynamics import mobility_names
+from repro.sim.generators import (
+    TOPOLOGIES,
+    TopologyGenerator,
+    radio_profile_names,
+    workload_names,
+)
 
 
 class SpecError(ValueError):
@@ -96,14 +109,6 @@ def spec_digest(spec: "ExperimentSpec | Mapping[str, Any]",
 
 Positions = dict[int, tuple[float, float]]
 
-#: Deprecated static alias kept for discoverability; the authoritative
-#: vocabulary is the topology generator registry of
-#: :mod:`repro.sim.generators` (``topology_names()``), which third-party
-#: generators extend at runtime.
-TOPOLOGY_KINDS = (
-    "chain", "line", "grid", "ring", "random_disk", "binary_tree",
-    "parking_lot", "testbed", "positions",
-)
 TRANSPORTS = ("udp", "tcp")
 RATE_MODES = ("1", "11", "mixed")
 #: Gravity-workload node-weight distributions (:class:`WorkloadSpec`).
@@ -115,33 +120,113 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _jsonify(value: Any) -> Any:
+# ---------------------------------------------------------------------------
+# The one (de)serializer
+# ---------------------------------------------------------------------------
+def _encode(value: Any) -> Any:
+    """A field value as plain JSON data: specs become dicts and tuples
+    lists, so payloads are stable under a JSON round-trip
+    (``d == json.loads(json.dumps(d))``)."""
+    if isinstance(value, _Spec):
+        return value.to_dict()
     if isinstance(value, (tuple, list)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
+        return [_encode(item) for item in value]
     return value
 
 
-def _spec_to_dict(spec: Any) -> dict[str, Any]:
-    """``dataclasses.asdict`` with tuples converted to lists, so payloads
-    are stable under a JSON round-trip (``d == json.loads(json.dumps(d))``)."""
-    return _jsonify(asdict(spec))
+def _expect(ok: bool, where: str, expected: str, value: Any) -> None:
+    if not ok:
+        raise SpecError(f"{where} must be {expected}, got {value!r}")
 
 
-def _filter_kwargs(cls: type, data: Mapping[str, Any]) -> dict[str, Any]:
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise SpecError(f"{cls.__name__}: unknown fields {sorted(unknown)}")
-    return dict(data)
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    """``value`` (plain JSON data, possibly hostile: specs arrive over
+    HTTP in worker envelopes) as field type ``tp``, or a
+    :class:`SpecError` naming ``where``.
+
+    The field types in use are ``bool``/``int``/``float``/``str``, a
+    nested spec, ``tuple[X, ...]``, fixed-arity ``tuple[X, Y, Z]``, and
+    ``X | None`` of any of those.
+    """
+    if tp in _SCALARS:
+        if tp is int and isinstance(value, float) and value.is_integer():
+            # 1.0 and 1 compare equal but serialize — and so digest —
+            # differently; an integer field holds exactly one of them.
+            return int(value)
+        _expect(isinstance(value, (int, float) if tp is float else tp)
+                and (tp is bool or not isinstance(value, bool)),
+                where, _SCALARS[tp], value)
+        return value
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in args if arg is not type(None))
+        return _decode(tp, value, where)
+    if get_origin(tp) is tuple:
+        _expect(isinstance(value, (list, tuple)), where, "a list", value)
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], item, where) for item in value)
+        _expect(len(value) == len(args), where, f"{len(args)}-item lists", value)
+        return tuple(_decode(arg, item, where) for arg, item in zip(args, value))
+    _expect(isinstance(value, Mapping), where, "a mapping", value)
+    return tp.from_dict(value)  # a nested spec
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict[str, Any]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+S = TypeVar("S", bound="_Spec")
+
+
+class _Spec:
+    """What every spec dataclass inherits: ``to_dict``/``from_dict``
+    driven by its own fields."""
+
+    def to_dict(self) -> dict[str, Any]:
+        """The canonical plain-data form (what :func:`spec_digest`
+        hashes and every backend ships)."""
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls: type[S], data: Mapping[str, Any]) -> S:
+        """Rebuild the spec from (a subset of) its ``to_dict`` form.
+
+        Unknown fields, and values whose shape does not match the
+        field's type, raise :class:`SpecError` naming ``Class.field``;
+        integral floats in integer fields become ``int``.
+        """
+        _expect(isinstance(data, Mapping), cls.__name__, "a mapping", data)
+        types = _field_types(cls)
+        unknown = sorted(set(data) - set(types), key=str)
+        _require(not unknown, f"{cls.__name__}: unknown fields {unknown}")
+        return cls(**{
+            name: _decode(types[name], value, f"{cls.__name__}.{name}")
+            for name, value in data.items()
+        })
+
+
+class _GeneratorSpec(_Spec):
+    """A spec whose first field names a registered generator and whose
+    other fields are that generator's parameters."""
+
+    def params(self) -> dict[str, Any]:
+        """The parameter fields (everything but the name), as the
+        keyword arguments the sim-layer generator takes."""
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)[1:]}
 
 
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_Spec):
     """Node placement for a scenario: a topology generator name plus its
     parameters.
 
@@ -149,8 +234,10 @@ class TopologySpec:
     :func:`repro.sim.generators.register_topology`; the built-ins are
     ``"chain"``/``"line"``, ``"grid"``, ``"ring"``, ``"random_disk"``,
     ``"binary_tree"``, ``"parking_lot"``, ``"testbed"`` and
-    ``"positions"``.  Generators read the parameter fields they care
-    about and ignore the rest:
+    ``"positions"``.  This class is the parameter vocabulary and its
+    defaults; what a kind builds, how many nodes that is and which
+    parameters it rejects is the generator's registration.  Generators
+    read the parameter fields they care about and ignore the rest:
 
     Attributes:
         kind: registered topology generator name.
@@ -181,60 +268,39 @@ class TopologySpec:
     positions: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        from repro.sim.generators import topology_names
-
-        _require(self.kind in topology_names(),
+        _require(self.kind in TOPOLOGIES,
                  f"topology kind must be a registered generator, one of "
-                 f"{topology_names()}; got {self.kind!r}")
+                 f"{TOPOLOGIES.names()}; got {self.kind!r}")
         _require(self.spacing_m > 0, "spacing_m must be positive")
         _require(self.radius_m > 0, "radius_m must be positive")
         _require(self.min_separation_m >= 0, "min_separation_m must be non-negative")
         _require(self.stub_m > 0, "stub_m must be positive")
-        if self.kind in ("chain", "line", "parking_lot", "random_disk"):
-            _require(self.num_nodes >= 2,
-                     f"a {self.kind} topology needs at least two nodes")
-        if self.kind == "ring":
-            _require(self.num_nodes >= 3, "a ring needs at least three nodes")
-        if self.kind == "grid":
-            _require(self.rows >= 1 and self.cols >= 1, "grid dimensions must be positive")
-        if self.kind == "binary_tree":
-            _require(self.depth >= 2, "a binary tree needs at least two levels")
-        if self.kind == "positions":
-            _require(len(self.positions) >= 2, "explicit topologies need at least two nodes")
-            ids = [int(p[0]) for p in self.positions]
-            _require(len(ids) == len(set(ids)), "duplicate node ids in positions")
+        problem = self._generator.problem(self)
+        _require(not problem, str(problem))
+
+    @property
+    def _generator(self) -> TopologyGenerator:
+        return TOPOLOGIES.lookup(self.kind)
 
     def build(self, seed: int = 0) -> Positions:
-        """Materialize the node id -> (x, y) placement map through the
-        topology generator registry."""
-        from repro.sim.generators import build_topology
-
-        return build_topology(self.kind, self.to_dict(), seed=seed)
+        """Materialize the node id -> (x, y) placement map."""
+        return self._generator.build(self, seed)
 
     def node_count(self) -> int:
         """Node count this topology will produce (without building it)."""
-        from repro.sim.generators import topology_node_count
+        return self._generator.node_count(self)
 
-        return topology_node_count(self.kind, self.to_dict())
-
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        kwargs = _filter_kwargs(cls, data)
-        if "positions" in kwargs:
-            kwargs["positions"] = tuple(
-                (int(n), float(x), float(y)) for n, x, y in kwargs["positions"]
-            )
-        return cls(**kwargs)
+    def describe(self) -> str:
+        """Kind and size, e.g. ``grid 2x3`` or ``ring 6``."""
+        shape = self._generator.shape or self._generator.node_count
+        return f"{self.kind} {shape(self)}"
 
 
 # ---------------------------------------------------------------------------
 # Radio
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class RadioSpec:
+class RadioSpec(_Spec):
     """Radio configuration shared by all nodes (see :class:`RadioConfig`)."""
 
     tx_power_dbm: float = 19.0
@@ -258,19 +324,12 @@ class RadioSpec:
             basic_rate=rate_from_mbps(self.basic_rate_mbps),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RadioSpec":
-        return cls(**_filter_kwargs(cls, data))
-
 
 # ---------------------------------------------------------------------------
 # Flows
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(_Spec):
     """One traffic flow: transport, explicit route and shaping parameters.
 
     ``rate_bps`` follows :meth:`MeshNetwork.add_udp_flow` semantics:
@@ -296,22 +355,12 @@ class FlowSpec:
         _require(self.payload_bytes > 0 and self.mss_bytes > 0,
                  "payload_bytes and mss_bytes must be positive")
 
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowSpec":
-        kwargs = _filter_kwargs(cls, data)
-        if "path" in kwargs:
-            kwargs["path"] = tuple(int(n) for n in kwargs["path"])
-        return cls(**kwargs)
-
 
 # ---------------------------------------------------------------------------
 # Workload
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_GeneratorSpec):
     """A generated flow set: workload generator name plus demand knobs.
 
     ``generator`` is any name registered with
@@ -348,8 +397,6 @@ class WorkloadSpec:
     tail_index: float = 1.5
 
     def __post_init__(self) -> None:
-        from repro.sim.generators import workload_names
-
         _require(self.generator in workload_names(),
                  f"workload generator must be a registered name, one of "
                  f"{workload_names()}; got {self.generator!r}")
@@ -367,25 +414,12 @@ class WorkloadSpec:
                  f"got {self.weight_tail!r}")
         _require(self.tail_index > 0, "tail_index must be positive")
 
-    def params(self) -> dict[str, Any]:
-        """Keyword arguments for :func:`repro.sim.generators.generate_workload`."""
-        data = _spec_to_dict(self)
-        data.pop("generator")
-        return data
-
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        return cls(**_filter_kwargs(cls, data))
-
 
 # ---------------------------------------------------------------------------
 # Dynamics: mobility and churn
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class MobilitySpec:
+class MobilitySpec(_GeneratorSpec):
     """Node mobility for a ``generated`` scenario.
 
     ``model`` is any name registered with
@@ -412,8 +446,6 @@ class MobilitySpec:
     area_margin_m: float = 25.0
 
     def __post_init__(self) -> None:
-        from repro.sim.dynamics import mobility_names
-
         _require(self.model in mobility_names(),
                  f"mobility model must be a registered name, one of "
                  f"{mobility_names()}; got {self.model!r}")
@@ -423,22 +455,9 @@ class MobilitySpec:
         _require(self.drift_sigma_m >= 0, "drift_sigma_m must be non-negative")
         _require(self.area_margin_m >= 0, "area_margin_m must be non-negative")
 
-    def params(self) -> dict[str, Any]:
-        """Keyword parameters for :func:`repro.sim.dynamics.build_mobility`."""
-        data = _spec_to_dict(self)
-        data.pop("model")
-        return data
-
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MobilitySpec":
-        return cls(**_filter_kwargs(cls, data))
-
 
 @dataclass(frozen=True)
-class ChurnSpec:
+class ChurnSpec(_Spec):
     """Seeded node join/fail schedule for a ``generated`` scenario.
 
     ``num_events`` node failures are drawn uniformly (without
@@ -464,19 +483,12 @@ class ChurnSpec:
         _require(self.end_s >= self.start_s, "end_s must be at least start_s")
         _require(self.down_s >= 0, "down_s must be non-negative (0 = permanent)")
 
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChurnSpec":
-        return cls(**_filter_kwargs(cls, data))
-
 
 # ---------------------------------------------------------------------------
 # Probing
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ProbingSpec:
+class ProbingSpec(_Spec):
     """Broadcast probing system settings plus the measurement warmup."""
 
     period_s: float = 0.5
@@ -488,19 +500,12 @@ class ProbingSpec:
         _require(self.data_probe_bytes > 0, "data_probe_bytes must be positive")
         _require(self.warmup_s >= 0, "warmup_s must be non-negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ProbingSpec":
-        return cls(**_filter_kwargs(cls, data))
-
 
 # ---------------------------------------------------------------------------
 # Controller
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ControllerSpec:
+class ControllerSpec(_Spec):
     """The online optimization loop, or disabled for a noRC baseline.
 
     ``alpha`` selects the alpha-fair objective: 0 is the paper's TCP-Max,
@@ -530,13 +535,6 @@ class ControllerSpec:
     def utility(self) -> AlphaFairUtility:
         return AlphaFairUtility(alpha=self.alpha)
 
-    def to_dict(self) -> dict[str, Any]:
-        return _spec_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ControllerSpec":
-        return cls(**_filter_kwargs(cls, data))
-
 
 #: Convenience baseline: no rate control at all (the paper's ``noRC``).
 NO_RATE_CONTROL = ControllerSpec(enabled=False)
@@ -546,7 +544,7 @@ NO_RATE_CONTROL = ControllerSpec(enabled=False)
 # Scenario
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """A named scenario plus the knobs its registered builder reads.
 
     ``scenario`` is a key in the scenario registry
@@ -607,16 +605,13 @@ class ScenarioSpec:
                  "give either radio or radio_profile, not both")
         _require(not (self.flows and self.workload is not None),
                  "give either explicit flows or a workload generator, not both")
-        _require(self.mobility is None or self.scenario == "generated",
-                 "mobility is only supported by the 'generated' scenario")
-        _require(self.churn is None or self.scenario == "generated",
-                 "churn is only supported by the 'generated' scenario")
-        if self.radio_profile is not None:
-            from repro.sim.generators import radio_profile_names
-
-            _require(self.radio_profile in radio_profile_names(),
-                     f"radio_profile must be one of {radio_profile_names()}, "
-                     f"got {self.radio_profile!r}")
+        for name in ("mobility", "churn"):
+            _require(getattr(self, name) is None or self.scenario == "generated",
+                     f"{name} is only supported by the 'generated' scenario")
+        _require(self.radio_profile is None
+                 or self.radio_profile in radio_profile_names(),
+                 f"radio_profile must be one of {radio_profile_names()}, "
+                 f"got {self.radio_profile!r}")
 
     def with_seed(self, seed: int, run_seed: int | None = None) -> "ScenarioSpec":
         """The same scenario re-seeded (used by batch seed sweeps)."""
@@ -629,11 +624,7 @@ class ScenarioSpec:
             return self.scenario
         parts = []
         if self.topology is not None:
-            shape = {
-                "grid": f"grid {self.topology.rows}x{self.topology.cols}",
-                "binary_tree": f"binary_tree d{self.topology.depth}",
-            }.get(self.topology.kind, f"{self.topology.kind} {self.topology.node_count()}")
-            parts.append(shape)
+            parts.append(self.topology.describe())
         if self.workload is not None:
             parts.append(self.workload.generator)
         elif self.flows:
@@ -646,39 +637,12 @@ class ScenarioSpec:
             parts.append("churn")
         return f"generated({', '.join(parts)})" if parts else "generated"
 
-    def to_dict(self) -> dict[str, Any]:
-        data = _spec_to_dict(self)
-        data["topology"] = self.topology.to_dict() if self.topology else None
-        data["radio"] = self.radio.to_dict() if self.radio else None
-        data["flows"] = [flow.to_dict() for flow in self.flows]
-        data["workload"] = self.workload.to_dict() if self.workload else None
-        data["mobility"] = self.mobility.to_dict() if self.mobility else None
-        data["churn"] = self.churn.to_dict() if self.churn else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        kwargs = _filter_kwargs(cls, data)
-        if kwargs.get("topology") is not None:
-            kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])
-        if kwargs.get("radio") is not None:
-            kwargs["radio"] = RadioSpec.from_dict(kwargs["radio"])
-        if "flows" in kwargs:
-            kwargs["flows"] = tuple(FlowSpec.from_dict(f) for f in kwargs["flows"])
-        if kwargs.get("workload") is not None:
-            kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
-        if kwargs.get("mobility") is not None:
-            kwargs["mobility"] = MobilitySpec.from_dict(kwargs["mobility"])
-        if kwargs.get("churn") is not None:
-            kwargs["churn"] = ChurnSpec.from_dict(kwargs["churn"])
-        return cls(**kwargs)
-
 
 # ---------------------------------------------------------------------------
 # Experiment
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(_Spec):
     """A complete, runnable experiment.
 
     Schedule: probing warms up for ``probing.warmup_s`` of virtual time
@@ -717,13 +681,10 @@ class ExperimentSpec:
         _require(self.monitor_interval_s > 0, "monitor_interval_s must be positive")
         _require(len(set(self.monitors)) == len(self.monitors),
                  "monitors must not repeat a name")
-        if self.monitors:
-            from repro.monitors import monitor_names
-
-            for name in self.monitors:
-                _require(name in monitor_names(),
-                         f"monitors must be registered names, one of "
-                         f"{monitor_names()}; got {name!r}")
+        for name in self.monitors:
+            _require(name in monitor_names(),
+                     f"monitors must be registered names, one of "
+                     f"{monitor_names()}; got {name!r}")
 
     def with_seed(self, seed: int, run_seed: int | None = None) -> "ExperimentSpec":
         """The same experiment on a re-seeded scenario."""
@@ -734,29 +695,3 @@ class ExperimentSpec:
                       if self.controller.enabled else "no rate control")
         return (f"{self.label or self.scenario.describe()}"
                 f" [seed={self.scenario.seed}, {controller}, {self.cycles} cycle(s)]")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "probing": self.probing.to_dict(),
-            "controller": self.controller.to_dict(),
-            "cycles": self.cycles,
-            "cycle_measure_s": self.cycle_measure_s,
-            "settle_s": self.settle_s,
-            "label": self.label,
-            "monitors": list(self.monitors),
-            "monitor_interval_s": self.monitor_interval_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        kwargs = _filter_kwargs(cls, data)
-        if "scenario" in kwargs:
-            kwargs["scenario"] = ScenarioSpec.from_dict(kwargs["scenario"])
-        if "probing" in kwargs:
-            kwargs["probing"] = ProbingSpec.from_dict(kwargs["probing"])
-        if "controller" in kwargs:
-            kwargs["controller"] = ControllerSpec.from_dict(kwargs["controller"])
-        if "monitors" in kwargs:
-            kwargs["monitors"] = tuple(str(name) for name in kwargs["monitors"])
-        return cls(**kwargs)

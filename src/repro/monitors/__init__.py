@@ -11,7 +11,6 @@ from repro.monitors.base import (
     Monitor,
     MonitorHost,
     create_monitor,
-    monitor_description,
     monitor_names,
     register_monitor,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "PDRMonitor",
     "ThroughputMonitor",
     "create_monitor",
-    "monitor_description",
     "monitor_names",
     "register_monitor",
 ]

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol
 
+from repro.registry import Registry
+
 __all__ = [
     "FlowSeries",
     "Monitor",
     "MonitorHost",
     "create_monitor",
-    "monitor_description",
     "monitor_names",
     "register_monitor",
 ]
@@ -87,50 +88,17 @@ class Monitor(Protocol):
     def series(self) -> list[FlowSeries]: ...
 
 
-@dataclass(frozen=True)
-class _MonitorRegistration:
-    factory: Callable[[], Monitor]
-    description: str
+MONITORS: Registry[Callable[[], Monitor]] = Registry("monitor")
 
-
-_MONITORS: dict[str, _MonitorRegistration] = {}
-
-
-def register_monitor(
-    name: str, *, description: str = ""
-) -> Callable[[Callable[[], Monitor]], Callable[[], Monitor]]:
-    """Register a zero-argument monitor factory (usually a class)."""
-
-    def decorator(factory: Callable[[], Monitor]) -> Callable[[], Monitor]:
-        if name in _MONITORS:
-            raise ValueError(f"monitor {name!r} is already registered")
-        _MONITORS[name] = _MonitorRegistration(
-            factory=factory, description=description or (factory.__doc__ or "").strip()
-        )
-        return factory
-
-    return decorator
-
-
-def monitor_names() -> list[str]:
-    """Every registered monitor name, sorted."""
-    return sorted(_MONITORS)
-
-
-def monitor_description(name: str) -> str:
-    """The one-line description a monitor registered with."""
-    return _lookup(name).description
-
-
-def _lookup(name: str) -> _MonitorRegistration:
-    if name not in _MONITORS:
-        raise KeyError(f"unknown monitor {name!r}; registered: {monitor_names()}")
-    return _MONITORS[name]
+#: ``@register_monitor(name, description=...)`` registers a zero-argument
+#: monitor factory (usually a class).
+register_monitor = MONITORS.register
+monitor_names = MONITORS.names
 
 
 def create_monitor(name: str) -> Monitor:
     """Instantiate the registered monitor ``name``."""
-    return _lookup(name).factory()
+    return MONITORS.lookup(name)()
 
 
 class MonitorHost:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -181,20 +182,22 @@ class Router:
         return flows
 
 
+def first_use_links(flows: Iterable[Any]) -> list[Link]:
+    """Directed links used by at least one of ``flows`` (anything with a
+    ``links`` list: routes, flow handles), each once, in first-use order
+    — the row order of the routing matrix and of everything indexed like
+    it (capacities, conflict graph, extreme points)."""
+    return list(dict.fromkeys(link for flow in flows for link in flow.links))
+
+
 def build_routing_matrix(flows: list[FlowRoute], links: list[Link] | None = None) -> RoutingMatrix:
     """Build the binary links-by-flows routing matrix of Section 6.1.
 
     If ``links`` is omitted, the link set is the union of all links used
-    by the flows, in first-appearance order.
+    by the flows, in first-use order.
     """
     if links is None:
-        links = []
-        seen: set[Link] = set()
-        for flow in flows:
-            for link in flow.links:
-                if link not in seen:
-                    seen.add(link)
-                    links.append(link)
+        links = first_use_links(flows)
     index = {link: i for i, link in enumerate(links)}
     matrix = np.zeros((len(links), len(flows)), dtype=float)
     for j, flow in enumerate(flows):

@@ -41,8 +41,9 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.engine import rng_spawn_key
-from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
+from repro.engine import named_rng
+from repro.registry import Registry
+from repro.sim.generators import RATE_ADAPTATION_SNR_DB, apply_rate_adaptation
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import bounding_box
 
@@ -57,7 +58,6 @@ __all__ = [
     "build_mobility",
     "generate_churn_schedule",
     "mobility_names",
-    "mobility_description",
     "mobility_rng",
     "register_mobility",
 ]
@@ -85,70 +85,22 @@ class Trajectory:
 
 MobilityBuilder = Callable[[Positions, Mapping[str, Any], int], Trajectory]
 
+MOBILITY_MODELS: Registry[MobilityBuilder] = Registry("mobility model")
 
-@dataclass(frozen=True)
-class _MobilityRegistration:
-    build: MobilityBuilder
-    description: str
-
-
-_MOBILITY_MODELS: dict[str, _MobilityRegistration] = {}
-
-
-def register_mobility(
-    name: str, *, description: str = ""
-) -> Callable[[MobilityBuilder], MobilityBuilder]:
-    """Register ``builder(positions, params, seed) -> Trajectory``.
-
-    ``params`` is the plain-dict form of
-    :meth:`repro.experiment.specs.MobilitySpec.params` (builders read the
-    keys they care about), so a registered model is immediately drivable
-    from a serialized spec.
-    """
-
-    def decorator(builder: MobilityBuilder) -> MobilityBuilder:
-        if name in _MOBILITY_MODELS:
-            raise ValueError(f"mobility model {name!r} is already registered")
-        _MOBILITY_MODELS[name] = _MobilityRegistration(
-            build=builder, description=description or (builder.__doc__ or "").strip()
-        )
-        return builder
-
-    return decorator
-
-
-def mobility_names() -> list[str]:
-    """Every registered mobility model name, sorted."""
-    return sorted(_MOBILITY_MODELS)
-
-
-def mobility_description(name: str) -> str:
-    """The one-line description a mobility model registered with."""
-    return _lookup(name).description
-
-
-def _lookup(name: str) -> _MobilityRegistration:
-    if name not in _MOBILITY_MODELS:
-        raise KeyError(
-            f"unknown mobility model {name!r}; registered: {mobility_names()}"
-        )
-    return _MOBILITY_MODELS[name]
+#: ``@register_mobility(name, description=...)`` registers
+#: ``builder(positions, params, seed) -> Trajectory``.  ``params`` is the
+#: plain-dict form of :meth:`repro.experiment.specs.MobilitySpec.params`
+#: (builders read the keys they care about), so a registered model is
+#: immediately drivable from a serialized spec.
+register_mobility = MOBILITY_MODELS.register
+mobility_names = MOBILITY_MODELS.names
 
 
 def mobility_rng(model: str, seed: int) -> np.random.Generator:
-    """The named, model-private RNG stream for a mobility trajectory.
-
-    Spawned from ``seed`` with a CRC32 key of ``"mobility.<model>"``
-    (:func:`repro.engine.rng_spawn_key`) — the same stream-isolation
-    discipline as :func:`repro.sim.generators.workload_rng`, so
-    trajectories never share draws with workloads, topologies or the
-    simulation kernel.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=seed, spawn_key=(rng_spawn_key(f"mobility.{model}"),)
-        )
-    )
+    """The model-private stream ``"mobility.<model>"`` of ``seed``
+    (:func:`repro.engine.named_rng`): trajectories never share draws with
+    workloads, topologies or the simulation kernel."""
+    return named_rng(seed, f"mobility.{model}")
 
 
 def build_mobility(
@@ -156,8 +108,8 @@ def build_mobility(
     seed: int = 0,
 ) -> Trajectory:
     """Build a trajectory for ``positions`` via the registered ``model``."""
-    registration = _lookup(model)
-    trajectory = registration.build(dict(positions), dict(params or {}), seed)
+    build = MOBILITY_MODELS.lookup(model)
+    trajectory = build(dict(positions), dict(params or {}), seed)
     trajectory.model = model
     return trajectory
 
@@ -165,23 +117,22 @@ def build_mobility(
 # ---------------------------------------------------------------------------
 # Built-in mobility models
 # ---------------------------------------------------------------------------
+# The ``params.get`` defaults below are the library-level defaults of
+# :func:`build_mobility` for callers that pass a partial dict; a
+# ``MobilitySpec`` always passes every parameter.
+@register_mobility(
+    "waypoint",
+    description="random waypoint inside the initial bounding box plus margin",
+)
 class _WaypointTrajectory(Trajectory):
-    def __init__(
-        self,
-        positions: Positions,
-        box: tuple[float, float, float, float],
-        epoch_s: float,
-        speed_mps: float,
-        pause_s: float,
-        rng: np.random.Generator,
-    ) -> None:
+    def __init__(self, positions: Positions, params: Mapping[str, Any], seed: int) -> None:
         self._order = sorted(positions)
         self._pos = {node: positions[node] for node in self._order}
-        self._box = box
-        self._epoch_s = epoch_s
-        self._speed = speed_mps
-        self._pause_s = pause_s
-        self._rng = rng
+        self._box = bounding_box(positions, params.get("area_margin_m", 25.0))
+        self._epoch_s = params.get("epoch_s", 1.0)
+        self._speed = params.get("speed_mps", 1.5)
+        self._pause_s = params.get("pause_s", 0.0)
+        self._rng = mobility_rng("waypoint", seed)
         self._target: dict[int, tuple[float, float] | None] = {
             node: None for node in self._order
         }
@@ -234,33 +185,16 @@ class _WaypointTrajectory(Trajectory):
 
 
 @register_mobility(
-    "waypoint",
-    description="random waypoint inside the initial bounding box plus margin",
+    "drift",
+    description="per-epoch Gaussian displacement clipped to the initial box",
 )
-def _waypoint(positions: Positions, params: Mapping[str, Any], seed: int) -> Trajectory:
-    return _WaypointTrajectory(
-        positions,
-        box=bounding_box(positions, float(params.get("area_margin_m", 25.0))),
-        epoch_s=float(params.get("epoch_s", 1.0)),
-        speed_mps=float(params.get("speed_mps", 1.5)),
-        pause_s=float(params.get("pause_s", 0.0)),
-        rng=mobility_rng("waypoint", seed),
-    )
-
-
 class _DriftTrajectory(Trajectory):
-    def __init__(
-        self,
-        positions: Positions,
-        box: tuple[float, float, float, float],
-        sigma_m: float,
-        rng: np.random.Generator,
-    ) -> None:
+    def __init__(self, positions: Positions, params: Mapping[str, Any], seed: int) -> None:
         self._order = sorted(positions)
         self._pos = {node: positions[node] for node in self._order}
-        self._box = box
-        self._sigma = sigma_m
-        self._rng = rng
+        self._box = bounding_box(positions, params.get("area_margin_m", 25.0))
+        self._sigma = params.get("drift_sigma_m", 2.0)
+        self._rng = mobility_rng("drift", seed)
 
     def step(self) -> Positions:
         x_min, x_max, y_min, y_max = self._box
@@ -271,19 +205,6 @@ class _DriftTrajectory(Trajectory):
             y = min(max(y + float(displacements[index, 1]), y_min), y_max)
             self._pos[node] = (x, y)
         return dict(self._pos)
-
-
-@register_mobility(
-    "drift",
-    description="per-epoch Gaussian displacement clipped to the initial box",
-)
-def _drift(positions: Positions, params: Mapping[str, Any], seed: int) -> Trajectory:
-    return _DriftTrajectory(
-        positions,
-        box=bounding_box(positions, float(params.get("area_margin_m", 25.0))),
-        sigma_m=float(params.get("drift_sigma_m", 2.0)),
-        rng=mobility_rng("drift", seed),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +243,7 @@ def generate_churn_schedule(
     count = min(num_events, len(candidates))
     if count <= 0:
         return []
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(rng_spawn_key("churn"),))
-    )
+    rng = named_rng(seed, "churn")
     chosen = rng.choice(len(candidates), size=count, replace=False)
     times = rng.uniform(start_s, end_s, size=count)
     events: list[ChurnEvent] = []
@@ -337,33 +256,6 @@ def generate_churn_schedule(
             )
     events.sort(key=lambda event: (event.time_s, event.node_id, event.action))
     return events
-
-
-# ---------------------------------------------------------------------------
-# Rate adaptation
-# ---------------------------------------------------------------------------
-#: SNR threshold (dB) above which a link runs at 11 Mb/s — the centre of
-#: the jittered threshold the static ``mixed`` assignment draws around.
-RATE_ADAPTATION_SNR_DB = 24.0
-
-
-def apply_rate_adaptation(network: MeshNetwork) -> None:
-    """Select every directed link's modulation from its current SNR.
-
-    Deliberately RNG-free (a fixed 24 dB threshold, no per-link jitter):
-    re-applying it after every position epoch must not consume any
-    stream, so rate adaptation composes with mobility without perturbing
-    other randomness.
-    """
-    medium = network.medium
-    noise_dbm = medium.capture.noise_floor_dbm
-    for tx in network.node_ids:
-        for rx in network.node_ids:
-            if tx == rx:
-                continue
-            snr = medium.rx_power_dbm(tx, rx) - noise_dbm
-            rate = RATE_11MBPS if snr >= RATE_ADAPTATION_SNR_DB else RATE_1MBPS
-            network.set_link_rate((tx, rx), rate)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ many interference structures.  This module opens that space by breaking
 scenario construction into three orthogonal, independently registered
 axes:
 
-* **Topology generators** map a parameter dict plus a seed to node
-  positions (:data:`Positions`).  Built-ins cover the classic mesh
-  layouts — chain/line, grid, ring, random-disk, binary-tree,
-  parking-lot — plus the paper's 18-node testbed and explicit
-  coordinates.  Register new ones with :func:`register_topology`.
+* **Topology generators** map parameters plus a seed to node positions
+  (:data:`Positions`).  Built-ins cover the classic mesh layouts —
+  chain/line, grid, ring, random-disk, binary-tree, parking-lot — plus
+  the paper's 18-node testbed and explicit coordinates.  Each is one
+  :func:`register_topology` declaration (:class:`TopologyGenerator`):
+  build, node count, validity, description.
 * **Workload generators** map a built :class:`MeshNetwork` plus demand
   parameters to a list of :class:`GeneratedFlow`\\ s over ETT-routed
   paths: saturated-UDP random demands, TCP bulk transfers, mixed
@@ -28,21 +29,23 @@ the experiment layer (:mod:`repro.experiment.specs`) serialize generator
 name + params into a canonical spec dict, content-address it with
 ``spec_digest``, and replay it bit-identically on any execution backend.
 
-The registries are the single source of truth for generator names; the
-spec layer validates against them and every unknown-name lookup raises
-listing the registered names.
+The registries (:class:`repro.registry.Registry`) are the single source
+of truth for generator names; the spec layer validates against them and
+every unknown-name lookup raises listing the registered names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.engine import rng_spawn_key
+from repro.engine import named_rng
 from repro.net.routing import Router, ett
 from repro.phy.radio import RATE_1MBPS, RATE_11MBPS, RadioConfig, rate_from_mbps
+from repro.registry import Registry
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import (
     binary_tree_topology,
@@ -59,13 +62,12 @@ Positions = dict[int, tuple[float, float]]
 
 __all__ = [
     "GeneratedFlow",
+    "TopologyGenerator",
     "WorkloadContext",
     "register_topology",
     "register_workload",
     "topology_names",
     "workload_names",
-    "topology_description",
-    "workload_description",
     "build_topology",
     "generate_workload",
     "workload_rng",
@@ -77,7 +79,6 @@ __all__ = [
     "assign_link_rates",
     "ett_link_weights",
     "ground_truth_link_error",
-    "topology_node_count",
 ]
 
 
@@ -103,6 +104,17 @@ def ground_truth_link_error(
     return medium.error_model.packet_error_probability(snr, rate, frame_bytes)
 
 
+def link_snrs(network: MeshNetwork) -> Iterator[tuple[Link, float]]:
+    """Every directed link of the network with its SNR in dB (received
+    power over the noise floor), in node-id order."""
+    medium = network.medium
+    noise_dbm = medium.capture.noise_floor_dbm
+    for tx in network.node_ids:
+        for rx in network.node_ids:
+            if tx != rx:
+                yield (tx, rx), medium.rx_power_dbm(tx, rx) - noise_dbm
+
+
 def ett_link_weights(
     network: MeshNetwork,
     packet_bytes: int = 1500,
@@ -118,22 +130,22 @@ def ett_link_weights(
     careful operator would route over them.
     """
     weights: dict[Link, float] = {}
-    medium = network.medium
-    for tx in network.node_ids:
-        for rx in network.node_ids:
-            if tx == rx:
-                continue
-            link = (tx, rx)
-            rate = network.link_rate(link)
-            snr = medium.rx_power_dbm(tx, rx) - medium.capture.noise_floor_dbm
-            if snr < rate.min_sinr_db + min_snr_margin_db:
-                continue
-            p_fwd = ground_truth_link_error(network, link, packet_bytes)
-            p_rev = ground_truth_link_error(network, (rx, tx), 60)
-            if p_fwd > max_loss:
-                continue
-            weights[link] = ett(p_fwd, p_rev, packet_bytes, network.link_rate(link))
+    for link, snr in link_snrs(network):
+        rate = network.link_rate(link)
+        if snr < rate.min_sinr_db + min_snr_margin_db:
+            continue
+        p_fwd = ground_truth_link_error(network, link, packet_bytes)
+        p_rev = ground_truth_link_error(network, link[::-1], 60)
+        if p_fwd > max_loss:
+            continue
+        weights[link] = ett(p_fwd, p_rev, packet_bytes, rate)
     return weights
+
+
+#: SNR (dB) at which a link is strong enough for 11 Mb/s: the fixed
+#: threshold of rate adaptation, and the centre of the jittered one the
+#: static ``mixed`` assignment draws around.
+RATE_ADAPTATION_SNR_DB = 24.0
 
 
 def assign_link_rates(
@@ -145,215 +157,193 @@ def assign_link_rates(
     1 Mb/s, which is what a rate-adaptation-disabled operator would
     configure by hand (and mirrors the paper's (1, 11) configurations).
     """
-    for tx in network.node_ids:
-        for rx in network.node_ids:
-            if tx == rx:
-                continue
-            if rate_mode == "1":
-                network.set_link_rate((tx, rx), RATE_1MBPS)
-            elif rate_mode == "11":
-                network.set_link_rate((tx, rx), RATE_11MBPS)
-            else:
-                snr = network.medium.rx_power_dbm(tx, rx) - network.medium.capture.noise_floor_dbm
-                threshold = 24.0 + float(rng.uniform(-2.0, 2.0))
-                rate = RATE_11MBPS if snr >= threshold else RATE_1MBPS
-                network.set_link_rate((tx, rx), rate)
+    for link, snr in link_snrs(network):
+        if rate_mode == "1":
+            rate = RATE_1MBPS
+        elif rate_mode == "11":
+            rate = RATE_11MBPS
+        else:
+            threshold = RATE_ADAPTATION_SNR_DB + float(rng.uniform(-2.0, 2.0))
+            rate = RATE_11MBPS if snr >= threshold else RATE_1MBPS
+        network.set_link_rate(link, rate)
+
+
+def apply_rate_adaptation(network: MeshNetwork) -> None:
+    """Select every directed link's modulation from its current SNR.
+
+    Deliberately RNG-free (a fixed 24 dB threshold, no per-link jitter):
+    re-applying it after every position epoch must not consume any
+    stream, so rate adaptation composes with mobility without perturbing
+    other randomness.
+    """
+    for link, snr in link_snrs(network):
+        network.set_link_rate(
+            link, RATE_11MBPS if snr >= RATE_ADAPTATION_SNR_DB else RATE_1MBPS
+        )
 
 
 # ---------------------------------------------------------------------------
 # Topology generators
 # ---------------------------------------------------------------------------
-TopologyBuilder = Callable[[Mapping[str, Any], int], Positions]
+TopologyBuilder = Callable[[Any, int], Positions]
 
 
 @dataclass(frozen=True)
-class _Registration:
-    build: Callable[..., Any]
-    description: str
+class TopologyGenerator:
+    """Everything one topology kind declares, in one place.
+
+    Every callable takes the kind's parameters as attributes of one
+    object — in practice the ``TopologySpec``, which owns the parameter
+    vocabulary and its defaults; a generator reads what it cares about.
+    """
+
+    #: ``(params, seed) -> Positions``.
+    build: TopologyBuilder
+    #: How many nodes ``build`` would place, without building (the sweep
+    #: planner orders cells by it).
+    node_count: Callable[[Any], int]
+    #: Why ``params`` are invalid for this kind (``TopologySpec`` raises
+    #: it as a ``SpecError`` on construction), or falsy when they are valid.
+    problem: Callable[[Any], "str | bool | None"] = lambda params: None
+    #: The size as reports print it after the kind name (``2x3``); the
+    #: node count when omitted.
+    shape: Callable[[Any], str] | None = None
 
 
-_TOPOLOGIES: dict[str, _Registration] = {}
-_WORKLOADS: dict[str, _Registration] = {}
+TOPOLOGIES: Registry[TopologyGenerator] = Registry("topology generator")
+WORKLOADS: Registry[Callable[["WorkloadContext"], list["GeneratedFlow"]]] = Registry(
+    "workload generator"
+)
+
+#: ``@register_workload(name, description=...)`` registers
+#: ``builder(ctx: WorkloadContext) -> [GeneratedFlow, ...]``.
+register_workload = WORKLOADS.register
+topology_names = TOPOLOGIES.names
+workload_names = WORKLOADS.names
 
 
 def register_topology(
-    name: str, *, description: str = ""
+    name: str, *, description: str = "", **declaration: Any
 ) -> Callable[[TopologyBuilder], TopologyBuilder]:
-    """Register ``builder(params, seed) -> Positions`` under ``name``.
+    """Register ``build(params, seed) -> Positions`` under ``name``;
+    ``declaration`` is the rest of its :class:`TopologyGenerator`
+    (``node_count=``, and ``problem=`` / ``shape=`` where it has them).
+    The name is at once a valid ``TopologySpec.kind``: validated, sized
+    and built through this."""
 
-    ``params`` is the plain-dict form of the experiment layer's
-    ``TopologySpec`` (builders read the keys they care about and fall
-    back to the spec defaults), so a registered generator is immediately
-    drivable from a serialized spec.
-    """
-
-    def decorator(builder: TopologyBuilder) -> TopologyBuilder:
-        if name in _TOPOLOGIES:
-            raise ValueError(f"topology generator {name!r} is already registered")
-        _TOPOLOGIES[name] = _Registration(
-            build=builder, description=description or (builder.__doc__ or "").strip()
-        )
-        return builder
+    def decorator(build: TopologyBuilder) -> TopologyBuilder:
+        TOPOLOGIES.register(
+            name, description=description or (build.__doc__ or "").strip()
+        )(TopologyGenerator(build, **declaration))
+        return build
 
     return decorator
 
 
-def register_workload(
-    name: str, *, description: str = ""
-) -> Callable[
-    [Callable[["WorkloadContext"], list["GeneratedFlow"]]],
-    Callable[["WorkloadContext"], list["GeneratedFlow"]],
-]:
-    """Register ``builder(ctx) -> [GeneratedFlow, ...]`` under ``name``."""
+def build_topology(kind: str, params: Any = None, seed: int = 0) -> Positions:
+    """Materialize node positions via the registered generator ``kind``.
 
-    def decorator(builder):
-        if name in _WORKLOADS:
-            raise ValueError(f"workload generator {name!r} is already registered")
-        _WORKLOADS[name] = _Registration(
-            build=builder, description=description or (builder.__doc__ or "").strip()
-        )
-        return builder
-
-    return decorator
-
-
-def topology_names() -> list[str]:
-    """Every registered topology generator name, sorted."""
-    return sorted(_TOPOLOGIES)
-
-
-def workload_names() -> list[str]:
-    """Every registered workload generator name, sorted."""
-    return sorted(_WORKLOADS)
-
-
-def topology_description(name: str) -> str:
-    """The one-line description a topology generator registered with."""
-    return _lookup(_TOPOLOGIES, name, "topology generator").description
-
-
-def workload_description(name: str) -> str:
-    """The one-line description a workload generator registered with."""
-    return _lookup(_WORKLOADS, name, "workload generator").description
-
-
-def _lookup(
-    registry: dict[str, _Registration], name: str, kind: str
-) -> _Registration:
-    if name not in registry:
-        raise KeyError(
-            f"unknown {kind} {name!r}; registered: {sorted(registry)}"
-        )
-    return registry[name]
-
-
-def build_topology(
-    kind: str, params: Mapping[str, Any] | None = None, seed: int = 0
-) -> Positions:
-    """Materialize node positions via the registered generator ``kind``."""
-    registration = _lookup(_TOPOLOGIES, kind, "topology generator")
-    return registration.build(dict(params or {}), seed)
-
-
-def topology_node_count(kind: str, params: Mapping[str, Any] | None = None) -> int:
-    """Node count a generator would produce, without building positions.
-
-    The sweep planner's cost heuristic uses this so generated scenarios
-    are ordered by their real size rather than a fallback guess.  It is
-    deliberately lenient — an unknown or third-party kind costs as
-    testbed-sized (18 nodes) instead of raising, because payloads may be
-    planned in a process that never registered the generator.
+    ``params`` is a ``TopologySpec`` or its dict form; a dict must hold
+    every field the generator reads — the defaults belong to the spec.
     """
-    params = dict(params or {})
-    if kind in ("chain", "line", "ring", "random_disk"):
-        return int(params.get("num_nodes", 3))
-    if kind == "grid":
-        return int(params.get("rows", 2)) * int(params.get("cols", 2))
-    if kind == "binary_tree":
-        return 2 ** int(params.get("depth", 3)) - 1
-    if kind == "parking_lot":
-        return 2 * int(params.get("num_nodes", 3)) - 1
-    if kind == "testbed":
-        return 18
-    if kind == "positions":
-        return max(len(params.get("positions", ())), 2)
-    return 18  # third-party/unknown generator: assume testbed-sized
+    if isinstance(params, Mapping) or params is None:
+        params = SimpleNamespace(**(params or {}))
+    return TOPOLOGIES.lookup(kind).build(params, seed)
 
 
-@register_topology("chain", description="N nodes in a line (classic multi-hop chain)")
-def _chain(params: Mapping[str, Any], seed: int) -> Positions:
-    return chain_topology(
-        int(params.get("num_nodes", 3)), spacing_m=float(params.get("spacing_m", 60.0))
-    )
+_CHAIN: dict[str, Any] = dict(
+    node_count=lambda t: t.num_nodes,
+    problem=lambda t: t.num_nodes < 2 and "a chain needs at least two nodes",
+)
 
 
-@register_topology("line", description="alias of 'chain': N nodes in a line")
-def _line(params: Mapping[str, Any], seed: int) -> Positions:
-    return _chain(params, seed)
+@register_topology("line", description="alias of 'chain': N nodes in a line", **_CHAIN)
+@register_topology(
+    "chain", description="N nodes in a line (classic multi-hop chain)", **_CHAIN
+)
+def _chain(t: Any, seed: int) -> Positions:
+    return chain_topology(t.num_nodes, t.spacing_m)
 
 
-@register_topology("grid", description="rows x cols lattice of nodes")
-def _grid(params: Mapping[str, Any], seed: int) -> Positions:
-    return grid_topology(
-        int(params.get("rows", 2)),
-        int(params.get("cols", 2)),
-        spacing_m=float(params.get("spacing_m", 60.0)),
-    )
+@register_topology(
+    "grid",
+    description="rows x cols lattice of nodes",
+    node_count=lambda t: t.rows * t.cols,
+    problem=lambda t: (t.rows < 1 or t.cols < 1) and "grid dimensions must be positive",
+    shape=lambda t: f"{t.rows}x{t.cols}",
+)
+def _grid(t: Any, seed: int) -> Positions:
+    return grid_topology(t.rows, t.cols, t.spacing_m)
 
 
-@register_topology("ring", description="N nodes evenly spaced on a circle")
-def _ring(params: Mapping[str, Any], seed: int) -> Positions:
-    return ring_topology(
-        int(params.get("num_nodes", 3)), radius_m=float(params.get("radius_m", 150.0))
-    )
+@register_topology(
+    "ring",
+    description="N nodes evenly spaced on a circle",
+    node_count=lambda t: t.num_nodes,
+    problem=lambda t: t.num_nodes < 3 and "a ring needs at least three nodes",
+)
+def _ring(t: Any, seed: int) -> Positions:
+    return ring_topology(t.num_nodes, t.radius_m)
 
 
 @register_topology(
     "random_disk",
     description="N nodes placed uniformly in a disk with a minimum separation",
+    node_count=lambda t: t.num_nodes,
+    problem=lambda t: t.num_nodes < 2 and "a random disk needs at least two nodes",
 )
-def _random_disk(params: Mapping[str, Any], seed: int) -> Positions:
+def _random_disk(t: Any, seed: int) -> Positions:
     return random_disk_topology(
-        int(params.get("num_nodes", 3)),
-        radius_m=float(params.get("radius_m", 150.0)),
-        seed=seed,
-        min_separation_m=float(params.get("min_separation_m", 25.0)),
+        t.num_nodes, t.radius_m, seed=seed, min_separation_m=t.min_separation_m
     )
 
 
 @register_topology(
-    "binary_tree", description="complete binary tree aggregating towards a root gateway"
+    "binary_tree",
+    description="complete binary tree aggregating towards a root gateway",
+    node_count=lambda t: 2**t.depth - 1,
+    problem=lambda t: t.depth < 2 and "a binary tree needs at least two levels",
+    shape=lambda t: f"d{t.depth}",
 )
-def _binary_tree(params: Mapping[str, Any], seed: int) -> Positions:
-    return binary_tree_topology(
-        int(params.get("depth", 3)), spacing_m=float(params.get("spacing_m", 60.0))
-    )
+def _binary_tree(t: Any, seed: int) -> Positions:
+    return binary_tree_topology(t.depth, t.spacing_m)
 
 
 @register_topology(
-    "parking_lot", description="backbone chain with one entry stub per junction"
+    "parking_lot",
+    description="backbone chain with one entry stub per junction",
+    node_count=lambda t: 2 * t.num_nodes - 1,
+    problem=lambda t: t.num_nodes < 2
+    and "a parking lot needs a backbone of at least two nodes",
 )
-def _parking_lot(params: Mapping[str, Any], seed: int) -> Positions:
-    return parking_lot_topology(
-        int(params.get("num_nodes", 3)),
-        spacing_m=float(params.get("spacing_m", 60.0)),
-        stub_m=float(params.get("stub_m", 45.0)),
-    )
+def _parking_lot(t: Any, seed: int) -> Positions:
+    return parking_lot_topology(t.num_nodes, t.spacing_m, t.stub_m)
 
 
 @register_topology(
-    "testbed", description="the paper's synthetic 18-node testbed layout"
+    "testbed",
+    description="the paper's synthetic 18-node testbed layout",
+    node_count=lambda t: 18,
 )
-def _testbed(params: Mapping[str, Any], seed: int) -> Positions:
-    return testbed_positions(seed=seed, jitter_m=float(params.get("jitter_m", 6.0)))
+def _testbed(t: Any, seed: int) -> Positions:
+    return testbed_positions(seed=seed, jitter_m=t.jitter_m)
 
 
-@register_topology("positions", description="explicit (node, x, y) coordinates")
-def _positions(params: Mapping[str, Any], seed: int) -> Positions:
-    return {
-        int(node): (float(x), float(y))
-        for node, x, y in params.get("positions", ())
-    }
+@register_topology(
+    "positions",
+    description="explicit (node, x, y) coordinates",
+    node_count=lambda t: len(t.positions),
+    problem=lambda t: (
+        len(t.positions) < 2 and "explicit topologies need at least two nodes"
+    )
+    or (
+        len({node for node, _, _ in t.positions}) < len(t.positions)
+        and "duplicate node ids in positions"
+    ),
+)
+def _positions(t: Any, seed: int) -> Positions:
+    # Coordinates may be declared as ints; Positions are float pairs.
+    return {node: (float(x), float(y)) for node, x, y in t.positions}
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +368,8 @@ RADIO_PROFILES: dict[str, dict[str, float]] = {
     "low_power": {"tx_power_dbm": 12.0},
     # SNR-threshold auto-rate: radio parameters are the defaults, but the
     # scenario builder assigns per-link modulations from the current SNR
-    # (repro.sim.dynamics.apply_rate_adaptation) and re-assigns them on
-    # every position epoch instead of freezing rates at build time.
+    # (apply_rate_adaptation) and re-assigns them on every position
+    # epoch instead of freezing rates at build time.
     "rate_adaptation": {},
 }
 
@@ -387,8 +377,7 @@ RADIO_PROFILES: dict[str, dict[str, float]] = {
 #: build time.  Their parameter dict must stay empty so
 #: :func:`radio_profile_config` still yields a default radio; the
 #: behavioural difference lives in the scenario builder, which calls
-#: :func:`repro.sim.dynamics.apply_rate_adaptation` at build and on every
-#: position epoch.
+#: :func:`apply_rate_adaptation` at build and on every position epoch.
 ADAPTIVE_RADIO_PROFILES: frozenset[str] = frozenset({"rate_adaptation"})
 
 
@@ -517,20 +506,19 @@ class WorkloadContext:
         candidates, indices = self.sample_demand_indices()
         return [candidates[index] for index in indices]
 
+    def flow(
+        self, transport: str, path: list[int], rate_bps: float | None = None
+    ) -> GeneratedFlow:
+        """A flow over ``path`` with this workload's packet sizes."""
+        return GeneratedFlow(
+            transport, tuple(path), rate_bps, self.payload_bytes, self.mss_bytes
+        )
+
 
 def workload_rng(generator: str, seed: int) -> np.random.Generator:
-    """The named, generator-private RNG stream for a workload draw.
-
-    Spawned from ``seed`` with a CRC32 key of ``"workload.<generator>"``
-    (:func:`repro.engine.rng_spawn_key`), so two generators never share a
-    stream and adding draws to one cannot perturb another — the same
-    discipline the simulation kernel uses for its components.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=seed, spawn_key=(rng_spawn_key(f"workload.{generator}"),)
-        )
-    )
+    """The generator-private stream ``"workload.<generator>"`` of ``seed``
+    (:func:`repro.engine.named_rng`): two generators never share draws."""
+    return named_rng(seed, f"workload.{generator}")
 
 
 def generate_workload(
@@ -549,7 +537,7 @@ def generate_workload(
     flows are declarative — the caller decides when to add them to the
     network — and deterministic in ``(generator, params, seed)``.
     """
-    registration = _lookup(_WORKLOADS, generator, "workload generator")
+    build = WORKLOADS.lookup(generator)
     if router is None:
         router = Router(network.node_ids, ett_link_weights(network))
     ctx = WorkloadContext(
@@ -558,7 +546,7 @@ def generate_workload(
         rng=workload_rng(generator, seed),
         **params,
     )
-    flows = registration.build(ctx)
+    flows = build(ctx)
     if not flows:
         raise RuntimeError(f"workload generator {generator!r} produced no flows")
     return flows
@@ -569,31 +557,14 @@ def generate_workload(
     description="backlogged UDP over randomly sampled routable demands",
 )
 def _saturated_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
-    return [
-        GeneratedFlow(
-            transport="udp",
-            path=tuple(path),
-            rate_bps=ctx.rate_bps,
-            payload_bytes=ctx.payload_bytes,
-            mss_bytes=ctx.mss_bytes,
-        )
-        for _, _, path in ctx.sample_demands()
-    ]
+    return [ctx.flow("udp", path, ctx.rate_bps) for _, _, path in ctx.sample_demands()]
 
 
 @register_workload(
     "tcp_bulk", description="window-limited TCP bulk transfers over routed demands"
 )
 def _tcp_bulk(ctx: WorkloadContext) -> list[GeneratedFlow]:
-    return [
-        GeneratedFlow(
-            transport="tcp",
-            path=tuple(path),
-            payload_bytes=ctx.payload_bytes,
-            mss_bytes=ctx.mss_bytes,
-        )
-        for _, _, path in ctx.sample_demands()
-    ]
+    return [ctx.flow("tcp", path) for _, _, path in ctx.sample_demands()]
 
 
 @register_workload(
@@ -603,16 +574,10 @@ def _tcp_bulk(ctx: WorkloadContext) -> list[GeneratedFlow]:
 def _mixed_tcp_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
     flows: list[GeneratedFlow] = []
     for _, _, path in ctx.sample_demands():
-        transport = "tcp" if ctx.rng.uniform() < ctx.tcp_fraction else "udp"
-        flows.append(
-            GeneratedFlow(
-                transport=transport,
-                path=tuple(path),
-                rate_bps=None if transport == "tcp" else ctx.rate_bps,
-                payload_bytes=ctx.payload_bytes,
-                mss_bytes=ctx.mss_bytes,
-            )
-        )
+        if ctx.rng.uniform() < ctx.tcp_fraction:
+            flows.append(ctx.flow("tcp", path))
+        else:
+            flows.append(ctx.flow("udp", path, ctx.rate_bps))
     return flows
 
 
@@ -666,13 +631,4 @@ def _gravity(ctx: WorkloadContext) -> list[GeneratedFlow]:
             # handing each flow a NaN rate.
             share = np.full(len(chosen), 1.0 / len(chosen))
         rates = [float(budget * s) for s in share]
-    return [
-        GeneratedFlow(
-            transport="udp",
-            path=tuple(path),
-            rate_bps=rate,
-            payload_bytes=ctx.payload_bytes,
-            mss_bytes=ctx.mss_bytes,
-        )
-        for (_, _, path), rate in zip(chosen, rates)
-    ]
+    return [ctx.flow("udp", path, rate) for (_, _, path), rate in zip(chosen, rates)]

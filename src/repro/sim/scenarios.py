@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.net.routing import FlowRoute, Router
+from repro.net.routing import FlowRoute, Router, first_use_links
 from repro.phy.radio import RadioConfig
 from repro.sim.generators import (
     assign_link_rates,
@@ -46,10 +46,22 @@ __all__ = [
     "hidden_terminal_radio",
     "random_multiflow_scenario",
     "starvation_scenario",
+    "traffic_seed",
 ]
 
 Link = tuple[int, int]
 RateMode = Literal["1", "11", "mixed"]
+
+
+def traffic_seed(seed: int, run_seed: int | None) -> int:
+    """The seed of a network's traffic/backoff randomness.
+
+    ``seed`` fixes the physical configuration (positions, shadowing,
+    routes); ``run_seed``, defaulting to it, re-seeds only the traffic,
+    so one configuration can be exercised by several independent runs —
+    which is how the stability metric of Figure 14(d) is measured.
+    """
+    return seed if run_seed is None else run_seed
 
 
 def build_testbed_network(
@@ -59,16 +71,11 @@ def build_testbed_network(
     radio: RadioConfig | None = None,
     run_seed: int | None = None,
 ) -> MeshNetwork:
-    """The synthetic 18-node testbed as a ready-to-use MeshNetwork.
-
-    ``seed`` fixes the topology (positions and shadowing); ``run_seed``
-    (defaulting to ``seed``) seeds the traffic/backoff randomness, so the
-    same physical testbed can be exercised by several independent runs —
-    which is how the stability metric of Figure 14(d) is measured.
-    """
+    """The synthetic 18-node testbed as a ready-to-use MeshNetwork
+    (``seed`` / ``run_seed`` as in :func:`traffic_seed`)."""
     return MeshNetwork(
         testbed_positions(seed=seed),
-        seed=seed if run_seed is None else run_seed,
+        seed=traffic_seed(seed, run_seed),
         radio=radio,
         propagation=testbed_propagation(seed=seed, shadowing_sigma_db=shadowing_sigma_db),
         data_rate_mbps=data_rate_mbps,
@@ -87,14 +94,7 @@ class MultiFlowScenario:
 
     @property
     def links(self) -> list[Link]:
-        ordered: list[Link] = []
-        seen: set[Link] = set()
-        for flow in self.flows:
-            for link in flow.links:
-                if link not in seen:
-                    seen.add(link)
-                    ordered.append(link)
-        return ordered
+        return first_use_links(self.flows)
 
 
 def _pick_demands(
@@ -209,7 +209,7 @@ def starvation_scenario(
     positions = chain_topology(3, spacing_m=62.0)
     network = MeshNetwork(
         positions,
-        seed=seed if run_seed is None else run_seed,
+        seed=traffic_seed(seed, run_seed),
         radio=hidden_terminal_radio(data_rate_mbps),
         propagation=no_shadowing_propagation(),
         data_rate_mbps=data_rate_mbps,

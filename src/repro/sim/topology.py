@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import named_rng
 from repro.mac.medium import WirelessMedium
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RadioConfig
@@ -59,17 +60,20 @@ def no_shadowing_propagation() -> LogDistancePathLoss:
 # --------------------------------------------------------------------------
 # Link-pair factories
 # --------------------------------------------------------------------------
+def _collinear_pair(label: str, rx1_x: float, tx2_x: float, rx2_x: float) -> LinkPairTopology:
+    """Both links on the x-axis: link 1 from the origin to ``rx1_x``,
+    link 2 from ``tx2_x`` to ``rx2_x``."""
+    xs = (0.0, rx1_x, tx2_x, rx2_x)
+    return LinkPairTopology(
+        positions={node: (x, 0.0) for node, x in enumerate(xs)}, label=label
+    )
+
+
 def carrier_sense_pair(
     link_len_m: float = 40.0, tx_gap_m: float = 100.0
 ) -> LinkPairTopology:
     """Two links whose transmitters are within carrier-sense range."""
-    positions = {
-        0: (0.0, 0.0),
-        1: (link_len_m, 0.0),
-        2: (tx_gap_m, 0.0),
-        3: (tx_gap_m + link_len_m, 0.0),
-    }
-    return LinkPairTopology(positions=positions, label="CS")
+    return _collinear_pair("CS", link_len_m, tx_gap_m, tx_gap_m + link_len_m)
 
 
 def information_asymmetry_pair(
@@ -83,13 +87,7 @@ def information_asymmetry_pair(
     (receiver of link 1) sits between them close enough to hear node 2,
     while receiver 3 is beyond the interference range of node 0.
     """
-    positions = {
-        0: (0.0, 0.0),
-        1: (link1_len_m, 0.0),
-        2: (tx_gap_m, 0.0),
-        3: (tx_gap_m + link2_len_m, 0.0),
-    }
-    return LinkPairTopology(positions=positions, label="IA")
+    return _collinear_pair("IA", link1_len_m, tx_gap_m, tx_gap_m + link2_len_m)
 
 
 def near_far_pair(
@@ -100,13 +98,7 @@ def near_far_pair(
     The two receivers sit between the two transmitters, each closer to its
     own transmitter but still within interference range of the other one.
     """
-    positions = {
-        0: (0.0, 0.0),
-        1: (link_len_m, 0.0),
-        2: (tx_gap_m, 0.0),
-        3: (tx_gap_m - link_len_m, 0.0),
-    }
-    return LinkPairTopology(positions=positions, label="NF")
+    return _collinear_pair("NF", link_len_m, tx_gap_m, tx_gap_m - link_len_m)
 
 
 def reduced_carrier_sense_radio(data_rate_mbps: float = 11, cs_threshold_dbm: float = -85.0) -> RadioConfig:
@@ -126,13 +118,7 @@ def reduced_carrier_sense_radio(data_rate_mbps: float = 11, cs_threshold_dbm: fl
 
 def independent_pair(separation_m: float = 900.0, link_len_m: float = 40.0) -> LinkPairTopology:
     """Two links far enough apart not to interfere at all."""
-    positions = {
-        0: (0.0, 0.0),
-        1: (link_len_m, 0.0),
-        2: (separation_m, 0.0),
-        3: (separation_m + link_len_m, 0.0),
-    }
-    return LinkPairTopology(positions=positions, label="IND")
+    return _collinear_pair("IND", link_len_m, separation_m, separation_m + link_len_m)
 
 
 def random_link_pair(
@@ -197,6 +183,12 @@ def bounding_box(
 
 # --------------------------------------------------------------------------
 # Multi-hop topologies
+#
+# Keyword defaults here (55 m chain spacing, a 200 m disk, ...) are
+# library-level, for code that places nodes by hand.  ``TopologySpec``
+# has its own, and the registrations in repro.sim.generators pass every
+# argument, so no spec ever builds with a default from this file; the
+# ValueError guards likewise protect direct callers.
 # --------------------------------------------------------------------------
 def chain_topology(num_nodes: int, spacing_m: float = 55.0) -> Positions:
     """A linear chain of ``num_nodes`` nodes (classic multi-hop scenario)."""
@@ -255,19 +247,13 @@ def random_disk_topology(
     pure function of the arguments and independent of any other stream a
     scenario consumes.
     """
-    from repro.engine import rng_spawn_key
-
     if num_nodes < 2:
         raise ValueError("a random-disk topology needs at least two nodes")
     if radius_m <= 0:
         raise ValueError("radius_m must be positive")
     if min_separation_m < 0:
         raise ValueError("min_separation_m must be non-negative")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=seed, spawn_key=(rng_spawn_key("topology.random_disk"),)
-        )
-    )
+    rng = named_rng(seed, "topology.random_disk")
     positions: Positions = {}
     placed: list[tuple[float, float]] = []
     separation = min_separation_m
@@ -381,10 +367,3 @@ def testbed_positions(seed: int = 0, jitter_m: float = 6.0) -> Positions:
 def testbed_propagation(seed: int = 0, shadowing_sigma_db: float = 6.0) -> LogDistancePathLoss:
     """Propagation model for the testbed: shadowing on, for link diversity."""
     return LogDistancePathLoss(shadowing_sigma_db=shadowing_sigma_db, seed=seed)
-
-
-def default_radio(data_rate_mbps: float = 11) -> RadioConfig:
-    """Radio configuration matching the paper's testbed settings."""
-    from repro.phy.radio import rate_from_mbps
-
-    return RadioConfig(tx_power_dbm=19.0, data_rate=rate_from_mbps(data_rate_mbps))

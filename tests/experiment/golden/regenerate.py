@@ -1,10 +1,19 @@
-"""Golden-result fixtures: one frozen ExperimentResult per scenario.
+"""Golden-result fixtures: one frozen ExperimentResult per scenario, and
+one frozen canonical dict + digest per spec axis.
 
 This module is the single source of truth for the golden regression
 suite: it defines the spec grid (one small experiment per registered
 scenario), the canonical serialization, and the regeneration entry
 point.  ``tests/experiment/test_golden.py`` imports it to re-run the
 same specs and compare byte-for-byte against the committed JSON.
+
+``spec_digests.json`` is the fast half: :data:`DIGEST_SPECS` holds one
+spec per topology kind, workload generator, mobility model, churn,
+monitors and built-in scenario, and the fixture freezes each one's
+canonical JSON and ``spec_digest`` without running anything — the fence
+for refactors of the spec (de)serializer and of the spec defaults, and
+the cheap proof that digests do not depend on the interpreter or on
+numpy's number repr.
 
 The fixtures freeze the *full simulation stack*: any change to the
 engine, PHY/MAC/transport models, estimators, optimizer, or spec
@@ -43,11 +52,14 @@ from repro import (  # noqa: E402
     ExperimentSpec,
     FlowSpec,
     ProbingSpec,
+    RadioSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
     run_experiment,
+    spec_digest,
 )
+from repro.experiment import ChurnSpec, MobilitySpec  # noqa: E402
 
 #: One deliberately small experiment per registered scenario, plus extra
 #: regression grids (multi-cycle controller convergence).  Keep these
@@ -139,6 +151,131 @@ GOLDEN_SPECS: dict[str, ExperimentSpec] = {
 }
 
 
+def _generated(label: str, **scenario: object) -> ExperimentSpec:
+    scenario.setdefault("topology", TopologySpec(kind="grid", rows=2, cols=3))
+    scenario.setdefault("workload", WorkloadSpec())
+    return ExperimentSpec(
+        scenario=ScenarioSpec(scenario="generated", seed=1, **scenario), label=label
+    )
+
+
+#: The digest table: every axis of the spec vocabulary once.  Most cells
+#: lean on the spec defaults on purpose — a default that moves, or a
+#: number that serializes differently, moves a digest here.
+DIGEST_SPECS: dict[str, ExperimentSpec] = {
+    **{
+        f"topology-{topology.kind}": _generated(
+            f"digest-{topology.kind}", topology=topology
+        )
+        for topology in (
+            TopologySpec(kind="chain"),
+            TopologySpec(kind="line", num_nodes=5, spacing_m=55.0),
+            TopologySpec(kind="grid", rows=3, cols=4),
+            TopologySpec(kind="ring", num_nodes=6, radius_m=90.0),
+            TopologySpec(kind="random_disk", num_nodes=8, min_separation_m=30.0),
+            TopologySpec(kind="binary_tree", depth=4, spacing_m=50.0),
+            TopologySpec(kind="parking_lot", num_nodes=4, stub_m=40.0),
+            TopologySpec(kind="testbed", jitter_m=3.0),
+            TopologySpec(
+                kind="positions",
+                positions=((0, 0.0, 0.0), (1, 50.0, 0.0), (4, 50.0, 42.5)),
+            ),
+        )
+    },
+    "workload-saturated_udp": _generated(
+        "digest-saturated_udp", workload=WorkloadSpec(generator="saturated_udp")
+    ),
+    "workload-tcp_bulk": _generated(
+        "digest-tcp_bulk",
+        workload=WorkloadSpec(generator="tcp_bulk", num_flows=2, mss_bytes=512),
+    ),
+    "workload-mixed_tcp_udp": _generated(
+        "digest-mixed_tcp_udp",
+        workload=WorkloadSpec(
+            generator="mixed_tcp_udp", tcp_fraction=0.25, rate_bps=0.0
+        ),
+    ),
+    "workload-gravity": _generated(
+        "digest-gravity",
+        workload=WorkloadSpec(
+            generator="gravity", rate_bps=150e3, weight_tail="pareto", tail_index=2.5
+        ),
+    ),
+    "mobility-waypoint": _generated(
+        "digest-waypoint",
+        mobility=MobilitySpec(model="waypoint", epoch_s=0.5, speed_mps=2.0),
+    ),
+    "mobility-drift": _generated(
+        "digest-drift", mobility=MobilitySpec(model="drift", drift_sigma_m=4.0)
+    ),
+    "churn": _generated(
+        "digest-churn", churn=ChurnSpec(num_events=2, start_s=1.0, down_s=0.0)
+    ),
+    "monitors": ExperimentSpec(
+        scenario=ScenarioSpec(scenario="chain", flows=(FlowSpec("tcp", (0, 1, 2)),)),
+        monitors=("pdr", "throughput", "e2e_latency"),
+        monitor_interval_s=0.5,
+        label="digest-monitors",
+    ),
+    "scenario-generated": _generated(
+        "digest-generated",
+        flows=(FlowSpec("udp", (0, 1, 2), rate_bps=250e3),),
+        workload=None,
+        radio_profile="hidden_terminal",
+        rate_mode="1",
+    ),
+    "scenario-chain": ExperimentSpec(
+        scenario=ScenarioSpec(
+            scenario="chain",
+            seed=2,
+            run_seed=9,
+            data_rate_mbps=1,
+            topology=TopologySpec(kind="chain", num_nodes=4),
+            radio=RadioSpec(cs_threshold_dbm=-85.0, basic_rate_mbps=2),
+            transport="tcp",
+        ),
+        controller=ControllerSpec(alpha=0.0, probing_window=64),
+        label="digest-chain",
+    ),
+    "scenario-testbed": ExperimentSpec(
+        scenario=ScenarioSpec(
+            scenario="testbed",
+            seed=3,
+            shadowing_sigma_db=4.0,
+            flows=(FlowSpec("udp", (0, 1)), FlowSpec("tcp", (4, 3), mss_bytes=512)),
+        ),
+        controller=ControllerSpec(enabled=False),
+        label="digest-testbed",
+    ),
+    "scenario-random_multiflow": ExperimentSpec(
+        scenario=ScenarioSpec(
+            scenario="random_multiflow", seed=5, num_flows=3, max_hops=3,
+            rate_mode="11", transport="tcp",
+        ),
+        probing=ProbingSpec(period_s=0.25, warmup_s=30.0),
+        cycles=2,
+        cycle_measure_s=8.0,
+        settle_s=1.0,
+        label="digest-random_multiflow",
+    ),
+    "scenario-starvation": ExperimentSpec(
+        scenario=ScenarioSpec(scenario="starvation", data_rate_mbps=1),
+        label="digest-starvation",
+    ),
+}
+
+DIGEST_TABLE_PATH = GOLDEN_DIR / "spec_digests.json"
+
+
+def digest_entry(spec: ExperimentSpec) -> dict[str, str]:
+    """What the table freezes for one spec: the exact bytes
+    :func:`spec_digest` hashes its canonical dict from, and the digest."""
+    return {
+        "canonical": json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":")),
+        "digest": spec_digest(spec),
+    }
+
+
 def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
@@ -160,6 +297,12 @@ def compute(name: str) -> str:
 
 
 def main() -> int:
+    table = {name: digest_entry(spec) for name, spec in DIGEST_SPECS.items()}
+    text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+    path = DIGEST_TABLE_PATH
+    changed = not path.exists() or path.read_text(encoding="utf-8") != text
+    path.write_text(text, encoding="utf-8")
+    print(f"{'rewrote' if changed else 'unchanged'}  {path.name}")
     for name in GOLDEN_SPECS:
         path = golden_path(name)
         text = compute(name)

@@ -30,14 +30,15 @@ from repro.experiment import (
     build_scenario,
     spec_digest,
 )
+from repro.sim.generators import TOPOLOGIES as TOPOLOGY_REGISTRY
 from repro.sim.generators import (
     build_topology,
     generate_workload,
     radio_profile_config,
     radio_profile_names,
     radio_profile_params,
+    register_topology,
     topology_names,
-    topology_node_count,
     workload_names,
     workload_rng,
 )
@@ -93,9 +94,8 @@ class TestTopologyGenerators:
         positions = TOPOLOGIES[kind].build(seed=1)
         assert len(positions) == EXPECTED_NODES[kind]
         assert TOPOLOGIES[kind].node_count() == EXPECTED_NODES[kind]
-        assert topology_node_count(kind, TOPOLOGIES[kind].to_dict()) == (
-            EXPECTED_NODES[kind]
-        )
+        # ... and the serialized spec drives the generator to the same layout.
+        assert build_topology(kind, TOPOLOGIES[kind].to_dict(), seed=1) == positions
 
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
     def test_build_is_deterministic_in_seed(self, kind):
@@ -120,6 +120,36 @@ class TestTopologyGenerators:
             build_topology("moebius_strip", {})
         with pytest.raises(SpecError, match="registered generator"):
             TopologySpec(kind="moebius_strip")
+
+    def test_one_declaration_makes_a_kind_buildable_sized_and_validated(self):
+        """A registration is the only place a kind is described: the
+        spec validates against it, sizes by it and labels with it, and
+        the planner sizes payloads by it — no kind-switch to extend."""
+        from repro.experiment.planner import _node_count
+
+        @register_topology(
+            "test-only-cross",
+            description="a centre node plus num_nodes arms",
+            node_count=lambda t: t.num_nodes + 1,
+            problem=lambda t: t.num_nodes < 2 and "a cross needs at least two arms",
+            shape=lambda t: f"{t.num_nodes} arms",
+        )
+        def _cross(t, seed):
+            arms = {i + 1: (t.spacing_m * (i + 1), 0.0) for i in range(t.num_nodes)}
+            return {0: (0.0, 0.0), **arms}
+
+        try:
+            spec = TopologySpec(kind="test-only-cross", num_nodes=4, spacing_m=50.0)
+            assert len(spec.build()) == spec.node_count() == 5
+            assert spec.describe() == "test-only-cross 4 arms"
+            assert TopologySpec.from_dict(spec.to_dict()) == spec
+            assert _node_count({"topology": spec.to_dict()}) == 5
+            with pytest.raises(SpecError, match="at least two arms"):
+                TopologySpec(kind="test-only-cross", num_nodes=1)
+        finally:
+            TOPOLOGY_REGISTRY.pop("test-only-cross", None)
+        # Once unregistered the planner falls back instead of failing the plan.
+        assert _node_count({"topology": {"kind": "test-only-cross"}}) == 18
 
 
 class TestWorkloadGenerators:

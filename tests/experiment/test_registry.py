@@ -9,6 +9,7 @@ from repro.experiment import (
     ScenarioSpec,
     SpecError,
     TopologySpec,
+    WorkloadSpec,
     build_scenario,
     register_scenario,
     scenario_description,
@@ -97,6 +98,27 @@ class TestBuiltinBuilders:
         base = build_scenario(ScenarioSpec(scenario="starvation", data_rate_mbps=1))
         assert built.network.positions == base.network.positions
 
+    @pytest.mark.parametrize(
+        "scenario", ["chain", "testbed", "random_multiflow", "starvation"]
+    )
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("radio_profile", "hidden_terminal"),
+            ("radio_profile", "low_power"),
+            ("workload", WorkloadSpec(generator="tcp_bulk")),
+        ],
+        ids=["hidden_terminal", "low_power", "workload"],
+    )
+    def test_builtins_refuse_digest_fields_they_do_not_read(
+        self, scenario, field, value
+    ):
+        """These fields change the spec digest; a builder that ignored
+        them built the same network under two cache keys (and a
+        ``chain`` under ``hidden_terminal`` kept the -91 dBm default)."""
+        with pytest.raises(SpecError, match=rf"ScenarioSpec\.{field}.*{scenario!r}"):
+            build_scenario(ScenarioSpec(scenario=scenario, **{field: value}))
+
     def test_meta_is_json_serializable(self):
         import json
 
@@ -142,3 +164,50 @@ class TestCustomRegistration:
             from repro.experiment import registry
 
             registry._SCENARIOS.pop(name, None)
+
+    def test_docs_extension_recipe_runs_as_written(self):
+        """docs/experiment-api.md promises one registration per axis;
+        execute its code blocks verbatim and run what they declare."""
+        import re
+        from dataclasses import replace
+        from pathlib import Path
+
+        from repro.experiment import ControllerSpec, ExperimentSpec, registry, run_experiment
+        from repro.monitors.base import MONITORS
+        from repro.sim.dynamics import MOBILITY_MODELS
+        from repro.sim.generators import TOPOLOGIES, WORKLOADS
+
+        doc = Path(__file__).resolve().parents[2] / "docs" / "experiment-api.md"
+        text = doc.read_text(encoding="utf-8")
+        section = text[text.index("## Extending the scenario space"):]
+        section = section[: section.index("\n## ", 1)]
+        namespace: dict = {}
+        registered = {
+            "star": TOPOLOGIES,
+            "to_hub": WORKLOADS,
+            "jitter": MOBILITY_MODELS,
+            "hops": MONITORS,
+            "two_chains": registry._SCENARIOS,
+        }
+        try:
+            for block in re.findall(r"```python\n(.*?)```", section, re.S):
+                exec(block, namespace)
+            assert all(name in axis for name, axis in registered.items())
+            spec = replace(
+                namespace["spec"],
+                controller=ControllerSpec(enabled=False),
+                cycle_measure_s=1.0,
+                settle_s=0.2,
+            )
+            assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+            result = run_experiment(spec, cache=False)
+            assert result.meta["topology_generator"] == "star"
+            assert result.meta["dynamics"]["mobility_model"] == "jitter"
+            assert {series.values[0] for series in result.monitors["hops"]} <= {1.0, 2.0, 3.0}
+            assert build_scenario(ScenarioSpec(scenario="two_chains")).links == [
+                (0, 1),
+                (2, 3),
+            ]
+        finally:
+            for name, axis in registered.items():
+                axis.pop(name, None)

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+import json
+
 from repro.experiment import (
+    ChurnSpec,
     ControllerSpec,
     ExperimentSpec,
     FlowSpec,
+    MobilitySpec,
     ProbingSpec,
     RadioSpec,
     ScenarioSpec,
     SpecError,
     TopologySpec,
+    WorkloadSpec,
+    spec_digest,
 )
 from repro.phy.radio import RATE_11MBPS
 
@@ -117,6 +123,118 @@ class TestRoundTrip:
     def test_unknown_fields_rejected(self):
         with pytest.raises(SpecError):
             ProbingSpec.from_dict({"period_s": 0.5, "warmupp": 3})
+
+
+#: One instance of each of the ten spec classes, away from the defaults
+#: and covering every kind of field (scalars, optional scalars, nested
+#: and optional nested specs, tuples of ints / strings / specs / triples).
+SPEC_TABLE = [
+    TopologySpec(kind="positions", positions=((0, 0.0, 0.0), (3, 50.0, 1.5))),
+    RadioSpec(tx_power_dbm=15.0, basic_rate_mbps=2),
+    FlowSpec("tcp", (5, 6, 7), mss_bytes=512),
+    WorkloadSpec(generator="gravity", rate_bps=150e3, weight_tail="pareto"),
+    MobilitySpec(model="drift", drift_sigma_m=4.0),
+    ChurnSpec(num_events=2, down_s=0.0, protect_endpoints=False),
+    ProbingSpec(data_probe_bytes=1000),
+    ControllerSpec(enabled=False, alpha=2.0),
+    ScenarioSpec(
+        scenario="generated",
+        seed=3,
+        run_seed=17,
+        data_rate_mbps=1,
+        topology=TopologySpec(kind="grid", rows=2, cols=3),
+        radio_profile="low_power",
+        flows=(FlowSpec("udp", (0, 1, 2), rate_bps=250e3), FlowSpec("tcp", (4, 3))),
+        mobility=MobilitySpec(),
+        churn=ChurnSpec(),
+    ),
+    ExperimentSpec(
+        scenario=ScenarioSpec(scenario="starvation", data_rate_mbps=1),
+        probing=ProbingSpec(warmup_s=30.0),
+        monitors=("pdr", "throughput"),
+        label="table",
+    ),
+]
+
+#: One wrong-shaped value per kind of field: (class, field, value).
+WRONG_SHAPES = [
+    (TopologySpec, "num_nodes", "x"),  # int <- str
+    (TopologySpec, "num_nodes", 2.5),  # int <- non-integral float
+    (TopologySpec, "num_nodes", True),  # int <- bool
+    (TopologySpec, "spacing_m", "60"),  # float <- str
+    (TopologySpec, "kind", 5),  # str <- int
+    (TopologySpec, "positions", [[1, 2]]),  # triple <- pair
+    (TopologySpec, "positions", [[0, "a", 0.0], [1, 1.0, 1.0]]),  # triple item
+    (TopologySpec, "positions", 7),  # tuple of triples <- scalar
+    (ChurnSpec, "protect_endpoints", "yes"),  # bool <- str
+    (FlowSpec, "path", 3),  # tuple of ints <- scalar
+    (FlowSpec, "path", [0, "1"]),  # tuple item
+    (FlowSpec, "rate_bps", "fast"),  # optional float <- str
+    (ScenarioSpec, "run_seed", 1.5),  # optional int <- non-integral float
+    (ScenarioSpec, "radio_profile", 3),  # optional str <- int
+    (ScenarioSpec, "flows", None),  # tuple of specs <- null
+    (ScenarioSpec, "flows", [3]),  # tuple of specs, item
+    (ScenarioSpec, "topology", []),  # optional spec <- list
+    (ExperimentSpec, "scenario", 5),  # spec <- scalar
+    (ExperimentSpec, "monitors", 3),  # tuple of strs <- scalar
+    (ExperimentSpec, "monitors", [1]),  # tuple of strs, item
+]
+
+
+class TestEverySpecClass:
+    """The one (de)serializer, held to the same contract on every class."""
+
+    @pytest.mark.parametrize("spec", SPEC_TABLE, ids=lambda s: type(s).__name__)
+    def test_round_trip(self, spec):
+        payload = spec.to_dict()
+        assert type(spec).from_dict(payload) == spec
+        wire = json.loads(json.dumps(payload))
+        assert wire == payload  # no tuples, nothing json cannot carry
+        assert type(spec).from_dict(wire) == spec
+        assert type(spec).from_dict(wire).to_dict() == payload
+
+    @pytest.mark.parametrize("spec", SPEC_TABLE, ids=lambda s: type(s).__name__)
+    def test_unknown_field_rejected(self, spec):
+        with pytest.raises(SpecError, match="unknown fields.*warmupp"):
+            type(spec).from_dict({**spec.to_dict(), "warmupp": 3})
+
+    @pytest.mark.parametrize("spec", SPEC_TABLE, ids=lambda s: type(s).__name__)
+    def test_payload_must_be_a_mapping(self, spec):
+        with pytest.raises(SpecError, match=type(spec).__name__):
+            type(spec).from_dict([("seed", 1)])
+
+    @pytest.mark.parametrize(
+        "cls,field,value", WRONG_SHAPES, ids=lambda v: getattr(v, "__name__", repr(v))
+    )
+    def test_wrong_shape_names_the_field(self, cls, field, value):
+        with pytest.raises(SpecError, match=rf"{cls.__name__}\.{field} must be"):
+            cls.from_dict({field: value})
+
+    def test_nested_errors_name_the_innermost_field(self):
+        payload = ExperimentSpec().to_dict()
+        payload["scenario"]["flows"] = [{"transport": "udp", "path": 3}]
+        with pytest.raises(SpecError, match=r"FlowSpec\.path must be a list"):
+            ExperimentSpec.from_dict(payload)
+
+    def test_integral_floats_in_integer_fields_become_ints(self):
+        """``1.0 == 1`` but they serialize differently: before the
+        deserializer normalized them one experiment had two digests."""
+        spec = ScenarioSpec.from_dict({"seed": 1.0, "run_seed": 4.0})
+        assert type(spec.seed) is int and type(spec.run_seed) is int
+        assert spec_digest(ExperimentSpec(scenario=spec)) == spec_digest(
+            ExperimentSpec(scenario=ScenarioSpec(seed=1, run_seed=4))
+        )
+        flow = FlowSpec.from_dict({"path": [0.0, 1.0]})
+        assert flow.to_dict()["path"] == [0, 1]
+        assert all(type(node) is int for node in flow.path)
+
+    def test_float_fields_keep_the_number_they_were_given(self):
+        """The goldens embed ``data_rate_mbps: 1`` (an int in a float
+        field); normalizing it would move their digests."""
+        assert ScenarioSpec.from_dict({"data_rate_mbps": 1}).to_dict()[
+            "data_rate_mbps"
+        ] == 1
+        assert type(ScenarioSpec.from_dict({"data_rate_mbps": 1}).data_rate_mbps) is int
 
 
 class TestMaterialization:
