@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 import json
+
+import pytest
 
 from repro.experiment import (
     ChurnSpec,
