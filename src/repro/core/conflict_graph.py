@@ -9,12 +9,13 @@ define the secondary extreme points of Eq. (4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.cliques import adjacency_from_edges, maximal_independent_sets
 from repro.core.interference import Link, PairwiseInterferenceMap
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -56,8 +57,19 @@ class ConflictGraph:
         """All maximal independent sets (each is a set of links)."""
         return maximal_independent_sets(self.adjacency)
 
-    def to_networkx(self) -> nx.Graph:
-        """Export to a :class:`networkx.Graph` (for cross-checks and plots)."""
+    def to_networkx(self) -> "nx.Graph":
+        """Export to a :class:`networkx.Graph` (for cross-checks and plots).
+
+        networkx is not a runtime dependency: it is loaded here, its only
+        use, and ships with the ``test`` extra.
+        """
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "ConflictGraph.to_networkx needs networkx, which is not a runtime "
+                "dependency; it comes with the `test` extra (pip install -e '.[test]')"
+            ) from exc
         graph = nx.Graph()
         graph.add_nodes_from(self.links)
         for link, neighbours in self.adjacency.items():

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.interference import Link
@@ -107,6 +106,8 @@ class FeasibilityRegion:
     # -------------------------------------------------------------- membership
     def contains(self, rates: Sequence[float] | np.ndarray, tolerance: float = 1e-9) -> bool:
         """Whether the link-rate vector ``rates`` is estimated feasible."""
+        from scipy.optimize import linprog
+
         y = np.asarray(rates, dtype=float)
         if y.shape != (self.num_links,):
             raise ValueError(f"expected a vector of {self.num_links} link rates")
@@ -133,6 +134,8 @@ class FeasibilityRegion:
         the region along a given rate vector (scaling factors of Section
         4.5).  Returns 0 for the zero direction.
         """
+        from scipy.optimize import linprog
+
         d = np.asarray(direction, dtype=float)
         if d.shape != (self.num_links,):
             raise ValueError(f"expected a vector of {self.num_links} link rates")

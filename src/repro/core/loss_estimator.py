@@ -23,6 +23,7 @@ channel loss rate:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,11 +70,30 @@ def sliding_min_loss_curve(
     min_window = min(min_window, total)
     cumulative = np.concatenate(([0.0], np.cumsum(series)))
     sizes = np.arange(min_window, total + 1)
-    minima = np.empty(sizes.size, dtype=float)
-    for index, window in enumerate(sizes):
-        window_sums = cumulative[window:] - cumulative[:-window]
-        minima[index] = window_sums.min() / window
-    return sizes, minima
+    starts, ends, offsets = _window_bounds(min_window, total)
+    # Every window sum of every size in one gather, then the minimum per
+    # size: the same subtractions, minima and divisions as one pass per
+    # size, so the curve is the same bits.
+    window_sums = cumulative[ends] - cumulative[starts]
+    return sizes, np.minimum.reduceat(window_sums, offsets) / sizes
+
+
+@lru_cache(maxsize=8)
+def _window_bounds(min_window: int, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, ends, offsets)``: the bounds into the cumulative sum of
+    every sliding window of every size in ``[min_window, total]``, sizes
+    ascending, and the index at which each size's run of windows begins.
+
+    A function of the two lengths only, never of the series, so a
+    controller whose probing window is the same ``S`` every cycle builds
+    it once.
+    """
+    sizes = np.arange(min_window, total + 1)
+    counts = total + 1 - sizes
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    starts = np.arange(counts.sum()) - np.repeat(offsets, counts)
+    ends = starts + np.repeat(sizes, counts)
+    return starts, ends, offsets
 
 
 def _knee_of_log_fit(
@@ -89,6 +109,10 @@ def _knee_of_log_fit(
     normalization makes the rule scale-free, so it behaves identically
     whether loss rates are near 0.01 or near 0.5.
     """
+    if sizes.size == 1:
+        # A series no longer than the minimum window has one point: no
+        # line to fit, and the only window is the knee.
+        return int(sizes[0]), (0.0, float(curve[0]))
     log_sizes = np.log(sizes.astype(float))
     a, b = np.polyfit(log_sizes, curve, 1)
     fitted = a * log_sizes + b

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from repro.core.extreme_points import FeasibilityRegion
 from repro.core.utility import AlphaFairUtility
@@ -96,6 +95,10 @@ class RateOptimizer:
         return self.region.extreme_points / self._scale
 
     def _solve_linear(self, max_min: bool) -> OptimizationResult:
+        # Loaded at the first solve: a process that never solves (drainer,
+        # broker, controller-off cell) does not pay for scipy.optimize.
+        from scipy.optimize import linprog
+
         num_flows = self._r.shape[1]
         num_points = self.region.num_extreme_points
         num_links = self.region.num_links
@@ -144,6 +147,8 @@ class RateOptimizer:
         return self._package(y, alpha, success=True, message="linprog")
 
     def _solve_concave(self) -> OptimizationResult:
+        from scipy.optimize import minimize
+
         num_flows = self._r.shape[1]
         num_points = self.region.num_extreme_points
         num_links = self.region.num_links

@@ -76,6 +76,7 @@ import argparse
 import bisect
 import hmac
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -765,6 +766,14 @@ class BrokerServer(ThreadingHTTPServer):
         super().__init__(address, handler)
         self.queue = queue
         self.token = token
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """A peer that went away mid-request (a drainer terminated on a
+        keep-alive connection) is that peer's business, not a broker
+        fault: no traceback for it.  Anything else is reported as usual."""
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
     @property
     def url(self) -> str:

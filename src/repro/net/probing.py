@@ -194,6 +194,23 @@ class ProbingSystem:
         label = self._kind_label(kind, self._resolve_rate(sender, kind, rate))
         return self._sent.get((sender, label), 0)
 
+    def _window(
+        self, sender: int, receiver: int, kind: str, last_n: int | None, rate: PhyRate | None
+    ) -> tuple[int, int, set[int]]:
+        """The probing window of one stream at one receiver.
+
+        Returns ``(start, sent, heard)``: the window is the sequence
+        numbers ``[start, sent)`` — the ``last_n`` most recent probes of
+        ``kind`` sent by ``sender`` (all of them when ``last_n`` is None)
+        — and ``heard`` those of them ``receiver`` logged.
+        """
+        label = self._kind_label(kind, self._resolve_rate(sender, kind, rate))
+        sent = self._sent.get((sender, label), 0)
+        start = 0 if last_n is None else max(0, sent - last_n)
+        log = self._logs.get((sender, receiver, label))
+        heard = log.received.intersection(range(start, sent)) if log is not None else set()
+        return start, sent, heard
+
     def loss_series(
         self,
         sender: int,
@@ -210,16 +227,11 @@ class ProbingSystem:
         ``sender`` (all of them when ``last_n`` is None) — the "probing
         window" consumed by the channel-loss estimator.
         """
-        resolved = self._resolve_rate(sender, kind, rate)
-        label = self._kind_label(kind, resolved)
-        sent = self._sent.get((sender, label), 0)
-        if sent == 0:
-            return np.zeros(0, dtype=int)
-        start = 0 if last_n is None else max(0, sent - last_n)
-        log = self._logs.get((sender, receiver, label), _ProbeLog())
-        return np.array(
-            [0 if seq in log.received else 1 for seq in range(start, sent)], dtype=int
-        )
+        start, sent, heard = self._window(sender, receiver, kind, last_n, rate)
+        series = np.ones(sent - start, dtype=int)
+        if heard:
+            series[np.fromiter(heard, dtype=int, count=len(heard)) - start] = 0
+        return series
 
     def loss_rate(
         self,
@@ -229,11 +241,15 @@ class ProbingSystem:
         last_n: int | None = None,
         rate: PhyRate | None = None,
     ) -> float:
-        """Fraction of probes of ``kind`` from ``sender`` lost at ``receiver``."""
-        series = self.loss_series(sender, receiver, kind, last_n, rate)
-        if series.size == 0:
+        """Fraction of probes of ``kind`` from ``sender`` lost at ``receiver``.
+
+        Counted, not averaged: ``lost / n`` of two integers is the
+        float64 that ``loss_series(...).mean()`` rounds to.
+        """
+        start, sent, heard = self._window(sender, receiver, kind, last_n, rate)
+        if sent == start:
             return 1.0
-        return float(series.mean())
+        return (sent - start - len(heard)) / (sent - start)
 
     def link_loss_rate(
         self, tx: int, rx: int, last_n: int | None = None, rate: PhyRate | None = None

@@ -15,6 +15,20 @@ def _uniform_series(rng, n, p):
     return (rng.random(n) < p).astype(int)
 
 
+def _per_window_loop_curve(series, min_window):
+    """The definition, one window size at a time: the bit-identity oracle
+    for the gathered ``sliding_min_loss_curve``."""
+    series = np.asarray(series, dtype=float)
+    min_window = min(min_window, series.size)
+    cumulative = np.concatenate(([0.0], np.cumsum(series)))
+    sizes = np.arange(min_window, series.size + 1)
+    minima = np.empty(sizes.size, dtype=float)
+    for index, window in enumerate(sizes):
+        window_sums = cumulative[window:] - cumulative[:-window]
+        minima[index] = window_sums.min() / window
+    return sizes, minima
+
+
 class TestSlidingMinCurve:
     def test_all_received(self):
         sizes, curve = sliding_min_loss_curve(np.zeros(100, dtype=int))
@@ -59,6 +73,18 @@ class TestSlidingMinCurve:
         # The curve always contains the full-window point, so its minimum
         # can never exceed the measured loss rate.
         assert curve.min() <= series.mean() + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=320),
+        st.integers(min_value=1, max_value=330),
+    )
+    def test_curve_is_bit_identical_to_the_per_window_loop(self, bits, min_window):
+        sizes, curve = sliding_min_loss_curve(np.array(bits), min_window)
+        expected_sizes, expected_curve = _per_window_loop_curve(bits, min_window)
+        assert sizes.dtype == expected_sizes.dtype and curve.dtype == expected_curve.dtype
+        assert np.array_equal(sizes, expected_sizes)
+        assert np.array_equal(curve, expected_curve)
 
 
 class TestEstimator:
@@ -111,8 +137,14 @@ class TestEstimator:
         assert estimate.window_sizes[0] <= estimate.selected_window <= estimate.window_sizes[-1]
 
     def test_short_series_supported(self):
+        """A series no longer than the minimum window has a one-point
+        curve: nothing to fit a line through (np.polyfit on it warns and
+        returns arbitrary coefficients), so the only window is the knee."""
         estimate = estimate_channel_loss_rate(np.array([0, 1, 0, 0, 1, 0, 0, 0]))
-        assert 0.0 <= estimate.channel_loss_rate <= 1.0
+        assert estimate.case == 2
+        assert estimate.selected_window == 8
+        assert estimate.channel_loss_rate == 0.25
+        assert estimate.log_fit_coefficients == (0.0, 0.25)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=0.0, max_value=0.8))

@@ -10,6 +10,9 @@ protocol the recovery rests on.
 from __future__ import annotations
 
 import json
+import socket
+import struct
+import threading
 
 import pytest
 
@@ -392,6 +395,40 @@ class TestBrokerHTTP:
         client.stats()
         client._connection().sock.close()  # simulate server-side idle drop
         assert client.stats()["pending"] == 0  # healed transparently
+
+    def test_peer_reset_mid_request_leaves_no_traceback(
+        self, server, capsys, monkeypatch
+    ):
+        """A drainer terminated mid keep-alive resets its socket under a
+        half-sent request; that is not a broker fault and must not print
+        one (the ledger counts stderr tracebacks)."""
+        handled = threading.Event()
+        handle_error = server.handle_error
+
+        def observed(request, client_address):
+            try:
+                handle_error(request, client_address)
+            finally:
+                handled.set()
+
+        monkeypatch.setattr(server, "handle_error", observed)
+        peer = socket.create_connection(server.server_address[:2])
+        peer.sendall(b'POST /claim HTTP/1.1\r\nContent-Length: 64\r\n\r\n{"match": ')
+        # SO_LINGER 0: close() sends RST, as the kernel does for a killed process.
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()
+        assert handled.wait(5.0), "the reset never reached handle_error"
+        assert capsys.readouterr().err == ""
+        client = BrokerClient(server.url)
+        assert client.stats()["pending"] == 0  # still serving
+        client.close()
+
+    def test_other_handler_errors_are_still_reported(self, server, capsys):
+        try:
+            raise ValueError("a broker bug")
+        except ValueError:
+            server.handle_error(None, ("127.0.0.1", 1))
+        assert "ValueError: a broker bug" in capsys.readouterr().err
 
     def test_unreachable_broker_raises(self):
         client = BrokerClient("http://127.0.0.1:1", timeout_s=0.5)

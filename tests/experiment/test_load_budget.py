@@ -1,0 +1,84 @@
+"""What a process loads, checked in fresh interpreters.
+
+numpy comes with ``import repro``; ``scipy.optimize`` (about half a
+second, tens of thousands of GC-tracked objects) belongs to processes
+that solve, and networkx only to ``ConflictGraph.to_networkx``.  A
+drainer, a broker or a controller-off cell that loaded either would pay
+for a solver it never calls, on every spawn.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import subprocess
+import sys
+
+from repro.experiment import ControllerSpec, ProbingSpec
+from repro.experiment.backends.queue_common import worker_subprocess_env
+
+from _helpers import FAST_SPEC
+
+HEAVY = ("scipy.optimize", "networkx")
+
+_REPORT = (
+    "import json, sys; "
+    f"print(json.dumps([name for name in {HEAVY!r} if sys.modules.get(name)]))"
+)
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The ``HEAVY`` modules present after ``code`` ran in a new interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{_REPORT}"],
+        env=worker_subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _run_experiment(spec) -> str:
+    return (
+        "from repro.experiment import ExperimentSpec, run_experiment\n"
+        f"run_experiment(ExperimentSpec.from_dict({spec.to_dict()!r}))"
+    )
+
+
+def test_worker_import_loads_no_solver():
+    assert _loaded_after("import repro.experiment.worker") == []
+
+
+def test_controller_off_cell_loads_no_solver():
+    assert not FAST_SPEC.controller.enabled
+    assert _loaded_after(_run_experiment(FAST_SPEC)) == []
+
+
+def test_controller_on_cell_loads_the_solver_and_only_the_solver():
+    """The same probe does see ``scipy.optimize`` once a cell solves."""
+    solving = dataclasses.replace(
+        FAST_SPEC,
+        controller=ControllerSpec(enabled=True),
+        probing=ProbingSpec(warmup_s=10.0),
+    )
+    assert _loaded_after(_run_experiment(solving)) == ["scipy.optimize"]
+
+
+def test_repro_imports_without_networkx():
+    """networkx is a test-extra oracle, not a runtime dependency."""
+    code = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "from repro.core import ConflictGraph\n"
+        "graph = ConflictGraph.from_edges([(0, 1), (1, 2)], [((0, 1), (1, 2))])\n"
+        "assert len(graph.independent_sets()) == 2\n"
+        "try:\n"
+        "    graph.to_networkx()\n"
+        "except ImportError as exc:\n"
+        "    assert 'test' in str(exc) and 'extra' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('to_networkx worked without networkx')"
+    )
+    assert _loaded_after(code) == []

@@ -1,11 +1,12 @@
 """Tests for mesh-node forwarding, the probing system and Ad Hoc Probe."""
 
+import numpy as np
 import pytest
 
 from repro.mac.nominal import nominal_throughput_bps
 from repro.net.adhoc_probe import AdHocProbe
 from repro.net.packet import Packet, PacketKind
-from repro.phy.radio import RATE_11MBPS
+from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
 from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
 from repro.sim.measurement import measure_isolated
 
@@ -101,6 +102,54 @@ class TestProbingSystem:
         probing = probed_network.probing
         assert probing.loss_rate(0, 99, "data") >= 0.0
         assert probing.loss_series(99, 0, "data").size == 0
+
+    def test_loss_counts_equal_the_membership_oracle(self):
+        """``loss_series`` is the per-seq membership list and ``loss_rate``
+        is exactly its mean, for every window shape and stream kind —
+        including 1 Mb/s DATA probes, tracked apart from 11 Mb/s ones."""
+        net = MeshNetwork(
+            chain_topology(3, spacing_m=60.0),
+            seed=2,
+            propagation=no_shadowing_propagation(),
+            data_rate_mbps=11,
+        )
+        net.set_link_rate((0, 1), RATE_1MBPS)
+        net.enable_probing(period_s=0.2)
+        net.run(20.0)
+        probing = net.probing
+
+        def oracle(sender, receiver, label, last_n):
+            sent = probing._sent.get((sender, label), 0)
+            log = probing._logs.get((sender, receiver, label))
+            received = log.received if log is not None else set()
+            start = 0 if last_n is None else max(0, sent - last_n)
+            return [0 if seq in received else 1 for seq in range(start, sent)]
+
+        streams = [
+            # (sender, receiver, kind, rate, bookkeeping label)
+            (0, 1, "data", None, "data@11Mbps"),
+            (0, 2, "data", RATE_11MBPS, "data@11Mbps"),
+            (0, 1, "data", RATE_1MBPS, "data@1Mbps"),
+            (1, 0, "data", RATE_1MBPS, "data@1Mbps"),  # node 1 sends none at 1 Mb/s
+            (2, 0, "ack", None, "ack"),
+            (0, 99, "ack", None, "ack"),  # no log at the receiver
+            (99, 0, "data", None, "data"),  # unknown sender: zero probes sent
+        ]
+        assert probing.probes_sent(0, "data", RATE_1MBPS) > 50
+        assert probing.probes_sent(1, "data", RATE_1MBPS) == 0
+        sent = probing.probes_sent(0, "data")
+        for sender, receiver, kind, rate, label in streams:
+            for last_n in (None, 0, 1, 40, sent, sent + 25):
+                series = probing.loss_series(sender, receiver, kind, last_n, rate)
+                expected = oracle(sender, receiver, label, last_n)
+                assert series.dtype == np.dtype(int)
+                assert series.tolist() == expected, (label, last_n)
+                rate_value = probing.loss_rate(sender, receiver, kind, last_n, rate)
+                if expected:
+                    assert rate_value == float(series.mean()), (label, last_n)
+                else:
+                    assert rate_value == 1.0
+        assert 0 < sum(oracle(0, 2, "data@11Mbps", None)) < sent  # a mixed series
 
     def test_stop_halts_probing(self, probed_network):
         probing = probed_network.probing
