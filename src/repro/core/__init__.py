@@ -44,7 +44,7 @@ from repro.core.utility import (
     MAX_THROUGHPUT,
     PROPORTIONAL_FAIR,
 )
-from repro.core.optimizer import OptimizationResult, RateOptimizer
+from repro.core.optimizer import OptimizationResult, RateOptimizer, SolverError
 from repro.core.rate_control import (
     FlowRateAssignment,
     RateController,
@@ -86,6 +86,7 @@ __all__ = [
     "PROPORTIONAL_FAIR",
     "OptimizationResult",
     "RateOptimizer",
+    "SolverError",
     "FlowRateAssignment",
     "RateController",
     "input_rates_from_outputs",

@@ -35,7 +35,7 @@ from repro.core.interference import (
     connectivity_from_loss_rates,
 )
 from repro.core.loss_estimator import estimate_channel_loss_rate
-from repro.core.optimizer import OptimizationResult, RateOptimizer
+from repro.core.optimizer import OptimizationResult, RateOptimizer, SolverError
 from repro.core.rate_control import RateController
 from repro.core.utility import AlphaFairUtility, PROPORTIONAL_FAIR
 from repro.net.routing import (
@@ -194,10 +194,10 @@ class OnlineOptimizer:
         loss_rates: dict[Link, float] = {}
         node_ids = self.network.node_ids
         for tx in node_ids:
+            if probing.probes_sent(tx, "ack") == 0:
+                continue
             for rx in node_ids:
                 if tx == rx:
-                    continue
-                if probing.probes_sent(tx, "ack") == 0:
                     continue
                 loss_rates[(tx, rx)] = probing.loss_rate(tx, rx, "ack", self.probing_window)
         neighbors = connectivity_from_loss_rates(loss_rates, self.connectivity_threshold)
@@ -219,6 +219,10 @@ class OnlineOptimizer:
         routing = build_routing_matrix(routes, links=region.links)
         optimizer = RateOptimizer(region, routing, self.utility)
         result = optimizer.solve()
+        if not result.success:
+            # An unconverged iterate (or the LP's all-zero placeholder)
+            # must never be programmed into the shapers as a decision.
+            raise SolverError(f"rate optimization failed: {result.message}")
         link_losses = {link: est.channel_loss for link, est in estimates.items()}
         targets: dict[int, float] = {}
         inputs: dict[int, float] = {}

@@ -13,12 +13,15 @@ rate vectors dominated by a convex combination of *extreme points*:
 A rate vector ``y`` is estimated feasible when there exist convex
 weights ``alpha`` with ``sum_k alpha_k * c[k] >= y`` componentwise (the
 polytope plus free disposal).  Membership and boundary queries reduce
-to small linear programs solved with scipy.
+to small linear programs solved with scipy.  The region keeps every
+point of the paper's model; :func:`non_dominated_rows` names the subset
+that free disposal leaves able to matter, which is all the optimizer
+carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,6 +58,19 @@ def secondary_extreme_points(
     return matrix
 
 
+def non_dominated_rows(points: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``points`` that no other row dominates
+    componentwise; of exact duplicates the first occurrence stays.
+
+    Under free disposal a dominated extreme point adds nothing to the
+    region: any weight on it can move to its dominator and every link
+    budget only grows.
+    """
+    geq = (points[:, None, :] >= points[None, :, :]).all(axis=2)  # [i, j]: row i >= row j
+    dominated = (geq & ~geq.T).any(axis=0) | np.triu(geq & geq.T, k=1).any(axis=0)
+    return np.flatnonzero(~dominated)
+
+
 def _validate_capacities(capacities: Mapping[Link, float], links: Sequence[Link]) -> None:
     for link in links:
         if link not in capacities:
@@ -74,7 +90,6 @@ class FeasibilityRegion:
 
     links: list[Link]
     extreme_points: np.ndarray
-    _cached_caps: dict[Link, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.extreme_points = np.asarray(self.extreme_points, dtype=float)
@@ -170,14 +185,10 @@ class FeasibilityRegion:
         cls,
         capacities: Mapping[Link, float],
         conflict_graph: ConflictGraph,
-        include_primary: bool = True,
     ) -> "FeasibilityRegion":
-        """Build the model of Section 3.2 from capacities and conflicts."""
+        """Build the model of Section 3.2 (primary, then secondary
+        extreme points) from capacities and conflicts."""
         links = list(conflict_graph.links)
+        primary = primary_extreme_points(capacities, links)
         secondary = secondary_extreme_points(capacities, conflict_graph, links)
-        if include_primary:
-            primary = primary_extreme_points(capacities, links)
-            points = np.vstack([primary, secondary]) if secondary.size else primary
-        else:
-            points = secondary
-        return cls(links=links, extreme_points=points)
+        return cls(links=links, extreme_points=np.vstack([primary, secondary]))

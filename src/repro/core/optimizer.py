@@ -13,7 +13,10 @@ alpha-fair utility.  The throughput-maximising case (alpha = 0) and the
 max-min-fair case are linear programs; the general case is a small,
 smooth concave program solved with SLSQP.  Rates are normalised
 internally so the solver sees well-conditioned numbers regardless of
-whether capacities are expressed in b/s or Mb/s.
+whether capacities are expressed in b/s or Mb/s.  The solver carries
+only the extreme points no other point dominates: under free disposal
+the dominated ones (every primary point, for one) cannot change the
+optimum, and their weights come back as exact zeros.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.extreme_points import FeasibilityRegion
+from repro.core.extreme_points import FeasibilityRegion, non_dominated_rows
 from repro.core.utility import AlphaFairUtility
 from repro.net.routing import RoutingMatrix
+
+
+class SolverError(RuntimeError):
+    """The solver did not reach an optimum; the message is the solver's own."""
 
 
 @dataclass
@@ -73,6 +80,13 @@ class RateOptimizer:
         self._scale = float(region.extreme_points.max())
         if self._scale <= 0:
             raise ValueError("the feasibility region has zero capacity everywhere")
+        # Presolve: the solvers see the non-dominated points only, and
+        # the constraints are linear, so their Jacobians are constants.
+        self._kept = non_dominated_rows(region.extreme_points)
+        self._c = region.extreme_points[self._kept] / self._scale
+        num_flows = routing.matrix.shape[1]
+        self._slack_jac = np.hstack([-routing.matrix, self._c.T])
+        self._simplex_jac = np.concatenate([np.zeros(num_flows), np.ones(self._kept.size)])
 
     # --------------------------------------------------------------- solving
     def solve(self) -> OptimizationResult:
@@ -90,17 +104,13 @@ class RateOptimizer:
     def _r(self) -> np.ndarray:
         return self.routing.matrix
 
-    @property
-    def _c(self) -> np.ndarray:
-        return self.region.extreme_points / self._scale
-
     def _solve_linear(self, max_min: bool) -> OptimizationResult:
         # Loaded at the first solve: a process that never solves (drainer,
         # broker, controller-off cell) does not pay for scipy.optimize.
         from scipy.optimize import linprog
 
         num_flows = self._r.shape[1]
-        num_points = self.region.num_extreme_points
+        num_points = self._kept.size
         num_links = self.region.num_links
         # Variables: [y (S), alpha (K)] plus a trailing t for max-min.
         extra = 1 if max_min else 0
@@ -112,8 +122,7 @@ class RateOptimizer:
             objective[:num_flows] = -1.0
         # R y - C^T alpha <= 0
         a_ub = np.zeros((num_links, num_vars))
-        a_ub[:, :num_flows] = self._r
-        a_ub[:, num_flows : num_flows + num_points] = -self._c.T
+        a_ub[:, : num_flows + num_points] = -self._slack_jac
         b_ub = np.zeros(num_links)
         if max_min:
             # t - y_s <= 0 for every flow.
@@ -136,7 +145,7 @@ class RateOptimizer:
         if not result.success:
             return OptimizationResult(
                 flow_rates=np.zeros(num_flows),
-                alpha=np.zeros(num_points),
+                alpha=np.zeros(self.region.num_extreme_points),
                 link_rates=np.zeros(num_links),
                 objective=float("nan"),
                 success=False,
@@ -150,33 +159,10 @@ class RateOptimizer:
         from scipy.optimize import minimize
 
         num_flows = self._r.shape[1]
-        num_points = self.region.num_extreme_points
-        num_links = self.region.num_links
+        num_points = self._kept.size
         floor = self.rate_floor / self._scale
         utility = AlphaFairUtility(alpha=self.utility.alpha, rate_floor=floor)
-
-        def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return x[:num_flows], x[num_flows:]
-
-        def negative_utility(x: np.ndarray) -> float:
-            y, _ = split(x)
-            return -utility.value(y)
-
-        def negative_utility_grad(x: np.ndarray) -> np.ndarray:
-            y, _ = split(x)
-            grad = np.zeros_like(x)
-            grad[:num_flows] = -utility.gradient(np.maximum(y, floor))
-            return grad
-
-        def capacity_slack(x: np.ndarray) -> np.ndarray:
-            y, alpha = split(x)
-            return self._c.T @ alpha - self._r @ y
-
-        def capacity_slack_jac(x: np.ndarray) -> np.ndarray:
-            jac = np.zeros((num_links, x.size))
-            jac[:, :num_flows] = -self._r
-            jac[:, num_flows:] = self._c.T
-            return jac
+        slack_jac, simplex_jac = self._slack_jac, self._simplex_jac
 
         # Feasible starting point: uniform alpha, then shrink a uniform
         # flow vector until it fits inside the per-link budgets.
@@ -190,14 +176,25 @@ class RateOptimizer:
             if np.any(links_of_flow):
                 y0[flow_index] = max(floor, 0.5 * per_link_share[links_of_flow].min())
         x0 = np.concatenate([y0, alpha0])
+        # SLSQP's first step is the raw gradient (its Hessian model starts
+        # at I): unscaled, alpha >= 2 on a starved flow overshoots so far
+        # that the line search gives up at x0 and reports success.  In
+        # units of the starting objective the step is O(1), and ftol is
+        # a relative tolerance.
+        unit = 1.0 / max(1.0, abs(utility.value(y0)))
 
+        def negative_utility(x: np.ndarray) -> float:
+            return -unit * utility.value(x[:num_flows])
+
+        def negative_utility_grad(x: np.ndarray) -> np.ndarray:
+            grad = np.zeros_like(x)
+            grad[:num_flows] = -unit * utility.gradient(x[:num_flows])
+            return grad
+
+        # C^T alpha - R y >= 0 per link, and sum(alpha) = 1.
         constraints = [
-            {"type": "ineq", "fun": capacity_slack, "jac": capacity_slack_jac},
-            {
-                "type": "eq",
-                "fun": lambda x: np.sum(x[num_flows:]) - 1.0,
-                "jac": lambda x: np.concatenate([np.zeros(num_flows), np.ones(num_points)]),
-            },
+            {"type": "ineq", "fun": lambda x: slack_jac @ x, "jac": lambda x: slack_jac},
+            {"type": "eq", "fun": lambda x: simplex_jac @ x - 1.0, "jac": lambda x: simplex_jac},
         ]
         bounds = [(floor, None)] * num_flows + [(0.0, 1.0)] * num_points
         result = minimize(
@@ -209,10 +206,9 @@ class RateOptimizer:
             method="SLSQP",
             options={"maxiter": 500, "ftol": 1e-10},
         )
-        y, alpha = split(result.x)
         return self._package(
-            np.maximum(y, 0.0) * self._scale,
-            np.maximum(alpha, 0.0),
+            np.maximum(result.x[:num_flows], 0.0) * self._scale,
+            np.maximum(result.x[num_flows:], 0.0),
             success=bool(result.success),
             message=str(result.message),
         )
@@ -221,9 +217,11 @@ class RateOptimizer:
         self, y: np.ndarray, alpha: np.ndarray, success: bool, message: str
     ) -> OptimizationResult:
         link_rates = self._r @ y
+        weights = np.zeros(self.region.num_extreme_points)
+        weights[self._kept] = alpha
         return OptimizationResult(
             flow_rates=np.asarray(y, dtype=float),
-            alpha=np.asarray(alpha, dtype=float),
+            alpha=weights,
             link_rates=np.asarray(link_rates, dtype=float),
             objective=self.utility.value(np.maximum(y, self.rate_floor)),
             success=success,

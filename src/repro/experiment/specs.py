@@ -80,8 +80,13 @@ class SpecError(ValueError):
 #:    again;
 #: 4. controller decisions are quantized to 1e-3 b/s where they leave
 #:    the solver (``OnlineOptimizer.optimize``), so payloads cached
-#:    under version 3 hold unquantized ``target_bps``.
-SPEC_SCHEMA_VERSION = 4
+#:    under version 3 hold unquantized ``target_bps``;
+#: 5. the rate program is solved over the non-dominated extreme points
+#:    only (``RateOptimizer``'s presolve) and in units of its starting
+#:    objective: the optimum is the same, but SLSQP reaches it along
+#:    another path, so decisions cached under version 4 differ from
+#:    recomputed ones by a few b/s.
+SPEC_SCHEMA_VERSION = 5
 
 
 def spec_digest(spec: "ExperimentSpec | Mapping[str, Any]",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.extreme_points import (
     FeasibilityRegion,
+    non_dominated_rows,
     primary_extreme_points,
     secondary_extreme_points,
 )
@@ -151,6 +152,69 @@ class TestFeasibilityRegion:
             assert region.contains(point)
         if fraction >= 1.05:
             assert not region.contains(point)
+
+
+@st.composite
+def _point_matrices(draw):
+    """Small non-negative matrices on a coarse grid, so ties, duplicate
+    rows and dominated rows all occur often."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+    return np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=float)
+
+
+def _dominates(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.all(a >= b))
+
+
+class TestNonDominatedRows:
+    """The presolve filter `RateOptimizer` applies to the extreme points."""
+
+    def test_primary_points_fall_to_the_independent_sets(self):
+        region = _two_link_region(interfering=False, c1=1.0, c2=2.0)
+        # Rows: (1, 0), (0, 2), (1, 2) - only the last is not dominated.
+        assert list(non_dominated_rows(region.extreme_points)) == [2]
+
+    def test_zero_rows_and_a_single_row(self):
+        assert list(non_dominated_rows(np.zeros((3, 2)))) == [0]
+        assert list(non_dominated_rows(np.array([[0.0, 5.0]]))) == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_point_matrices())
+    def test_kept_rows_cover_the_dropped_and_not_each_other(self, points):
+        kept = non_dominated_rows(points)
+        assert list(kept) == sorted(set(kept)) and len(kept) >= 1
+        for j in set(range(len(points))) - set(kept):
+            assert any(_dominates(points[i], points[j]) for i in kept)
+        for i in kept:
+            assert not any(_dominates(points[j], points[i]) for j in kept if j != i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_point_matrices())
+    def test_idempotent_and_duplicates_keep_their_first_occurrence(self, points):
+        kept = non_dominated_rows(points)
+        assert list(non_dominated_rows(points[kept])) == list(range(len(kept)))
+        # A second copy of every row changes nothing: each duplicate
+        # pair keeps exactly its first member.
+        assert list(non_dominated_rows(np.vstack([points, points]))) == list(kept)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_model_regions_keep_exactly_the_independent_sets(self, num_links, data):
+        links = [(2 * i, 2 * i + 1) for i in range(num_links)]
+        imap = PairwiseInterferenceMap(links)
+        for i, a in enumerate(links):
+            for b in links[i + 1 :]:
+                if data.draw(st.booleans()):
+                    imap.add_conflict(a, b)
+        capacities = {link: data.draw(st.floats(0.1, 10.0)) for link in links}
+        graph = ConflictGraph.from_interference_map(imap)
+        region = FeasibilityRegion.from_capacities_and_conflicts(capacities, graph)
+        kept = region.extreme_points[non_dominated_rows(region.extreme_points)]
+        # Compared as sets of rows: an isolated clique's primary point
+        # *is* its independent-set point, and the earlier copy stays.
+        secondary = secondary_extreme_points(capacities, graph, links)
+        assert sorted(map(tuple, kept)) == sorted(map(tuple, secondary))
 
 
 class TestTwoLinkRegions:

@@ -7,6 +7,8 @@ from repro.core import (
     OnlineOptimizer,
     PROPORTIONAL_FAIR,
     RateController,
+    RateOptimizer,
+    SolverError,
     input_rates_from_outputs,
     tcp_ack_airtime_factor,
 )
@@ -121,6 +123,26 @@ class TestOnlineOptimizer:
         assert decision.target_outputs_bps[one_hop.flow_id] > 5 * max(
             decision.target_outputs_bps[two_hop.flow_id], 1.0
         )
+
+    @pytest.mark.parametrize("utility", [PROPORTIONAL_FAIR, MAX_THROUGHPUT])
+    def test_solver_failure_raises_instead_of_deciding(self, probed_chain, monkeypatch, utility):
+        """A failed solve (SLSQP's unconverged iterate, the LP's all-zero
+        placeholder) must never become a decision `apply` would program."""
+        net, two_hop, one_hop = probed_chain
+        solve = RateOptimizer.solve
+
+        def failing(self):
+            result = solve(self)
+            result.success, result.message = False, "Iteration limit reached"
+            return result
+
+        monkeypatch.setattr(RateOptimizer, "solve", failing)
+        controller = OnlineOptimizer(net, [two_hop, one_hop], utility=utility, probing_window=100)
+        before = (two_hop.source.rate_bps, one_hop.source.rate_bps)
+        with pytest.raises(SolverError, match="Iteration limit reached"):
+            controller.run_cycle()
+        assert issubclass(SolverError, RuntimeError)
+        assert (two_hop.source.rate_bps, one_hop.source.rate_bps) == before
 
     def test_apply_programs_udp_sources(self, probed_chain):
         net, two_hop, one_hop = probed_chain

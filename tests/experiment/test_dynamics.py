@@ -57,8 +57,8 @@ def _canonical(payload) -> str:
 
 
 class TestSpecLayer:
-    def test_schema_version_is_4(self):
-        assert SPEC_SCHEMA_VERSION == 4
+    def test_schema_version_is_5(self):
+        assert SPEC_SCHEMA_VERSION == 5
 
     def test_mobility_round_trip(self):
         spec = MobilitySpec(model="drift", epoch_s=0.25, drift_sigma_m=4.0)
