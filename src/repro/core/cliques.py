@@ -42,25 +42,28 @@ def complement_graph(adjacency: Adjacency) -> dict:
     return {v: (vertices - {v}) - graph[v] for v in graph}
 
 
+def _expand(graph: dict, r: set, p: set, x: set) -> Iterator[frozenset]:
+    """The Bron–Kerbosch recursion.  Module-level on purpose: a nested
+    function that calls itself is a reference cycle (function <-> its
+    own closure cell) that would keep ``graph`` alive after every
+    enumeration, one per controller cycle."""
+    if not p and not x:
+        yield frozenset(r)
+        return
+    # Pivot on the vertex of P ∪ X with the most neighbours in P to
+    # prune the branching.
+    pivot = max(p | x, key=lambda v: len(graph[v] & p))
+    for vertex in list(p - graph[pivot]):
+        yield from _expand(graph, r | {vertex}, p & graph[vertex], x & graph[vertex])
+        p.remove(vertex)
+        x.add(vertex)
+
+
 def bron_kerbosch_cliques(adjacency: Adjacency) -> Iterator[frozenset]:
     """Enumerate all maximal cliques (Bron–Kerbosch with pivoting)."""
     graph = _validate_adjacency(adjacency)
-
-    def expand(r: set, p: set, x: set) -> Iterator[frozenset]:
-        if not p and not x:
-            yield frozenset(r)
-            return
-        # Pivot on the vertex of P ∪ X with the most neighbours in P to
-        # prune the branching.
-        pivot = max(p | x, key=lambda v: len(graph[v] & p))
-        for vertex in list(p - graph[pivot]):
-            yield from expand(r | {vertex}, p & graph[vertex], x & graph[vertex])
-            p.remove(vertex)
-            x.add(vertex)
-
-    if not graph:
-        return
-    yield from expand(set(), set(graph), set())
+    if graph:
+        yield from _expand(graph, set(), set(graph), set())
 
 
 def maximal_cliques(adjacency: Adjacency) -> list[frozenset]:

@@ -235,6 +235,13 @@ class Simulator:
         reschedule themselves forever will never drain)."""
         self._run_due(self, float("inf"))
 
+    def close(self) -> None:
+        """Drop every queued event and the monitor attachment: the
+        simulator's references back into the objects it drove (see
+        "Lifetime" in ``docs/architecture.md``)."""
+        self._sched.clear()
+        self.monitors = None
+
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""

@@ -118,8 +118,19 @@ class BrokerClient:
             self._local.connection = None
 
     def close(self) -> None:
-        """Close this thread's keep-alive connection (idempotent)."""
+        """Close this thread's keep-alive connection (idempotent).
+
+        Connections are per-thread, so each thread that made a request
+        closes its own — ``with BrokerClient(...) as client:`` does it
+        for the thread that opened the client.
+        """
         self._drop_connection()
+
+    def __enter__(self) -> "BrokerClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _request(self, path: str, payload: Mapping[str, Any] | None) -> dict:
         method = "GET" if payload is None else "POST"
@@ -148,6 +159,8 @@ class BrokerClient:
                 continue
             detail = raw.decode("utf-8", "replace")[:500]
             if response.status == 401:
+                # A refused token never heals: nothing to keep alive for.
+                self._drop_connection()
                 raise BrokerAuthError(
                     f"broker {self.url} refused {path}: {detail}"
                 )

@@ -320,6 +320,10 @@ class FileQueueClient:
         half of fleet self-healing."""
         return self._sweep(self.match)
 
+    def close(self) -> None:
+        """Nothing stays open between verbs; the worker closes whichever
+        transport it drains (see :meth:`BrokerClient.close`)."""
+
     # --------------------------------------------------------- submitter half
     def _reap_stale_files(self) -> None:
         """Collect orphan result *and* claim files abandoned in a shared

@@ -81,6 +81,11 @@ class BuiltScenario:
     def links(self) -> list[tuple[int, int]]:
         return first_use_links(self.flows)
 
+    def close(self) -> None:
+        """Close the network (:meth:`MeshNetwork.close`): whoever built
+        the scenario calls this when done with it."""
+        self.network.close()
+
 
 class ScenarioBuilder(Protocol):
     def __call__(self, spec: ScenarioSpec) -> BuiltScenario: ...

@@ -31,8 +31,8 @@ ledger, which the sweep planner prefers over its static cost heuristic.
 
 from __future__ import annotations
 
-import gc
 import time
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -207,6 +207,9 @@ class Experiment:
         """Run the experiment, optionally on a scenario built beforehand
         with :meth:`build` (e.g. to inspect routes before running).
 
+        A scenario built here is closed here, on every way out; one the
+        caller passed in stays live and is the caller's to ``close()``.
+
         ``cache`` is resolved by :func:`repro.experiment.cache.resolve_cache`
         (pass a :class:`ResultCache`, ``True`` for the default cache,
         ``False`` to disable; the default ``None`` consults the cache iff
@@ -229,89 +232,85 @@ class Experiment:
             if cached is not None:
                 return cached
         wall_start = time.perf_counter()
-        if scenario is None:
-            scenario = self.build()
-        network = scenario.network
-        flows = scenario.flows
+        # A network that ran is cyclic (see ``MeshNetwork.close``): a run
+        # closes the scenario it built, or each finished run of a batch
+        # would sit beside the next until the collector happened by.
+        with (
+            closing(self.build()) if scenario is None else nullcontext(scenario)
+        ) as scenario:
+            network = scenario.network
+            flows = scenario.flows
 
-        controller: OnlineOptimizer | None = None
-        if spec.controller.enabled:
-            network.enable_probing(
-                period_s=spec.probing.period_s,
-                data_probe_bytes=spec.probing.data_probe_bytes,
-            )
-            network.run(spec.probing.warmup_s)
-            controller = OnlineOptimizer(
-                network,
-                flows,
-                utility=spec.controller.utility,
-                probing_window=spec.controller.probing_window,
-                interference_mode=spec.controller.interference,
-                payload_bytes=spec.controller.payload_bytes,
-                connectivity_threshold=spec.controller.connectivity_threshold,
-                min_probes_for_estimator=spec.controller.min_probes_for_estimator,
-            )
-
-        cycles: list[CycleResult] = []
-        monitor_host: MonitorHost | None = None
-        utility = spec.controller.utility
-        for index in range(spec.cycles):
-            decision = controller.run_cycle() if controller is not None else None
-            if index == 0:
-                for flow in flows:
-                    flow.start()
-                if spec.monitors:
-                    monitor_host = MonitorHost(
-                        network,
-                        flows,
-                        spec.monitors,
-                        interval_s=spec.monitor_interval_s,
-                    )
-                    monitor_host.start()
-            cycle_start = network.now
-            network.run(spec.cycle_measure_s)
-            start, end = cycle_start + spec.settle_s, network.now
-            achieved = {
-                f.flow_id: float(f.throughput_bps(start, end)) for f in flows
-            }
-            targets = (
-                {fid: float(v) for fid, v in decision.target_outputs_bps.items()}
-                if decision is not None
-                else {}
-            )
-            cycles.append(
-                CycleResult(
-                    index=index,
-                    sim_start=start,
-                    sim_end=end,
-                    target_bps=targets,
-                    achieved_bps=achieved,
-                    utility=utility.value(list(achieved.values())),
-                    decision=decision if self.keep_decisions else None,
+            controller: OnlineOptimizer | None = None
+            if spec.controller.enabled:
+                network.enable_probing(
+                    period_s=spec.probing.period_s,
+                    data_probe_bytes=spec.probing.data_probe_bytes,
                 )
-            )
+                network.run(spec.probing.warmup_s)
+                controller = OnlineOptimizer(
+                    network,
+                    flows,
+                    utility=spec.controller.utility,
+                    probing_window=spec.controller.probing_window,
+                    interference_mode=spec.controller.interference,
+                    payload_bytes=spec.controller.payload_bytes,
+                    connectivity_threshold=spec.controller.connectivity_threshold,
+                    min_probes_for_estimator=spec.controller.min_probes_for_estimator,
+                )
 
-        # A finished run's object graph is cyclic (events -> bound
-        # methods -> owners), so only the cyclic collector frees it, and
-        # its thresholds may not trip before the next run of a batch has
-        # allocated on top of it.  One sweep per run keeps peak RSS flat
-        # across batched runs (108 vs 132 MB on the ledger's cell
-        # workloads); the collector otherwise stays on, which costs no
-        # measurable wall clock.
-        gc.collect()
-        result = ExperimentResult(
-            spec=spec,
-            flow_ids=[f.flow_id for f in flows],
-            flow_paths={f.flow_id: tuple(f.path) for f in flows},
-            cycles=cycles,
-            sim_time_s=float(network.now),
-            wall_time_s=time.perf_counter() - wall_start,
-            events_processed=network.sim.processed_events,
-            meta=dict(scenario.meta),
-            monitors=monitor_host.collect() if monitor_host is not None else {},
-        )
-        if result_cache is not None and spec not in result_cache:
-            result_cache.put(result)
+            cycles: list[CycleResult] = []
+            monitor_host: MonitorHost | None = None
+            utility = spec.controller.utility
+            for index in range(spec.cycles):
+                decision = controller.run_cycle() if controller is not None else None
+                if index == 0:
+                    for flow in flows:
+                        flow.start()
+                    if spec.monitors:
+                        monitor_host = MonitorHost(
+                            network,
+                            flows,
+                            spec.monitors,
+                            interval_s=spec.monitor_interval_s,
+                        )
+                        monitor_host.start()
+                cycle_start = network.now
+                network.run(spec.cycle_measure_s)
+                start, end = cycle_start + spec.settle_s, network.now
+                achieved = {
+                    f.flow_id: float(f.throughput_bps(start, end)) for f in flows
+                }
+                targets = (
+                    {fid: float(v) for fid, v in decision.target_outputs_bps.items()}
+                    if decision is not None
+                    else {}
+                )
+                cycles.append(
+                    CycleResult(
+                        index=index,
+                        sim_start=start,
+                        sim_end=end,
+                        target_bps=targets,
+                        achieved_bps=achieved,
+                        utility=utility.value(list(achieved.values())),
+                        decision=decision if self.keep_decisions else None,
+                    )
+                )
+
+            result = ExperimentResult(
+                spec=spec,
+                flow_ids=[f.flow_id for f in flows],
+                flow_paths={f.flow_id: tuple(f.path) for f in flows},
+                cycles=cycles,
+                sim_time_s=float(network.now),
+                wall_time_s=time.perf_counter() - wall_start,
+                events_processed=network.sim.processed_events,
+                meta=dict(scenario.meta),
+                monitors=monitor_host.collect() if monitor_host is not None else {},
+            )
+            if result_cache is not None and spec not in result_cache:
+                result_cache.put(result)
         return result
 
 

@@ -61,6 +61,7 @@ retry budget's exhaustion path is exercised end to end.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import threading
@@ -93,18 +94,24 @@ KILL_MATCH_ENV_VAR = "REPRO_WORKER_KILL_MATCH"
 class _Heartbeat:
     """Background lease refresher for one claimed task."""
 
-    def __init__(self, beat, interval_s: float) -> None:
-        self._beat = beat
+    def __init__(self, client: Any, token: Any, interval_s: float) -> None:
+        self._client = client
+        self._token = token
         self._interval_s = max(interval_s, 0.01)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            try:
-                self._beat()
-            except Exception:  # pragma: no cover - heartbeat is best-effort
-                pass
+        try:
+            while not self._stop.wait(self._interval_s):
+                try:
+                    self._client.heartbeat(self._token)
+                except Exception:  # pragma: no cover - heartbeat is best-effort
+                    pass
+        finally:
+            # A broker connection belongs to the thread that opened it:
+            # this thread's first beat did, so this thread closes it.
+            self._client.close()
 
     def __enter__(self) -> "_Heartbeat":
         self._thread.start()
@@ -145,7 +152,7 @@ def _execute(
     try:
         task_id = str(envelope["id"])
         spec_payload: dict[str, Any] = envelope["spec"]
-        with _Heartbeat(lambda: client.heartbeat(token), lease_s / 4.0):
+        with _Heartbeat(client, token, lease_s / 4.0):
             result = run_spec_payload(spec_payload)
         if cache is not None:
             # Shared-store writeback: content-addressed and atomic, so
@@ -343,14 +350,15 @@ def main(argv: list[str] | None = None) -> int:
         client = FileQueueClient(args.queue_dir, match=args.match)
         source = args.queue_dir
     try:
-        executed = drain(
-            client,
-            max_tasks=args.max_tasks,
-            idle_timeout_s=args.idle_timeout_s,
-            poll_interval_s=args.poll_interval_s,
-            exit_when_empty=args.exit_when_empty,
-            cache=cache,
-        )
+        with contextlib.closing(client):
+            executed = drain(
+                client,
+                max_tasks=args.max_tasks,
+                idle_timeout_s=args.idle_timeout_s,
+                poll_interval_s=args.poll_interval_s,
+                exit_when_empty=args.exit_when_empty,
+                cache=cache,
+            )
     except PermissionError as exc:
         # BrokerAuthError: a rejected token never heals by retrying —
         # refuse to run rather than spin against 401s.

@@ -173,6 +173,13 @@ class DcfMac:
         """
         self._down = False
 
+    def close(self) -> None:
+        """Quiesce for good, and drop the bound method the station holds
+        of itself and the callbacks into the node that owns it."""
+        self.quiesce()
+        self._send_next_control = None
+        self.rx_callback = self.tx_done_callback = self.dequeue_callback = None
+
     def enqueue(self, frame: Frame) -> bool:
         """Push a frame into the interface queue.
 

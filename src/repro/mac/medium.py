@@ -317,6 +317,14 @@ class WirelessMedium:
         """
         self.frame_observers.append(observer)
 
+    def close(self) -> None:
+        """Drop every reference from the medium to its users — the MAC
+        listeners and the frame observers — and the end-of-transmission
+        partials, which are bound to the medium itself."""
+        self._nodes.clear()
+        self.frame_observers.clear()
+        self._finish_callbacks.clear()
+
     # ------------------------------------------------------------------ power
     def distance(self, a: int, b: int) -> float:
         xa, ya = self.positions[a]

@@ -118,6 +118,19 @@ class MeshNode:
         """Register ``listener(packet, success)`` fired per MAC-level completion."""
         self._tx_done_listeners.append(listener)
 
+    def close(self) -> None:
+        """Close the MAC and drop every registered handler and listener
+        (each one is bound to a source, sink, prober or monitor that
+        holds this node)."""
+        self.mac.close()
+        for registered in (
+            self._delivery_handlers,
+            self._broadcast_handlers,
+            self._dequeue_listeners,
+            self._tx_done_listeners,
+        ):
+            registered.clear()
+
     # -------------------------------------------------------------- routing
     def set_route(self, destination: int, next_hop: int) -> None:
         """Install or replace the next hop toward ``destination``."""

@@ -152,6 +152,11 @@ class ProbingSystem:
         """Stop scheduling new probes (in-flight probes still complete)."""
         self._running = False
 
+    def close(self) -> None:
+        """Drop the per-node partials, which are bound to this object
+        (the nodes drop the reception handlers)."""
+        self._probe_callbacks.clear()
+
     def _data_rates_of(self, node: MeshNode) -> list[PhyRate]:
         """Distinct modulations this node's DATA frames may use."""
         rates = {node.data_rate.name: node.data_rate}

@@ -40,6 +40,9 @@ Shared semantics:
   raw entry counts agree at every step.
 * ``len(scheduler)`` is the raw not-yet-popped entry count (live +
   lazily cancelled); ``live_count()`` is the live subset.
+* ``clear()`` drops every queued entry (``Simulator.close``): a queued
+  ``Event`` points back at its scheduler and, through its callback, at
+  whoever scheduled it, so a queue left full keeps the run alive.
 
 The bucketing function ``idx = int((time - base) * inv_width)`` is
 monotone in ``time`` (subtraction, positive multiply and ``int``
@@ -138,6 +141,10 @@ class HeapScheduler:
 
     def live_count(self) -> int:
         return sum(1 for entry in self._heap if not entry[2].cancelled)
+
+    def clear(self) -> None:
+        self._heap.clear()
+        self._cancelled = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -404,6 +411,12 @@ class CalendarScheduler:
             if bucket:
                 count += sum(1 for entry in bucket if not entry[2].cancelled)
         return count
+
+    def clear(self) -> None:
+        for bucket in self._buckets:
+            bucket.clear()
+        self._far.clear()
+        self._ptr = self._near = self._cancelled = 0
 
     def __len__(self) -> int:
         return self._near + len(self._far)

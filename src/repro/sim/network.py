@@ -132,6 +132,7 @@ class MeshNetwork:
         self.tcp_flows: dict[int, TcpFlowHandle] = {}
         self._next_flow_id = 0
         self.probing: ProbingSystem | None = None
+        self._closed = False
 
     # ---------------------------------------------------------------- helpers
     def node(self, node_id: int) -> MeshNode:
@@ -148,6 +149,8 @@ class MeshNetwork:
 
     def run(self, duration: float) -> None:
         """Advance the simulation by ``duration`` seconds."""
+        if self._closed:
+            raise RuntimeError("the network is closed")
         if duration < 0:
             raise ValueError("duration must be non-negative")
         self.sim.run_until(self.sim.now + duration)
@@ -155,6 +158,32 @@ class MeshNetwork:
     @property
     def now(self) -> float:
         return self.sim.now
+
+    def close(self) -> None:
+        """End the network's life (idempotent).
+
+        The assembly is cyclic by construction — queued events, stored
+        bound methods and registered handlers all point back at their
+        owners — so dropping the last reference to a network that ran
+        frees nothing until a cyclic collection.  ``close`` walks what
+        the network owns, top-down, and each layer cuts its own such
+        references; afterwards reference counting frees the whole graph
+        as soon as the caller lets go.  Counters, traces and sink logs
+        stay readable; :meth:`run` raises.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self.probing is not None:
+            self.probing.close()
+        for udp in self.udp_flows.values():
+            udp.stop()
+        for tcp in self.tcp_flows.values():
+            tcp.flow.source.close()
+        for node in self.nodes.values():
+            node.close()
+        self.medium.close()
+        self.sim.close()
 
     # --------------------------------------------------------------- dynamics
     def update_positions(self, moved: dict[int, tuple[float, float]]) -> None:

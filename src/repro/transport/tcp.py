@@ -181,6 +181,12 @@ class TcpSource:
             self._send_pending.cancel()
             self._send_pending = None
 
+    def close(self) -> None:
+        """Stop, and drop the pre-bound timer callbacks (bound methods
+        the source holds of itself)."""
+        self.stop()
+        self._on_send_retry_cb = self._on_timeout_cb = None
+
     # ----------------------------------------------------------------- sending
     @property
     def window_segments(self) -> int:

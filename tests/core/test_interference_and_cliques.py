@@ -1,5 +1,7 @@
 """Tests for LIR, interference maps, clique enumeration and conflict graphs."""
 
+import gc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +142,19 @@ class TestCliques:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             maximal_cliques({1: {1}})
+
+    def test_an_enumeration_leaves_no_reference_cycle(self):
+        """The controller enumerates once per cycle: a recursion that
+        holds itself (a nested function calling itself) would leave the
+        graph behind as cyclic garbage every time."""
+        adjacency = adjacency_from_edges(range(6), [(v, v + 1) for v in range(5)])
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(maximal_independent_sets(adjacency)) > 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.floats(min_value=0.1, max_value=0.7))

@@ -30,9 +30,18 @@ from repro.experiment.backends import (
     task_envelope,
 )
 from repro.experiment.broker import BrokerQueue, bucket_key, start_broker
-from repro.experiment.worker import drain
+from repro.experiment.worker import _Heartbeat, drain
 
 from _helpers import FAST_SPEC
+
+# Every socket a client opens is closed by its owner, not by the
+# collector: an unclosed one fails the test that leaked it.  (A warning
+# raised in a finalizer reaches pytest as an unraisable exception, which
+# it reports as a warning of its own — hence the second filter.)
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 def envelopes(*ids: str, lease_s: float = 5.0, max_attempts: int = 3) -> list:
@@ -284,6 +293,8 @@ class TestBrokerAuth:
         client = BrokerClient(server.url)  # env is clean: no token sent
         with pytest.raises(BrokerAuthError, match="refused"):
             client.stats()
+        # The refusal dropped the socket: nothing for anyone to close.
+        assert getattr(client._local, "connection", None) is None
 
     def test_wrong_token_is_refused_with_401(self, server):
         client = BrokerClient(server.url, token="wr0ng")
@@ -291,18 +302,20 @@ class TestBrokerAuth:
             client.submit(envelopes("a-00000"))
 
     def test_matching_token_round_trips(self, server):
-        client = BrokerClient(server.url, token="s3cret", match="a-")
-        assert client.submit(envelopes("a-00000")) == 1
-        task, claim = client.claim()
-        assert task["id"] == "a-00000"
-        client.complete(claim, {"id": "a-00000", "result": {"ok": 1}})
-        assert client.collect(match="a-")["results"][0]["result"] == {"ok": 1}
+        with BrokerClient(server.url, token="s3cret", match="a-") as client:
+            assert client.submit(envelopes("a-00000")) == 1
+            task, claim = client.claim()
+            assert task["id"] == "a-00000"
+            client.complete(claim, {"id": "a-00000", "result": {"ok": 1}})
+            assert client.collect(match="a-")["results"][0]["result"] == {"ok": 1}
+        assert getattr(client._local, "connection", None) is None
 
     def test_token_defaults_from_the_environment(self, server, monkeypatch):
         """Export REPRO_BROKER_TOKEN and every client — submitter,
         worker, spawned drainer — is armed without code changes."""
         monkeypatch.setenv(BROKER_TOKEN_ENV_VAR, "s3cret")
-        assert BrokerClient(server.url).stats()["pending"] == 0
+        with BrokerClient(server.url) as client:
+            assert client.stats()["pending"] == 0
 
     def test_auth_error_is_not_swallowed_as_an_outage(self):
         """BrokerAuthError must not be a ConnectionError: retry loops
@@ -342,39 +355,39 @@ class TestBrokerHTTP:
         server.server_close()
 
     def test_round_trip(self, server):
-        client = BrokerClient(server.url, match="h-")
-        assert client.submit(envelopes("h-00000")) == 1
-        task, claim = client.claim()
-        assert task["id"] == "h-00000" == claim
-        assert client._request("/heartbeat", {"id": claim})["ok"]
-        client.heartbeat(claim)
-        assert client._request(
-            "/result", {"id": "h-00000", "result": {"ok": 1}}
-        )["ok"]
-        response = client.collect(match="h-")
-        assert response["results"][0]["result"] == {"ok": 1}
-        assert client.cancel(["h-00000"]) == 0  # nothing pending/claimed...
-        stats = client.stats()
+        with BrokerClient(server.url, match="h-") as client:
+            assert client.submit(envelopes("h-00000")) == 1
+            task, claim = client.claim()
+            assert task["id"] == "h-00000" == claim
+            assert client._request("/heartbeat", {"id": claim})["ok"]
+            client.heartbeat(claim)
+            assert client._request(
+                "/result", {"id": "h-00000", "result": {"ok": 1}}
+            )["ok"]
+            response = client.collect(match="h-")
+            assert response["results"][0]["result"] == {"ok": 1}
+            assert client.cancel(["h-00000"]) == 0  # nothing pending/claimed...
+            stats = client.stats()
         # ...and the cancel purged the collected result from the tables.
         assert stats["pending"] == stats["claimed"] == stats["results"] == 0
 
     def test_unknown_endpoint_is_an_error(self, server):
-        client = BrokerClient(server.url)
-        with pytest.raises(BrokerUnavailable, match="404"):
-            client._request("/quantum", {})
+        with BrokerClient(server.url) as client:
+            with pytest.raises(BrokerUnavailable, match="404"):
+                client._request("/quantum", {})
 
     def test_collect_without_a_match_is_refused_not_widened(self, server):
         """A /collect body with no string ``match`` answers 400 naming
         the field; falling back to the empty prefix would match every
         bucket and hand one submitter every tenant's results."""
-        client = BrokerClient(server.url, match="theirs-")
-        client.submit(envelopes("theirs-00000"))
-        _, claim = client.claim()
-        client.complete(claim, {"id": "theirs-00000", "result": {"ok": 1}})
-        for body in ({"ack": []}, {"ids": ["theirs-00000"]}, {"match": None}):
-            with pytest.raises(BrokerUnavailable, match="400.*'match'"):
-                client._request("/collect", body)
-        assert client.stats()["results"] == 1  # untouched, unleaked
+        with BrokerClient(server.url, match="theirs-") as client:
+            client.submit(envelopes("theirs-00000"))
+            _, claim = client.claim()
+            client.complete(claim, {"id": "theirs-00000", "result": {"ok": 1}})
+            for body in ({"ack": []}, {"ids": ["theirs-00000"]}, {"match": None}):
+                with pytest.raises(BrokerUnavailable, match="400.*'match'"):
+                    client._request("/collect", body)
+            assert client.stats()["results"] == 1  # untouched, unleaked
 
     def test_requests_reuse_one_keepalive_connection(self, server):
         """The connection-churn fix: one TCP connection per thread, not
@@ -388,13 +401,38 @@ class TestBrokerHTTP:
         client.close()
         assert getattr(client._local, "connection", None) is None
 
+    def test_heartbeat_thread_closes_the_connection_it_opened(
+        self, server, monkeypatch
+    ):
+        """Connections are per thread, so the worker's heartbeat thread —
+        a new one per task — closes its own before it exits; the main
+        thread's connection is not its to touch."""
+        with BrokerClient(server.url, match="h-") as client:
+            client.submit(envelopes("h-00000"))
+            _, claim = client.claim()
+            beaten = threading.Event()
+            opened_by_the_thread = []
+            heartbeat = client.heartbeat
+
+            def recording(token):
+                heartbeat(token)
+                opened_by_the_thread.append(client._connection())
+                beaten.set()
+
+            monkeypatch.setattr(client, "heartbeat", recording)
+            with _Heartbeat(client, claim, 0.01):
+                assert beaten.wait(5.0), "the heartbeat thread never beat"
+            assert opened_by_the_thread[0].sock is None  # closed, by its owner
+            assert client._connection() is not opened_by_the_thread[0]
+            assert client._connection().sock is not None
+
     def test_client_recovers_from_a_dropped_connection(self, server):
         """A keep-alive socket the server closed surfaces on the *next*
         request; the client retries once on a fresh connection."""
-        client = BrokerClient(server.url)
-        client.stats()
-        client._connection().sock.close()  # simulate server-side idle drop
-        assert client.stats()["pending"] == 0  # healed transparently
+        with BrokerClient(server.url) as client:
+            client.stats()
+            client._connection().sock.close()  # simulate server-side idle drop
+            assert client.stats()["pending"] == 0  # healed transparently
 
     def test_peer_reset_mid_request_leaves_no_traceback(
         self, server, capsys, monkeypatch
@@ -437,16 +475,15 @@ class TestBrokerHTTP:
 
     def test_worker_drains_over_http(self, server):
         """The broker-mode worker loop end to end, in this process."""
-        client = BrokerClient(server.url)
         payload = FAST_SPEC.to_dict()
-        client.submit(
-            [task_envelope("h-00000", payload), task_envelope("h-00001", payload)]
-        )
-        executed = drain(
-            BrokerClient(server.url, match="h-"), exit_when_empty=True
-        )
-        assert executed == 2
-        response = client.collect(match="h-")
+        with BrokerClient(server.url) as client:
+            client.submit(
+                [task_envelope("h-00000", payload), task_envelope("h-00001", payload)]
+            )
+            with BrokerClient(server.url, match="h-") as worker:
+                executed = drain(worker, exit_when_empty=True)
+            assert executed == 2
+            response = client.collect(match="h-")
         assert len(response["results"]) == 2
         assert all(env.get("error") is None for env in response["results"])
 
@@ -473,13 +510,15 @@ class TestBrokerBackendIntegration:
 
         server = start_broker()
         try:
-            # A long-lived "remote" worker polling the broker.
-            fleet = threading.Thread(
-                target=drain,
-                args=(BrokerClient(server.url),),
-                kwargs={"idle_timeout_s": 30.0, "poll_interval_s": 0.05},
-                daemon=True,
-            )
+            # A "remote" worker polling the broker until the sweep's one
+            # task is done (the idle timeout only bounds a failing test).
+            def remote_worker():
+                with BrokerClient(server.url) as client:
+                    drain(
+                        client, max_tasks=1, idle_timeout_s=30.0, poll_interval_s=0.05
+                    )
+
+            fleet = threading.Thread(target=remote_worker, daemon=True)
             fleet.start()
             backend = BrokerBackend(server.url, workers=0, timeout_s=60.0)
             batch = BatchRunner([FAST_SPEC], backend=backend, cache=False).run()
@@ -490,6 +529,8 @@ class TestBrokerBackendIntegration:
                 batch.to_dicts(include_runtime=False)
             ) == json.dumps(reference.to_dicts(include_runtime=False))
             assert backend.last_run_stats.spawned == 0  # nothing local
+            fleet.join(timeout=10.0)
+            assert not fleet.is_alive()  # gone, its connection closed
         finally:
             server.shutdown()
             server.server_close()

@@ -83,6 +83,27 @@ class TestScheduling:
         sim.run_until(1.0)
         assert sim.processed_events == 1
 
+    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+    def test_close_drops_every_queued_event(self, scheduler):
+        """Near (bucketed), far (spilled), consumed-bucket and cancelled
+        entries all go; nothing queued fires afterwards and the queue
+        keeps its order for whatever is scheduled next."""
+        sim = Simulator(scheduler=scheduler)
+        fired = []
+        for delay in (0.001, 0.0011, 0.3, 5.0, 90.0):
+            sim.schedule(delay, lambda d=delay: fired.append(d))
+        sim.schedule(0.2, lambda: fired.append("cancelled")).cancel()
+        sim.run_until(0.00105)  # mid-bucket: one consumed, one waiting
+        assert fired == [0.001]
+        sim.close()
+        assert sim.pending_events == sim.queued_entries == 0
+        sim.run_until(100.0)
+        assert fired == [0.001]
+        sim.schedule(2.0, lambda: fired.append("late"))
+        sim.schedule(1.0, lambda: fired.append("early"))
+        sim.run_until(200.0)
+        assert fired == [0.001, "early", "late"]
+
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40))
     def test_arbitrary_delays_execute_sorted(self, delays):
         sim = Simulator()
