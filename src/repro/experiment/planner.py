@@ -98,7 +98,7 @@ def _dynamics_factor(scenario: Mapping[str, Any], horizon_s: float) -> float:
     """Cost multiplier for a scenario payload's dynamics axes.
 
     Position epochs each rebuild the moved rows of the power tables and
-    re-fill the invalidated PER/resolution memos, so cost grows with the
+    re-fill the cleared reception memo, so cost grows with the
     epoch *count* over the run horizon; churn events are rarer but each
     one quiesces and revives a node.  Static payloads (no ``mobility``,
     no ``churn`` key) return exactly 1.0, leaving historical orderings

@@ -98,26 +98,19 @@ class DcfMac:
         self._transmitting = False
         self._down = False
         self._pending_control: deque[Frame] = deque()
-        # Hot-path constants and bindings.  ``config`` and ``ack_rate``
-        # are fixed for the MAC's lifetime, so the derived timings are
-        # computed once — by the same expressions the per-frame code
-        # used, so the floats are bit-identical.
-        self._difs_s = config.difs_s
-        self._slot_s = config.slot_s
-        self._sifs_s = config.sifs_s
-        self._cw_min = config.cw_min
+        # ``config`` and ``ack_rate`` are fixed for the MAC's lifetime,
+        # so the ACK timeout, which costs an airtime computation, is
+        # derived once.
         self._ack_timeout_s = (
             config.sifs_s
             + frame_airtime(ACK_FRAME_BYTES, ack_rate)
             + config.ack_timeout_slack_s
         )
         self._medium_is_busy = medium.is_busy
-        # Pre-bound ACK sender: DATA receptions enqueue the ACK and
-        # schedule this single bound method instead of building a fresh
-        # ``partial`` per frame.  The outbox is FIFO and SIFS is a
-        # constant, so scheduling order equals send order.
+        # DATA receptions enqueue the ACK here and schedule
+        # ``_send_next_control_frame`` SIFS later.  The outbox is FIFO
+        # and SIFS is a constant, so scheduling order equals send order.
         self._ack_outbox: deque[Frame] = deque()
-        self._send_next_control = self._send_next_control_frame
         medium.register_mac(node_id, self)
 
     # ------------------------------------------------------------- queueing
@@ -159,7 +152,7 @@ class DcfMac:
         self.current = None
         self._pending_control.clear()
         self._ack_outbox.clear()
-        self._cw = self._cw_min
+        self._cw = self.config.cw_min
         self._backoff_slots = 0
 
     def revive(self) -> None:
@@ -174,10 +167,9 @@ class DcfMac:
         self._down = False
 
     def close(self) -> None:
-        """Quiesce for good, and drop the bound method the station holds
-        of itself and the callbacks into the node that owns it."""
+        """Quiesce for good, and drop the callbacks into the node that
+        owns the station."""
         self.quiesce()
-        self._send_next_control = None
         self.rx_callback = self.tx_done_callback = self.dequeue_callback = None
 
     def enqueue(self, frame: Frame) -> bool:
@@ -205,7 +197,7 @@ class DcfMac:
         self.current = self.queue.popleft()
         if self.dequeue_callback is not None:
             self.dequeue_callback()
-        self._cw = self._cw_min
+        self._cw = self.config.cw_min
         self._backoff_slots = int(self._rng.integers(0, self._cw + 1))
         self._try_access()
 
@@ -221,7 +213,7 @@ class DcfMac:
         if self._medium_is_busy(self.node_id):
             return
         self._access_idle_start = self.sim.now
-        delay = self._difs_s + self._backoff_slots * self._slot_s
+        delay = self.config.difs_s + self._backoff_slots * self.config.slot_s
         self._access_event = self.sim.schedule(delay, self._transmit_current)
 
     def on_medium_busy(self) -> None:
@@ -229,31 +221,15 @@ class DcfMac:
         event = self._access_event
         if event is None:
             return
-        elapsed = self.sim.now - self._access_idle_start - self._difs_s
+        elapsed = self.sim.now - self._access_idle_start - self.config.difs_s
         if elapsed > 0:
-            consumed = int(elapsed / self._slot_s)
+            consumed = int(elapsed / self.config.slot_s)
             self._backoff_slots = max(0, self._backoff_slots - consumed)
         event.cancel()
         self._access_event = None
 
-    def on_medium_idle(self) -> None:
-        """Carrier sense went idle: resume (or start) channel access.
-
-        This is ``_try_access`` with the carrier-sense re-check elided:
-        the medium invokes it synchronously at the moment it flipped
-        this node's busy state to idle, so ``is_busy`` is False by
-        construction (not transmitting, sensed energy below threshold).
-        """
-        if (
-            self.current is None
-            or self._access_event is not None
-            or self._transmitting
-            or self._waiting_ack
-        ):
-            return
-        self._access_idle_start = self.sim.now
-        delay = self._difs_s + self._backoff_slots * self._slot_s
-        self._access_event = self.sim.schedule(delay, self._transmit_current)
+    #: Carrier sense went idle: resume (or start) channel access.
+    on_medium_idle = _try_access
 
     def _transmit_current(self) -> None:
         self._access_event = None
@@ -305,7 +281,7 @@ class DcfMac:
         if frame.kind is FrameKind.DATA and frame.dst == self.node_id:
             self.stats.data_received += 1
             self._ack_outbox.append(make_ack(frame, ACK_FRAME_BYTES, self.ack_rate))
-            self.sim.schedule(self._sifs_s, self._send_next_control)
+            self.sim.schedule(self.config.sifs_s, self._send_next_control_frame)
             if self.rx_callback is not None:
                 self.rx_callback(frame.payload, from_id, frame)
             return
@@ -360,7 +336,7 @@ class DcfMac:
     def _complete_current(self, success: bool) -> None:
         frame = self.current
         self.current = None
-        self._cw = self._cw_min
+        self._cw = self.config.cw_min
         if success:
             self.stats.successes += 1
         if frame is not None and self.tx_done_callback is not None:

@@ -169,8 +169,6 @@ class WirelessMedium:
         # the numpy call overhead once per block.
         self._rand_buf: list[float] = []
         self._rand_pos = 0
-        self._per_cache: dict[tuple[int, int, float, int], float] = {}
-        self._airtime_cache: dict[tuple[int, float], float] = {}
         # Interference-signature memo: link powers are frozen between
         # position epochs, so the whole deterministic part of reception
         # resolution (weak / capture verdict, residual PER,
@@ -178,13 +176,13 @@ class WirelessMedium:
         # length, peak interference)``.  Saturated cells repeat the same
         # few overlap patterns for the whole run, so after warm-up nearly
         # every delivery is a single dict hit that skips the
-        # SINR/error-model math entirely.  The random draws stay
-        # *outside* the memo — the draw sequence is identical to the
-        # uncached path.
+        # SINR/error-model math entirely.  It is the only memo of the
+        # error model: what it misses is computed, not looked up again
+        # one level down.  The random draws stay *outside* the memo —
+        # the draw sequence is identical to the uncached path.
         self._resolve_cache: dict[
             tuple[int, int, float, int, float], tuple[str | None, float, float]
         ] = {}
-        self._bcast_receivers: dict[tuple[int, float], list[int]] = {}
         # Nodes whose radio is off (churn failures).  Receptions at an
         # inactive node fail with "rx_off"; the empty-set falsy check
         # keeps the static hot path to one local load and a bool test.
@@ -198,11 +196,6 @@ class WirelessMedium:
             for b in self.positions:
                 self._dbm[a][b], self._mw[a][b] = self._link_power(a, b)
         self._cs_threshold_mw = dbm_to_mw(self.radio.cs_threshold_dbm)
-        # One end-of-transmission callback per node, built once instead
-        # of a fresh closure per frame.
-        self._finish_callbacks = {
-            node: partial(self._finish_transmission, node) for node in self.positions
-        }
 
     def _link_power(self, tx: int, rx: int) -> tuple[float, float]:
         """Received power at ``rx`` from ``tx`` as ``(dBm, mW)``.
@@ -235,11 +228,9 @@ class WirelessMedium:
           :class:`_Transmission`, so every add/remove pair stays exactly
           balanced across the epoch and no busy/idle notification fires
           at the epoch instant.
-        * memo invalidation is exact: ``_per_cache`` and
-          ``_resolve_cache`` drop only keys whose tx or rx moved;
-          ``_bcast_receivers`` (a function of every pairwise power) is
-          cleared wholesale; ``_airtime_cache`` is keyed ``(size,
-          rate)`` — position-independent — and survives.
+        * the one memo of the power tables, ``_resolve_cache``, is
+          cleared, so the next delivery on any link resolves against
+          the table as it now stands.
         * no RNG stream is touched and no event is scheduled, so a run
           with zero moves is event- and draw-identical to a static run.
 
@@ -263,11 +254,7 @@ class WirelessMedium:
                 dbm[a][b], mw[a][b] = self._link_power(a, b)
                 if b not in moved:  # else (b, a) is covered by b's own row
                     dbm[b][a], mw[b][a] = self._link_power(b, a)
-        for cache in (self._per_cache, self._resolve_cache):
-            stale = [key for key in cache if key[0] in moved or key[1] in moved]
-            for key in stale:
-                del cache[key]
-        self._bcast_receivers.clear()
+        self._resolve_cache.clear()
 
     def set_node_active(self, node_id: int, active: bool) -> None:
         """Turn a node's radio on or off (churn join/fail).
@@ -318,12 +305,10 @@ class WirelessMedium:
         self.frame_observers.append(observer)
 
     def close(self) -> None:
-        """Drop every reference from the medium to its users — the MAC
-        listeners and the frame observers — and the end-of-transmission
-        partials, which are bound to the medium itself."""
+        """Drop every reference from the medium to its users: the MAC
+        listeners and the frame observers."""
         self._nodes.clear()
         self.frame_observers.clear()
-        self._finish_callbacks.clear()
 
     # ------------------------------------------------------------------ power
     def distance(self, a: int, b: int) -> float:
@@ -361,20 +346,13 @@ class WirelessMedium:
     def _intended_receivers(self, tx_id: int, frame: Frame) -> list[int]:
         if not frame.is_broadcast:
             return [frame.dst] if frame.dst in self.positions else []
-        # Who hears a broadcast depends only on the link powers (frozen
-        # between position epochs) and the rate's sensitivity — memoised
-        # per (tx, sensitivity).
+        # A broadcast is heard wherever the link clears the rate's
+        # sensitivity.
         sensitivity = frame.rate.rx_sensitivity_dbm
-        key = (tx_id, sensitivity)
-        receivers = self._bcast_receivers.get(key)
-        if receivers is None:
-            row_dbm = self._dbm[tx_id]
-            receivers = self._bcast_receivers[key] = [
-                node
-                for node in self.positions
-                if node != tx_id and row_dbm[node] >= sensitivity
-            ]
-        return receivers
+        row_dbm = self._dbm[tx_id]
+        return [
+            node for node in self.positions if node != tx_id and row_dbm[node] >= sensitivity
+        ]
 
     def begin_transmission(self, tx_id: int, frame: Frame) -> float:
         """Start putting ``frame`` on the air from ``tx_id``.
@@ -386,12 +364,7 @@ class WirelessMedium:
         transmitting = self._transmitting
         if tx_id in transmitting:
             raise RuntimeError(f"node {tx_id} is already transmitting")
-        airtime_key = (frame.size_bytes, frame.rate.bps)
-        duration = self._airtime_cache.get(airtime_key)
-        if duration is None:
-            duration = self._airtime_cache[airtime_key] = frame_airtime(
-                frame.size_bytes, frame.rate
-            )
+        duration = frame_airtime(frame.size_bytes, frame.rate)
         mw = self._mw
         row_mw = mw[tx_id]
         transmission = _Transmission(tx_id, frame, row_mw)
@@ -451,7 +424,7 @@ class WirelessMedium:
             if not node.busy and (node_id == tx_id or node.sensed_mw >= threshold):
                 node.busy = True
                 node.listener.on_medium_busy()
-        self.sim.schedule(duration, self._finish_callbacks[tx_id])
+        self.sim.schedule(duration, partial(self._finish_transmission, tx_id))
         return duration
 
     def _finish_transmission(self, tx_id: int) -> None:
@@ -504,18 +477,6 @@ class WirelessMedium:
         return buf[pos]
 
     def _channel_error_probability(self, tx_id: int, rx_id: int, frame: Frame) -> float:
-        # Link SNRs only change at position epochs, so the residual error
-        # probability is a constant per (link, rate, length) — memoised
-        # here to keep the error model out of the per-frame path.
-        key = (tx_id, rx_id, frame.rate.bps, frame.size_bytes)
-        per = self._per_cache.get(key)
-        if per is None:
-            per = self._per_cache[key] = self._compute_channel_error_probability(
-                tx_id, rx_id, frame
-            )
-        return per
-
-    def _compute_channel_error_probability(self, tx_id: int, rx_id: int, frame: Frame) -> float:
         override = self.link_error_override.get((tx_id, rx_id))
         if override is not None:
             # The override is specified for a nominal 1500-byte frame;
@@ -539,8 +500,8 @@ class WirelessMedium:
         probability, and the partial-capture error probability (0.0 when
         there was no overlap).  Everything here is a pure function of
         the key ``(tx, rx, rate, length, peak interference)`` because
-        link powers only change at position epochs, which drop the
-        affected keys.
+        link powers only change at position epochs, which clear the
+        memo.
         """
         rate = frame.rate
         signal_dbm = self._dbm[tx_id][rx_id]

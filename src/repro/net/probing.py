@@ -91,14 +91,7 @@ class ProbingSystem:
         self._rng = sim.rng_stream("probing")
         self._sent: dict[tuple[int, str], int] = {}
         self._logs: dict[tuple[int, int, str], _ProbeLog] = {}
-        self._label_cache: dict[tuple[str, str], str] = {}
         self._running = False
-        # One reusable reschedule callback per node: probing fires every
-        # period for the whole run, so the per-fire lambda allocation is
-        # hoisted out of the hot path.
-        self._probe_callbacks = {
-            node_id: partial(self._probe_once, node_id) for node_id in self.nodes
-        }
         for node in self.nodes.values():
             node.add_broadcast_handler(self._make_handler(node.node_id))
 
@@ -121,17 +114,10 @@ class ProbingSystem:
         return f"{kind}@{rate.name}"
 
     def _record(self, receiver_id: int, payload: ProbePayload) -> None:
-        # Hot path: one call per probe reception.  The label strings are
-        # memoised and the log is only allocated on first sight of a
-        # (sender, receiver, label) stream.
+        # One call per probe reception; the log is only allocated on
+        # first sight of a (sender, receiver, label) stream.
         rate_name = payload.rate_name
-        if rate_name:
-            label_key = (payload.kind, rate_name)
-            label = self._label_cache.get(label_key)
-            if label is None:
-                label = self._label_cache[label_key] = f"{payload.kind}@{rate_name}"
-        else:
-            label = payload.kind
+        label = f"{payload.kind}@{rate_name}" if rate_name else payload.kind
         key = (payload.sender, receiver_id, label)
         log = self._logs.get(key)
         if log is None:
@@ -146,16 +132,11 @@ class ProbingSystem:
         self._running = True
         for node_id in self.nodes:
             offset = float(self._rng.uniform(0.0, self.period_s))
-            self.sim.schedule(offset, self._probe_callbacks[node_id])
+            self.sim.schedule(offset, partial(self._probe_once, node_id))
 
     def stop(self) -> None:
         """Stop scheduling new probes (in-flight probes still complete)."""
         self._running = False
-
-    def close(self) -> None:
-        """Drop the per-node partials, which are bound to this object
-        (the nodes drop the reception handlers)."""
-        self._probe_callbacks.clear()
 
     def _data_rates_of(self, node: MeshNode) -> list[PhyRate]:
         """Distinct modulations this node's DATA frames may use."""
@@ -184,7 +165,9 @@ class ProbingSystem:
             )
             node.broadcast(payload, size, rate)
         jitter = float(self._rng.uniform(-1.0, 1.0)) * self.jitter_fraction * self.period_s
-        self.sim.schedule(max(1e-6, self.period_s + jitter), self._probe_callbacks[node_id])
+        self.sim.schedule(
+            max(1e-6, self.period_s + jitter), partial(self._probe_once, node_id)
+        )
 
     # ------------------------------------------------------------- reporting
     def _resolve_rate(self, sender: int, kind: str, rate: PhyRate | None) -> PhyRate | None:

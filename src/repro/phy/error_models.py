@@ -18,7 +18,7 @@ lower loss rate than DATA-sized probes, exactly as in the testbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.phy.radio import PhyRate
 
@@ -90,7 +90,6 @@ class BerPacketErrorModel(ErrorModel):
     min_ber: float = 1e-8
     max_ber: float = 0.5
     reference_snr_offset_db: float = 0.0
-    _cache: dict[tuple[float, float, int], float] = field(default_factory=dict, repr=False)
 
     def bit_error_rate(self, snr_db: float, rate: PhyRate) -> float:
         """Bit error rate at the given SNR for the given modulation."""
@@ -101,13 +100,10 @@ class BerPacketErrorModel(ErrorModel):
     def packet_error_probability(
         self, snr_db: float, rate: PhyRate, frame_bytes: int
     ) -> float:
-        key = (round(snr_db, 3), rate.bps, frame_bytes)
-        if key not in self._cache:
-            ber = self.bit_error_rate(snr_db, rate)
-            bits = 8 * max(frame_bytes, 1)
-            if ber >= self.max_ber:
-                per = 1.0
-            else:
-                per = 1.0 - (1.0 - ber) ** bits
-            self._cache[key] = min(1.0, max(0.0, per))
-        return self._cache[key]
+        ber = self.bit_error_rate(snr_db, rate)
+        bits = 8 * max(frame_bytes, 1)
+        if ber >= self.max_ber:
+            per = 1.0
+        else:
+            per = 1.0 - (1.0 - ber) ** bits
+        return min(1.0, max(0.0, per))

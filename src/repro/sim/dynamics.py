@@ -14,7 +14,7 @@ against a built :class:`~repro.sim.network.MeshNetwork`:
   *position epoch* at a time; each epoch the driver pushes the nodes
   that actually moved through :meth:`MeshNetwork.update_positions`,
   which rebuilds only the affected power-table rows/columns of the
-  medium and invalidates only the memo entries those nodes touch.
+  medium and clears its reception memo.
 * **Churn schedules** (:func:`generate_churn_schedule`) are seeded
   fail/join event lists; the driver applies them via
   :meth:`MeshNetwork.fail_node` / :meth:`MeshNetwork.revive_node`,

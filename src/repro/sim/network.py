@@ -20,7 +20,6 @@ from repro.phy.propagation import LogDistancePathLoss, PropagationModel
 from repro.phy.radio import PhyRate, RadioConfig, rate_from_mbps
 from repro.phy.sinr import CaptureModel
 from repro.engine import Simulator
-from repro.sim.trace import LinkTracer
 from repro.transport.tcp import TcpFlow, make_tcp_flow
 from repro.transport.udp import UdpSink, UdpSource
 
@@ -127,7 +126,6 @@ class MeshNetwork:
             )
             for node_id in positions
         }
-        self.tracer = LinkTracer(self.sim, self.medium)
         self.udp_flows: dict[int, UdpFlowHandle] = {}
         self.tcp_flows: dict[int, TcpFlowHandle] = {}
         self._next_flow_id = 0
@@ -162,24 +160,22 @@ class MeshNetwork:
     def close(self) -> None:
         """End the network's life (idempotent).
 
-        The assembly is cyclic by construction — queued events, stored
-        bound methods and registered handlers all point back at their
-        owners — so dropping the last reference to a network that ran
-        frees nothing until a cyclic collection.  ``close`` walks what
-        the network owns, top-down, and each layer cuts its own such
-        references; afterwards reference counting frees the whole graph
-        as soon as the caller lets go.  Counters, traces and sink logs
-        stay readable; :meth:`run` raises.
+        The assembly is cyclic by construction — queued events and
+        registered handlers point back at their owners — so dropping
+        the last reference to a network that ran frees nothing until a
+        cyclic collection.  ``close`` walks what the network owns,
+        top-down, and each layer cuts its own such references;
+        afterwards reference counting frees the whole graph as soon as
+        the caller lets go.  Counters, traces and sink logs stay
+        readable; :meth:`run` raises.
         """
         if self._closed:
             return
         self._closed = True
-        if self.probing is not None:
-            self.probing.close()
         for udp in self.udp_flows.values():
             udp.stop()
         for tcp in self.tcp_flows.values():
-            tcp.flow.source.close()
+            tcp.stop()
         for node in self.nodes.values():
             node.close()
         self.medium.close()
@@ -188,8 +184,8 @@ class MeshNetwork:
     # --------------------------------------------------------------- dynamics
     def update_positions(self, moved: dict[int, tuple[float, float]]) -> None:
         """Move nodes (a position epoch): the medium rebuilds only the
-        power-table rows/columns of the moved nodes and invalidates the
-        memo entries they touch (see
+        power-table rows/columns of the moved nodes and clears what it
+        memoised from the table (see
         :meth:`repro.mac.medium.WirelessMedium.update_positions`)."""
         self.medium.update_positions(moved)
         for node_id, (x, y) in moved.items():

@@ -29,12 +29,9 @@ The context manager installs the profiler process-wide for its scope, so
 simulators constructed *inside* the block (as ``run_experiment`` does)
 are profiled too.
 
-Command line: ``python -m repro.sim.profile <scenario>`` runs one cold
-cell of a named scenario under the profiler and prints the top-N
-inclusive-time table — this is how the profile published in
-``docs/architecture.md`` is regenerated::
-
-    python -m repro.sim.profile fig14-cell --top 15
+The performance ledger's traced run is the command-line front end:
+``python3 benchmarks/ledger/run.py --workload cell_static --trace``
+runs the Figure 14 cell under this profiler and records the site table.
 """
 
 from __future__ import annotations
@@ -141,121 +138,3 @@ class SimProfiler:
             f"| **total** | {self.total_events} | {self.total_wall_s:.3f} | 100% |"
         )
         return "\n".join(lines)
-
-
-# --------------------------------------------------------------------- CLI
-def _profile_specs():
-    """Named single-cell experiment specs the CLI can profile.
-
-    Built lazily so importing this module never pulls in the experiment
-    stack (the engine hook must stay import-light).
-    """
-    from repro.experiment import (
-        ChurnSpec,
-        ControllerSpec,
-        ExperimentSpec,
-        MobilitySpec,
-        ProbingSpec,
-        ScenarioSpec,
-        TopologySpec,
-        WorkloadSpec,
-    )
-
-    return {
-        # One Figure 14 grid cell (random_multiflow / tcp / Prop
-        # variant) — the repeated unit whose cost dominates the figure
-        # sweeps; the ledger's ``cell_static`` workload times it.
-        "fig14-cell": ExperimentSpec(
-            scenario=ScenarioSpec(
-                scenario="random_multiflow",
-                transport="tcp",
-                run_seed=1000,
-                seed=7,
-                num_flows=3,
-                rate_mode="11",
-            ),
-            probing=ProbingSpec(warmup_s=45.0),
-            controller=ControllerSpec(alpha=1.0, probing_window=80, payload_bytes=1460),
-            cycles=1,
-            cycle_measure_s=12.0,
-            settle_s=2.0,
-            label="profile-fig14-cell",
-        ),
-        # A dynamic variant of the Figure 14 cell: a connected 3x3 grid
-        # under waypoint mobility with one mid-run churn cycle, so the
-        # position-epoch rebuild and memo-invalidation paths show up in
-        # the site table next to the static MAC/PHY costs.
-        "fig14-cell-mobile": ExperimentSpec(
-            scenario=ScenarioSpec(
-                scenario="generated",
-                seed=7,
-                run_seed=1000,
-                rate_mode="11",
-                topology=TopologySpec(kind="grid", rows=3, cols=3, spacing_m=60.0),
-                workload=WorkloadSpec(
-                    generator="saturated_udp", num_flows=3, max_hops=3
-                ),
-                mobility=MobilitySpec(
-                    model="waypoint", epoch_s=1.0, speed_mps=2.0
-                ),
-                churn=ChurnSpec(
-                    num_events=1, start_s=50.0, end_s=55.0, down_s=5.0
-                ),
-            ),
-            probing=ProbingSpec(warmup_s=45.0),
-            controller=ControllerSpec(alpha=1.0, probing_window=80, payload_bytes=1460),
-            cycles=1,
-            cycle_measure_s=12.0,
-            settle_s=2.0,
-            label="profile-fig14-cell-mobile",
-        ),
-        # One Figure 13 starvation cell (TCP-Prop variant).
-        "fig13-cell": ExperimentSpec(
-            scenario=ScenarioSpec(scenario="starvation", seed=0, data_rate_mbps=1),
-            probing=ProbingSpec(warmup_s=50.0),
-            controller=ControllerSpec(alpha=1.0, probing_window=90),
-            cycles=1,
-            cycle_measure_s=20.0,
-            settle_s=5.0,
-            label="profile-fig13-cell",
-        ),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run one cold cell under the profiler and print the site table."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim.profile",
-        description="Profile one cold simulation cell per callback site.",
-    )
-    parser.add_argument(
-        "scenario",
-        choices=sorted(_profile_specs()),
-        help="which single-cell scenario to run",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=15,
-        metavar="N",
-        help="rows to print (default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.experiment import run_experiment
-
-    spec = _profile_specs()[args.scenario]
-    start = perf_counter()
-    with SimProfiler() as prof:
-        # cache=False keeps the run cold: the point is the wall clock.
-        run_experiment(spec, cache=False)
-    wall_s = perf_counter() - start
-    print(f"# {args.scenario}: cold wall {wall_s:.3f} s, {prof.total_events} events")
-    print(prof.render(top=args.top))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI test
-    raise SystemExit(main())

@@ -1,24 +1,19 @@
-"""Link-level measurement traces.
+"""Delivery-attempt traces.
 
-The tracer observes every delivery attempt on the medium and aggregates
-per-directed-link statistics: attempts, successes, losses by cause, and
-time-stamped successful DATA deliveries so per-link throughput can be
-computed over arbitrary windows.  This is the simulator-side stand-in for
-the packet sniffers and iperf reports used on the real testbed.
+A trace is a frame observer on the medium
+(:meth:`repro.mac.medium.WirelessMedium.add_frame_observer`): it sees
+every delivery attempt at every intended receiver, with its outcome and
+loss cause.  Nothing observes by default — a network records only what
+something registered to read.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
-from dataclasses import dataclass, field
 
-from repro.mac.frames import Frame, FrameKind
+from repro.mac.frames import Frame
 from repro.mac.medium import WirelessMedium
 from repro.engine import Simulator
-
-
-Link = tuple[int, int]
 
 
 class EventTraceRecorder:
@@ -65,61 +60,3 @@ class EventTraceRecorder:
     def digest(self) -> str:
         """Hex SHA-256 over every trace line folded in so far."""
         return self._hash.hexdigest()
-
-
-@dataclass
-class LinkCounters:
-    """Delivery statistics of one directed link."""
-
-    attempts: int = 0
-    successes: int = 0
-    losses_by_cause: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def loss_rate(self) -> float:
-        if self.attempts == 0:
-            return 0.0
-        return 1.0 - self.successes / self.attempts
-
-
-class LinkTracer:
-    """Observes the medium and aggregates per-link delivery statistics."""
-
-    def __init__(self, sim: Simulator, medium: WirelessMedium) -> None:
-        self.sim = sim
-        self.counters: dict[tuple[Link, FrameKind], LinkCounters] = defaultdict(LinkCounters)
-        self._data_deliveries: dict[Link, list[tuple[float, int]]] = defaultdict(list)
-        medium.add_frame_observer(self._observe)
-
-    def _observe(self, frame: Frame, rx_id: int, success: bool, failure: str | None) -> None:
-        link = (frame.src, rx_id)
-        counters = self.counters[(link, frame.kind)]
-        counters.attempts += 1
-        if success:
-            counters.successes += 1
-            if frame.kind is FrameKind.DATA:
-                self._data_deliveries[link].append((self.sim.now, frame.size_bytes))
-        else:
-            counters.losses_by_cause[failure] = counters.losses_by_cause.get(failure, 0) + 1
-
-    # ----------------------------------------------------------------- queries
-    def link_counters(self, link: Link, kind: FrameKind = FrameKind.DATA) -> LinkCounters:
-        """Counters of a directed link for a frame kind (zeroed if unseen)."""
-        return self.counters.get((link, kind), LinkCounters())
-
-    def data_loss_rate(self, link: Link) -> float:
-        """Fraction of DATA frame delivery attempts that failed on ``link``."""
-        return self.link_counters(link, FrameKind.DATA).loss_rate
-
-    def data_throughput_bps(self, link: Link, start: float, end: float) -> float:
-        """Successful DATA bits per second on ``link`` over [start, end)."""
-        if end <= start:
-            raise ValueError("window end must exceed start")
-        total = sum(
-            size for t, size in self._data_deliveries.get(link, []) if start <= t < end
-        )
-        return total * 8 / (end - start)
-
-    def active_links(self) -> list[Link]:
-        """Directed links over which at least one DATA frame was attempted."""
-        return sorted({link for (link, kind) in self.counters if kind is FrameKind.DATA})

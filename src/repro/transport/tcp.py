@@ -142,12 +142,8 @@ class TcpSource:
         self._send_times: dict[int, float] = {}
         self._retransmitted: set[int] = set()
         self._active = False
-        # Hot-path constants and pre-bound timer callbacks: referencing
-        # ``self._on_timeout`` builds a fresh bound-method object every
-        # time, and the RTO timer re-arms on every cumulative ACK.
+        # Approximate on-air segment size, used for shaping decisions.
         self._wire_bytes = mss_bytes + 40
-        self._on_send_retry_cb = self._on_send_retry
-        self._on_timeout_cb = self._on_timeout
         node.add_delivery_handler(self._on_delivery)
 
     # ------------------------------------------------------------------ control
@@ -181,20 +177,10 @@ class TcpSource:
             self._send_pending.cancel()
             self._send_pending = None
 
-    def close(self) -> None:
-        """Stop, and drop the pre-bound timer callbacks (bound methods
-        the source holds of itself)."""
-        self.stop()
-        self._on_send_retry_cb = self._on_timeout_cb = None
-
     # ----------------------------------------------------------------- sending
     @property
     def window_segments(self) -> int:
         return int(min(self.cwnd, self.max_cwnd_segments))
-
-    def _segment_wire_bytes(self) -> int:
-        # Approximate on-air size used for shaping decisions.
-        return self._wire_bytes
 
     def _try_send(self) -> None:
         if not self._active:
@@ -214,7 +200,7 @@ class TcpSource:
     def _schedule_send_retry(self, delay: float) -> None:
         if self._send_pending is not None:
             self._send_pending.cancel()
-        self._send_pending = self.sim.schedule(delay, self._on_send_retry_cb)
+        self._send_pending = self.sim.schedule(delay, self._on_send_retry)
 
     def _on_send_retry(self) -> None:
         self._send_pending = None
@@ -245,7 +231,7 @@ class TcpSource:
     def _arm_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
-        self._timer = self.sim.schedule(self.rto_s, self._on_timeout_cb)
+        self._timer = self.sim.schedule(self.rto_s, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:

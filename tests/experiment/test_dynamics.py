@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.experiment import (
     SpecError,
     TopologySpec,
     WorkloadSpec,
+    build_scenario,
     estimate_cost_s,
     run_experiment,
     spec_digest,
@@ -218,12 +220,33 @@ class TestPlannerCosts:
         assert estimate_cost_s(static) == pytest.approx(expected)
 
 
-class TestProfileCli:
-    def test_dynamic_cell_is_registered(self):
-        from repro.sim.profile import _profile_specs
-
-        specs = _profile_specs()
-        assert "fig14-cell-mobile" in specs
-        spec = specs["fig14-cell-mobile"]
+class TestMobileFigure14Cell:
+    def test_the_mobile_cell_builds_with_both_dynamics(self):
+        """The dynamic variant of the Figure 14 cell (a 3x3 grid under
+        waypoint mobility, one churn cycle inside the measured window of
+        a 45 s warm-up + 12 s cycle): a valid spec whose scenario carries
+        a trajectory and a fail/rejoin pair."""
+        spec = ExperimentSpec(
+            scenario=ScenarioSpec(
+                scenario="generated",
+                seed=7,
+                run_seed=1000,
+                rate_mode="11",
+                topology=TopologySpec(kind="grid", rows=3, cols=3, spacing_m=60.0),
+                workload=WorkloadSpec(generator="saturated_udp", num_flows=3, max_hops=3),
+                mobility=MobilitySpec(model="waypoint", epoch_s=1.0, speed_mps=2.0),
+                churn=ChurnSpec(num_events=1, start_s=50.0, end_s=55.0, down_s=5.0),
+            ),
+            probing=ProbingSpec(warmup_s=45.0),
+            controller=ControllerSpec(alpha=1.0, probing_window=80, payload_bytes=1460),
+            cycles=1,
+            cycle_measure_s=12.0,
+            settle_s=2.0,
+        )
         assert spec.scenario.mobility is not None
         assert spec.scenario.churn is not None
+        with closing(build_scenario(spec.scenario)) as scenario:
+            dynamics = scenario.meta["dynamics"]
+        assert dynamics["mobility_model"] == "waypoint"
+        (fail_s, node, _), (join_s, rejoined, _) = dynamics["churn_schedule"]
+        assert 50.0 <= fail_s <= 55.0 and join_s == fail_s + 5.0 and rejoined == node

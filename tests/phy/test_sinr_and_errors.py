@@ -97,5 +97,18 @@ class TestErrorModels:
         per = model.packet_error_probability(snr, RATE_11MBPS, 1500)
         assert 0.0 <= per <= 1.0
 
+    @pytest.mark.parametrize("order", [(14.0001, 14.0004), (14.0004, 14.0001)])
+    def test_ber_model_answers_each_snr_for_itself(self, order):
+        """Two links whose SNRs agree to three decimals each get their
+        own PER, whichever asked first (a memo keyed on the rounded SNR
+        used to hand the second caller the first one's value)."""
+        model = BerPacketErrorModel()
+        pers = [model.packet_error_probability(snr, RATE_11MBPS, 1500) for snr in order]
+        assert pers == [
+            BerPacketErrorModel().packet_error_probability(snr, RATE_11MBPS, 1500)
+            for snr in order
+        ]
+        assert pers[0] != pers[1]
+
     def test_noise_floor_constant_is_reasonable(self):
         assert -100.0 < NOISE_FLOOR_DBM < -85.0

@@ -1,14 +1,16 @@
-"""Core dynamics invariants: incremental power-table rebuilds, exact memo
-invalidation, snapshot-balanced sensed energy across position epochs, churn
-fail/revive semantics, and trajectory/schedule determinism."""
+"""Core dynamics invariants: incremental power-table rebuilds, memo
+invalidation (held as delivery outcomes), snapshot-balanced sensed energy
+across position epochs, churn fail/revive semantics, and
+trajectory/schedule determinism."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine import Simulator
-from repro.mac.frames import Frame, FrameKind
+from repro.mac.frames import BROADCAST_ADDR, Frame, FrameKind
 from repro.mac.medium import WirelessMedium
+from repro.phy.error_models import FixedPacketErrorModel
 from repro.phy.radio import rate_from_mbps
 from repro.sim import (
     DynamicsDriver,
@@ -18,6 +20,7 @@ from repro.sim import (
     chain_topology,
     generate_churn_schedule,
     mobility_names,
+    no_shadowing_propagation,
 )
 from repro.sim.dynamics import ChurnEvent, apply_rate_adaptation
 
@@ -96,31 +99,76 @@ class TestIncrementalRebuild:
         assert flip_times and set(flip_times) <= {0.0, airtime}
 
 
-class TestMemoInvalidation:
-    def test_only_moved_keys_dropped(self):
-        net = _net()
-        medium = net.medium
-        medium._per_cache[(0, 1, 11_000_000, 1500)] = 0.25
-        medium._per_cache[(2, 3, 11_000_000, 1500)] = 0.5
-        medium._resolve_cache[(0, 1, 11_000_000, 1500, 1.0)] = ("x", 0.0)
-        medium._resolve_cache[(3, 4, 11_000_000, 1500, 1.0)] = ("y", 0.0)
-        medium._airtime_cache[(1500, 11_000_000)] = 1e-3
+def _attempts(sim: Simulator, medium: WirelessMedium) -> list[tuple[int, int, str | None]]:
+    """One DATA frame on 0->1 and on 2->3, then one broadcast from 0 and
+    from 2, each alone on the air: ``(src, rx, failure)`` of every
+    delivery attempt they cause."""
+    seen: list[tuple[int, int, str | None]] = []
 
-        net.update_positions({1: (95.0, 33.0)})
+    def observe(frame: Frame, rx_id: int, success: bool, failure: str | None) -> None:
+        seen.append((frame.src, rx_id, failure))
 
-        assert (0, 1, 11_000_000, 1500) not in medium._per_cache
-        assert (2, 3, 11_000_000, 1500) in medium._per_cache
-        assert (0, 1, 11_000_000, 1500, 1.0) not in medium._resolve_cache
-        assert (3, 4, 11_000_000, 1500, 1.0) in medium._resolve_cache
-        # airtime is position-independent and must survive an epoch
-        assert (1500, 11_000_000) in medium._airtime_cache
+    medium.add_frame_observer(observe)
+    rate = rate_from_mbps(11)
+    for kind, src, dst in (
+        (FrameKind.DATA, 0, 1),
+        (FrameKind.DATA, 2, 3),
+        (FrameKind.BROADCAST, 0, BROADCAST_ADDR),
+        (FrameKind.BROADCAST, 2, BROADCAST_ADDR),
+    ):
+        medium.begin_transmission(
+            src, Frame(kind=kind, src=src, dst=dst, size_bytes=1500, rate=rate)
+        )
+        sim.run()
+    medium.frame_observers.remove(observe)
+    return seen
 
-    def test_broadcast_memo_cleared(self):
-        net = _net()
-        medium = net.medium
-        medium._bcast_receivers[(0, 11_000_000)] = []
-        net.update_positions({4: (400.0, 5.0)})
-        assert not medium._bcast_receivers
+
+class TestEpochReachesTheNextDelivery:
+    """The medium memoises, between position epochs, what its power
+    tables imply per link.  Held as behaviour: whatever was memoised
+    before an epoch, every delivery after it comes out as on a fresh
+    medium built at the new positions (the from-scratch oracle of
+    ``test_medium_properties.py``) — a moved link against its new power,
+    an unmoved link as before."""
+
+    # Two islands 1 km apart: {0, 1, 4} and {2, 3}.  Node 1 sits 60 m
+    # (in range of node 0 at 11 Mb/s) or 200 m (out of range) away.
+    NEAR, FAR = (60.0, 0.0), (200.0, 0.0)
+
+    @staticmethod
+    def _medium(node1: tuple[float, float]) -> tuple[Simulator, WirelessMedium]:
+        sim = Simulator(seed=0)
+        positions = {
+            0: (0.0, 0.0), 1: node1, 2: (1000.0, 0.0), 3: (1060.0, 0.0), 4: (30.0, 40.0),
+        }
+        # A loss-free channel keeps every outcome draw-free, so a warmed
+        # medium and a fresh one are comparable attempt for attempt.
+        return sim, WirelessMedium(
+            sim,
+            positions,
+            propagation=no_shadowing_propagation(),
+            error_model=FixedPacketErrorModel(0.0),
+        )
+
+    @pytest.mark.parametrize("before, after", [(NEAR, FAR), (FAR, NEAR)])
+    def test_deliveries_after_an_epoch_match_a_fresh_medium(self, before, after):
+        sim, medium = self._medium(before)
+        warm = _attempts(sim, medium)  # fills whatever the medium memoises
+        medium.update_positions({1: after})
+        moved = _attempts(sim, medium)
+
+        assert moved == _attempts(*self._medium(after))
+        assert warm == _attempts(*self._medium(before))
+        near, far = (warm, moved) if before == self.NEAR else (moved, warm)
+        # the moved link 0->1 follows its new power ...
+        assert (0, 1, None) in near and (0, 1, "weak") in far
+        # ... node 0's broadcast reaches node 1 only while in range ...
+        assert [rx for src, rx, _ in near if src == 0] == [1, 1, 4]
+        assert [rx for src, rx, _ in far if src == 0] == [1, 4]
+        # ... and the unmoved island is untouched by the epoch.
+        assert [a for a in warm if a[0] == 2] == [a for a in moved if a[0] == 2]
+        assert [a for a in moved if a[0] == 2] == [(2, 3, None), (2, 3, None)]
 
 
 class TestEpochTransparency:
