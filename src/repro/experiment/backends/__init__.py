@@ -17,28 +17,23 @@ Four backend names ship with the library:
 * :class:`ProcessPoolBackend` — fan out across local worker processes
   with :class:`concurrent.futures.ProcessPoolExecutor`.
 * :class:`WorkQueueBackend` and :class:`BrokerBackend` — **one queue
-  submitter over two transports**.  :class:`QueueBackend` owns
-  everything that is not transport (task ids and envelopes, the local
-  drainer pool, the only submit → collect loop, withdrawal on exit) and
-  reaches its queue through three submitter verbs: ``submit(envelopes)``,
-  ``collect(match=, ack=) -> {"results", "pending", "claimed"}``,
-  ``cancel(ids)``.  A transport is one client class with those three
-  plus the four worker verbs ``python -m repro.experiment.worker``
-  drains with (``claim``, ``heartbeat``, ``complete``, ``recover``):
-  :class:`FileQueueClient` is a shared directory — one JSON task file
-  per cell, claimed by atomic rename by *any* process that can see the
-  directory; :class:`BrokerClient` speaks the same envelopes over HTTP
-  to a :mod:`repro.experiment.broker`, so submitter and workers need
-  only a URL in common.  The two backends only open their transport.
+  submitter over two transports** (:mod:`.queue_common` has the verbs
+  and everything that is not transport).  :class:`FileQueueClient` is a
+  shared directory — one JSON task file per cell, claimed by atomic
+  rename by *any* process that can see the directory;
+  :class:`BrokerClient` speaks the same envelopes over HTTP to a
+  :mod:`repro.experiment.broker`, so submitter and workers need only a
+  URL in common.  The two backends only open their transport.
 
-The queue is **self-healing**: a claim is a lease
-(``REPRO_QUEUE_LEASE_S``) that the worker heartbeats while it computes;
-every collect sweeps leases, and a claim whose lease expired — a
-``kill -9``'d worker — is requeued with a per-task retry budget
-(``REPRO_QUEUE_MAX_ATTEMPTS``) before the queue gives up and
-synthesizes an error envelope naming the task; locally spawned drainers
-are topped up from the observed queue depth, so a dead worker costs one
-lease interval, never the sweep.
+The queue is **self-healing**: a claim is a lease that the worker
+heartbeats while it computes; every collect sweeps leases, and what a
+claim whose lease expired — a ``kill -9``'d worker — becomes is
+:func:`~repro.experiment.backends.queue_common.lease_verdict`'s to say
+on both transports; locally spawned drainers are topped up from the
+observed queue depth, so a dead worker costs one lease interval, never
+the sweep.  The policy (``REPRO_QUEUE_LEASE_S``,
+``REPRO_QUEUE_MAX_ATTEMPTS``) is read by the submitter and travels in
+each task envelope.
 
 :func:`resolve_backend` maps the ``backend`` argument of
 :class:`BatchRunner` (a name, an instance, or ``None``) to an instance;
@@ -70,8 +65,6 @@ from repro.experiment.backends.queue_common import (
     QueueBackend,
     QueueStats,
     default_broker_token,
-    default_lease_s,
-    default_max_attempts,
     task_envelope,
 )
 from repro.experiment.backends.work_queue import (
@@ -118,8 +111,6 @@ __all__ = [
     "backend_names",
     "claim_next_task",
     "default_broker_token",
-    "default_lease_s",
-    "default_max_attempts",
     "ensure_queue_dirs",
     "register_backend",
     "requeue_expired_claims",

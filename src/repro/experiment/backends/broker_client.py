@@ -13,8 +13,8 @@ overhead — and sends the shared-secret ``Authorization`` header when
 :class:`BrokerBackend` is
 :class:`~repro.experiment.backends.queue_common.QueueBackend` over that
 client: same task/claim/result envelopes, leases, retry budgets (the
-broker enforces them server-side) and auto-scaled local drainers as the
-shared-directory queue — but the only thing submitter and workers share
+broker enforces each envelope's own) and auto-scaled local drainers as
+the shared-directory queue — but the only thing submitter and workers share
 is a URL (and, beyond a trusted network, a token).
 """
 
@@ -268,9 +268,7 @@ class BrokerBackend(QueueBackend):
             # Private per-run broker: serve this submission and disappear.
             from repro.experiment.broker import start_broker
 
-            server = start_broker(
-                lease_s=self.lease_s, max_attempts=self.max_attempts, token=token
-            )
+            server = start_broker(token=token)
             url = server.url
         client = BrokerClient(url, token=token)
         try:

@@ -13,11 +13,12 @@ three **submitter verbs**::
 :class:`QueueBackend` is everything on the submitting side that is not
 transport — and it is written once:
 
-* the **lease/retry knobs** (``REPRO_QUEUE_LEASE_S``,
-  ``REPRO_QUEUE_MAX_ATTEMPTS``) and the task envelope constructor that
-  embeds them, so submitter, workers and broker all agree on how long a
-  claim may go silent and how many times a task may lose its worker
-  before it is declared dead;
+* the **lease policy**: ``REPRO_QUEUE_LEASE_S`` and
+  ``REPRO_QUEUE_MAX_ATTEMPTS`` are read here, where a submission is
+  born, and written into every task envelope; everything downstream
+  reads the envelope (:func:`lease_policy`), checks it at the edge
+  (:func:`validate_envelope`) and settles an expired claim by the one
+  rule both transports call (:func:`lease_verdict`);
 * :class:`QueueStats`, the per-submission account of what self-healing
   actually did (drainers spawned, leases expired, retry budgets
   exhausted), surfaced on ``BatchResult.queue``;
@@ -37,6 +38,7 @@ transport — and it is written once:
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -59,14 +61,18 @@ __all__ = [
     "DrainerPool",
     "LEASE_ENV_VAR",
     "MAX_ATTEMPTS_ENV_VAR",
+    "ORPHAN_HORIZON_S",
     "PollBackoff",
     "QueueBackend",
     "QueueStats",
     "default_broker_token",
     "default_lease_s",
     "default_max_attempts",
-    "exhausted_error",
+    "lease_of",
+    "lease_policy",
+    "lease_verdict",
     "task_envelope",
+    "validate_envelope",
     "worker_subprocess_env",
 ]
 
@@ -82,6 +88,14 @@ DEFAULT_LEASE_S = 30.0
 MAX_ATTEMPTS_ENV_VAR = "REPRO_QUEUE_MAX_ATTEMPTS"
 DEFAULT_MAX_ATTEMPTS = 3
 
+#: Idle time after which what a submission left behind belongs to no
+#: one — a submitter killed before its ``cancel`` must not grow a shared
+#: queue forever: the broker drops a bucket nothing has touched for this
+#: long, the file queue reaps result and claim files this old.  A week,
+#: because the file queue judges "old" from other hosts' mtimes: far
+#: beyond any clock skew, suspended submitter or long ``timeout_s``.
+ORPHAN_HORIZON_S = 7 * 24 * 3600.0
+
 #: Default broker URL for ``BrokerBackend()`` / ``REPRO_BATCH_BACKEND=broker``.
 BROKER_URL_ENV_VAR = "REPRO_BROKER_URL"
 
@@ -94,22 +108,19 @@ BROKER_TOKEN_ENV_VAR = "REPRO_BROKER_TOKEN"
 
 def default_lease_s() -> float:
     """The environment's claim lease, or :data:`DEFAULT_LEASE_S`."""
-    raw = os.environ.get(LEASE_ENV_VAR, "")
     try:
-        value = float(raw)
+        return lease_policy({"lease_s": float(os.environ.get(LEASE_ENV_VAR, ""))})[0]
     except ValueError:
         return DEFAULT_LEASE_S
-    return value if raw and value > 0 else DEFAULT_LEASE_S
 
 
 def default_max_attempts() -> int:
     """The environment's retry budget, or :data:`DEFAULT_MAX_ATTEMPTS`."""
     raw = os.environ.get(MAX_ATTEMPTS_ENV_VAR, "")
     try:
-        value = int(raw)
+        return lease_policy({"max_attempts": int(raw)})[1]
     except ValueError:
         return DEFAULT_MAX_ATTEMPTS
-    return value if raw and value >= 1 else DEFAULT_MAX_ATTEMPTS
 
 
 def default_broker_token() -> str | None:
@@ -164,8 +175,8 @@ def task_envelope(
     ``attempts`` counts claims so far (bumped by whoever requeues an
     expired claim); ``lease_s``/``max_attempts`` ride inside the
     envelope so workers and requeuers — possibly on other hosts, with
-    other environments — enforce the *submitter's* policy, not their
-    own defaults.
+    other environments — enforce the *submitter's* policy: this is the
+    last place the environment's defaults are consulted.
     """
     return {
         "id": task_id,
@@ -178,19 +189,82 @@ def task_envelope(
     }
 
 
-def exhausted_error(task_id: str, attempts: int, max_attempts: int) -> str:
-    """The error text of a synthesized give-up envelope.
+def lease_policy(envelope: Mapping[str, Any]) -> tuple[float, int, int]:
+    """``(lease_s, max_attempts, attempts)`` as the envelope states them.
 
-    Contractual content: the task id and the attempt count, so the
-    eventual :class:`~repro.experiment.backends.base.BackendError` names
-    the one task that kept losing its worker instead of a blanket
-    timeout that discards every finished cell.
+    The one reader of an envelope's policy fields.  An absent field
+    reads as the module default (a hand-written task file) — never as
+    the reader's environment; a present one must be a positive finite
+    number, an integer ``>= 1`` and an integer ``>= 0`` respectively,
+    or ``ValueError`` names the task and the field.
     """
-    return (
+    lease_s = envelope.get("lease_s", DEFAULT_LEASE_S)
+    budget = envelope.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
+    attempts = envelope.get("attempts", 0)
+    if type(lease_s) not in (int, float) or not 0 < lease_s < math.inf:
+        problem = f"lease_s must be a positive finite number, got {lease_s!r}"
+    elif type(budget) is not int or budget < 1:
+        problem = f"max_attempts must be an integer >= 1, got {budget!r}"
+    elif type(attempts) is not int or attempts < 0:
+        problem = f"attempts must be an integer >= 0, got {attempts!r}"
+    else:
+        return float(lease_s), budget, attempts
+    raise ValueError(f"task {envelope.get('id')!r}: {problem}")
+
+
+def validate_envelope(envelope: Any) -> None:
+    """Refuse a malformed task envelope at the edge (``ValueError``).
+
+    Both transports' ``submit`` call this on every envelope before they
+    store any, so a batch is accepted whole or not at all and nothing
+    downstream meets a task it cannot lease.
+    """
+    if not isinstance(envelope, dict):
+        raise ValueError(f"a task envelope must be an object, got {envelope!r:.80}")
+    task_id = envelope.get("id")
+    if not isinstance(task_id, str) or not task_id:
+        raise ValueError(f"a task envelope needs a string 'id', got {task_id!r:.80}")
+    if not isinstance(envelope.get("spec"), dict):
+        raise ValueError(f"task {task_id!r}: spec must be an object")
+    lease_policy(envelope)
+
+
+def lease_of(envelope: Mapping[str, Any]) -> float:
+    """The envelope's lease — minus infinity when its policy does not
+    parse, so its claim reads as expired whatever the clock says and
+    :func:`lease_verdict` gives the task up naming the field."""
+    try:
+        return lease_policy(envelope)[0]
+    except ValueError:
+        return -math.inf
+
+
+def lease_verdict(envelope: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
+    """What a claim whose lease ran out becomes — the one expiry rule.
+
+    ``("requeue", envelope)`` with ``attempts + 1`` while the retry
+    budget lasts, else ``("exhaust", outcome)``: an error outcome
+    ``{"id", "error", "attempts"}`` naming the task and the attempt
+    count, so the submitter fails on the one task that kept losing its
+    worker instead of a blanket timeout that discards every finished
+    cell.  An envelope whose policy does not parse is given up at once,
+    naming the field.  Pure: the transports only store the answer.
+    """
+    task_id = str(envelope.get("id"))
+    try:
+        _, budget, attempts = lease_policy(envelope)
+    except ValueError as exc:
+        error = f"{exc}; a task without a readable lease policy is not retried"
+        return "exhaust", {"id": task_id, "error": error, "attempts": 0}
+    attempts += 1
+    if attempts < budget:
+        return "requeue", {**envelope, "attempts": attempts}
+    error = (
         f"task {task_id} lost its worker {attempts} time(s) and exhausted "
-        f"its retry budget (max_attempts={max_attempts}); the claim lease "
+        f"its retry budget (max_attempts={budget}); the claim lease "
         f"expired without a result each time"
     )
+    return "exhaust", {"id": task_id, "error": error, "attempts": attempts}
 
 
 @dataclass

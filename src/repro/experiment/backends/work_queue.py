@@ -13,13 +13,13 @@ and :class:`WorkQueueBackend` only opens one.
 A claim is a **lease**, not a tombstone: the claimed file's mtime is the
 heartbeat (set on claim, refreshed by the worker while it computes), and
 any observer — the submitting process on its collects, or an idle worker
-— may requeue a claim whose mtime has gone silent for longer than the
-task's ``lease_s`` by bumping its ``attempts`` counter and renaming it
-back into ``tasks/``.  A ``kill -9``'d drainer therefore costs one lease
-interval, not the sweep.  A task that burns its whole ``max_attempts``
-budget is synthesized into an error envelope naming the task id and the
-attempt count, so the submitter fails on *that* task instead of a
-blanket timeout that discards every finished cell.
+— may repossess a claim whose mtime has gone silent for longer than the
+envelope's ``lease_s``.  What the claim then becomes (back into
+``tasks/`` with ``attempts`` bumped, or an error envelope in
+``results/``) is
+:func:`~repro.experiment.backends.queue_common.lease_verdict`'s to say,
+as on the broker; this module only does the renames.  A ``kill -9``'d
+drainer therefore costs one lease interval, not the sweep.
 
 Requeue races are benign by construction: if a slow-but-alive worker
 completes a task that was concurrently requeued, both executions produce
@@ -40,10 +40,12 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.experiment.backends.base import register_backend
 from repro.experiment.backends.queue_common import (
+    DEFAULT_LEASE_S,
+    ORPHAN_HORIZON_S,
     QueueBackend,
-    default_lease_s,
-    default_max_attempts,
-    exhausted_error,
+    lease_of,
+    lease_verdict,
+    validate_envelope,
 )
 from repro.experiment.fsio import atomic_write_text
 
@@ -63,10 +65,6 @@ __all__ = [
 TASKS_DIR = "tasks"
 CLAIMED_DIR = "claimed"
 RESULTS_DIR = "results"
-
-#: Queue files this old are orphans of dead submissions (see
-#: :meth:`FileQueueClient._reap_stale_files`).
-_STALE_RESULT_S = 7 * 24 * 3600.0
 
 
 def _atomic_write_json(target: Path, payload: Mapping[str, Any]) -> None:
@@ -102,18 +100,15 @@ def queue_clock(root: Path) -> float:
         return time.time()
 
 
-def requeue_expired_claims(
-    root: Path, match: str = "", now: float | None = None
-) -> tuple[int, int]:
-    """Requeue every expired claim under ``root``; ``(requeued, exhausted)``.
+def requeue_expired_claims(root: Path, match: str = "") -> tuple[int, int]:
+    """Repossess every expired claim under ``root``; ``(requeued, exhausted)``.
 
     A claim is expired when its file's mtime — refreshed by the owning
-    worker's heartbeats — is older than the envelope's own ``lease_s``
-    (pre-lease envelopes fall back to the environment default).  An
-    expired claim with budget left goes back to ``tasks/`` with
-    ``attempts`` bumped; one without gets a synthesized error envelope
-    in ``results/`` naming the task and its attempt count.  ``match``
-    restricts the sweep to one submission's tasks, exactly like claims.
+    worker's heartbeats — is older than the envelope's own ``lease_s``;
+    :func:`~repro.experiment.backends.queue_common.lease_verdict` says
+    whether it goes back to ``tasks/`` or becomes an error envelope in
+    ``results/``.  ``match`` restricts the sweep to one submission's
+    tasks, exactly like claims.
 
     Any process sharing the directory may call this — the submitter
     does from its collects, and idle workers do between claims —
@@ -123,9 +118,7 @@ def requeue_expired_claims(
     sweeper's rename lands, and no claimant can touch the task before
     it does.
     """
-    if now is None:
-        now = queue_clock(root)
-    fallback_lease = default_lease_s()
+    now = queue_clock(root)
     requeued = exhausted = 0
     try:
         # Sorted so every sweeper repossesses in one deterministic order —
@@ -146,52 +139,37 @@ def requeue_expired_claims(
                 envelope = json.load(fh)
         except (OSError, ValueError):
             continue  # mid-rename or torn read; the next sweep sees it
-        lease_s = float(envelope.get("lease_s") or fallback_lease)
-        if now - mtime <= lease_s:
+        if now - mtime <= lease_of(envelope):
             continue
         task_stem = Path(entry.name).stem
-        if (root / RESULTS_DIR / f"{task_stem}.json").exists():
-            # The owner was slow, not dead: its result is already on
-            # disk, so resurrecting the task would only burn a duplicate
-            # (byte-identical) simulation.  Drop the spent claim instead.
-            try:
-                os.unlink(entry.path)
-            except OSError:
-                pass
-            continue
-        attempts = int(envelope.get("attempts", 0)) + 1
-        max_attempts = int(envelope.get("max_attempts") or default_max_attempts())
-        envelope["attempts"] = attempts
-        task_id = str(envelope.get("id", Path(entry.name).stem))
-        if attempts >= max_attempts:
-            _atomic_write_json(
-                root / RESULTS_DIR / f"{task_id}.json",
-                {
-                    "id": task_id,
-                    "error": exhausted_error(task_id, attempts, max_attempts),
-                    "attempts": attempts,
-                },
-            )
+        envelope.setdefault("id", task_stem)
+        # A result already on disk means the owner was slow, not dead:
+        # resurrecting the task would only burn a duplicate
+        # (byte-identical) simulation, so the spent claim is dropped.
+        if not (root / RESULTS_DIR / f"{task_stem}.json").exists():
+            verdict, after = lease_verdict(envelope)
+            if verdict == "requeue":
+                # Atomic repossession: bump the envelope *in the claimed
+                # file*, then rename it back into tasks/.  Writing a fresh
+                # task file and unlinking the claim afterwards would race a
+                # quick worker — its re-claim lands at this very claimed
+                # path, and the trailing unlink would destroy the live claim
+                # and lose the task from every directory.  The rename *is*
+                # the handover: until it happens nobody can claim, and two
+                # concurrent sweepers just have the loser's rename fail.
+                _atomic_write_json(Path(entry.path), after)
+                try:
+                    os.replace(entry.path, root / TASKS_DIR / entry.name)
+                    requeued += 1
+                except OSError:
+                    pass  # completed (or repossessed) under us
+                continue
+            _atomic_write_json(root / RESULTS_DIR / f"{task_stem}.json", after)
             exhausted += 1
-            try:
-                os.unlink(entry.path)
-            except OSError:
-                pass
-        else:
-            # Atomic repossession: bump the envelope *in the claimed
-            # file*, then rename it back into tasks/.  Writing a fresh
-            # task file and unlinking the claim afterwards would race a
-            # quick worker — its re-claim lands at this very claimed
-            # path, and the trailing unlink would destroy the live claim
-            # and lose the task from every directory.  The rename *is*
-            # the handover: until it happens nobody can claim, and two
-            # concurrent sweepers just have the loser's rename fail.
-            _atomic_write_json(Path(entry.path), envelope)
-            try:
-                os.replace(entry.path, root / TASKS_DIR / entry.name)
-            except OSError:
-                continue  # completed (or repossessed) under us
-            requeued += 1
+        try:
+            os.unlink(entry.path)
+        except OSError:
+            pass
     return requeued, exhausted
 
 
@@ -264,9 +242,16 @@ class FileQueueClient:
         # Sweep for expired leases often enough that recovery costs about
         # one lease interval, but not on every poll: a fleet (or a
         # submitter) polling a busy NFS queue at 20 Hz must not
-        # scandir-and-parse every claimed envelope on every tick.
-        self._sweep_every = default_lease_s() / 8.0
+        # scandir-and-parse every claimed envelope on every tick.  An
+        # eighth of the shortest lease this client has submitted or
+        # claimed; the default's until it has seen one.
+        self._sweep_every = DEFAULT_LEASE_S / 8.0
         self._next_sweep = 0.0
+
+    def _note_lease(self, envelope: Mapping[str, Any]) -> None:
+        lease_s = lease_of(envelope)
+        if lease_s > 0:
+            self._sweep_every = min(self._sweep_every, lease_s / 8.0)
 
     # ------------------------------------------------------------ worker half
     def claim(self) -> tuple[dict[str, Any], Path] | None:
@@ -283,6 +268,7 @@ class FileQueueClient:
             try:
                 with open(claimed, encoding="utf-8") as fh:
                     envelope = json.load(fh)
+                self._note_lease(envelope)
                 return envelope, claimed
             except (OSError, ValueError):
                 time.sleep(0.05 * (attempt + 1))
@@ -336,13 +322,11 @@ class FileQueueClient:
         ever requeue because its submitter is gone) leaves a claim file
         behind forever.  Live submitters unlink results within a poll
         tick and live claims are either heartbeat-fresh or requeued
-        within a lease, so anything old belongs to no one — but "old" is
-        judged from *other hosts'* mtimes, so the horizon is a
-        deliberately paranoid fixed week, far beyond any clock skew,
-        suspended submitter, or long custom ``timeout_s``: orphans
-        accumulate slowly, and deleting a live file would lose work.
+        within a lease, so anything older than ``ORPHAN_HORIZON_S``
+        belongs to no one: orphans accumulate slowly, and deleting a
+        live file would lose work.
         """
-        horizon = time.time() - _STALE_RESULT_S
+        horizon = time.time() - ORPHAN_HORIZON_S
         for subdir in (RESULTS_DIR, CLAIMED_DIR):
             try:
                 entries = sorted(os.scandir(self.root / subdir), key=lambda e: e.name)
@@ -356,13 +340,16 @@ class FileQueueClient:
                     continue
 
     def submit(self, envelopes: Sequence[Mapping[str, Any]]) -> int:
+        """Enqueue a batch — whole or, with one malformed envelope, not
+        at all (``ValueError`` naming the task and the field)."""
+        for envelope in envelopes:
+            validate_envelope(envelope)
         self._reap_stale_files()
         for envelope in envelopes:
             _atomic_write_json(
                 self.root / TASKS_DIR / f"{envelope['id']}.json", envelope
             )
-            lease_s = float(envelope.get("lease_s") or default_lease_s())
-            self._sweep_every = min(self._sweep_every, lease_s / 8.0)
+            self._note_lease(envelope)
         return len(envelopes)
 
     def collect(self, match: str, ack: Sequence[str] = ()) -> dict[str, Any]:

@@ -21,49 +21,38 @@ and workers need only a URL in common:
     ...                                          workers=0)).run()
 
 Everything is stdlib: :class:`http.server.ThreadingHTTPServer` on the
-outside, :class:`BrokerQueue` on the inside.  Claims are **leases** here
-too — the broker stamps a deadline on every claim, workers extend it by
-heartbeating, and every request first sweeps expired leases: an expired
-claim with retry budget left goes back on the queue with its
-``attempts`` bumped, one without becomes a synthesized error envelope
-naming the task and attempt count.  A ``kill -9``'d worker therefore
-costs one lease interval, never the sweep.
+outside, :class:`BrokerQueue` on the inside.  The queue is an
+**applied-record state machine**: every transition is one record
+(``submit``, ``claim``, ``result``, ``ack``, ``requeue``, ``exhaust``,
+``cancel``, ``gc`` — the table in ``docs/experiment-api.md``), and
+:meth:`BrokerQueue._apply` is the only code that changes a bucket's
+tables.  A verb validates its input whole, builds the record, appends
+it to the journal and then applies it; recovery feeds the snapshot and
+the journaled records to the same function, so a restarted broker is
+in the state of one that never died by construction.  Claims are
+leases: every request first sweeps the expired ones, and what an
+expired claim becomes is
+:func:`~repro.experiment.backends.queue_common.lease_verdict`'s to say,
+as on the file queue.
 
-Three properties make the broker fit for a *shared, long-lived*
-deployment rather than a trusted localhost:
+What makes it fit for a *shared, long-lived* deployment rather than a
+trusted localhost: with ``--store-dir`` the records are journaled and
+snapshotted through :class:`~repro.experiment.broker_store.BrokerStore`,
+so a restart — deploy, OOM, ``kill -9`` — loses no submitted task and no
+finished result; with ``REPRO_BROKER_TOKEN`` set every request must
+carry ``Authorization: Bearer <token>`` or is refused with 401 (the same
+variable arms :class:`BrokerClient` and the worker); and task state is
+bucketed per submission prefix (:func:`bucket_key`), so one tenant's
+claims and collects never walk another's backlog.
 
-* **Durability** (``--store-dir``): every state transition is journaled
-  and periodically snapshotted through
-  :class:`~repro.experiment.broker_store.BrokerStore`, so a broker
-  restart — deploy, OOM, ``kill -9`` — loses no submitted task and no
-  finished result.  Lease deadlines are re-anchored on recovery from
-  persisted *remaining durations*: absolute ``time.monotonic()``
-  deadlines die with the process, so the store never records one.
-  Without a store the queue is in-memory, as before.
-* **Authentication** (``REPRO_BROKER_TOKEN``): with a token configured,
-  every request must carry ``Authorization: Bearer <token>`` or is
-  refused with 401 — what lets the broker bind beyond localhost.  The
-  same variable arms :class:`BrokerClient` and the worker, so a fleet
-  is authenticated by exporting one secret everywhere.
-* **Bucketing**: task state is kept per submission prefix (the id up to
-  its final ``-``), so a match-scoped ``claim`` and a prefix ``collect``
-  touch only their own submission's bucket — O(own submission) under
-  many concurrent submitters, instead of bisecting one global id list.
-
-JSON endpoints (bodies and responses are ``application/json``)::
-
-    POST /submit     {"tasks": [<task envelope>, ...]}
-    POST /claim      {"match": "<id prefix>", "worker": "<name>"}
-                       -> {"task": <envelope> | null}
-    POST /heartbeat  {"id": ...}            -> {"ok": true|false}
-    POST /result     <outcome envelope>     -> {"ok": true}
-    POST /collect    {"match": "<id prefix>", "ack": [...]}
-                                            -> {"results": [...],
-                                                "pending": n, "claimed": n}
-    POST /cancel     {"ids": [...]}         -> {"cancelled": n}
-    GET  /stats      -> {"pending": n, "claimed": n, "results": n, ...}
-
-The task envelope is
+The endpoints (``POST /submit``, ``/claim``, ``/heartbeat``, ``/result``,
+``/collect``, ``/cancel``; ``GET /stats``), their JSON bodies, answers
+and refusals are tabulated next to the records in
+``docs/experiment-api.md``.  A request the queue cannot take whole — a
+body that is not a JSON object, a batch with one malformed envelope, an
+``ack`` or ``ids`` that is not a list of strings — is refused with 400
+and changes nothing; a body above :data:`MAX_BODY_BYTES` is refused
+unread with 413.  The task envelope is
 :func:`repro.experiment.backends.queue_common.task_envelope`; outcome
 envelopes are ``{"id", "result"}`` or ``{"id", "error"}``, with
 ``attempts`` annotated by the broker so submitters can account for
@@ -80,24 +69,34 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.experiment.backends.queue_common import (
     BROKER_TOKEN_ENV_VAR,
+    ORPHAN_HORIZON_S,
     default_broker_token,
-    default_lease_s,
-    default_max_attempts,
-    exhausted_error,
+    lease_of,
+    lease_verdict,
+    validate_envelope,
 )
 from repro.experiment.broker_store import DEFAULT_SNAPSHOT_EVERY, BrokerStore
 
 __all__ = [
     "BrokerQueue",
     "BrokerServer",
+    "MAX_BODY_BYTES",
     "bucket_key",
     "main",
     "start_broker",
 ]
+
+#: Largest request body the broker reads.  Sized from the one big
+#: request there is, a whole-sweep ``/submit``: an envelope is about
+#: 1 KB of canonical spec JSON (0.8-1.2 KB for the golden specs), so
+#: this admits a sweep of tens of thousands of cells in one request —
+#: orders of magnitude past the paper's grids — while a declared length
+#: beyond it is refused before a byte of it is buffered.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 def bucket_key(task_id: str) -> str:
@@ -113,16 +112,57 @@ def bucket_key(task_id: str) -> str:
     return head + sep if sep else task_id
 
 
+def _strings(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
+
+
+class _Pending:
+    """A bucket's pending tasks: id -> envelope, plus the ids in sorted
+    order — claim order is id order, which is submission order (ids
+    embed the submitter's planned index), bisected straight to a match
+    prefix."""
+
+    __slots__ = ("ids", "envelopes")
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.envelopes: dict[str, dict[str, Any]] = {}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __contains__(self, task_id: str) -> bool:
+        return task_id in self.envelopes
+
+    def put(self, envelope: dict[str, Any]) -> None:
+        task_id = str(envelope["id"])
+        if task_id not in self.envelopes:
+            bisect.insort(self.ids, task_id)
+        self.envelopes[task_id] = envelope
+
+    def pop(self, task_id: str) -> dict[str, Any] | None:
+        envelope = self.envelopes.pop(task_id, None)
+        if envelope is not None:
+            del self.ids[bisect.bisect_left(self.ids, task_id)]
+        return envelope
+
+    def under(self, prefix: str) -> Iterator[str]:
+        """The pending ids that start with ``prefix``, in order."""
+        index = bisect.bisect_left(self.ids, prefix)
+        while index < len(self.ids) and self.ids[index].startswith(prefix):
+            yield self.ids[index]
+            index += 1
+
+
 class _Bucket:
     """One submission's live state: pending, claimed, finished."""
 
-    __slots__ = ("order", "tasks", "claimed", "results", "touched_at")
+    __slots__ = ("pending", "claimed", "results", "touched_at")
 
     def __init__(self, touched_at: float) -> None:
-        #: Sorted pending task ids — claim order is id order, which is
-        #: submission order (ids embed the submitter's planned index).
-        self.order: list[str] = []
-        self.tasks: dict[str, dict[str, Any]] = {}
+        self.pending = _Pending()
         #: id -> (envelope, lease deadline, worker name)
         self.claimed: dict[str, tuple[dict[str, Any], float, str]] = {}
         self.results: dict[str, dict[str, Any]] = {}
@@ -130,74 +170,164 @@ class _Bucket:
         #: submission — the abandoned-submission GC clock.
         self.touched_at = touched_at
 
+    def holds(self, task_id: str) -> bool:
+        return (
+            task_id in self.pending
+            or task_id in self.claimed
+            or task_id in self.results
+        )
+
     def empty(self) -> bool:
-        return not (self.tasks or self.claimed or self.results)
+        return not (self.pending or self.claimed or self.results)
 
 
 class BrokerQueue:
     """The broker's task state, bucketed by submission; thread-safe.
 
+    Lease policy is the envelopes' own (``lease_s``, ``max_attempts``);
+    the queue has none.  Two clocks move outside the journal, because
+    recovery re-anchors clocks anyway: a heartbeat extends its claim's
+    deadline, a collect refreshes its buckets' idle age.
+
     Args:
-        lease_s: fallback lease for task envelopes that carry none.
-        max_attempts: fallback retry budget, likewise.
-        ttl_s: idle time after which a submission is garbage — a
-            submitter killed before its ``cancel`` leaves its submission
-            behind, and without a horizon a long-lived shared broker
-            would grow forever (and external workers would burn compute
-            on sweeps nobody is waiting for).  Live submissions never
-            come close: submitters poll every tick and workers heartbeat
-            every quarter lease.  The default matches the file queue's
-            deliberately paranoid one-week orphan horizon.
         time_fn: monotonic clock, injectable so lease-expiry tests need
             no real sleeping.
         store: optional :class:`~repro.experiment.broker_store.BrokerStore`
-            — every state transition is journaled through it and the
-            persisted state is recovered (with lease deadlines
-            re-anchored against ``time_fn``'s axis) before the queue
-            serves its first request.  ``None`` keeps the queue
-            in-memory.
+            — every record is journaled through it and the persisted
+            state is recovered (with lease deadlines re-anchored against
+            ``time_fn``'s axis) before the queue serves its first
+            request.  ``None`` keeps the queue in-memory.
     """
-
-    #: Default ``ttl_s`` — the file queue's ``_STALE_RESULT_S`` horizon.
-    DEFAULT_TTL_S = 7 * 24 * 3600.0
 
     def __init__(
         self,
-        lease_s: float | None = None,
-        max_attempts: int | None = None,
-        ttl_s: float | None = None,
         time_fn: Callable[[], float] = time.monotonic,
         store: BrokerStore | None = None,
     ) -> None:
-        self._lease_s = lease_s if lease_s is not None else default_lease_s()
-        self._max_attempts = (
-            max_attempts if max_attempts is not None else default_max_attempts()
-        )
-        self._ttl_s = ttl_s if ttl_s is not None else self.DEFAULT_TTL_S
         self._now = time_fn
         self._lock = threading.Lock()
-        self._buckets: dict[str, _Bucket] = {}
-        self._keys: list[str] = []  # sorted bucket keys
+        self._buckets: dict[str, _Bucket] = {}  # by bucket_key
         self._store = store
         if store is not None:
             now = self._now()
             state, records = store.recover()
             if state is not None:
-                self._load_state(state, now)
+                self._apply({"op": "snapshot", **state}, now)
             for record in records:
-                self._replay(record, now)
+                self._apply(record, now)
             # Compact at boot: the recovered state becomes the snapshot,
             # replayed generations are retired, and a fresh journal
             # generation is opened for this process's appends.
             store.checkpoint(self._state_dict(now))
 
-    # ----------------------------------------------------------- durability
-    def _journal(self, record: Mapping[str, Any]) -> None:
-        """Persist one applied transition (lock held, state mutated)."""
-        if self._store is None:
+    # -------------------------------------------------------- state machine
+    def _commit(self, record: Mapping[str, Any], now: float) -> None:
+        """Journal one transition, then apply it (lock held)."""
+        due = self._store is not None and self._store.append(record)
+        self._apply(record, now)
+        if due:
+            self._store.checkpoint(self._state_dict(now))
+
+    def _apply(self, record: Mapping[str, Any], now: float) -> None:
+        """What each record does to the tables — live and on recovery.
+
+        The only code that adds to or removes from a bucket.  A record
+        whose subject is already gone (acked, cancelled, GC'd) is a
+        no-op.  Clocks are set on the caller's axis: a replayed claim
+        gets a *full fresh* lease (the journal records that a claim
+        happened, not how much lease was left: a worker that died with
+        the broker costs one extra lease interval, one that survived
+        just keeps heartbeating), and the ``snapshot`` pseudo-record —
+        ``snapshot.json``'s state, never journaled — re-anchors the
+        durations it persisted.
+        """
+        op = record.get("op")
+        if op == "snapshot":
+            for key, raw in record.get("buckets", {}).items():
+                bucket = self._buckets[str(key)] = _Bucket(
+                    now - float(raw.get("idle_s", 0.0))
+                )
+                for envelope in raw.get("pending", ()):
+                    bucket.pending.put(envelope)
+                for envelope, remaining_s, worker in raw.get("claimed", ()):
+                    deadline = now + max(float(remaining_s), 0.0)
+                    claim = (envelope, deadline, str(worker))
+                    bucket.claimed[str(envelope["id"])] = claim
+                for outcome in raw.get("results", ()):
+                    bucket.results[str(outcome["id"])] = outcome
             return
-        if self._store.append(record):
-            self._store.checkpoint(self._state_dict(self._now()))
+        if op == "gc":
+            for key in record.get("keys", ()):
+                self._buckets.pop(str(key), None)
+            return
+        if op == "submit":
+            for envelope in record.get("tasks", ()):
+                task_id = str(envelope["id"])
+                key = bucket_key(task_id)
+                bucket = self._buckets.get(key)
+                if bucket is None:
+                    bucket = self._buckets[key] = _Bucket(now)
+                bucket.touched_at = now
+                if not bucket.holds(task_id):  # resubmission is a no-op
+                    bucket.pending.put(envelope)
+            return
+        if op in ("ack", "cancel"):
+            for task_id in map(str, record.get("ids", ())):
+                key = bucket_key(task_id)
+                bucket = self._buckets.get(key)
+                if bucket is None:
+                    continue
+                handed_over = bucket.results.pop(task_id, None) is not None
+                if op == "cancel":
+                    bucket.pending.pop(task_id)
+                    bucket.claimed.pop(task_id, None)
+                elif handed_over:
+                    bucket.touched_at = now
+                if bucket.empty():
+                    del self._buckets[key]
+            return
+        # The rest act on one task: named by the outcome of a result, by
+        # the record itself otherwise.
+        outcome = record.get("outcome", {}) if op == "result" else record
+        task_id = str(outcome.get("id", ""))
+        bucket = self._bucket_of(task_id)
+        if bucket is None:
+            return
+        if op == "claim":
+            envelope = bucket.pending.pop(task_id)
+            if envelope is None:
+                return
+            worker = str(record.get("worker", ""))
+            bucket.claimed[task_id] = (envelope, now + lease_of(envelope), worker)
+        elif op == "result":
+            if not bucket.holds(task_id):
+                return
+            entry = bucket.claimed.pop(task_id, None)
+            envelope = entry[0] if entry else bucket.pending.pop(task_id)
+            stored = dict(outcome)
+            if envelope is not None:
+                stored.setdefault("attempts", envelope.get("attempts", 0))
+            bucket.results[task_id] = stored
+        elif op in ("requeue", "exhaust"):
+            # The record says the lease on ``id`` ran out; what that
+            # makes of the task is lease_verdict's to say — a pure
+            # function of the claimed envelope, so live and replay
+            # cannot disagree (``attempts``/``budget`` are in the record
+            # for whoever reads the journal).
+            entry = bucket.claimed.pop(task_id, None)
+            if entry is None:
+                return
+            verdict, after = lease_verdict(entry[0])
+            if verdict == "requeue":
+                bucket.pending.put(after)
+            else:
+                bucket.results[task_id] = after
+        else:
+            return  # a record from a newer broker: not ours to interpret
+        bucket.touched_at = now
+
+    def _bucket_of(self, task_id: str) -> _Bucket | None:
+        return self._buckets.get(bucket_key(task_id))
 
     def _state_dict(self, now: float) -> dict[str, Any]:
         """Full state with every clock converted to a *duration*.
@@ -208,305 +338,95 @@ class BrokerQueue:
         re-anchored against the new clock at load.
         """
         buckets: dict[str, Any] = {}
-        for key in self._keys:
+        for key in sorted(self._buckets):
             bucket = self._buckets[key]
             buckets[key] = {
-                "pending": [bucket.tasks[tid] for tid in bucket.order],
+                "pending": [bucket.pending.envelopes[t] for t in bucket.pending.ids],
                 "claimed": [
                     [env, max(deadline - now, 0.0), worker]
-                    for tid, (env, deadline, worker) in sorted(
-                        bucket.claimed.items()
-                    )
+                    for _, (env, deadline, worker) in sorted(bucket.claimed.items())
                 ],
-                "results": [
-                    bucket.results[tid] for tid in sorted(bucket.results)
-                ],
+                "results": [bucket.results[t] for t in sorted(bucket.results)],
                 "idle_s": max(now - bucket.touched_at, 0.0),
             }
         return {"buckets": buckets}
 
-    def _load_state(self, state: Mapping[str, Any], now: float) -> None:
-        """Rebuild from a snapshot, re-anchoring durations at ``now``."""
-        for key, raw in state.get("buckets", {}).items():
-            bucket = self._bucket(str(key), now)
-            bucket.touched_at = now - float(raw.get("idle_s", 0.0))
-            for envelope in raw.get("pending", ()):
-                task_id = str(envelope["id"])
-                bucket.tasks[task_id] = dict(envelope)
-                bisect.insort(bucket.order, task_id)
-            for envelope, remaining_s, worker in raw.get("claimed", ()):
-                bucket.claimed[str(envelope["id"])] = (
-                    dict(envelope),
-                    now + max(float(remaining_s), 0.0),
-                    str(worker),
-                )
-            for outcome in raw.get("results", ()):
-                bucket.results[str(outcome["id"])] = dict(outcome)
-
-    def _replay(self, record: Mapping[str, Any], now: float) -> None:
-        """Re-apply one journaled transition during recovery.
-
-        Claims replay with a *full fresh* lease on the new clock — the
-        journal records that a claim happened, not how much lease was
-        left when the broker died, and granting the whole lease is the
-        conservative re-anchoring: a worker that died with the broker
-        costs one extra lease interval, one that survived just keeps
-        heartbeating.  Replay is idempotent: a transition whose subject
-        is already gone (acked, cancelled, GC'd) is a no-op.
-        """
-        op = record.get("op")
-        if op == "submit":
-            self._do_submit(record.get("tasks", ()), now)
-        elif op == "claim":
-            task_id = str(record.get("id", ""))
-            bucket = self._buckets.get(bucket_key(task_id))
-            if bucket is not None and task_id in bucket.tasks:
-                envelope = bucket.tasks.pop(task_id)
-                index = bisect.bisect_left(bucket.order, task_id)
-                if index < len(bucket.order) and bucket.order[index] == task_id:
-                    bucket.order.pop(index)
-                bucket.claimed[task_id] = (
-                    envelope,
-                    now + self._lease_of(envelope),
-                    str(record.get("worker", "")),
-                )
-                bucket.touched_at = now
-        elif op == "result":
-            self._do_result(record.get("outcome", {}), now)
-        elif op == "ack":
-            self._do_ack(record.get("ids", ()), now)
-        elif op == "requeue":
-            task_id = str(record.get("id", ""))
-            bucket = self._buckets.get(bucket_key(task_id))
-            if bucket is not None and task_id in bucket.claimed:
-                envelope, _, _ = bucket.claimed.pop(task_id)
-                envelope["attempts"] = int(record.get("attempts", 0))
-                bucket.tasks[task_id] = envelope
-                bisect.insort(bucket.order, task_id)
-                bucket.touched_at = now
-        elif op == "exhaust":
-            task_id = str(record.get("id", ""))
-            bucket = self._buckets.get(bucket_key(task_id))
-            if bucket is not None and task_id in bucket.claimed:
-                bucket.claimed.pop(task_id)
-                attempts = int(record.get("attempts", 0))
-                bucket.results[task_id] = {
-                    "id": task_id,
-                    "error": exhausted_error(
-                        task_id, attempts, int(record.get("budget", attempts))
-                    ),
-                    "attempts": attempts,
-                }
-                bucket.touched_at = now
-        elif op == "cancel":
-            self._do_cancel(record.get("ids", ()))
-        elif op == "gc":
-            for key in record.get("keys", ()):
-                self._drop_bucket(str(key))
-
-    # ------------------------------------------------------------ internals
-    def _lease_of(self, envelope: Mapping[str, Any]) -> float:
-        return float(envelope.get("lease_s") or self._lease_s)
-
-    def _budget_of(self, envelope: Mapping[str, Any]) -> int:
-        return int(envelope.get("max_attempts") or self._max_attempts)
-
-    def _bucket(self, key: str, now: float) -> _Bucket:
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = _Bucket(now)
-            self._buckets[key] = bucket
-            bisect.insort(self._keys, key)
-        return bucket
-
-    def _drop_bucket(self, key: str) -> None:
-        if self._buckets.pop(key, None) is not None:
-            index = bisect.bisect_left(self._keys, key)
-            if index < len(self._keys) and self._keys[index] == key:
-                self._keys.pop(index)
-
-    def _drop_if_empty(self, key: str) -> None:
-        bucket = self._buckets.get(key)
-        if bucket is not None and bucket.empty():
-            self._drop_bucket(key)
-
-    def _candidates(self, match: str) -> list[str]:
-        """Bucket keys a ``match`` prefix can reach, in sorted order.
-
-        A task matches iff its id starts with ``match``; all of a
-        bucket's ids start with its key, so the only reachable buckets
-        are those whose key extends the match (``key.startswith``) or
-        that the match reaches into (``match.startswith(key)``) — for
-        the canonical "submitter polls its own prefix" case this is a
-        single bucket, never the whole table.
-        """
-        if not match:
-            return list(self._keys)
-        return [
+    def _reach(self, match: str) -> list[str]:
+        """Bucket keys a ``match`` prefix can reach, in sorted order: a
+        task matches iff its id starts with ``match`` and all of a
+        bucket's ids start with its key, so either the key extends the
+        match or the match reaches into the bucket."""
+        return sorted(
             key
-            for key in self._keys
+            for key in self._buckets
             if key.startswith(match) or match.startswith(key)
-        ]
-
-    def _matching_ids(self, ids: Iterable[str], match: str) -> list[str]:
-        return sorted(tid for tid in ids if tid.startswith(match))
+        )
 
     def _expire(self, now: float) -> None:
-        """Requeue expired claims and GC abandoned buckets (lock held)."""
-        for key in list(self._keys):
-            bucket = self._buckets[key]
+        """Settle expired claims and GC abandoned buckets (lock held)."""
+        for bucket in self._buckets.values():
             expired = sorted(
                 task_id
                 for task_id, (_, deadline, _) in bucket.claimed.items()
                 if deadline < now
             )
             for task_id in expired:
-                envelope, _, _ = bucket.claimed.pop(task_id)
-                bucket.touched_at = now
-                attempts = int(envelope.get("attempts", 0)) + 1
-                envelope["attempts"] = attempts
-                budget = self._budget_of(envelope)
-                if attempts >= budget:
-                    bucket.results[task_id] = {
-                        "id": task_id,
-                        "error": exhausted_error(task_id, attempts, budget),
-                        "attempts": attempts,
-                    }
-                    self._journal(
-                        {
-                            "op": "exhaust",
-                            "id": task_id,
-                            "attempts": attempts,
-                            "budget": budget,
-                        }
-                    )
-                else:
-                    bucket.tasks[task_id] = envelope
-                    bisect.insort(bucket.order, task_id)
-                    self._journal(
-                        {"op": "requeue", "id": task_id, "attempts": attempts}
-                    )
-        # Abandoned-submission GC: a submitter that died without its
-        # cancel stops collecting, so nothing refreshes its bucket —
-        # once idle past the TTL the whole submission is garbage.
-        horizon = now - self._ttl_s
-        stale = [
-            key for key in self._keys if self._buckets[key].touched_at < horizon
-        ]
-        for key in stale:
-            self._drop_bucket(key)
+                envelope = bucket.claimed[task_id][0]
+                op, after = lease_verdict(envelope)
+                record = {"op": op, "id": task_id, "attempts": after["attempts"]}
+                if op == "exhaust":
+                    record["budget"] = envelope.get("max_attempts")
+                self._commit(record, now)
+        # Orphan GC: nothing refreshes a dead submitter's bucket.
+        horizon = now - ORPHAN_HORIZON_S
+        stale = [k for k, b in self._buckets.items() if b.touched_at < horizon]
         if stale:
-            self._journal({"op": "gc", "keys": stale})
+            self._commit({"op": "gc", "keys": stale}, now)
 
     # ------------------------------------------------------------- protocol
-    def _do_submit(self, tasks: Iterable[Mapping[str, Any]], now: float) -> int:
-        count = 0
-        for envelope in tasks:
-            count += 1
-            task_id = str(envelope["id"])
-            bucket = self._bucket(bucket_key(task_id), now)
-            bucket.touched_at = now
-            if (
-                task_id in bucket.tasks
-                or task_id in bucket.claimed
-                or task_id in bucket.results
-            ):
-                continue  # resubmission of a known task is a no-op
-            bucket.tasks[task_id] = dict(envelope)
-            bisect.insort(bucket.order, task_id)
-        return count
-
     def submit(self, tasks: list[Mapping[str, Any]]) -> int:
+        """Enqueue a batch — whole or, with one malformed envelope, not
+        at all (``ValueError`` naming the task and the field)."""
+        if not isinstance(tasks, list):
+            raise ValueError("'tasks' must be a list of task envelopes")
+        for envelope in tasks:
+            validate_envelope(envelope)
         now = self._now()
         with self._lock:
-            accepted = self._do_submit(tasks, now)
-            if accepted:
-                self._journal(
-                    {"op": "submit", "tasks": [dict(t) for t in tasks]}
-                )
-            return accepted
+            if tasks:
+                self._commit({"op": "submit", "tasks": [dict(t) for t in tasks]}, now)
+            return len(tasks)
 
     def claim(self, match: str = "", worker: str = "") -> dict[str, Any] | None:
-        """Pop the first pending task matching ``match`` and lease it.
-
-        Bucketing makes the scan O(own submission): only the buckets the
-        prefix can reach are visited, and within a bucket the sorted
-        pending list is bisected straight to the prefix — a drainer
-        polling for its own submission never pays for other submissions'
-        backlogs.
-        """
+        """Pop the first pending task matching ``match`` and lease it —
+        O(own submission): only the buckets the prefix can reach are
+        visited, each bisected straight to the prefix."""
         now = self._now()
         with self._lock:
             self._expire(now)
-            for key in self._candidates(match):
+            for key in self._reach(match):
                 bucket = self._buckets[key]
-                index = bisect.bisect_left(bucket.order, match) if match else 0
-                if index >= len(bucket.order):
-                    continue
-                task_id = bucket.order[index]
-                if match and not task_id.startswith(match):
-                    continue  # sorted: past the prefix range in this bucket
-                bucket.order.pop(index)
-                envelope = bucket.tasks.pop(task_id)
-                bucket.claimed[task_id] = (
-                    envelope,
-                    now + self._lease_of(envelope),
-                    worker,
-                )
-                bucket.touched_at = now
-                self._journal({"op": "claim", "id": task_id, "worker": worker})
-                return dict(envelope)
+                task_id = next(bucket.pending.under(match), None)
+                if task_id is not None:
+                    self._commit({"op": "claim", "id": task_id, "worker": worker}, now)
+                    return dict(bucket.claimed[task_id][0])
             return None
 
     def heartbeat(self, task_id: str) -> bool:
         """Extend a live claim's lease; False if the claim is gone.
-
-        Deliberately not journaled: heartbeats only move deadlines,
-        which recovery re-anchors from scratch anyway, and a fleet beats
-        every quarter lease — journaling that would drown the journal in
-        records that carry no recoverable information.
-        """
+        Deliberately not journaled: a fleet beats every quarter lease,
+        and a deadline is nothing recovery could use."""
         now = self._now()
         with self._lock:
             self._expire(now)
-            bucket = self._buckets.get(bucket_key(task_id))
+            bucket = self._bucket_of(task_id)
             entry = bucket.claimed.get(task_id) if bucket is not None else None
             if bucket is None or entry is None:
                 return False
             envelope, _, worker = entry
-            bucket.claimed[task_id] = (
-                envelope,
-                now + self._lease_of(envelope),
-                worker,
-            )
+            bucket.claimed[task_id] = (envelope, now + lease_of(envelope), worker)
             bucket.touched_at = now
             return True
-
-    def _do_result(self, outcome: Mapping[str, Any], now: float) -> bool:
-        task_id = str(outcome.get("id", ""))
-        bucket = self._buckets.get(bucket_key(task_id))
-        if bucket is None:
-            return False
-        known = (
-            task_id in bucket.tasks
-            or task_id in bucket.claimed
-            or task_id in bucket.results
-        )
-        if not known:
-            return False
-        bucket.touched_at = now
-        entry = bucket.claimed.pop(task_id, None)
-        pending = bucket.tasks.pop(task_id, None)
-        if pending is not None:
-            index = bisect.bisect_left(bucket.order, task_id)
-            if index < len(bucket.order) and bucket.order[index] == task_id:
-                bucket.order.pop(index)
-        envelope = entry[0] if entry else pending
-        stored = dict(outcome)
-        if envelope is not None:
-            stored.setdefault("attempts", int(envelope.get("attempts", 0)))
-        bucket.results[task_id] = stored
-        return True
 
     def result(self, outcome: Mapping[str, Any]) -> bool:
         """Accept an outcome envelope; False if the task is unknown.
@@ -521,54 +441,47 @@ class BrokerQueue:
         """
         now = self._now()
         with self._lock:
-            accepted = self._do_result(outcome, now)
-            if accepted:
-                self._journal({"op": "result", "outcome": dict(outcome)})
-            return accepted
-
-    def _do_ack(self, ids: Iterable[str], now: float) -> list[str]:
-        dropped = []
-        for task_id in ids:
-            task_id = str(task_id)
-            key = bucket_key(task_id)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                continue
-            if bucket.results.pop(task_id, None) is not None:
-                dropped.append(task_id)
-                bucket.touched_at = now
-            self._drop_if_empty(key)
-        return dropped
+            task_id = str(outcome.get("id", ""))
+            bucket = self._bucket_of(task_id)
+            if bucket is None or not bucket.holds(task_id):
+                return False
+            self._commit({"op": "result", "outcome": dict(outcome)}, now)
+            return True
 
     def collect(self, match: str, ack: list[str] | None = None) -> dict[str, Any]:
         """Hand over finished results, plus the live pending/claimed
         counts the submitter's auto-scaler and liveness logic need —
         one round trip per poll tick.
 
-        The submission is addressed by its ``match`` prefix, which keeps
-        each poll tick's request O(newly finished), not O(submission
-        size), and the bucket table keeps the server-side scan O(own
-        submission) — a busy shared broker never walks every tenant's
-        state to answer one tenant's poll.
+        The submission is addressed by its ``match`` prefix — which must
+        be a string: defaulting to the empty prefix would reach every
+        bucket and hand one submitter every tenant's results — so a poll
+        tick costs O(newly finished) on the wire and O(own submission)
+        here, never a walk of every tenant's state.
 
         Handover is **ack-based, never speculative**: results stay in
         the tables (and are re-sent) until a later request lists them in
         ``ack``, which the submitter only does after safely receiving
-        the previous response.  A response lost on the wire therefore
-        loses nothing — the exact failure class the lease machinery
-        exists to kill.  The final :meth:`cancel` purges whatever was
-        never acked, so nothing accumulates past a submission's
-        lifetime (and the TTL GC covers submitters that died before
+        the previous response, so a response lost on the wire loses
+        nothing.  The final :meth:`cancel` purges whatever was never
+        acked (and the orphan GC covers submitters that died before
         even that)."""
+        if not isinstance(match, str):
+            raise ValueError("collect needs a string 'match' prefix")
+        ack = _strings(ack or [], "'ack'")
         now = self._now()
         with self._lock:
             self._expire(now)
-            acked = self._do_ack(ack or (), now)
+            acked = []
+            for task_id in ack:
+                bucket = self._bucket_of(task_id)
+                if bucket is not None and task_id in bucket.results:
+                    acked.append(task_id)
             if acked:
-                self._journal({"op": "ack", "ids": acked})
+                self._commit({"op": "ack", "ids": acked}, now)
             results: list[dict[str, Any]] = []
             pending = claimed = 0
-            for key in self._candidates(match):
+            for key in self._reach(match):
                 bucket = self._buckets[key]
                 # The asker is a live submitter: its submission
                 # stays fresh for the abandoned-submission GC.
@@ -577,66 +490,48 @@ class BrokerQueue:
                     # Whole bucket matches: counts are O(1), results
                     # are O(finished) — the steady-state poll tick.
                     wanted = sorted(bucket.results)
-                    pending += len(bucket.order)
+                    pending += len(bucket.pending)
                     claimed += len(bucket.claimed)
                 else:
-                    wanted = self._matching_ids(bucket.results, match)
-                    index = bisect.bisect_left(bucket.order, match)
-                    while (
-                        index < len(bucket.order)
-                        and bucket.order[index].startswith(match)
-                    ):
-                        pending += 1
-                        index += 1
-                    claimed += sum(
-                        1 for t in bucket.claimed if t.startswith(match)
-                    )
+                    wanted = sorted(t for t in bucket.results if t.startswith(match))
+                    pending += sum(1 for _ in bucket.pending.under(match))
+                    claimed += sum(1 for t in bucket.claimed if t.startswith(match))
                 results.extend(dict(bucket.results[t]) for t in wanted)
-            return {
-                "results": results,
-                "pending": pending,
-                "claimed": claimed,
-            }
-
-    def _do_cancel(self, ids: Iterable[str]) -> int:
-        cancelled = 0
-        for task_id in ids:
-            task_id = str(task_id)
-            key = bucket_key(task_id)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                continue
-            if bucket.tasks.pop(task_id, None) is not None:
-                cancelled += 1
-                index = bisect.bisect_left(bucket.order, task_id)
-                if index < len(bucket.order) and bucket.order[index] == task_id:
-                    bucket.order.pop(index)
-            cancelled += bucket.claimed.pop(task_id, None) is not None
-            bucket.results.pop(task_id, None)
-            self._drop_if_empty(key)
-        return cancelled
+            return {"results": results, "pending": pending, "claimed": claimed}
 
     def cancel(self, ids: list[str]) -> int:
-        """Withdraw a submission: nobody is waiting for these tasks."""
+        """Withdraw a submission: nobody is waiting for these tasks.
+        Returns how many were still unfinished (pending or claimed)."""
+        ids = _strings(ids, "'ids'")
+        now = self._now()
         with self._lock:
-            cancelled = self._do_cancel(ids)
-            self._journal({"op": "cancel", "ids": [str(t) for t in ids]})
+            cancelled = 0
+            for task_id in dict.fromkeys(ids):
+                bucket = self._bucket_of(task_id)
+                if bucket is not None and (
+                    task_id in bucket.pending or task_id in bucket.claimed
+                ):
+                    cancelled += 1
+            self._commit({"op": "cancel", "ids": ids}, now)
             return cancelled
 
     def stats(self) -> dict[str, Any]:
         now = self._now()
         with self._lock:
             self._expire(now)
-            buckets = [self._buckets[key] for key in self._keys]
+            buckets = list(self._buckets.values())
             return {
-                "pending": sum(len(b.tasks) for b in buckets),
+                "pending": sum(len(b.pending) for b in buckets),
                 "claimed": sum(len(b.claimed) for b in buckets),
                 "results": sum(len(b.results) for b in buckets),
                 "buckets": len(buckets),
                 "durable": self._store is not None,
-                "lease_s": self._lease_s,
-                "max_attempts": self._max_attempts,
             }
+
+    def close(self) -> None:
+        """Close the store's journal (idempotent; in-memory: nothing)."""
+        if self._store is not None:
+            self._store.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -665,11 +560,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-
-    def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
-        return json.loads(raw.decode("utf-8"))
 
     def _authorized(self) -> bool:
         if not self.token:
@@ -701,7 +591,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
-            body = self._body()
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the keep-alive stream is out of
+            # step with the requests on it: answer, then hang up.
+            self.close_connection = True
+            limit = f"Content-Length must be 0..{MAX_BODY_BYTES} bytes"
+            self._reply(413 if length > 0 else 400, {"error": limit})
+            return
+        try:
+            raw = self.rfile.read(length) if length else b"{}"
+            body = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._reply(400, {"error": f"bad JSON body: {exc}"})
             return
@@ -709,43 +611,36 @@ class _Handler(BaseHTTPRequestHandler):
             # Body read first so the keep-alive stream stays in sync.
             self._refuse_unauthorized()
             return
+        if not isinstance(body, dict):
+            self._reply(400, {"error": "the request body must be a JSON object"})
+            return
         route = self.path.split("?", 1)[0]
         try:
             if route == "/submit":
-                self._reply(
-                    200, {"accepted": self.queue.submit(body.get("tasks", []))}
-                )
+                reply: Any = {"accepted": self.queue.submit(body.get("tasks", []))}
             elif route == "/claim":
                 task = self.queue.claim(
                     match=str(body.get("match", "")),
                     worker=str(body.get("worker", "")),
                 )
-                self._reply(200, {"task": task})
+                reply = {"task": task}
             elif route == "/heartbeat":
-                self._reply(200, {"ok": self.queue.heartbeat(str(body.get("id")))})
+                reply = {"ok": self.queue.heartbeat(str(body.get("id")))}
             elif route == "/result":
-                self._reply(200, {"ok": self.queue.result(body)})
+                reply = {"ok": self.queue.result(body)}
             elif route == "/collect":
-                match = body.get("match")
-                if not isinstance(match, str):
-                    # Never default to "": the empty prefix reaches every
-                    # bucket and would hand one submitter every tenant's
-                    # results.
-                    self._reply(
-                        400, {"error": "/collect needs a string 'match' prefix"}
-                    )
-                    return
-                self._reply(
-                    200, self.queue.collect(match, ack=list(body.get("ack", [])))
-                )
+                reply = self.queue.collect(body.get("match"), ack=body.get("ack", []))
             elif route == "/cancel":
-                self._reply(
-                    200, {"cancelled": self.queue.cancel(list(body.get("ids", [])))}
-                )
+                reply = {"cancelled": self.queue.cancel(body.get("ids", []))}
             else:
                 self._reply(404, {"error": f"unknown endpoint {route!r}"})
+                return
+        except ValueError as exc:  # refused whole by the verb: nothing changed
+            self._reply(400, {"error": str(exc)})
         except Exception as exc:  # a broken request must not kill the broker
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+        else:
+            self._reply(200, reply)
 
 
 class BrokerServer(ThreadingHTTPServer):
@@ -775,6 +670,11 @@ class BrokerServer(ThreadingHTTPServer):
             return
         super().handle_error(request, client_address)
 
+    def server_close(self) -> None:
+        """Close the listening socket and the queue's journal."""
+        super().server_close()
+        self.queue.close()
+
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
@@ -785,9 +685,6 @@ class BrokerServer(ThreadingHTTPServer):
 def start_broker(
     host: str = "127.0.0.1",
     port: int = 0,
-    lease_s: float | None = None,
-    max_attempts: int | None = None,
-    ttl_s: float | None = None,
     token: str | None = None,
     store_dir: str | None = None,
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
@@ -800,8 +697,8 @@ def start_broker(
     defaults to ``REPRO_BROKER_TOKEN`` (``None`` with the variable
     unset: open broker); ``store_dir`` makes the queue durable.  This is
     what :class:`~repro.experiment.backends.broker_client.BrokerBackend`
-    uses for its private per-run broker, and what tests use to get a
-    real HTTP broker without a subprocess.
+    uses for its private per-run broker, what the CLI serves, and what
+    tests use to get a real HTTP broker without a subprocess.
     """
     store = (
         BrokerStore(store_dir, snapshot_every=snapshot_every, fsync=fsync)
@@ -810,9 +707,7 @@ def start_broker(
     )
     server = BrokerServer(
         (host, port),
-        BrokerQueue(
-            lease_s=lease_s, max_attempts=max_attempts, ttl_s=ttl_s, store=store
-        ),
+        BrokerQueue(store=store),
         token=token if token is not None else default_broker_token(),
     )
     thread = threading.Thread(
@@ -859,60 +754,27 @@ def main(argv: list[str] | None = None) -> int:
         help="fsync every journal append (host-crash durability; the "
         "default flush already survives any broker process death)",
     )
-    parser.add_argument(
-        "--lease-s",
-        type=float,
-        default=None,
-        help="fallback claim lease for tasks that carry none "
-        "(default: REPRO_QUEUE_LEASE_S or 30)",
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="fallback per-task retry budget "
-        "(default: REPRO_QUEUE_MAX_ATTEMPTS or 3)",
-    )
-    parser.add_argument(
-        "--ttl-s",
-        type=float,
-        default=None,
-        help="drop submissions idle this long — abandoned-submitter "
-        "garbage collection (default: one week)",
-    )
     args = parser.parse_args(argv)
-    store = (
-        BrokerStore(
-            args.store_dir, snapshot_every=args.snapshot_every, fsync=args.fsync
-        )
-        if args.store_dir
-        else None
-    )
-    token = default_broker_token()
-    server = BrokerServer(
-        (args.host, args.port),
-        BrokerQueue(
-            lease_s=args.lease_s,
-            max_attempts=args.max_attempts,
-            ttl_s=args.ttl_s,
-            store=store,
-        ),
-        token=token,
+    server = start_broker(
+        args.host,
+        args.port,
+        store_dir=args.store_dir,
+        snapshot_every=args.snapshot_every,
+        fsync=args.fsync,
     )
     durability = f"durable store {args.store_dir}" if args.store_dir else "in-memory"
-    auth = "token auth on" if token else "unauthenticated"
+    auth = "token auth on" if server.token else "unauthenticated"
     print(
         f"repro broker listening on {server.url} ({durability}, {auth})",
         flush=True,
     )
     try:
-        server.serve_forever(poll_interval=0.2)
+        threading.Event().wait()  # start_broker's thread serves; wait for ^C
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
     finally:
+        server.shutdown()
         server.server_close()
-        if store is not None:
-            store.close()
     return 0
 
 

@@ -1,12 +1,9 @@
 """Durability backend for the HTTP broker: append-only journal + snapshot.
 
-PR 5 made *worker* death survivable (lease-based claims), but the broker
-itself kept every pending/claimed/result envelope in plain in-memory
-dicts — a broker restart (deploy, OOM, crash) silently dropped every
-in-flight submission, the one failure class a multi-hour measurement
-sweep cannot afford to replay.  :class:`BrokerStore` closes that hole:
-:class:`~repro.experiment.broker.BrokerQueue` writes every state
-transition into an append-only **journal** and periodically folds the
+Without it a broker restart (deploy, OOM, crash) drops every in-flight
+submission, the one failure class a multi-hour measurement sweep cannot
+afford to replay.  :class:`~repro.experiment.broker.BrokerQueue` writes
+every record into an append-only **journal** and periodically folds the
 journal into an atomic **snapshot**, so a restarted broker pointed at
 the same store directory recovers exactly the submissions, claims and
 finished results it held when it died.
@@ -29,19 +26,10 @@ the rest of the queue layer (RPL201/202/203), with the journal itself
 using the one sanctioned non-atomic primitive: append, whose partial
 failure mode (a torn tail) recovery explicitly tolerates.
 
-**Clocks do not survive a restart.**  Lease deadlines are instants on
-the dead process's ``time.monotonic()`` axis and are meaningless to the
-new process, so nothing absolute is ever persisted: snapshots store each
-claim's *remaining* lease duration (``deadline - now`` at checkpoint
-time) and each submission's idle age, and recovery re-anchors them
-against the new process clock (``deadline = new_now + remaining``).  A
-claim that only exists as a journal record gets a full fresh lease on
-replay — the conservative choice: a worker that died with the broker
-costs one extra lease interval, a worker that survived simply resumes
-heartbeating (or lands its result, which is accepted for any known
-task).  Heartbeats are deliberately *not* journaled: they only move
-deadlines, which recovery re-derives anyway, and journaling a fleet's
-quarter-lease heartbeats would dwarf the real state transitions.
+What the records are, and how the clocks in them survive a restart
+(durations are persisted, never instants; heartbeats are not journaled),
+is the queue's business — see ``BrokerQueue._apply`` and
+``_state_dict``; the store persists dicts.
 
 By default appends are flushed to the OS (surviving any broker *process*
 death, which is what the chaos suite kills); ``fsync=True`` additionally

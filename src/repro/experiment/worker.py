@@ -17,11 +17,11 @@ reports ``{"id": ..., "result": <result dict>}`` (or ``{"id": ...,
 
 Claims are **leases**: while a task computes, a background thread
 heartbeats it (touching the claimed file's mtime, or POSTing
-``/heartbeat``) every quarter lease, so only a *dead* worker ever goes
-silent.  Idle file-queue workers also requeue other workers' expired
-claims (:func:`repro.experiment.backends.requeue_expired_claims`),
-which is what makes a long-lived fleet self-healing with no submitter
-involvement; over HTTP the broker sweeps leases itself.
+``/heartbeat``) every quarter of the envelope's ``lease_s``, so only a
+*dead* worker ever goes silent.  Idle file-queue workers also repossess
+other workers' expired claims (``client.recover()``), which is what
+makes a long-lived fleet self-healing with no submitter involvement;
+over HTTP the broker sweeps leases itself.
 
 Any number of workers on any hosts can drain the same queue;
 determinism is the engine's, not the scheduler's — a spec's result
@@ -35,20 +35,11 @@ queue — including the store's measured-cost ledger, which future
 submissions' sweep planners use to dispatch slowest-first by observed
 cost rather than heuristic.
 
-Typical remote session (no shared filesystem; export the same
-``REPRO_BROKER_TOKEN`` on every host when the broker requires one —
-an unauthenticated worker is refused with 401 and exits)::
-
-    # anywhere the fleet can reach:
-    python -m repro.experiment.broker --host 0.0.0.0 --port 8123
-
-    # on each worker host:
-    python -m repro.experiment.worker --broker http://broker:8123 \\
-        --cache-dir /var/cache/repro
-
-    # on the submitting host:
-    BatchRunner(specs, backend=BrokerBackend("http://broker:8123",
-                                             workers=0)).run()
+A remote session with no shared filesystem — broker, workers with
+``--cache-dir``, submitter with ``workers=0`` — is spelled out in
+:mod:`repro.experiment.broker`; export the same ``REPRO_BROKER_TOKEN``
+on every host when the broker requires one (an unauthenticated worker
+is refused with 401 and exits).
 
 Chaos hooks (used by the recovery test suite, harmless otherwise):
 ``REPRO_WORKER_KILL_FILE`` names a flag file — the first worker to claim
@@ -70,12 +61,13 @@ import traceback
 from typing import TYPE_CHECKING, Any
 
 from repro.experiment.backends import (
+    DEFAULT_LEASE_S,
     BrokerClient,
     FileQueueClient,
     PollBackoff,
-    default_lease_s,
     run_spec_payload,
 )
+from repro.experiment.backends.queue_common import lease_of, lease_policy
 
 if TYPE_CHECKING:
     from repro.experiment.cache import ResultCache
@@ -148,9 +140,12 @@ def _execute(
     """Run one claimed task; returns True when the shared cache is dirty
     (a payload was written with its index flush deferred to the caller)."""
     cache_dirty = False
-    lease_s = float(envelope.get("lease_s") or default_lease_s())
+    task_id = str(envelope.get("id", "unknown"))
+    lease_s, attempts = DEFAULT_LEASE_S, 0
     try:
-        task_id = str(envelope["id"])
+        # An envelope whose policy does not parse is reported like any
+        # other failure, naming the field, instead of killing the worker.
+        lease_s, _, attempts = lease_policy(envelope)
         spec_payload: dict[str, Any] = envelope["spec"]
         with _Heartbeat(client, token, lease_s / 4.0):
             result = run_spec_payload(spec_payload)
@@ -177,11 +172,10 @@ def _execute(
     except Exception:
         # Report the failure to the submitter instead of dying silently —
         # a lost task would cost a whole lease + retry before erroring.
-        task_id = str(envelope.get("id", "unknown"))
         outcome = {"id": task_id, "error": traceback.format_exc()}
     # Attempts ride along so the submitter can account for every worker
     # death this task survived, whoever did the requeuing.
-    outcome["attempts"] = int(envelope.get("attempts", 0) or 0)
+    outcome["attempts"] = attempts
     # The result just cost a whole simulation — a transient broker blip
     # on the report must not crash the worker and throw it away.  Retry
     # across roughly a lease (heartbeats have stopped, so a re-claim
@@ -229,10 +223,10 @@ def drain(
     # Consecutive empty claims back off exponentially (jittered, capped
     # well below a lease) — an idle fleet parked on a shared broker
     # between submissions must not keep hammering it at 20 Hz; the first
-    # task that lands resets to the base interval.
+    # task that lands resets to the base interval.  The cap follows the
+    # lease of the last task claimed (the default's before the first).
     idle_backoff = PollBackoff(
-        poll_interval_s,
-        max(poll_interval_s, min(default_lease_s() / 4.0, 2.0)),
+        poll_interval_s, max(poll_interval_s, min(DEFAULT_LEASE_S / 4.0, 2.0))
     )
 
     def flush_cache() -> None:
@@ -279,6 +273,9 @@ def drain(
                 continue
             envelope, token = task
             idle_backoff.reset()
+            idle_backoff.cap_s = max(
+                poll_interval_s, min(lease_of(envelope) / 4.0, 2.0)
+            )
             _chaos_kill(str(envelope.get("id", "")))
             cache_dirty = _execute(client, envelope, token, cache) or cache_dirty
             executed += 1

@@ -29,12 +29,17 @@ from repro.experiment import (
 )
 from repro.experiment.backends import (
     BACKEND_ENV_VAR,
+    DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
+    LEASE_ENV_VAR,
+    MAX_ATTEMPTS_ENV_VAR,
     TASKS_DIR,
     BrokerClient,
     claim_next_task,
     ensure_queue_dirs,
     task_envelope,
 )
+from repro.experiment.backends.queue_common import lease_policy, lease_verdict
 from repro.experiment.broker import start_broker
 from repro.experiment.worker import FileQueueClient, drain
 
@@ -166,6 +171,20 @@ class TestWorkQueueProtocol:
         )
         assert "SpecError" in envelope["error"]
 
+    def test_drain_reports_an_unparsable_lease_as_error_envelope(self, tmp_path):
+        """A hand-written task file never met submit's validation; the
+        worker that claims it reports the field, it does not die of it."""
+        root = ensure_queue_dirs(tmp_path)
+        (root / TASKS_DIR / "t-00000.json").write_text(
+            json.dumps({"id": "t-00000", "spec": {}, "lease_s": "soon"}),
+            encoding="utf-8",
+        )
+        assert drain(FileQueueClient(root), exit_when_empty=True) == 1
+        envelope = json.loads(
+            (root / "results" / "t-00000.json").read_text(encoding="utf-8")
+        )
+        assert "t-00000" in envelope["error"] and "lease_s" in envelope["error"]
+
     def test_drain_writes_back_to_shared_cache(self, tmp_path):
         root = ensure_queue_dirs(tmp_path / "queue")
         cache = ResultCache(tmp_path / "store")
@@ -189,7 +208,7 @@ class TestWorkQueueProtocol:
         os.utime(orphan, (ancient, ancient))
         backend = WorkQueueBackend(tmp_path / "queue", workers=1, timeout_s=60.0)
         backend.run([FAST_SPEC.to_dict()])
-        # Reaped past the fixed one-week horizon (_STALE_RESULT_S —
+        # Reaped past the fixed one-week horizon (ORPHAN_HORIZON_S —
         # deliberately independent of timeout_s, see _reap_stale_files).
         assert not orphan.exists()
         assert fresh.exists()  # could belong to a live submission: kept
@@ -273,6 +292,75 @@ class TestTransportContract:
             "claimed": 0,
         }
         assert worker.claim() is None
+
+
+    @pytest.mark.parametrize(
+        "bad, names",
+        [
+            ({"spec": {}}, "'id'"),
+            ({"id": 7, "spec": {}}, "'id'"),
+            ("job-00001", "envelope"),
+            ({"id": "job-00001"}, "job-00001.*spec"),
+            ({"id": "job-00001", "spec": []}, "job-00001.*spec"),
+            ({"id": "job-00001", "spec": {}, "lease_s": "soon"}, "job-00001.*lease_s"),
+            ({"id": "job-00001", "spec": {}, "lease_s": 0}, "lease_s"),
+            ({"id": "job-00001", "spec": {}, "lease_s": float("inf")}, "lease_s"),
+            ({"id": "job-00001", "spec": {}, "max_attempts": 0}, "max_attempts"),
+            ({"id": "job-00001", "spec": {}, "max_attempts": 2.5}, "max_attempts"),
+            ({"id": "job-00001", "spec": {}, "attempts": -1}, "attempts"),
+        ],
+    )
+    def test_a_batch_with_one_malformed_envelope_is_refused_whole(
+        self, clients, bad, names
+    ):
+        """Both transports refuse the same envelopes, naming the task and
+        the field, and store nothing of the batch — ``ValueError`` in
+        process, 400 over HTTP (which the client raises as refused)."""
+        submitter, worker = clients
+        good = task_envelope("job-00000", {"cell": 0})
+        with pytest.raises((ValueError, ConnectionError), match=names):
+            submitter.submit([good, bad])
+        assert submitter.collect(match="job-") == {
+            "results": [],
+            "pending": 0,
+            "claimed": 0,
+        }
+        assert worker.claim() is None
+
+
+class TestLeasePolicyTravelsInTheEnvelope:
+    @pytest.mark.parametrize(
+        "lease_s, max_attempts, expected",
+        [
+            ("2.5", "5", (2.5, 5)),
+            ("", "", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
+            ("soon", "many", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
+            ("0", "0", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
+            ("inf", "2.5", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
+        ],
+    )
+    def test_the_environment_is_read_where_a_submission_is_born(
+        self, monkeypatch, lease_s, max_attempts, expected
+    ):
+        monkeypatch.setenv(LEASE_ENV_VAR, lease_s)
+        monkeypatch.setenv(MAX_ATTEMPTS_ENV_VAR, max_attempts)
+        envelope = task_envelope("job-00000", {})
+        assert (envelope["lease_s"], envelope["max_attempts"]) == expected
+        backend = WorkQueueBackend(workers=1)
+        assert (backend.lease_s, backend.max_attempts) == expected
+
+    def test_and_by_nothing_downstream_of_an_envelope(self, monkeypatch):
+        """A reader on another host, with another environment, enforces
+        what the envelope says; a field it lacks is the module default."""
+        monkeypatch.setenv(LEASE_ENV_VAR, "0.01")
+        monkeypatch.setenv(MAX_ATTEMPTS_ENV_VAR, "1")
+        assert lease_policy({"id": "job-00000"}) == (
+            DEFAULT_LEASE_S,
+            DEFAULT_MAX_ATTEMPTS,
+            0,
+        )
+        verdict, after = lease_verdict({"id": "job-00000", "max_attempts": 2})
+        assert (verdict, after["attempts"]) == ("requeue", 1)
 
 
 class TestCrossBackendDeterminism:

@@ -29,7 +29,13 @@ from repro.experiment.backends import (
     BrokerUnavailable,
     task_envelope,
 )
-from repro.experiment.broker import BrokerQueue, bucket_key, start_broker
+from repro.experiment.backends.queue_common import ORPHAN_HORIZON_S
+from repro.experiment.broker import (
+    MAX_BODY_BYTES,
+    BrokerQueue,
+    bucket_key,
+    start_broker,
+)
 from repro.experiment.worker import _Heartbeat, drain
 
 from _helpers import FAST_SPEC
@@ -67,7 +73,7 @@ def clock() -> FakeClock:
 
 @pytest.fixture
 def queue(clock: FakeClock) -> BrokerQueue:
-    return BrokerQueue(lease_s=5.0, max_attempts=3, time_fn=clock)
+    return BrokerQueue(time_fn=clock)
 
 
 class TestBrokerQueueProtocol:
@@ -183,16 +189,16 @@ class TestBrokerQueueProtocol:
         assert queue.collect(match="job-", ack=["job-00000"])["results"] == []
         assert queue.stats()["results"] == 0
 
-    def test_abandoned_submission_is_garbage_collected(self, clock):
+    def test_abandoned_submission_is_garbage_collected(self, queue, clock):
         """A submitter killed before its cancel leaves tasks and results
-        behind; once nothing has touched them for ttl_s they are dropped
-        — a long-lived shared broker must not grow forever, and workers
-        must stop being handed a dead submission's tasks."""
-        queue = BrokerQueue(lease_s=5.0, ttl_s=100.0, time_fn=clock)
+        behind; once nothing has touched them for the orphan horizon
+        they are dropped — a long-lived shared broker must not grow
+        forever, and workers must stop being handed a dead submission's
+        tasks."""
         queue.submit(envelopes("dead-00000", "dead-00001"))
         queue.claim()
         assert queue.result({"id": "dead-00000", "result": {"ok": 1}})
-        clock.now += 101.0  # nobody collects, heartbeats, or claims
+        clock.now += ORPHAN_HORIZON_S + 1.0  # nobody collects, beats, or claims
         stats = queue.stats()
         assert stats["pending"] == stats["claimed"] == stats["results"] == 0
         assert queue.claim() is None
@@ -200,7 +206,7 @@ class TestBrokerQueueProtocol:
         # and never comes close to the horizon.
         queue.submit(envelopes("live-00000"))
         for _ in range(3):
-            clock.now += 60.0
+            clock.now += 0.6 * ORPHAN_HORIZON_S
             queue.collect(match="live-")  # each poll tick touches it
         assert queue.stats()["pending"] == 1
 
@@ -284,7 +290,7 @@ class TestBrokerAuth:
     @pytest.fixture
     def server(self, monkeypatch):
         monkeypatch.delenv(BROKER_TOKEN_ENV_VAR, raising=False)
-        server = start_broker(lease_s=30.0, token="s3cret")
+        server = start_broker(token="s3cret")
         yield server
         server.shutdown()
         server.server_close()
@@ -349,7 +355,7 @@ class TestBrokerHTTP:
 
     @pytest.fixture
     def server(self):
-        server = start_broker(lease_s=30.0)
+        server = start_broker()
         yield server
         server.shutdown()
         server.server_close()
@@ -388,6 +394,62 @@ class TestBrokerHTTP:
                 with pytest.raises(BrokerUnavailable, match="400.*'match'"):
                     client._request("/collect", body)
             assert client.stats()["results"] == 1  # untouched, unleaked
+
+    @pytest.mark.parametrize(
+        "path, body, names",
+        [
+            ("/submit", {"tasks": [{"spec": {}}]}, "'id'"),
+            ("/submit", {"tasks": 5}, "'tasks'"),
+            ("/submit", {"tasks": ["x"]}, "envelope"),
+            ("/submit", [1, 2], "JSON object"),
+            ("/result", [1, 2], "JSON object"),
+            ("/collect", {"match": "h-", "ack": 7}, "'ack'"),
+            ("/cancel", {"ids": 3}, "'ids'"),
+            # One bad envelope refuses the batch whole: h-00002 is well
+            # formed and must not be enqueued either.  (Accepted, this
+            # lease used to destroy the task at the claim that met it.)
+            (
+                "/submit",
+                {
+                    "tasks": envelopes("h-00002")
+                    + [{**envelopes("h-00003")[0], "lease_s": "soon"}]
+                },
+                "h-00003.*lease_s",
+            ),
+        ],
+    )
+    def test_malformed_request_is_refused_whole_with_400(
+        self, server, path, body, names
+    ):
+        with BrokerClient(server.url, match="h-") as client:
+            client.submit(envelopes("h-00000", "h-00001"))
+            client.claim()
+            before = client.stats()
+            with pytest.raises(BrokerUnavailable, match=f"400.*{names}"):
+                client._request(path, body)
+            assert client.stats() == before
+            assert client.claim()[1] == "h-00001"  # still serving, nothing lost
+
+    def test_oversized_body_is_refused_unread_and_the_connection_closed(
+        self, server
+    ):
+        """A declared length above MAX_BODY_BYTES is answered 413 before
+        a byte of the body is read, so the broker hangs up: the unread
+        bytes would otherwise be parsed as the next request."""
+        peer = socket.create_connection(server.server_address[:2], timeout=5.0)
+        try:
+            peer.sendall(
+                b"POST /submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n{}"
+                % (MAX_BODY_BYTES + 1)
+            )
+            reply = b""
+            while chunk := peer.recv(4096):  # until the broker closes
+                reply += chunk
+        finally:
+            peer.close()
+        assert reply.startswith(b"HTTP/1.1 413")
+        with BrokerClient(server.url) as client:
+            assert client.stats()["pending"] == 0  # still serving
 
     def test_requests_reuse_one_keepalive_connection(self, server):
         """The connection-churn fix: one TCP connection per thread, not

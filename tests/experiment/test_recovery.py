@@ -50,6 +50,13 @@ from _helpers import FAST_SPEC, canonical_batch, strip_runtime
 from _helpers import canonical as canonical_payloads
 from _helpers import canonical_batch as canonical
 
+# What this module opens, it closes: a socket or file left for a
+# finalizer fails the test that leaked it (see test_broker.py).
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
 #: Short enough that a recovery test finishes in seconds, long enough
 #: that a live worker's quarter-lease heartbeats never miss it.
 TEST_LEASE_S = 1.0
@@ -137,8 +144,9 @@ class TestSigkilledWorkerRecovery:
         assert backend.last_run_stats.exhausted == 1
 
 
-def _start_broker_proc(store_dir, port: int, lease_s: float = 30.0):
-    """A real broker subprocess; returns ``(proc, url)`` once listening."""
+def _start_broker_proc(store_dir, port: int):
+    """A real broker subprocess; returns ``(proc, url)`` once listening
+    (leases are the submitted envelopes' own: the broker has none)."""
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -148,8 +156,6 @@ def _start_broker_proc(store_dir, port: int, lease_s: float = 30.0):
             str(port),
             "--store-dir",
             str(store_dir),
-            "--lease-s",
-            str(lease_s),
             "--snapshot-every",
             "4",  # small: the kill window straddles snapshot rotations
         ],
@@ -162,6 +168,13 @@ def _start_broker_proc(store_dir, port: int, lease_s: float = 30.0):
     assert "listening on" in line, f"broker failed to start: {line!r}"
     url = line.split("listening on", 1)[1].strip().split()[0]
     return proc, url
+
+
+def _kill(proc) -> None:
+    """SIGKILL, reap, and close our end of the broker's stdout pipe."""
+    proc.kill()
+    proc.wait(timeout=10.0)
+    proc.stdout.close()
 
 
 class TestBrokerRestartDurability:
@@ -184,42 +197,40 @@ class TestBrokerRestartDurability:
         task_ids = [f"job-{index:05d}" for index in range(len(sweep))]
         proc, url = _start_broker_proc(store, port=0)
         try:
-            client = BrokerClient(url)
-            client.submit(
-                [
-                    task_envelope(task_id, spec.to_dict(), lease_s=30.0)
-                    for task_id, spec in zip(task_ids, sweep)
-                ]
-            )
-            # One cell finishes before the crash...
-            assert drain(BrokerClient(url, match="job-"), max_tasks=1) == 1
-            assert client.stats()["results"] == 1
-            client.close()
+            with BrokerClient(url) as client:
+                client.submit(
+                    [
+                        task_envelope(task_id, spec.to_dict(), lease_s=30.0)
+                        for task_id, spec in zip(task_ids, sweep)
+                    ]
+                )
+                # One cell finishes before the crash...
+                with BrokerClient(url, match="job-") as worker:
+                    assert drain(worker, max_tasks=1) == 1
+                assert client.stats()["results"] == 1
         finally:
-            proc.kill()  # ...and the broker dies mid-sweep, no goodbye
-            proc.wait(timeout=10.0)
+            _kill(proc)  # ...and the broker dies mid-sweep, no goodbye
         port = int(url.rsplit(":", 1)[1])
         proc, restarted_url = _start_broker_proc(store, port=port)
         try:
             assert restarted_url == url  # same address: clients reconnect
-            client = BrokerClient(url)
-            stats = client.stats()
-            # Zero loss: the finished payload and both remaining tasks.
-            assert stats["results"] == 1
-            assert stats["pending"] + stats["claimed"] == len(sweep) - 1
-            # The sweep completes against the revived broker...
-            drain(BrokerClient(url, match="job-"), exit_when_empty=True)
-            response = client.collect(match="job-")
+            with BrokerClient(url) as client:
+                stats = client.stats()
+                # Zero loss: the finished payload and both remaining tasks.
+                assert stats["results"] == 1
+                assert stats["pending"] + stats["claimed"] == len(sweep) - 1
+                # The sweep completes against the revived broker...
+                with BrokerClient(url, match="job-") as worker:
+                    drain(worker, exit_when_empty=True)
+                response = client.collect(match="job-")
             by_id = {env["id"]: env for env in response["results"]}
             assert sorted(by_id) == task_ids
             assert all(env.get("error") is None for env in by_id.values())
             # ...byte-identical to the serial reference.
             payloads = [strip_runtime(by_id[tid]["result"]) for tid in task_ids]
             assert canonical_payloads(payloads) == canonical_batch(reference)
-            client.close()
         finally:
-            proc.kill()
-            proc.wait(timeout=10.0)
+            _kill(proc)
 
     @pytest.mark.slow
     def test_sweep_rides_out_a_broker_restart_end_to_end(
@@ -230,28 +241,26 @@ class TestBrokerRestartDurability:
         The submitter's outage handling and the workers' result-POST
         retries must carry the run across the gap."""
         store = tmp_path / "broker-store"
-        proc, url = _start_broker_proc(store, port=0, lease_s=TEST_LEASE_S)
+        proc, url = _start_broker_proc(store, port=0)
         port = int(url.rsplit(":", 1)[1])
         restarted: dict = {}
 
         def chaos() -> None:
-            watcher = BrokerClient(url, timeout_s=2.0)
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                try:
-                    stats = watcher.stats()
-                except ConnectionError:
-                    time.sleep(0.1)
-                    continue
-                if stats["claimed"] >= 1 or stats["results"] >= 1:
-                    break  # the sweep is genuinely mid-flight
-                time.sleep(0.02)
-            watcher.close()
-            proc.kill()
-            proc.wait(timeout=10.0)
+            with BrokerClient(url, timeout_s=2.0) as watcher:
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() < deadline:
+                    try:
+                        stats = watcher.stats()
+                    except ConnectionError:
+                        time.sleep(0.1)
+                        continue
+                    if stats["claimed"] >= 1 or stats["results"] >= 1:
+                        break  # the sweep is genuinely mid-flight
+                    time.sleep(0.02)
+            _kill(proc)
             time.sleep(0.5)  # a visible outage, well under timeout_s
             restarted["proc"], restarted["url"] = _start_broker_proc(
-                store, port=port, lease_s=TEST_LEASE_S
+                store, port=port
             )
 
         killer = threading.Thread(target=chaos, daemon=True)
@@ -264,8 +273,7 @@ class TestBrokerRestartDurability:
         finally:
             killer.join(timeout=90.0)
             if "proc" in restarted:
-                restarted["proc"].kill()
-                restarted["proc"].wait(timeout=10.0)
+                _kill(restarted["proc"])
         assert restarted.get("url") == url  # the restart really happened
         assert canonical(batch) == canonical(reference)
 
@@ -308,6 +316,22 @@ class TestFileQueueLeaseUnits:
         assert "2 time(s)" in envelope["error"]
         assert envelope["attempts"] == 2
         assert not (root / TASKS_DIR / "j-00000.json").exists()
+
+    def test_unparsable_policy_is_given_up_naming_the_field(self, tmp_path):
+        """No lease can be read off such an envelope, so its claim is
+        expired by definition and the task is not retried: the sweep
+        writes the error envelope instead of raising out of collect."""
+        root = ensure_queue_dirs(tmp_path)
+        _atomic_write_json(
+            root / CLAIMED_DIR / "j-00000.json",
+            {"id": "j-00000", "spec": {}, "max_attempts": "many"},
+        )
+        assert requeue_expired_claims(root) == (0, 1)
+        envelope = json.loads(
+            (root / RESULTS_DIR / "j-00000.json").read_text(encoding="utf-8")
+        )
+        assert "j-00000" in envelope["error"] and "max_attempts" in envelope["error"]
+        assert not (root / CLAIMED_DIR / "j-00000.json").exists()
 
     def test_match_scopes_the_sweep(self, tmp_path):
         root = ensure_queue_dirs(tmp_path)
