@@ -32,7 +32,7 @@ class ConflictGraph:
     # ---------------------------------------------------------- constructors
     @classmethod
     def from_interference_map(cls, interference: PairwiseInterferenceMap) -> "ConflictGraph":
-        adjacency = adjacency_from_edges(interference.links, interference.conflict_pairs)
+        adjacency = {link: set(others) for link, others in interference.adjacency.items()}
         return cls(links=list(interference.links), adjacency=adjacency)
 
     @classmethod

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
-import numpy as np
-
 from repro.core.capacity import CapacityModel, combine_data_ack_losses
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.extreme_points import FeasibilityRegion
@@ -34,7 +32,7 @@ from repro.core.interference import (
     PairwiseInterferenceMap,
     connectivity_from_loss_rates,
 )
-from repro.core.loss_estimator import estimate_channel_loss_rate
+from repro.core.loss_estimator import estimate_channel_loss_rates
 from repro.core.optimizer import OptimizationResult, RateOptimizer, SolverError
 from repro.core.rate_control import RateController
 from repro.core.utility import AlphaFairUtility, PROPORTIONAL_FAIR
@@ -142,42 +140,49 @@ class OnlineOptimizer:
 
     # ----------------------------------------------------- capacity estimation
     def estimate_links(self) -> dict[Link, LinkEstimate]:
-        """Estimate channel loss and capacity for every used link."""
+        """Estimate channel loss and capacity for every used link.
+
+        Both directions of every link (DATA forward, ACK reverse) go
+        through the Section 5.3 estimator in one batch, but for two kinds:
+        a direction with fewer than ``min_probes_for_estimator`` probes in
+        its window keeps its raw measured loss rate (Case 1), and one with
+        *no* probes at all reads as loss ``0.0`` — optimistic, where
+        :meth:`ProbingSystem.loss_rate` says ``1.0`` of the same stream.
+        """
         probing = self.network.probing
         if probing is None:
             raise RuntimeError("probing is not enabled on the network")
+        links = self.links
+        rates = [self.network.link_rate(link) for link in links]
+        window, enough = self.probing_window, max(self.min_probes_for_estimator, 1)
+        series = [
+            probing.loss_series(link[0], link[1], "data", window, rate)
+            for link, rate in zip(links, rates)
+        ] + [probing.loss_series(rx, tx, "ack", window) for tx, rx in links]
+        estimated = iter(estimate_channel_loss_rates([s for s in series if s.size >= enough]))
+        # (loss, case) per direction: DATA of every link, then ACK of every link.
+        directions = [
+            next(estimated)[:2] if s.size >= enough else (float(s.mean()) if s.size else 0.0, 1)
+            for s in series
+        ]
+        models = {
+            rate: CapacityModel(self.payload_bytes, rate, self.network.mac_config)
+            for rate in set(rates)
+        }
         estimates: dict[Link, LinkEstimate] = {}
-        for link in self.links:
-            tx, rx = link
-            data_series = probing.loss_series(
-                tx, rx, "data", last_n=self.probing_window, rate=self.network.link_rate(link)
-            )
-            ack_series = probing.loss_series(rx, tx, "ack", last_n=self.probing_window)
-            data_loss, data_case = self._estimate_direction(data_series)
-            ack_loss, ack_case = self._estimate_direction(ack_series)
+        for link, rate, (data_loss, data_case), (ack_loss, ack_case) in zip(
+            links, rates, directions, directions[len(links) :]
+        ):
             channel_loss = combine_data_ack_losses(data_loss, ack_loss)
-            capacity_model = CapacityModel(
-                payload_bytes=self.payload_bytes,
-                rate=self.network.link_rate(link),
-                mac=self.network.mac_config,
-            )
             estimates[link] = LinkEstimate(
                 link=link,
                 data_loss=data_loss,
                 ack_loss=ack_loss,
                 channel_loss=channel_loss,
-                capacity_bps=capacity_model.max_udp_throughput_bps(min(channel_loss, 0.999999)),
+                capacity_bps=models[rate].max_udp_throughput_bps(min(channel_loss, 0.999999)),
                 estimator_case=max(data_case, ack_case),
             )
         return estimates
-
-    def _estimate_direction(self, series: np.ndarray) -> tuple[float, int]:
-        if series.size == 0:
-            return 0.0, 1
-        if series.size < self.min_probes_for_estimator:
-            return float(series.mean()), 1
-        estimate = estimate_channel_loss_rate(series)
-        return estimate.channel_loss_rate, estimate.case
 
     # -------------------------------------------------------------- conflicts
     def build_conflict_graph(self) -> ConflictGraph:
@@ -191,16 +196,9 @@ class OnlineOptimizer:
         # probes.  The basic rate has the widest decode range, so this is
         # the most conservative neighbour relation and therefore yields
         # the most conservative two-hop conflict set.
-        loss_rates: dict[Link, float] = {}
-        node_ids = self.network.node_ids
-        for tx in node_ids:
-            if probing.probes_sent(tx, "ack") == 0:
-                continue
-            for rx in node_ids:
-                if tx == rx:
-                    continue
-                loss_rates[(tx, rx)] = probing.loss_rate(tx, rx, "ack", self.probing_window)
-        neighbors = connectivity_from_loss_rates(loss_rates, self.connectivity_threshold)
+        neighbors = connectivity_from_loss_rates(
+            probing.loss_rates("ack", self.probing_window), self.connectivity_threshold
+        )
         interference = PairwiseInterferenceMap.from_two_hop(self.links, neighbors)
         return ConflictGraph.from_interference_map(interference)
 

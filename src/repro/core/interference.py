@@ -61,36 +61,28 @@ class PairwiseInterferenceMap:
 
     def __init__(self, links: Iterable[Link]) -> None:
         self.links: list[Link] = list(links)
-        if len(set(self.links)) != len(self.links):
+        #: ``link -> conflicting links``; written through :meth:`add_conflict`.
+        self.adjacency: dict[Link, set[Link]] = {link: set() for link in self.links}
+        if len(self.adjacency) != len(self.links):
             raise ValueError("duplicate links in interference map")
-        self._conflicts: set[frozenset[Link]] = set()
 
     # ------------------------------------------------------------- mutation
     def add_conflict(self, link_a: Link, link_b: Link) -> None:
         """Declare that two links interfere (symmetric)."""
         if link_a == link_b:
             return
-        if link_a not in self.links or link_b not in self.links:
+        if link_a not in self.adjacency or link_b not in self.adjacency:
             raise KeyError("both links must belong to the map")
-        self._conflicts.add(frozenset((link_a, link_b)))
+        self.adjacency[link_a].add(link_b)
+        self.adjacency[link_b].add(link_a)
 
     # -------------------------------------------------------------- queries
     def interferes(self, link_a: Link, link_b: Link) -> bool:
-        if link_a == link_b:
-            return False
-        return frozenset((link_a, link_b)) in self._conflicts
+        return link_b in self.adjacency.get(link_a, ())
 
     def conflicts_of(self, link: Link) -> list[Link]:
         """All links that conflict with ``link``."""
         return [other for other in self.links if self.interferes(link, other)]
-
-    @property
-    def conflict_pairs(self) -> list[tuple[Link, Link]]:
-        pairs = []
-        for pair in self._conflicts:
-            a, b = tuple(pair)
-            pairs.append((a, b))
-        return pairs
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -124,22 +116,15 @@ class PairwiseInterferenceMap:
         ``neighbors``) of any endpoint of the other.
         """
         mapping = cls(links)
-        link_list = mapping.links
-
-        def reach(node: int) -> set[int]:
-            return {node} | set(neighbors.get(node, set()))
-
-        for i, link_a in enumerate(link_list):
-            endpoints_a = set(link_a)
-            extended_a = reach(link_a[0]) | reach(link_a[1])
-            for link_b in link_list[i + 1 :]:
-                endpoints_b = set(link_b)
-                extended_b = reach(link_b[0]) | reach(link_b[1])
-                if (
-                    endpoints_a & endpoints_b
-                    or endpoints_a & extended_b
-                    or endpoints_b & extended_a
-                ):
+        # A link is disturbed by every node within one hop of either end.
+        reach = {
+            node: {node, *neighbors.get(node, ())} for link in mapping.links for node in link
+        }
+        extended = {link: reach[link[0]] | reach[link[1]] for link in mapping.links}
+        for i, link_a in enumerate(mapping.links):
+            near_a = extended[link_a]
+            for link_b in mapping.links[i + 1 :]:
+                if not (near_a.isdisjoint(link_b) and extended[link_b].isdisjoint(link_a)):
                     mapping.add_conflict(link_a, link_b)
         return mapping
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -53,29 +54,32 @@ def sliding_min_loss_curve(
     """Compute ``p_ch^(W)`` for every window size ``W`` in ``[Wmin, S]``.
 
     Args:
-        loss_series: 0/1 array, 1 marking a lost probe, in send order.
+        loss_series: loss indicators (nonzero = lost) in send order, or
+            ``k`` such series of one length as the columns of an array.
         min_window: smallest sliding window (the paper uses 10).
 
     Returns:
-        (window sizes, minimum loss rate per window size).
+        (window sizes, minimum loss rate per window size and column).
     """
-    series = np.asarray(loss_series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError("loss series must be one-dimensional")
-    total = series.size
+    series = np.asarray(loss_series)
+    if series.ndim not in (1, 2):
+        raise ValueError("loss series must be one-dimensional, or a stack of columns")
+    total = series.shape[0]
     if total == 0:
         raise ValueError("loss series is empty")
     if min_window < 1:
         raise ValueError("min_window must be at least 1")
-    min_window = min(min_window, total)
-    cumulative = np.concatenate(([0.0], np.cumsum(series)))
-    sizes = np.arange(min_window, total + 1)
-    starts, ends, offsets = _window_bounds(min_window, total)
-    # Every window sum of every size in one gather, then the minimum per
-    # size: the same subtractions, minima and divisions as one pass per
-    # size, so the curve is the same bits.
-    window_sums = cumulative[ends] - cumulative[starts]
-    return sizes, np.minimum.reduceat(window_sums, offsets) / sizes
+    sizes = np.arange(min(min_window, total), total + 1)
+    starts, ends, offsets = _window_bounds(int(sizes[0]), total)
+    # Series run along axis 0: a window sum is the difference of two *rows*
+    # of the cumulative counts.  Integer counts keep sums and minima exact
+    # and a curve value one int / int division, whatever the stack holds.
+    cumulative = np.zeros((total + 1, *series.shape[1:]), dtype=np.int32)
+    np.cumsum(series.astype(bool, copy=False), axis=0, dtype=np.int32, out=cumulative[1:])
+    window_sums = cumulative.take(ends, axis=0)
+    window_sums -= cumulative.take(starts, axis=0)
+    minima = np.minimum.reduceat(window_sums, offsets, axis=0)
+    return sizes, (minima.T / sizes).T
 
 
 @lru_cache(maxsize=8)
@@ -96,44 +100,76 @@ def _window_bounds(min_window: int, total: int) -> tuple[np.ndarray, np.ndarray,
     return starts, ends, offsets
 
 
-def _knee_of_log_fit(
-    sizes: np.ndarray, curve: np.ndarray
-) -> tuple[int, tuple[float, float]]:
-    """Fit ``a ln(w) + b`` and locate the knee of the normalized fit.
+@lru_cache(maxsize=8)
+def _knee_of_log_fit(min_window: int, total: int) -> tuple[int, np.ndarray]:
+    """``(knee, weights)`` of the fit ``a ln(w) + b`` of a curve over the
+    sizes ``[min_window, total]``: the curve index of ``W*``, and
+    ``weights @ curve``, the rise ``a (ln S - ln Wmin)`` of the curve's
+    least-squares fit, for the caller's flat-fit guard.
 
     The knee is the sample of maximum curvature of the fitted curve after
-    normalizing both axes to [0, 1] (with the window size normalized
-    *linearly*): the fitted ``a ln(w) + b`` rises steeply for small
-    windows and flattens for large ones, and the maximum-curvature point
-    marks where the rapid rise ends — the paper's selection rule.  The
-    normalization makes the rule scale-free, so it behaves identically
-    whether loss rates are near 0.01 or near 0.5.
+    normalizing both axes to [0, 1] (the window size *linearly*): the fit
+    rises steeply for small windows and flattens for large ones, and the
+    maximum-curvature point marks where the rapid rise ends — the paper's
+    selection rule.  Normalized, the fit is ``(ln w - ln Wmin) / (ln S -
+    ln Wmin)``: ``a`` and ``b`` cancel, so ``W*`` belongs to the two
+    lengths alone (24 for ``Wmin = 10, S = 80``); a series decides only
+    its case and the value read at ``W*``.
     """
+    sizes = np.arange(min_window, total + 1)
     if sizes.size == 1:
         # A series no longer than the minimum window has one point: no
         # line to fit, and the only window is the knee.
-        return int(sizes[0]), (0.0, float(curve[0]))
+        return 0, np.zeros(1)
     log_sizes = np.log(sizes.astype(float))
-    a, b = np.polyfit(log_sizes, curve, 1)
-    fitted = a * log_sizes + b
-    span_x = float(sizes[-1] - sizes[0])
-    span_y = float(fitted[-1] - fitted[0])
-    if span_x <= 0 or abs(span_y) < 1e-12:
-        # Degenerate (flat) fit: any window is as good as another.
-        return int(sizes[0]), (float(a), float(b))
-    x = (sizes - sizes[0]) / span_x
-    y = (fitted - fitted[0]) / span_y
+    span = log_sizes[-1] - log_sizes[0]
+    x = (sizes - sizes[0]) / float(sizes[-1] - sizes[0])
+    y = (log_sizes - log_sizes[0]) / span
     dy = np.gradient(y, x)
     d2y = np.gradient(dy, x)
     curvature = np.abs(d2y) / (1.0 + dy**2) ** 1.5
     # Ignore the very first and last samples where the discrete gradient
     # is one-sided and noisy.
     if curvature.size > 4:
-        interior = slice(1, -1)
-        knee_index = 1 + int(np.argmax(curvature[interior]))
+        knee = 1 + int(np.argmax(curvature[1:-1]))
     else:
-        knee_index = int(np.argmax(curvature))
-    return int(sizes[knee_index]), (float(a), float(b))
+        knee = int(np.argmax(curvature))
+    centred = log_sizes - log_sizes.mean()
+    return knee, centred * (span / (centred @ centred))
+
+
+def estimate_channel_loss_rates(
+    series_list: Sequence[np.ndarray],
+    min_window: int = DEFAULT_MIN_WINDOW,
+    case1_fraction: float = CASE1_FRACTION,
+) -> list[tuple[float, int, int]]:
+    """:func:`estimate_channel_loss_rate` of many series at once, equal
+    lengths in one stacked pass: the same arguments and numbers, one
+    ``(channel loss rate, case, selected window)`` per series."""
+    results: list[Any] = [None] * len(series_list)
+    for total in {len(series) for series in series_list}:
+        members = [index for index, series in enumerate(series_list) if len(series) == total]
+        sizes, curves = sliding_min_loss_curve(
+            np.array([series_list[index] for index in members]).T, min_window
+        )
+        measured = curves[-1]
+        # Case 1: the curve reaches the measured loss rate before S/2 (or
+        # nothing was lost at all, which selects the whole series).
+        reached = (curves >= case1_fraction * measured) & (sizes <= total / 2)[:, None]
+        clean = measured == 0.0
+        uniform = reached.any(axis=0) | clean
+        first_reached = np.where(clean, sizes.size - 1, reached.argmax(axis=0))
+        # Case 2: the curve at the knee W* of its log fit — at the smallest
+        # window when the fit is flat, where any window is as good as another.
+        knee, rise_weights = _knee_of_log_fit(int(sizes[0]), total)
+        knee = np.where(np.abs(rise_weights @ curves) < 1e-12, 0, knee)
+        at_knee = np.minimum(curves[knee, np.arange(len(members))], measured)
+        channel = np.where(uniform, measured, at_knee).tolist()
+        case = np.where(uniform, 1, 2).tolist()
+        window = sizes[np.where(uniform, first_reached, knee)].tolist()
+        for index, row in zip(members, zip(channel, case, window)):
+            results[index] = row
+    return results
 
 
 def estimate_channel_loss_rate(
@@ -141,53 +177,31 @@ def estimate_channel_loss_rate(
     min_window: int = DEFAULT_MIN_WINDOW,
     case1_fraction: float = CASE1_FRACTION,
 ) -> ChannelLossEstimate:
-    """Estimate the channel (non-collision) loss rate of a probe series.
+    """Estimate the channel (non-collision) loss rate of a probe series:
+    the batch of one, plus the curve and the fit for reports.
 
     Args:
-        loss_series: 0/1 loss indicators of ``S`` consecutive probes.
+        loss_series: loss indicators of ``S`` consecutive probes.
         min_window: smallest sliding window size.
         case1_fraction: fraction of the measured loss rate that must be
             reached before ``S/2`` to trigger Case 1.
     """
-    series = np.asarray(loss_series, dtype=float)
-    measured = float(series.mean()) if series.size else 0.0
-    sizes, curve = sliding_min_loss_curve(series, min_window)
-    total = series.size
-
-    if measured == 0.0:
-        return ChannelLossEstimate(
-            measured_loss_rate=0.0,
-            channel_loss_rate=0.0,
-            case=1,
-            window_sizes=sizes,
-            min_loss_curve=curve,
-            selected_window=int(sizes[-1]),
-        )
-
-    # Case 1: the curve reaches the measured loss rate before S/2.
-    threshold = case1_fraction * measured
-    half_mask = sizes <= total / 2
-    if np.any(curve[half_mask] >= threshold):
-        return ChannelLossEstimate(
-            measured_loss_rate=measured,
-            channel_loss_rate=measured,
-            case=1,
-            window_sizes=sizes,
-            min_loss_curve=curve,
-            selected_window=int(sizes[half_mask][np.argmax(curve[half_mask] >= threshold)]),
-        )
-
-    # Case 2: log fit and maximum-curvature knee.
-    selected_window, coefficients = _knee_of_log_fit(sizes, curve)
-    position = int(np.searchsorted(sizes, selected_window))
-    position = min(position, curve.size - 1)
-    estimate = float(curve[position])
+    sizes, curve = sliding_min_loss_curve(loss_series, min_window)
+    rows = estimate_channel_loss_rates([loss_series], min_window, case1_fraction)
+    channel, case, window = rows[0]
+    coefficients = None
+    if case == 2:
+        # Read by reports only.  One point has no line through it.
+        coefficients = (0.0, float(curve[0]))
+        if sizes.size > 1:
+            a, b = np.polyfit(np.log(sizes.astype(float)), curve, 1)
+            coefficients = (float(a), float(b))
     return ChannelLossEstimate(
-        measured_loss_rate=measured,
-        channel_loss_rate=min(estimate, measured),
-        case=2,
+        measured_loss_rate=float(curve[-1]),
+        channel_loss_rate=channel,
+        case=case,
         window_sizes=sizes,
         min_loss_curve=curve,
-        selected_window=selected_window,
+        selected_window=window,
         log_fit_coefficients=coefficients,
     )

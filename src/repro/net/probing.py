@@ -20,6 +20,7 @@ link loss rate ``p_l = 1 - (1 - p_DATA)(1 - p_ACK)`` used by Eq. (6).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable
@@ -50,9 +51,9 @@ class ProbePayload:
 
 @dataclass
 class _ProbeLog:
-    """Reception record of probes from one sender/kind at one receiver."""
+    """Sequence numbers of one sender/kind heard at one receiver, ascending."""
 
-    received: set[int] = field(default_factory=set)
+    received: list[int] = field(default_factory=list)
 
 
 class ProbingSystem:
@@ -103,15 +104,16 @@ class ProbingSystem:
 
         return handler
 
-    @staticmethod
-    def _kind_label(kind: str, rate: PhyRate | None) -> str:
+    def _label(self, sender: int, kind: str, rate: PhyRate | None) -> str:
         """Internal bookkeeping label: ACK probes share one stream, DATA
         probes are tracked per modulation (mixed 1 / 11 Mb/s meshes need
         per-rate loss estimates, since a frame that survives at 1 Mb/s may
-        be undecodable at 11 Mb/s)."""
-        if kind == "ack" or rate is None:
+        be undecodable at 11 Mb/s) — ``rate``, or the sender's default."""
+        if kind != "data":
             return kind
-        return f"{kind}@{rate.name}"
+        if rate is None and sender in self.nodes:
+            rate = self.nodes[sender].data_rate
+        return kind if rate is None else f"{kind}@{rate.name}"
 
     def _record(self, receiver_id: int, payload: ProbePayload) -> None:
         # One call per probe reception; the log is only allocated on
@@ -122,7 +124,13 @@ class ProbingSystem:
         log = self._logs.get(key)
         if log is None:
             log = self._logs[key] = _ProbeLog()
-        log.received.add(payload.seq)
+        # Probes leave a FIFO MAC queue and are never retransmitted, so
+        # they arrive in order; a late or repeated one still counts once.
+        received, seq = log.received, payload.seq
+        if not received or seq > received[-1]:
+            received.append(seq)
+        elif seq not in received:
+            insort(received, seq)
 
     # --------------------------------------------------------------- probing
     def start(self) -> None:
@@ -154,7 +162,7 @@ class ProbingSystem:
         ]
         probes.append(("ack", self.ack_probe_bytes, self.ack_rate))
         for kind, size, rate in probes:
-            label = self._kind_label(kind, rate if kind == "data" else None)
+            label = self._label(node_id, kind, rate)
             seq = self._sent.get((node_id, label), 0)
             self._sent[(node_id, label)] = seq + 1
             payload = ProbePayload(
@@ -170,34 +178,20 @@ class ProbingSystem:
         )
 
     # ------------------------------------------------------------- reporting
-    def _resolve_rate(self, sender: int, kind: str, rate: PhyRate | None) -> PhyRate | None:
-        if kind != "data":
-            return None
-        if rate is not None:
-            return rate
-        return self.nodes[sender].data_rate if sender in self.nodes else None
-
     def probes_sent(self, sender: int, kind: str = "data", rate: PhyRate | None = None) -> int:
         """Number of probes of ``kind`` (at ``rate``, for DATA) sent so far."""
-        label = self._kind_label(kind, self._resolve_rate(sender, kind, rate))
-        return self._sent.get((sender, label), 0)
+        return self._sent.get((sender, self._label(sender, kind, rate)), 0)
 
     def _window(
-        self, sender: int, receiver: int, kind: str, last_n: int | None, rate: PhyRate | None
-    ) -> tuple[int, int, set[int]]:
-        """The probing window of one stream at one receiver.
-
-        Returns ``(start, sent, heard)``: the window is the sequence
-        numbers ``[start, sent)`` — the ``last_n`` most recent probes of
-        ``kind`` sent by ``sender`` (all of them when ``last_n`` is None)
-        — and ``heard`` those of them ``receiver`` logged.
-        """
-        label = self._kind_label(kind, self._resolve_rate(sender, kind, rate))
+        self, sender: int, kind: str, last_n: int | None, rate: PhyRate | None
+    ) -> tuple[str, int, int]:
+        """The probing window of one stream, ``(label, start, sent)``: the
+        numbers ``[start, sent)`` of the ``last_n`` most recent probes of
+        ``kind`` from ``sender`` (all when ``last_n`` is None).  A probe is
+        numbered when sent, so no logged number reaches ``sent``."""
+        label = self._label(sender, kind, rate)
         sent = self._sent.get((sender, label), 0)
-        start = 0 if last_n is None else max(0, sent - last_n)
-        log = self._logs.get((sender, receiver, label))
-        heard = log.received.intersection(range(start, sent)) if log is not None else set()
-        return start, sent, heard
+        return label, (0 if last_n is None else max(0, sent - last_n)), sent
 
     def loss_series(
         self,
@@ -215,11 +209,22 @@ class ProbingSystem:
         ``sender`` (all of them when ``last_n`` is None) — the "probing
         window" consumed by the channel-loss estimator.
         """
-        start, sent, heard = self._window(sender, receiver, kind, last_n, rate)
+        label, start, sent = self._window(sender, kind, last_n, rate)
         series = np.ones(sent - start, dtype=int)
-        if heard:
-            series[np.fromiter(heard, dtype=int, count=len(heard)) - start] = 0
+        log = self._logs.get((sender, receiver, label))
+        if log is not None:
+            heard = log.received[bisect_left(log.received, start) :]
+            series[np.array(heard, dtype=int) - start] = 0
         return series
+
+    def _loss_rate(self, sender: int, receiver: int, label: str, start: int, sent: int) -> float:
+        """Counted, not averaged: ``lost / n`` of two integers is the
+        float64 that ``loss_series(...).mean()`` rounds to."""
+        if sent == start:
+            return 1.0
+        log = self._logs.get((sender, receiver, label))
+        heard = 0 if log is None else len(log.received) - bisect_left(log.received, start)
+        return (sent - start - heard) / (sent - start)
 
     def loss_rate(
         self,
@@ -229,15 +234,22 @@ class ProbingSystem:
         last_n: int | None = None,
         rate: PhyRate | None = None,
     ) -> float:
-        """Fraction of probes of ``kind`` from ``sender`` lost at ``receiver``.
+        """Fraction of probes of ``kind`` from ``sender`` lost at
+        ``receiver`` (``1.0`` when the window holds no probe at all)."""
+        return self._loss_rate(sender, receiver, *self._window(sender, kind, last_n, rate))
 
-        Counted, not averaged: ``lost / n`` of two integers is the
-        float64 that ``loss_series(...).mean()`` rounds to.
-        """
-        start, sent, heard = self._window(sender, receiver, kind, last_n, rate)
-        if sent == start:
-            return 1.0
-        return (sent - start - len(heard)) / (sent - start)
+    def loss_rates(
+        self, kind: str = "data", last_n: int | None = None
+    ) -> dict[tuple[int, int], float]:
+        """:meth:`loss_rate` of every ordered node pair whose sender has
+        sent probes of ``kind`` (DATA: at the sender's default rate)."""
+        table: dict[tuple[int, int], float] = {}
+        for sender in self.nodes:
+            label, start, sent = self._window(sender, kind, last_n, None)
+            for receiver in self.nodes if sent else ():
+                if receiver != sender:
+                    table[sender, receiver] = self._loss_rate(sender, receiver, label, start, sent)
+        return table
 
     def link_loss_rate(
         self, tx: int, rx: int, last_n: int | None = None, rate: PhyRate | None = None
@@ -251,12 +263,3 @@ class ProbingSystem:
         p_data = self.loss_rate(tx, rx, "data", last_n, rate)
         p_ack = self.loss_rate(rx, tx, "ack", last_n)
         return 1.0 - (1.0 - p_data) * (1.0 - p_ack)
-
-    def link_loss_series(
-        self, tx: int, rx: int, last_n: int | None = None, rate: PhyRate | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The (DATA, ACK) loss series of the directed link ``tx -> rx``."""
-        return (
-            self.loss_series(tx, rx, "data", last_n, rate),
-            self.loss_series(rx, tx, "ack", last_n),
-        )

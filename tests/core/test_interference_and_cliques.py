@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _parent_oracles as oracle
 from repro.core.cliques import (
     adjacency_from_edges,
     complement_graph,
@@ -97,6 +98,50 @@ class TestInterferenceMap:
         neighbors = {1: {2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
         imap = PairwiseInterferenceMap.from_two_hop(links, neighbors)
         assert not imap.interferes((0, 1), (4, 5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=14, unique=True
+        ),
+        st.dictionaries(st.integers(0, 11), st.sets(st.integers(0, 11), max_size=4), max_size=10),
+    )
+    def test_two_hop_equals_the_pairwise_definition(self, links, neighbors):
+        """Any link list (self-loops and both directions included) under
+        any neighbour map, symmetric or not: the reach-set construction
+        is the nested set algebra it replaced."""
+        imap = PairwiseInterferenceMap.from_two_hop(links, neighbors)
+        expected = oracle.two_hop_adjacency(links, neighbors)
+        assert imap.adjacency == expected
+        graph = ConflictGraph.from_interference_map(imap)
+        assert graph.links == links and graph.adjacency == expected
+        # The graph owns its adjacency: later conflicts do not reach it.
+        imap.add_conflict(links[0], links[-1])
+        assert graph.adjacency == expected
+
+    def test_membership_is_checked_against_a_set(self):
+        """``add_conflict`` on a dense 60-link map stays linear per edge:
+        it used to scan the link list twice per call."""
+
+        class CountingLink(tuple):
+            comparisons = 0
+
+            def __eq__(self, other):
+                CountingLink.comparisons += 1
+                return tuple.__eq__(self, other)
+
+            __hash__ = tuple.__hash__
+
+        links = [CountingLink((2 * i, 2 * i + 1)) for i in range(60)]
+        imap = PairwiseInterferenceMap(links)
+        CountingLink.comparisons = 0
+        for i, link_a in enumerate(links):
+            for link_b in links[i + 1 :]:
+                imap.add_conflict(link_a, link_b)
+        # 1770 edges; a list scan costs ~60 comparisons for each of them.
+        assert CountingLink.comparisons < 20 * 1770
+        assert all(len(imap.adjacency[link]) == 59 for link in links)
+        assert imap.interferes(links[0], links[59]) and not imap.interferes(links[0], (7, 7))
 
     def test_connectivity_from_loss_rates(self):
         loss = {(0, 1): 0.1, (1, 0): 0.2, (0, 2): 0.95}

@@ -6,6 +6,7 @@ import pytest
 from repro.mac.nominal import nominal_throughput_bps
 from repro.net.adhoc_probe import AdHocProbe
 from repro.net.packet import Packet, PacketKind
+from repro.net.probing import ProbePayload
 from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
 from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
 from repro.sim.measurement import measure_isolated
@@ -150,6 +151,39 @@ class TestProbingSystem:
                 else:
                     assert rate_value == 1.0
         assert 0 < sum(oracle(0, 2, "data@11Mbps", None)) < sent  # a mixed series
+
+    def test_a_sequence_number_counts_once_in_any_arrival_order(self, chain_network):
+        """The log is an ordered list that appends; a probe that arrives
+        late or twice (neither happens on a FIFO broadcast queue) still
+        gets the set semantics the list replaced."""
+        probing = chain_network.enable_probing(start=False)
+        probing._sent[(0, "ack")] = 10
+        for seq in (0, 1, 4, 4, 2, 7, 0, 7, 3, 9):
+            probing._record(1, ProbePayload(sender=0, seq=seq, kind="ack"))
+        assert probing._logs[(0, 1, "ack")].received == [0, 1, 2, 3, 4, 7, 9]
+        assert probing.loss_series(0, 1, "ack").tolist() == [0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
+        assert probing.loss_series(0, 1, "ack", last_n=4).tolist() == [1, 0, 1, 0]
+        assert probing.loss_rate(0, 1, "ack") == 3 / 10
+        assert probing.loss_rate(0, 1, "ack", last_n=4) == 2 / 4
+        assert probing.loss_rate(0, 1, "ack", last_n=0) == 1.0
+        assert probing.loss_rate(0, 2, "ack") == 1.0  # node 2 logged nothing
+
+    def test_loss_rates_is_loss_rate_of_every_ordered_pair(self, probed_network):
+        probing = probed_network.probing
+        nodes = probed_network.node_ids
+        for kind in ("ack", "data"):
+            for last_n in (None, 0, 40, 10_000):
+                assert probing.loss_rates(kind, last_n) == {
+                    (tx, rx): probing.loss_rate(tx, rx, kind, last_n)
+                    for tx in nodes
+                    for rx in nodes
+                    if tx != rx
+                }
+        # A sender that never probed has no row, as its window has no probes.
+        silent = MeshNetwork(
+            chain_topology(2, spacing_m=60.0), seed=2, propagation=no_shadowing_propagation()
+        )
+        assert silent.enable_probing(start=False).loss_rates("ack", 80) == {}
 
     def test_stop_halts_probing(self, probed_network):
         probing = probed_network.probing

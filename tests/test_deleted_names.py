@@ -1,0 +1,85 @@
+"""A deleted mechanism stays deleted.
+
+Each entry below names something a PR measured against the ledger (or
+against its own oracle) and removed; CHANGES.md has the verdicts.  The
+scan is plain text over ``src/`` — and, where "only inside this
+function" is the rule, the syntax tree — so it runs wherever the tests
+run instead of in a CI step nobody executes locally.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+QUEUE_COMMON = "repro/experiment/backends/queue_common.py"
+
+#: (what came back, pattern, files it may not appear in, files exempt)
+GONE = [
+    (
+        "a per-frame memo or default frame observer PR 18 deleted",
+        r"_per_cache|_airtime_cache|_label_cache|LinkTracer",
+        "**/*.py",
+        (),
+    ),
+    (
+        "a lease default read downstream of the envelope (PR 20)",
+        r"default_lease_s\(\)|default_max_attempts\(\)",
+        "**/*.py",
+        (QUEUE_COMMON,),
+    ),
+    (
+        "a second copy of a queue transition in the broker (PR 20)",
+        r"_replay|_do_[a-z]+",
+        "repro/experiment/broker.py",
+        (),
+    ),
+    (
+        "the per-window set intersection in the probe log (PR 21)",
+        r"\.intersection\(range\(",
+        "repro/net/probing.py",
+        (),
+    ),
+    (
+        "a frozenset per conflicting link pair (PR 21)",
+        r"frozenset|_conflicts\b",
+        "repro/core/interference.py",
+        (),
+    ),
+]
+
+
+@pytest.mark.parametrize("what, pattern, glob, exempt", GONE, ids=[entry[0] for entry in GONE])
+def test_deleted_name_is_absent_from_src(what, pattern, glob, exempt):
+    files = [
+        path for path in sorted(SRC.glob(glob)) if path.relative_to(SRC).as_posix() not in exempt
+    ]
+    assert files, f"nothing matches {glob}: the guard guards nothing"
+    found = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in files
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert not found, f"{what} is back under src/:\n" + "\n".join(found)
+
+
+def test_the_log_fit_is_computed_for_reports_and_the_knee_once_per_length():
+    """``np.polyfit`` (an SVD) and ``np.gradient`` left the per-series
+    path in PR 21: the fit feeds ``ChannelLossEstimate.log_fit_coefficients``
+    only, and the curvature search runs inside the ``lru_cache``d function
+    of ``(Wmin, S)``."""
+    allowed = {"polyfit": {"estimate_channel_loss_rate"}, "gradient": {"_knee_of_log_fit"}}
+    tree = ast.parse((SRC / "repro/core/loss_estimator.py").read_text(encoding="utf-8"))
+    seen: dict[str, set[str]] = {name: set() for name in allowed}
+    for function in tree.body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute) and node.attr in allowed:
+                seen[node.attr].add(getattr(function, "name", "<module>"))
+    assert seen == allowed
+    knee = next(node for node in tree.body if getattr(node, "name", "") == "_knee_of_log_fit")
+    assert any("lru_cache" in ast.unparse(decorator) for decorator in knee.decorator_list)
