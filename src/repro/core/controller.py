@@ -226,7 +226,7 @@ class OnlineOptimizer:
         inputs: dict[int, float] = {}
         path_losses: dict[int, float] = {}
         for idx, flow in enumerate(self.flows):
-            # The one place a solver iterate becomes a decision: scipy's
+            # The one place a solver iterate becomes a decision: LAPACK's
             # last ULP is not stable across builds, so decisions carry a
             # 1e-3 b/s grain (far below anything the shapers resolve).
             y = round(float(result.flow_rates[idx]), 3)

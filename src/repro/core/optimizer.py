@@ -10,12 +10,24 @@ The problem solved is::
 where ``R`` is the binary routing matrix (links x flows), the ``c[k]``
 are the extreme points of the feasibility region and ``U`` is an
 alpha-fair utility.  The throughput-maximising case (alpha = 0) and the
-max-min-fair case are linear programs; the general case is a small,
-smooth concave program solved with SLSQP.  Rates are normalised
-internally so the solver sees well-conditioned numbers regardless of
-whether capacities are expressed in b/s or Mb/s.  The solver carries
-only the extreme points no other point dominates: under free disposal
-the dominated ones (every primary point, for one) cannot change the
+max-min-fair case are linear programs (scipy's ``linprog``, imported by
+the solve that needs it); the general case is a small, smooth concave
+program solved in plain numpy by a primal-dual interior-point Newton
+iteration (Boyd & Vandenberghe, *Convex Optimization*, Section 11.7,
+with the centering of Mehrotra's 1992 predictor).  From a strictly
+interior start, each step solves the linearized KKT system
+``[[H + D_x, A^T, e], [A, -D_s, 0], [e^T, 0, 0]]``, ``A = [R, -C^T]``,
+once for the affine-scaling and the centering direction, aims every
+slack x multiplier product at (predicted / current gap)^3 of their
+mean, and moves all variables by one step length: at most 0.999 of the
+way to the boundary, halved until the KKT residual norm falls.  It ends
+when gap + |dual residual| |x|, a bound on the distance to the optimum,
+is within 1e-10 of ``sum_s y_s U'(y_s)``; anything else comes back as
+``success=False`` with the residuals in the message.  Rates are
+normalised internally so the solver sees well-conditioned numbers
+whether capacities are in b/s or Mb/s.  The solver carries only the
+extreme points no other point dominates: under free disposal the
+dominated ones (every primary point, for one) cannot change the
 optimum, and their weights come back as exact zeros.
 """
 
@@ -28,6 +40,14 @@ import numpy as np
 from repro.core.extreme_points import FeasibilityRegion, non_dominated_rows
 from repro.core.utility import AlphaFairUtility
 from repro.net.routing import RoutingMatrix
+
+
+#: The interior-point iteration of ``RateOptimizer._solve_concave``.
+_MAX_NEWTON_STEPS = 500
+_BOUNDARY_FRACTION = 0.999
+_MIN_STEP = 1e-10
+_OBJECTIVE_TOLERANCE = 1e-10
+_FEASIBILITY_TOLERANCE = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -84,9 +104,7 @@ class RateOptimizer:
         # the constraints are linear, so their Jacobians are constants.
         self._kept = non_dominated_rows(region.extreme_points)
         self._c = region.extreme_points[self._kept] / self._scale
-        num_flows = routing.matrix.shape[1]
-        self._slack_jac = np.hstack([-routing.matrix, self._c.T])
-        self._simplex_jac = np.concatenate([np.zeros(num_flows), np.ones(self._kept.size)])
+        self._capacity_rows = np.hstack([routing.matrix, -self._c.T])
 
     # --------------------------------------------------------------- solving
     def solve(self) -> OptimizationResult:
@@ -105,8 +123,8 @@ class RateOptimizer:
         return self.routing.matrix
 
     def _solve_linear(self, max_min: bool) -> OptimizationResult:
-        # Loaded at the first solve: a process that never solves (drainer,
-        # broker, controller-off cell) does not pay for scipy.optimize.
+        # Loaded at the first LP: a process that solves none (drainer, broker,
+        # proportional-fair controller) does not pay for scipy.optimize.
         from scipy.optimize import linprog
 
         num_flows = self._r.shape[1]
@@ -122,7 +140,7 @@ class RateOptimizer:
             objective[:num_flows] = -1.0
         # R y - C^T alpha <= 0
         a_ub = np.zeros((num_links, num_vars))
-        a_ub[:, : num_flows + num_points] = -self._slack_jac
+        a_ub[:, : num_flows + num_points] = self._capacity_rows
         b_ub = np.zeros(num_links)
         if max_min:
             # t - y_s <= 0 for every flow.
@@ -156,62 +174,108 @@ class RateOptimizer:
         return self._package(y, alpha, success=True, message="linprog")
 
     def _solve_concave(self) -> OptimizationResult:
-        from scipy.optimize import minimize
-
-        num_flows = self._r.shape[1]
-        num_points = self._kept.size
+        num_links, num_flows = self._r.shape
+        n = self._capacity_rows.shape[1]
+        m = n + num_links
+        fairness = self.utility.alpha
+        # Equilibrated units: a link row in units of its capacity under
+        # uniform alpha, a flow in units of half its tightest per-link
+        # share of that budget, so y = 1, alpha = 1 / K is interior.
+        x = np.ones(n)
+        x[num_flows:] /= n - num_flows
+        budget = x[num_flows:] @ self._c
+        share = budget / np.maximum(self._r.sum(axis=1), 1.0)
         floor = self.rate_floor / self._scale
-        utility = AlphaFairUtility(alpha=self.utility.alpha, rate_floor=floor)
-        slack_jac, simplex_jac = self._slack_jac, self._simplex_jac
+        rate_unit = np.maximum(2 * floor, 0.5 * np.where(self._r.T > 0, share, np.inf).min(axis=1))
+        rows = self._capacity_rows / np.where(budget > 0.0, budget, 1.0)[:, None]
+        rows[:, :num_flows] *= rate_unit
+        weight = rate_unit ** (1.0 - fairness)  # U'(y) = weight y^-alpha in those units
+        weight /= weight.max()
+        # z = [x = (y, alpha), link prices, nu | bound multipliers, link
+        # slacks]: (z - lower)[i] and z[m + 1 + i] are the two sides of
+        # complementarity pair i, and nu (entry m) is free.
+        lower = np.zeros(2 * m + 1)
+        lower[:num_flows], lower[m] = floor / rate_unit, -np.inf
+        slack = np.maximum(-(rows @ x), floor)
+        z = np.concatenate([x, 1.0 / slack, [0.0], 1.0 / (x - lower[:n]), slack])
+        # The Newton matrix, constant but for its diagonal.  Eliminating the
+        # link rows squares its conditioning: two tied points then stall it.
+        sign = np.ones(m)
+        sign[n:] = -1.0
+        constant = np.zeros((m + 1, m + 1))
+        constant[:n, n:m], constant[n:m, :n] = rows.T, rows
+        constant[num_flows:n, m] = constant[m, num_flows:n] = 1.0
+        kkt = constant.copy()
+        diagonal = kkt.reshape(-1)[:: m + 2][:m]
 
-        # Feasible starting point: uniform alpha, then shrink a uniform
-        # flow vector until it fits inside the per-link budgets.
-        alpha0 = np.full(num_points, 1.0 / num_points)
-        budget = self._c.T @ alpha0
-        flows_per_link = np.maximum(self._r.sum(axis=1), 1.0)
-        per_link_share = budget / flows_per_link
-        y0 = np.full(num_flows, max(floor, 1e-6))
-        for flow_index in range(num_flows):
-            links_of_flow = self._r[:, flow_index] > 0
-            if np.any(links_of_flow):
-                y0[flow_index] = max(floor, 0.5 * per_link_share[links_of_flow].min())
-        x0 = np.concatenate([y0, alpha0])
-        # SLSQP's first step is the raw gradient (its Hessian model starts
-        # at I): unscaled, alpha >= 2 on a starved flow overshoots so far
-        # that the line search gives up at x0 and reports success.  In
-        # units of the starting objective the step is O(1), and ftol is
-        # a relative tolerance.
-        unit = 1.0 / max(1.0, abs(utility.value(y0)))
+        def residuals(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            grad = -weight * z[:num_flows] ** -fairness
+            res = constant @ z[: m + 1]  # [dual (n), link rows (L), simplex]
+            res[:m] -= sign * z[m + 1 :]
+            res[:num_flows] += grad
+            res[m] -= 1.0
+            return grad, res
 
-        def negative_utility(x: np.ndarray) -> float:
-            return -unit * utility.value(x[:num_flows])
-
-        def negative_utility_grad(x: np.ndarray) -> np.ndarray:
-            grad = np.zeros_like(x)
-            grad[:num_flows] = -unit * utility.gradient(x[:num_flows])
-            return grad
-
-        # C^T alpha - R y >= 0 per link, and sum(alpha) = 1.
-        constraints = [
-            {"type": "ineq", "fun": lambda x: slack_jac @ x, "jac": lambda x: slack_jac},
-            {"type": "eq", "fun": lambda x: simplex_jac @ x - 1.0, "jac": lambda x: simplex_jac},
-        ]
-        bounds = [(floor, None)] * num_flows + [(0.0, 1.0)] * num_points
-        result = minimize(
-            negative_utility,
-            x0,
-            jac=negative_utility_grad,
-            bounds=bounds,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": 1e-10},
-        )
-        return self._package(
-            np.maximum(result.x[:num_flows], 0.0) * self._scale,
-            np.maximum(result.x[num_flows:], 0.0),
-            success=bool(result.success),
-            message=str(result.message),
-        )
+        grad, res = residuals(z)
+        rhs, dz, weights = np.zeros((m + 1, 2)), np.empty((2, 2 * m + 1)), np.ones(2)
+        # inf / nan (the floor does not fit) end the loop as a failure.
+        with np.errstate(all="ignore"):
+            for iteration in range(_MAX_NEWTON_STEPS):
+                # Keep the largest marginal utility near 1 as the rates move.
+                if not 0.5 < (rescale := -1.0 / grad.min()) < 2.0:
+                    weight *= rescale
+                    z[n : m + 1 + n] *= rescale
+                    grad, res[:n] = grad * rescale, res[:n] * rescale
+                positive = z - lower
+                first, second = positive[:m], positive[m + 1 :]
+                gap, error = first @ second, np.abs(res)
+                # gap + |dual residual| |x| bounds the distance to the optimum
+                # (the gap alone says no until the last steps).
+                tolerance = _OBJECTIVE_TOLERANCE * -(grad @ z[:num_flows])
+                if converged := gap <= tolerance and (
+                    gap + error[:n].max() * z[:n].sum() <= tolerance
+                    and error[n:].max() <= _FEASIBILITY_TOLERANCE
+                ):
+                    break
+                ratio = second / first
+                diagonal[:] = sign * ratio
+                diagonal[:num_flows] -= fairness * grad / z[:num_flows]
+                # Two right-hand sides: the affine-scaling step, and the
+                # change per unit of centering target.
+                rhs[:m, 0] = -res[:m] - sign * second
+                rhs[m, 0] = -res[m]
+                rhs[:m, 1] = sign / first
+                try:
+                    dz[:, : m + 1] = np.linalg.solve(kkt, rhs).T
+                except np.linalg.LinAlgError:
+                    break
+                dz[:, m + 1 :] = [-second, 1.0 / first] - ratio * dz[:, :m]
+                # -1 / min(reach) is the step at which a pair's side hits zero.
+                reach = dz / positive
+                a = -1.0 / min(reach[0].min(), -1.0)
+                # The affine step takes a off every product, to first order.
+                affine_gap = (1.0 - a) * gap + a * a * (dz[0, :m] @ dz[0, m + 1 :])
+                weights[1] = target = max((affine_gap / gap) ** 3 * gap, 0.1 * tolerance) / m
+                step = weights @ dz
+                a = -_BOUNDARY_FRACTION / min((weights @ reach).min(), -_BOUNDARY_FRACTION)
+                # Backtrack on the perturbed KKT residual's norm.
+                centrality = first * second - target
+                norm2 = res @ res + centrality @ centrality
+                while a > _MIN_STEP:
+                    trial = z + a * step
+                    grad, res = residuals(trial)
+                    centrality = (trial[:m] - lower[:m]) * trial[m + 1 :] - target
+                    if res @ res + centrality @ centrality <= (1.0 - 0.01 * a) ** 2 * norm2:
+                        break
+                    a *= 0.5
+                else:  # nothing lowers it: the floor does not fit, or precision ran out
+                    break
+                z = trial
+        found = "optimum" if converged else "no optimum"
+        message = f"interior point: {found} after {iteration} Newton steps (gap {gap:.3g}, dual "
+        message += f"residual {error[:n].max():.3g}, primal residual {error[n:].max():.3g})"
+        rates = z[:num_flows] * rate_unit * self._scale
+        return self._package(rates, z[num_flows:n], bool(converged), message)
 
     def _package(
         self, y: np.ndarray, alpha: np.ndarray, success: bool, message: str

@@ -85,8 +85,13 @@ class SpecError(ValueError):
 #:    only (``RateOptimizer``'s presolve) and in units of its starting
 #:    objective: the optimum is the same, but SLSQP reaches it along
 #:    another path, so decisions cached under version 4 differ from
-#:    recomputed ones by a few b/s.
-SPEC_SCHEMA_VERSION = 5
+#:    recomputed ones by a few b/s;
+#: 6. the concave rate program is solved by an interior-point Newton
+#:    iteration (``RateOptimizer._solve_concave``) in place of SLSQP:
+#:    decisions land within 1e-10 of the optimum where SLSQP stopped up
+#:    to 1e-5 short, so targets cached under version 5 differ from
+#:    recomputed ones in the last printed digits.
+SPEC_SCHEMA_VERSION = 6
 
 
 def spec_digest(spec: "ExperimentSpec | Mapping[str, Any]",

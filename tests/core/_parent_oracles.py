@@ -1,13 +1,20 @@
-"""Reference implementations the batched measure/model path is held to.
+"""Reference implementations the controller's fast paths are held to.
 
-Each function is the code the repository ran before the controller's
-measure -> model half became one array pass (commit a7c0de8), kept
-verbatim apart from names and return shapes: one probe series at a time
-through ``np.polyfit`` + ``np.gradient``, one pairwise set-algebra test
-per link pair, one ``loss_rate`` call per ordered node pair.  The one
-exception is the min-loss curve, which is the definition itself (a loop
-over window sizes; that commit's gather was already held to it).  The
-tests require ``==`` against them — equality, never a tolerance.
+The measure/model functions are the code the repository ran before the
+controller's measure -> model half became one array pass (commit
+a7c0de8), kept verbatim apart from names and return shapes: one probe
+series at a time through ``np.polyfit`` + ``np.gradient``, one pairwise
+set-algebra test per link pair, one ``loss_rate`` call per ordered node
+pair.  The one exception is the min-loss curve, which is the definition
+itself (a loop over window sizes; that commit's gather was already held
+to it).  The tests require ``==`` against them — equality, never a
+tolerance.
+
+``slsqp_solve`` is the concave solve as it ran until commit ab5e9dd,
+before the interior-point iteration replaced it: the only place
+``scipy.optimize.minimize`` still appears.  SLSQP stops on a relative
+change of the objective, up to 1e-5 short of the optimum, so it referees
+with tolerances, and only from below on the objective.
 """
 
 from __future__ import annotations
@@ -157,3 +164,68 @@ def conflict_adjacency(controller):
                 loss_rates[(tx, rx)] = probing.loss_rate(tx, rx, "ack", controller.probing_window)
     neighbors = connectivity_from_loss_rates(loss_rates, controller.connectivity_threshold)
     return two_hop_adjacency(controller.links, neighbors)
+
+
+# ----------------------------------------------------- the concave solve (§6.1)
+def slsqp_solve(optimizer):
+    """``RateOptimizer._solve_concave`` at commit ab5e9dd, on the same
+    presolved program: ``(flow rates, kept-point weights, success)``."""
+    from scipy.optimize import minimize
+
+    from repro.core.utility import AlphaFairUtility
+
+    routing, points = optimizer._r, optimizer._c
+    num_flows = routing.shape[1]
+    num_points = points.shape[0]
+    floor = optimizer.rate_floor / optimizer._scale
+    utility = AlphaFairUtility(alpha=optimizer.utility.alpha, rate_floor=floor)
+    slack_jac = np.hstack([-routing, points.T])
+    simplex_jac = np.concatenate([np.zeros(num_flows), np.ones(num_points)])
+
+    # Feasible starting point: uniform alpha, then shrink a uniform
+    # flow vector until it fits inside the per-link budgets.
+    alpha0 = np.full(num_points, 1.0 / num_points)
+    budget = points.T @ alpha0
+    flows_per_link = np.maximum(routing.sum(axis=1), 1.0)
+    per_link_share = budget / flows_per_link
+    y0 = np.full(num_flows, max(floor, 1e-6))
+    for flow_index in range(num_flows):
+        links_of_flow = routing[:, flow_index] > 0
+        if np.any(links_of_flow):
+            y0[flow_index] = max(floor, 0.5 * per_link_share[links_of_flow].min())
+    x0 = np.concatenate([y0, alpha0])
+    # SLSQP's first step is the raw gradient (its Hessian model starts
+    # at I): unscaled, alpha >= 2 on a starved flow overshoots so far
+    # that the line search gives up at x0 and reports success.  In
+    # units of the starting objective the step is O(1), and ftol is
+    # a relative tolerance.
+    unit = 1.0 / max(1.0, abs(utility.value(y0)))
+
+    def negative_utility(x):
+        return -unit * utility.value(x[:num_flows])
+
+    def negative_utility_grad(x):
+        grad = np.zeros_like(x)
+        grad[:num_flows] = -unit * utility.gradient(x[:num_flows])
+        return grad
+
+    # C^T alpha - R y >= 0 per link, and sum(alpha) = 1.
+    constraints = [
+        {"type": "ineq", "fun": lambda x: slack_jac @ x, "jac": lambda x: slack_jac},
+        {"type": "eq", "fun": lambda x: simplex_jac @ x - 1.0, "jac": lambda x: simplex_jac},
+    ]
+    bounds = [(floor, None)] * num_flows + [(0.0, 1.0)] * num_points
+    result = minimize(
+        negative_utility,
+        x0,
+        jac=negative_utility_grad,
+        bounds=bounds,
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": 500, "ftol": 1e-10},
+    )
+    return (
+        np.maximum(result.x[:num_flows], 0.0) * optimizer._scale,
+        np.maximum(result.x[num_flows:], 0.0),
+        bool(result.success),
+    )

@@ -1,7 +1,9 @@
 """The controller's measure -> model half against the per-link, per-pair
 code it replaced (``_parent_oracles``): every ``LinkEstimate`` field and
 the conflict graph's adjacency must be ``==`` on the states the
-performance ledger times and on the conventions for probe-less links."""
+performance ledger times and on the conventions for probe-less links.
+On the same states the solve is refereed, once, by the SLSQP call it
+replaced."""
 
 from __future__ import annotations
 
@@ -10,10 +12,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import _parent_oracles as oracle
-from repro.core import CapacityModel, OnlineOptimizer
+from repro.core import CapacityModel, OnlineOptimizer, RateOptimizer
+from repro.core.extreme_points import non_dominated_rows
+from repro.net.routing import build_routing_matrix
 from repro.net.probing import ProbingSystem
 from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
 
@@ -44,6 +49,27 @@ def _assert_equals_oracles(controller: OnlineOptimizer) -> dict:
     return estimates
 
 
+def _assert_slsqp_referees(controller: OnlineOptimizer) -> None:
+    """The interior-point solve of a live cycle's program against the
+    parent's SLSQP call on the same presolved program: at least as good
+    an objective, the same rates to what SLSQP resolved."""
+    decision = controller.optimize()
+    region = decision.region
+    routing = build_routing_matrix(controller._flow_routes(), links=region.links)
+    optimizer = RateOptimizer(region, routing, controller.utility)
+    result = optimizer.solve()
+    assert result.success
+    np.testing.assert_array_equal(result.flow_rates, decision.optimization.flow_rates)
+    parent_rates, _, parent_success = oracle.slsqp_solve(optimizer)
+    assert parent_success
+    parent_objective = controller.utility.value(np.maximum(parent_rates, optimizer.rate_floor))
+    assert result.objective >= parent_objective - 1e-9
+    np.testing.assert_allclose(result.flow_rates, parent_rates, rtol=1e-4)
+    assert result.alpha.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(np.delete(result.alpha, non_dominated_rows(region.extreme_points)) == 0.0)
+    assert region.contains(result.link_rates, tolerance=1e-9 * region.extreme_points.max())
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [7, 8])
 def test_controller_dense_state(seed):
@@ -53,6 +79,7 @@ def test_controller_dense_state(seed):
         estimates = _assert_equals_oracles(state.controller)
         assert len(estimates) == 16
         assert {est.estimator_case for est in estimates.values()} == {1, 2}
+        _assert_slsqp_referees(state.controller)
     finally:
         state.controller.network.close()
 
@@ -65,6 +92,7 @@ def test_final_cycle_of_the_ledger_cells(build):
     _, controller = replay_cell(build(ledger_cells.FIRST_RUN_SEED), NullTracer(), "oracle")
     try:
         _assert_equals_oracles(controller)
+        _assert_slsqp_referees(controller)
     finally:
         controller.network.close()
 

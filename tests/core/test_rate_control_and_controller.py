@@ -1,5 +1,7 @@
 """Tests for rate-control helpers and the online optimization controller."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -126,7 +128,7 @@ class TestOnlineOptimizer:
 
     @pytest.mark.parametrize("utility", [PROPORTIONAL_FAIR, MAX_THROUGHPUT])
     def test_solver_failure_raises_instead_of_deciding(self, probed_chain, monkeypatch, utility):
-        """A failed solve (SLSQP's unconverged iterate, the LP's all-zero
+        """A failed solve (an unconverged Newton iterate, the LP's all-zero
         placeholder) must never become a decision `apply` would program."""
         net, two_hop, one_hop = probed_chain
         solve = RateOptimizer.solve
@@ -142,6 +144,19 @@ class TestOnlineOptimizer:
         with pytest.raises(SolverError, match="Iteration limit reached"):
             controller.run_cycle()
         assert issubclass(SolverError, RuntimeError)
+        assert (two_hop.source.rate_bps, one_hop.source.rate_bps) == before
+
+    def test_a_rate_floor_that_does_not_fit_raises_instead_of_deciding(self, probed_chain):
+        """No monkeypatch: link (1, 2) carries both flows, and at 1.5 b/s it
+        cannot give each the 1 b/s rate floor, so the program has no
+        optimum and the shipped solve itself reports the failure."""
+        net, two_hop, one_hop = probed_chain
+        controller = OnlineOptimizer(net, [two_hop, one_hop], probing_window=100)
+        estimates = controller.estimate_links()
+        estimates[(1, 2)] = dataclasses.replace(estimates[(1, 2)], capacity_bps=1.5)
+        before = (two_hop.source.rate_bps, one_hop.source.rate_bps)
+        with pytest.raises(SolverError, match="interior point: no optimum"):
+            controller.apply(controller.optimize(estimates))
         assert (two_hop.source.rate_bps, one_hop.source.rate_bps) == before
 
     def test_apply_programs_udp_sources(self, probed_chain):

@@ -59,8 +59,8 @@ def _canonical(payload) -> str:
 
 
 class TestSpecLayer:
-    def test_schema_version_is_5(self):
-        assert SPEC_SCHEMA_VERSION == 5
+    def test_schema_version_is_6(self):
+        assert SPEC_SCHEMA_VERSION == 6
 
     def test_mobility_round_trip(self):
         spec = MobilitySpec(model="drift", epoch_s=0.25, drift_sigma_m=4.0)

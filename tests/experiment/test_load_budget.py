@@ -1,10 +1,12 @@
 """What a process loads, checked in fresh interpreters.
 
 numpy comes with ``import repro``; ``scipy.optimize`` (about half a
-second, tens of thousands of GC-tracked objects) belongs to processes
-that solve, and networkx only to ``ConflictGraph.to_networkx``.  A
-drainer, a broker or a controller-off cell that loaded either would pay
-for a solver it never calls, on every spawn.
+second, 50 MB resident, tens of thousands of GC-tracked objects) belongs
+to processes that solve a linear program - a max-throughput (alpha = 0)
+or max-min controller, ``FeasibilityRegion.contains`` - and networkx only
+to ``ConflictGraph.to_networkx``.  A drainer, a broker, a controller-off
+cell or a default (proportional-fair) controller, whose solve is plain
+numpy, would pay for a solver it never calls, on every spawn.
 """
 
 from __future__ import annotations
@@ -56,14 +58,24 @@ def test_controller_off_cell_loads_no_solver():
     assert _loaded_after(_run_experiment(FAST_SPEC)) == []
 
 
-def test_controller_on_cell_loads_the_solver_and_only_the_solver():
-    """The same probe does see ``scipy.optimize`` once a cell solves."""
-    solving = dataclasses.replace(
+def _controller_on(alpha: float):
+    return dataclasses.replace(
         FAST_SPEC,
-        controller=ControllerSpec(enabled=True),
+        controller=ControllerSpec(enabled=True, alpha=alpha),
         probing=ProbingSpec(warmup_s=10.0),
     )
-    assert _loaded_after(_run_experiment(solving)) == ["scipy.optimize"]
+
+
+def test_default_controller_on_cell_loads_neither_scipy_optimize_nor_networkx():
+    """The proportional-fair solve is an interior-point iteration in numpy."""
+    assert ControllerSpec(enabled=True).alpha == 1.0
+    assert _loaded_after(_run_experiment(_controller_on(alpha=1.0))) == []
+
+
+def test_max_throughput_controller_on_cell_still_loads_the_lp_solver():
+    """The same probe does see ``scipy.optimize`` once a cell solves an LP:
+    the lazy ``linprog`` import is the only way scipy gets in."""
+    assert _loaded_after(_run_experiment(_controller_on(alpha=0.0))) == ["scipy.optimize"]
 
 
 def test_repro_imports_without_networkx():

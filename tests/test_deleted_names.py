@@ -83,3 +83,45 @@ def test_the_log_fit_is_computed_for_reports_and_the_knee_once_per_length():
     assert seen == allowed
     knee = next(node for node in tree.body if getattr(node, "name", "") == "_knee_of_log_fit")
     assert any("lru_cache" in ast.unparse(decorator) for decorator in knee.decorator_list)
+
+
+def _src_trees():
+    for path in sorted(SRC.glob("**/*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_slsqp_stays_deleted_and_scipy_stays_lazy():
+    """PR 22 replaced the SLSQP solve with a numpy interior-point
+    iteration: ``scipy.optimize.minimize`` and the string ``"SLSQP"`` are
+    gone from ``src/`` (the parent's call referees from
+    ``tests/core/_parent_oracles.py``), and what scipy remains - the LPs'
+    ``linprog`` - is imported inside the function that calls it, so no
+    ``import repro...`` and no proportional-fair solve loads it."""
+    back, eager, lazy = [], [], []
+    for name, tree in _src_trees():
+        in_function = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            where = f"{name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # Docstrings and comments may tell the history; code may not ask for it.
+                if node.value.strip().upper() == "SLSQP":
+                    back.append(f"{where}: the string {node.value!r}")
+            if isinstance(node, ast.Attribute) and node.attr == "minimize":
+                back.append(f"{where}: calls .minimize")
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            modules = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if "minimize" in {alias.name for alias in node.names}:
+                    back.append(f"{where}: imports minimize")
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                (lazy if id(node) in in_function else eager).append(where)
+    assert not back, "the deleted solver is back under src/:\n" + "\n".join(back)
+    assert not eager, "scipy imported at module level under src/:\n" + "\n".join(eager)
+    assert lazy, "no scipy import found at all: the guard guards nothing"
