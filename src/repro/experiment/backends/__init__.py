@@ -29,9 +29,10 @@ The queue is **self-healing**: a claim is a lease that the worker
 heartbeats while it computes; every collect sweeps leases, and what a
 claim whose lease expired — a ``kill -9``'d worker — becomes is
 :func:`~repro.experiment.backends.queue_common.lease_verdict`'s to say
-on both transports; locally spawned drainers are topped up from the
-observed queue depth, so a dead worker costs one lease interval, never
-the sweep.  The policy (``REPRO_QUEUE_LEASE_S``,
+on both transports; local drainers — forks of the submitting process's
+one warm worker host, see :class:`~.queue_common.DrainerPool` — are
+topped up from the observed queue depth, so a dead worker costs one
+lease interval, never the sweep.  The policy (``REPRO_QUEUE_LEASE_S``,
 ``REPRO_QUEUE_MAX_ATTEMPTS``) is read by the submitter and travels in
 each task envelope.
 

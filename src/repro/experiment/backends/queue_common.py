@@ -27,9 +27,11 @@ transport — and it is written once:
   pool up from the *observed* queue depth every tick — a drainer that
   died (or exited on an empty queue before a lease-expired task was
   requeued) is replaced the moment there is visible work again.  Each
-  drainer writes its own log file, so a failure embeds the tail of the
-  log of the worker that actually failed instead of an interleaved
-  mess;
+  drainer is a fork of this process's one warm ``python -m
+  repro.experiment.worker --serve-forks`` host, so only the host pays
+  the interpreter and the imports, and writes its own log file, so a
+  failure embeds the tail of the log of the worker that actually failed
+  instead of an interleaved mess;
 * the submit → collect loop itself (:meth:`QueueBackend._collect`), with
   every liveness rule in one place: ack-based handover, idle and outage
   backoff, fail-fast on drainers that keep dying, patience while any
@@ -38,11 +40,15 @@ transport — and it is written once:
 
 from __future__ import annotations
 
+import atexit
+import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import time
 import uuid
 from abc import abstractmethod
@@ -73,6 +79,7 @@ __all__ = [
     "lease_verdict",
     "task_envelope",
     "validate_envelope",
+    "validate_outcome",
     "worker_subprocess_env",
 ]
 
@@ -229,6 +236,23 @@ def validate_envelope(envelope: Any) -> None:
     lease_policy(envelope)
 
 
+def validate_outcome(outcome: Any) -> None:
+    """Refuse a malformed outcome at the edge (``ValueError``) — where a worker
+    hands one in and where the submitter takes one over: a string ``id``,
+    ``attempts`` as :func:`lease_policy` reads it, and exactly one of ``result``
+    (an object) and ``error`` (a string)."""
+    if not isinstance(outcome, dict) or not isinstance(outcome.get("id"), str):
+        raise ValueError(f"an outcome must be an object with a string 'id', got {outcome!r:.80}")
+    lease_policy(outcome)
+    kinds = {"result": dict, "error": str}
+    stated = [key for key in kinds if key in outcome]
+    if len(stated) != 1 or not isinstance(outcome[stated[0]], kinds[stated[0]]):
+        raise ValueError(
+            f"outcome of task {outcome['id']!r}: exactly one of 'result' (an object) "
+            "and 'error' (a string) must be stated"
+        )
+
+
 def lease_of(envelope: Mapping[str, Any]) -> float:
     """The envelope's lease — minus infinity when its policy does not
     parse, so its claim reads as expired whatever the clock says and
@@ -271,8 +295,8 @@ def lease_verdict(envelope: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
 class QueueStats:
     """What the self-healing layer did during one submission."""
 
-    #: Local drainer subprocesses spawned over the whole run (top-ups
-    #: after worker deaths included — this can exceed the worker cap).
+    #: Local drainers forked over the whole run (top-ups after worker
+    #: deaths included — this can exceed the worker cap).
     spawned: int = 0
     #: Expired claims put back on the queue (worker deaths survived).
     requeued: int = 0
@@ -300,19 +324,100 @@ def worker_subprocess_env() -> dict[str, str]:
     return env
 
 
+class _ForkHost:
+    """This process's ``worker --serve-forks`` child: started by the first spawn,
+    asked one request at a time (any thread, any submission), replaced by the next
+    spawn once found dead, closed at exit — or by the end of its stdin, should
+    this process be killed."""
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._proc: subprocess.Popen | None = None
+
+    def ask(self, proc: subprocess.Popen | None, request: dict[str, Any]) -> Any:
+        """``proc``'s reply; ``None`` from a host that is dead, or dies of the asking."""
+        with self._lock:
+            if proc is not None and proc.poll() is None:
+                try:
+                    print(json.dumps(request), file=proc.stdin, flush=True)
+                    return json.loads(proc.stdout.readline())
+                except (OSError, ValueError):  # EPIPE, or EOF where a reply was due
+                    proc.kill()
+                    proc.wait()
+            return None
+
+    def spawn(self, request: dict[str, Any]) -> "_Drainer":
+        with self._lock:
+            reply = self.ask(self._proc, request)
+            if reply is None:
+                self.close()
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-m", "repro.experiment.worker", "--serve-forks"],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    env=worker_subprocess_env(),
+                    text=True,
+                )
+                reply = self.ask(self._proc, request)
+            if reply is None:
+                raise BackendError(
+                    "the drainer fork host died of its first request (its stderr is this process's)"
+                )
+            return _Drainer(self._proc, reply["pid"])
+
+    def close(self) -> None:
+        with self._lock:
+            proc, self._proc = self._proc, None
+            if proc is not None:
+                try:
+                    proc.stdin.close()  # the host terminates its drainers and exits
+                except OSError:  # a request a dead host never read, still buffered
+                    pass
+                proc.stdout.close()
+                proc.wait()
+
+
+_FORK_HOST = _ForkHost()
+atexit.register(_FORK_HOST.close)
+
+
+@dataclass
+class _Drainer:
+    """What :class:`DrainerPool` needs of a ``Popen``, for a fork of the host."""
+
+    host: subprocess.Popen
+    pid: int
+    returncode: int | None = None
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            reply = _FORK_HOST.ask(self.host, {"op": "poll", "pid": self.pid})
+            # A dead host's drainers all read as gone the way the host went:
+            # whichever still run hold leases, which the queue heals as ever.
+            self.returncode = self.host.poll() if reply is None else reply["status"]
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        # The pid stays this drainer's until a poll saw it exit: the host reaps a
+        # child only when asked about it.
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+
 @dataclass
 class DrainerPool:
-    """Submitter-side drainer subprocesses, topped up from queue depth.
+    """Submitter-side drainer processes, topped up from queue depth.
 
     Args:
-        command: the drainer argv (``python -m repro.experiment.worker
-            ...``); every spawn runs the same command.
+        command: the worker CLI arguments every drainer runs
+            (:func:`repro.experiment.worker.main`'s argv).
         log_dir: where per-drainer logs go, ``worker-{n:02d}.log`` — one
             per drainer, so a traceback is never interleaved with
             another process's output.
         cap: most drainers alive at once (0 = external-drain mode, the
             pool never spawns).
-        env: the drainers' environment.
+        env: what the drainers' environment holds beyond this process's
+            own (credentials).
     """
 
     command: Sequence[str]
@@ -320,21 +425,20 @@ class DrainerPool:
     cap: int
     env: dict[str, str]
     stats: QueueStats = field(default_factory=QueueStats)
-    _drainers: list[tuple[subprocess.Popen, Path]] = field(default_factory=list)
+    _drainers: list[tuple[_Drainer, Path]] = field(default_factory=list)
 
     def _spawn(self) -> None:
         log_path = self.log_dir / f"worker-{self.stats.spawned:02d}.log"
-        log = open(log_path, "ab")
-        try:
-            proc = subprocess.Popen(
-                list(self.command),
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=self.env,
-            )
-        finally:
-            log.close()
-        self._drainers.append((proc, log_path))
+        request = {
+            "op": "spawn",
+            "argv": list(self.command),
+            # As they are now, not as they were when the host started: a token,
+            # a chaos hook set since, a relative queue_dir after a chdir.
+            "env": {**worker_subprocess_env(), **self.env},
+            "cwd": os.getcwd(),
+            "log": str(log_path),
+        }
+        self._drainers.append((_FORK_HOST.spawn(request), log_path))
         self.stats.spawned += 1
 
     def top_up(self, depth: int) -> None:
@@ -374,13 +478,13 @@ class DrainerPool:
 
     def terminate(self) -> None:
         for proc, _ in self._drainers:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc, _ in self._drainers:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
+            proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 10.0
+        while self.alive_count():  # polled: they are the host's children to wait for
+            if time.monotonic() > deadline:  # pragma: no cover
+                for proc, _ in self._drainers:
+                    proc.send_signal(signal.SIGKILL)
+            time.sleep(0.002)
 
 
 class QueueBackend(ExecutionBackend):
@@ -398,7 +502,7 @@ class QueueBackend(ExecutionBackend):
 
     Args:
         workers: cap on concurrently live local drainer processes
-            (``python -m repro.experiment.worker``).  ``0`` spawns none
+            (forks of this process's warm worker host).  ``0`` spawns none
             and relies entirely on external workers already draining
             the queue.
         cache_dir: optional shared :class:`ResultCache` directory the
@@ -474,9 +578,6 @@ class QueueBackend(ExecutionBackend):
 
     def _drainer_command(self, target: Sequence[str], match: str) -> list[str]:
         command = [
-            sys.executable,
-            "-m",
-            "repro.experiment.worker",
             *target,
             "--exit-when-empty",
             "--poll-interval-s",
@@ -510,7 +611,7 @@ class QueueBackend(ExecutionBackend):
                 command=self._drainer_command(target, match),
                 log_dir=Path(log_dir),
                 cap=self.workers_for(len(payloads)) if self.workers != 0 else 0,
-                env={**worker_subprocess_env(), **env},
+                env=env,
             )
             self.last_run_stats = pool.stats
             where = target[-1]  # the directory or URL, for messages
@@ -596,18 +697,25 @@ class QueueBackend(ExecutionBackend):
                 continue
             outage_since = None
             outage_backoff.reset()
-            ack = [str(envelope.get("id")) for envelope in response["results"]]
+            try:
+                for envelope in response["results"]:
+                    validate_outcome(envelope)
+            except ValueError as exc:  # whoever reaches the queue can write a result
+                raise BackendError(
+                    f"the {self.name} queue ({where}) handed over a malformed outcome: {exc}"
+                ) from exc
+            ack = [envelope["id"] for envelope in response["results"]]
             progressed = False
             for envelope in response["results"]:
-                task_id = str(envelope.get("id"))
+                task_id = envelope["id"]
                 if task_id not in pending:
                     continue  # re-sent while its ack was in flight
                 # Accounting reads the envelope, not any one sweeper: the
                 # submitter, idle workers and the broker all requeue
                 # expired claims, and only the envelope's attempts
                 # counter sees every requeuer exactly once.
-                attempts = int(envelope.get("attempts", 0) or 0)
-                if envelope.get("error") is not None:
+                attempts = envelope.get("attempts", 0)
+                if "error" in envelope:
                     # A running worker reports at most max_attempts - 1;
                     # only a synthesized give-up envelope reaches the cap.
                     if attempts >= self.max_attempts:

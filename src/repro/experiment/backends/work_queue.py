@@ -46,6 +46,7 @@ from repro.experiment.backends.queue_common import (
     lease_of,
     lease_verdict,
     validate_envelope,
+    validate_outcome,
 )
 from repro.experiment.fsio import atomic_write_text
 
@@ -285,6 +286,7 @@ class FileQueueClient:
             pass  # requeued under us; the duplicate run is byte-identical
 
     def complete(self, token: Path, outcome: dict[str, Any]) -> None:
+        validate_outcome(outcome)
         _atomic_write_json(
             self.root / RESULTS_DIR / f"{outcome['id']}.json", outcome
         )

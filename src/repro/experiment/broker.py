@@ -78,6 +78,7 @@ from repro.experiment.backends.queue_common import (
     lease_of,
     lease_verdict,
     validate_envelope,
+    validate_outcome,
 )
 from repro.experiment.broker_store import DEFAULT_SNAPSHOT_EVERY, BrokerStore
 
@@ -429,7 +430,8 @@ class BrokerQueue:
             return True
 
     def result(self, outcome: Mapping[str, Any]) -> bool:
-        """Accept an outcome envelope; False if the task is unknown.
+        """Accept an outcome envelope; False if the task is unknown,
+        ``ValueError`` (nothing stored) if the envelope is malformed.
 
         A result is accepted from a worker whose lease already expired —
         its task may have been requeued (or re-claimed by someone else),
@@ -439,9 +441,10 @@ class BrokerQueue:
         for ids the broker has never seen (a cancelled submission) are
         refused so they cannot accumulate forever.
         """
+        validate_outcome(outcome)
         now = self._now()
         with self._lock:
-            task_id = str(outcome.get("id", ""))
+            task_id = outcome["id"]
             bucket = self._bucket_of(task_id)
             if bucket is None or not bucket.holds(task_id):
                 return False

@@ -1,6 +1,9 @@
 """Queue drainer: ``python -m repro.experiment.worker``.
 
-The executable half of the queue-shaped backends.  A worker claims task
+The executable half of the queue-shaped backends: :func:`main` is what every
+drainer runs, started from this command line (an external worker, any host) or
+forked, imports already paid, by a submitter's ``--serve-forks`` host
+(:func:`serve_forks`: its local drainers).  A worker claims task
 envelopes (``{"id": ..., "spec": <canonical spec dict>, "attempts": ...,
 "lease_s": ..., "max_attempts": ...}``), runs
 :func:`repro.experiment.backends.run_spec_payload` on the spec, and
@@ -53,11 +56,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import signal
+import sys
 import threading
 import time
 import traceback
+import warnings
 from typing import TYPE_CHECKING, Any
 
 from repro.experiment.backends import (
@@ -76,6 +82,7 @@ __all__ = [
     "FileQueueClient",
     "drain",
     "main",
+    "serve_forks",
 ]
 
 #: Chaos hooks, read once per claim (see the module docstring).
@@ -285,6 +292,73 @@ def drain(
     return executed
 
 
+def _become_drainer(request: dict[str, Any]) -> None:
+    """The forked child's half of a spawn: take on the submission's environment,
+    directory and log file, run :func:`main` as a fresh ``python -m`` would have."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        os.environ.clear()
+        os.environ.update(request["env"])
+        os.chdir(request["cwd"])
+        log = os.open(request["log"], os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        null = os.open(os.devnull, os.O_RDONLY)  # fd 0 was the host's requests
+        for fd, source in enumerate((null, log, log)):
+            os.dup2(source, fd)
+        code = main(request["argv"])
+    except SystemExit as exc:  # argparse refusing the argv
+        code = exc.code if isinstance(exc.code, int) else 1
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        # Never the host's way out: its atexit handlers are not this process's.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def serve_forks() -> int:
+    """Be a submitter's fork host: start its drainers warm, never drain here.
+
+    One JSON line per request on stdin, one reply line on what was stdout:
+    ``{"op": "spawn", "argv", "env", "cwd", "log"}`` -> ``{"pid"}`` of a fork
+    that runs :func:`_become_drainer`; ``{"op": "poll", "pid"}`` -> ``{"status"}``,
+    ``None`` while that drainer runs, else ``Popen``'s convention (minus the signal
+    for a killed one) - a child is reaped here, and only when asked about.  The
+    end of stdin means the submitter is gone, however it went: the drainers still
+    alive are terminated and the host exits.
+    """
+    replies = os.dup(1)
+    os.dup2(2, 1)  # a stray print must not read as a reply
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the submitter's to handle
+    alive: set[int] = set()
+    try:
+        for line in sys.stdin:
+            request = json.loads(line)
+            if request["op"] == "spawn":
+                with warnings.catch_warnings():
+                    # 3.12+ warns when a process with a second OS thread forks.  The
+                    # one here is OpenBLAS's pool, which registers its own atfork
+                    # handlers (ProcessPoolBackend forks numpy-loaded processes
+                    # too); the host itself starts no thread.
+                    warnings.filterwarnings("ignore", ".*multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    os.close(replies)
+                    _become_drainer(request)
+                alive.add(pid)
+                reply: dict[str, Any] = {"pid": pid}
+            else:
+                done, status = os.waitpid(request["pid"], os.WNOHANG)
+                alive.discard(done)
+                reply = {"status": os.waitstatus_to_exitcode(status) if done else None}
+            os.write(replies, f"{json.dumps(reply)}\n".encode())
+    finally:  # also when the submitter died mid-reply (EPIPE)
+        for pid in alive:
+            os.kill(pid, signal.SIGTERM)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiment.worker",
@@ -369,4 +443,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # The host's entry is not a worker option: main() is what its forks run.
+    raise SystemExit(serve_forks() if sys.argv[1:] == ["--serve-forks"] else main())

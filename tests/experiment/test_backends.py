@@ -39,7 +39,7 @@ from repro.experiment.backends import (
     ensure_queue_dirs,
     task_envelope,
 )
-from repro.experiment.backends.queue_common import lease_policy, lease_verdict
+from repro.experiment.backends.queue_common import DrainerPool, lease_policy, lease_verdict
 from repro.experiment.broker import start_broker
 from repro.experiment.worker import FileQueueClient, drain
 
@@ -327,6 +327,49 @@ class TestTransportContract:
         }
         assert worker.claim() is None
 
+    @pytest.mark.parametrize(
+        "bad, names",
+        [
+            ({"result": {"ok": 1}}, "'id'"),
+            ({"id": 7, "result": {"ok": 1}}, "'id'"),
+            ({"id": "job-00000"}, "job-00000.*'result'.*'error'"),
+            ({"id": "job-00000", "result": {"ok": 1}, "error": "boom"}, "job-00000.*one of"),
+            ({"id": "job-00000", "result": [1]}, "job-00000.*object"),
+            ({"id": "job-00000", "result": None}, "job-00000.*object"),
+            ({"id": "job-00000", "error": {"no": "string"}}, "job-00000.*string"),
+            ({"id": "job-00000", "result": {"ok": 1}, "attempts": -1}, "job-00000.*attempts"),
+            ({"id": "job-00000", "result": {"ok": 1}, "attempts": "2"}, "job-00000.*attempts"),
+        ],
+    )
+    def test_a_malformed_outcome_is_refused_where_it_enters(self, clients, bad, names):
+        """A hostile or buggy worker's report fails in that worker —
+        ``ValueError`` in process, 400 over HTTP — and stores nothing: the
+        claim stays live and the submitter never meets the outcome."""
+        submitter, worker = clients
+        submitter.submit([task_envelope("job-00000", {"cell": 0})])
+        _, token = worker.claim()
+        with pytest.raises((ValueError, ConnectionError), match=names):
+            worker.complete(token, bad)
+        assert submitter.collect(match="job-") == {
+            "results": [],
+            "pending": 0,
+            "claimed": 1,
+        }
+        worker.complete(token, {"id": "job-00000", "error": "boom", "attempts": 0})
+        [outcome] = submitter.collect(match="job-")["results"]
+        assert outcome["error"] == "boom"
+
+    def test_a_result_file_nobody_validated_fails_the_submission_naming_it(self, tmp_path):
+        """Whoever can write the shared directory can write a result: the
+        collect loop reads it as a refused outcome, not as a ``KeyError``."""
+        client = FileQueueClient(tmp_path)
+        forged = {"id": "job-00000", "attempts": 0}
+        (tmp_path / "results" / "job-00000.json").write_text(json.dumps(forged))
+        backend = WorkQueueBackend(tmp_path, workers=0, timeout_s=30.0)
+        pool = DrainerPool(command=[], log_dir=tmp_path, cap=0, env={})
+        with pytest.raises(BackendError, match="malformed outcome.*job-00000.*'result'"):
+            backend._collect(client, ["job-00000"], pool, "job-", str(tmp_path))
+
 
 class TestLeasePolicyTravelsInTheEnvelope:
     @pytest.mark.parametrize(
@@ -470,8 +513,9 @@ class TestBatchRunnerIntegration:
         assert not isinstance(object(), ExecutionBackend)
 
     def test_worker_subprocess_env_and_cli(self, tmp_path):
-        """End-to-end: backend spawns real `python -m repro.experiment.worker`
-        subprocesses that must import repro from this checkout."""
+        """End-to-end: the backend's drainers are forks of a real `python -m
+        repro.experiment.worker --serve-forks` subprocess, which must import
+        repro from this checkout."""
         backend = WorkQueueBackend(tmp_path / "queue", workers=1)
         payload = FAST_SPEC.to_dict()
         results = backend.run([payload])

@@ -15,6 +15,9 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from repro.experiment import ControllerSpec, ProbingSpec
 from repro.experiment.backends.queue_common import worker_subprocess_env
@@ -76,6 +79,29 @@ def test_max_throughput_controller_on_cell_still_loads_the_lp_solver():
     """The same probe does see ``scipy.optimize`` once a cell solves an LP:
     the lazy ``linprog`` import is the only way scipy gets in."""
     assert _loaded_after(_run_experiment(_controller_on(alpha=0.0))) == ["scipy.optimize"]
+
+
+def test_the_fork_host_stays_at_the_worker_import_after_serving_an_lp_cell():
+    """The host only forks: the drainer that solves the LP imports
+    ``scipy.optimize`` in its own copy-on-write image and exits with it, so
+    what the next drainer starts from - and what stays resident until the
+    submitter exits - is still exactly ``import repro.experiment.worker``.
+    Read off the host's memory map: an import there would leave the
+    extension modules mapped."""
+    from repro.experiment import WorkQueueBackend
+    from repro.experiment.backends import queue_common
+
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        pytest.skip("reads /proc/<pid>/maps")
+    spec = _controller_on(alpha=0.0)
+    [payload] = WorkQueueBackend(workers=1).run([spec.to_dict()])
+    assert payload["spec"] == spec.to_dict()
+    host = queue_common._FORK_HOST._proc
+    assert host is not None and host.poll() is None
+    mapped = Path(f"/proc/{host.pid}/maps").read_text()
+    assert "numpy" in mapped  # the probe sees extension modules at all
+    assert "scipy/optimize" not in mapped and "networkx" not in mapped
 
 
 def test_repro_imports_without_networkx():

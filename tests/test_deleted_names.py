@@ -125,3 +125,25 @@ def test_slsqp_stays_deleted_and_scipy_stays_lazy():
     assert not back, "the deleted solver is back under src/:\n" + "\n".join(back)
     assert not eager, "scipy imported at module level under src/:\n" + "\n".join(eager)
     assert lazy, "no scipy import found at all: the guard guards nothing"
+
+
+def test_local_drainers_have_one_spawn_path_and_it_is_the_fork_host():
+    """PR 23 replaced the cold ``python -m repro.experiment.worker`` per
+    drainer with forks of one warm host: ``queue_common`` starts exactly
+    one kind of subprocess (the host) and the drainer command is worker
+    arguments only - no interpreter prefix to run them cold with."""
+    tree = ast.parse((SRC / QUEUE_COMMON).read_text(encoding="utf-8"))
+    popens = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "subprocess.Popen"
+    ]
+    assert len(popens) == 1
+    assert "--serve-forks" in ast.unparse(popens[0])
+    [command] = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_drainer_command"
+    ]
+    built = ast.unparse(command)
+    assert "sys.executable" not in built and "'-m'" not in built
