@@ -1,19 +1,20 @@
 """Discrete-event simulation kernel.
 
-A minimal, dependency-free event scheduler.  The event queue itself is
-pluggable (see :mod:`repro.scheduler`): the default is a calendar queue
-— a window of fixed-width time buckets tuned for the DCF's dense
-short-horizon timer churn — with the original binary heap selectable as
-a fallback (``Simulator(scheduler="heap")``).  Both queues pop events
-in exactly ``(time, seq)`` order, so the choice can never change a
+A minimal, dependency-free event scheduler.  Events live in a binary
+heap of ``(time, seq, Event)`` tuples (see :mod:`repro.scheduler`);
+scheduling builds the tuple and hands it to ``heapq.heappush`` bound to
+that heap, so a push runs no Python frame.  The calendar queue stays
+constructible as ``Simulator(scheduler="calendar")`` for the
+performance ledger's reference rows only.  Both queues pop events in
+exactly ``(time, seq)`` order, so the choice can never change a
 simulation result; the equivalence property suite and the sim trace
 goldens pin this byte-for-byte.
 
 Cancellation is handled lazily by flagging the event and skipping it
-when popped, which keeps both ``schedule`` and ``cancel`` cheap; the
-scheduler counts cancelled-but-queued entries and compacts in place
-once they dominate, so a workload that schedules and cancels in a loop
-cannot grow the queue without bound.
+when popped, which keeps both ``schedule`` and ``cancel`` cheap;
+``Event.cancel`` counts cancelled-but-queued entries on the queue and
+has it compact in place once they dominate, so a workload that
+schedules and cancels in a loop cannot grow the queue without bound.
 
 Every stochastic component of the simulator draws from RNG streams
 derived from the simulator seed, so a given scenario replays identically
@@ -31,22 +32,16 @@ exclusion.
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Callable
 
 import numpy as np
 
-from repro.scheduler import SCHEDULER_KINDS, make_scheduler
+from repro.scheduler import COMPACT_MIN_CANCELLED, SCHEDULER_KINDS, make_scheduler
 
-#: Environment override for the process-wide default scheduler kind —
-#: how the CI ``sim-identity`` matrix runs the identity suites under
-#: both queues without plumbing a parameter through every layer.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-
-#: Built-in default when neither the constructor nor the environment
-#: chooses: the calendar queue (the heap remains selectable).
-DEFAULT_SCHEDULER = "calendar"
+#: The event queue a :class:`Simulator` uses unless the constructor
+#: names one: the binary heap.
+DEFAULT_SCHEDULER = "heap"
 
 #: Process-wide fallback profiler (see :func:`set_default_profiler`).
 _DEFAULT_PROFILER = None
@@ -112,8 +107,13 @@ class Event:
         """Mark the event so it is skipped when its time arrives."""
         if not self.cancelled:
             self.cancelled = True
-            if self._sched is not None:
-                self._sched.note_cancelled()
+            sched = self._sched
+            if sched is not None:
+                # The queue's accounting, kept here so that a cancel runs
+                # no Python frame inside the queue.
+                sched.dead = dead = sched.dead + 1
+                if dead > COMPACT_MIN_CANCELLED and dead * 2 > len(sched):
+                    sched.compact()
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         state = " cancelled" if self.cancelled else ""
@@ -127,19 +127,17 @@ class Simulator:
         seed: master seed; per-component RNG streams are spawned from it
             via :meth:`rng_stream` so adding a component never perturbs
             the random draws of another.
-        scheduler: event-queue kind, ``"calendar"`` or ``"heap"`` (see
-            :mod:`repro.scheduler`).  ``None`` (the default) resolves
-            the ``REPRO_SIM_SCHEDULER`` environment variable, falling
-            back to the calendar queue.  Both kinds dispatch events in
-            identical order, so this is a performance knob, never a
-            behaviour knob.
+        scheduler: event-queue kind, ``"heap"`` or ``"calendar"`` (see
+            :mod:`repro.scheduler`); ``None`` (the default) is
+            :data:`DEFAULT_SCHEDULER`, the heap.  Both kinds dispatch
+            events in identical order, so this never changes a result.
     """
 
     def __init__(self, seed: int = 0, scheduler: str | None = None) -> None:
         self.now: float = 0.0
         self.seed = seed
         if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV) or DEFAULT_SCHEDULER
+            scheduler = DEFAULT_SCHEDULER
         if scheduler not in SCHEDULER_KINDS:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; "
@@ -175,23 +173,25 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         now = self.now
-        if time < now:
-            if time < now - 1e-12:
-                raise ValueError(f"cannot schedule in the past: {time} < {now}")
+        # Written as ``not >=`` so NaN, which compares false either way,
+        # is refused here instead of stalling the queue it would enter.
+        if not time >= now:
+            if not time >= now - 1e-12:
+                raise ValueError(f"cannot schedule at {time!r}: now is {now!r}")
             time = now
         self._seq = seq = self._seq + 1
         event = Event(time, seq, callback, self._sched)
-        self._push(time, seq, event)
+        self._push((time, seq, event))
         return event
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not delay >= 0:  # NaN included
+            raise ValueError(f"delay must be a non-negative number, got {delay!r}")
         time = self.now + delay
         self._seq = seq = self._seq + 1
         event = Event(time, seq, callback, self._sched)
-        self._push(time, seq, event)
+        self._push((time, seq, event))
         return event
 
     # --------------------------------------------------------------- running

@@ -542,7 +542,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     With a ``token`` configured (``REPRO_BROKER_TOKEN``), every request
     must carry ``Authorization: Bearer <token>`` — a constant-time
-    comparison, 401 on mismatch — before it reaches the queue.
+    comparison, 401 on mismatch — before its body is read.
     """
 
     queue: BrokerQueue  # set by BrokerServer
@@ -593,13 +593,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown endpoint {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        # Both refusals below leave the body unread, so the keep-alive
+        # stream is out of step with the requests on it: answer, then
+        # hang up.
+        if not self._authorized():
+            self.close_connection = True
+            self._refuse_unauthorized()
+            return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
-            # The body stays unread, so the keep-alive stream is out of
-            # step with the requests on it: answer, then hang up.
             self.close_connection = True
             limit = f"Content-Length must be 0..{MAX_BODY_BYTES} bytes"
             self._reply(413 if length > 0 else 400, {"error": limit})
@@ -609,10 +614,6 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._reply(400, {"error": f"bad JSON body: {exc}"})
-            return
-        if not self._authorized():
-            # Body read first so the keep-alive stream stays in sync.
-            self._refuse_unauthorized()
             return
         if not isinstance(body, dict):
             self._reply(400, {"error": "the request body must be a JSON object"})

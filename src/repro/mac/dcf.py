@@ -86,6 +86,9 @@ class DcfMac:
         self.tx_done_callback = tx_done_callback
         self.dequeue_callback = dequeue_callback
         self._rng = sim.rng_stream(f"mac-{node_id}")
+        # 32-bit words of ``_rng`` not yet used by ``_draw_backoff``.
+        self._words: list[int] = []
+        self._word_pos = 0
         self.queue: deque[Frame] = deque()
         self.current: Frame | None = None
         self.stats = MacStats()
@@ -198,8 +201,39 @@ class DcfMac:
         if self.dequeue_callback is not None:
             self.dequeue_callback()
         self._cw = self.config.cw_min
-        self._backoff_slots = int(self._rng.integers(0, self._cw + 1))
+        self._backoff_slots = self._draw_backoff(self._cw)
         self._try_access()
+
+    def _draw_backoff(self, cw: int) -> int:
+        """A uniform backoff in ``[0, cw]``, the value
+        ``int(self._rng.integers(0, cw + 1))`` would return (``cw < 2**32``).
+
+        That numpy call applies Lemire's multiply-and-reject
+        (``buffered_bounded_lemire_uint32``) to 32-bit words, which
+        PCG64 serves as the low then the high half of each 64-bit
+        output.  Replaying both over buffered ``random_raw`` blocks
+        yields the same draws without a numpy call per backoff, and
+        depends only on PCG64's raw stream, which numpy keeps stable,
+        not on how ``Generator.integers`` samples.  The stream is read
+        nowhere else, so no draw is skipped or reordered.
+        """
+        if not cw:
+            return 0
+        bound = cw + 1
+        while True:
+            pos = self._word_pos
+            words = self._words
+            if pos == len(words):
+                raw = self._rng.bit_generator.random_raw(128)
+                words = self._words = raw.astype("<u8", copy=False).view("<u4").tolist()
+                pos = 0
+            self._word_pos = pos + 1
+            product = words[pos] * bound
+            low = product & 0xFFFFFFFF
+            # numpy tests ``low < bound`` before it computes the
+            # rejection threshold, which is always below ``bound``.
+            if low >= bound or low >= (0xFFFFFFFF - cw) % bound:
+                return product >> 32
 
     # ------------------------------------------------------------ DCF access
     def _try_access(self) -> None:
@@ -330,7 +364,7 @@ class DcfMac:
             self._complete_current(success=False)
             return
         self._cw = min(2 * (self._cw + 1) - 1, self.config.cw_max)
-        self._backoff_slots = int(self._rng.integers(0, self._cw + 1))
+        self._backoff_slots = self._draw_backoff(self._cw)
         self._try_access()
 
     def _complete_current(self, success: bool) -> None:

@@ -2,16 +2,18 @@
 
 Two interchangeable schedulers back :class:`repro.engine.Simulator`:
 
-* :class:`HeapScheduler` — the original binary heap of ``(time, seq,
-  Event)`` tuples (every comparison at C level, ``seq`` unique so the
-  ``Event`` never compares).
-* :class:`CalendarScheduler` — a calendar queue tuned for the DCF's
-  dense short-horizon timer churn: a window of fixed-width time buckets
-  consumed in order (the bucket under the cursor kept sorted, buckets
-  ahead plain unsorted lists), plus a spill heap for events beyond the
-  window (TCP retransmission timers, probe cycles).  Scheduling into
-  the window is an O(1) append instead of an O(log n) sift, and popping
-  walks the sorted current bucket with a cursor.
+* :class:`HeapScheduler` — the event store every run uses: a binary
+  heap of ``(time, seq, Event)`` tuples (every comparison at C level,
+  ``seq`` unique so the ``Event`` never compares).  Its ``push`` is
+  ``heapq.heappush`` bound to the heap, so scheduling runs no Python
+  frame.
+* :class:`CalendarScheduler` — a calendar queue: a window of fixed-width
+  time buckets consumed in order (the bucket under the cursor kept
+  sorted, buckets ahead plain unsorted lists), plus a spill heap for
+  events beyond the window.  Interleaved ledger pairs measured the heap
+  faster on every simulating workload, so the calendar is no longer a
+  default; it stays constructible (``Simulator(scheduler="calendar")``)
+  only for the performance ledger's ``scheduler.*`` reference rows.
 
 Both preserve the kernel's total order **exactly**: events pop in
 ``(time, seq)`` order, so the two schedulers are byte-identical in
@@ -21,8 +23,10 @@ under both schedulers are the proof.
 
 Shared semantics:
 
-* ``push(time, seq, event)`` enqueues; ``seq`` values are unique and
-  increase monotonically (the simulator's dispatch counter).
+* ``push(entry)`` enqueues one ``(time, seq, event)`` tuple; ``seq``
+  values are unique and increase monotonically (the simulator's
+  dispatch counter), and ``time`` is never NaN (the simulator refuses
+  it).
 * ``pop_due(limit)`` removes and returns the next *live* entry with
   ``time <= limit``, or ``None``.  Lazily-cancelled entries are
   discarded (and their accounting settled) on the way.
@@ -34,9 +38,10 @@ Shared semantics:
   each implementation cache its own hot state in locals instead of
   paying a method call per event; behaviour is identical to a
   ``pop_due`` loop, which the profiled run path still uses.
-* ``note_cancelled()`` accounts a newly cancelled queued event and
-  compacts the structure in place once dead entries dominate — the
-  same ``(floor, majority)`` policy in both, so the two schedulers'
+* ``dead`` counts lazily-cancelled entries still queued.
+  ``Event.cancel`` raises it and, past :data:`COMPACT_MIN_CANCELLED`
+  and once dead entries are the majority, calls ``compact()``, which
+  drops them in place — one policy for both, so the two schedulers'
   raw entry counts agree at every step.
 * ``len(scheduler)`` is the raw not-yet-popped entry count (live +
   lazily cancelled); ``live_count()`` is the live subset.
@@ -58,20 +63,23 @@ clamps times to ``now`` and ``seq`` grows monotonically).
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from heapq import heapify, heappop, heappush
 
 __all__ = [
+    "COMPACT_MIN_CANCELLED",
     "CalendarScheduler",
     "HeapScheduler",
     "SCHEDULER_KINDS",
     "make_scheduler",
 ]
 
-#: Compaction policy (shared by both schedulers): rebuild when more than
-#: this many entries are cancelled AND they make up over half the raw
-#: entry count.  The absolute floor keeps tiny queues from compacting on
-#: every cancel; the fraction bounds memory at ~2x the live event count.
-_COMPACT_MIN_CANCELLED = 64
+#: Compaction policy (applied by ``Event.cancel`` to either scheduler):
+#: rebuild when more than this many entries are cancelled AND they make
+#: up over half the raw entry count.  The absolute floor keeps tiny
+#: queues from compacting on every cancel; the fraction bounds memory at
+#: ~2x the live event count.
+COMPACT_MIN_CANCELLED = 64
 
 #: Default calendar geometry.  The bucket width is a power of two
 #: (2**-9 s ~ 1.95 ms) so the ``inv_width`` multiply is exact scaling;
@@ -89,21 +97,21 @@ _DEFAULT_BUCKET_COUNT = 512
 class HeapScheduler:
     """The classic binary-heap event queue (tuple-packed entries)."""
 
-    __slots__ = ("_heap", "_cancelled")
+    __slots__ = ("_heap", "dead", "push")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, object]] = []
-        self._cancelled = 0
-
-    def push(self, time: float, seq: int, event: object) -> None:
-        heappush(self._heap, (time, seq, event))
+        self.dead = 0
+        #: ``push(entry)``: ``heappush`` bound to this heap.  Every
+        #: mutation of ``_heap`` is in place, so the binding stays valid.
+        self.push = partial(heappush, self._heap)
 
     def pop_due(self, limit: float):
         heap = self._heap
         while heap and heap[0][0] <= limit:
             entry = heappop(heap)
             if entry[2].cancelled:
-                self._cancelled -= 1
+                self.dead -= 1
                 continue
             return entry
         return None
@@ -121,7 +129,7 @@ class HeapScheduler:
                 entry = pop(heap)
                 event = entry[2]
                 if event.cancelled:
-                    self._cancelled -= 1
+                    self.dead -= 1
                     continue
                 sim.now = entry[0]
                 processed += 1
@@ -129,22 +137,20 @@ class HeapScheduler:
         finally:
             sim._processed += processed
 
-    def note_cancelled(self) -> None:
-        self._cancelled = cancelled = self._cancelled + 1
+    def compact(self) -> None:
+        """Drop lazily-cancelled entries in place: ``push`` and a running
+        ``run_due`` hold aliases of the heap list."""
         heap = self._heap
-        if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 > len(heap):
-            # In-place rebuild so any live alias of the heap list stays
-            # valid.
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapify(heap)
-            self._cancelled = 0
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
+        self.dead = 0
 
     def live_count(self) -> int:
         return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def clear(self) -> None:
         self._heap.clear()
-        self._cancelled = 0
+        self.dead = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -190,7 +196,7 @@ class CalendarScheduler:
         "_near",
         "_max_idx",
         "_far",
-        "_cancelled",
+        "dead",
     )
 
     def __init__(
@@ -220,10 +226,11 @@ class CalendarScheduler:
         # window (an over-estimate is harmless, a miss would leak).
         self._max_idx = 0
         self._far: list[tuple[float, int, object]] = []
-        self._cancelled = 0
+        self.dead = 0
 
     # ------------------------------------------------------------------ push
-    def push(self, time: float, seq: int, event: object) -> None:
+    def push(self, entry: tuple[float, int, object]) -> None:
+        time = entry[0]
         if time < self._horizon:
             idx = int((time - self._base) * self._inv_width)
             if idx > self._cur:
@@ -231,7 +238,7 @@ class CalendarScheduler:
                     # float overshoot at the window edge: the top two
                     # partitions merge, which stays monotone.
                     idx = self._nbuckets - 1
-                self._buckets[idx].append((time, seq, event))
+                self._buckets[idx].append(entry)
                 if idx > self._max_idx:
                     self._max_idx = idx
             else:
@@ -240,10 +247,10 @@ class CalendarScheduler:
                 # or a push right after re-anchoring at the spill
                 # minimum): join the sorted remainder in exact order —
                 # every consumed entry precedes (time, seq).
-                insort(self._cur_bucket, (time, seq, event), lo=self._ptr)
+                insort(self._cur_bucket, entry, lo=self._ptr)
             self._near += 1
         else:
-            heappush(self._far, (time, seq, event))
+            heappush(self._far, entry)
 
     def _anchor(self, time: float) -> None:
         """Re-anchor the (empty) window so ``time`` lands in bucket 0."""
@@ -266,7 +273,7 @@ class CalendarScheduler:
                 self._ptr = ptr + 1
                 self._near -= 1
                 if entry[2].cancelled:
-                    self._cancelled -= 1
+                    self.dead -= 1
                     continue
                 return entry
             if not self._advance(limit):
@@ -300,7 +307,7 @@ class CalendarScheduler:
                     self._near -= 1
                     event = entry[2]
                     if event.cancelled:
-                        self._cancelled -= 1
+                        self.dead -= 1
                         continue
                     sim.now = time
                     processed += 1
@@ -368,14 +375,7 @@ class CalendarScheduler:
         return True
 
     # ---------------------------------------------------------- cancellation
-    def note_cancelled(self) -> None:
-        self._cancelled = cancelled = self._cancelled + 1
-        if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 > (
-            self._near + len(self._far)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
+    def compact(self) -> None:
         """Drop lazily-cancelled entries from every tier, in place."""
         live_far = [entry for entry in self._far if not entry[2].cancelled]
         heapify(live_far)
@@ -396,7 +396,7 @@ class CalendarScheduler:
                 bucket[:] = [entry for entry in bucket if not entry[2].cancelled]
                 near += len(bucket)
         self._near = near
-        self._cancelled = 0
+        self.dead = 0
 
     # --------------------------------------------------------------- queries
     def live_count(self) -> int:
@@ -416,7 +416,7 @@ class CalendarScheduler:
         for bucket in self._buckets:
             bucket.clear()
         self._far.clear()
-        self._ptr = self._near = self._cancelled = 0
+        self._ptr = self._near = self.dead = 0
 
     def __len__(self) -> int:
         return self._near + len(self._far)

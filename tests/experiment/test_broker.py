@@ -307,13 +307,33 @@ class TestBrokerAuth:
         with pytest.raises(BrokerAuthError, match="refused"):
             client.submit(envelopes("a-00000"))
 
+    def test_token_is_checked_before_the_body_is_read(self, server):
+        """A client without the token that declares the largest body the
+        broker takes and sends none is refused at once: the broker never
+        waits on the body, and hangs up since it was left unread."""
+        peer = socket.create_connection(server.server_address[:2], timeout=5.0)
+        try:
+            peer.sendall(
+                b"POST /submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % MAX_BODY_BYTES
+            )
+            reply = b""
+            while chunk := peer.recv(4096):  # until the broker closes
+                reply += chunk
+        finally:
+            peer.close()
+        assert reply.startswith(b"HTTP/1.1 401")
+        with BrokerClient(server.url, token="s3cret") as client:
+            assert client.stats()["pending"] == 0  # still serving
+
     def test_matching_token_round_trips(self, server):
         with BrokerClient(server.url, token="s3cret", match="a-") as client:
             assert client.submit(envelopes("a-00000")) == 1
+            first = client._connection()
             task, claim = client.claim()
             assert task["id"] == "a-00000"
             client.complete(claim, {"id": "a-00000", "result": {"ok": 1}})
             assert client.collect(match="a-")["results"][0]["result"] == {"ok": 1}
+            assert client._connection() is first  # authorized keep-alive holds
         assert getattr(client._local, "connection", None) is None
 
     def test_token_defaults_from_the_environment(self, server, monkeypatch):

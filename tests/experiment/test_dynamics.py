@@ -11,6 +11,7 @@ from contextlib import closing
 
 import pytest
 
+import repro.engine
 from repro.experiment import (
     SPEC_SCHEMA_VERSION,
     BatchRunner,
@@ -179,7 +180,7 @@ class TestSchedulerIdentity:
     def test_both_schedulers_agree_on_dynamic_payloads(self, monkeypatch):
         payloads = {}
         for kind in ("calendar", "heap"):
-            monkeypatch.setenv("REPRO_SIM_SCHEDULER", kind)
+            monkeypatch.setattr(repro.engine, "DEFAULT_SCHEDULER", kind)
             result = run_experiment(
                 _dynamic_spec(monitors=("pdr", "throughput")),
                 keep_decisions=False,

@@ -5,9 +5,14 @@ suite stays fast while still exercising carrier sensing, ACKs,
 retransmissions, broadcast, capture and channel errors end to end.
 """
 
+import ast
+import inspect
+
+import numpy as np
 import pytest
 
-from repro.engine import Simulator
+import repro.mac.dcf
+from repro.engine import Simulator, named_rng
 from repro.mac.constants import DEFAULT_MAC_CONFIG
 from repro.mac.dcf import DcfMac
 from repro.mac.frames import BROADCAST_ADDR, Frame, FrameKind
@@ -180,3 +185,39 @@ class TestSaturationThroughput:
             return measure_isolated(net, flow, duration_s=1.0).throughput_bps
 
         assert run_once() == pytest.approx(run_once(), rel=1e-12)
+
+
+class TestBackoffDraw:
+    """``DcfMac._draw_backoff`` replays ``Generator.integers(0, cw + 1)``
+    from buffered raw PCG64 output; every backoff of every golden rests
+    on the two agreeing draw for draw."""
+
+    #: Contention windows the MAC uses, the degenerate 0, and the edges
+    #: of the 32-bit path (rejection is likeliest just above 2**31).
+    WINDOWS = [0, 1, 2, 6, 31, 63, 127, 255, 511, 1023, 2**31, 2**31 + 1, 2**32 - 2]
+
+    def test_draws_equal_numpy_integers_over_interleaved_windows(self):
+        _sim, _medium, mac, _mac1, _received = _make_pair(seed=11)
+        reference = named_rng(11, "mac-0")
+        picks = np.random.default_rng(3).integers(0, len(self.WINDOWS), 100_000)
+        mismatches = [
+            (i, cw)
+            for i, cw in enumerate(self.WINDOWS[k] for k in picks.tolist())
+            if mac._draw_backoff(cw) != int(reference.integers(0, cw + 1))
+        ]
+        assert mismatches == []
+
+    def test_the_mac_stream_is_read_only_through_the_buffered_draw(self):
+        """A second reader would take words the buffer already holds (or
+        skip the ones it buffered), moving every later backoff."""
+        tree = ast.parse(inspect.getsource(repro.mac.dcf))
+        readers = {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "_rng"
+            and isinstance(node.ctx, ast.Load)
+        }
+        assert readers == {"_draw_backoff"}

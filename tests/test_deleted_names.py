@@ -50,6 +50,12 @@ GONE = [
         "repro/core/interference.py",
         (),
     ),
+    (
+        "an environment variable choosing the event queue",
+        r"REPRO_SIM_SCHEDULER|SCHEDULER_ENV",
+        "**/*.py",
+        (),
+    ),
 ]
 
 
@@ -147,3 +153,11 @@ def test_local_drainers_have_one_spawn_path_and_it_is_the_fork_host():
     ]
     built = ast.unparse(command)
     assert "sys.executable" not in built and "'-m'" not in built
+
+
+def test_the_heap_is_the_event_store_a_simulator_uses():
+    """The default queue is the binary heap, whatever the environment
+    says; the calendar is built only when a caller names it."""
+    from repro.engine import Simulator
+
+    assert Simulator().scheduler_kind == "heap"

@@ -62,6 +62,23 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(0.2, lambda: None)
 
+    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+    def test_nan_time_is_refused_where_it_enters(self, scheduler):
+        """NaN orders against nothing: queued, it stalls the heap behind
+        it (``heap[0][0] <= limit`` is false) and breaks the calendar's
+        bucket index, so both entry points refuse it by name."""
+        sim = Simulator(scheduler=scheduler)
+        fired = []
+        sim.schedule(0.3, lambda: fired.append("due"))
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule(float("nan"), lambda: fired.append("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: fired.append("nan"))
+        assert sim.queued_entries == 1
+        sim.run_until(1.0)
+        assert fired == ["due"]
+        assert sim.pending_events == 0
+
     def test_events_can_schedule_events(self):
         sim = Simulator()
         seen = []

@@ -1,8 +1,9 @@
 """Calendar-queue / binary-heap scheduler equivalence.
 
-The calendar queue exists for wall clock only: it must be impossible to
-observe which scheduler a simulation ran on.  This suite pins that from
-three directions:
+The heap is the event store every run uses; the calendar queue stays
+constructible for the performance ledger's reference rows, and while it
+exists it must be impossible to observe which scheduler a simulation
+ran on.  This suite pins that from three directions:
 
 * property tests drive both schedulers through the same randomized
   push/cancel/pop interleavings (times spanning bucket ties, window
@@ -25,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SCHEDULER_ENV, Event, Simulator
+import repro.engine
+from repro.engine import Event, Simulator
 from repro.scheduler import SCHEDULER_KINDS, make_scheduler
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "sim" / "golden"
@@ -68,8 +70,8 @@ def test_random_interleavings_pop_identically(data) -> None:
                 Event(time, seq, _noop, heap),
                 Event(time, seq, _noop, cal),
             )
-            heap.push(time, seq, pair[0])
-            cal.push(time, seq, pair[1])
+            heap.push((time, seq, pair[0]))
+            cal.push((time, seq, pair[1]))
             live.append(pair)
         elif op == "cancel" and live:
             index = data.draw(st.integers(min_value=0, max_value=len(live) - 1))
@@ -118,7 +120,7 @@ def test_pop_order_is_time_seq_sorted(kind: str, delays: list[float]) -> None:
     expected = []
     for seq, delay in enumerate(delays, start=1):
         event = Event(delay, seq, _noop, sched)
-        sched.push(delay, seq, event)
+        sched.push((delay, seq, event))
         expected.append((delay, seq))
     popped = []
     while (entry := sched.pop_due(float("inf"))) is not None:
@@ -132,7 +134,7 @@ def test_cancel_is_idempotent(kind: str) -> None:
     sched = make_scheduler(kind)
     events = [Event(0.1 * seq, seq, _noop, sched) for seq in range(1, 4)]
     for event in events:
-        sched.push(event.time, event.seq, event)
+        sched.push((event.time, event.seq, event))
     events[1].cancel()
     events[1].cancel()  # double-cancel must not double-count
     assert sched.live_count() == 2
@@ -154,7 +156,7 @@ def test_compaction_reclaims_dead_entries(kind: str) -> None:
         # the calendar's far spill tier.
         time = (seq % 7) * 0.25
         event = Event(time, seq, _noop, sched)
-        sched.push(time, seq, event)
+        sched.push((time, seq, event))
         events.append(event)
     for event in events[:300]:
         event.cancel()
@@ -245,7 +247,7 @@ def test_golden_traces_match_under_both_schedulers(
 ) -> None:
     """The frozen per-event digests reproduce under either queue — the
     scheduler choice is invisible at event granularity."""
-    monkeypatch.setenv(SCHEDULER_ENV, kind)
+    monkeypatch.setattr(repro.engine, "DEFAULT_SCHEDULER", kind)
     record, _ = golden.compute(name)
     frozen = golden.golden_path(name).read_text(encoding="utf-8")
     assert golden.canonical_json(record) == frozen, (
