@@ -25,9 +25,9 @@ Profiling: the run loop has a duck-typed hook (see
 via :attr:`Simulator.profiler` or process-wide via
 :func:`set_default_profiler` — the loop times each callback with the
 profiler's own clock and reports ``(callback, elapsed)`` pairs to it.
-The engine itself never touches a wall clock (lint rule RPL104); the
-clock lives in the profiler module, which is the one sanctioned
-exclusion.
+The engine itself never touches a wall clock (``tests/invariants``,
+RPL104); the clock lives in the profiler module, which is the one
+sanctioned exclusion.
 """
 
 from __future__ import annotations

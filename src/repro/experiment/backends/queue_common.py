@@ -45,6 +45,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -71,6 +72,7 @@ __all__ = [
     "PollBackoff",
     "QueueBackend",
     "QueueStats",
+    "check_task_id",
     "default_broker_token",
     "default_lease_s",
     "default_max_attempts",
@@ -219,6 +221,16 @@ def lease_policy(envelope: Mapping[str, Any]) -> tuple[float, int, int]:
     raise ValueError(f"task {envelope.get('id')!r}: {problem}")
 
 
+_TASK_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+
+
+def check_task_id(task_id: Any) -> None:
+    """Refuse (``ValueError``) an id that is not one plain file name: the file transport
+    stores envelopes as ``{id}.json``.  Generated ids are ``{12 hex}-{5 digits}``."""
+    if not isinstance(task_id, str) or not _TASK_ID.fullmatch(task_id):
+        raise ValueError(f"a task 'id' must match {_TASK_ID.pattern}, got {task_id!r:.80}")
+
+
 def validate_envelope(envelope: Any) -> None:
     """Refuse a malformed task envelope at the edge (``ValueError``).
 
@@ -228,9 +240,7 @@ def validate_envelope(envelope: Any) -> None:
     """
     if not isinstance(envelope, dict):
         raise ValueError(f"a task envelope must be an object, got {envelope!r:.80}")
-    task_id = envelope.get("id")
-    if not isinstance(task_id, str) or not task_id:
-        raise ValueError(f"a task envelope needs a string 'id', got {task_id!r:.80}")
+    check_task_id(task_id := envelope.get("id"))
     if not isinstance(envelope.get("spec"), dict):
         raise ValueError(f"task {task_id!r}: spec must be an object")
     lease_policy(envelope)
@@ -238,11 +248,12 @@ def validate_envelope(envelope: Any) -> None:
 
 def validate_outcome(outcome: Any) -> None:
     """Refuse a malformed outcome at the edge (``ValueError``) — where a worker
-    hands one in and where the submitter takes one over: a string ``id``,
-    ``attempts`` as :func:`lease_policy` reads it, and exactly one of ``result``
-    (an object) and ``error`` (a string)."""
-    if not isinstance(outcome, dict) or not isinstance(outcome.get("id"), str):
-        raise ValueError(f"an outcome must be an object with a string 'id', got {outcome!r:.80}")
+    hands one in and where the submitter takes one over: an ``id`` as
+    :func:`check_task_id` takes it, ``attempts`` as :func:`lease_policy` reads
+    it, and exactly one of ``result`` (an object) and ``error`` (a string)."""
+    if not isinstance(outcome, dict):
+        raise ValueError(f"an outcome must be an object, got {outcome!r:.80}")
+    check_task_id(outcome.get("id"))
     lease_policy(outcome)
     kinds = {"result": dict, "error": str}
     stated = [key for key in kinds if key in outcome]

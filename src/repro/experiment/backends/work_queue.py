@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Any, Iterator, Mapping, Sequence
@@ -43,6 +43,7 @@ from repro.experiment.backends.queue_common import (
     DEFAULT_LEASE_S,
     ORPHAN_HORIZON_S,
     QueueBackend,
+    check_task_id,
     lease_of,
     lease_verdict,
     validate_envelope,
@@ -256,27 +257,38 @@ class FileQueueClient:
 
     # ------------------------------------------------------------ worker half
     def claim(self) -> tuple[dict[str, Any], Path] | None:
-        claimed = claim_next_task(self.root, self.match)
-        if claimed is None:
-            return None
-        # A torn read right after a rename is a transient of exotic
-        # filesystems (task files are written atomically, so the bytes
-        # are whole) — the same condition collect and
-        # requeue_expired_claims shrug off.  Retry briefly, then hand
-        # the claim back rather than fabricating a fatal error envelope
-        # for a task that is perfectly runnable next tick.
-        for attempt in range(3):
+        while (claimed := claim_next_task(self.root, self.match)) is not None:
+            # A torn read right after a rename is a transient of exotic
+            # filesystems (task files are written atomically, so the bytes
+            # are whole) — the same condition collect and
+            # requeue_expired_claims shrug off.  Retry briefly, then hand
+            # the claim back rather than fabricating a fatal error envelope
+            # for a task that is perfectly runnable next tick.
+            for attempt in range(3):
+                try:
+                    with open(claimed, encoding="utf-8") as fh:
+                        envelope = json.load(fh)
+                    break
+                except (OSError, ValueError):
+                    time.sleep(0.05 * (attempt + 1))
+            else:
+                try:
+                    os.replace(claimed, self.root / TASKS_DIR / claimed.name)
+                except OSError:
+                    pass  # requeued or completed under us; either way not ours
+                return None
             try:
-                with open(claimed, encoding="utf-8") as fh:
-                    envelope = json.load(fh)
-                self._note_lease(envelope)
-                return envelope, claimed
-            except (OSError, ValueError):
-                time.sleep(0.05 * (attempt + 1))
-        try:
-            os.replace(claimed, self.root / TASKS_DIR / claimed.name)
-        except OSError:
-            pass  # requeued or completed under us; either way not ours
+                check_task_id(envelope.get("id"))
+            except ValueError as exc:
+                # A hand-dropped task naming a path outside the queue is never
+                # run: its claim becomes an error outcome under the file's name.
+                outcome = {"id": claimed.stem, "error": f"{exc}; not run", "attempts": 0}
+                _atomic_write_json(claimed, outcome)
+                with suppress(OSError):  # cancelled under us
+                    os.replace(claimed, self.root / RESULTS_DIR / claimed.name)
+                continue
+            self._note_lease(envelope)
+            return envelope, claimed
         return None
 
     def heartbeat(self, token: Path) -> None:
@@ -361,6 +373,7 @@ class FileQueueClient:
         Every collect sweeps expired leases (throttled), as the broker's
         does."""
         for task_id in ack:
+            check_task_id(task_id)
             try:
                 (self.root / RESULTS_DIR / f"{task_id}.json").unlink()
             except OSError:
@@ -386,6 +399,7 @@ class FileQueueClient:
         still unfinished (pending or claimed)."""
         cancelled = 0
         for task_id in ids:
+            check_task_id(task_id)
             for subdir in (TASKS_DIR, CLAIMED_DIR, RESULTS_DIR):
                 try:
                     (self.root / subdir / f"{task_id}.json").unlink()

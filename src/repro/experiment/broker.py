@@ -99,6 +99,12 @@ __all__ = [
 #: beyond it is refused before a byte of it is buffered.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a connection may send nothing the broker is reading (request or
+#: declared body) before it is closed, so a stalled body cannot hold a thread:
+#: well above the client's 10 s timeout and every poll / default heartbeat gap.
+#: An idled-out keep-alive costs ``BrokerClient`` its one retry on a fresh one.
+READ_DEADLINE_S = 30.0
+
 
 def bucket_key(task_id: str) -> str:
     """The submission bucket a task id belongs to.
@@ -659,18 +665,17 @@ class BrokerServer(ThreadingHTTPServer):
         queue: BrokerQueue,
         token: str | None = None,
     ) -> None:
-        handler = type(
-            "BoundHandler", (_Handler,), {"queue": queue, "token": token}
-        )
+        bound = {"queue": queue, "token": token, "timeout": READ_DEADLINE_S}
+        handler = type("BoundHandler", (_Handler,), bound)
         super().__init__(address, handler)
         self.queue = queue
         self.token = token
 
     def handle_error(self, request: Any, client_address: Any) -> None:
-        """A peer that went away mid-request (a drainer terminated on a
-        keep-alive connection) is that peer's business, not a broker
-        fault: no traceback for it.  Anything else is reported as usual."""
-        if isinstance(sys.exc_info()[1], ConnectionError):
+        """A peer that went away mid-request (a drainer terminated on a keep-alive
+        connection) or silent past :data:`READ_DEADLINE_S` is that peer's business,
+        not a broker fault: no traceback for it.  Anything else is reported as usual."""
+        if isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
             return
         super().handle_error(request, client_address)
 

@@ -21,8 +21,8 @@ loses nothing).  After every ``snapshot_every`` journal records the
 queue hands its full state back to :meth:`checkpoint`, which writes the
 snapshot via :func:`repro.experiment.fsio.atomic_write_text`, rotates
 to a fresh journal generation, and retires the generations the snapshot
-superseded — the same atomic-IO discipline ``repro.lint`` enforces over
-the rest of the queue layer (RPL201/202/203), with the journal itself
+superseded — the same atomic-IO discipline ``tests/invariants`` holds
+the rest of the queue layer to (RPL201/202/203), with the journal itself
 using the one sanctioned non-atomic primitive: append, whose partial
 failure mode (a torn tail) recovery explicitly tolerates.
 
@@ -213,7 +213,7 @@ class BrokerStore:
         """Delete journal generations a snapshot has superseded.
 
         The one sanctioned deletion site in this module (audited into
-        ``LintConfig.blessed_unlink_functions``): a generation below the
+        ``BLESSED_UNLINK`` in ``tests/invariants``): a generation below the
         snapshot's is pure history — every record in it is folded into
         the snapshot, so no recovery will ever read it again.
         """

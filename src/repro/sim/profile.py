@@ -12,8 +12,8 @@ is exactly the per-subsystem attribution needed to decide where the hot
 loop's time goes.
 
 This module is the *only* simulation-layer module allowed to read a wall
-clock: the determinism linter scopes rule RPL104 over the sim layers and
-carves out exactly this file (see ``repro/lint/config.py``), so the
+clock: the invariant tests scope rule RPL104 over the sim layers and
+exempt exactly this file (``tests/invariants``), so the
 engine itself stays wall-clock free and a profiler can never leak
 non-determinism into experiment payloads.
 

@@ -13,7 +13,9 @@ monitors and built-in scenario, and the fixture freezes each one's
 canonical JSON and ``spec_digest`` without running anything — the fence
 for refactors of the spec (de)serializer and of the spec defaults, and
 the cheap proof that digests do not depend on the interpreter or on
-numpy's number repr.
+numpy's number repr.  ``spec_schema_fingerprint.json`` (:func:`spec_schema`)
+records the spec fields per ``SPEC_SCHEMA_VERSION``; ``tests/invariants``
+recomputes it, and :func:`main` refuses a field change at an unchanged version.
 
 The fixtures freeze the *full simulation stack*: any change to the
 engine, PHY/MAC/transport models, estimators, optimizer, or spec
@@ -35,11 +37,15 @@ golden with no intentional semantics change is a determinism bug.
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+SPECS_PATH = GOLDEN_DIR.parents[2] / "src" / "repro" / "experiment" / "specs.py"
+SCHEMA_RECORD_PATH = GOLDEN_DIR / "spec_schema_fingerprint.json"
 
 if __name__ == "__main__":  # running as a script from a source checkout
     _SRC = GOLDEN_DIR.parents[2] / "src"
@@ -296,19 +302,45 @@ def compute(name: str) -> str:
     )
 
 
-def main() -> int:
-    table = {name: digest_entry(spec) for name, spec in DIGEST_SPECS.items()}
-    text = json.dumps(table, indent=2, sort_keys=True) + "\n"
-    path = DIGEST_TABLE_PATH
+def spec_schema(source: str) -> dict:
+    """A ``specs.py`` source's ``SPEC_SCHEMA_VERSION``, each dataclass's sorted public
+    field names (``ClassVar`` excluded), and the sha256 of those field sets."""
+    version, classes = None, {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(target, "id", None) == "SPEC_SCHEMA_VERSION" for target in targets):
+                version = getattr(node.value, "value", None)
+        elif isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+        ):
+            classes[node.name] = sorted(
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and not stmt.target.id.startswith("_")
+                and "ClassVar" not in ast.unparse(stmt.annotation)
+            )
+    canonical = json.dumps(classes, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    fingerprint = hashlib.sha256(canonical).hexdigest()
+    return {"classes": classes, "fingerprint": fingerprint, "spec_schema_version": version}
+
+
+def _write(path: Path, text: str) -> None:
     changed = not path.exists() or path.read_text(encoding="utf-8") != text
     path.write_text(text, encoding="utf-8")
     print(f"{'rewrote' if changed else 'unchanged'}  {path.name}")
+
+
+def main() -> int:
+    record = spec_schema(SPECS_PATH.read_text(encoding="utf-8"))
+    recorded = json.loads(SCHEMA_RECORD_PATH.read_text(encoding="utf-8"))
+    if record != recorded and record["spec_schema_version"] == recorded["spec_schema_version"]:
+        raise SystemExit("spec fields changed but SPEC_SCHEMA_VERSION did not: bump it first")
+    _write(SCHEMA_RECORD_PATH, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    table = {name: digest_entry(spec) for name, spec in DIGEST_SPECS.items()}
+    _write(DIGEST_TABLE_PATH, json.dumps(table, indent=2, sort_keys=True) + "\n")
     for name in GOLDEN_SPECS:
-        path = golden_path(name)
-        text = compute(name)
-        changed = not path.exists() or path.read_text(encoding="utf-8") != text
-        path.write_text(text, encoding="utf-8")
-        print(f"{'rewrote' if changed else 'unchanged'}  {path.name}")
+        _write(golden_path(name), compute(name))
     return 0
 
 

@@ -185,6 +185,23 @@ class TestWorkQueueProtocol:
         )
         assert "t-00000" in envelope["error"] and "lease_s" in envelope["error"]
 
+    def test_a_task_id_that_is_not_a_plain_file_name_never_leaves_the_queue(self, tmp_path):
+        """Submit and cancel refuse ``../`` ids; a hand-dropped task naming one is given
+        up unrun, as an error outcome under its file's own name."""
+        root = ensure_queue_dirs(tmp_path / "a" / "queue")
+        client = FileQueueClient(root)
+        for hostile in ("../../escaped", "a/b", ".hidden", ""):
+            with pytest.raises(ValueError, match="'id'"):
+                client.submit([{"id": hostile, "spec": {}}])
+            with pytest.raises(ValueError, match="'id'"):
+                client.cancel([hostile])
+        (root / TASKS_DIR / "t-00000.json").write_text(json.dumps({"id": "../x", "spec": {}}))
+        assert drain(client, exit_when_empty=True) == 0
+        outcome = json.loads((root / "results" / "t-00000.json").read_text(encoding="utf-8"))
+        assert outcome["id"] == "t-00000" and "'../x'" in outcome["error"]
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json")] == [
+            "a/queue/results/t-00000.json"]
+
     def test_drain_writes_back_to_shared_cache(self, tmp_path):
         root = ensure_queue_dirs(tmp_path / "queue")
         cache = ResultCache(tmp_path / "store")
@@ -299,6 +316,7 @@ class TestTransportContract:
         [
             ({"spec": {}}, "'id'"),
             ({"id": 7, "spec": {}}, "'id'"),
+            ({"id": "../job-00001", "spec": {}}, "'id'"),
             ("job-00001", "envelope"),
             ({"id": "job-00001"}, "job-00001.*spec"),
             ({"id": "job-00001", "spec": []}, "job-00001.*spec"),
@@ -332,6 +350,7 @@ class TestTransportContract:
         [
             ({"result": {"ok": 1}}, "'id'"),
             ({"id": 7, "result": {"ok": 1}}, "'id'"),
+            ({"id": "../x", "result": {}, "attempts": 0}, "'id'.*'../x'"),
             ({"id": "job-00000"}, "job-00000.*'result'.*'error'"),
             ({"id": "job-00000", "result": {"ok": 1}, "error": "boom"}, "job-00000.*one of"),
             ({"id": "job-00000", "result": [1]}, "job-00000.*object"),

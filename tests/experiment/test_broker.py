@@ -13,6 +13,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.experiment import (
     BrokerBackend,
     BrokerClient,
     SerialBackend,
+    broker,
 )
 from repro.experiment.backends import (
     BROKER_TOKEN_ENV_VAR,
@@ -421,8 +423,10 @@ class TestBrokerHTTP:
             ("/submit", {"tasks": [{"spec": {}}]}, "'id'"),
             ("/submit", {"tasks": 5}, "'tasks'"),
             ("/submit", {"tasks": ["x"]}, "envelope"),
+            ("/submit", {"tasks": [{"id": "../x", "spec": {}}]}, "'id'.*'../x'"),
             ("/submit", [1, 2], "JSON object"),
             ("/result", [1, 2], "JSON object"),
+            ("/result", {"id": "../x", "result": {}, "attempts": 0}, "'id'.*'../x'"),
             ("/collect", {"match": "h-", "ack": 7}, "'ack'"),
             ("/cancel", {"ids": 3}, "'ids'"),
             # One bad envelope refuses the batch whole: h-00002 is well
@@ -470,6 +474,28 @@ class TestBrokerHTTP:
         assert reply.startswith(b"HTTP/1.1 413")
         with BrokerClient(server.url) as client:
             assert client.stats()["pending"] == 0  # still serving
+
+    def test_a_stalled_body_is_hung_up_on_at_the_read_deadline(self, monkeypatch, capsys):
+        """A declared body never sent is hung up on, unanswered and traceback-free, at the
+        deadline; keep-alive traffic is unchanged, and an idled-out one reconnects."""
+        monkeypatch.setattr(broker, "READ_DEADLINE_S", 0.5)
+        server = start_broker(token="s3cret")
+        try:
+            with BrokerClient(server.url, token="s3cret") as client:
+                first = client._connection()
+                assert client.submit(envelopes("h-00000")) == 1
+                assert client._connection() is first
+                with socket.create_connection(server.server_address[:2], timeout=5.0) as peer:
+                    peer.sendall(b"POST /submit HTTP/1.1\r\nAuthorization: Bearer s3cret\r\n"
+                                 b"Content-Length: 100\r\n\r\n")
+                    start = time.monotonic()
+                    assert peer.recv(4096) == b""  # closed, no reply
+                    assert time.monotonic() - start < 0.5 + 2.0
+                assert client.stats()["pending"] == 1 and client._connection() is not first
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert capsys.readouterr().err == ""
 
     def test_requests_reuse_one_keepalive_connection(self, server):
         """The connection-churn fix: one TCP connection per thread, not

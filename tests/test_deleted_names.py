@@ -56,6 +56,12 @@ GONE = [
         "**/*.py",
         (),
     ),
+    (
+        "the static analyzer the invariant tests replaced, or its suppression comment",
+        r"repro-lint:|\brepro\.lint\b",
+        "**/*.py",
+        (),
+    ),
 ]
 
 
@@ -72,6 +78,10 @@ def test_deleted_name_is_absent_from_src(what, pattern, glob, exempt):
         if re.search(pattern, line)
     ]
     assert not found, f"{what} is back under src/:\n" + "\n".join(found)
+
+
+def test_the_analyzer_package_is_gone():  # tests/invariants holds its rules
+    assert not list((SRC / "repro" / "lint").glob("**/*.py"))
 
 
 def test_the_log_fit_is_computed_for_reports_and_the_knee_once_per_length():
