@@ -16,6 +16,9 @@ the cheap proof that digests do not depend on the interpreter or on
 numpy's number repr.  ``spec_schema_fingerprint.json`` (:func:`spec_schema`)
 records the spec fields per ``SPEC_SCHEMA_VERSION``; ``tests/invariants``
 recomputes it, and :func:`main` refuses a field change at an unchanged version.
+``scenario_builds.json`` (:data:`SCENARIO_BUILDS`) records what each
+built-in scenario name builds, also without simulating;
+``tests/experiment/test_scenario_builds.py`` rebuilds it.
 
 The fixtures freeze the *full simulation stack*: any change to the
 engine, PHY/MAC/transport models, estimators, optimizer, or spec
@@ -62,6 +65,7 @@ from repro import (  # noqa: E402
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
+    build_scenario,
     run_experiment,
     spec_digest,
 )
@@ -272,6 +276,146 @@ DIGEST_SPECS: dict[str, ExperimentSpec] = {
 
 DIGEST_TABLE_PATH = GOLDEN_DIR / "spec_digests.json"
 
+_TWO_FLOWS = (
+    FlowSpec("udp", (0, 1, 2), rate_bps=200e3, payload_bytes=1000),
+    FlowSpec("tcp", (1, 2), mss_bytes=512),
+)
+
+#: The build table: what ``build_scenario`` makes of each built-in name,
+#: recorded without simulating anything.  The experiment goldens run one
+#: spec per name and none of them draws ``mixed`` rates, so this grid is
+#: the fence around each name's seeds, σ, link rates, radio, flows and
+#: ``meta`` — in particular around the one stream ``random_multiflow``
+#: draws its ``mixed`` rate jitter and then its demands from.
+SCENARIO_BUILDS: dict[str, ScenarioSpec] = {
+    **{
+        f"random_multiflow-s{seed}-{rate_mode}-{transport}-h{max_hops}": ScenarioSpec(
+            scenario="random_multiflow",
+            seed=seed,
+            rate_mode=rate_mode,
+            transport=transport,
+            max_hops=max_hops,
+        )
+        for seed in range(8)
+        for rate_mode in ("1", "11", "mixed")
+        for transport in ("udp", "tcp")
+        for max_hops in (3, 4)
+    },
+    **{
+        f"chain-{rate:g}-{'flows' if flows else 'default'}": ScenarioSpec(
+            scenario="chain", seed=1, data_rate_mbps=rate, flows=flows
+        )
+        for rate in (1, 2, 5.5, 11)
+        for flows in ((), _TWO_FLOWS)
+    },
+    "chain-grid-default": ScenarioSpec(
+        scenario="chain",
+        seed=2,
+        topology=TopologySpec(kind="grid", rows=2, cols=3),
+        transport="tcp",
+    ),
+    "chain-positions-flows": ScenarioSpec(
+        scenario="chain",
+        seed=2,
+        data_rate_mbps=2,
+        topology=TopologySpec(
+            kind="positions", positions=((0, 0.0, 0.0), (3, 50.0, 0.0), (7, 100.0, 10.0))
+        ),
+        flows=(FlowSpec("udp", (0, 3, 7)),),
+    ),
+    "chain-radio-shadowing": ScenarioSpec(
+        scenario="chain",
+        seed=3,
+        run_seed=9,
+        data_rate_mbps=1,
+        shadowing_sigma_db=4.0,
+        topology=TopologySpec(kind="chain", num_nodes=4),
+        radio=RadioSpec(cs_threshold_dbm=-85.0, basic_rate_mbps=2),
+        transport="tcp",
+    ),
+    **{
+        f"testbed-sigma{sigma}": ScenarioSpec(
+            scenario="testbed", seed=3, shadowing_sigma_db=sigma, flows=_TWO_FLOWS
+        )
+        for sigma in (None, 0.0, 4.0)
+    },
+    "testbed-1-run_seed": ScenarioSpec(
+        scenario="testbed",
+        seed=4,
+        run_seed=11,
+        data_rate_mbps=1,
+        flows=(FlowSpec("tcp", (4, 3)),),
+    ),
+    "starvation-golden": GOLDEN_SPECS["starvation"].scenario,
+    **{
+        f"starvation-{rate}-run_seed": ScenarioSpec(
+            scenario="starvation", seed=2, run_seed=7, data_rate_mbps=rate
+        )
+        for rate in (1, 11)
+    },
+}
+
+SCENARIO_BUILDS_PATH = GOLDEN_DIR / "scenario_builds.json"
+
+
+def _flow_record(handle) -> dict:
+    if hasattr(handle, "source"):  # a UDP handle; TCP keeps its source on .flow
+        return {
+            "kind": "udp",
+            "path": list(handle.path),
+            "payload_bytes": handle.source.payload_bytes,
+            "rate_bps": handle.source.rate_bps,
+        }
+    return {"kind": "tcp", "path": list(handle.path), "mss_bytes": handle.flow.source.mss_bytes}
+
+
+def scenario_build_record(spec: ScenarioSpec) -> dict:
+    """Everything a run starts from, as plain JSON data: positions, every
+    directed link's rate, propagation σ and seed (no seed when σ is 0:
+    nothing is drawn), the radio, the traffic seed, each flow and
+    ``meta`` — or the error the build raised."""
+    try:
+        built = build_scenario(spec)
+    except Exception as error:  # a refused build is a record too
+        return {"error": f"{type(error).__name__}: {error}"}
+    try:
+        network = built.network
+        propagation = network.medium.propagation
+        sigma = propagation.shadowing_sigma_db
+        nodes = network.node_ids
+        record = {
+            "positions": [[node, *network.positions[node]] for node in nodes],
+            # Mb/s of every directed link, (tx, rx) in node-id order.
+            "link_rates_mbps": " ".join(
+                f"{network.link_rate((tx, rx)).bps / 1e6:g}"
+                for tx in nodes
+                for rx in nodes
+                if tx != rx
+            ),
+            "propagation": {"sigma_db": sigma, "seed": propagation.seed if sigma else None},
+            "radio": {
+                "cs_threshold_dbm": network.radio.cs_threshold_dbm,
+                "data_rate": network.radio.data_rate.name,
+            },
+            "traffic_seed": network.sim.seed,
+            "flows": [_flow_record(handle) for handle in built.flows],
+            "meta": built.meta,
+        }
+    finally:
+        built.close()
+    return json.loads(json.dumps(record))
+
+
+def scenario_builds_json() -> str:
+    """The build table's fixture, one entry (spec and record) a line."""
+    lines = [
+        json.dumps(name) + ": " + json.dumps(
+            {"spec": spec.to_dict(), "build": scenario_build_record(spec)}, sort_keys=True
+        )
+        for name, spec in sorted(SCENARIO_BUILDS.items())
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
 
 def digest_entry(spec: ExperimentSpec) -> dict[str, str]:
     """What the table freezes for one spec: the exact bytes
@@ -339,6 +483,7 @@ def main() -> int:
     _write(SCHEMA_RECORD_PATH, json.dumps(record, indent=2, sort_keys=True) + "\n")
     table = {name: digest_entry(spec) for name, spec in DIGEST_SPECS.items()}
     _write(DIGEST_TABLE_PATH, json.dumps(table, indent=2, sort_keys=True) + "\n")
+    _write(SCENARIO_BUILDS_PATH, scenario_builds_json())
     for name in GOLDEN_SPECS:
         _write(golden_path(name), compute(name))
     return 0
