@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.analysis import ExperimentReport, format_table, jain_fairness_index
 from repro.core import AlphaFairUtility, OnlineOptimizer
-from repro.sim.scenarios import random_multiflow_scenario
+from repro.experiment import ScenarioSpec, build_scenario
 
 from conftest import run_once
 
@@ -23,7 +23,9 @@ PROBE_WARMUP_S = 45.0
 
 
 def _run():
-    scenario = random_multiflow_scenario(seed=7, num_flows=4, rate_mode="11", transport="udp")
+    scenario = build_scenario(
+        ScenarioSpec(scenario="random_multiflow", seed=7, num_flows=4, rate_mode="11", transport="udp")
+    )
     network = scenario.network
     network.enable_probing(period_s=0.5)
     network.run(PROBE_WARMUP_S)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.analysis import ExperimentReport, format_cdf_summary
 from repro.core import OnlineOptimizer, PROPORTIONAL_FAIR
-from repro.sim.scenarios import random_multiflow_scenario
+from repro.experiment import ScenarioSpec, build_scenario
 
 from conftest import run_once
 
@@ -28,7 +28,7 @@ MEASURE_S = 10.0
 
 def run_validation_scenario(spec, scale: float = 1.0, utility=PROPORTIONAL_FAIR):
     """Run one configuration and return (estimated, achieved) per flow."""
-    scenario = random_multiflow_scenario(transport="udp", **spec)
+    scenario = build_scenario(ScenarioSpec(scenario="random_multiflow", transport="udp", **spec))
     network = scenario.network
     network.enable_probing(period_s=0.5)
     network.run(PROBE_WARMUP_S)

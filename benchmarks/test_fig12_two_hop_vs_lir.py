@@ -21,7 +21,7 @@ from repro.core import (
     link_interference_ratio,
 )
 from repro.sim.measurement import measure_flows, measure_isolated
-from repro.sim.scenarios import random_multiflow_scenario
+from repro.experiment import ScenarioSpec, build_scenario
 
 from conftest import run_once
 
@@ -57,7 +57,7 @@ def _measure_lir_map(network, links):
 
 
 def _run_variant(spec, interference_mode):
-    scenario = random_multiflow_scenario(transport="udp", **spec)
+    scenario = build_scenario(ScenarioSpec(scenario="random_multiflow", transport="udp", **spec))
     network = scenario.network
     network.enable_probing(period_s=0.5)
     network.run(PROBE_WARMUP_S)

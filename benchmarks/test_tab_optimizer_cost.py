@@ -29,7 +29,7 @@ from repro.core import (
     RateOptimizer,
 )
 from repro.net.routing import FlowRoute, RoutingMatrix
-from repro.sim.scenarios import random_multiflow_scenario
+from repro.experiment import ScenarioSpec, build_scenario
 
 NUM_LINKS = 24
 EDGE_PROBABILITY = 0.55
@@ -102,9 +102,10 @@ def _measure_model_cost() -> dict[str, float]:
     """Best-of-N wall time of the cycle's first half on a warmed mesh
     (the first call of each stage, which builds the estimator's window
     tables, is left out: a controller pays it once, not per cycle)."""
-    scenario = random_multiflow_scenario(
-        seed=MESH_SEED, num_flows=MESH_FLOWS, rate_mode="11", transport="udp"
-    )
+    scenario = build_scenario(ScenarioSpec(
+        scenario="random_multiflow", seed=MESH_SEED, num_flows=MESH_FLOWS, rate_mode="11",
+        transport="udp",
+    ))
     try:
         network = scenario.network
         network.enable_probing()
@@ -125,7 +126,7 @@ def _measure_model_cost() -> dict[str, float]:
             "conflict_graph_s": graph_s,
         }
     finally:
-        scenario.network.close()
+        scenario.close()
 
 
 def test_optimizer_cost(benchmark):

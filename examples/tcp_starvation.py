@@ -16,15 +16,16 @@ from __future__ import annotations
 
 from repro.analysis import jain_fairness_index
 from repro.core import MAX_THROUGHPUT, OnlineOptimizer, PROPORTIONAL_FAIR
-from repro.sim.scenarios import starvation_scenario
+from repro.experiment import ScenarioSpec, build_scenario
 
 MEASURE_S = 25.0
 PROBE_WARMUP_S = 60.0
 
 
 def run_variant(label: str, utility=None, seed: int = 0) -> tuple[float, float]:
-    scenario = starvation_scenario(seed=seed, data_rate_mbps=1)
+    scenario = build_scenario(ScenarioSpec(scenario="starvation", seed=seed, data_rate_mbps=1))
     network = scenario.network
+    two_hop_flow, one_hop_flow = scenario.flows
     if utility is not None:
         network.enable_probing(period_s=0.5)
         network.run(PROBE_WARMUP_S)
@@ -32,12 +33,13 @@ def run_variant(label: str, utility=None, seed: int = 0) -> tuple[float, float]:
             network, scenario.flows, utility=utility, probing_window=100
         )
         controller.run_cycle()
-    scenario.two_hop.start()
-    scenario.one_hop.start()
+    two_hop_flow.start()
+    one_hop_flow.start()
     network.run(MEASURE_S)
     start, end = network.now - (MEASURE_S - 5.0), network.now
-    two_hop = scenario.two_hop.throughput_bps(start, end)
-    one_hop = scenario.one_hop.throughput_bps(start, end)
+    two_hop = two_hop_flow.throughput_bps(start, end)
+    one_hop = one_hop_flow.throughput_bps(start, end)
+    scenario.close()
     jfi = jain_fairness_index([two_hop, one_hop])
     print(
         f"{label:10s}  2-hop flow: {two_hop / 1e3:6.1f} kb/s   "

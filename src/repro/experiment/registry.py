@@ -6,24 +6,15 @@ with :func:`register_scenario`, which makes every scenario discoverable
 (``scenario_names()``), describable (``scenario_description()``) and
 runnable by name through :class:`repro.experiment.runner.Experiment`.
 
-The built-ins are thin presets over the composable generator layer of
-:mod:`repro.sim.generators` (topology generators x workload generators
-x radio profiles):
-
-* ``generated`` — the fully declarative composition: any registered
-  topology generator (grid, ring, random-disk, binary-tree,
-  parking-lot, ...), flows from a registered workload generator (or
-  explicit :class:`FlowSpec`\\ s), link rates assigned per ``rate_mode``,
-  and an optional named radio profile;
-* ``chain`` — an N-node chain with explicit flows (defaults to one UDP
-  flow over the whole chain);
-* ``testbed`` — the synthetic 18-node testbed with explicit flows;
-* ``random_multiflow`` — ETT-routed random multi-flow configurations of
-  Sections 4.5 / 6.3 (kept on its legacy single-RNG draw discipline so
-  historical results replay bit-identically);
-* ``starvation`` — the two-flow upstream TCP gateway scenario of
-  Figure 13: a three-node chain under the ``hidden_terminal`` radio
-  profile.
+One built-in constructs networks: ``generated``, the declarative
+composition of the generator layer of :mod:`repro.sim.generators` — any
+registered topology generator, flows from a registered workload
+generator (or explicit :class:`FlowSpec`\\ s), link rates per
+``rate_mode`` and an optional radio or named radio profile.  ``chain``,
+``testbed``, ``random_multiflow`` and ``starvation`` are presets of it
+(:data:`repro.experiment.specs.SCENARIO_PRESETS`): each turns the spec
+it is given into a ``generated`` spec, which the same builder
+materializes, and reports the ``meta`` keys that name always has.
 """
 
 from __future__ import annotations
@@ -31,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
-from repro.engine import named_rng
-from repro.experiment.specs import FlowSpec, ScenarioSpec, SpecError, TopologySpec
-from repro.net.routing import first_use_links
+from repro.experiment.specs import SCENARIO_PRESETS, FlowSpec, ScenarioSpec, SpecError
+from repro.net.routing import Router, first_use_links
 from repro.phy.propagation import LogDistancePathLoss
-from repro.phy.radio import RadioConfig
 from repro.registry import Registry
 from repro.sim.dynamics import (
     DynamicsDriver,
@@ -45,19 +34,14 @@ from repro.sim.dynamics import (
 )
 from repro.sim.generators import (
     GeneratedFlow,
-    Positions,
+    WorkloadContext,
     assign_link_rates,
-    generate_workload,
+    ett_link_weights,
     radio_profile_config,
     radio_profile_is_adaptive,
+    scenario_streams,
 )
 from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
-from repro.sim.scenarios import (
-    build_testbed_network,
-    random_multiflow_scenario,
-    starvation_scenario,
-    traffic_seed,
-)
 
 FlowHandle = UdpFlowHandle | TcpFlowHandle
 
@@ -131,51 +115,25 @@ def _add_flows(
     return handles
 
 
-def _mesh(
-    spec: ScenarioSpec, positions: Positions, radio: RadioConfig | None
-) -> MeshNetwork:
-    """The network of a spec that places its own nodes: log-distance
-    propagation with the spec's shadowing (none by default) drawn from
-    ``seed``, traffic seeded by ``run_seed``."""
-    return MeshNetwork(
-        positions,
-        seed=traffic_seed(spec.seed, spec.run_seed),
-        radio=radio,
-        propagation=LogDistancePathLoss(
-            shadowing_sigma_db=spec.shadowing_sigma_db or 0.0, seed=spec.seed
-        ),
-        data_rate_mbps=spec.data_rate_mbps,
-    )
-
-
-def _reject_unread(spec: ScenarioSpec, *names: str) -> None:
-    """A field that changes the digest must change the build: refuse a
-    field this scenario's builder never reads rather than cache two
-    entries for one experiment."""
-    for name in names:
-        if getattr(spec, name) is not None:
-            raise SpecError(
-                f"ScenarioSpec.{name} is not read by the {spec.scenario!r} "
-                f"scenario (the 'generated' scenario composes it); got "
-                f"{getattr(spec, name)!r}"
-            )
-
-
 @register_scenario(
     "generated",
     description="declarative topology x workload x radio-profile composition",
 )
 def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
-    """The open half of the scenario space: every axis is a registered
-    generator driven purely by the spec, so new interference structures
-    need parameters, not builder code.
+    """The one builder that constructs a network: every axis is a
+    registered generator driven purely by the spec, so new interference
+    structures need parameters, not builder code.  Whatever raises once
+    the network exists (a workload with no routable demands, a flow over
+    a missing node) closes it first.
 
-    Construction order (all randomness from named, seed-derived RNG
-    streams, so the scenario is a pure function of the spec):
+    Construction order (all randomness from seed-derived streams, so the
+    scenario is a pure function of the spec):
 
     1. node positions via the topology generator (``spec.topology``);
     2. radio from ``spec.radio``, else the named ``spec.radio_profile``
-       at the scenario's data rate, else the default radio;
+       at the scenario's data rate, else the default radio; the network
+       shadows at the spec's σ (none by default) drawn from ``seed``, and
+       ``run_seed`` (defaulting to ``seed``) seeds only its traffic;
     3. per-link modulations per ``spec.rate_mode`` (the ``mixed`` draw
        uses the ``generated.link_rates`` stream) — or, under an adaptive
        radio profile, SNR-thresholded rates via
@@ -207,144 +165,94 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
         )
     else:
         radio = None
-    network = _mesh(spec, positions, radio)
-    adaptive = spec.radio_profile is not None and radio_profile_is_adaptive(
-        spec.radio_profile
+    rates_rng, demands_rng = scenario_streams(
+        spec.workload.generator if spec.workload else None, spec.seed
     )
-    if adaptive:
-        # SNR-thresholded initial rates; the DynamicsDriver re-applies
-        # them after every position epoch.  RNG-free, so this never
-        # perturbs the ``generated.link_rates`` stream of other specs.
-        apply_rate_adaptation(network)
-    else:
-        assign_link_rates(
-            network, spec.rate_mode, named_rng(spec.seed, "generated.link_rates")
+    network = MeshNetwork(
+        positions,
+        seed=spec.seed if spec.run_seed is None else spec.run_seed,
+        radio=radio,
+        propagation=LogDistancePathLoss(
+            shadowing_sigma_db=spec.shadowing_sigma_db or 0.0, seed=spec.seed
+        ),
+        data_rate_mbps=spec.data_rate_mbps,
+    )
+    try:
+        adaptive = spec.radio_profile is not None and radio_profile_is_adaptive(
+            spec.radio_profile
         )
-    meta: dict[str, object] = {
-        "topology_generator": spec.topology.kind,
-        "node_count": len(positions),
-        "rate_mode": spec.rate_mode,
-        "radio_profile": spec.radio_profile,
-        "workload_generator": spec.workload.generator if spec.workload else None,
-    }
-    if spec.flows:
-        handles = _add_flows(network, spec.flows)
-    else:
-        assert spec.workload is not None  # guarded above
-        generated = generate_workload(
-            network,
-            spec.workload.generator,
-            seed=spec.seed,
-            **spec.workload.params(),
-        )
-        handles = _add_flows(network, generated)
-        meta["transports"] = [flow.transport for flow in generated]
-    meta["routes"] = [list(handle.path) for handle in handles]
-    if spec.mobility is not None or spec.churn is not None or adaptive:
-        dynamics: dict[str, object] = {"rate_adaptation": adaptive}
-        if spec.mobility is not None:
-            dynamics["epoch_s"] = spec.mobility.epoch_s
-            dynamics["trajectory"] = build_mobility(
-                spec.mobility.model,
-                network.positions,
-                spec.mobility.params(),
-                seed=spec.seed,
-            )
-        if spec.churn is not None:
-            schedule = spec.churn.to_dict()
-            endpoints = frozenset(
-                node for handle in handles for node in (handle.path[0], handle.path[-1])
-            )
-            dynamics["churn"] = generate_churn_schedule(
-                network.node_ids,
-                protected=endpoints if schedule.pop("protect_endpoints") else frozenset(),
-                seed=spec.seed,
-                **schedule,
-            )
-        driver = DynamicsDriver(network, **dynamics).install()
-        # The driver mutates this dict as epochs and churn events apply;
-        # the runner copies scenario.meta AFTER the run, so the final
-        # counters serialize into the experiment result.
-        meta["dynamics"] = driver.meta
+        if adaptive:
+            # SNR-thresholded initial rates; the DynamicsDriver re-applies
+            # them after every position epoch.  RNG-free, so this never
+            # perturbs the link-rate stream of other specs.
+            apply_rate_adaptation(network)
+        else:
+            assign_link_rates(network, spec.rate_mode, rates_rng)
+        meta: dict[str, object] = {
+            "topology_generator": spec.topology.kind,
+            "node_count": len(positions),
+            "rate_mode": spec.rate_mode,
+            "radio_profile": spec.radio_profile,
+            "workload_generator": spec.workload.generator if spec.workload else None,
+        }
+        if spec.flows:
+            handles = _add_flows(network, spec.flows)
+        else:
+            assert spec.workload is not None  # guarded above
+            router = Router(network.node_ids, ett_link_weights(network))
+            context = WorkloadContext(network, router, demands_rng, **spec.workload.params())
+            generated = context.generate(spec.workload.generator)
+            handles = _add_flows(network, generated)
+            meta["transports"] = [flow.transport for flow in generated]
+        meta["routes"] = [list(handle.path) for handle in handles]
+        if spec.mobility is not None or spec.churn is not None or adaptive:
+            dynamics: dict[str, object] = {"rate_adaptation": adaptive}
+            if spec.mobility is not None:
+                dynamics["epoch_s"] = spec.mobility.epoch_s
+                dynamics["trajectory"] = build_mobility(
+                    spec.mobility.model,
+                    network.positions,
+                    spec.mobility.params(),
+                    seed=spec.seed,
+                )
+            if spec.churn is not None:
+                schedule = spec.churn.to_dict()
+                endpoints = frozenset(
+                    node for handle in handles for node in (handle.path[0], handle.path[-1])
+                )
+                dynamics["churn"] = generate_churn_schedule(
+                    network.node_ids,
+                    protected=endpoints if schedule.pop("protect_endpoints") else frozenset(),
+                    seed=spec.seed,
+                    **schedule,
+                )
+            driver = DynamicsDriver(network, **dynamics).install()
+            # The driver mutates this dict as epochs and churn events apply;
+            # the runner copies scenario.meta AFTER the run, so the final
+            # counters serialize into the experiment result.
+            meta["dynamics"] = driver.meta
+    except BaseException:
+        network.close()
+        raise
     return BuiltScenario(
         name="generated", spec=spec, network=network, flows=handles, meta=meta
     )
 
 
-@register_scenario(
-    "chain", description="N-node chain with explicit flows (deterministic propagation)"
-)
-def _build_chain(spec: ScenarioSpec) -> BuiltScenario:
-    _reject_unread(spec, "radio_profile", "workload")
-    positions = (spec.topology or TopologySpec()).build(seed=spec.seed)
-    network = _mesh(spec, positions, spec.radio.build() if spec.radio else None)
-    flows = spec.flows or (
-        FlowSpec(transport=spec.transport, path=tuple(sorted(positions))),
-    )
+def _build_preset(spec: ScenarioSpec) -> BuiltScenario:
+    """A preset name: the ``generated`` spec it stands for, built, under
+    the preset's own name, spec and ``meta``."""
+    preset = SCENARIO_PRESETS[spec.scenario]
+    built = _build_generated(preset.generated(spec))
     return BuiltScenario(
-        name="chain", spec=spec, network=network, flows=_add_flows(network, flows)
-    )
-
-
-@register_scenario(
-    "testbed", description="the synthetic 18-node testbed with explicit flows"
-)
-def _build_testbed(spec: ScenarioSpec) -> BuiltScenario:
-    _reject_unread(spec, "radio_profile", "workload")
-    if not spec.flows:
-        raise SpecError("the 'testbed' scenario needs explicit FlowSpecs")
-    sigma = 6.0 if spec.shadowing_sigma_db is None else spec.shadowing_sigma_db
-    network = build_testbed_network(
-        seed=spec.seed,
-        data_rate_mbps=spec.data_rate_mbps,
-        shadowing_sigma_db=sigma,
-        radio=spec.radio.build() if spec.radio else None,
-        run_seed=spec.run_seed,
-    )
-    return BuiltScenario(
-        name="testbed", spec=spec, network=network, flows=_add_flows(network, spec.flows)
-    )
-
-
-@register_scenario(
-    "random_multiflow",
-    description="ETT-routed random multi-flow testbed configuration (Sections 4.5/6.3)",
-)
-def _build_random_multiflow(spec: ScenarioSpec) -> BuiltScenario:
-    _reject_unread(spec, "radio_profile", "workload")
-    scenario = random_multiflow_scenario(
-        seed=spec.seed,
-        num_flows=spec.num_flows,
-        max_hops=spec.max_hops,
-        rate_mode=spec.rate_mode,  # type: ignore[arg-type]
-        transport=spec.transport,  # type: ignore[arg-type]
-        run_seed=spec.run_seed,
-    )
-    return BuiltScenario(
-        name="random_multiflow",
+        name=spec.scenario,
         spec=spec,
-        network=scenario.network,
-        flows=list(scenario.flows),
-        meta={
-            "scenario_label": scenario.name,
-            "routes": [list(route.path) for route in scenario.routes],
-        },
+        network=built.network,
+        flows=built.flows,
+        meta=preset.meta(spec, built.flows),
     )
 
 
-@register_scenario(
-    "starvation",
-    description="two-flow upstream TCP starvation at a gateway (Figure 13)",
-)
-def _build_starvation(spec: ScenarioSpec) -> BuiltScenario:
-    _reject_unread(spec, "radio_profile", "workload")
-    scenario = starvation_scenario(
-        seed=spec.seed, data_rate_mbps=spec.data_rate_mbps, run_seed=spec.run_seed
-    )
-    return BuiltScenario(
-        name="starvation",
-        spec=spec,
-        network=scenario.network,
-        flows=[scenario.two_hop, scenario.one_hop],
-        meta={"two_hop": scenario.two_hop.flow_id, "one_hop": scenario.one_hop.flow_id},
-    )
+for _name, _preset in SCENARIO_PRESETS.items():
+    register_scenario(_name, description=_preset.description)(_build_preset)
+del _name, _preset

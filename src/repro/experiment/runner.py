@@ -11,10 +11,10 @@ and benchmark used to hand-roll:
 3. measure achieved throughput over a settle-trimmed window;
 4. repeat optimize+measure for the remaining cycles.
 
-The scenario itself can be any registered builder — the four canned
-presets or the fully declarative ``"generated"`` composition of a
-topology generator, a workload generator and a radio profile (see
-:mod:`repro.sim.generators`); the runner is agnostic, it drives whatever
+The scenario itself can be any registered builder — the fully
+declarative ``"generated"`` composition of a topology generator, a
+workload generator and a radio profile (see :mod:`repro.sim.generators`)
+or one of its four presets; the runner is agnostic, it drives whatever
 :func:`repro.experiment.registry.build_scenario` hands back.
 
 The outcome is an :class:`ExperimentResult`: one :class:`CycleResult`

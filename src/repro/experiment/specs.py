@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Any, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 from repro.core.utility import AlphaFairUtility
 from repro.monitors import monitor_names
@@ -120,7 +120,8 @@ def spec_digest(spec: "ExperimentSpec | Mapping[str, Any]",
 Positions = dict[int, tuple[float, float]]
 
 TRANSPORTS = ("udp", "tcp")
-RATE_MODES = ("1", "11", "mixed")
+#: ``"mixed"``, or one rate of :data:`RATE_TABLE` in Mb/s for every link.
+RATE_MODES = (*(f"{rate:g}" for rate in RATE_TABLE), "mixed")
 #: Gravity-workload node-weight distributions (:class:`WorkloadSpec`).
 WEIGHT_TAILS = ("uniform", "pareto")
 
@@ -375,12 +376,12 @@ class WorkloadSpec(_GeneratorSpec):
 
     ``generator`` is any name registered with
     :func:`repro.sim.generators.register_workload`; the built-ins are
-    ``"saturated_udp"``, ``"tcp_bulk"``, ``"mixed_tcp_udp"`` and
-    ``"gravity"``.  The generator routes its demands over ETT paths of
-    the built network and draws all randomness from a generator-private
-    RNG stream spawned from the scenario seed
-    (:func:`repro.sim.generators.workload_rng`), so the same spec always
-    produces the same flows.
+    ``"saturated_udp"``, ``"tcp_bulk"``, ``"mixed_tcp_udp"``,
+    ``"gravity"`` and ``"random_pairs"``.  The generator routes its
+    demands over ETT paths of the built network and draws all randomness
+    from a stream of the scenario seed
+    (:func:`repro.sim.generators.scenario_streams`), so the same spec
+    always produces the same flows.
 
     ``rate_bps`` follows :class:`FlowSpec` semantics for the UDP flows a
     generator emits: ``None`` saturates, ``0.0`` starts idle until the
@@ -558,25 +559,26 @@ class ScenarioSpec(_Spec):
     """A named scenario plus the knobs its registered builder reads.
 
     ``scenario`` is a key in the scenario registry
-    (:func:`repro.experiment.registry.register_scenario`); the built-in
-    names are ``"chain"``, ``"testbed"``, ``"random_multiflow"``,
-    ``"starvation"`` and the fully declarative ``"generated"``, which
-    composes a topology generator (``topology``), a workload generator
-    (``workload``, or explicit ``flows``) and a named radio profile
-    (``radio_profile``).  ``seed`` fixes topology and shadowing;
-    ``run_seed`` (defaulting to ``seed``) re-seeds only traffic/backoff
-    randomness so one physical configuration can be re-run independently.
+    (:func:`repro.experiment.registry.register_scenario`).  The built-in
+    ``"generated"`` composes a topology generator (``topology``), a
+    workload generator (``workload``, or explicit ``flows``) and a radio
+    (``radio``, or a named ``radio_profile`` resolved at build time at
+    ``data_rate_mbps``); ``"chain"``, ``"testbed"``,
+    ``"random_multiflow"`` and ``"starvation"`` are presets, each
+    standing for a ``generated`` spec (:data:`SCENARIO_PRESETS`).
+    ``seed`` fixes topology and shadowing; ``run_seed`` (defaulting to
+    ``seed``) re-seeds only traffic/backoff randomness so one physical
+    configuration can be re-run independently.  ``rate_mode`` runs every
+    link at one rate of :data:`RATE_TABLE` (``"1"``, ``"2"``, ``"5.5"``,
+    ``"11"`` Mb/s) or ``"mixed"``.
 
-    Not every field is read by every builder — ``rate_mode`` matters to
-    ``random_multiflow`` and ``generated`` (link-rate assignment), while
-    ``num_flows`` / ``max_hops`` / ``transport`` matter only to
-    ``random_multiflow``: a ``generated`` workload carries its own
-    demand knobs on :class:`WorkloadSpec`.  ``topology`` / ``radio`` /
-    ``flows`` are ignored by ``starvation``, which fixes its own
-    three-node gateway chain.
-    ``radio`` and ``radio_profile`` are mutually exclusive; the profile
-    resolves against :data:`repro.sim.generators.RADIO_PROFILES` at
-    build time, at the scenario's ``data_rate_mbps``.
+    A built-in name refuses here every field it does not read that is
+    off its default, since such a field would change the digest and not
+    the build: ``generated`` takes its demand knobs from
+    :class:`WorkloadSpec`, so ``num_flows`` / ``max_hops`` /
+    ``transport`` belong to the presets.  Names registered elsewhere are
+    not checked.  ``radio`` and ``radio_profile`` are mutually
+    exclusive, as are ``flows`` and ``workload``.
     """
 
     scenario: str = "chain"
@@ -615,13 +617,14 @@ class ScenarioSpec(_Spec):
                  "give either radio or radio_profile, not both")
         _require(not (self.flows and self.workload is not None),
                  "give either explicit flows or a workload generator, not both")
-        for name in ("mobility", "churn"):
-            _require(getattr(self, name) is None or self.scenario == "generated",
-                     f"{name} is only supported by the 'generated' scenario")
         _require(self.radio_profile is None
                  or self.radio_profile in radio_profile_names(),
                  f"radio_profile must be one of {radio_profile_names()}, "
                  f"got {self.radio_profile!r}")
+        for name, default in _UNREAD.get(self.scenario, ()):
+            value = getattr(self, name)
+            _require(value == default, f"ScenarioSpec.{name} is not read by the "
+                     f"{self.scenario!r} scenario; got {value!r}")
 
     def with_seed(self, seed: int, run_seed: int | None = None) -> "ScenarioSpec":
         """The same scenario re-seeded (used by batch seed sweeps)."""
@@ -646,6 +649,124 @@ class ScenarioSpec(_Spec):
         if self.churn is not None:
             parts.append("churn")
         return f"generated({', '.join(parts)})" if parts else "generated"
+
+
+# ---------------------------------------------------------------------------
+# Presets: the built-in names that stand for a ``generated`` spec
+# ---------------------------------------------------------------------------
+#: Read by every scenario.
+_READ_BY_ALL = frozenset({"scenario", "seed", "run_seed"})
+#: Read by presets only: a ``generated`` workload has its own demand knobs.
+_PRESET_ONLY = frozenset({"num_flows", "max_hops", "transport"})
+
+
+def _fixed_rate(spec: ScenarioSpec) -> str:
+    """Every link at ``data_rate_mbps``, as ``chain``, ``testbed`` and
+    ``starvation`` have always run."""
+    return f"{spec.data_rate_mbps:g}"
+
+
+def _testbed_sigma(spec: ScenarioSpec) -> float:
+    """The testbed presets shadow at 6 dB unless told otherwise, for link
+    diversity (``generated`` shadows only when asked)."""
+    return 6.0 if spec.shadowing_sigma_db is None else spec.shadowing_sigma_db
+
+
+def _no_meta(spec: ScenarioSpec, flows: list[Any]) -> dict[str, object]:
+    return {}
+
+
+class ScenarioPreset(NamedTuple):
+    """A built-in name that stands for a ``generated`` spec: the
+    :class:`ScenarioSpec` fields it reads besides ``seed`` / ``run_seed``
+    (every other field must keep its default), the ``generated`` fields
+    it fixes or derives, and the ``meta`` its results have always
+    carried."""
+
+    description: str
+    reads: frozenset[str]
+    expand: Callable[[ScenarioSpec], dict[str, Any]]
+    meta: Callable[[ScenarioSpec, list[Any]], dict[str, object]] = _no_meta
+
+    def generated(self, spec: ScenarioSpec) -> ScenarioSpec:
+        """The ``generated`` spec ``spec`` stands for."""
+        given = {name: getattr(spec, name) for name in (self.reads | _READ_BY_ALL) - _PRESET_ONLY}
+        return ScenarioSpec(**{**given, **self.expand(spec), "scenario": "generated"})
+
+
+def _chain(spec: ScenarioSpec) -> dict[str, Any]:
+    topology = spec.topology or TopologySpec()
+    flows = spec.flows or (  # one flow over every node, in id order
+        FlowSpec(spec.transport, tuple(sorted(topology.build(seed=spec.seed)))),
+    )
+    return {"topology": topology, "flows": flows, "rate_mode": _fixed_rate(spec)}
+
+
+def _testbed(spec: ScenarioSpec) -> dict[str, Any]:
+    if not spec.flows:
+        raise SpecError("the 'testbed' scenario needs explicit FlowSpecs")
+    return {"topology": TopologySpec(kind="testbed"), "rate_mode": _fixed_rate(spec),
+            "shadowing_sigma_db": _testbed_sigma(spec)}
+
+
+def _random_multiflow(spec: ScenarioSpec) -> dict[str, Any]:
+    workload = WorkloadSpec(
+        generator="random_pairs", num_flows=spec.num_flows, max_hops=spec.max_hops,
+        rate_bps=0.0, tcp_fraction=float(spec.transport == "tcp"),
+    )
+    return {"topology": TopologySpec(kind="testbed"), "workload": workload,
+            "shadowing_sigma_db": _testbed_sigma(spec)}
+
+
+def _starvation(spec: ScenarioSpec) -> dict[str, Any]:
+    return {
+        "topology": TopologySpec(kind="chain", num_nodes=3, spacing_m=62.0),
+        "radio_profile": "hidden_terminal",
+        "flows": (FlowSpec("tcp", (0, 1, 2)), FlowSpec("tcp", (1, 2))),
+        "rate_mode": _fixed_rate(spec),
+    }
+
+
+#: Every built-in name but ``generated``, as the ``generated`` spec it
+#: stands for.
+SCENARIO_PRESETS: dict[str, ScenarioPreset] = {
+    "chain": ScenarioPreset(
+        "N-node chain with explicit flows (deterministic propagation)",
+        frozenset({"data_rate_mbps", "shadowing_sigma_db", "topology", "radio", "flows",
+                   "transport"}),
+        _chain,
+    ),
+    "testbed": ScenarioPreset(
+        "the synthetic 18-node testbed with explicit flows",
+        frozenset({"data_rate_mbps", "shadowing_sigma_db", "radio", "flows"}),
+        _testbed,
+    ),
+    "random_multiflow": ScenarioPreset(
+        "ETT-routed random multi-flow testbed configuration (Sections 4.5/6.3)",
+        frozenset({"num_flows", "max_hops", "rate_mode", "transport"}),
+        _random_multiflow,
+        lambda spec, flows: {
+            "scenario_label": f"scenario-{spec.seed}-{spec.rate_mode}-{spec.transport}",
+            "routes": [list(flow.path) for flow in flows],
+        },
+    ),
+    "starvation": ScenarioPreset(
+        "two-flow upstream TCP starvation at a gateway (Figure 13)",
+        frozenset({"data_rate_mbps"}),
+        _starvation,
+        lambda spec, flows: {"two_hop": flows[0].flow_id, "one_hop": flows[1].flow_id},
+    ),
+}
+
+#: Per built-in name, the ``(field, default)`` pairs it does not read.
+_UNREAD: dict[str, tuple[tuple[str, Any], ...]] = {
+    name: tuple((f.name, f.default) for f in fields(ScenarioSpec)
+                if f.name not in reads | _READ_BY_ALL)
+    for name, reads in [
+        ("generated", frozenset(f.name for f in fields(ScenarioSpec)) - _PRESET_ONLY),
+        *((name, preset.reads) for name, preset in SCENARIO_PRESETS.items()),
+    ]
+}
 
 
 # ---------------------------------------------------------------------------

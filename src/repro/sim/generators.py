@@ -14,17 +14,18 @@ axes:
 * **Workload generators** map a built :class:`MeshNetwork` plus demand
   parameters to a list of :class:`GeneratedFlow`\\ s over ETT-routed
   paths: saturated-UDP random demands, TCP bulk transfers, mixed
-  TCP/UDP, and gravity-style weighted demands.  Register new ones with
-  :func:`register_workload`.
+  TCP/UDP, gravity-style weighted demands, and the rejection-sampled
+  pairs of the Sections 4.5 / 6.3 configurations.  Register new ones
+  with :func:`register_workload`.
 * **Radio profiles** are named radio parameter presets
   (:func:`radio_profile_config`), including the reduced-carrier-sense
   ``hidden_terminal`` configuration the Figure 13 starvation scenario is
   built on.
 
 Everything here is deterministic: workload and placement randomness
-come from named RNG streams spawned via
-:func:`repro.engine.rng_spawn_key`, so the same ``(generator, params,
-seed)`` triple always produces the same scenario — which is what lets
+come from seed-derived RNG streams (:func:`scenario_streams` picks a
+scenario's), so the same ``(generator, params, seed)`` triple always
+produces the same scenario — which is what lets
 the experiment layer (:mod:`repro.experiment.specs`) serialize generator
 name + params into a canonical spec dict, content-address it with
 ``spec_digest``, and replay it bit-identically on any execution backend.
@@ -71,6 +72,7 @@ __all__ = [
     "build_topology",
     "generate_workload",
     "workload_rng",
+    "scenario_streams",
     "radio_profile_names",
     "radio_profile_params",
     "radio_profile_config",
@@ -151,18 +153,19 @@ RATE_ADAPTATION_SNR_DB = 24.0
 def assign_link_rates(
     network: MeshNetwork, rate_mode: str, rng: np.random.Generator
 ) -> None:
-    """Fix per-link modulations: all 1 Mb/s, all 11 Mb/s or a mix.
+    """Fix per-link modulations: every link at one rate, or a mix.
 
-    In mixed mode strong links run at 11 Mb/s and marginal links drop to
+    ``rate_mode`` is a rate of :data:`repro.phy.radio.RATE_TABLE` in Mb/s
+    (``"1"``, ``"2"``, ``"5.5"``, ``"11"``) for every link, or
+    ``"mixed"``: strong links run at 11 Mb/s and marginal links drop to
     1 Mb/s, which is what a rate-adaptation-disabled operator would
     configure by hand (and mirrors the paper's (1, 11) configurations).
+    Only ``"mixed"`` draws from ``rng``: one threshold jitter per link.
     """
+    fixed = None if rate_mode == "mixed" else rate_from_mbps(float(rate_mode))
     for link, snr in link_snrs(network):
-        if rate_mode == "1":
-            rate = RATE_1MBPS
-        elif rate_mode == "11":
-            rate = RATE_11MBPS
-        else:
+        rate = fixed
+        if rate is None:
             threshold = RATE_ADAPTATION_SNR_DB + float(rng.uniform(-2.0, 2.0))
             rate = RATE_11MBPS if snr >= threshold else RATE_1MBPS
         network.set_link_rate(link, rate)
@@ -514,11 +517,38 @@ class WorkloadContext:
             transport, tuple(path), rate_bps, self.payload_bytes, self.mss_bytes
         )
 
+    def generate(self, generator: str) -> list[GeneratedFlow]:
+        """The flows the registered workload ``generator`` draws here."""
+        flows = WORKLOADS.lookup(generator)(self)
+        if not flows:
+            raise RuntimeError(f"workload generator {generator!r} produced no flows")
+        return flows
+
 
 def workload_rng(generator: str, seed: int) -> np.random.Generator:
     """The generator-private stream ``"workload.<generator>"`` of ``seed``
     (:func:`repro.engine.named_rng`): two generators never share draws."""
     return named_rng(seed, f"workload.{generator}")
+
+
+def scenario_streams(
+    generator: str | None, seed: int
+) -> tuple[np.random.Generator, np.random.Generator | None]:
+    """The streams a scenario draws its ``mixed`` link-rate jitter and
+    its workload from, given its workload ``generator`` (``None`` for
+    explicit flows): the one place they are picked.
+
+    ``random_pairs`` draws the jitter and then its demands from one
+    ``default_rng(seed)``, the discipline its configurations were
+    recorded under.  Every other generator keeps the named
+    ``generated.link_rates`` and :func:`workload_rng` streams, so no
+    generator perturbs another.
+    """
+    if generator == "random_pairs":
+        shared = np.random.default_rng(seed)
+        return shared, shared
+    workload = None if generator is None else workload_rng(generator, seed)
+    return named_rng(seed, "generated.link_rates"), workload
 
 
 def generate_workload(
@@ -533,23 +563,15 @@ def generate_workload(
     ``params`` populate :class:`WorkloadContext` (``num_flows``,
     ``max_hops``, ``rate_bps``, ``tcp_fraction``, ``payload_bytes``,
     ``mss_bytes``, ``demand_exponent``).  ``router`` defaults to an ETT
-    router over the network's ground-truth link weights.  The returned
-    flows are declarative — the caller decides when to add them to the
-    network — and deterministic in ``(generator, params, seed)``.
+    router over the network's ground-truth link weights; the draws come
+    from the generator's stream of ``seed`` (:func:`scenario_streams`).
+    The returned flows are declarative — the caller decides when to add
+    them to the network — and deterministic in ``(generator, params, seed)``.
     """
-    build = WORKLOADS.lookup(generator)
     if router is None:
         router = Router(network.node_ids, ett_link_weights(network))
-    ctx = WorkloadContext(
-        network=network,
-        router=router,
-        rng=workload_rng(generator, seed),
-        **params,
-    )
-    flows = build(ctx)
-    if not flows:
-        raise RuntimeError(f"workload generator {generator!r} produced no flows")
-    return flows
+    _, rng = scenario_streams(generator, seed)
+    return WorkloadContext(network, router, rng, **params).generate(generator)
 
 
 @register_workload(
@@ -632,3 +654,46 @@ def _gravity(ctx: WorkloadContext) -> list[GeneratedFlow]:
             share = np.full(len(chosen), 1.0 / len(chosen))
         rates = [float(budget * s) for s in share]
     return [ctx.flow("udp", path, rate) for (_, _, path), rate in zip(chosen, rates)]
+
+
+@register_workload(
+    "random_pairs",
+    description="rejection-sampled routable node pairs, TCP at tcp_fraction",
+)
+def _random_pairs(ctx: WorkloadContext) -> list[GeneratedFlow]:
+    """The demands of the ETT-routed configurations of Sections 4.5 / 6.3:
+    ordered node pairs drawn until ``num_flows`` distinct ones route in
+    1..``max_hops`` hops (400 draws at most), then a coin flip per flow
+    at ``tcp_fraction`` between TCP and UDP at ``rate_bps``.
+
+    In a scenario the draws continue the stream its ``mixed`` link-rate
+    jitter drew from — one ``default_rng(seed)``, see
+    :func:`scenario_streams` — so configurations recorded before this
+    generator existed replay bit for bit.
+    """
+    node_ids = ctx.network.node_ids
+    demands: list[tuple[int, int]] = []
+    paths: list[list[int]] = []
+    tries = 0
+    while len(demands) < ctx.num_flows and tries < 400:
+        tries += 1
+        src, dst = (int(x) for x in ctx.rng.choice(node_ids, size=2, replace=False))
+        if (src, dst) in demands:
+            continue
+        path = ctx.router.shortest_path(src, dst)
+        if path is None:
+            continue
+        hops = len(path) - 1
+        if 1 <= hops <= ctx.max_hops:
+            demands.append((src, dst))
+            paths.append(path)
+    if len(demands) < ctx.num_flows:
+        raise RuntimeError(
+            f"could only find {len(demands)} routable demands (wanted {ctx.num_flows})"
+        )
+    return [
+        ctx.flow("tcp", path)
+        if ctx.rng.uniform() < ctx.tcp_fraction
+        else ctx.flow("udp", path, ctx.rate_bps)
+        for path in paths
+    ]

@@ -362,8 +362,3 @@ def testbed_positions(seed: int = 0, jitter_m: float = 6.0) -> Positions:
         dx, dy = rng.uniform(-jitter_m, jitter_m, size=2)
         positions[node] = (x + dx, y + dy)
     return positions
-
-
-def testbed_propagation(seed: int = 0, shadowing_sigma_db: float = 6.0) -> LogDistancePathLoss:
-    """Propagation model for the testbed: shadowing on, for link diversity."""
-    return LogDistancePathLoss(shadowing_sigma_db=shadowing_sigma_db, seed=seed)

@@ -211,6 +211,10 @@ DIGEST_SPECS: dict[str, ExperimentSpec] = {
             generator="gravity", rate_bps=150e3, weight_tail="pareto", tail_index=2.5
         ),
     ),
+    "workload-random_pairs": _generated(
+        "digest-random_pairs",
+        workload=WorkloadSpec(generator="random_pairs", num_flows=3, tcp_fraction=1.0),
+    ),
     "mobility-waypoint": _generated(
         "digest-waypoint",
         mobility=MobilitySpec(model="waypoint", epoch_s=0.5, speed_mps=2.0),

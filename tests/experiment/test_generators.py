@@ -204,10 +204,10 @@ class TestWorkloadGenerators:
 
 
 class TestRadioProfiles:
-    def test_hidden_terminal_profile_matches_the_legacy_radio(self):
-        from repro.sim.scenarios import hidden_terminal_radio
-
-        assert radio_profile_config("hidden_terminal", 1) == hidden_terminal_radio(1)
+    def test_hidden_terminal_profile_is_the_starvation_radio(self):
+        built = build_scenario(ScenarioSpec(scenario="starvation", data_rate_mbps=1))
+        assert built.network.radio == radio_profile_config("hidden_terminal", 1)
+        built.close()
 
     def test_every_profile_builds(self):
         for name in radio_profile_names():

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.experiment import (
+    ChurnSpec,
     FlowSpec,
+    MobilitySpec,
+    RadioSpec,
     ScenarioSpec,
     SpecError,
     TopologySpec,
@@ -16,9 +19,53 @@ from repro.experiment import (
     scenario_names,
 )
 from repro.experiment.registry import BuiltScenario
-from repro.sim.network import TcpFlowHandle, UdpFlowHandle
+from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
 
 BUILTIN_SCENARIOS = ["chain", "generated", "random_multiflow", "starvation", "testbed"]
+
+#: (scenario, field, value): a field off its default that the name does
+#: not read, so it would change the digest and not the build.
+UNREAD = [
+    *[
+        (scenario, field, value)
+        for scenario in ("chain", "testbed", "random_multiflow", "starvation")
+        for field, value in (
+            ("radio_profile", "hidden_terminal"),
+            ("radio_profile", "low_power"),
+            ("workload", WorkloadSpec(generator="tcp_bulk")),
+            ("mobility", MobilitySpec()),
+            ("churn", ChurnSpec()),
+        )
+    ],
+    ("random_multiflow", "data_rate_mbps", 1),
+    ("random_multiflow", "shadowing_sigma_db", 4.0),
+    ("random_multiflow", "radio", RadioSpec()),
+    ("random_multiflow", "topology", TopologySpec()),
+    ("random_multiflow", "flows", (FlowSpec("udp", (0, 1)),)),
+    ("testbed", "topology", TopologySpec(kind="testbed")),
+    ("testbed", "rate_mode", "11"),
+    ("testbed", "transport", "tcp"),
+    ("chain", "rate_mode", "11"),
+    ("chain", "num_flows", 2),
+    ("starvation", "topology", TopologySpec()),
+    ("starvation", "radio", RadioSpec()),
+    ("starvation", "flows", (FlowSpec("tcp", (0, 1)),)),
+    ("starvation", "shadowing_sigma_db", 0.0),
+    ("starvation", "rate_mode", "11"),
+    ("starvation", "num_flows", 2),
+    ("starvation", "max_hops", 2),
+    ("starvation", "transport", "tcp"),
+    ("generated", "num_flows", 2),
+    ("generated", "max_hops", 2),
+    ("generated", "transport", "tcp"),
+]
+
+
+def _plain(value):
+    """A field value in its payload form."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
 
 
 class TestDiscovery:
@@ -99,25 +146,22 @@ class TestBuiltinBuilders:
         assert built.network.positions == base.network.positions
 
     @pytest.mark.parametrize(
-        "scenario", ["chain", "testbed", "random_multiflow", "starvation"]
+        "scenario,field,value", UNREAD, ids=[f"{s}.{f}" for s, f, _ in UNREAD]
     )
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("radio_profile", "hidden_terminal"),
-            ("radio_profile", "low_power"),
-            ("workload", WorkloadSpec(generator="tcp_bulk")),
-        ],
-        ids=["hidden_terminal", "low_power", "workload"],
-    )
-    def test_builtins_refuse_digest_fields_they_do_not_read(
-        self, scenario, field, value
-    ):
-        """These fields change the spec digest; a builder that ignored
-        them built the same network under two cache keys (and a
-        ``chain`` under ``hidden_terminal`` kept the -91 dBm default)."""
-        with pytest.raises(SpecError, match=rf"ScenarioSpec\.{field}.*{scenario!r}"):
-            build_scenario(ScenarioSpec(scenario=scenario, **{field: value}))
+    def test_builtins_refuse_digest_fields_they_do_not_read(self, scenario, field, value):
+        """A field that changes the digest must change the build (a
+        ``random_multiflow`` spec at ``data_rate_mbps=1`` ran at 11 Mb/s
+        under a digest of its own): a built-in name refuses the fields it
+        does not read when the spec is made, so a stored payload carrying
+        one cannot be read back and no cache lookup can serve it."""
+        refused = rf"ScenarioSpec\.{field} is not read by the {scenario!r} scenario"
+        with pytest.raises(SpecError, match=refused):
+            ScenarioSpec(scenario=scenario, **{field: value})
+        with pytest.raises(SpecError, match=refused):
+            ScenarioSpec.from_dict({"scenario": scenario, field: _plain(value)})
+
+    def test_names_registered_elsewhere_are_not_checked(self):
+        ScenarioSpec(scenario="not-a-built-in", transport="tcp", mobility=MobilitySpec())
 
     def test_meta_is_json_serializable(self):
         import json
@@ -133,6 +177,41 @@ class TestBuiltinBuilders:
         a, b = build_scenario(spec), build_scenario(spec)
         assert [f.path for f in a.flows] == [f.path for f in b.flows]
         assert a.network.positions == b.network.positions
+
+
+class TestFailedBuild:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScenarioSpec(
+                scenario="generated",
+                topology=TopologySpec(kind="chain", num_nodes=3),
+                flows=(FlowSpec("udp", (0, 1, 9)),),
+            ),
+            ScenarioSpec(
+                scenario="generated",
+                topology=TopologySpec(kind="ring", num_nodes=4, radius_m=2000.0),
+                workload=WorkloadSpec(),
+            ),
+            ScenarioSpec(scenario="random_multiflow", num_flows=400),
+        ],
+        ids=["flow-over-a-missing-node", "no-routable-demand", "too-many-random-pairs"],
+    )
+    def test_a_build_that_raises_closes_its_network(self, spec, monkeypatch):
+        """Whatever raises once the network exists closes it before the
+        error propagates, instead of leaving the cyclic graph to the
+        collector."""
+        closed = []
+        close = MeshNetwork.close
+
+        def recording_close(network):
+            closed.append(network)
+            close(network)
+
+        monkeypatch.setattr(MeshNetwork, "close", recording_close)
+        with pytest.raises((KeyError, RuntimeError)):
+            build_scenario(spec)
+        assert len(closed) == 1 and closed[0]._closed
 
 
 class TestCustomRegistration:

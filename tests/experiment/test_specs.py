@@ -62,7 +62,7 @@ class TestValidation:
 
     def test_bad_rate_mode_rejected(self):
         with pytest.raises(SpecError):
-            ScenarioSpec(rate_mode="5.5")
+            ScenarioSpec(scenario="random_multiflow", rate_mode="54")
 
     def test_settle_must_fit_in_measure_window(self):
         with pytest.raises(SpecError):
@@ -77,7 +77,7 @@ class TestRoundTrip:
     def _full_spec(self) -> ExperimentSpec:
         return ExperimentSpec(
             scenario=ScenarioSpec(
-                scenario="testbed",
+                scenario="chain",
                 seed=3,
                 run_seed=17,
                 data_rate_mbps=1,

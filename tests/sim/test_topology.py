@@ -18,7 +18,7 @@ from repro.sim.topology import (
     random_link_pair,
 )
 from repro.sim.topology import testbed_positions as make_testbed_positions
-from repro.sim.topology import testbed_propagation as make_testbed_propagation
+from repro.experiment import FlowSpec, ScenarioSpec, build_scenario
 
 import numpy as np
 
@@ -28,6 +28,13 @@ def _medium_for(topology):
         topology.positions, seed=1, propagation=no_shadowing_propagation(), data_rate_mbps=11
     )
     return network.medium
+
+
+def _testbed_network():
+    """The testbed scenario's network: seeded jitter, 6 dB shadowing."""
+    return build_scenario(
+        ScenarioSpec(scenario="testbed", seed=0, flows=(FlowSpec("udp", (0, 1)),))
+    ).network
 
 
 class TestPairFactories:
@@ -98,15 +105,11 @@ class TestTestbed:
         assert make_testbed_positions(seed=1) != make_testbed_positions(seed=2)
 
     def test_propagation_has_shadowing(self):
-        model = make_testbed_propagation(seed=0)
-        assert model.shadowing_sigma_db > 0
+        assert _testbed_network().medium.propagation.shadowing_sigma_db > 0
 
     def test_testbed_has_both_good_and_marginal_links(self):
         """The synthetic testbed must offer a diversity of link qualities."""
-        net = MeshNetwork(
-            make_testbed_positions(seed=0), seed=0, propagation=make_testbed_propagation(seed=0),
-            data_rate_mbps=11,
-        )
+        net = _testbed_network()
         snrs = []
         nodes = net.node_ids
         for i in nodes:
@@ -122,10 +125,7 @@ class TestTestbed:
         """Every node pair is reachable, but not in a single hop."""
         import networkx as nx
 
-        net = MeshNetwork(
-            make_testbed_positions(seed=0), seed=0, propagation=make_testbed_propagation(seed=0),
-            data_rate_mbps=11,
-        )
+        net = _testbed_network()
         graph = nx.Graph()
         graph.add_nodes_from(net.node_ids)
         for i in net.node_ids:

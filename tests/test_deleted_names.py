@@ -10,6 +10,7 @@ run instead of in a CI step nobody executes locally.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -171,3 +172,36 @@ def test_the_heap_is_the_event_store_a_simulator_uses():
     from repro.engine import Simulator
 
     assert Simulator().scheduler_kind == "heap"
+
+
+#: What the scenario builders beside ``generated`` were made of.
+SCENARIO_BUILDERS = (
+    "random_multiflow_scenario", "starvation_scenario", "build_testbed_network",
+    "hidden_terminal_radio", "traffic_seed", "MultiFlowScenario",
+    "StarvationScenario", "_reject_unread", "_pick_demands",
+)
+
+
+def test_one_function_constructs_a_scenario_network():
+    """``chain``, ``testbed``, ``random_multiflow`` and ``starvation`` are
+    presets of ``generated``: ``repro.sim.scenarios`` and what it held are
+    gone from the library, the benchmarks and the examples, and the
+    registry constructs a ``MeshNetwork`` in one place."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.sim.scenarios")
+    root = SRC.parent
+    pattern = re.compile(rf"\b({'|'.join(SCENARIO_BUILDERS)})\b")
+    found = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for top in ("src", "benchmarks", "examples")
+        for path in sorted((root / top).glob("**/*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, "\n".join(found)
+    tree = ast.parse((SRC / "repro/experiment/registry.py").read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "MeshNetwork"
+    ]
+    assert len(calls) == 1
