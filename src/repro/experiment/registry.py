@@ -135,7 +135,8 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
        shadows at the spec's σ (none by default) drawn from ``seed``, and
        ``run_seed`` (defaulting to ``seed``) seeds only its traffic;
     3. per-link modulations per ``spec.rate_mode`` (the ``mixed`` draw
-       uses the ``generated.link_rates`` stream) — or, under an adaptive
+       uses the stream :func:`repro.sim.generators.scenario_streams`
+       picks) — or, under an adaptive
        radio profile, SNR-thresholded rates via
        :func:`repro.sim.dynamics.apply_rate_adaptation`;
     4. flows from explicit ``spec.flows``, or routed over ETT paths by
