@@ -13,7 +13,7 @@ The package is organised as the paper's system is:
 * :mod:`repro.experiment` — the declarative front door: frozen
   specification dataclasses, a named scenario registry, the
   :class:`Experiment` runner, and a multi-seed :class:`BatchRunner`
-  that plans sweeps (dedup, cache resolution, cost ordering) and
+  that plans sweeps (dedup, then cache resolution) and
   executes them on pluggable backends (serial, process pool, a
   shared-directory work queue remote hosts can drain, or an HTTP
   broker so the fleet needs only a URL in common) — with lease-based

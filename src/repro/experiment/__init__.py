@@ -26,10 +26,10 @@ This package is the canonical public entry point to the reproduction:
 * :mod:`repro.experiment.broker` — the stdlib HTTP broker behind
   :class:`BrokerBackend` (``python -m repro.experiment.broker``);
 * :mod:`repro.experiment.planner` — :class:`SweepPlanner`, which
-  deduplicates identical specs, resolves cache hits before dispatch,
-  and orders the remaining cells by estimated cost (slowest first);
+  deduplicates identical specs and resolves cache hits before
+  dispatch; the remaining cells run in submission order;
 * :mod:`repro.experiment.cache` — :class:`ResultCache`, a
-  content-addressed on-disk cache of result payloads keyed by
+  content-addressed directory of result payloads, one file per
   :func:`spec_digest`, consulted by the runner and the batch runner so
   repeated sweep cells skip the simulation (enable globally by
   exporting ``REPRO_CACHE_DIR``).
@@ -62,7 +62,6 @@ from repro.experiment.planner import (
     PlannerStats,
     SweepPlan,
     SweepPlanner,
-    estimate_cost_s,
 )
 from repro.experiment.registry import (
     BuiltScenario,
@@ -115,7 +114,6 @@ __all__ = [
     "PlannerStats",
     "SweepPlan",
     "SweepPlanner",
-    "estimate_cost_s",
     "CacheStats",
     "ResultCache",
     "default_cache",

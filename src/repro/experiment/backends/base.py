@@ -47,8 +47,8 @@ def run_spec_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
     """The worker protocol: spec dict in, result dict out.
 
     Caching is disabled here even when ``REPRO_CACHE_DIR`` is set: the
-    submitting process resolves cache hits before dispatching and owns
-    every writeback, so executors must not contend for the cache index.
+    submitting process resolves cache hits before dispatching and writes
+    back what the executors return.
     """
     from repro.experiment.runner import Experiment
     from repro.experiment.specs import ExperimentSpec

@@ -5,10 +5,8 @@ commonly one base spec across seeds via :func:`seed_sweep` — in three
 stages:
 
 1. the :class:`repro.experiment.planner.SweepPlanner` deduplicates
-   identical specs, resolves :class:`ResultCache` hits up front, and
-   orders the remaining unique cells slowest-first — by the cache's
-   *measured* per-digest wall clocks where the store has run a spec
-   before, by the static cost estimate otherwise;
+   identical specs and resolves :class:`ResultCache` hits up front; the
+   remaining unique cells keep submission order;
 2. a pluggable :class:`repro.experiment.backends.ExecutionBackend`
    executes those cells — inline (:class:`SerialBackend`), across local
    processes (:class:`ProcessPoolBackend`), through a shared directory
@@ -80,7 +78,7 @@ class BatchResult:
     with a duplicate cell (both stay 0 when no cache was in play).
     ``backend`` names the execution backend that ran the misses, and
     ``planner`` carries the full :class:`PlannerStats` of the submission
-    (dedup, cache resolution, estimated cost).  ``queue`` carries the
+    (dedup and cache resolution).  ``queue`` carries the
     :class:`~repro.experiment.backends.QueueStats` of queue-shaped
     backends — drainers spawned, leases requeued after worker deaths,
     retry budgets exhausted — and stays ``None`` for in-process ones.
@@ -184,9 +182,8 @@ class BatchRunner:
         backend = resolve_backend(self.backend, max_workers=self.max_workers)
 
         # Plan in the submitting process, before any fan-out: duplicates
-        # collapse to one job each, cache hits never reach the backend
-        # (a fully warm sweep dispatches nothing), and the remaining
-        # jobs are ordered slowest-first.
+        # collapse to one job each and cache hits never reach the backend
+        # (a fully warm sweep dispatches nothing).
         plan = SweepPlanner(cache).plan(
             self._payloads, labels=[spec.label for spec in self.experiments]
         )
@@ -203,9 +200,8 @@ class BatchRunner:
             for job, data in zip(plan.jobs, fresh):
                 plan.scatter(job, data)
             if cache is not None:
-                # One writeback per unique executed spec, one index
-                # flush for the whole sweep; the planner's digests are
-                # reused so nothing is hashed twice.
+                # One writeback per unique executed spec; the planner's
+                # digests are reused so nothing is hashed twice.
                 cache.put_payloads(
                     (
                         (job.payload, data, job.label)

@@ -8,33 +8,23 @@ address — :func:`repro.experiment.specs.spec_digest` hashes the
 canonical spec dict together with :data:`SPEC_SCHEMA_VERSION`, and
 :class:`ResultCache` stores the result payload JSON under that digest.
 
-Layout on disk (all writes are atomic ``tmp + os.replace``)::
+The directory *is* the cache: there is no index beside it.  Layout on
+disk (every write is atomic — unique temp name + ``os.replace``)::
 
     <cache_dir>/
-        index.json            # digest -> {size, label, seq} bookkeeping
-                              # plus the measured-cost ledger
         ab/abcdef....json     # one result payload per digest, fanned out
                               # by the first two hex characters
 
-Besides the payload entries, ``index.json`` carries a **measured-cost
-ledger**: on every writeback the payload's recorded simulation wall
-clock (``runtime.wall_time_s``) is stored under the digest, and —
-unlike the payload entry — the cost survives eviction and corruption of
-the payload file.  :meth:`ResultCache.measured_cost_s` exposes it, and
-the :class:`repro.experiment.planner.SweepPlanner` prefers these
-measured costs over its static heuristic when ordering cache misses
-slowest-first, so a store that has seen a spec before schedules it by
-how long it *actually* took.
-
-* ``get(spec)`` / ``put(spec, result)`` move typed
+* ``get(spec)`` / ``put(result)`` move typed
   :class:`ExperimentResult`\\ s in and out;
 * ``get_payload(...)`` / ``put_payload(...)`` are the dict-level
   equivalents the :class:`repro.experiment.batch.BatchRunner` uses so
   warm sweeps never touch worker processes;
-* eviction is least-recently-used, bounded by ``max_entries`` and
-  ``max_bytes``;
-* ``stats`` counts hits / misses / puts / evictions for benchmark
-  reporting.
+* a lookup opens the digest's file: a missing file is a miss, and so is
+  a file that does not parse, or whose embedded ``spec`` hashes to
+  another digest — such a file is unlinked, never served;
+* nothing is evicted: :meth:`ResultCache.clear` is the bound;
+* ``stats`` counts hits / misses / puts for benchmark reporting.
 
 Cached payloads are returned exactly as stored — bit-identical to what
 the original run serialized, including the original run's runtime block
@@ -51,27 +41,20 @@ variable also turns caching on by default for every
 :meth:`Experiment.run` and :class:`BatchRunner` that was not given an
 explicit ``cache`` argument (see :func:`resolve_cache`).
 
-The cache is safe for the batch runner's usage — lookups and writebacks
-happen in one submitting process, bulk-written via :meth:`put_payloads`
-— and tolerates concurrent *readers*.  The same guarantees are what let
-a fleet of work-queue workers (``python -m repro.experiment.worker
---cache-dir ...``) write back into one shared store while they drain a
-queue.
-Concurrent writers sharing one directory are supported best-effort:
-payload files are content-addressed and written atomically (unique temp
-names + ``os.replace``), and every index write re-merges entries found
-on disk so a stale writer cannot orphan another's payloads; what a race
-can still cost is accuracy of the LRU bookkeeping (an entry briefly
-missing from the index is re-adopted by the next write, and at worst
-re-simulated), never the correctness of a returned payload.
+Any number of handles and processes may share one directory — the
+batch runner's bulk writeback, a fleet of work-queue workers
+(``python -m repro.experiment.worker --cache-dir ...``) draining a
+queue: payload files are content-addressed and replaced atomically, so
+every handle sees every entry the moment its file lands, and two
+writers of one digest write the same bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -86,66 +69,14 @@ __all__ = [
     "resolve_cache",
 ]
 
-_INDEX_NAME = "index.json"
-
-
-def _coerce_costs(value: Any) -> dict[str, float]:
-    """The measured-cost ledger read back from ``index.json``, with
-    malformed records dropped (never let a garbage cost poison planning)."""
-    costs: dict[str, float] = {}
-    if not isinstance(value, Mapping):
-        return costs
-    for digest, cost in value.items():
-        try:
-            cost_s = float(cost)
-        except (TypeError, ValueError):
-            continue
-        # Finite and positive: json round-trips bare `Infinity`, and one
-        # inf cost would blow up the planner's calibration ratio.
-        if cost_s > 0.0 and math.isfinite(cost_s):
-            costs[str(digest)] = cost_s
-    return costs
-
-
-def _coerce_entry(value: Any) -> dict[str, Any] | None:
-    """A well-formed index entry normalized to native types, or ``None``.
-
-    Everything read back from ``index.json`` goes through here, so the
-    rest of the class can index into entries without re-validating —
-    malformed values surface as "corrupt index" (rebuild) rather than as
-    crashes deep inside ``_touch``/``_evict``/``size_bytes``.
-    """
-    if not isinstance(value, Mapping):
-        return None
-    try:
-        return {
-            "size": int(value.get("size", 0)),
-            "label": str(value.get("label", "")),
-            "seq": int(value.get("seq", 0)),
-        }
-    except (TypeError, ValueError):
-        return None
-
-
-#: Default bounds: generous for sweep workloads (a fig14-sized payload is
-#: a few KiB) while keeping a forgotten cache directory bounded.
-DEFAULT_MAX_ENTRIES = 4096
-DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-#: Measured-cost ledger bound: a cost record is ~100 bytes of JSON, so
-#: keeping several payload-generations of history is cheap and lets the
-#: planner order sweeps whose payloads were long evicted.
-COST_LEDGER_MAX = 16384
-
 
 @dataclass
 class CacheStats:
-    """Hit/miss/put/eviction counters of one :class:`ResultCache` handle."""
+    """Hit/miss/put counters of one :class:`ResultCache` handle."""
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -161,7 +92,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
-            "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
 
@@ -170,10 +100,7 @@ class ResultCache:
     """Content-addressed store of experiment result payloads.
 
     Args:
-        cache_dir: directory to store payloads in (created on first use).
-        max_entries: evict least-recently-used entries beyond this count.
-        max_bytes: evict least-recently-used entries once the summed
-            payload size exceeds this bound.
+        cache_dir: directory to store payloads in (created on first put).
         schema_version: mixed into every key; defaults to
             :data:`repro.experiment.specs.SPEC_SCHEMA_VERSION`.
     """
@@ -181,22 +108,11 @@ class ResultCache:
     def __init__(
         self,
         cache_dir: str | os.PathLike[str],
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_bytes: int = DEFAULT_MAX_BYTES,
         schema_version: int = SPEC_SCHEMA_VERSION,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
         self.cache_dir = Path(cache_dir).expanduser()
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.schema_version = schema_version
         self.stats = CacheStats()
-        self._index: dict[str, dict[str, Any]] | None = None
-        self._costs: dict[str, float] = {}
-        self._seq = 0
 
     # ------------------------------------------------------------------ keys
     def key(self, spec: ExperimentSpec | Mapping[str, Any]) -> str:
@@ -206,119 +122,8 @@ class ResultCache:
     def _payload_path(self, digest: str) -> Path:
         return self.cache_dir / digest[:2] / f"{digest}.json"
 
-    # --------------------------------------------------------------- index IO
-    def _load_index(self) -> dict[str, dict[str, Any]]:
-        if self._index is None:
-            try:
-                with open(self.cache_dir / _INDEX_NAME, encoding="utf-8") as fh:
-                    data = json.load(fh)
-                if not isinstance(data, dict):
-                    raise ValueError("malformed index")
-                raw = data.get("entries", {})
-                if not isinstance(raw, dict):
-                    raise ValueError("malformed index")
-                entries: dict[str, dict[str, Any]] = {}
-                for digest, value in raw.items():
-                    entry = _coerce_entry(value)
-                    if entry is None:
-                        raise ValueError("malformed index entry")
-                    entries[str(digest)] = entry
-                self._index = entries
-                self._costs = _coerce_costs(data.get("costs", {}))
-            except (OSError, ValueError):
-                self._index = self._rebuild_index()
-                self._costs = {}
-            self._seq = max((e["seq"] for e in self._index.values()), default=0)
-        return self._index
-
-    def _rebuild_index(self) -> dict[str, dict[str, Any]]:
-        """Recover bookkeeping from the payload files themselves (the
-        index is a cache of the cache — losing it must never lose data)."""
-        entries: dict[str, dict[str, Any]] = {}
-        if not self.cache_dir.is_dir():
-            return entries
-        for path in sorted(self.cache_dir.glob("??/*.json")):
-            digest = path.stem
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            entries[digest] = {"size": size, "label": "", "seq": 0}
-        return entries
-
-    def _write_index(self) -> None:
-        index = self._load_index()
-        # Read-merge-write: adopt entries another handle/process added to
-        # the directory since our snapshot, so a stale writer never orphans
-        # their payloads.  Digests we removed stay removed — their payload
-        # files are unlinked first, and the merge only adopts entries whose
-        # payload still exists on disk.
-        try:
-            with open(self.cache_dir / _INDEX_NAME, encoding="utf-8") as fh:
-                on_disk = json.load(fh)
-            entries = on_disk.get("entries", {}) if isinstance(on_disk, dict) else {}
-            if isinstance(entries, dict):
-                adopted = False
-                for digest, value in entries.items():
-                    entry = _coerce_entry(value)
-                    digest = str(digest)
-                    if (
-                        entry is not None
-                        and digest not in index
-                        and self._payload_path(digest).exists()
-                    ):
-                        index[digest] = entry
-                        adopted = True
-                if adopted:
-                    # Adopted entries count against this handle's bounds
-                    # too, or a read-mostly workload could leave the
-                    # directory over max_entries/max_bytes indefinitely.
-                    self._evict()
-            if isinstance(on_disk, dict):
-                # Costs another writer measured are as good as our own;
-                # our own measurement wins a conflict (it is at least as
-                # fresh as our snapshot).
-                for digest, cost_s in _coerce_costs(on_disk.get("costs", {})).items():
-                    self._costs.setdefault(digest, cost_s)
-        except (OSError, ValueError):
-            pass
-        self._trim_costs()
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(
-            self.cache_dir / _INDEX_NAME,
-            json.dumps(
-                {
-                    "schema": self.schema_version,
-                    "entries": index,
-                    "costs": self._costs,
-                },
-                indent=0,
-            ),
-        )
-
-    def _trim_costs(self) -> None:
-        """Bound the cost ledger: drop oldest-recorded digests first
-        (dict insertion order), keeping records for live entries."""
-        overflow = len(self._costs) - COST_LEDGER_MAX
-        if overflow <= 0:
-            return
-        index = self._load_index()
-        for digest in list(self._costs):
-            if overflow <= 0:
-                break
-            if digest in index:
-                continue  # live entries keep their measurement
-            del self._costs[digest]
-            overflow -= 1
-        for digest in list(self._costs):
-            if overflow <= 0:
-                break
-            del self._costs[digest]
-            overflow -= 1
-
-    def _touch(self, digest: str) -> None:
-        self._seq += 1
-        self._load_index()[digest]["seq"] = self._seq
+    def _paths(self) -> list[Path]:
+        return sorted(self.cache_dir.glob("??/*.json"))
 
     # ---------------------------------------------------------- payload-level
     def get_payload(
@@ -328,37 +133,33 @@ class ResultCache:
     ) -> dict[str, Any] | None:
         """The stored result dict for ``spec``, or ``None`` on a miss.
 
-        A corrupt or externally deleted payload file counts as a miss and
-        drops the stale index entry.  ``digest`` lets callers that
-        already hold ``self.key(spec)`` (the sweep planner) skip the
-        canonical-JSON + sha256 pass.
+        A missing file is a miss.  A file that does not parse to a dict,
+        or whose embedded ``spec`` hashes to another digest (a payload
+        stored under the wrong name), is unlinked and counted as a miss.
+        ``digest`` lets callers that already hold ``self.key(spec)``
+        (the sweep planner) skip the canonical-JSON + sha256 pass.
         """
         digest = digest if digest is not None else self.key(spec)
-        index = self._load_index()
-        if digest in index:
+        path = self._payload_path(digest)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            if not (
+                isinstance(payload, dict)
+                and isinstance(payload.get("spec"), Mapping)
+                and self.key(payload["spec"]) == digest
+            ):
+                raise ValueError("not the payload of this digest")
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError):
             try:
-                with open(self._payload_path(digest), encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                if not isinstance(payload, dict):
-                    raise ValueError("malformed payload")
-            except (OSError, ValueError):
-                # Unlink before dropping the entry: a corrupt payload left
-                # on disk would be re-adopted by the next index merge.
-                try:
-                    self._payload_path(digest).unlink()
-                except OSError:
-                    pass
-                index.pop(digest, None)
-                self._write_index()
-            else:
-                self.stats.hits += 1
-                # LRU touches are deferred: rewriting the whole index on
-                # every hit would turn a warm N-cell sweep into N full
-                # index serializations.  The refreshed seq numbers persist
-                # with the next put/eviction/clear; losing them on exit
-                # costs LRU accuracy only, never payload correctness.
-                self._touch(digest)
-                return payload
+                path.unlink()
+            except OSError:
+                pass
+        else:
+            self.stats.hits += 1
+            return payload
         self.stats.misses += 1
         return None
 
@@ -372,42 +173,17 @@ class ResultCache:
     ) -> str:
         """Store a result dict under ``spec``'s digest; returns the digest.
 
-        ``flush=False`` defers the index write — the payload file itself
-        always lands immediately.  Bulk writers (a cold batch sweep doing
-        one put per miss) pass it and call :meth:`flush` once at the end,
-        instead of paying a full index read-merge-rewrite per cell.  A
-        crash before the flush costs at most a future miss on the
-        unindexed digests — the next cold run simply rewrites them.
-        ``digest``, when the caller already holds ``self.key(spec)``,
-        skips recomputing it.
+        The payload file lands atomically before this returns, and it is
+        the whole entry.  ``label`` and ``flush`` are accepted and
+        ignored: they fed the index this cache no longer keeps, and the
+        performance ledger still passes them.  ``digest``, when the
+        caller already holds ``self.key(spec)``, skips recomputing it.
         """
         digest = digest if digest is not None else self.key(spec)
         path = self._payload_path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        encoded = json.dumps(payload, sort_keys=True)
-        _atomic_write_text(path, encoded)
-        index = self._load_index()
-        # Measured-cost ledger: remember how long this spec actually took
-        # to simulate (the payload's own runtime block, i.e. the wall
-        # clock of the run that produced it — not of this writeback).
-        runtime = payload.get("runtime")
-        if isinstance(runtime, Mapping):
-            try:
-                cost_s = float(runtime.get("wall_time_s", 0.0))
-            except (TypeError, ValueError):
-                cost_s = 0.0
-            if cost_s > 0.0 and math.isfinite(cost_s):
-                self._costs[digest] = cost_s
-        # Bytes on disk, not characters: must agree with the st_size a
-        # _rebuild_index would record for the same UTF-8 payload file.
-        index[digest] = {
-            "size": len(encoded.encode("utf-8")), "label": label, "seq": 0
-        }
-        self._touch(digest)
+        _atomic_write_text(path, json.dumps(payload, sort_keys=True))
         self.stats.puts += 1
-        self._evict()
-        if flush:
-            self._write_index()
         return digest
 
     def put_payloads(
@@ -415,51 +191,15 @@ class ResultCache:
         items: "Iterable[tuple[Mapping[str, Any], Mapping[str, Any], str]]",
         digests: "Iterable[str | None] | None" = None,
     ) -> list[str]:
-        """Bulk shared-store writeback: store ``(spec, payload, label)``
-        triples with a single index flush at the end.
-
-        This is the batch runner's writeback path (work-queue workers
-        batch differently — per task with deferred flushes): each
-        payload file lands atomically as it is written, so concurrent
-        writers sharing one store can bulk-write safely, while the
-        index — whose rewrite costs O(entries) — is merged and flushed
-        once per sweep instead of once per cell.  ``digests`` optionally
-        supplies precomputed keys, parallel to ``items``.  Returns the
-        digests in input order.
-        """
-        from itertools import repeat
-
-        stored = [
-            self.put_payload(spec, payload, label=label, flush=False, digest=digest)
-            for (spec, payload, label), digest in zip(
+        """Store ``(spec, payload, label)`` triples — the batch runner's
+        writeback; ``digests`` optionally supplies precomputed keys,
+        parallel to ``items``.  Returns the digests in input order."""
+        return [
+            self.put_payload(spec, payload, digest=digest)
+            for (spec, payload, _label), digest in zip(
                 items, digests if digests is not None else repeat(None)
             )
         ]
-        if stored:
-            self._write_index()
-        return stored
-
-    # ----------------------------------------------------- measured-cost ledger
-    def measured_cost_s(
-        self, spec: ExperimentSpec | Mapping[str, Any] | str
-    ) -> float | None:
-        """Recorded simulation wall clock for ``spec`` (or a digest
-        string), or ``None`` when this store never ran it.
-
-        The ledger outlives the payload itself — an entry evicted for
-        space still orders correctly in the next sweep plan — and is
-        consulted by :class:`repro.experiment.planner.SweepPlanner` in
-        preference to the static :func:`estimate_cost_s` heuristic.
-        """
-        digest = spec if isinstance(spec, str) else self.key(spec)
-        self._load_index()
-        return self._costs.get(digest)
-
-    @property
-    def cost_ledger_size(self) -> int:
-        """How many digests have a recorded measured cost."""
-        self._load_index()
-        return len(self._costs)
 
     # ------------------------------------------------------------ typed-level
     def get(self, spec: ExperimentSpec) -> ExperimentResult | None:
@@ -469,69 +209,34 @@ class ResultCache:
 
     def put(self, result: ExperimentResult) -> str:
         """Cache ``result`` under its own spec's digest; returns the digest."""
-        return self.put_payload(
-            result.spec, result.to_dict(include_runtime=True), label=result.spec.label
-        )
-
-    # -------------------------------------------------------------- eviction
-    def _evict(self) -> None:
-        index = self._load_index()
-        by_age = sorted(index, key=lambda d: int(index[d].get("seq", 0)))
-        total = sum(int(e.get("size", 0)) for e in index.values())
-        # The most-recently-used entry always survives, even when it alone
-        # exceeds max_bytes — evicting what was just written would make an
-        # undersized cache silently useless.
-        while len(by_age) > 1 and (
-            len(index) > self.max_entries or total > self.max_bytes
-        ):
-            digest = by_age.pop(0)
-            total -= int(index.pop(digest).get("size", 0))
-            try:
-                self._payload_path(digest).unlink()
-            except OSError:
-                pass
-            self.stats.evictions += 1
+        return self.put_payload(result.spec, result.to_dict(include_runtime=True))
 
     # ------------------------------------------------------------- management
     def flush(self) -> None:
-        """Persist the in-memory index (LRU touches, deferred puts)."""
-        self._write_index()
+        """Nothing to persist: every put is on disk when it returns.  Kept
+        because the performance ledger still calls it."""
 
     def __len__(self) -> int:
-        return len(self._load_index())
+        return len(self._paths())
 
     def __contains__(self, spec: object) -> bool:
         if not isinstance(spec, (ExperimentSpec, Mapping)):
             return False
-        return self.key(spec) in self._load_index()
-
-    @property
-    def size_bytes(self) -> int:
-        """Summed size of every stored payload."""
-        return sum(int(e.get("size", 0)) for e in self._load_index().values())
+        return self._payload_path(self.key(spec)).is_file()
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were dropped.
-
-        The measured-cost ledger survives a clear on purpose: wiping
-        payloads frees space, but how long each spec took to simulate
-        stays true and keeps ordering the next cold sweep well.
-        """
-        index = self._load_index()
-        dropped = len(index)
-        for digest in list(index):
+        """Delete every entry; returns how many were dropped."""
+        dropped = 0
+        for path in self._paths():
             try:
-                self._payload_path(digest).unlink()
+                path.unlink()
             except OSError:
-                pass
-        index.clear()
-        self._write_index()
+                continue
+            dropped += 1
         return dropped
 
 
-def default_cache(
-    max_entries: int = DEFAULT_MAX_ENTRIES, max_bytes: int = DEFAULT_MAX_BYTES
-) -> ResultCache:
+def default_cache() -> ResultCache:
     """The conventional on-disk cache for this machine.
 
     Resolution order for the directory:
@@ -542,30 +247,10 @@ def default_cache(
     """
     env_dir = os.environ.get("REPRO_CACHE_DIR")
     if env_dir:
-        return ResultCache(env_dir, max_entries=max_entries, max_bytes=max_bytes)
+        return ResultCache(env_dir)
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
-    return ResultCache(
-        base / "repro-mesh", max_entries=max_entries, max_bytes=max_bytes
-    )
-
-
-#: One shared default-cache handle per process (for both the
-#: ``REPRO_CACHE_DIR`` and ``cache=True`` paths), so a script looping
-#: ``run_experiment`` N times parses the index once instead of N times
-#: and its hit/miss stats accumulate in one place.  Re-created if the
-#: resolved directory changes.
-_shared_cache: ResultCache | None = None
-_shared_cache_dir: str | None = None
-
-
-def _shared_default_cache() -> ResultCache:
-    global _shared_cache, _shared_cache_dir
-    resolved = default_cache()
-    key = str(resolved.cache_dir)
-    if _shared_cache is None or _shared_cache_dir != key:
-        _shared_cache, _shared_cache_dir = resolved, key
-    return _shared_cache
+    return ResultCache(base / "repro-mesh")
 
 
 def resolve_cache(
@@ -575,19 +260,15 @@ def resolve_cache(
     :class:`BatchRunner`.
 
     * an explicit :class:`ResultCache` is used as given;
-    * ``True`` forces the process-shared default cache;
+    * ``True`` forces the default cache;
     * ``False`` disables caching unconditionally;
-    * ``None`` (the default everywhere) enables the process-shared
-      default cache iff ``REPRO_CACHE_DIR`` is set — so exporting that
-      variable turns result caching on for every call site that leaves
-      ``cache`` unspecified.
+    * ``None`` (the default everywhere) enables the default cache iff
+      ``REPRO_CACHE_DIR`` is set — so exporting that variable turns
+      result caching on for every call site that leaves ``cache``
+      unspecified.
     """
     if isinstance(cache, bool):
-        return _shared_default_cache() if cache else None
+        return default_cache() if cache else None
     if cache is None:
-        return (
-            _shared_default_cache()
-            if os.environ.get("REPRO_CACHE_DIR")
-            else None
-        )
+        return default_cache() if os.environ.get("REPRO_CACHE_DIR") else None
     return cache

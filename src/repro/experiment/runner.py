@@ -25,8 +25,6 @@ which the parallel batch runner uses to return bit-identical payloads
 from worker processes — and which the content-addressed
 :class:`repro.experiment.cache.ResultCache` stores on disk so repeated
 specs skip the simulation entirely (``Experiment(spec).run(cache=...)``).
-Writebacks also record the run's wall clock in the cache's measured-cost
-ledger, which the sweep planner prefers over its static cost heuristic.
 """
 
 from __future__ import annotations

@@ -34,9 +34,8 @@ resolves to the same bytes either way.  With ``--cache-dir`` every
 computed result is also written into a shared content-addressed
 :class:`repro.experiment.cache.ResultCache` (concurrent-writer-safe),
 so a fleet of workers warms one store as a side effect of draining the
-queue — including the store's measured-cost ledger, which future
-submissions' sweep planners use to dispatch slowest-first by observed
-cost rather than heuristic.
+queue; each payload is visible to every reader of the store the moment
+its file lands.
 
 A remote session with no shared filesystem — broker, workers with
 ``--cache-dir``, submitter with ``workers=0`` — is spelled out in
@@ -143,10 +142,8 @@ def _chaos_kill(task_id: str) -> None:
 
 def _execute(
     client: Any, envelope: dict[str, Any], token: Any, cache: "ResultCache | None"
-) -> bool:
-    """Run one claimed task; returns True when the shared cache is dirty
-    (a payload was written with its index flush deferred to the caller)."""
-    cache_dirty = False
+) -> None:
+    """Run one claimed task and report its outcome."""
     task_id = str(envelope.get("id", "unknown"))
     lease_s, attempts = DEFAULT_LEASE_S, 0
     try:
@@ -162,13 +159,7 @@ def _execute(
             # failing store (unwritable, full) must never poison the
             # computed result — the writeback is best-effort.
             try:
-                cache.put_payload(
-                    spec_payload,
-                    result,
-                    label=spec_payload.get("label", ""),
-                    flush=False,
-                )
-                cache_dirty = True
+                cache.put_payload(spec_payload, result)
             except Exception:
                 print(
                     f"warning: shared-cache writeback failed for {task_id}:\n"
@@ -201,7 +192,6 @@ def _execute(
                 )
                 break
             time.sleep(lease_s / 8.0)
-    return cache_dirty
 
 
 def drain(
@@ -219,13 +209,8 @@ def drain(
     first moment no pending task is found and no expired claim could be
     recovered.  With no stop condition it drains forever (the long-lived
     remote-worker mode).
-
-    Shared-cache writebacks are batched: payload files land atomically
-    per task, but the O(entries) index flush is deferred to idle moments
-    and to exit, so a busy worker never pays an index rewrite per cell.
     """
     executed = 0
-    cache_dirty = False
     idle_since = time.monotonic()
     # Consecutive empty claims back off exponentially (jittered, capped
     # well below a lease) — an idle fleet parked on a shared broker
@@ -235,60 +220,43 @@ def drain(
     idle_backoff = PollBackoff(
         poll_interval_s, max(poll_interval_s, min(DEFAULT_LEASE_S / 4.0, 2.0))
     )
-
-    def flush_cache() -> None:
-        nonlocal cache_dirty
-        if cache is not None and cache_dirty:
-            try:
-                cache.flush()
-            except Exception:
-                print(
-                    f"warning: shared-cache flush failed:\n{traceback.format_exc()}",
-                    flush=True,
-                )
-            cache_dirty = False
-
-    try:
-        while max_tasks is None or executed < max_tasks:
-            outage = False
-            try:
-                task = client.claim()
-            except ConnectionError:
-                # A long-lived fleet worker outlives broker restarts:
-                # an unreachable broker is an empty queue with backoff,
-                # not a crash (short-lived --exit-when-empty drainers
-                # still exit below, and their submitter takes it from
-                # there).
-                task = None
-                outage = True
-            if task is None:
-                # Self-healing before giving up: an expired claim
-                # (somebody's dead worker) is pending work too.  The
-                # transport throttles its own sweeps.
-                if not outage and client.recover():
-                    continue
-                flush_cache()
-                if exit_when_empty:
-                    break
-                if (
-                    idle_timeout_s is not None
-                    and time.monotonic() - idle_since > idle_timeout_s
-                ):
-                    break
-                delay = idle_backoff.next_delay()
-                time.sleep(max(delay, 0.5) if outage else delay)
+    while max_tasks is None or executed < max_tasks:
+        outage = False
+        try:
+            task = client.claim()
+        except ConnectionError:
+            # A long-lived fleet worker outlives broker restarts:
+            # an unreachable broker is an empty queue with backoff,
+            # not a crash (short-lived --exit-when-empty drainers
+            # still exit below, and their submitter takes it from
+            # there).
+            task = None
+            outage = True
+        if task is None:
+            # Self-healing before giving up: an expired claim
+            # (somebody's dead worker) is pending work too.  The
+            # transport throttles its own sweeps.
+            if not outage and client.recover():
                 continue
-            envelope, token = task
-            idle_backoff.reset()
-            idle_backoff.cap_s = max(
-                poll_interval_s, min(lease_of(envelope) / 4.0, 2.0)
-            )
-            _chaos_kill(str(envelope.get("id", "")))
-            cache_dirty = _execute(client, envelope, token, cache) or cache_dirty
-            executed += 1
-            idle_since = time.monotonic()
-    finally:
-        flush_cache()
+            if exit_when_empty:
+                break
+            if (
+                idle_timeout_s is not None
+                and time.monotonic() - idle_since > idle_timeout_s
+            ):
+                break
+            delay = idle_backoff.next_delay()
+            time.sleep(max(delay, 0.5) if outage else delay)
+            continue
+        envelope, token = task
+        idle_backoff.reset()
+        idle_backoff.cap_s = max(
+            poll_interval_s, min(lease_of(envelope) / 4.0, 2.0)
+        )
+        _chaos_kill(str(envelope.get("id", "")))
+        _execute(client, envelope, token, cache)
+        executed += 1
+        idle_since = time.monotonic()
     return executed
 
 

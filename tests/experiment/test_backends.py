@@ -213,6 +213,21 @@ class TestWorkQueueProtocol:
         shared = ResultCache(tmp_path / "store")  # a different handle
         assert shared.get_payload(payload) is not None
 
+    def test_a_failing_shared_store_does_not_lose_the_result(self, tmp_path, capsys):
+        """The writeback is best-effort: a store that cannot be written
+        (here its directory is a file) costs a warning, not the result."""
+        root = ensure_queue_dirs(tmp_path / "queue")
+        (tmp_path / "store").write_text("not a directory", encoding="utf-8")
+        payload = FAST_SPEC.to_dict()
+        (root / TASKS_DIR / "t-00000.json").write_text(
+            json.dumps({"id": "t-00000", "spec": payload}), encoding="utf-8"
+        )
+        cache = ResultCache(tmp_path / "store")
+        assert drain(FileQueueClient(root), exit_when_empty=True, cache=cache) == 1
+        outcome = json.loads((root / "results" / "t-00000.json").read_text(encoding="utf-8"))
+        assert _strip_runtime(outcome["result"]) == _strip_runtime(run_spec_payload(payload))
+        assert "shared-cache writeback failed for t-00000" in capsys.readouterr().out
+
     def test_stale_orphan_results_are_reaped(self, tmp_path):
         """Results abandoned by a timed-out submission are collected by
         the next submission sharing the directory."""
@@ -487,6 +502,45 @@ class TestCrossBackendDeterminism:
     def test_backend_results_scatter_in_submission_order(self, sweep):
         result = BatchRunner(sweep, backend=SerialBackend(), cache=False).run()
         assert [r.spec.scenario.seed for r in result] == [0, 1, 2, 0]
+
+
+class TestSharedStoreWriteback:
+    """``cache_dir=`` hands every local drainer ``--cache-dir``: the
+    drainers, not the submitter, fill the shared store, and any handle on
+    it - one opened before the sweep included - serves what they wrote."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return seed_sweep(FAST_SPEC, range(4))
+
+    @pytest.fixture(scope="class")
+    def reference(self, sweep):
+        return BatchRunner(sweep, backend=SerialBackend(), cache=False).run()
+
+    @pytest.mark.parametrize("backend_name", ["work_queue", "broker"])
+    def test_drainers_fill_the_shared_store(self, backend_name, sweep, reference, tmp_path):
+        store = tmp_path / "store"
+        early = ResultCache(store)
+        assert not any(spec in early for spec in sweep)  # in use before the sweep
+        backend = (
+            WorkQueueBackend(tmp_path / "queue", workers=2, cache_dir=store)
+            if backend_name == "work_queue"
+            else BrokerBackend(workers=2, cache_dir=store)
+        )
+        # cache=False: the submitter writes nothing back, so every entry
+        # in the store is a drainer's.
+        batch = BatchRunner(sweep, backend=backend, cache=False).run()
+        assert batch.backend == backend_name
+        received = batch.to_dicts()
+        expected = reference.to_dicts(include_runtime=False)
+        fresh = ResultCache(store)
+        for handle in (early, fresh):
+            stored = [handle.get_payload(spec) for spec in sweep]
+            assert None not in stored
+            assert canonical(stored) == canonical(received)
+            assert canonical([_strip_runtime(p) for p in stored]) == canonical(expected)
+            assert handle.stats.hits == len(sweep)
+        assert len(fresh) == len(sweep)
 
 
 class TestBatchRunnerIntegration:

@@ -1,4 +1,4 @@
-"""Content-addressed result cache: keys, storage, eviction, wiring."""
+"""Content-addressed result cache: keys, storage, wiring."""
 
 from __future__ import annotations
 
@@ -148,87 +148,59 @@ class TestResultCacheStorage:
         assert SPEC not in cache and len(cache) == 0
         cache.put(synthetic_result())
         assert SPEC in cache and SPEC.to_dict() in cache and len(cache) == 1
-        assert SPEC.with_seed(9) not in cache
+        assert SPEC.with_seed(9) not in cache and 5 not in cache
 
     def test_payloads_survive_a_new_handle(self, tmp_path):
         ResultCache(tmp_path).put(synthetic_result())
         reopened = ResultCache(tmp_path)
         assert reopened.get(SPEC).to_dict() == synthetic_result().to_dict()
 
-    @pytest.mark.parametrize(
-        "garbage",
-        [
-            "{not json",
-            "[]",
-            '"a string"',
-            '{"entries": [1, 2]}',
-            '{"entries": {"ab12": 5}}',
-            '{"entries": {"ab12": {"seq": "x"}}}',
-        ],
-        ids=[
-            "invalid-json",
-            "json-list",
-            "json-string",
-            "non-dict-entries",
-            "non-dict-entry-value",
-            "non-numeric-seq",
-        ],
-    )
-    def test_index_rebuilds_after_corruption(self, tmp_path, garbage):
+    def test_lookups_write_nothing(self, tmp_path):
+        """A warm sweep costs file reads only: hits and misses leave the
+        directory exactly as they found it."""
         cache = ResultCache(tmp_path)
         cache.put(synthetic_result())
-        (tmp_path / "index.json").write_text(garbage, encoding="utf-8")
-        reopened = ResultCache(tmp_path)
-        assert len(reopened) == 1
-        assert reopened.get(SPEC) is not None
 
-    def test_warm_lookups_do_not_rewrite_the_index(self, tmp_path):
-        """A warm sweep must cost JSON reads only: LRU touches are kept
-        in memory and persisted with the next put/eviction."""
-        cache = ResultCache(tmp_path)
-        cache.put(synthetic_result())
-        index_file = tmp_path / "index.json"
-        before = index_file.stat().st_mtime_ns
+        def snapshot():
+            return sorted(
+                (path.relative_to(tmp_path).as_posix(), path.stat().st_mtime_ns)
+                for path in tmp_path.rglob("*")
+            )
+
+        before = snapshot()
         for _ in range(3):
             assert cache.get(SPEC) is not None
-        assert index_file.stat().st_mtime_ns == before
+            assert cache.get(SPEC.with_seed(9)) is None
+        assert snapshot() == before
 
-    def test_corrupt_payload_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stored",
+        ["garbage", "[]", '"a string"', '{"cycles": []}', '{"spec": 5}'],
+        ids=["invalid-json", "json-list", "json-string", "no-spec", "non-dict-spec"],
+    )
+    def test_corrupt_payload_is_a_miss(self, tmp_path, stored):
         cache = ResultCache(tmp_path)
         digest = cache.put(synthetic_result())
         payload_file = tmp_path / digest[:2] / f"{digest}.json"
-        payload_file.write_text("garbage", encoding="utf-8")
+        payload_file.write_text(stored, encoding="utf-8")
         assert cache.get(SPEC) is None
-        assert SPEC not in cache  # stale entry dropped
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert SPEC not in cache and len(cache) == 0  # the file was unlinked
 
-    def test_eviction_by_entry_count(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        specs = [SPEC.with_seed(seed) for seed in (1, 2, 3)]
-        for spec in specs:
-            cache.put(synthetic_result(spec))
-        assert len(cache) == 2 and cache.stats.evictions == 1
-        assert specs[0] not in cache  # oldest entry went first
-        assert specs[1] in cache and specs[2] in cache
-
-    def test_eviction_is_lru_not_fifo(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        old, young = SPEC.with_seed(1), SPEC.with_seed(2)
-        cache.put(synthetic_result(old))
-        cache.put(synthetic_result(young))
-        assert cache.get(old) is not None  # refresh the older entry
-        cache.put(synthetic_result(SPEC.with_seed(3)))
-        assert old in cache and young not in cache
-
-    def test_eviction_by_size(self, tmp_path):
-        cache = ResultCache(tmp_path, max_bytes=1)
-        cache.put(synthetic_result(SPEC.with_seed(1)))
-        cache.put(synthetic_result(SPEC.with_seed(2)))
-        # Every put overflows a 1-byte cache: only the newest entry stays.
-        assert len(cache) == 1 and cache.stats.evictions >= 1
+    def test_a_payload_stored_under_another_specs_name_is_not_served(self, tmp_path):
+        """The file name is a claim the payload's own ``spec`` must back:
+        a seed-1 result put under the seed-2 key is never served for
+        seed 2, and the misfiled copy is unlinked."""
+        seed1, seed2 = SPEC.with_seed(1), SPEC.with_seed(2)
+        cache = ResultCache(tmp_path)
+        cache.put_payload(seed2, synthetic_result(seed1).to_dict())
+        assert cache.get(seed2) is None
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert seed2 not in cache and len(cache) == 0
 
     def test_stale_handle_write_preserves_other_writers_entries(self, tmp_path):
-        """An index write from a handle with an old snapshot must re-adopt
-        entries another handle added meanwhile, not orphan their payloads."""
+        """A write from a handle opened earlier must not hide entries
+        another handle added meanwhile."""
         stale = ResultCache(tmp_path)
         assert len(stale) == 0  # pin the stale snapshot
         other = ResultCache(tmp_path)
@@ -238,48 +210,138 @@ class TestResultCacheStorage:
         assert SPEC.with_seed(1) in fresh and SPEC.with_seed(2) in fresh
         assert fresh.get(SPEC.with_seed(1)) is not None
 
-    def test_index_merge_respects_bounds(self, tmp_path):
-        """Entries adopted from another writer during the index merge
-        count against this handle's bounds — the directory must not
-        exceed max_entries just because two handles wrote concurrently."""
-        stale = ResultCache(tmp_path, max_entries=2)
-        assert len(stale) == 0  # pin the stale snapshot
-        other = ResultCache(tmp_path, max_entries=2)
-        for seed in (1, 2):
-            other.put(synthetic_result(SPEC.with_seed(seed)))
-        for seed in (3, 4):
-            stale.put(synthetic_result(SPEC.with_seed(seed)))
-        assert len(ResultCache(tmp_path, max_entries=2)) <= 2
+    def test_a_handle_sees_what_another_handle_put_after_it_was_opened(self, tmp_path):
+        early = ResultCache(tmp_path)
+        assert SPEC not in early and early.get(SPEC) is None  # used before the put
+        ResultCache(tmp_path).put(synthetic_result())
+        assert SPEC in early
+        assert early.get(SPEC).to_dict() == synthetic_result().to_dict()
 
-    def test_deferred_puts_flush_once(self, tmp_path):
-        """Bulk writers (the batch runner's cold-sweep writeback) defer
-        the index write per put and persist it with one flush."""
-        cache = ResultCache(tmp_path)
-        for seed in (1, 2, 3):
-            cache.put_payload(
-                SPEC.with_seed(seed),
-                synthetic_result(SPEC.with_seed(seed)).to_dict(),
-                flush=False,
+    def test_an_unflushed_put_is_a_hit_for_a_fresh_handle(self, tmp_path):
+        """The ``--cache-dir`` worker path: one put flushed, the next not
+        (and never flushed) — a fresh handle serves both."""
+        writer = ResultCache(tmp_path)
+        first, second = SPEC.with_seed(1), SPEC.with_seed(2)
+        writer.put_payload(first, synthetic_result(first).to_dict())
+        writer.put_payload(second, synthetic_result(second).to_dict(), flush=False)
+        fresh = ResultCache(tmp_path)
+        assert second in fresh
+        assert fresh.get(second).to_dict() == synthetic_result(second).to_dict()
+        assert fresh.get(first) is not None and fresh.stats.hits == 2
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            None,  # as the parent wrote it: the third put still unflushed
+            "{not json",
+            '{"entries": {"ab12": {"seq": "x"}}}',
+        ],
+        ids=["as-written", "invalid-json", "malformed-entry"],
+    )
+    def test_a_store_in_the_parent_layout_serves_every_entry(self, tmp_path, index):
+        """Stores written before the index was dropped hold the same
+        payload files plus an ``index.json``; whatever that file says,
+        every payload is served and the file itself is not an entry."""
+        specs = [SPEC.with_seed(seed) for seed in (1, 2, 3)]
+        digests = [spec_digest(spec) for spec in specs]
+        for spec, digest in zip(specs, digests):
+            (tmp_path / digest[:2]).mkdir(exist_ok=True)
+            (tmp_path / digest[:2] / f"{digest}.json").write_text(
+                json.dumps(synthetic_result(spec).to_dict(), sort_keys=True),
+                encoding="utf-8",
             )
-        assert not (tmp_path / "index.json").exists()  # nothing flushed yet
-        # Unflushed puts are still visible through this handle...
-        assert SPEC.with_seed(1) in cache
+        if index is None:
+            index = json.dumps(
+                {
+                    "schema": SPEC_SCHEMA_VERSION,
+                    "entries": {
+                        digest: {"size": 1, "label": "", "seq": seq}
+                        for seq, digest in enumerate(digests[:2], 1)
+                    },
+                    "costs": {digests[0]: 0.25},
+                },
+                indent=0,
+            )
+        (tmp_path / "index.json").write_text(index, encoding="utf-8")
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 3
+        for spec in specs:
+            assert spec in cache
+            assert cache.get(spec).to_dict() == synthetic_result(spec).to_dict()
+        assert cache.stats.hits == 3 and cache.clear() == 3
+
+    @pytest.mark.parametrize("precomputed", [False, True], ids=["keyed-here", "digests-given"])
+    def test_put_payloads_stores_each_under_its_digest(self, tmp_path, precomputed):
+        specs = [SPEC.with_seed(seed) for seed in (1, 2, 3)]
+        cache = ResultCache(tmp_path)
+        items = [(spec.to_dict(), synthetic_result(spec).to_dict(), "") for spec in specs]
+        digests = [cache.key(spec) for spec in specs]
+        stored = cache.put_payloads(items, digests=iter(digests) if precomputed else None)
+        assert stored == digests and cache.stats.puts == 3
+        fresh = ResultCache(tmp_path)
+        assert [fresh.get(spec).to_dict() for spec in specs] == [
+            synthetic_result(spec).to_dict() for spec in specs
+        ]
+
+    def test_an_interrupted_write_is_not_an_entry(self, tmp_path):
+        """A writer killed mid-write leaves only its unique temp file,
+        which is neither counted nor served."""
+        cache = ResultCache(tmp_path)
+        digest = cache.key(SPEC)
+        (tmp_path / digest[:2]).mkdir()
+        (tmp_path / digest[:2] / f"{digest}.json.k3x9.tmp").write_text(
+            json.dumps(synthetic_result().to_dict())[:40], encoding="utf-8"
+        )
+        assert len(cache) == 0 and SPEC not in cache and cache.get(SPEC) is None
+        cache.put(synthetic_result())
+        assert len(cache) == 1 and cache.get(SPEC) is not None
+
+    def test_a_missing_directory_is_an_empty_store(self, tmp_path):
+        cache = ResultCache(tmp_path / "not-yet")
+        assert len(cache) == 0 and SPEC not in cache
+        assert cache.get(SPEC) is None and cache.clear() == 0
         cache.flush()
-        # ...and through a fresh handle once flushed.
-        reopened = ResultCache(tmp_path)
-        assert all(SPEC.with_seed(s) in reopened for s in (1, 2, 3))
+        assert not (tmp_path / "not-yet").exists()  # only a put creates it
+
+    def test_a_schema_version_is_its_own_namespace(self, tmp_path):
+        mine = ResultCache(tmp_path, schema_version=SPEC_SCHEMA_VERSION + 100)
+        mine.put(synthetic_result())
+        assert mine.get(SPEC) is not None
+        library = ResultCache(tmp_path)
+        assert SPEC not in library and library.get(SPEC) is None
+        assert len(library) == 1  # a miss under another key unlinks nothing
+
+    def test_processes_writing_one_store_concurrently(self, tmp_path):
+        """Two processes put overlapping digests into one directory at
+        once: every entry is served whole and no temp file is left."""
+        script = (
+            "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+            "from test_cache import SPEC, synthetic_result\n"
+            "from repro.experiment import ResultCache\n"
+            "cache = ResultCache(sys.argv[3])\n"
+            "for seed in range(int(sys.argv[4]), int(sys.argv[4]) + 30):\n"
+            "    for _ in range(3):\n"
+            "        cache.put(synthetic_result(SPEC.with_seed(seed)))\n"
+        )
+        here = Path(__file__).resolve()
+        src, tests = str(here.parents[2] / "src"), str(here.parent)
+        writers = [
+            subprocess.Popen([sys.executable, "-c", script, src, tests, str(tmp_path), first])
+            for first in ("0", "15")
+        ]
+        assert [writer.wait(timeout=120) for writer in writers] == [0, 0]
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 45
+        for seed in range(45):
+            spec = SPEC.with_seed(seed)
+            assert cache.get(spec).to_dict() == synthetic_result(spec).to_dict()
+        assert not list(tmp_path.glob("??/*.tmp"))
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(synthetic_result())
         assert cache.clear() == 1
         assert len(cache) == 0 and cache.get(SPEC) is None
-
-    def test_bad_bounds_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_entries=0)
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_bytes=0)
 
 
 class TestDefaultCacheResolution:
@@ -292,6 +354,12 @@ class TestDefaultCacheResolution:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert default_cache().cache_dir == tmp_path / "repro-mesh"
 
+    def test_home_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_cache().cache_dir == tmp_path / ".cache" / "repro-mesh"
+
     def test_resolve_none_without_env_disables(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert resolve_cache(None) is None
@@ -301,24 +369,9 @@ class TestDefaultCacheResolution:
         cache = resolve_cache(None)
         assert isinstance(cache, ResultCache) and cache.cache_dir == tmp_path
 
-    def test_env_handle_is_shared_per_process(self, tmp_path, monkeypatch):
-        """Looping run_experiment under REPRO_CACHE_DIR must reuse one
-        handle (one index parse), not rebuild a cache per call."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
-        first = resolve_cache(None)
-        assert resolve_cache(None) is first
-        assert resolve_cache(True) is first  # cache=True shares the handle
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
-        switched = resolve_cache(None)
-        assert switched is not first and switched.cache_dir == tmp_path / "b"
-
-    def test_size_accounting_is_bytes_not_characters(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = synthetic_result()
-        result.meta["author"] = "Guérin — CoNEXT"  # multi-byte UTF-8
-        digest = cache.put(result)
-        on_disk = (tmp_path / digest[:2] / f"{digest}.json").stat().st_size
-        assert cache.size_bytes == on_disk
+    def test_resolve_true_uses_the_default_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "forced"))
+        assert resolve_cache(True).cache_dir == tmp_path / "forced"
 
     def test_resolve_false_always_disables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -376,6 +429,14 @@ class TestExperimentIntegration:
         warm = Experiment(SPEC, keep_decisions=False).run(cache=cache)
         assert warm.to_dict() == kept.to_dict()
 
+    def test_a_misfiled_entry_is_rerun_and_replaced(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        other = SPEC.with_seed(2)
+        cache.put_payload(SPEC, synthetic_result(other).to_dict())
+        result = Experiment(SPEC, keep_decisions=False).run(cache=cache)
+        assert result.spec == SPEC and cache.stats.misses == 1
+        assert cache.get(SPEC).to_dict() == result.to_dict()
+
 
 class TestBatchIntegration:
     @pytest.fixture(scope="class")
@@ -413,6 +474,15 @@ class TestBatchIntegration:
             include_runtime=True
         )
 
+    def test_a_misfiled_payload_is_simulated_not_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        seed1, seed2 = SPEC.with_seed(1), SPEC.with_seed(2)
+        cache.put_payload(seed2, synthetic_result(seed1).to_dict())
+        batch = BatchRunner([seed2], backend="serial", cache=cache).run()
+        assert batch.cache_hits == 0 and batch.cache_misses == 1
+        assert batch.results[0].spec == seed2
+        assert cache.get_payload(seed2)["spec"] == seed2.to_dict()  # rewritten
+
     def test_report_mentions_cache_hits(self, cache_and_cold, sweep):
         cache, _ = cache_and_cold
         warm = BatchRunner(sweep, backend="serial", cache=cache).run()
@@ -422,83 +492,3 @@ class TestBatchIntegration:
         result = BatchRunner(sweep[:1], backend="serial", cache=False).run()
         assert result.cache_hits == 0 and result.cache_misses == 0
         assert "from cache" not in result.report().render()
-
-
-class TestMeasuredCostLedger:
-    """Per-digest wall clocks recorded on writeback (the planner's
-    learned cost model) — they must outlive the payloads themselves."""
-
-    def _payload(self, wall_s: float) -> dict:
-        return {"cycles": [], "runtime": {"wall_time_s": wall_s}}
-
-    def test_put_records_the_payloads_wall_clock(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = {"label": "cost-probe"}
-        assert cache.measured_cost_s(spec) is None
-        cache.put_payload(spec, self._payload(2.5))
-        assert cache.measured_cost_s(spec) == 2.5
-        assert cache.measured_cost_s(cache.key(spec)) == 2.5  # digest form
-
-    def test_cost_survives_eviction_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=1)
-        first, second = {"label": "a"}, {"label": "b"}
-        cache.put_payload(first, self._payload(1.5))
-        cache.put_payload(second, self._payload(2.5))  # evicts `first`
-        assert cache.get_payload(first) is None  # payload gone...
-        assert cache.measured_cost_s(first) == 1.5  # ...cost remembered
-        cache.clear()
-        assert cache.measured_cost_s(second) == 2.5
-
-    def test_cost_persists_to_a_fresh_handle(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = {"label": "persisted"}
-        cache.put_payload(spec, self._payload(3.25))
-        assert ResultCache(tmp_path).measured_cost_s(spec) == 3.25
-
-    def test_runtime_free_payloads_record_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = {"label": "no-runtime"}
-        cache.put_payload(spec, {"cycles": []})
-        assert cache.measured_cost_s(spec) is None
-        assert cache.cost_ledger_size == 0
-
-    def test_malformed_ledger_is_dropped_not_fatal(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = {"label": "x"}
-        cache.put_payload(spec, self._payload(1.0))
-        index_file = tmp_path / "index.json"
-        data = json.loads(index_file.read_text(encoding="utf-8"))
-        data["costs"] = {"deadbeef": "not-a-number", "cafe": -3, "feed": 2.0}
-        index_file.write_text(json.dumps(data), encoding="utf-8")
-        fresh = ResultCache(tmp_path)
-        assert fresh.measured_cost_s("feed") == 2.0
-        assert fresh.measured_cost_s("deadbeef") is None
-        assert fresh.measured_cost_s("cafe") is None
-
-    def test_concurrent_writers_merge_their_ledgers(self, tmp_path):
-        stale = ResultCache(tmp_path)
-        stale.put_payload({"label": "mine"}, self._payload(1.0))
-        other = ResultCache(tmp_path)
-        other.put_payload({"label": "theirs"}, self._payload(2.0))
-        # The stale handle flushes last; the other writer's cost must
-        # survive the read-merge-write.
-        stale.put_payload({"label": "mine-2"}, self._payload(3.0))
-        fresh = ResultCache(tmp_path)
-        assert fresh.measured_cost_s({"label": "theirs"}) == 2.0
-        assert fresh.measured_cost_s({"label": "mine"}) == 1.0
-
-    def test_non_finite_costs_are_rejected(self, tmp_path):
-        """json round-trips bare Infinity; one inf cost would blow up
-        the planner's calibration ratio, so the ledger must drop it."""
-        cache = ResultCache(tmp_path)
-        cache.put_payload({"label": "inf"}, self._payload(float("inf")))
-        assert cache.measured_cost_s({"label": "inf"}) is None
-        cache.put_payload({"label": "ok"}, self._payload(1.0))
-        index_file = tmp_path / "index.json"
-        text = index_file.read_text(encoding="utf-8")
-        data = json.loads(text)
-        data["costs"]["deadbeef"] = float("inf")  # json dumps as Infinity
-        index_file.write_text(json.dumps(data), encoding="utf-8")
-        fresh = ResultCache(tmp_path)
-        assert fresh.measured_cost_s("deadbeef") is None
-        assert fresh.measured_cost_s({"label": "ok"}) == 1.0

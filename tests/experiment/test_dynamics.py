@@ -27,7 +27,6 @@ from repro.experiment import (
     TopologySpec,
     WorkloadSpec,
     build_scenario,
-    estimate_cost_s,
     run_experiment,
     spec_digest,
 )
@@ -200,25 +199,6 @@ class TestCrossBackendByteIdentityDynamics:
         assert _canonical(ambient.to_dicts(include_runtime=False)) == _canonical(
             reference.to_dicts(include_runtime=False)
         )
-
-
-class TestPlannerCosts:
-    def test_dynamics_raise_the_estimate(self):
-        dynamic = _dynamic_spec().to_dict()
-        static = dict(dynamic)
-        static["scenario"] = {
-            **dynamic["scenario"], "mobility": None, "churn": None
-        }
-        assert estimate_cost_s(dynamic) > estimate_cost_s(static)
-
-    def test_static_payloads_keep_their_historical_estimate(self):
-        static = _dynamic_spec().to_dict()
-        static["scenario"] = {**static["scenario"], "mobility": None, "churn": None}
-        node_count = 4  # 2x2 grid
-        flows = 2
-        # controller disabled -> no warmup term; horizon is one 2 s cycle
-        expected = 2.0 * node_count * (1.0 + 0.25 * (flows - 1))
-        assert estimate_cost_s(static) == pytest.approx(expected)
 
 
 class TestMobileFigure14Cell:

@@ -1,24 +1,19 @@
-"""SweepPlanner: dedup, cache resolution, cost ordering, empty-sweep stats."""
+"""SweepPlanner: dedup, cache resolution, submission order, empty-sweep stats."""
 
 from __future__ import annotations
 
-import pytest
-
+import repro.experiment
 from repro.experiment import (
     BatchResult,
     ControllerSpec,
     ExperimentSpec,
     FlowSpec,
     PlannerStats,
-    ProbingSpec,
     ResultCache,
     ScenarioSpec,
     SweepPlanner,
-    TopologySpec,
-    estimate_cost_s,
     seed_sweep,
 )
-from repro.experiment.planner import _node_count
 
 
 def _spec(seed: int = 0, **kwargs) -> ExperimentSpec:
@@ -72,76 +67,65 @@ class TestCacheResolution:
         cache = ResultCache(tmp_path)
         hit = _spec(0).to_dict()
         miss = _spec(1).to_dict()
-        cache.put_payload(hit, {"cached": True})
+        stored = {"spec": hit, "cached": True}
+        cache.put_payload(hit, stored)
         plan = SweepPlanner(cache).plan([hit, miss, hit])
         assert plan.stats.cache_hits == 2  # both duplicate slots
         assert plan.stats.cache_misses == 1
         assert [job.payload for job in plan.jobs] == [miss]
-        assert plan.results[0] == {"cached": True} == plan.results[2]
+        assert plan.results[0] == stored == plan.results[2]
         assert plan.results[1] is None
 
     def test_unique_spec_looked_up_once(self, tmp_path):
         cache = ResultCache(tmp_path)
         hit = _spec(0).to_dict()
-        cache.put_payload(hit, {"cached": True})
+        cache.put_payload(hit, {"spec": hit, "cached": True})
         cache.stats.hits = cache.stats.misses = 0
         SweepPlanner(cache).plan([hit] * 5)
         assert cache.stats.lookups == 1
 
 
-class TestCostOrdering:
-    def test_slowest_cells_first(self):
+class TestSubmissionOrder:
+    """Misses run in submission order (by first slot): the plan holds no
+    cost model, so a long cell submitted last is dispatched last."""
+
+    def test_misses_keep_submission_order_whatever_they_cost(self):
         short = _spec(0).to_dict()
         long = _spec(1, cycles=3, cycle_measure_s=5.0).to_dict()
         plan = SweepPlanner().plan([short, long])
-        assert [job.indices[0] for job in plan.jobs] == [1, 0]
-        assert plan.jobs[0].est_cost_s > plan.jobs[1].est_cost_s
-        assert plan.stats.est_cost_s == pytest.approx(
-            sum(job.est_cost_s for job in plan.jobs)
-        )
+        assert [job.indices[0] for job in plan.jobs] == [0, 1]
+        plan = SweepPlanner().plan([long, short])
+        assert [job.payload for job in plan.jobs] == [long, short]
 
-    def test_equal_cost_keeps_submission_order(self):
+    def test_equal_cells_keep_submission_order(self):
         payloads = [s.to_dict() for s in seed_sweep(_spec(), range(3))]
         plan = SweepPlanner().plan(payloads)
         assert [job.indices[0] for job in plan.jobs] == [0, 1, 2]
+        assert [job.label for job in plan.jobs] == ["", "", ""]  # no labels given
 
-    def test_warmup_counts_only_with_controller_enabled(self):
-        base = dict(
-            scenario=ScenarioSpec(
-                scenario="chain", flows=(FlowSpec("udp", (0, 1, 2)),)
-            ),
-            probing=ProbingSpec(warmup_s=30.0),
-            cycles=1,
-            cycle_measure_s=2.0,
-            settle_s=0.5,
-        )
-        with_controller = ExperimentSpec(
-            controller=ControllerSpec(alpha=1.0), **base
-        )
-        no_controller = ExperimentSpec(
-            controller=ControllerSpec(enabled=False), **base
-        )
-        assert estimate_cost_s(with_controller.to_dict()) > estimate_cost_s(
-            no_controller.to_dict()
-        )
+    def test_a_duplicate_is_dispatched_at_its_first_slot(self):
+        a, b, c = (_spec(seed).to_dict() for seed in range(3))
+        plan = SweepPlanner().plan([a, b, a, c, b], labels=["a", "b", "a2", "c", "b2"])
+        assert [job.indices for job in plan.jobs] == [(0, 2), (1, 4), (3,)]
+        assert [job.label for job in plan.jobs] == ["a", "b", "c"]
 
-    def test_node_count_heuristics(self):
-        assert _node_count({"topology": {"kind": "chain", "num_nodes": 7}}) == 7
-        assert _node_count({"topology": {"kind": "grid", "rows": 3, "cols": 4}}) == 12
-        assert _node_count({"topology": {"kind": "testbed"}}) == 18
-        positions = {"kind": "positions", "positions": [[0, 0, 0], [1, 1, 1]]}
-        assert _node_count({"topology": positions}) == 2
-        assert _node_count({"scenario": "starvation", "topology": None}) == 3
-        assert _node_count({"scenario": "random_multiflow", "topology": None}) == 18
-        assert _node_count({"scenario": "never-heard-of-it"}) == 18
+    def test_hits_leave_the_misses_in_submission_order(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        specs = [_spec(seed) for seed in range(4)]
+        for spec in specs[1::2]:
+            cache.put_payload(spec, {"spec": spec.to_dict(), "cached": True})
+        plan = SweepPlanner(cache).plan([spec.to_dict() for spec in reversed(specs)])
+        assert [job.indices[0] for job in plan.jobs] == [1, 3]
+        assert [job.digest for job in plan.jobs] == [
+            cache.key(specs[2]), cache.key(specs[0])
+        ]
 
-    def test_more_nodes_cost_more(self):
-        small = _spec(0).to_dict()
-        big = _spec(0).to_dict()
-        big["scenario"]["topology"] = TopologySpec(
-            kind="chain", num_nodes=12
-        ).to_dict()
-        assert estimate_cost_s(big) > estimate_cost_s(small)
+    def test_the_cost_model_is_gone_from_the_api(self):
+        assert not hasattr(repro.experiment, "estimate_cost_s")
+        assert set(PlannerStats().as_dict()) == {
+            "total", "unique", "duplicates", "executed", "cache_hits",
+            "cache_misses", "cache_hit_rate", "dedup_rate",
+        }
 
 
 class TestEmptySweeps:
@@ -168,114 +152,3 @@ class TestEmptySweeps:
 
         stats = SweepPlanner().plan([_spec(0).to_dict()]).stats
         assert json.loads(json.dumps(stats.as_dict()))["total"] == 1
-
-
-class TestLearnedCosts:
-    """Satellite: the planner prefers measured per-digest wall clocks
-    (recorded in the ResultCache index on writeback) over the static
-    estimate_cost_s heuristic when ordering misses slowest-first."""
-
-    def test_measured_costs_override_a_wrong_static_order(self, tmp_path):
-        # Static heuristic says `big` (5x the simulated seconds) goes
-        # first; the ledger knows better.
-        small = _spec(0).to_dict()
-        big = _spec(1, cycles=5).to_dict()
-        cache = ResultCache(tmp_path)
-        cache.put_payload(small, {"runtime": {"wall_time_s": 9.0}})
-        cache.put_payload(big, {"runtime": {"wall_time_s": 0.3}})
-        cache.clear()
-        plan = SweepPlanner(cache).plan([small, big])
-        assert [job.indices[0] for job in plan.jobs] == [0, 1]
-        assert all(job.measured for job in plan.jobs)
-        assert plan.stats.measured_jobs == 2
-        assert plan.jobs[0].cost_s == 9.0 and plan.jobs[0].est_cost_s != 9.0
-
-    def test_static_order_without_a_cache_is_unchanged(self):
-        small = _spec(0).to_dict()
-        big = _spec(1, cycles=5).to_dict()
-        plan = SweepPlanner().plan([small, big])
-        assert [job.indices[0] for job in plan.jobs] == [1, 0]
-        assert plan.stats.measured_jobs == 0
-        assert all(job.cost_s == job.est_cost_s for job in plan.jobs)
-
-    def test_unmeasured_jobs_are_rescaled_onto_the_measured_scale(self, tmp_path):
-        # One measured job calibrates the wall-clock scale; the
-        # unmeasured job keeps its heuristic, rescaled by the ratio.
-        measured = _spec(0).to_dict()
-        unmeasured = _spec(1).to_dict()  # identical estimate
-        cache = ResultCache(tmp_path)
-        cache.put_payload(measured, {"runtime": {"wall_time_s": 4.0}})
-        cache.clear()
-        plan = SweepPlanner(cache).plan([measured, unmeasured])
-        by_slot = {job.indices[0]: job for job in plan.jobs}
-        ratio = 4.0 / by_slot[0].est_cost_s
-        assert by_slot[0].cost_s == 4.0
-        assert by_slot[1].cost_s == pytest.approx(by_slot[1].est_cost_s * ratio)
-
-    def test_batch_runner_writeback_feeds_the_ledger(self, tmp_path):
-        from repro.experiment import BatchRunner, SerialBackend
-
-        spec = ExperimentSpec(
-            scenario=ScenarioSpec(
-                scenario="chain", seed=0, flows=(FlowSpec("udp", (0, 1, 2)),)
-            ),
-            controller=ControllerSpec(enabled=False),
-            cycles=1,
-            cycle_measure_s=0.5,
-            settle_s=0.1,
-        )
-        cache = ResultCache(tmp_path)
-        BatchRunner([spec], backend=SerialBackend(), cache=cache).run()
-        cost = cache.measured_cost_s(spec.to_dict())
-        assert cost is not None and cost > 0.0
-
-    def test_node_count_heuristics_for_generated_kinds(self):
-        from repro.experiment.planner import _flow_count
-
-        assert _node_count({"topology": {"kind": "ring", "num_nodes": 9}}) == 9
-        assert _node_count({"topology": {"kind": "line", "num_nodes": 5}}) == 5
-        assert _node_count({"topology": {"kind": "random_disk", "num_nodes": 11}}) == 11
-        assert _node_count({"topology": {"kind": "binary_tree", "depth": 4}}) == 15
-        assert _node_count({"topology": {"kind": "parking_lot", "num_nodes": 4}}) == 7
-        assert _flow_count({"workload": {"num_flows": 6}}) == 6
-        assert _flow_count({"flows": [1, 2, 3]}) == 3
-        assert _flow_count({"scenario": "starvation"}) == 2
-
-    def test_generated_scenarios_cost_by_their_real_size(self):
-        from repro.experiment import TopologySpec as TS
-        from repro.experiment import WorkloadSpec
-
-        def generated(topology):
-            return ExperimentSpec(
-                scenario=ScenarioSpec(
-                    scenario="generated",
-                    topology=topology,
-                    workload=WorkloadSpec(num_flows=2),
-                ),
-                controller=ControllerSpec(enabled=False),
-                cycles=1,
-                cycle_measure_s=1.0,
-                settle_s=0.2,
-            ).to_dict()
-
-        small = generated(TS(kind="grid", rows=2, cols=2))
-        big = generated(TS(kind="grid", rows=4, cols=4))
-        assert estimate_cost_s(big) > estimate_cost_s(small)
-
-    def test_more_flows_cost_more(self):
-        from repro.experiment import WorkloadSpec
-
-        def with_flows(n):
-            return ExperimentSpec(
-                scenario=ScenarioSpec(
-                    scenario="generated",
-                    topology=TopologySpec(kind="grid", rows=2, cols=2),
-                    workload=WorkloadSpec(num_flows=n),
-                ),
-                controller=ControllerSpec(enabled=False),
-                cycles=1,
-                cycle_measure_s=1.0,
-                settle_s=0.2,
-            ).to_dict()
-
-        assert estimate_cost_s(with_flows(8)) > estimate_cost_s(with_flows(1))

@@ -63,6 +63,18 @@ GONE = [
         "**/*.py",
         (),
     ),
+    *[
+        (f"the result cache's or planner's {what}", pattern, "**/*.py", ())
+        for what, pattern in (
+            ("index file", r"index\.json"),
+            ("measured-cost ledger", r"measured_cost_s"),
+            ("static cost estimate", r"estimate_cost_s"),
+            ("cost-ledger bound", r"COST_LEDGER_MAX"),
+            ("process-wide default handle", r"_shared_default_cache"),
+            ("LRU entry bound", r"max_entries"),
+            ("index bookkeeping", r"_rebuild_index|_coerce_entry|_trim_costs|cost_ledger_size"),
+        )
+    ],
 ]
 
 
