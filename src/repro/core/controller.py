@@ -218,8 +218,8 @@ class OnlineOptimizer:
         optimizer = RateOptimizer(region, routing, self.utility)
         result = optimizer.solve()
         if not result.success:
-            # An unconverged iterate (or the LP's all-zero placeholder)
-            # must never be programmed into the shapers as a decision.
+            # An unconverged iterate must never be programmed into the
+            # shapers as a decision.
             raise SolverError(f"rate optimization failed: {result.message}")
         link_losses = {link: est.channel_loss for link, est in estimates.items()}
         targets: dict[int, float] = {}

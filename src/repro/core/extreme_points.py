@@ -12,11 +12,13 @@ rate vectors dominated by a convex combination of *extreme points*:
 
 A rate vector ``y`` is estimated feasible when there exist convex
 weights ``alpha`` with ``sum_k alpha_k * c[k] >= y`` componentwise (the
-polytope plus free disposal).  Membership and boundary queries reduce
-to small linear programs solved with scipy.  The region keeps every
-point of the paper's model; :func:`non_dominated_rows` names the subset
-that free disposal leaves able to matter, which is all the optimizer
-carries.
+polytope plus free disposal).  The boundary along a direction is the
+max-throughput program of :mod:`repro.core.optimizer` with one flow
+routed along it, and membership is a scaling factor of at least 1; both
+are numbers, so the optimizer's tie rule never reaches them.  The region
+keeps every point of the paper's model; :func:`non_dominated_rows` names
+the subset that free disposal leaves able to matter, which is all the
+solver carries.
 """
 
 from __future__ import annotations
@@ -120,64 +122,47 @@ class FeasibilityRegion:
 
     # -------------------------------------------------------------- membership
     def contains(self, rates: Sequence[float] | np.ndarray, tolerance: float = 1e-9) -> bool:
-        """Whether the link-rate vector ``rates`` is estimated feasible."""
-        from scipy.optimize import linprog
-
-        y = np.asarray(rates, dtype=float)
-        if y.shape != (self.num_links,):
-            raise ValueError(f"expected a vector of {self.num_links} link rates")
+        """Whether the link-rate vector ``rates`` is estimated feasible:
+        some convex weights ``alpha`` have ``C^T alpha >= rates - tolerance``.
+        ``C^T alpha >= 0`` always, so that is ``max(rates - tolerance, 0)``
+        scaling to at least itself."""
+        y = self._link_vector(rates, "rates")
         if np.any(y < -tolerance):
             return False
-        c = self.extreme_points  # (K, L)
-        k = self.num_extreme_points
-        # Feasibility LP over alpha: C^T alpha >= y, sum alpha = 1, alpha >= 0.
-        result = linprog(
-            c=np.zeros(k),
-            A_ub=-c.T,
-            b_ub=-(y - tolerance),
-            A_eq=np.ones((1, k)),
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * k,
-            method="highs",
-        )
-        return bool(result.success)
+        target = np.maximum(y - tolerance, 0.0)
+        return not target.any() or self.max_scaling(target) >= 1.0
 
     def max_scaling(self, direction: Sequence[float] | np.ndarray) -> float:
         """Largest ``theta`` such that ``theta * direction`` is feasible.
 
         This is how the validation experiments search for the boundary of
         the region along a given rate vector (scaling factors of Section
-        4.5).  Returns 0 for the zero direction.
+        4.5).  Returns 0 for the zero direction, and for one that crosses
+        a link no extreme point serves.
         """
-        from scipy.optimize import linprog
+        # Imported here: the optimizer module imports this one.
+        from repro.core.optimizer import solve_rate_program
 
-        d = np.asarray(direction, dtype=float)
-        if d.shape != (self.num_links,):
-            raise ValueError(f"expected a vector of {self.num_links} link rates")
+        d = self._link_vector(direction, "direction")
         if np.any(d < 0):
             raise ValueError("direction must be non-negative")
-        if np.allclose(d, 0.0):
+        scale, top = self.extreme_points.max(), d.max()
+        if top == 0 or scale == 0:
             return 0.0
-        k = self.num_extreme_points
-        # Variables: [theta, alpha_1..alpha_K]; maximize theta.
-        objective = np.zeros(k + 1)
-        objective[0] = -1.0
-        a_ub = np.hstack([d.reshape(-1, 1), -self.extreme_points.T])
-        b_ub = np.zeros(self.num_links)
-        a_eq = np.zeros((1, k + 1))
-        a_eq[0, 1:] = 1.0
-        result = linprog(
-            c=objective,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None)] * (k + 1),
-            method="highs",
-        )
-        if not result.success:  # pragma: no cover - the LP is always feasible
-            raise RuntimeError(f"max_scaling LP failed: {result.message}")
-        return float(result.x[0])
+        # The alpha = 0 program with one flow whose routing column is d.
+        points = self.extreme_points[non_dominated_rows(self.extreme_points)] / scale
+        theta, _, converged, message = solve_rate_program(points, d[:, None] / top, 0.0)
+        if not converged:  # pragma: no cover - the program is always feasible
+            raise RuntimeError(f"max_scaling did not converge: {message}")
+        return float(theta[0] * scale / top)
+
+    def _link_vector(self, values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
+        vector = np.asarray(values, dtype=float)
+        if vector.shape != (self.num_links,):
+            raise ValueError(f"expected a vector of {self.num_links} link rates")
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{name} must be finite")
+        return vector
 
     # ------------------------------------------------------------ constructors
     @classmethod

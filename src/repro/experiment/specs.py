@@ -90,8 +90,13 @@ class SpecError(ValueError):
 #:    iteration (``RateOptimizer._solve_concave``) in place of SLSQP:
 #:    decisions land within 1e-10 of the optimum where SLSQP stopped up
 #:    to 1e-5 short, so targets cached under version 5 differ from
-#:    recomputed ones in the last printed digits.
-SPEC_SCHEMA_VERSION = 6
+#:    recomputed ones in the last printed digits;
+#: 7. the max-throughput (alpha = 0) program is solved by the same
+#:    iteration in place of scipy's ``linprog``: on a tied face it
+#:    returns the central-path limit, which spreads the tied rate across
+#:    the face, where HiGHS returned a vertex, so alpha = 0 targets
+#:    cached under version 6 can differ from recomputed ones.
+SPEC_SCHEMA_VERSION = 7
 
 
 def spec_digest(spec: "ExperimentSpec | Mapping[str, Any]",

@@ -15,6 +15,12 @@ before the interior-point iteration replaced it: the only place
 ``scipy.optimize.minimize`` still appears.  SLSQP stops on a relative
 change of the objective, up to 1e-5 short of the optimum, so it referees
 with tolerances, and only from below on the objective.
+
+``linprog_solve``, ``linprog_contains`` and ``linprog_max_scaling`` are
+the three linear programs as they ran on HiGHS until the interior-point
+iteration took them over too: the max-throughput and max-min solves,
+region membership and the scaling factor.  They are the only place
+``scipy.optimize.linprog`` still appears.
 """
 
 from __future__ import annotations
@@ -229,3 +235,98 @@ def slsqp_solve(optimizer):
         np.maximum(result.x[num_flows:], 0.0),
         bool(result.success),
     )
+
+
+# ------------------------------------------------------ the linear programs
+def linprog_solve(optimizer, max_min):
+    """``RateOptimizer._solve_linear`` before the iteration took it over,
+    on the same presolved program: ``(flow rates, kept-point weights,
+    success)``; max-min when ``max_min``, else max-throughput."""
+    from scipy.optimize import linprog
+
+    routing, points = optimizer._r, optimizer._c
+    num_links, num_flows = routing.shape
+    num_points = points.shape[0]
+    # Variables: [y (S), alpha (K)] plus a trailing t for max-min.
+    extra = 1 if max_min else 0
+    num_vars = num_flows + num_points + extra
+    objective = np.zeros(num_vars)
+    if max_min:
+        objective[-1] = -1.0
+    else:
+        objective[:num_flows] = -1.0
+    # R y - C^T alpha <= 0
+    a_ub = np.zeros((num_links, num_vars))
+    a_ub[:, : num_flows + num_points] = np.hstack([routing, -points.T])
+    b_ub = np.zeros(num_links)
+    if max_min:
+        # t - y_s <= 0 for every flow.
+        extra_rows = np.zeros((num_flows, num_vars))
+        extra_rows[:, :num_flows] = -np.eye(num_flows)
+        extra_rows[:, -1] = 1.0
+        a_ub = np.vstack([a_ub, extra_rows])
+        b_ub = np.concatenate([b_ub, np.zeros(num_flows)])
+    a_eq = np.zeros((1, num_vars))
+    a_eq[0, num_flows : num_flows + num_points] = 1.0
+    result = linprog(
+        c=objective,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=np.array([1.0]),
+        bounds=[(0.0, None)] * num_vars,
+        method="highs",
+    )
+    return (
+        result.x[:num_flows] * optimizer._scale,
+        result.x[num_flows : num_flows + num_points],
+        bool(result.success),
+    )
+
+
+def linprog_contains(region, rates, tolerance=1e-9):
+    """``FeasibilityRegion.contains`` as one feasibility LP over the weights."""
+    from scipy.optimize import linprog
+
+    y = np.asarray(rates, dtype=float)
+    if np.any(y < -tolerance):
+        return False
+    c = region.extreme_points  # (K, L)
+    k = region.num_extreme_points
+    # C^T alpha >= y - tolerance, sum alpha = 1, alpha >= 0.
+    result = linprog(
+        c=np.zeros(k),
+        A_ub=-c.T,
+        b_ub=-(y - tolerance),
+        A_eq=np.ones((1, k)),
+        b_eq=np.array([1.0]),
+        bounds=[(0.0, None)] * k,
+        method="highs",
+    )
+    return bool(result.success)
+
+
+def linprog_max_scaling(region, direction):
+    """``FeasibilityRegion.max_scaling`` as one LP over ``[theta, alpha]``."""
+    from scipy.optimize import linprog
+
+    d = np.asarray(direction, dtype=float)
+    if np.allclose(d, 0.0):
+        return 0.0
+    k = region.num_extreme_points
+    objective = np.zeros(k + 1)
+    objective[0] = -1.0
+    a_ub = np.hstack([d.reshape(-1, 1), -region.extreme_points.T])
+    a_eq = np.zeros((1, k + 1))
+    a_eq[0, 1:] = 1.0
+    result = linprog(
+        c=objective,
+        A_ub=a_ub,
+        b_ub=np.zeros(region.num_links),
+        A_eq=a_eq,
+        b_eq=np.array([1.0]),
+        bounds=[(0.0, None)] * (k + 1),
+        method="highs",
+    )
+    assert result.success, result.message
+    return float(result.x[0])

@@ -1,5 +1,7 @@
 """Tests for extreme points, the feasibility region and two-link geometry."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,27 @@ class TestFeasibilityRegion:
     def test_max_scaling_zero_direction(self):
         region = _two_link_region(interfering=True)
         assert region.max_scaling([0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "points",
+        [[[1e6, 0.0], [0.0, 0.0], [5e5, 0.0]], [[0.0, 0.0]]],
+        ids=["a-link-no-point-serves", "zero-everywhere"],
+    )
+    def test_max_scaling_is_positive_zero_where_the_direction_cannot_move(self, points):
+        region = FeasibilityRegion(links=[(0, 1), (2, 3)], extreme_points=np.array(points))
+        theta = region.max_scaling([0.0, 1.0])
+        assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
+        assert region.contains([0.0, 0.0]) and not region.contains([0.0, 1.0])
+        # The link no point serves stays out of the way of the other one.
+        assert region.max_scaling([1.0, 0.0]) == pytest.approx(points[0][0], rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused_by_the_region(self, bad):
+        region = _two_link_region(interfering=True)
+        with pytest.raises(ValueError, match="direction must be finite"):
+            region.max_scaling([bad, 1.0])
+        with pytest.raises(ValueError, match="rates must be finite"):
+            region.contains([bad, 0.1])
 
     def test_max_single_link_rate(self):
         region = _two_link_region(interfering=True, c1=1.0, c2=2.0)

@@ -13,6 +13,8 @@ from repro.core.optimizer import RateOptimizer
 from repro.core.utility import MAX_THROUGHPUT, PROPORTIONAL_FAIR, AlphaFairUtility
 from repro.net.routing import FlowRoute, RoutingMatrix, build_routing_matrix
 
+import _parent_oracles as oracle
+
 
 def _region(links, capacities, conflicts):
     imap = PairwiseInterferenceMap(links)
@@ -69,6 +71,27 @@ class TestLinearObjectives:
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve_max_min()
         assert result.flow_rates[0] == pytest.approx(result.flow_rates[1], rel=1e-5)
         assert result.flow_rates[0] > 0.5e6
+
+    def test_two_flows_through_one_link_get_equal_rates(self):
+        """The tie rule: HiGHS gave one flow the whole link; the central
+        path splits a tied rate evenly."""
+        links = [(0, 1)]
+        region = _region(links, {links[0]: 1e6}, [])
+        result = RateOptimizer(region, _routing(region, [[1, 1]]), MAX_THROUGHPUT).solve()
+        assert result.success
+        assert result.flow_rates[0] == pytest.approx(result.flow_rates[1], rel=1e-9)
+        assert result.aggregate_rate == pytest.approx(1e6, rel=1e-9)
+
+    def test_max_min_gives_every_flow_of_a_chain_one_rate(self):
+        """Three one-hop flows on a three-link chain whose end links do not
+        conflict: the third link could carry more than t*, and HiGHS gave
+        it more; max-min is every flow at t*."""
+        a, b, c = links = _links(3)
+        region = _region(links, dict(zip(links, [2e6, 1e6, 3e6])), [(a, b), (b, c)])
+        result = RateOptimizer(region, _routing(region, np.eye(3)), MAX_THROUGHPUT).solve_max_min()
+        assert result.success
+        assert result.flow_rates == pytest.approx([2e6 / 3] * 3, rel=1e-9)
+        assert np.ptp(result.flow_rates) == 0.0
 
     def test_link_rates_consistent_with_routing(self):
         region, routing = _two_single_hop_flows()
@@ -334,6 +357,76 @@ class TestPresolveOracle:
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         _assert_consistent(region, result)
         assert result.aggregate_rate == pytest.approx(best, rel=TOLERANCE)
+
+
+#: How close the linear programs land to the HiGHS referee.
+REFEREE_TOLERANCE = 1e-9
+
+
+def _direction(data, region):
+    """A non-negative link-rate direction, zero on some links."""
+    rates = st.just(0.0) | st.floats(1e3, 6e6)
+    size = region.num_links
+    return np.array(data.draw(st.lists(rates, min_size=size, max_size=size)))
+
+
+class TestLinearProgramReferee:
+    """The linear programs against the parent's HiGHS ``linprog`` solves
+    (``_parent_oracles``): the objective and the scaling factor within
+    ``REFEREE_TOLERANCE`` relative, membership wherever it is not decided
+    within that distance of the boundary."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_networks())
+    def test_max_throughput_objective(self, network):
+        region, routing, _ = network
+        optimizer = RateOptimizer(region, routing, MAX_THROUGHPUT)
+        result = optimizer.solve()
+        rates, _, success = oracle.linprog_solve(optimizer, max_min=False)
+        assert result.success and success
+        assert result.aggregate_rate == pytest.approx(rates.sum(), rel=REFEREE_TOLERANCE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_networks())
+    def test_max_min_rate(self, network):
+        region, routing, _ = network
+        optimizer = RateOptimizer(region, routing, MAX_THROUGHPUT)
+        result = optimizer.solve_max_min()
+        rates, _, success = oracle.linprog_solve(optimizer, max_min=True)
+        assert result.success and success
+        assert result.flow_rates.min() == pytest.approx(rates.min(), rel=REFEREE_TOLERANCE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_networks(), st.data())
+    def test_max_scaling(self, network, data):
+        region = network[0]
+        direction = _direction(data, region)
+        assert region.max_scaling(direction) == pytest.approx(
+            oracle.linprog_max_scaling(region, direction), rel=REFEREE_TOLERANCE
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _small_networks(),
+        st.data(),
+        st.sampled_from([0.0, 0.5, 0.999, 1 - 1e-8, 1 + 1e-8, 1 + 1e-6, 1.001, 2.0]),
+        st.sampled_from([1e-9, 1.0, 1e3]),
+    )
+    def test_contains(self, network, data, factor, tolerance):
+        """Decided by the referee's scaling factor theta* of
+        ``max(rates - tolerance, 0)`` wherever |theta* - 1| exceeds
+        ``REFEREE_TOLERANCE``; the referee's own feasibility LP agrees
+        beyond 1e-6, outside HiGHS's 1e-7 primal feasibility tolerance."""
+        region = network[0]
+        direction = _direction(data, region)
+        rates = direction * oracle.linprog_max_scaling(region, direction) * factor
+        target = np.maximum(rates - tolerance, 0.0)
+        theta = oracle.linprog_max_scaling(region, target) if target.any() else np.inf
+        contained = region.contains(rates, tolerance)
+        if abs(theta - 1.0) > REFEREE_TOLERANCE:
+            assert contained == (theta >= 1.0)
+        if abs(theta - 1.0) > 1e-6:
+            assert contained == oracle.linprog_contains(region, rates, tolerance)
 
 
 # ------------------------------------------------- the interior-point iteration

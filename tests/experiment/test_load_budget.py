@@ -1,12 +1,11 @@
 """What a process loads, checked in fresh interpreters.
 
-numpy comes with ``import repro``; ``scipy.optimize`` (about half a
-second, 50 MB resident, tens of thousands of GC-tracked objects) belongs
-to processes that solve a linear program - a max-throughput (alpha = 0)
-or max-min controller, ``FeasibilityRegion.contains`` - and networkx only
-to ``ConflictGraph.to_networkx``.  A drainer, a broker, a controller-off
-cell or a default (proportional-fair) controller, whose solve is plain
-numpy, would pay for a solver it never calls, on every spawn.
+numpy is the only runtime dependency and comes with ``import repro``:
+every rate program, linear ones included, is solved in plain numpy.
+scipy (``scipy.optimize`` alone is about half a second, 50 MB resident,
+tens of thousands of GC-tracked objects) is a test-extra referee, and
+networkx a test-extra oracle that only ``ConflictGraph.to_networkx``
+loads.  No process loads either on its own.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.experiment.backends.queue_common import worker_subprocess_env
 
 from _helpers import FAST_SPEC
 
-HEAVY = ("scipy.optimize", "networkx")
+HEAVY = ("scipy", "networkx")
 
 _REPORT = (
     "import json, sys; "
@@ -69,25 +68,21 @@ def _controller_on(alpha: float):
     )
 
 
-def test_default_controller_on_cell_loads_neither_scipy_optimize_nor_networkx():
-    """The proportional-fair solve is an interior-point iteration in numpy."""
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_controller_on_cell_loads_neither_scipy_nor_networkx(alpha):
+    """The default (proportional-fair) solve and the max-throughput LP
+    are the same interior-point iteration in numpy."""
     assert ControllerSpec(enabled=True).alpha == 1.0
-    assert _loaded_after(_run_experiment(_controller_on(alpha=1.0))) == []
-
-
-def test_max_throughput_controller_on_cell_still_loads_the_lp_solver():
-    """The same probe does see ``scipy.optimize`` once a cell solves an LP:
-    the lazy ``linprog`` import is the only way scipy gets in."""
-    assert _loaded_after(_run_experiment(_controller_on(alpha=0.0))) == ["scipy.optimize"]
+    assert _loaded_after(_run_experiment(_controller_on(alpha=alpha))) == []
 
 
 def test_the_fork_host_stays_at_the_worker_import_after_serving_an_lp_cell():
-    """The host only forks: the drainer that solves the LP imports
-    ``scipy.optimize`` in its own copy-on-write image and exits with it, so
-    what the next drainer starts from - and what stays resident until the
-    submitter exits - is still exactly ``import repro.experiment.worker``.
-    Read off the host's memory map: an import there would leave the
-    extension modules mapped."""
+    """The host only forks: whatever the drainer that solves a
+    max-throughput cell imports stays in its own copy-on-write image and
+    exits with it, so what the next drainer starts from - and what stays
+    resident until the submitter exits - is still exactly ``import
+    repro.experiment.worker``.  Read off the host's memory map: an import
+    there would leave the extension modules mapped."""
     from repro.experiment import WorkQueueBackend
     from repro.experiment.backends import queue_common
 
@@ -118,5 +113,30 @@ def test_repro_imports_without_networkx():
         "    assert 'test' in str(exc) and 'extra' in str(exc), exc\n"
         "else:\n"
         "    raise AssertionError('to_networkx worked without networkx')"
+    )
+    assert _loaded_after(code) == []
+
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def test_every_rate_program_runs_without_scipy():
+    """scipy is a test-extra referee, not a runtime dependency: with it
+    unimportable, the Figure 13 example (both controllers) and the
+    region's membership, scaling and max-min programs still run."""
+    code = (
+        "import runpy, sys; sys.modules['scipy'] = None\n"
+        f"runpy.run_path({str(EXAMPLES / 'tcp_starvation.py')!r}, run_name='__main__')\n"
+        "import numpy as np\n"
+        "from repro.core import MAX_THROUGHPUT, FeasibilityRegion, RateOptimizer\n"
+        "from repro.net.routing import FlowRoute, build_routing_matrix\n"
+        "links = [(0, 1), (1, 2)]\n"
+        "region = FeasibilityRegion(links, np.array([[2e6, 0.0], [0.0, 1e6]]))\n"
+        "assert region.contains([1e6, 0.4e6]) and not region.contains([1e6, 0.6e6])\n"
+        "assert abs(region.max_scaling([1.0, 1.0]) - 2e6 / 3) < 1e-3\n"
+        "flows = [FlowRoute(0, 0, 2, [0, 1, 2]), FlowRoute(1, 1, 2, [1, 2])]\n"
+        "routing = build_routing_matrix(flows, links=links)\n"
+        "result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve_max_min()\n"
+        "assert result.success and abs(result.flow_rates - 0.4e6).max() < 1e-3, result"
     )
     assert _loaded_after(code) == []

@@ -78,9 +78,9 @@ SPECS: dict[str, ExperimentSpec] = {
 
 @pytest.fixture(scope="module", autouse=True)
 def _lazy_imports_loaded() -> None:
-    """One controller-on run before anything is measured: the first
-    solve imports ``scipy.optimize``, and an import leaves cyclic
-    garbage of its own that is not the run's."""
+    """One controller-on run before anything is measured: the first run
+    imports the modules it needs, and an import leaves cyclic garbage of
+    its own that is not the run's."""
     run_experiment(SPECS["chain"], cache=False)
 
 

@@ -119,41 +119,33 @@ def _src_trees():
         yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_slsqp_stays_deleted_and_scipy_stays_lazy():
-    """PR 22 replaced the SLSQP solve with a numpy interior-point
-    iteration: ``scipy.optimize.minimize`` and the string ``"SLSQP"`` are
-    gone from ``src/`` (the parent's call referees from
-    ``tests/core/_parent_oracles.py``), and what scipy remains - the LPs'
-    ``linprog`` - is imported inside the function that calls it, so no
-    ``import repro...`` and no proportional-fair solve loads it."""
-    back, eager, lazy = [], [], []
+def test_no_scipy_and_no_linprog_under_src():
+    """Every rate program runs on the one numpy interior-point iteration:
+    PR 22 replaced the SLSQP solve, and the linear programs (max-throughput,
+    max-min, ``FeasibilityRegion.contains`` / ``max_scaling``) followed.
+    ``scipy.optimize.minimize``, ``linprog`` and the string ``"SLSQP"`` are
+    gone from ``src/``, and nothing there imports scipy: it is a test-extra
+    referee (the parent's calls live in ``tests/core/_parent_oracles.py``)."""
+    back = []
     for name, tree in _src_trees():
-        in_function = {
-            id(node)
-            for function in ast.walk(tree)
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(function)
-        }
         for node in ast.walk(tree):
             where = f"{name}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 # Docstrings and comments may tell the history; code may not ask for it.
                 if node.value.strip().upper() == "SLSQP":
                     back.append(f"{where}: the string {node.value!r}")
-            if isinstance(node, ast.Attribute) and node.attr == "minimize":
-                back.append(f"{where}: calls .minimize")
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            modules = [alias.name for alias in node.names]
-            if isinstance(node, ast.ImportFrom):
+            field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field).split(".")[-1] in {"minimize", "linprog"}:
+                back.append(f"{where}: names {getattr(node, field)}")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
-                if "minimize" in {alias.name for alias in node.names}:
-                    back.append(f"{where}: imports minimize")
+            else:
+                continue
             if any(module.split(".")[0] == "scipy" for module in modules):
-                (lazy if id(node) in in_function else eager).append(where)
-    assert not back, "the deleted solver is back under src/:\n" + "\n".join(back)
-    assert not eager, "scipy imported at module level under src/:\n" + "\n".join(eager)
-    assert lazy, "no scipy import found at all: the guard guards nothing"
+                back.append(f"{where}: imports scipy")
+    assert not back, "a deleted solver is back under src/:\n" + "\n".join(back)
 
 
 def test_local_drainers_have_one_spawn_path_and_it_is_the_fork_host():
