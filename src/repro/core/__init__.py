@@ -45,13 +45,8 @@ from repro.core.utility import (
     PROPORTIONAL_FAIR,
 )
 from repro.core.optimizer import OptimizationResult, RateOptimizer, SolverError
-from repro.core.rate_control import (
-    FlowRateAssignment,
-    RateController,
-    input_rates_from_outputs,
-    tcp_ack_airtime_factor,
-)
-from repro.core.controller import ControlDecision, LinkEstimate, OnlineOptimizer
+from repro.core.rate_control import tcp_ack_airtime_factor
+from repro.core.controller import ControlDecision, LinkEstimate, OnlineOptimizer, decide
 
 __all__ = [
     "CapacityModel",
@@ -87,11 +82,9 @@ __all__ = [
     "OptimizationResult",
     "RateOptimizer",
     "SolverError",
-    "FlowRateAssignment",
-    "RateController",
-    "input_rates_from_outputs",
     "tcp_ack_airtime_factor",
     "ControlDecision",
     "LinkEstimate",
     "OnlineOptimizer",
+    "decide",
 ]

@@ -1,29 +1,26 @@
 """The online optimization loop (Section 6 of the paper).
 
-:class:`OnlineOptimizer` ties every piece together on a live
-:class:`repro.sim.network.MeshNetwork`:
-
-1. read the broadcast-probe loss series of every link used by the
-   configured flows (capacity estimation module),
-2. separate channel losses from collision losses with the estimator of
-   Section 5.3 and turn them into link capacities via Eq. (6),
-3. build the conflict graph with the two-hop interference model (or a
-   supplied binary-LIR map), enumerate maximal independent sets and form
-   the extreme points (Section 3.2),
-4. solve the alpha-fair rate optimization over the resulting polytope
-   (optimizer module),
-5. translate output rates into input rates and program the per-flow
-   shapers (rate-control module).
-
-Each cycle returns a :class:`ControlDecision` recording every
-intermediate quantity, which the benchmarks use to regenerate the
+A cycle is measure -> estimate -> model -> optimize -> actuate.  The
+middle three are :func:`decide`, a pure function of one
+:class:`ProbeWindow` and the flows' routes: the Section 5.3 estimator and
+Eq. (6) turn the probe series into link capacities
+(:func:`estimate_links`), the two-hop interference model (or a supplied
+binary-LIR map) gives the conflict graph and the Section 3.2 extreme
+points (:func:`build_conflict_graph`), and the alpha-fair program is
+solved over that polytope.  Measuring and actuating belong to the
+simulated network: ``MeshNetwork.probe_window`` reads a window, and each
+flow handle's ``limit_rate`` programs a decided input rate.
+:class:`OnlineOptimizer` runs the cycle on a live network, and its
+:class:`ControlDecision` records every intermediate quantity for the
 figures of Sections 4.5 and 6.3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Any, Literal
+
+import numpy as np
 
 from repro.core.capacity import CapacityModel, combine_data_ack_losses
 from repro.core.conflict_graph import ConflictGraph
@@ -34,18 +31,38 @@ from repro.core.interference import (
 )
 from repro.core.loss_estimator import estimate_channel_loss_rates
 from repro.core.optimizer import OptimizationResult, RateOptimizer, SolverError
-from repro.core.rate_control import RateController
 from repro.core.utility import AlphaFairUtility, PROPORTIONAL_FAIR
+from repro.mac.constants import MacConfig
 from repro.net.routing import (
     FlowRoute,
     build_routing_matrix,
     first_use_links,
     path_loss_probability,
 )
-from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
+from repro.phy.radio import PhyRate
 
 Link = tuple[int, int]
-FlowHandle = UdpFlowHandle | TcpFlowHandle
+
+
+@dataclass(frozen=True)
+class LinkProbes:
+    """One link's probe losses (0/1, 1 = lost): DATA sent forward at the
+    link's ``rate``, ACK sent in reverse."""
+
+    rate: PhyRate
+    data: np.ndarray
+    ack: np.ndarray
+
+
+@dataclass(frozen=True)
+class ProbeWindow:
+    """The measurement record a cycle decides from (§5.2): the used links
+    in first-use order, and the ACK loss rate of every ordered node pair
+    whose sender probed (the two-hop model's connectivity)."""
+
+    links: dict[Link, LinkProbes]
+    ack_loss_rates: dict[Link, float]
+    mac_config: MacConfig
 
 
 @dataclass
@@ -74,12 +91,132 @@ class ControlDecision:
     path_losses: dict[int, float] = field(default_factory=dict)
 
 
+def estimate_links(
+    window: ProbeWindow, *, payload_bytes: int, min_probes_for_estimator: int
+) -> dict[Link, LinkEstimate]:
+    """Estimate channel loss and capacity for every link of ``window``.
+
+    Both directions of every link (DATA forward, ACK reverse) go
+    through the Section 5.3 estimator in one batch, but for two kinds:
+    a direction with fewer than ``min_probes_for_estimator`` probes in
+    its window keeps its raw measured loss rate (Case 1), and one with
+    *no* probes at all reads as loss ``0.0`` — optimistic, where
+    :meth:`ProbingSystem.loss_rate` says ``1.0`` of the same stream.
+    """
+    probes = list(window.links.values())
+    enough = max(min_probes_for_estimator, 1)
+    series = [p.data for p in probes] + [p.ack for p in probes]
+    estimated = iter(estimate_channel_loss_rates([s for s in series if s.size >= enough]))
+    # (loss, case) per direction: DATA of every link, then ACK of every link.
+    directions = [
+        next(estimated)[:2] if s.size >= enough else (float(s.mean()) if s.size else 0.0, 1)
+        for s in series
+    ]
+    models = {
+        rate: CapacityModel(payload_bytes, rate, window.mac_config)
+        for rate in set(p.rate for p in probes)
+    }
+    estimates: dict[Link, LinkEstimate] = {}
+    for (link, p), (data_loss, data_case), (ack_loss, ack_case) in zip(
+        window.links.items(), directions, directions[len(probes) :]
+    ):
+        channel_loss = combine_data_ack_losses(data_loss, ack_loss)
+        estimates[link] = LinkEstimate(
+            link=link,
+            data_loss=data_loss,
+            ack_loss=ack_loss,
+            channel_loss=channel_loss,
+            capacity_bps=models[p.rate].max_udp_throughput_bps(min(channel_loss, 0.999999)),
+            estimator_case=max(data_case, ack_case),
+        )
+    return estimates
+
+
+def build_conflict_graph(
+    window: ProbeWindow,
+    *,
+    connectivity_threshold: float,
+    interference: PairwiseInterferenceMap | None = None,
+) -> ConflictGraph:
+    """Conflict graph over the window's links: ``interference`` when given,
+    else the two-hop model (§5.5) on the pairs that exchange basic-rate
+    (ACK) probes — the widest decode range, so the most conservative
+    neighbour relation and conflict set."""
+    if interference is None:
+        neighbors = connectivity_from_loss_rates(window.ack_loss_rates, connectivity_threshold)
+        interference = PairwiseInterferenceMap.from_two_hop(list(window.links), neighbors)
+    return ConflictGraph.from_interference_map(interference)
+
+
+def _decision(
+    estimates: dict[Link, LinkEstimate],
+    conflict_graph: ConflictGraph,
+    routes: list[FlowRoute],
+    utility: AlphaFairUtility,
+) -> ControlDecision:
+    capacities = {link: est.capacity_bps for link, est in estimates.items()}
+    region = FeasibilityRegion.from_capacities_and_conflicts(capacities, conflict_graph)
+    routing = build_routing_matrix(routes, links=region.links)
+    result = RateOptimizer(region, routing, utility).solve()
+    if not result.success:
+        # An unconverged iterate must never be programmed into the
+        # shapers as a decision.
+        raise SolverError(f"rate optimization failed: {result.message}")
+    link_losses = {link: est.channel_loss for link, est in estimates.items()}
+    targets: dict[int, float] = {}
+    inputs: dict[int, float] = {}
+    path_losses: dict[int, float] = {}
+    for route, flow_rate in zip(routes, result.flow_rates):
+        # The one place a solver iterate becomes a decision: LAPACK's
+        # last ULP is not stable across builds, so decisions carry a
+        # 1e-3 b/s grain (far below anything the shapers resolve).
+        y = round(float(flow_rate), 3)
+        p_s = path_loss_probability(link_losses, route.path)
+        targets[route.flow_id] = y
+        path_losses[route.flow_id] = p_s
+        # Path-loss compensation (§6.1): the source injects x = y / (1 - p).
+        inputs[route.flow_id] = y / max(1.0 - p_s, 1e-6)
+    return ControlDecision(
+        link_estimates=estimates,
+        region=region,
+        conflict_graph=conflict_graph,
+        optimization=result,
+        flow_ids=[route.flow_id for route in routes],
+        target_outputs_bps=targets,
+        input_rates_bps=inputs,
+        path_losses=path_losses,
+    )
+
+
+def decide(
+    window: ProbeWindow,
+    routes: list[FlowRoute],
+    *,
+    utility: AlphaFairUtility,
+    payload_bytes: int,
+    connectivity_threshold: float,
+    min_probes_for_estimator: int,
+    interference: PairwiseInterferenceMap | None = None,
+) -> ControlDecision:
+    """Estimate, model and optimize from one probe window: the rates
+    ``routes`` should be driven at.  Nothing is read or programmed."""
+    estimates = estimate_links(
+        window, payload_bytes=payload_bytes, min_probes_for_estimator=min_probes_for_estimator
+    )
+    graph = build_conflict_graph(
+        window, connectivity_threshold=connectivity_threshold, interference=interference
+    )
+    return _decision(estimates, graph, routes, utility)
+
+
 class OnlineOptimizer:
-    """Periodic measurement + optimization + rate-control loop.
+    """The measurement + optimization + rate-control loop on a live
+    network: ``network.probe_window``, :func:`decide`, then each flow's
+    ``limit_rate``.
 
     Args:
-        network: the live mesh network (probing must be enabled before
-            running a cycle, or pass ``auto_probing=True``).
+        network: the live mesh network; its probing must be enabled
+            before a cycle runs.
         flows: the flows to optimize (UDP and/or TCP handles).
         utility: optimization objective (defaults to proportional
             fairness, the paper's TCP-Prop).
@@ -95,15 +232,14 @@ class OnlineOptimizer:
 
     def __init__(
         self,
-        network: MeshNetwork,
-        flows: list[FlowHandle],
+        network: Any,
+        flows: list[Any],
         utility: AlphaFairUtility = PROPORTIONAL_FAIR,
         probing_window: int = 200,
         interference_mode: Literal["two_hop"] | PairwiseInterferenceMap = "two_hop",
         payload_bytes: int = 1470,
         connectivity_threshold: float = 0.5,
         min_probes_for_estimator: int = 40,
-        auto_probing: bool = True,
     ) -> None:
         if not flows:
             raise ValueError("at least one flow is required")
@@ -115,145 +251,69 @@ class OnlineOptimizer:
         self.payload_bytes = payload_bytes
         self.connectivity_threshold = connectivity_threshold
         self.min_probes_for_estimator = min_probes_for_estimator
-        self.rate_controller = RateController()
-        if network.probing is None and auto_probing:
-            network.enable_probing()
 
-    # ----------------------------------------------------------------- links
     @property
     def links(self) -> list[Link]:
         """Directed links used by at least one flow, in first-use order."""
         return first_use_links(self.flows)
 
     def _flow_routes(self) -> list[FlowRoute]:
-        routes = []
-        for flow in self.flows:
-            routes.append(
-                FlowRoute(
-                    flow_id=flow.flow_id,
-                    source=flow.path[0],
-                    destination=flow.path[-1],
-                    path=list(flow.path),
-                )
-            )
-        return routes
-
-    # ----------------------------------------------------- capacity estimation
-    def estimate_links(self) -> dict[Link, LinkEstimate]:
-        """Estimate channel loss and capacity for every used link.
-
-        Both directions of every link (DATA forward, ACK reverse) go
-        through the Section 5.3 estimator in one batch, but for two kinds:
-        a direction with fewer than ``min_probes_for_estimator`` probes in
-        its window keeps its raw measured loss rate (Case 1), and one with
-        *no* probes at all reads as loss ``0.0`` — optimistic, where
-        :meth:`ProbingSystem.loss_rate` says ``1.0`` of the same stream.
-        """
-        probing = self.network.probing
-        if probing is None:
-            raise RuntimeError("probing is not enabled on the network")
-        links = self.links
-        rates = [self.network.link_rate(link) for link in links]
-        window, enough = self.probing_window, max(self.min_probes_for_estimator, 1)
-        series = [
-            probing.loss_series(link[0], link[1], "data", window, rate)
-            for link, rate in zip(links, rates)
-        ] + [probing.loss_series(rx, tx, "ack", window) for tx, rx in links]
-        estimated = iter(estimate_channel_loss_rates([s for s in series if s.size >= enough]))
-        # (loss, case) per direction: DATA of every link, then ACK of every link.
-        directions = [
-            next(estimated)[:2] if s.size >= enough else (float(s.mean()) if s.size else 0.0, 1)
-            for s in series
+        return [
+            FlowRoute(f.flow_id, source=f.path[0], destination=f.path[-1], path=list(f.path))
+            for f in self.flows
         ]
-        models = {
-            rate: CapacityModel(self.payload_bytes, rate, self.network.mac_config)
-            for rate in set(rates)
-        }
-        estimates: dict[Link, LinkEstimate] = {}
-        for link, rate, (data_loss, data_case), (ack_loss, ack_case) in zip(
-            links, rates, directions, directions[len(links) :]
-        ):
-            channel_loss = combine_data_ack_losses(data_loss, ack_loss)
-            estimates[link] = LinkEstimate(
-                link=link,
-                data_loss=data_loss,
-                ack_loss=ack_loss,
-                channel_loss=channel_loss,
-                capacity_bps=models[rate].max_udp_throughput_bps(min(channel_loss, 0.999999)),
-                estimator_case=max(data_case, ack_case),
-            )
-        return estimates
 
-    # -------------------------------------------------------------- conflicts
-    def build_conflict_graph(self) -> ConflictGraph:
-        """Conflict graph over the used links under the configured model."""
-        if isinstance(self.interference_mode, PairwiseInterferenceMap):
-            return ConflictGraph.from_interference_map(self.interference_mode)
-        probing = self.network.probing
-        if probing is None:
-            raise RuntimeError("probing is not enabled on the network")
-        # Connectivity: any node pair that can exchange basic-rate (ACK)
-        # probes.  The basic rate has the widest decode range, so this is
-        # the most conservative neighbour relation and therefore yields
-        # the most conservative two-hop conflict set.
-        neighbors = connectivity_from_loss_rates(
-            probing.loss_rates("ack", self.probing_window), self.connectivity_threshold
+    def _window(self) -> ProbeWindow:
+        return self.network.probe_window(self.links, self.probing_window)
+
+    def _interference(self) -> PairwiseInterferenceMap | None:
+        mode = self.interference_mode
+        return mode if isinstance(mode, PairwiseInterferenceMap) else None
+
+    def estimate_links(self) -> dict[Link, LinkEstimate]:
+        """:func:`estimate_links` on the network's current window."""
+        return estimate_links(
+            self._window(),
+            payload_bytes=self.payload_bytes,
+            min_probes_for_estimator=self.min_probes_for_estimator,
         )
-        interference = PairwiseInterferenceMap.from_two_hop(self.links, neighbors)
-        return ConflictGraph.from_interference_map(interference)
 
-    # ------------------------------------------------------------ optimization
+    def build_conflict_graph(self) -> ConflictGraph:
+        """:func:`build_conflict_graph` on the network's current window."""
+        return build_conflict_graph(
+            self._window(),
+            connectivity_threshold=self.connectivity_threshold,
+            interference=self._interference(),
+        )
+
     def optimize(
         self,
         estimates: dict[Link, LinkEstimate] | None = None,
         conflict_graph: ConflictGraph | None = None,
     ) -> ControlDecision:
-        """Run measurement + optimization; does not program the sources."""
-        estimates = estimates if estimates is not None else self.estimate_links()
-        conflict_graph = conflict_graph if conflict_graph is not None else self.build_conflict_graph()
-        capacities = {link: est.capacity_bps for link, est in estimates.items()}
-        region = FeasibilityRegion.from_capacities_and_conflicts(capacities, conflict_graph)
-        routes = self._flow_routes()
-        routing = build_routing_matrix(routes, links=region.links)
-        optimizer = RateOptimizer(region, routing, self.utility)
-        result = optimizer.solve()
-        if not result.success:
-            # An unconverged iterate must never be programmed into the
-            # shapers as a decision.
-            raise SolverError(f"rate optimization failed: {result.message}")
-        link_losses = {link: est.channel_loss for link, est in estimates.items()}
-        targets: dict[int, float] = {}
-        inputs: dict[int, float] = {}
-        path_losses: dict[int, float] = {}
-        for idx, flow in enumerate(self.flows):
-            # The one place a solver iterate becomes a decision: LAPACK's
-            # last ULP is not stable across builds, so decisions carry a
-            # 1e-3 b/s grain (far below anything the shapers resolve).
-            y = round(float(result.flow_rates[idx]), 3)
-            p_s = path_loss_probability(link_losses, flow.path)
-            targets[flow.flow_id] = y
-            path_losses[flow.flow_id] = p_s
-            inputs[flow.flow_id] = y / max(1.0 - p_s, 1e-6)
-        return ControlDecision(
-            link_estimates=estimates,
-            region=region,
-            conflict_graph=conflict_graph,
-            optimization=result,
-            flow_ids=[f.flow_id for f in self.flows],
-            target_outputs_bps=targets,
-            input_rates_bps=inputs,
-            path_losses=path_losses,
+        """:func:`decide` on the network's current window, or on the
+        ``estimates`` / ``conflict_graph`` passed in; programs nothing."""
+        if estimates is None and conflict_graph is None:
+            return decide(
+                self._window(),
+                self._flow_routes(),
+                utility=self.utility,
+                payload_bytes=self.payload_bytes,
+                connectivity_threshold=self.connectivity_threshold,
+                min_probes_for_estimator=self.min_probes_for_estimator,
+                interference=self._interference(),
+            )
+        return _decision(
+            self.estimate_links() if estimates is None else estimates,
+            self.build_conflict_graph() if conflict_graph is None else conflict_graph,
+            self._flow_routes(),
+            self.utility,
         )
 
     def apply(self, decision: ControlDecision) -> None:
-        """Program every flow's shaper/CBR rate from a decision."""
+        """Program every flow's source at its decided input rate."""
         for flow in self.flows:
-            target = decision.target_outputs_bps[flow.flow_id]
-            loss = decision.path_losses.get(flow.flow_id, 0.0)
-            if isinstance(flow, TcpFlowHandle):
-                self.rate_controller.program_tcp(flow, target, loss)
-            else:
-                self.rate_controller.program_udp(flow, target, loss)
+            flow.limit_rate(decision.input_rates_bps[flow.flow_id])
 
     def run_cycle(self) -> ControlDecision:
         """One full measurement/optimization/rate-control cycle."""

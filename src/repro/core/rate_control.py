@@ -1,26 +1,18 @@
-"""Rate-control helpers: translating optimized output rates into the
-input rates programmed at the sources.
-
-Two adjustments from Section 6.1 of the paper are implemented:
+"""Rate control (Section 6.1-6.2): the two adjustments between an
+optimized output rate and what a source is programmed with.
 
 * path-loss compensation — the optimizer produces target *output* rates
   ``y_s``; the source must inject ``x_s = y_s / (1 - p_s)`` where ``p_s``
-  is the end-to-end loss probability of the path;
+  is the end-to-end loss probability of the path (computed by
+  :func:`repro.core.controller.decide` as the decision's input rates);
 * TCP ACK airtime — when the flow is TCP, the rate limit is scaled down
-  by ``1 - (A + H) / (A + H + D)`` so the reverse ACK stream has airtime
-  left (A: IP/TCP header, H: TCP ACK size, D: TCP payload).
+  by :func:`tcp_ack_airtime_factor` so the reverse ACK stream has airtime
+  left (applied by the TCP flow handle's ``limit_rate``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
 from repro.mac.constants import IP_HEADER_BYTES, TCP_HEADER_BYTES
-from repro.net.shaper import TokenBucketShaper
-from repro.sim.network import TcpFlowHandle, UdpFlowHandle
 
 
 def tcp_ack_airtime_factor(
@@ -28,96 +20,9 @@ def tcp_ack_airtime_factor(
     tcp_ack_bytes: int = IP_HEADER_BYTES + TCP_HEADER_BYTES,
     tcp_payload_bytes: int = 1460,
 ) -> float:
-    """Scale-down factor leaving airtime for TCP ACKs (Section 6.2)."""
+    """``1 - (A + H) / (A + H + D)`` (A: IP/TCP header, H: TCP ACK size,
+    D: TCP payload), the scale-down leaving airtime for TCP ACKs."""
     denominator = ip_tcp_header_bytes + tcp_ack_bytes + tcp_payload_bytes
     if denominator <= 0:
         raise ValueError("sizes must be positive")
     return 1.0 - (ip_tcp_header_bytes + tcp_ack_bytes) / denominator
-
-
-def input_rates_from_outputs(
-    output_rates_bps: Sequence[float], path_losses: Sequence[float]
-) -> np.ndarray:
-    """``x_s = y_s / (1 - p_s)`` with a guard against fully lossy paths."""
-    outputs = np.asarray(output_rates_bps, dtype=float)
-    losses = np.asarray(path_losses, dtype=float)
-    if outputs.shape != losses.shape:
-        raise ValueError("need one path loss per output rate")
-    if np.any((losses < 0) | (losses > 1)):
-        raise ValueError("path losses must lie in [0, 1]")
-    survival = np.clip(1.0 - losses, 1e-6, 1.0)
-    return outputs / survival
-
-
-@dataclass
-class FlowRateAssignment:
-    """The programmed rates of one flow after an optimization cycle."""
-
-    flow_id: int
-    target_output_bps: float
-    input_rate_bps: float
-    path_loss: float
-    is_tcp: bool
-
-
-class RateController:
-    """Programs per-flow rate limits on UDP and TCP sources.
-
-    UDP flows are driven as CBR sources at the computed input rate; TCP
-    flows keep their congestion control but are capped with a token
-    bucket at the (ACK-scaled) input rate, exactly like the Click
-    BandwidthShaper in the paper's implementation.
-    """
-
-    def __init__(self, ack_factor: float | None = None) -> None:
-        self.ack_factor = ack_factor if ack_factor is not None else tcp_ack_airtime_factor()
-        self.assignments: list[FlowRateAssignment] = []
-
-    def program_udp(
-        self, flow: UdpFlowHandle, target_output_bps: float, path_loss: float
-    ) -> FlowRateAssignment:
-        """Set a UDP flow's CBR input rate from its target output rate."""
-        input_rate = float(
-            input_rates_from_outputs([target_output_bps], [path_loss])[0]
-        )
-        flow.source.set_rate(input_rate)
-        assignment = FlowRateAssignment(
-            flow_id=flow.flow_id,
-            target_output_bps=target_output_bps,
-            input_rate_bps=input_rate,
-            path_loss=path_loss,
-            is_tcp=False,
-        )
-        self.assignments.append(assignment)
-        return assignment
-
-    def program_tcp(
-        self, flow: TcpFlowHandle, target_output_bps: float, path_loss: float
-    ) -> FlowRateAssignment:
-        """Cap a TCP flow's sending rate, leaving airtime for ACKs."""
-        input_rate = float(
-            input_rates_from_outputs([target_output_bps], [path_loss])[0]
-        )
-        limited = input_rate * self.ack_factor
-        source = flow.flow.source
-        if source.shaper is None:
-            source.set_shaper(TokenBucketShaper(rate_bps=limited))
-        else:
-            source.shaper.set_rate(limited)
-        assignment = FlowRateAssignment(
-            flow_id=flow.flow_id,
-            target_output_bps=target_output_bps,
-            input_rate_bps=limited,
-            path_loss=path_loss,
-            is_tcp=True,
-        )
-        self.assignments.append(assignment)
-        return assignment
-
-    def release_tcp(self, flow: TcpFlowHandle) -> None:
-        """Remove the rate cap of a TCP flow (back to plain TCP)."""
-        flow.flow.source.set_shaper(None)
-
-    def release_udp(self, flow: UdpFlowHandle) -> None:
-        """Return a UDP flow to backlogged (unshaped) operation."""
-        flow.source.set_rate(None)

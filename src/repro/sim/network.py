@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.controller import LinkProbes, ProbeWindow
+from repro.core.rate_control import tcp_ack_airtime_factor
 from repro.mac.constants import DEFAULT_MAC_CONFIG, MacConfig
 from repro.mac.medium import WirelessMedium
 from repro.net.node import MeshNode
@@ -46,6 +48,10 @@ class UdpFlowHandle:
     def stop(self) -> None:
         self.source.stop()
 
+    def limit_rate(self, input_bps: float) -> None:
+        """Drive the source as CBR at a decided input rate (§6.2)."""
+        self.source.set_rate(input_bps)
+
     def throughput_bps(self, start: float, end: float) -> float:
         return self.sink.throughput_bps(start, end)
 
@@ -67,6 +73,12 @@ class TcpFlowHandle:
 
     def stop(self) -> None:
         self.flow.stop()
+
+    def limit_rate(self, input_bps: float) -> None:
+        """Cap the sender's token bucket at a decided input rate, scaled
+        down to leave the reverse ACKs airtime (§6.2); the bucket is
+        created once and re-rated in place after."""
+        self.flow.source.set_rate_limit(input_bps * tcp_ack_airtime_factor())
 
     def throughput_bps(self, start: float, end: float) -> float:
         return self.flow.goodput_bps(start, end)
@@ -317,3 +329,20 @@ class MeshNetwork:
         if start:
             self.probing.start()
         return self.probing
+
+    def probe_window(self, links: list[Link], last_n: int) -> ProbeWindow:
+        """The controller's measurement record (§5.2): each link's last
+        ``last_n`` DATA probes forward at its rate and ACK probes in
+        reverse, and the ACK loss rate of every ordered node pair."""
+        probing = self.probing
+        if probing is None:
+            raise RuntimeError("probing is not enabled on the network")
+        probes = {}
+        for tx, rx in links:
+            rate = self.link_rate((tx, rx))
+            probes[tx, rx] = LinkProbes(
+                rate,
+                probing.loss_series(tx, rx, "data", last_n, rate),
+                probing.loss_series(rx, tx, "ack", last_n),
+            )
+        return ProbeWindow(probes, probing.loss_rates("ack", last_n), self.mac_config)

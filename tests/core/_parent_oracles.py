@@ -4,8 +4,8 @@ The measure/model functions are the code the repository ran before the
 controller's measure -> model half became one array pass (commit
 a7c0de8), kept verbatim apart from names and return shapes: one probe
 series at a time through ``np.polyfit`` + ``np.gradient``, one pairwise
-set-algebra test per link pair, one ``loss_rate`` call per ordered node
-pair.  The one exception is the min-loss curve, which is the definition
+set-algebra test per link pair, both read from the same ``ProbeWindow``
+the controller decides from.  The one exception is the min-loss curve, which is the definition
 itself (a loop over window sizes; that commit's gather was already held
 to it).  The tests require ``==`` against them — equality, never a
 tolerance.
@@ -128,26 +128,16 @@ def estimate_direction(series, min_probes):
     return channel, case
 
 
-def estimate_links(controller):
+def estimate_links(window, payload_bytes, min_probes):
     """``{link: (link, data_loss, ack_loss, channel_loss, capacity_bps,
-    estimator_case)}``, one link and one direction at a time."""
-    network, probing = controller.network, controller.network.probing
+    estimator_case)}`` of a ``ProbeWindow``, one link and one direction at
+    a time."""
     estimates = {}
-    for link in controller.links:
-        tx, rx = link
-        rate = network.link_rate(link)
-        data_series = probing.loss_series(
-            tx, rx, "data", last_n=controller.probing_window, rate=rate
-        )
-        ack_series = probing.loss_series(rx, tx, "ack", last_n=controller.probing_window)
-        data_loss, data_case = estimate_direction(
-            data_series, controller.min_probes_for_estimator
-        )
-        ack_loss, ack_case = estimate_direction(ack_series, controller.min_probes_for_estimator)
+    for link, probes in window.links.items():
+        data_loss, data_case = estimate_direction(probes.data, min_probes)
+        ack_loss, ack_case = estimate_direction(probes.ack, min_probes)
         channel_loss = combine_data_ack_losses(data_loss, ack_loss)
-        model = CapacityModel(
-            payload_bytes=controller.payload_bytes, rate=rate, mac=network.mac_config
-        )
+        model = CapacityModel(payload_bytes=payload_bytes, rate=probes.rate, mac=window.mac_config)
         estimates[link] = (
             link,
             data_loss,
@@ -159,17 +149,9 @@ def estimate_links(controller):
     return estimates
 
 
-def conflict_adjacency(controller):
-    network, probing = controller.network, controller.network.probing
-    loss_rates = {}
-    for tx in network.node_ids:
-        if probing.probes_sent(tx, "ack") == 0:
-            continue
-        for rx in network.node_ids:
-            if tx != rx:
-                loss_rates[(tx, rx)] = probing.loss_rate(tx, rx, "ack", controller.probing_window)
-    neighbors = connectivity_from_loss_rates(loss_rates, controller.connectivity_threshold)
-    return two_hop_adjacency(controller.links, neighbors)
+def conflict_adjacency(window, connectivity_threshold):
+    neighbors = connectivity_from_loss_rates(window.ack_loss_rates, connectivity_threshold)
+    return two_hop_adjacency(window.links, neighbors)
 
 
 # ----------------------------------------------------- the concave solve (§6.1)

@@ -1,7 +1,8 @@
 """The controller's measure -> model half against the per-link, per-pair
 code it replaced (``_parent_oracles``): every ``LinkEstimate`` field and
 the conflict graph's adjacency must be ``==`` on the states the
-performance ledger times and on the conventions for probe-less links.
+performance ledger times, on the recorded ``controller_dense`` window and
+on the conventions for probe-less links.
 On the same states the solve is refereed, once, by the SLSQP call it
 replaced."""
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import _parent_oracles as oracle
-from repro.core import CapacityModel, OnlineOptimizer, RateOptimizer
+from repro.core import CapacityModel, OnlineOptimizer, RateOptimizer, decide
 from repro.core.extreme_points import non_dominated_rows
 from repro.net.routing import build_routing_matrix
 from repro.net.probing import ProbingSystem
@@ -24,25 +25,33 @@ from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
 
 _REPO = Path(__file__).resolve().parents[2]
 _LEDGER = _REPO / "benchmarks" / "ledger"
-if str(_LEDGER) not in sys.path:
-    sys.path.insert(0, str(_LEDGER))
+for _path in (_LEDGER, Path(__file__).resolve().parent / "golden"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import ledger_cells  # noqa: E402
 import ledger_controller  # noqa: E402
+import record_window  # noqa: E402
 from ledger_replay import replay_cell  # noqa: E402
 from ledger_spec import SMOKE  # noqa: E402
 from ledger_tracing import NullTracer  # noqa: E402
 
 
 def _assert_equals_oracles(controller: OnlineOptimizer) -> dict:
+    window = controller.network.probe_window(controller.links, controller.probing_window)
+    assert list(window.links) == controller.links
     estimates = controller.estimate_links()
     assert list(estimates) == controller.links
     assert {link: dataclasses.astuple(est) for link, est in estimates.items()} == (
-        oracle.estimate_links(controller)
+        oracle.estimate_links(
+            window, controller.payload_bytes, controller.min_probes_for_estimator
+        )
     )
     graph = controller.build_conflict_graph()
     assert graph.links == controller.links
-    assert graph.adjacency == oracle.conflict_adjacency(controller)
+    assert graph.adjacency == oracle.conflict_adjacency(
+        window, controller.connectivity_threshold
+    )
     decision = controller.optimize()
     assert decision.link_estimates == estimates
     assert decision.conflict_graph.adjacency == graph.adjacency
@@ -95,6 +104,19 @@ def test_final_cycle_of_the_ledger_cells(build):
         _assert_slsqp_referees(controller)
     finally:
         controller.network.close()
+
+
+def test_the_recorded_window():
+    """The recorded ``controller_dense`` window (both estimator cases),
+    reloaded from JSON with no network behind it."""
+    window, routes, kwargs, _ = record_window.load()
+    decision = decide(window, routes, **kwargs)
+    assert {link: dataclasses.astuple(est) for link, est in decision.link_estimates.items()} == (
+        oracle.estimate_links(window, kwargs["payload_bytes"], kwargs["min_probes_for_estimator"])
+    )
+    assert decision.conflict_graph.adjacency == oracle.conflict_adjacency(
+        window, kwargs["connectivity_threshold"]
+    )
 
 
 # ------------------------------------------- directions the estimator never sees

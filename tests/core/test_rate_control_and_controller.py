@@ -8,10 +8,8 @@ from repro.core import (
     MAX_THROUGHPUT,
     OnlineOptimizer,
     PROPORTIONAL_FAIR,
-    RateController,
     RateOptimizer,
     SolverError,
-    input_rates_from_outputs,
     tcp_ack_airtime_factor,
 )
 from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
@@ -27,37 +25,20 @@ class TestRateControlHelpers:
         with pytest.raises(ValueError):
             tcp_ack_airtime_factor(0, 0, 0)
 
-    def test_input_rates_from_outputs(self):
-        inputs = input_rates_from_outputs([1e6, 2e6], [0.0, 0.5])
-        assert inputs[0] == pytest.approx(1e6)
-        assert inputs[1] == pytest.approx(4e6)
-
-    def test_input_rates_validation(self):
-        with pytest.raises(ValueError):
-            input_rates_from_outputs([1e6], [0.0, 0.1])
-        with pytest.raises(ValueError):
-            input_rates_from_outputs([1e6], [1.5])
-
-    def test_program_udp_sets_cbr_rate(self, cs_pair_network):
+    def test_udp_limit_rate_sets_cbr_rate(self, cs_pair_network):
         flow = cs_pair_network.add_udp_flow([0, 1])
-        controller = RateController()
-        assignment = controller.program_udp(flow, target_output_bps=1e6, path_loss=0.2)
-        assert flow.source.rate_bps == pytest.approx(1.25e6)
-        assert assignment.input_rate_bps == pytest.approx(1.25e6)
-        controller.release_udp(flow)
-        assert flow.source.rate_bps is None
+        flow.limit_rate(1.25e6)
+        assert flow.source.rate_bps == 1.25e6
 
-    def test_program_tcp_installs_shaper(self, chain_network):
+    def test_tcp_limit_rate_installs_one_shaper(self, chain_network):
         flow = chain_network.add_tcp_flow([0, 1, 2])
-        controller = RateController()
-        assignment = controller.program_tcp(flow, target_output_bps=1e6, path_loss=0.0)
-        assert flow.flow.source.shaper is not None
-        assert assignment.input_rate_bps == pytest.approx(1e6 * controller.ack_factor)
+        flow.limit_rate(1e6)
+        shaper = flow.flow.source.shaper
+        assert shaper.rate_bps == 1e6 * tcp_ack_airtime_factor()
         # Re-programming updates the same shaper in place.
-        controller.program_tcp(flow, target_output_bps=2e6, path_loss=0.0)
-        assert flow.flow.source.shaper.rate_bps == pytest.approx(2e6 * controller.ack_factor)
-        controller.release_tcp(flow)
-        assert flow.flow.source.shaper is None
+        flow.limit_rate(2e6)
+        assert flow.flow.source.shaper is shaper
+        assert shaper.rate_bps == 2e6 * tcp_ack_airtime_factor()
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +176,8 @@ class TestOnlineOptimizer:
             chain_topology(2), seed=1, propagation=no_shadowing_propagation()
         )
         flow = net.add_udp_flow([0, 1])
-        controller = OnlineOptimizer(net, [flow], auto_probing=False)
-        with pytest.raises(RuntimeError):
-            controller.estimate_links()
+        controller = OnlineOptimizer(net, [flow])
+        assert net.probing is None
+        for read in (controller.estimate_links, controller.optimize):
+            with pytest.raises(RuntimeError, match="probing is not enabled"):
+                read()

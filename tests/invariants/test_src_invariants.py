@@ -1,4 +1,4 @@
-"""The determinism and atomic-IO invariants over ``src/``: one AST checker per rule,
+"""The determinism, atomic-IO and layering invariants over ``src/``: one AST checker per rule,
 mapping a parsed module to ``(line, message)`` pairs, scoped by :data:`RULES`.  Each
 ``fixtures/<code>/violation`` must fail its checker and each ``clean`` one pass; the
 two bugs the repo shipped (``fixtures/history``), and one offending line added to a
@@ -196,6 +196,31 @@ def _suffix(node: ast.AST | None) -> str | None:
     return None
 
 
+#: What the paper's machinery may not import: the simulator, and the layers that drive it.
+SIMULATOR = ("repro.sim", "repro.transport", "repro.net.shaper", "repro.experiment")
+
+
+def simulator_import(tree: ast.Module) -> list:
+    """RPL106: ``repro.core`` decides from a measurement record, so it imports no simulator
+    code (a relative import resolves from ``repro.core``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "repro.core".rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        banned = [name for name in names if any(name == s or name.startswith(s + ".")
+                                                for s in SIMULATOR)]
+        if banned:
+            found.append((node.lineno, f"core imports {banned[0]}: read a ProbeWindow and "
+                          "actuate through the flow handles on the sim side instead"))
+    return found
+
+
 def non_atomic_write(tree: ast.Module) -> list:
     """RPL201: envelopes go through ``fsio`` (unique temp name + ``os.replace``)."""
     imports, found = Imports(tree), []
@@ -272,6 +297,7 @@ RULES = {
     "RPL102+RPL103": (seeded_random, SIM_LAYERS + ("repro/experiment/registry.py",), ()),
     "RPL104": (wall_clock, SIM_LAYERS + ("repro/experiment/specs.py",), ("repro/sim/profile.py",)),
     "RPL105": (unordered_iteration, ("*",), ()),
+    "RPL106": (simulator_import, ("repro/core/*",), ()),
     "RPL201": (non_atomic_write, QUEUE_MODULES + ("repro/experiment/cache.py",), ()),
     "RPL202": (envelope_unlink, QUEUE_MODULES, ()),
     "RPL203": (bare_rename, ("*",), ()),
@@ -351,6 +377,8 @@ def test_one_line_added_to_a_src_module_fails_exactly_its_invariant(module, line
 @pytest.mark.parametrize("codes, module", [
     # RPL104 holds for every sim-layer module but the profiler.
     ("RPL104", "repro/sim/other.py"), ("RPL104", "repro/engine.py"),
+    # The paper's machinery keeps off the simulator.
+    ("RPL106", "repro/core/controller.py"),
     # The broker's store keeps the atomic-IO rules, its one deletion site blessed.
     *[(codes, "repro/experiment/broker_store.py") for codes in ("RPL201", "RPL202", "RPL203")],
     # The event store and the monitors run inside the simulation.

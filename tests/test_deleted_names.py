@@ -63,6 +63,14 @@ GONE = [
         "**/*.py",
         (),
     ),
+    (
+        "a second rate-control path beside decide() and the flow handles' limit_rate, "
+        "or the controller's hidden enable_probing()",
+        r"RateController|FlowRateAssignment|input_rates_from_outputs|release_udp|release_tcp"
+        r"|auto_probing",
+        "**/*.py",
+        (),
+    ),
     *[
         (f"the result cache's or planner's {what}", pattern, "**/*.py", ())
         for what, pattern in (
