@@ -13,13 +13,11 @@ from repro.core.interference import (
     BinaryLirClassifier,
     DEFAULT_LIR_THRESHOLD,
     PairwiseInterferenceMap,
-    connectivity_from_loss_rates,
     link_interference_ratio,
+    two_hop_conflict_matrix,
 )
 from repro.core.cliques import (
     adjacency_from_edges,
-    bron_kerbosch_cliques,
-    complement_graph,
     maximal_cliques,
     maximal_independent_sets,
 )
@@ -57,11 +55,9 @@ __all__ = [
     "BinaryLirClassifier",
     "DEFAULT_LIR_THRESHOLD",
     "PairwiseInterferenceMap",
-    "connectivity_from_loss_rates",
     "link_interference_ratio",
+    "two_hop_conflict_matrix",
     "adjacency_from_edges",
-    "bron_kerbosch_cliques",
-    "complement_graph",
     "maximal_cliques",
     "maximal_independent_sets",
     "ConflictGraph",

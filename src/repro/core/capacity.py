@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.mac.constants import DEFAULT_MAC_CONFIG, MacConfig, UDP_TOTAL_HEADER_BYTES
 from repro.mac.nominal import nominal_cycle_breakdown
 from repro.phy.radio import PhyRate, RATE_1MBPS
@@ -61,42 +63,13 @@ class CapacityModel:
             return float("inf")
         return 1.0 / (1.0 - p)
 
-    def _backoff_sum_slots(self, first_stage: int, last_stage: int) -> float:
-        """Average backoff slots accumulated between two backoff stages.
-
-        Implements the paper's ``F(a, b) = sigma * sum_{i=a}^{b}
-        (2^i W0 - 1) / 2`` (returned here in slots, multiplied by the slot
-        duration by the caller).  An empty range contributes zero.
-        """
-        total = 0.0
-        w0 = self.mac.w0
-        for stage in range(first_stage, last_stage + 1):
-            window = min((2**stage) * w0, self.mac.wmax)
-            total += (window - 1) / 2.0
-        return total
-
     def idle_time_s(self, loss_rate: float) -> float:
         """Extra average idle (backoff escalation) time per delivered packet."""
         p = self._validate_loss(loss_rate)
         if p >= 1.0:
             return float("inf")
-        etx_value = self.expected_transmissions(p)
-        m = self.mac.max_backoff_stage
-        sigma = self.mac.slot_s
-        attempts = int(etx_value)
-        if etx_value < m:
-            slots = self._backoff_sum_slots(1, attempts - 1)
-        else:
-            slots = self._backoff_sum_slots(1, m - 1)
-            slots += (attempts - m) * (self.mac.wmax - 1) / 2.0
-        return sigma * max(slots, 0.0)
-
-    def busy_time_s(self, loss_rate: float) -> float:
-        """Expected channel-busy time per delivered packet (``t_tx``)."""
-        p = self._validate_loss(loss_rate)
-        if p >= 1.0:
-            return float("inf")
-        return self.expected_transmissions(p) * self.cycle_time_s()
+        attempts = int(self.expected_transmissions(p))
+        return self.mac.slot_s * float(_backoff_slots(attempts, self.mac))
 
     # ----------------------------------------------------------------- outputs
     def max_udp_throughput_bps(self, loss_rate: float) -> float:
@@ -104,8 +77,7 @@ class CapacityModel:
         p = self._validate_loss(loss_rate)
         if p >= 1.0:
             return 0.0
-        denominator = self.busy_time_s(p) + self.idle_time_s(p)
-        return self.payload_bytes * 8 / denominator
+        return float(max_udp_throughputs_bps(p, self.cycle_time_s(), self.payload_bytes, self.mac))
 
     def nominal_throughput_bps(self) -> float:
         """Throughput of a loss-free link (equals Jun et al.'s TMT)."""
@@ -146,3 +118,25 @@ def combine_data_ack_losses(p_data: float, p_ack: float) -> float:
         if p < 0.0 or p > 1.0:
             raise ValueError("loss rates must lie in [0, 1]")
     return 1.0 - (1.0 - p_data) * (1.0 - p_ack)
+
+
+def max_udp_throughputs_bps(
+    loss_rates: np.ndarray | float, cycle_s: np.ndarray | float, payload_bytes: int, mac: MacConfig
+) -> np.ndarray:
+    """Eq. (6) of many links in one vector pass, from each one's channel
+    loss rate in ``[0, 1)`` and ``CapacityModel.cycle_time_s``."""
+    etx = 1.0 / (1.0 - np.asarray(loss_rates, dtype=float))
+    idle = mac.slot_s * _backoff_slots(etx.astype(int), mac)
+    return payload_bytes * 8 / (etx * cycle_s + idle)
+
+
+def _backoff_slots(attempts: np.ndarray | int, mac: MacConfig) -> np.ndarray:
+    """Average backoff slots over ``attempts`` MAC attempts: the paper's
+    ``F(1, attempts - 1)`` (``F(a, b) = sum_{i=a}^{b} (2^i W0 - 1) / 2``)
+    while the window doubles, ``(Wm - 1) / 2`` per attempt past stage
+    ``m``; summed in whole half-slots, so exactly."""
+    m = mac.max_backoff_stage
+    doubling = [min(2**stage * mac.w0, mac.wmax) - 1 for stage in range(1, m)]
+    half_slots = np.cumsum([0, *doubling])  # [k]: stages 1 .. k
+    capped = np.minimum(attempts, m) - 1
+    return (half_slots[capped] + np.maximum(attempts - m, 0) * (mac.wmax - 1)) / 2.0

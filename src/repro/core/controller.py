@@ -17,19 +17,17 @@ figures of Sections 4.5 and 6.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import compress
 from typing import Any, Literal
 
 import numpy as np
 
-from repro.core.capacity import CapacityModel, combine_data_ack_losses
+from repro.core.capacity import CapacityModel, max_udp_throughputs_bps
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.extreme_points import FeasibilityRegion
-from repro.core.interference import (
-    PairwiseInterferenceMap,
-    connectivity_from_loss_rates,
-)
-from repro.core.loss_estimator import estimate_channel_loss_rates
+from repro.core.interference import PairwiseInterferenceMap, two_hop_conflict_matrix
+from repro.core.loss_estimator import estimate_channel_loss_rates, stack_series
 from repro.core.optimizer import OptimizationResult, RateOptimizer, SolverError
 from repro.core.utility import AlphaFairUtility, PROPORTIONAL_FAIR
 from repro.mac.constants import MacConfig
@@ -44,7 +42,18 @@ from repro.phy.radio import PhyRate
 Link = tuple[int, int]
 
 
-@dataclass(frozen=True)
+def _same_values(record: Any, other: Any) -> bool:
+    """Field-by-field equality; arrays by shape and entries, NaN == NaN."""
+    if type(other) is not type(record):
+        return NotImplemented
+    pairs = ((getattr(record, f.name), getattr(other, f.name)) for f in fields(record))
+    return all(
+        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        for a, b in pairs
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class LinkProbes:
     """One link's probe losses (0/1, 1 = lost): DATA sent forward at the
     link's ``rate``, ACK sent in reverse."""
@@ -53,16 +62,50 @@ class LinkProbes:
     data: np.ndarray
     ack: np.ndarray
 
+    __eq__ = _same_values
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ProbeWindow:
-    """The measurement record a cycle decides from (§5.2): the used links
-    in first-use order, and the ACK loss rate of every ordered node pair
-    whose sender probed (the two-hop model's connectivity)."""
+    """The measurement record a cycle decides from (§5.2), stacked once:
+    row ``i`` of ``losses`` is the DATA series of ``links[i]`` at
+    ``rates[i]``, row ``L + i`` its reverse ACK series, row ``r`` in its
+    first ``lengths[r]`` columns; ``ack_loss[a, b]`` is the ACK loss rate
+    ``nodes[a] -> nodes[b]`` (the two-hop model's connectivity), NaN on
+    the diagonal and in the row of a node that sent no ACK probe."""
 
-    links: dict[Link, LinkProbes]
-    ack_loss_rates: dict[Link, float]
+    links: list[Link]
+    rates: list[PhyRate]
+    losses: np.ndarray
+    lengths: np.ndarray
+    nodes: list[int]
+    ack_loss: np.ndarray
     mac_config: MacConfig
+
+    __eq__ = _same_values
+
+    @classmethod
+    def from_probes(
+        cls, probes: dict[Link, LinkProbes], nodes: list[int], ack_loss: np.ndarray, mac: MacConfig
+    ) -> "ProbeWindow":
+        """The window of each link's probes, stacked in order."""
+        records = list(probes.values())
+        losses, lengths = stack_series([p.data for p in records] + [p.ack for p in records])
+        rates = [p.rate for p in records]
+        return cls(list(probes), rates, losses, lengths, list(nodes), ack_loss, mac)
+
+    @property
+    def probes(self) -> dict[Link, LinkProbes]:
+        """Each link's series, as views of ``losses``."""
+        rows = [row[:size] for row, size in zip(self.losses, self.lengths.tolist())]
+        series = zip(self.rates, rows, rows[len(self.links) :])
+        return {link: LinkProbes(*probes) for link, probes in zip(self.links, series)}
+
+    @property
+    def ack_loss_rates(self) -> dict[Link, float]:
+        """``ack_loss`` as ``{(sender, receiver): loss}``, NaNs left out."""
+        rows = zip(self.nodes, self.ack_loss.tolist())
+        return {(a, b): loss for a, row in rows for b, loss in zip(self.nodes, row) if loss == loss}
 
 
 @dataclass
@@ -103,33 +146,23 @@ def estimate_links(
     *no* probes at all reads as loss ``0.0`` — optimistic, where
     :meth:`ProbingSystem.loss_rate` says ``1.0`` of the same stream.
     """
-    probes = list(window.links.values())
-    enough = max(min_probes_for_estimator, 1)
-    series = [p.data for p in probes] + [p.ack for p in probes]
-    estimated = iter(estimate_channel_loss_rates([s for s in series if s.size >= enough]))
-    # (loss, case) per direction: DATA of every link, then ACK of every link.
-    directions = [
-        next(estimated)[:2] if s.size >= enough else (float(s.mean()) if s.size else 0.0, 1)
-        for s in series
-    ]
-    models = {
-        rate: CapacityModel(payload_bytes, rate, window.mac_config)
-        for rate in set(p.rate for p in probes)
-    }
-    estimates: dict[Link, LinkEstimate] = {}
-    for (link, p), (data_loss, data_case), (ack_loss, ack_case) in zip(
-        window.links.items(), directions, directions[len(probes) :]
-    ):
-        channel_loss = combine_data_ack_losses(data_loss, ack_loss)
-        estimates[link] = LinkEstimate(
-            link=link,
-            data_loss=data_loss,
-            ack_loss=ack_loss,
-            channel_loss=channel_loss,
-            capacity_bps=models[p.rate].max_udp_throughput_bps(min(channel_loss, 0.999999)),
-            estimator_case=max(data_case, ack_case),
-        )
-    return estimates
+    lengths = window.lengths
+    loss = window.losses.sum(axis=1) / np.maximum(lengths, 1)
+    case = np.ones(lengths.size, dtype=int)
+    estimated = lengths >= max(min_probes_for_estimator, 1)
+    loss[estimated], case[estimated], _ = estimate_channel_loss_rates(
+        window.losses[estimated], lengths[estimated]
+    )
+    count, mac = len(window.links), window.mac_config
+    data, ack = loss[:count], loss[count:]
+    channel = 1.0 - (1.0 - data) * (1.0 - ack)
+    cycle = {r: CapacityModel(payload_bytes, r, mac).cycle_time_s() for r in set(window.rates)}
+    capacity = max_udp_throughputs_bps(
+        np.minimum(channel, 0.999999), [cycle[r] for r in window.rates], payload_bytes, mac
+    )
+    cases = np.maximum(case[:count], case[count:])
+    columns = zip(data.tolist(), ack.tolist(), channel.tolist(), capacity.tolist(), cases.tolist())
+    return {link: LinkEstimate(link, *values) for link, values in zip(window.links, columns)}
 
 
 def build_conflict_graph(
@@ -142,10 +175,15 @@ def build_conflict_graph(
     else the two-hop model (§5.5) on the pairs that exchange basic-rate
     (ACK) probes — the widest decode range, so the most conservative
     neighbour relation and conflict set."""
-    if interference is None:
-        neighbors = connectivity_from_loss_rates(window.ack_loss_rates, connectivity_threshold)
-        interference = PairwiseInterferenceMap.from_two_hop(list(window.links), neighbors)
-    return ConflictGraph.from_interference_map(interference)
+    if interference is not None:
+        return ConflictGraph.from_interference_map(interference)
+    links, loss = window.links, window.ack_loss
+    index = {node: i for i, node in enumerate(window.nodes)}
+    ends = np.array([(index[tx], index[rx]) for tx, rx in links], dtype=int).reshape(-1, 2)
+    heard = np.zeros(loss.shape, dtype=bool)
+    np.greater_equal(1.0 - loss, connectivity_threshold, out=heard, where=~np.isnan(loss))
+    rows = two_hop_conflict_matrix(ends, heard | heard.T).tolist()
+    return ConflictGraph(list(links), {a: set(compress(links, r)) for a, r in zip(links, rows)})
 
 
 def _decision(

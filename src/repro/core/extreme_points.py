@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.cliques import independent_set_rows
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.interference import Link
 
@@ -36,11 +37,7 @@ def primary_extreme_points(
     capacities: Mapping[Link, float], links: Sequence[Link]
 ) -> np.ndarray:
     """One extreme point per link: that link at capacity, others at zero."""
-    _validate_capacities(capacities, links)
-    matrix = np.zeros((len(links), len(links)), dtype=float)
-    for index, link in enumerate(links):
-        matrix[index, index] = capacities[link]
-    return matrix
+    return np.diag(_capacity_vector(capacities, links))
 
 
 def secondary_extreme_points(
@@ -48,16 +45,13 @@ def secondary_extreme_points(
     conflict_graph: ConflictGraph,
     links: Sequence[Link] | None = None,
 ) -> np.ndarray:
-    """Eq. (4): one extreme point per maximal independent set."""
+    """Eq. (4): one extreme point per maximal independent set, in
+    ``conflict_graph.independent_sets()`` order."""
     links = list(links) if links is not None else list(conflict_graph.links)
-    _validate_capacities(capacities, links)
-    independent_sets = conflict_graph.independent_sets()
-    matrix = np.zeros((len(independent_sets), len(links)), dtype=float)
-    for row, members in enumerate(independent_sets):
-        for col, link in enumerate(links):
-            if link in members:
-                matrix[row, col] = capacities[link]
-    return matrix
+    capacity = _capacity_vector(capacities, links)
+    vertices, rows = independent_set_rows(conflict_graph.adjacency)
+    column = {link: i for i, link in enumerate(vertices)}
+    return np.where(rows[:, [column[link] for link in links]], capacity, 0.0)
 
 
 def non_dominated_rows(points: np.ndarray) -> np.ndarray:
@@ -73,12 +67,13 @@ def non_dominated_rows(points: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~dominated)
 
 
-def _validate_capacities(capacities: Mapping[Link, float], links: Sequence[Link]) -> None:
+def _capacity_vector(capacities: Mapping[Link, float], links: Sequence[Link]) -> np.ndarray:
     for link in links:
         if link not in capacities:
             raise KeyError(f"missing capacity for link {link}")
         if capacities[link] < 0:
             raise ValueError(f"capacity of link {link} must be non-negative")
+    return np.array([capacities[link] for link in links], dtype=float)
 
 
 @dataclass

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 Link = tuple[int, int]
 
 #: LIR threshold above which a link pair is classified as non-interfering.
@@ -54,9 +56,9 @@ class BinaryLirClassifier:
 class PairwiseInterferenceMap:
     """A symmetric conflict relation over a set of directed links.
 
-    Built either from measured LIRs (:meth:`from_lir_measurements`) or
-    from the two-hop rule (:meth:`from_two_hop`), and consumed by the
-    conflict-graph / extreme-point machinery.
+    Built from measured LIRs (:meth:`from_lir_measurements`) and consumed
+    by the conflict-graph / extreme-point machinery; the two-hop rule is
+    :func:`two_hop_conflict_matrix`.
     """
 
     def __init__(self, links: Iterable[Link]) -> None:
@@ -103,45 +105,15 @@ class PairwiseInterferenceMap:
                 mapping.add_conflict(link_a, link_b)
         return mapping
 
-    @classmethod
-    def from_two_hop(
-        cls,
-        links: Iterable[Link],
-        neighbors: Mapping[int, set[int]],
-    ) -> "PairwiseInterferenceMap":
-        """Build the two-hop interference relation of Section 5.5.
 
-        Two links conflict when they share an endpoint, or when any
-        endpoint of one is a one-hop neighbour (per the connectivity map
-        ``neighbors``) of any endpoint of the other.
-        """
-        mapping = cls(links)
-        # A link is disturbed by every node within one hop of either end.
-        reach = {
-            node: {node, *neighbors.get(node, ())} for link in mapping.links for node in link
-        }
-        extended = {link: reach[link[0]] | reach[link[1]] for link in mapping.links}
-        for i, link_a in enumerate(mapping.links):
-            near_a = extended[link_a]
-            for link_b in mapping.links[i + 1 :]:
-                if not (near_a.isdisjoint(link_b) and extended[link_b].isdisjoint(link_a)):
-                    mapping.add_conflict(link_a, link_b)
-        return mapping
-
-
-def connectivity_from_loss_rates(
-    loss_rates: Mapping[Link, float], delivery_threshold: float = 0.5
-) -> dict[int, set[int]]:
-    """Derive a symmetric neighbour map from probe loss rates.
-
-    A pair of nodes are neighbours when probes get through in at least
-    one direction with delivery ratio above ``delivery_threshold``; this
-    is the connectivity input of the two-hop interference model when run
-    online.
-    """
-    neighbors: dict[int, set[int]] = {}
-    for (tx, rx), loss in loss_rates.items():
-        if 1.0 - loss >= delivery_threshold:
-            neighbors.setdefault(tx, set()).add(rx)
-            neighbors.setdefault(rx, set()).add(tx)
-    return neighbors
+def two_hop_conflict_matrix(endpoints: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Section 5.5, ``L x L``: links (rows of ``endpoints``, node indices)
+    conflict when they share an endpoint, or an endpoint of one is a one-hop
+    neighbour (``neighbors[a, b]``: ``b`` of ``a``) of one of the other."""
+    reach = neighbors | np.eye(len(neighbors), dtype=bool)
+    # Every node within one hop of either end, per link.
+    disturbed = reach[endpoints[:, 0]] | reach[endpoints[:, 1]]
+    hits = disturbed[:, endpoints[:, 0]] | disturbed[:, endpoints[:, 1]]
+    conflicts = hits | hits.T
+    np.fill_diagonal(conflicts, False)
+    return conflicts

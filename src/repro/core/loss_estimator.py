@@ -74,8 +74,10 @@ def sliding_min_loss_curve(
     # Series run along axis 0: a window sum is the difference of two *rows*
     # of the cumulative counts.  Integer counts keep sums and minima exact
     # and a curve value one int / int division, whatever the stack holds.
-    cumulative = np.zeros((total + 1, *series.shape[1:]), dtype=np.int32)
-    np.cumsum(series.astype(bool, copy=False), axis=0, dtype=np.int32, out=cumulative[1:])
+    # Counts never exceed S: kept in the narrowest signed type holding S.
+    counts = np.min_scalar_type(-total - 1)
+    cumulative = np.zeros((total + 1, *series.shape[1:]), dtype=counts)
+    np.cumsum(series.astype(bool, copy=False), axis=0, dtype=counts, out=cumulative[1:])
     window_sums = cumulative.take(ends, axis=0)
     window_sums -= cumulative.take(starts, axis=0)
     minima = np.minimum.reduceat(window_sums, offsets, axis=0)
@@ -138,20 +140,32 @@ def _knee_of_log_fit(min_window: int, total: int) -> tuple[int, np.ndarray]:
     return knee, centred * (span / (centred @ centred))
 
 
+def stack_series(series: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+    """``(losses, lengths)``: loss series (nonzero = lost) as the rows of an
+    int8 0/1 matrix, each in its leading columns, and their lengths."""
+    lengths = np.array([len(one) for one in series], dtype=int)
+    losses = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int8)
+    losses[np.arange(losses.shape[1]) < lengths[:, None]] = np.concatenate(
+        [np.zeros(0, dtype=np.int8), *map(np.asarray, series)]
+    ).astype(bool)
+    return losses, lengths
+
+
 def estimate_channel_loss_rates(
-    series_list: Sequence[np.ndarray],
+    losses: np.ndarray,
+    lengths: np.ndarray,
     min_window: int = DEFAULT_MIN_WINDOW,
     case1_fraction: float = CASE1_FRACTION,
-) -> list[tuple[float, int, int]]:
-    """:func:`estimate_channel_loss_rate` of many series at once, equal
-    lengths in one stacked pass: the same arguments and numbers, one
-    ``(channel loss rate, case, selected window)`` per series."""
-    results: list[Any] = [None] * len(series_list)
-    for total in {len(series) for series in series_list}:
-        members = [index for index, series in enumerate(series_list) if len(series) == total]
-        sizes, curves = sliding_min_loss_curve(
-            np.array([series_list[index] for index in members]).T, min_window
-        )
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`estimate_channel_loss_rate` of every :func:`stack_series` row,
+    rows of one length in one pass: the same channel loss rates, cases and
+    selected windows, as three arrays."""
+    channel = np.empty(len(lengths))
+    case = np.empty(len(lengths), dtype=int)
+    window = np.empty(len(lengths), dtype=int)
+    for total in sorted(set(lengths.tolist())):  # not np.unique: numpy 2 imports numpy.ma
+        members = np.flatnonzero(lengths == total)
+        sizes, curves = sliding_min_loss_curve(losses[members, :total].T, min_window)
         measured = curves[-1]
         # Case 1: the curve reaches the measured loss rate before S/2 (or
         # nothing was lost at all, which selects the whole series).
@@ -163,13 +177,11 @@ def estimate_channel_loss_rates(
         # window when the fit is flat, where any window is as good as another.
         knee, rise_weights = _knee_of_log_fit(int(sizes[0]), total)
         knee = np.where(np.abs(rise_weights @ curves) < 1e-12, 0, knee)
-        at_knee = np.minimum(curves[knee, np.arange(len(members))], measured)
-        channel = np.where(uniform, measured, at_knee).tolist()
-        case = np.where(uniform, 1, 2).tolist()
-        window = sizes[np.where(uniform, first_reached, knee)].tolist()
-        for index, row in zip(members, zip(channel, case, window)):
-            results[index] = row
-    return results
+        at_knee = np.minimum(curves[knee, np.arange(members.size)], measured)
+        channel[members] = np.where(uniform, measured, at_knee)
+        case[members] = np.where(uniform, 1, 2)
+        window[members] = sizes[np.where(uniform, first_reached, knee)]
+    return channel, case, window
 
 
 def estimate_channel_loss_rate(
@@ -187,8 +199,8 @@ def estimate_channel_loss_rate(
             reached before ``S/2`` to trigger Case 1.
     """
     sizes, curve = sliding_min_loss_curve(loss_series, min_window)
-    rows = estimate_channel_loss_rates([loss_series], min_window, case1_fraction)
-    channel, case, window = rows[0]
+    rows = estimate_channel_loss_rates(*stack_series([loss_series]), min_window, case1_fraction)
+    channel, case, window = (row.item() for row in rows)
     coefficients = None
     if case == 2:
         # Read by reports only.  One point has no line through it.

@@ -20,8 +20,7 @@ link loss rate ``p_l = 1 - (1 - p_DATA)(1 - p_ACK)`` used by Eq. (6).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
 
@@ -49,11 +48,8 @@ class ProbePayload:
     rate_name: str = ""
 
 
-@dataclass
-class _ProbeLog:
-    """Sequence numbers of one sender/kind heard at one receiver, ascending."""
-
-    received: list[int] = field(default_factory=list)
+#: Byte map turning a reception bitmap (1 = heard) into loss indicators.
+_LOST = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class ProbingSystem:
@@ -91,7 +87,10 @@ class ProbingSystem:
         self.jitter_fraction = jitter_fraction
         self._rng = sim.rng_stream("probing")
         self._sent: dict[tuple[int, str], int] = {}
-        self._logs: dict[tuple[int, int, str], _ProbeLog] = {}
+        #: ``(sender, receiver, label) -> bitmap`` (byte ``seq`` is 1 once heard),
+        #: and the same bitmaps by ``(sender, label)``, receivers alongside.
+        self._logs: dict[tuple[int, int, str], bytearray] = {}
+        self._heard_by: dict[tuple[int, str], list[tuple[int, bytearray]]] = {}
         self._running = False
         for node in self.nodes.values():
             node.add_broadcast_handler(self._make_handler(node.node_id))
@@ -116,21 +115,18 @@ class ProbingSystem:
         return kind if rate is None else f"{kind}@{rate.name}"
 
     def _record(self, receiver_id: int, payload: ProbePayload) -> None:
-        # One call per probe reception; the log is only allocated on
-        # first sight of a (sender, receiver, label) stream.
+        # One call per probe reception; a late or repeated probe sets its byte again.
         rate_name = payload.rate_name
         label = f"{payload.kind}@{rate_name}" if rate_name else payload.kind
         key = (payload.sender, receiver_id, label)
         log = self._logs.get(key)
         if log is None:
-            log = self._logs[key] = _ProbeLog()
-        # Probes leave a FIFO MAC queue and are never retransmitted, so
-        # they arrive in order; a late or repeated one still counts once.
-        received, seq = log.received, payload.seq
-        if not received or seq > received[-1]:
-            received.append(seq)
-        elif seq not in received:
-            insort(received, seq)
+            log = self._logs[key] = bytearray()
+            self._heard_by.setdefault((payload.sender, label), []).append((receiver_id, log))
+        seq = payload.seq
+        if seq >= len(log):
+            log.extend(bytes(max(seq + 1, 2 * len(log)) - len(log)))
+        log[seq] = 1
 
     # --------------------------------------------------------------- probing
     def start(self) -> None:
@@ -210,21 +206,9 @@ class ProbingSystem:
         window" consumed by the channel-loss estimator.
         """
         label, start, sent = self._window(sender, kind, last_n, rate)
-        series = np.ones(sent - start, dtype=int)
-        log = self._logs.get((sender, receiver, label))
-        if log is not None:
-            heard = log.received[bisect_left(log.received, start) :]
-            series[np.array(heard, dtype=int) - start] = 0
-        return series
-
-    def _loss_rate(self, sender: int, receiver: int, label: str, start: int, sent: int) -> float:
-        """Counted, not averaged: ``lost / n`` of two integers is the
-        float64 that ``loss_series(...).mean()`` rounds to."""
-        if sent == start:
-            return 1.0
-        log = self._logs.get((sender, receiver, label))
-        heard = 0 if log is None else len(log.received) - bisect_left(log.received, start)
-        return (sent - start - heard) / (sent - start)
+        log = self._logs.get((sender, receiver, label), b"")
+        heard = log[start:sent].ljust(sent - start, b"\0")
+        return np.frombuffer(heard.translate(_LOST), np.uint8).astype(int)
 
     def loss_rate(
         self,
@@ -235,21 +219,40 @@ class ProbingSystem:
         rate: PhyRate | None = None,
     ) -> float:
         """Fraction of probes of ``kind`` from ``sender`` lost at
-        ``receiver`` (``1.0`` when the window holds no probe at all)."""
-        return self._loss_rate(sender, receiver, *self._window(sender, kind, last_n, rate))
+        ``receiver`` (``1.0`` when the window holds no probe at all).
+        Counted, not averaged: ``lost / n`` of two integers is the float64
+        that ``loss_series(...).mean()`` rounds to."""
+        label, start, sent = self._window(sender, kind, last_n, rate)
+        if sent == start:
+            return 1.0
+        heard = self._logs.get((sender, receiver, label), b"").count(1, start, sent)
+        return (sent - start - heard) / (sent - start)
+
+    def loss_table(self, kind: str = "data", last_n: int | None = None) -> np.ndarray:
+        """:meth:`loss_rate` of every ordered pair of ``nodes`` (``[i, j]``:
+        sender ``i`` to receiver ``j``; DATA at the sender's default rate),
+        NaN on the diagonal and in the row of a sender that sent none."""
+        nodes = list(self.nodes)
+        index = {node: i for i, node in enumerate(nodes)}
+        lost, sizes = [], []
+        for sender in nodes:
+            label, start, sent = self._window(sender, kind, last_n, None)
+            lost.append([sent - start] * len(nodes))
+            for receiver, log in self._heard_by.get((sender, label), ()):
+                lost[-1][index[receiver]] -= log.count(1, start, sent)
+            sizes.append([sent - start if sent else np.nan])
+        table = np.ones((len(nodes), len(nodes)))
+        np.divide(lost, sizes, out=table, where=np.array(sizes) != 0)
+        np.fill_diagonal(table, np.nan)
+        return table
 
     def loss_rates(
         self, kind: str = "data", last_n: int | None = None
     ) -> dict[tuple[int, int], float]:
-        """:meth:`loss_rate` of every ordered node pair whose sender has
-        sent probes of ``kind`` (DATA: at the sender's default rate)."""
-        table: dict[tuple[int, int], float] = {}
-        for sender in self.nodes:
-            label, start, sent = self._window(sender, kind, last_n, None)
-            for receiver in self.nodes if sent else ():
-                if receiver != sender:
-                    table[sender, receiver] = self._loss_rate(sender, receiver, label, start, sent)
-        return table
+        """:meth:`loss_table` as ``{(sender, receiver): loss}``, NaNs left out."""
+        nodes = list(self.nodes)
+        rows = zip(nodes, self.loss_table(kind, last_n).tolist())
+        return {(a, b): loss for a, row in rows for b, loss in zip(nodes, row) if loss == loss}
 
     def link_loss_rate(
         self, tx: int, rx: int, last_n: int | None = None, rate: PhyRate | None = None

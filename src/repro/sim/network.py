@@ -345,4 +345,6 @@ class MeshNetwork:
                 probing.loss_series(tx, rx, "data", last_n, rate),
                 probing.loss_series(rx, tx, "ack", last_n),
             )
-        return ProbeWindow(probes, probing.loss_rates("ack", last_n), self.mac_config)
+        return ProbeWindow.from_probes(
+            probes, list(probing.nodes), probing.loss_table("ack", last_n), self.mac_config
+        )

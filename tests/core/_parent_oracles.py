@@ -10,6 +10,14 @@ itself (a loop over window sizes; that commit's gather was already held
 to it).  The tests require ``==`` against them — equality, never a
 tolerance.
 
+Beside them sit the list and set code the array pass from probe log to
+extreme points replaced (commit 0dd2ff3): the ascending list of heard
+sequence numbers per probe stream (``ListProbeLog``), ``loss_rates`` as
+one ``loss_rate`` per ordered pair, the dict-of-sets connectivity and
+reach-set two-hop relation, Eq. (6) one link at a time with its
+per-stage backoff loop, set-based Bron–Kerbosch with its ``repr`` sort,
+and the K x L loop filling the secondary extreme points.
+
 ``slsqp_solve`` is the concave solve as it ran until commit ab5e9dd,
 before the interior-point iteration replaced it: the only place
 ``scipy.optimize.minimize`` still appears.  SLSQP stops on a relative
@@ -25,10 +33,11 @@ region membership and the scaling factor.  They are the only place
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 import numpy as np
 
 from repro.core.capacity import CapacityModel, combine_data_ack_losses
-from repro.core.interference import connectivity_from_loss_rates
 
 
 # ------------------------------------------------------- loss estimator (§5.3)
@@ -91,7 +100,78 @@ def estimate_channel_loss_rate(loss_series, min_window=10, case1_fraction=0.99):
     return measured, min(estimate, measured), 2, selected_window, coefficients
 
 
+# ------------------------------------------------------- probe logs (§5.2)
+class ListProbeLog:
+    """One ``ProbingSystem`` stream store as a dict of ascending lists of
+    heard sequence numbers: ``record`` is the old ``_record``, the readers
+    the old ``loss_series`` / ``loss_rate`` for one window ``[start, sent)``."""
+
+    def __init__(self):
+        self.logs = {}
+
+    def record(self, key, seq):
+        received = self.logs.setdefault(key, [])
+        if not received or seq > received[-1]:
+            received.append(seq)
+        elif seq not in received:
+            insort(received, seq)
+
+    def loss_series(self, key, start, sent):
+        series = np.ones(sent - start, dtype=int)
+        received = self.logs.get(key)
+        if received is not None:
+            heard = received[bisect_left(received, start) :]
+            series[np.array(heard, dtype=int) - start] = 0
+        return series
+
+    def loss_rate(self, key, start, sent):
+        if sent == start:
+            return 1.0
+        received = self.logs.get(key)
+        heard = 0 if received is None else len(received) - bisect_left(received, start)
+        return (sent - start - heard) / (sent - start)
+
+
+def loss_rates(probing, kind="data", last_n=None):
+    """``ProbingSystem.loss_rates`` as one ``loss_rate`` per ordered pair."""
+    table = {}
+    for sender in probing.nodes:
+        sent = probing.probes_sent(sender, kind)
+        for receiver in probing.nodes if sent else ():
+            if receiver != sender:
+                table[sender, receiver] = probing.loss_rate(sender, receiver, kind, last_n)
+    return table
+
+
 # ------------------------------------------------------ two-hop model (§5.5)
+def connectivity_from_loss_rates(loss_rates, delivery_threshold=0.5):
+    """The symmetric neighbour map of the pairs whose probes get through in
+    at least one direction with delivery ratio ``>= delivery_threshold``."""
+    neighbors = {}
+    for (tx, rx), loss in loss_rates.items():
+        if 1.0 - loss >= delivery_threshold:
+            neighbors.setdefault(tx, set()).add(rx)
+            neighbors.setdefault(rx, set()).add(tx)
+    return neighbors
+
+
+def from_two_hop(links, neighbors):
+    """``PairwiseInterferenceMap.from_two_hop``: one reach set per link
+    endpoint, one extended set per link, one disjointness test per pair;
+    returns the adjacency."""
+    links = list(links)
+    adjacency = {link: set() for link in links}
+    reach = {node: {node, *neighbors.get(node, ())} for link in links for node in link}
+    extended = {link: reach[link[0]] | reach[link[1]] for link in links}
+    for i, link_a in enumerate(links):
+        near_a = extended[link_a]
+        for link_b in links[i + 1 :]:
+            if not (near_a.isdisjoint(link_b) and extended[link_b].isdisjoint(link_a)):
+                adjacency[link_a].add(link_b)
+                adjacency[link_b].add(link_a)
+    return adjacency
+
+
 def two_hop_adjacency(links, neighbors):
     """The pairwise definition: two links conflict when they share an
     endpoint, or an endpoint of one is a neighbour of an endpoint of the
@@ -118,6 +198,85 @@ def two_hop_adjacency(links, neighbors):
     return adjacency
 
 
+# ------------------------------------------------ Eq. (6), one link at a time
+def max_udp_throughput_bps(model, loss_rate):
+    """``CapacityModel.max_udp_throughput_bps`` with its per-stage backoff
+    loop, for a loss rate in [0, 1)."""
+    mac = model.mac
+
+    def backoff_sum_slots(first_stage, last_stage):
+        total = 0.0
+        for stage in range(first_stage, last_stage + 1):
+            window = min((2**stage) * mac.w0, mac.wmax)
+            total += (window - 1) / 2.0
+        return total
+
+    etx_value = 1.0 / (1.0 - loss_rate)
+    m = mac.max_backoff_stage
+    attempts = int(etx_value)
+    if etx_value < m:
+        slots = backoff_sum_slots(1, attempts - 1)
+    else:
+        slots = backoff_sum_slots(1, m - 1)
+        slots += (attempts - m) * (mac.wmax - 1) / 2.0
+    idle = mac.slot_s * max(slots, 0.0)
+    busy = etx_value * model.cycle_time_s()
+    return model.payload_bytes * 8 / (busy + idle)
+
+
+# ----------------------------------------------- cliques and extreme points (§3.2)
+def _validate_adjacency(adjacency):
+    graph = {v: set(neigh) for v, neigh in adjacency.items()}
+    for vertex, neighbours in graph.items():
+        if vertex in neighbours:
+            raise ValueError(f"self-loop on vertex {vertex!r}")
+        for other in neighbours:
+            if other not in graph:
+                raise ValueError(f"edge to unknown vertex {other!r}")
+            if vertex not in graph[other]:
+                raise ValueError("adjacency must be symmetric")
+    return graph
+
+
+def complement_graph(adjacency):
+    graph = _validate_adjacency(adjacency)
+    vertices = set(graph)
+    return {v: (vertices - {v}) - graph[v] for v in graph}
+
+
+def _expand(graph, r, p, x):
+    if not p and not x:
+        yield frozenset(r)
+        return
+    pivot = max(p | x, key=lambda v: len(graph[v] & p))
+    for vertex in list(p - graph[pivot]):
+        yield from _expand(graph, r | {vertex}, p & graph[vertex], x & graph[vertex])
+        p.remove(vertex)
+        x.add(vertex)
+
+
+def maximal_cliques(adjacency):
+    """Set-based Bron–Kerbosch with pivoting, sorted by member reprs."""
+    graph = _validate_adjacency(adjacency)
+    cliques = list(_expand(graph, set(), set(graph), set())) if graph else []
+    return sorted(cliques, key=lambda c: sorted(map(repr, c)))
+
+
+def maximal_independent_sets(adjacency):
+    return maximal_cliques(complement_graph(adjacency))
+
+
+def secondary_extreme_points(capacities, conflict_graph, links):
+    """One row per maximal independent set, filled link by link."""
+    independent_sets = maximal_independent_sets(conflict_graph.adjacency)
+    matrix = np.zeros((len(independent_sets), len(links)), dtype=float)
+    for row, members in enumerate(independent_sets):
+        for col, link in enumerate(links):
+            if link in members:
+                matrix[row, col] = capacities[link]
+    return matrix
+
+
 # ------------------------------------------------- the controller's two steps
 def estimate_direction(series, min_probes):
     if series.size == 0:
@@ -133,7 +292,7 @@ def estimate_links(window, payload_bytes, min_probes):
     estimator_case)}`` of a ``ProbeWindow``, one link and one direction at
     a time."""
     estimates = {}
-    for link, probes in window.links.items():
+    for link, probes in window.probes.items():
         data_loss, data_case = estimate_direction(probes.data, min_probes)
         ack_loss, ack_case = estimate_direction(probes.ack, min_probes)
         channel_loss = combine_data_ack_losses(data_loss, ack_loss)

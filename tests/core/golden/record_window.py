@@ -93,16 +93,19 @@ def _series(bits: str) -> np.ndarray:
 def load(path: Path = PATH) -> tuple[ProbeWindow, list[FlowRoute], dict, dict[int, float]]:
     """``(window, routes, decide keyword arguments, pinned targets)``."""
     record = json.loads(path.read_text(encoding="utf-8"))
-    window = ProbeWindow(
-        links={
-            tuple(link["link"]): LinkProbes(
-                rate_from_mbps(link["rate_mbps"]), _series(link["data"]), _series(link["ack"])
-            )
-            for link in record["links"]
-        },
-        ack_loss_rates={(tx, rx): loss for tx, rx, loss in record["ack_loss_rates"]},
-        mac_config=MacConfig(**record["mac_config"]),
-    )
+    probes = {
+        tuple(link["link"]): LinkProbes(
+            rate_from_mbps(link["rate_mbps"]), _series(link["data"]), _series(link["ack"])
+        )
+        for link in record["links"]
+    }
+    ack_loss_rates = {(tx, rx): loss for tx, rx, loss in record["ack_loss_rates"]}
+    nodes = sorted({node for pair in [*ack_loss_rates, *probes] for node in pair})
+    index = {node: i for i, node in enumerate(nodes)}
+    ack_loss = np.full((len(nodes), len(nodes)), np.nan)
+    for (tx, rx), loss in ack_loss_rates.items():
+        ack_loss[index[tx], index[rx]] = loss
+    window = ProbeWindow.from_probes(probes, nodes, ack_loss, MacConfig(**record["mac_config"]))
     routes = [
         FlowRoute(flow_id=fid, source=path[0], destination=path[-1], path=path)
         for fid, path in record["routes"]
@@ -129,7 +132,7 @@ def record(controller: OnlineOptimizer) -> dict:
                 "data": "".join(map(str, p.data)),
                 "ack": "".join(map(str, p.ack)),
             }
-            for link, p in window.links.items()
+            for link, p in window.probes.items()
         ],
         "ack_loss_rates": [[tx, rx, loss] for (tx, rx), loss in window.ack_loss_rates.items()],
         "routes": [[route.flow_id, route.path] for route in routes],

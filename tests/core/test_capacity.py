@@ -1,9 +1,12 @@
 """Tests for the Eq. (6) capacity representation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.capacity import CapacityModel, combine_data_ack_losses
+import _parent_oracles as oracle
+from repro.core.capacity import CapacityModel, combine_data_ack_losses, max_udp_throughputs_bps
+from repro.mac.constants import DEFAULT_MAC_CONFIG, MacConfig
 from repro.mac.nominal import nominal_throughput_bps
 from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
 
@@ -82,6 +85,40 @@ class TestCapacityModel:
         model = CapacityModel(payload_bytes=1470, rate=RATE_1MBPS)
         if p1 <= p2:
             assert model.max_udp_throughput_bps(p1) >= model.max_udp_throughput_bps(p2) - 1e-9
+
+
+def _loss_grid(mac):
+    """0, 0.999999, a fine sweep, and every backoff-stage edge: the loss
+    at which ETX reaches each whole number of attempts up to two past the
+    saturating stage, with its floating-point neighbours."""
+    edges = 1.0 - 1.0 / np.arange(1.0, mac.max_backoff_stage + 3)
+    around = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+    grid = np.concatenate([[0.0, 0.999999, 0.5, 0.9, 0.99], np.linspace(0, 0.999, 334), around])
+    return grid[(grid >= 0.0) & (grid < 1.0)]
+
+
+class TestVectorEq6:
+    @pytest.mark.parametrize(
+        "mac",
+        [DEFAULT_MAC_CONFIG, MacConfig(cw_min=15, cw_max=255), MacConfig(cw_min=63, cw_max=63)],
+    )
+    @pytest.mark.parametrize("payload", [64, 1460, 1470])
+    def test_the_vector_pass_is_the_scalar_model_bit_for_bit(self, mac, payload):
+        """Every link's Eq. (6) in one vector pass (integer backoff-slot
+        sums) equals ``max_udp_throughput_bps`` one loss at a time, and
+        the per-stage float loop it replaced, to the last bit."""
+        grid = _loss_grid(mac)
+        models = [CapacityModel(payload, rate, mac) for rate in (RATE_1MBPS, RATE_11MBPS)]
+        rates = np.repeat([0, 1], grid.size)
+        losses = np.tile(grid, 2)
+        cycles = np.array([models[0].cycle_time_s(), models[1].cycle_time_s()])[rates]
+        vector = max_udp_throughputs_bps(losses, cycles, payload, mac)
+        assert vector.dtype == np.float64 and vector.shape == losses.shape
+        pairs = list(zip(rates.tolist(), losses.tolist()))
+        scalar = [models[r].max_udp_throughput_bps(p) for r, p in pairs]
+        parent = [oracle.max_udp_throughput_bps(models[r], p) for r, p in pairs]
+        assert vector.tolist() == scalar == parent
+        assert all(type(value) is float for value in scalar)
 
 
 class TestCombineLosses:

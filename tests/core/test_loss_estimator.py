@@ -13,7 +13,15 @@ from repro.core.loss_estimator import (
     estimate_channel_loss_rate,
     estimate_channel_loss_rates,
     sliding_min_loss_curve,
+    stack_series,
 )
+
+
+def _batch(series):
+    """``estimate_channel_loss_rates`` of the stacked series, one
+    ``(channel, case, window)`` row per series."""
+    columns = estimate_channel_loss_rates(*stack_series(series))
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _uniform_series(rng, n, p):
@@ -199,7 +207,7 @@ class TestBatchEqualsThePerSeriesEstimator:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_loss_series(), min_size=1, max_size=6))
     def test_mixed_lengths_in_one_batch(self, batch):
-        for series, row in zip(batch, estimate_channel_loss_rates(batch)):
+        for series, row in zip(batch, _batch(batch)):
             _assert_equals_oracle(series, row)
 
     @settings(max_examples=60, deadline=None)
@@ -216,20 +224,49 @@ class TestBatchEqualsThePerSeriesEstimator:
             burst = series[int(rng.integers(0, size)) :][: size // 3]  # a view: written through
             burst |= rng.random(burst.size) < 0.8
             batch.append(series)
-        for series, row in zip(batch, estimate_channel_loss_rates(batch)):
+        for series, row in zip(batch, _batch(batch)):
             _assert_equals_oracle(series, row)
 
+    @pytest.mark.parametrize("total", [10, 40, 80, 127, 128, 200, 300])
+    def test_stacked_counts_at_every_count_width(self, total):
+        """Window counts are kept in the narrowest signed type that holds
+        S: int8 through S = 127, int16 from 128 (the controller's default
+        S = 200).  32 directions, as a dense controller stacks them, and
+        a ragged stack of shorter windows beside them."""
+        rng = np.random.default_rng(total)
+        batch = []
+        for _ in range(32):
+            series = (rng.random(total) < rng.choice([0.0, 0.02, 0.1, 0.4])).astype(int)
+            start = int(rng.integers(0, total))
+            series[start : start + int(rng.integers(0, total // 2 + 1))] |= 1
+            batch.append(series)
+        ragged = [series[: int(rng.integers(1, total + 1))] for series in batch[:12]]
+        _, curves = sliding_min_loss_curve(np.array(batch).T)
+        counts = np.min_scalar_type(-total - 1)
+        assert counts == (np.int8 if total < 128 else np.int16)
+        for column, series in enumerate(batch):
+            assert np.array_equal(curves[:, column], oracle.sliding_min_loss_curve(series)[1])
+        cases = [_assert_equals_oracle(s, row) for s, row in zip(batch, _batch(batch))]
+        cases += [_assert_equals_oracle(s, row) for s, row in zip(ragged, _batch(ragged))]
+        if total >= 40:
+            assert set(cases) == {1, 2}
+
+    def test_the_stack_reads_nonzero_as_lost(self):
+        losses, lengths = stack_series([[0, 1.0, 0, True, 2], np.array([], dtype=int), [1]])
+        assert losses.dtype == np.int8 and lengths.tolist() == [5, 0, 1]
+        assert losses.tolist() == [[0, 1, 0, 1, 1], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]
+        empty, none = stack_series([])
+        assert empty.shape == (0, 0) and none.size == 0
+
     def test_edges(self):
-        assert estimate_channel_loss_rates([]) == []
+        assert _batch([]) == []
         with pytest.raises(ValueError):
-            estimate_channel_loss_rates([np.array([], dtype=int)])
+            _batch([np.array([], dtype=int)])
         short = [np.array([1]), np.array([0, 1, 0]), np.zeros(9, dtype=int), np.ones(10, dtype=int)]
-        for series, row in zip(short, estimate_channel_loss_rates(short)):
+        for series, row in zip(short, _batch(short)):
             _assert_equals_oracle(series, row)
         # Anything truthy is a lost probe; lists and floats are series too.
-        assert estimate_channel_loss_rates([[0, 1.0, 0, True] * 10]) == estimate_channel_loss_rates(
-            [np.array([0, 1, 0, 1] * 10)]
-        )
+        assert _batch([[0, 1.0, 0, True] * 10]) == _batch([np.array([0, 1, 0, 1] * 10)])
 
 
 class TestKneeDependsOnTheLengthsOnly:

@@ -1,15 +1,24 @@
 """Tests for mesh-node forwarding, the probing system and Ad Hoc Probe."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mac.nominal import nominal_throughput_bps
 from repro.net.adhoc_probe import AdHocProbe
 from repro.net.packet import Packet, PacketKind
-from repro.net.probing import ProbePayload
+from repro.net.probing import ProbePayload, ProbingSystem
 from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
 from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
 from repro.sim.measurement import measure_isolated
+
+_CORE_TESTS = str(Path(__file__).resolve().parents[1] / "core")
+if _CORE_TESTS not in sys.path:
+    sys.path.insert(0, _CORE_TESTS)
+import _parent_oracles as oracle  # noqa: E402
 
 
 def _packet(src, dst, flow_id=0, size=1000, kind=PacketKind.UDP):
@@ -104,10 +113,21 @@ class TestProbingSystem:
         assert probing.loss_rate(0, 99, "data") >= 0.0
         assert probing.loss_series(99, 0, "data").size == 0
 
-    def test_loss_counts_equal_the_membership_oracle(self):
-        """``loss_series`` is the per-seq membership list and ``loss_rate``
-        is exactly its mean, for every window shape and stream kind —
-        including 1 Mb/s DATA probes, tracked apart from 11 Mb/s ones."""
+    def test_loss_counts_equal_the_list_log_oracle(self, monkeypatch):
+        """Every reception also goes into the list-of-heard-numbers log the
+        bitmaps replaced: ``loss_series``, ``loss_rate`` and
+        ``loss_rates`` read from the bitmaps equal that log read over the
+        same window, for every window shape and stream kind — including
+        1 Mb/s DATA probes, tracked apart from 11 Mb/s ones."""
+        lists = oracle.ListProbeLog()
+        record = ProbingSystem._record
+
+        def recording(self, receiver_id, payload):
+            label = f"{payload.kind}@{payload.rate_name}" if payload.rate_name else payload.kind
+            lists.record((payload.sender, receiver_id, label), payload.seq)
+            record(self, receiver_id, payload)
+
+        monkeypatch.setattr(ProbingSystem, "_record", recording)
         net = MeshNetwork(
             chain_topology(3, spacing_m=60.0),
             seed=2,
@@ -118,14 +138,6 @@ class TestProbingSystem:
         net.enable_probing(period_s=0.2)
         net.run(20.0)
         probing = net.probing
-
-        def oracle(sender, receiver, label, last_n):
-            sent = probing._sent.get((sender, label), 0)
-            log = probing._logs.get((sender, receiver, label))
-            received = log.received if log is not None else set()
-            start = 0 if last_n is None else max(0, sent - last_n)
-            return [0 if seq in received else 1 for seq in range(start, sent)]
-
         streams = [
             # (sender, receiver, kind, rate, bookkeeping label)
             (0, 1, "data", None, "data@11Mbps"),
@@ -140,33 +152,85 @@ class TestProbingSystem:
         assert probing.probes_sent(1, "data", RATE_1MBPS) == 0
         sent = probing.probes_sent(0, "data")
         for sender, receiver, kind, rate, label in streams:
+            total = probing.probes_sent(sender, kind, rate)
             for last_n in (None, 0, 1, 40, sent, sent + 25):
+                start = 0 if last_n is None else max(0, total - last_n)
+                key = (sender, receiver, label)
                 series = probing.loss_series(sender, receiver, kind, last_n, rate)
-                expected = oracle(sender, receiver, label, last_n)
                 assert series.dtype == np.dtype(int)
-                assert series.tolist() == expected, (label, last_n)
+                assert series.tolist() == lists.loss_series(key, start, total).tolist()
                 rate_value = probing.loss_rate(sender, receiver, kind, last_n, rate)
-                if expected:
+                assert rate_value == lists.loss_rate(key, start, total), (label, last_n)
+                if series.size:
                     assert rate_value == float(series.mean()), (label, last_n)
-                else:
-                    assert rate_value == 1.0
-        assert 0 < sum(oracle(0, 2, "data@11Mbps", None)) < sent  # a mixed series
+        for kind in ("data", "ack"):
+            for last_n in (None, 0, 40):
+                assert probing.loss_rates(kind, last_n) == oracle.loss_rates(probing, kind, last_n)
+        assert 0 < sum(probing.loss_series(0, 2, "data")) < sent  # a mixed series
 
     def test_a_sequence_number_counts_once_in_any_arrival_order(self, chain_network):
-        """The log is an ordered list that appends; a probe that arrives
-        late or twice (neither happens on a FIFO broadcast queue) still
-        gets the set semantics the list replaced."""
+        """A probe that arrives late or twice (neither happens on a FIFO
+        broadcast queue) sets the same byte of the bitmap again: the
+        readers see it once, as the ordered list of heard numbers did."""
         probing = chain_network.enable_probing(start=False)
         probing._sent[(0, "ack")] = 10
+        lists = oracle.ListProbeLog()
         for seq in (0, 1, 4, 4, 2, 7, 0, 7, 3, 9):
             probing._record(1, ProbePayload(sender=0, seq=seq, kind="ack"))
-        assert probing._logs[(0, 1, "ack")].received == [0, 1, 2, 3, 4, 7, 9]
+            lists.record((0, 1, "ack"), seq)
+        assert lists.logs[(0, 1, "ack")] == [0, 1, 2, 3, 4, 7, 9]
         assert probing.loss_series(0, 1, "ack").tolist() == [0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
         assert probing.loss_series(0, 1, "ack", last_n=4).tolist() == [1, 0, 1, 0]
         assert probing.loss_rate(0, 1, "ack") == 3 / 10
         assert probing.loss_rate(0, 1, "ack", last_n=4) == 2 / 4
         assert probing.loss_rate(0, 1, "ack", last_n=0) == 1.0
         assert probing.loss_rate(0, 2, "ack") == 1.0  # node 2 logged nothing
+        for last_n in (None, 0, 3, 4, 10, 11):
+            start = 0 if last_n is None else max(0, 10 - last_n)
+            assert probing.loss_series(0, 1, "ack", last_n).tolist() == (
+                lists.loss_series((0, 1, "ack"), start, 10).tolist()
+            )
+            expected = lists.loss_rate((0, 1, "ack"), start, 10)
+            assert probing.loss_rate(0, 1, "ack", last_n) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 90)), max_size=120),
+        st.lists(st.integers(0, 40), min_size=3, max_size=3),
+        st.sampled_from([None, 0, 1, 7, 40, 80, 200]),
+    )
+    def test_the_bitmap_reads_as_the_list_log(self, receptions, extra_sent, last_n):
+        """Late, duplicated and gapped sequence numbers, on any number of
+        streams, then windows reaching past the last heard probe: the
+        bitmaps read as the list log in every reader."""
+        net = MeshNetwork(
+            chain_topology(3, spacing_m=60.0), seed=2, propagation=no_shadowing_propagation()
+        )
+        probing = net.enable_probing(start=False)
+        lists = oracle.ListProbeLog()
+        for sender, seq in receptions:
+            receiver = (sender + 1) % 3
+            probing._record(receiver, ProbePayload(sender=sender, seq=seq, kind="ack"))
+            lists.record((sender, receiver, "ack"), seq)
+        for sender in range(3):
+            heard = [seq for s, seq in receptions if s == sender]
+            probing._sent[(sender, "ack")] = max(heard, default=-1) + 1 + extra_sent[sender]
+        for sender in range(3):
+            total = probing.probes_sent(sender, "ack")
+            start = 0 if last_n is None else max(0, total - last_n)
+            for receiver in range(3):
+                key = (sender, receiver, "ack")
+                assert probing.loss_series(sender, receiver, "ack", last_n).tolist() == (
+                    lists.loss_series(key, start, total).tolist()
+                )
+                assert probing.loss_rate(sender, receiver, "ack", last_n) == (
+                    lists.loss_rate(key, start, total)
+                )
+        assert probing.loss_rates("ack", last_n) == oracle.loss_rates(probing, "ack", last_n)
+        table = probing.loss_table("ack", last_n)
+        assert np.isnan(np.diag(table)).all()
+        for sender in range(3):
+            assert np.isnan(table[sender]).all() == (probing.probes_sent(sender, "ack") == 0)
 
     def test_loss_rates_is_loss_rate_of_every_ordered_pair(self, probed_network):
         probing = probed_network.probing

@@ -71,6 +71,19 @@ GONE = [
         "**/*.py",
         (),
     ),
+    (
+        "a list or set copy of what the array pass from probe log to extreme points computes",
+        r"_ProbeLog|connectivity_from_loss_rates|from_two_hop|complement_graph"
+        r"|bron_kerbosch_cliques|_backoff_sum_slots",
+        "**/*.py",
+        (),
+    ),
+    (
+        "a sorted list of heard sequence numbers in the probe log",
+        r"bisect|insort",
+        "repro/net/probing.py",
+        (),
+    ),
     *[
         (f"the result cache's or planner's {what}", pattern, "**/*.py", ())
         for what, pattern in (
