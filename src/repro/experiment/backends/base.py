@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Mapping, Sequence
 
 __all__ = [
@@ -117,6 +116,8 @@ class ProcessPoolBackend(ExecutionBackend):
         workers = self.workers_for(len(payloads))
         if workers <= 1:
             return [run_spec_payload(payload) for payload in payloads]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_spec_payload, payloads))
 

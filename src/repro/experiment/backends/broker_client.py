@@ -8,7 +8,10 @@ keep-alive :class:`http.client.HTTPConnection` per thread — a queue
 conversation is thousands of small requests to one host, and paying TCP
 setup per request was the dominant slice of the broker's per-task
 overhead — and sends the shared-secret ``Authorization`` header when
-``REPRO_BROKER_TOKEN`` is set.
+``REPRO_BROKER_TOKEN`` is set.  :mod:`http.client` (which brings
+:mod:`ssl` and :mod:`email`) loads with the first request, not with
+this module: a process that runs cells and never talks to a broker
+never holds it.
 
 :class:`BrokerBackend` is
 :class:`~repro.experiment.backends.queue_common.QueueBackend` over that
@@ -20,14 +23,13 @@ is a URL (and, beyond a trusted network, a token).
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import socket
 import threading
 import urllib.parse
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.experiment.backends.base import register_backend
 from repro.experiment.backends.queue_common import (
@@ -36,6 +38,9 @@ from repro.experiment.backends.queue_common import (
     QueueBackend,
     default_broker_token,
 )
+
+if TYPE_CHECKING:
+    import http.client
 
 __all__ = ["BrokerAuthError", "BrokerBackend", "BrokerClient", "BrokerUnavailable"]
 
@@ -62,7 +67,9 @@ class BrokerClient:
     Connections are keep-alive and **per-thread** (a worker's heartbeat
     thread and main loop must not interleave on one socket), rebuilt
     transparently when the server drops one — safe to retry because
-    every endpoint is idempotent or ack-based.
+    every endpoint is idempotent or ack-based.  Constructing a client
+    opens nothing: the first request imports :mod:`http.client` and
+    connects.
 
     Args:
         url: the broker, e.g. ``http://127.0.0.1:8123``.
@@ -98,6 +105,8 @@ class BrokerClient:
     def _connection(self) -> http.client.HTTPConnection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
+            import http.client
+
             connection = http.client.HTTPConnection(
                 self._host, self._port, timeout=self.timeout_s
             )
@@ -133,6 +142,8 @@ class BrokerClient:
         self.close()
 
     def _request(self, path: str, payload: Mapping[str, Any] | None) -> dict:
+        import http.client
+
         method = "GET" if payload is None else "POST"
         body = (
             None if payload is None else json.dumps(payload).encode("utf-8")

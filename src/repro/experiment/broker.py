@@ -65,6 +65,7 @@ import argparse
 import bisect
 import hmac
 import json
+import socket
 import sys
 import threading
 import time
@@ -679,16 +680,33 @@ class BrokerServer(ThreadingHTTPServer):
             return
         super().handle_error(request, client_address)
 
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` now, not at its next poll: raise the flag
+        :meth:`~socketserver.BaseServer.shutdown` raises (name-mangled there),
+        then wake the loop's ``select`` with a connection to the listening
+        socket.  The loop sees the flag before it accepts anything, so the
+        connection is never served."""
+        self._BaseServer__shutdown_request = True
+        try:
+            with socket.create_connection(self._reachable_address(), timeout=1.0):
+                pass
+        except OSError:  # unreachable: the poll still ends the loop
+            pass
+        super().shutdown()
+
     def server_close(self) -> None:
         """Close the listening socket and the queue's journal."""
         super().server_close()
         self.queue.close()
 
+    def _reachable_address(self) -> tuple[str, int]:
+        host, port = self.server_address[:2]
+        return ("127.0.0.1" if host in ("0.0.0.0", "::") else host), port
+
     @property
     def url(self) -> str:
-        host, port = self.server_address[:2]
-        display = "127.0.0.1" if host in ("0.0.0.0", "::") else host
-        return f"http://{display}:{port}"
+        host, port = self._reachable_address()
+        return f"http://{host}:{port}"
 
 
 def start_broker(

@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import importlib
 import json
 import os
 import signal
@@ -83,6 +85,11 @@ __all__ = [
     "main",
     "serve_forks",
 ]
+
+#: What a drainer runs beyond ``import repro.experiment.worker``: the broker
+#: transport its first request opens (and the codec that resolves the broker's
+#: host name), and the RNG its first cell draws from.
+DRAINER_PRELOAD = ("http.client", "encodings.idna", "numpy.random")
 
 #: Chaos hooks, read once per claim (see the module docstring).
 KILL_FILE_ENV_VAR = "REPRO_WORKER_KILL_FILE"
@@ -295,7 +302,15 @@ def serve_forks() -> int:
     for a killed one) - a child is reaped here, and only when asked about.  The
     end of stdin means the submitter is gone, however it went: the drainers still
     alive are terminated and the host exits.
+
+    Before the first request the host imports :data:`DRAINER_PRELOAD`, so no
+    drainer pays an import the host could have paid, and freezes its heap
+    (:func:`gc.freeze`): a drainer's collections never walk, and so never
+    copy, the pages it shares with the host.
     """
+    for name in DRAINER_PRELOAD:
+        importlib.import_module(name)
+    gc.freeze()
     replies = os.dup(1)
     os.dup2(2, 1)  # a stray print must not read as a reply
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the submitter's to handle

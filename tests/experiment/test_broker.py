@@ -576,6 +576,25 @@ class TestBrokerHTTP:
             server.handle_error(None, ("127.0.0.1", 1))
         assert "ValueError: a broker bug" in capsys.readouterr().err
 
+    def test_shutdown_wakes_the_serve_loop_instead_of_waiting_out_its_poll(self):
+        """``shutdown`` returns as soon as the serve loop sees the request,
+        not at the loop's next poll: with a poll far longer than any
+        scheduling jitter, stopping takes a small fraction of it."""
+        poll_s = 5.0
+        server = broker.BrokerServer(("127.0.0.1", 0), BrokerQueue())
+        loop = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": poll_s}
+        )
+        loop.start()
+        with BrokerClient(server.url) as client:
+            client.stats()  # served: the loop is up, parked in its select
+        start = time.monotonic()
+        server.shutdown()
+        stopped_s = time.monotonic() - start
+        loop.join()
+        server.server_close()
+        assert stopped_s < poll_s / 10
+
     def test_unreachable_broker_raises(self):
         client = BrokerClient("http://127.0.0.1:1", timeout_s=0.5)
         with pytest.raises(BrokerUnavailable, match="unreachable"):

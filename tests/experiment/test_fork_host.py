@@ -6,7 +6,9 @@ drainer is a fork of it.  What must hold, and is checked here against
 real processes: a drainer sees the environment and directory of *its*
 spawn, not of the host's start; a dead host costs nothing but its own
 restart; the host and its drainers never outlive the submitter, however
-it went; threads share the one host; and every drainer is reaped.
+it went; threads share the one host; every drainer is reaped; and a
+drainer imports nothing its host could have imported for it, from a host
+whose heap is frozen.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import pytest
 from repro.experiment import (
     BatchRunner,
     BrokerBackend,
+    ControllerSpec,
+    ProbingSpec,
     SerialBackend,
     WorkQueueBackend,
     seed_sweep,
@@ -219,3 +223,68 @@ def test_a_sigkilled_submitter_takes_its_host_and_drainers_with_it(tmp_path):
         left = [pid for pid in left if _running(pid)]
     assert not left, f"still running 5 s after the submitter's SIGKILL: {left}"
     assert len(os.listdir(tasks)) > cells // 2
+
+
+#: The real host, with each fork's ``main`` wrapped to append one JSON line
+#: to ``argv[1]``: the host's frozen object count, read before the drainer
+#: ran anything, and the modules its whole run imported.
+_PROBED_HOST = """
+import gc, json, sys
+from repro.experiment import worker
+
+run = worker.main
+
+def main(argv):
+    frozen = gc.get_freeze_count()
+    before = set(sys.modules)
+    code = run(argv)
+    report = {"frozen": frozen, "imported": sorted(set(sys.modules) - before)}
+    with open(sys.argv[1], "a", encoding="utf-8") as out:
+        out.write(json.dumps(report) + "\\n")
+    return code
+
+worker.main = main
+sys.exit(worker.serve_forks())
+"""
+
+
+@pytest.fixture
+def drainer_reports(tmp_path, monkeypatch):
+    """Submissions in this test fork from a probed host; returns a reader of
+    what their drainers reported."""
+    report = tmp_path / "drainers.jsonl"
+    host = queue_common._ForkHost()
+    host._proc = subprocess.Popen(
+        [sys.executable, "-c", _PROBED_HOST, str(report)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env=worker_subprocess_env(),
+        text=True,
+    )
+    monkeypatch.setattr(queue_common, "_FORK_HOST", host)
+    yield lambda: [json.loads(line) for line in report.read_text().splitlines()]
+    host.close()
+
+
+@pytest.mark.parametrize("backend", [WorkQueueBackend, BrokerBackend], ids=["file", "broker"])
+def test_a_drainer_imports_no_module_its_host_lacks(drainer_reports, backend):
+    """A drainer's queue requests (over HTTP, the first opens the client)
+    and its first cells - one with the controller off, one solving a
+    proportional-fair cycle - import nothing: the host paid for all of
+    it before it forked."""
+    controller_on = dataclasses.replace(
+        FAST_SPEC,
+        controller=ControllerSpec(enabled=True, alpha=1.0),
+        probing=ProbingSpec(warmup_s=10.0),
+    )
+    backend(workers=1).run([FAST_SPEC.to_dict(), controller_on.to_dict()])
+    [report] = drainer_reports()
+    assert report["imported"] == []
+
+
+def test_the_host_freezes_its_heap_before_forking(drainer_reports):
+    """A drainer's collections never walk the pages it shares with the
+    host: what the host holds is in the permanent generation."""
+    WorkQueueBackend(workers=1).run([FAST_SPEC.to_dict()])
+    [report] = drainer_reports()
+    assert report["frozen"] > 0

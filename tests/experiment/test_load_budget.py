@@ -6,6 +6,12 @@ scipy (``scipy.optimize`` alone is about half a second, 50 MB resident,
 tens of thousands of GC-tracked objects) is a test-extra referee, and
 networkx a test-extra oracle that only ``ConflictGraph.to_networkx``
 loads.  No process loads either on its own.
+
+The queue transports' stack (``http.client``, with ``ssl`` and
+``email``) and the process pool's (``concurrent.futures``, with
+``multiprocessing``) load where they are used: a broker conversation
+and a ``ProcessPoolBackend`` fan-out.  A cell, a controller cycle and
+the worker import load neither.
 """
 
 from __future__ import annotations
@@ -24,15 +30,17 @@ from repro.experiment.backends.queue_common import worker_subprocess_env
 from _helpers import FAST_SPEC
 
 HEAVY = ("scipy", "networkx")
+TRANSPORT = ("ssl", "http.client", "email", "multiprocessing", "concurrent.futures")
 
 _REPORT = (
     "import json, sys; "
-    f"print(json.dumps([name for name in {HEAVY!r} if sys.modules.get(name)]))"
+    f"print(json.dumps([name for name in {HEAVY + TRANSPORT!r} if sys.modules.get(name)]))"
 )
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The ``HEAVY`` modules present after ``code`` ran in a new interpreter."""
+    """The ``HEAVY`` and ``TRANSPORT`` modules present after ``code`` ran
+    in a new interpreter."""
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\n{_REPORT}"],
         env=worker_subprocess_env(),
@@ -51,11 +59,12 @@ def _run_experiment(spec) -> str:
     )
 
 
-def test_worker_import_loads_no_solver():
-    assert _loaded_after("import repro.experiment.worker") == []
+@pytest.mark.parametrize("module", ["repro.experiment", "repro.experiment.worker"])
+def test_import_loads_no_solver_and_no_transport(module):
+    assert _loaded_after(f"import {module}") == []
 
 
-def test_controller_off_cell_loads_no_solver():
+def test_controller_off_cell_loads_no_solver_and_no_transport():
     assert not FAST_SPEC.controller.enabled
     assert _loaded_after(_run_experiment(FAST_SPEC)) == []
 
@@ -69,20 +78,44 @@ def _controller_on(alpha: float):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
-def test_controller_on_cell_loads_neither_scipy_nor_networkx(alpha):
+def test_controller_on_cell_loads_no_solver_and_no_transport(alpha):
     """The default (proportional-fair) solve and the max-throughput LP
-    are the same interior-point iteration in numpy."""
+    are the same interior-point iteration in numpy, and a controller
+    cycle opens no connection."""
     assert ControllerSpec(enabled=True).alpha == 1.0
     assert _loaded_after(_run_experiment(_controller_on(alpha=alpha))) == []
+
+
+@pytest.mark.parametrize(
+    "backend, stack",
+    [
+        ("ProcessPoolBackend(max_workers=2)", {"concurrent.futures", "multiprocessing"}),
+        ("BrokerBackend(workers=1)", {"http.client", "ssl", "email"}),
+    ],
+    ids=["process_pool", "broker"],
+)
+def test_a_backend_run_loads_its_transport(backend, stack):
+    """The positive control: the probe sees each stack once the backend
+    that opens it runs."""
+    loaded = set(
+        _loaded_after(
+            "from repro.experiment import BrokerBackend, ProcessPoolBackend\n"
+            f"{backend}.run([{FAST_SPEC.to_dict()!r}] * 2)"
+        )
+    )
+    assert stack <= loaded
+    assert not set(HEAVY) & loaded
 
 
 def test_the_fork_host_stays_at_the_worker_import_after_serving_an_lp_cell():
     """The host only forks: whatever the drainer that solves a
     max-throughput cell imports stays in its own copy-on-write image and
     exits with it, so what the next drainer starts from - and what stays
-    resident until the submitter exits - is still exactly ``import
-    repro.experiment.worker``.  Read off the host's memory map: an import
-    there would leave the extension modules mapped."""
+    resident until the submitter exits - is still the host's start-up
+    image (``import repro.experiment.worker`` plus what a drainer runs,
+    see ``test_fork_host.py``), never a solver.  Read off the host's
+    memory map: an import there would leave the extension modules
+    mapped."""
     from repro.experiment import WorkQueueBackend
     from repro.experiment.backends import queue_common
 
