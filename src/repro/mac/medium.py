@@ -22,12 +22,11 @@ table per unit (``dBm[tx][rx]`` and ``mW[tx][rx]``, plain floats keyed
 by node id), filled by :meth:`WirelessMedium._link_power` — at
 construction for every pair, at a position epoch
 (:meth:`WirelessMedium.update_positions`) for the pairs that moved.
-Every node has one :class:`_NodeState` (listener, sensed energy, busy
-flag, live-reception count) from construction, so a transmission's
-begin and end each run one loop over the nodes that updates sensed
-energy and notifies carrier-sense flips together.  The from-scratch
-definitions of all of it are the oracle in
-``tests/sim/test_medium_properties.py``.
+Carrier sense is a function of the on-air set: a node is busy while it
+transmits or while the begin-time ``mW`` rows of the other transmitters
+on the air, summed in start order, reach the CS threshold.  A begin or
+end moves the busy set with one memo lookup.  The from-scratch
+definitions are the oracle in ``tests/sim/test_medium_properties.py``.
 """
 
 from __future__ import annotations
@@ -43,6 +42,11 @@ from repro.phy.radio import RadioConfig, frame_airtime
 from repro.phy.sinr import CaptureModel
 from repro.mac.frames import Frame
 from repro.engine import Simulator
+
+#: A carrier-sense edge: the next busy set and the flips to call.
+_Edge = tuple[int, tuple[Callable[[], None], ...]]
+#: Carrier-sense memo bound: a 100-node grid finds new on-air states without end.
+SENSE_MEMO_ENTRIES = 4096
 
 
 class MacListener(Protocol):
@@ -75,16 +79,10 @@ class _SilentListener:
 
 @dataclass(slots=True)
 class _NodeState:
-    """Everything the medium tracks per node.
-
-    ``busy`` is the carrier-sense state last reported to ``listener``;
-    ``rx_live`` counts the failure-free receptions in flight at the node,
-    so the rx-locked check is O(1).
-    """
+    """A node's listener and its count of failure-free receptions in
+    flight (``rx_live``, so the rx-locked check is O(1))."""
 
     listener: MacListener = field(default_factory=_SilentListener)
-    sensed_mw: float = 0.0
-    busy: bool = False
     rx_live: int = 0
 
 
@@ -101,13 +99,11 @@ class _Reception:
 class _Transmission:
     """An ongoing transmission and the state of its intended receivers.
 
-    ``mw_row`` is the ``mW[tx]`` row this transmission's energy was
-    *added* with at begin time.  Finish subtracts through this snapshot
-    rather than re-fetching the live table, so when a position epoch
-    rebuilds the table mid-flight (:meth:`WirelessMedium.update_positions`
-    replaces rows, never mutates them) every in-flight add/remove pair
-    stays exactly balanced: sensed energy returns to precisely what the
-    epoch left, with no spurious busy/idle flips.
+    ``mw_row`` is the ``mW[tx]`` row at begin time.  Carrier sense sums
+    these snapshots and finish subtracts this frame's interference
+    through it, so a position epoch mid-flight (which replaces rows,
+    never mutates them) fires no busy/idle flip and every per-reception
+    add/remove pair stays exactly balanced.
     """
 
     tx_id: int
@@ -157,8 +153,12 @@ class WirelessMedium:
         # notifications go out in.  A node is silent until its MAC
         # registers.
         self._nodes: dict[int, _NodeState] = {node: _NodeState() for node in self.positions}
-        self._ongoing: dict[int, _Transmission] = {}
-        self._transmitting: set[int] = set()
+        self._ongoing: dict[int, _Transmission] = {}  # in start order
+        # The busy set (bit i: the i-th node in position order) and its
+        # memo, (busy set, on-air tuple) -> edge: nearly every edge hits.
+        self._bit = {node: 1 << i for i, node in enumerate(self.positions)}
+        self._busy = 0
+        self._sense_memo: dict[tuple[int, tuple[int, ...]], _Edge] = {}
         self.loss_counts: Counter[str] = Counter()
         self.delivered_frames = 0
         self.frame_observers: list[Callable[[Frame, int, bool, str | None], None]] = []
@@ -218,19 +218,14 @@ class WirelessMedium:
         """Move nodes and recompute only the affected table entries.
 
         For each moved node the full row *and* column of both tables are
-        recomputed by :meth:`_link_power`; unmoved-pair entries are
-        untouched.
+        recomputed by :meth:`_link_power`.  For in-flight transmissions:
 
-        Invariants this method maintains for in-flight transmissions:
-
-        * ``mW`` rows are *replaced* with fresh objects, never mutated —
-          finish subtracts through the begin-time snapshot on
-          :class:`_Transmission`, so every add/remove pair stays exactly
-          balanced across the epoch and no busy/idle notification fires
-          at the epoch instant.
-        * the one memo of the power tables, ``_resolve_cache``, is
-          cleared, so the next delivery on any link resolves against
-          the table as it now stands.
+        * ``mW`` rows are *replaced*, never mutated: carrier sense sums
+          the begin-time snapshots on :class:`_Transmission`, so no
+          busy/idle flip fires at the epoch instant, and a finish
+          removes exactly the interference its begin added;
+        * both memos of the tables, ``_resolve_cache`` and
+          ``_sense_memo``, are cleared;
         * no RNG stream is touched and no event is scheduled, so a run
           with zero moves is event- and draw-identical to a static run.
 
@@ -255,6 +250,7 @@ class WirelessMedium:
                 if b not in moved:  # else (b, a) is covered by b's own row
                     dbm[b][a], mw[b][a] = self._link_power(b, a)
         self._resolve_cache.clear()
+        self._sense_memo.clear()
 
     def set_node_active(self, node_id: int, active: bool) -> None:
         """Turn a node's radio on or off (churn join/fail).
@@ -293,6 +289,7 @@ class WirelessMedium:
         if node_id not in self.positions:
             raise KeyError(f"node {node_id} has no position in the medium")
         self._nodes[node_id].listener = mac
+        self._sense_memo.clear()
 
     def add_frame_observer(
         self, observer: Callable[[Frame, int, bool, str | None], None]
@@ -308,6 +305,7 @@ class WirelessMedium:
         """Drop every reference from the medium to its users: the MAC
         listeners and the frame observers."""
         self._nodes.clear()
+        self._sense_memo.clear()
         self.frame_observers.clear()
 
     # ------------------------------------------------------------------ power
@@ -324,12 +322,14 @@ class WirelessMedium:
         return self._mw[tx][rx]
 
     def sensed_power_mw(self, node_id: int) -> float:
-        """Current carrier-sensed foreign energy at ``node_id`` (mW)."""
-        return self._nodes[node_id].sensed_mw
-
-    def in_range(self, tx: int, rx: int, sensitivity_dbm: float) -> bool:
-        """Whether ``rx`` can decode frames from ``tx`` absent interference."""
-        return self._dbm[tx][rx] >= sensitivity_dbm
+        """Carrier-sensed foreign energy at ``node_id`` (mW): the sum, in
+        start order, of the begin-time ``mW`` row of every other
+        transmitter on the air."""
+        sensed = 0.0
+        for transmission in self._ongoing.values():
+            if transmission.tx_id != node_id:
+                sensed += transmission.mw_row[node_id]
+        return sensed
 
     def can_sense(self, a: int, b: int) -> bool:
         """Whether node ``a`` senses the channel busy while ``b`` transmits."""
@@ -338,9 +338,35 @@ class WirelessMedium:
     # ----------------------------------------------------------- carrier sense
     def is_busy(self, node_id: int) -> bool:
         """Local carrier-sense state of ``node_id``."""
-        if node_id in self._transmitting:
-            return True
-        return self._nodes[node_id].sensed_mw >= self._cs_threshold_mw
+        return bool(self._busy & self._bit[node_id])
+
+    def _sense_edge(self, key: tuple[int, tuple[int, ...]]) -> _Edge:
+        """Memo miss: the busy set the on-air set defines, and the flips
+        from ``key``'s busy set in position order.  Not stored while a
+        frame from before a position epoch (an old row) is on the air."""
+        busy = key[0]  # key[1] is the order of ``ongoing``
+        ongoing, threshold, bits = self._ongoing, self._cs_threshold_mw, self._bit
+        after, flips = 0, []
+        for node_id, node in self._nodes.items():
+            sensed = 0.0  # read only when the node is not on the air
+            for transmission in ongoing.values():
+                sensed += transmission.mw_row[node_id]
+            bit = bits[node_id]
+            if node_id in ongoing or sensed >= threshold:
+                after |= bit
+                if not busy & bit:
+                    flips.append(node.listener.on_medium_busy)
+            elif busy & bit:
+                flips.append(node.listener.on_medium_idle)
+        edge = (after, tuple(flips))
+        for transmission in ongoing.values():
+            if transmission.mw_row is not self._mw[transmission.tx_id]:
+                break
+        else:
+            if len(self._sense_memo) >= SENSE_MEMO_ENTRIES:
+                self._sense_memo.clear()
+            self._sense_memo[key] = edge
+        return edge
 
     # ------------------------------------------------------------ transmission
     def _intended_receivers(self, tx_id: int, frame: Frame) -> list[int]:
@@ -361,14 +387,13 @@ class WirelessMedium:
         transmission processing and will call ``on_transmission_end`` on
         the transmitter's MAC when the frame leaves the air.
         """
-        transmitting = self._transmitting
-        if tx_id in transmitting:
+        ongoing = self._ongoing
+        if tx_id in ongoing:
             raise RuntimeError(f"node {tx_id} is already transmitting")
         duration = frame_airtime(frame.size_bytes, frame.rate)
         mw = self._mw
         row_mw = mw[tx_id]
         transmission = _Transmission(tx_id, frame, row_mw)
-        ongoing = self._ongoing
         nodes = self._nodes
 
         # The new transmission interferes with, and may destroy, receptions
@@ -376,8 +401,7 @@ class WirelessMedium:
         for other in ongoing.values():
             for rx_id, reception in other.receptions.items():
                 if rx_id == tx_id:
-                    # Half duplex: a node cannot keep receiving once it starts
-                    # transmitting.
+                    # Half duplex: a transmitting node stops receiving.
                     if reception.failure is None:
                         reception.failure = "half_duplex"
                         nodes[rx_id].rx_live -= 1
@@ -395,7 +419,7 @@ class WirelessMedium:
             rx = nodes[rx_id]
             if inactive and rx_id in inactive:
                 reception.failure = "rx_off"
-            elif rx_id in transmitting:
+            elif rx_id in ongoing:
                 reception.failure = "half_duplex"
             elif rx.rx_live > 0:
                 reception.failure = "rx_locked"
@@ -408,55 +432,31 @@ class WirelessMedium:
             reception.peak_interference_mw = interference
 
         ongoing[tx_id] = transmission
-        transmitting.add(tx_id)
-        # Add this transmitter's row into every other node's sensed
-        # energy and notify the nodes that flip to busy (the transmitter
-        # itself included).  Starting a transmission only *raises* sensed
-        # energy and only *adds* to the transmitting set, so busy can
-        # only flip False -> True here.  Each node's flip depends only on
-        # its own entry and listeners never read another node's
-        # carrier-sense state, so updating and notifying in one pass is
-        # sound.
-        threshold = self._cs_threshold_mw
-        for node_id, node in nodes.items():
-            if node_id != tx_id:
-                node.sensed_mw += row_mw[node_id]
-            if not node.busy and (node_id == tx_id or node.sensed_mw >= threshold):
-                node.busy = True
-                node.listener.on_medium_busy()
+        # Carrier sense follows the on-air set; a flip sees the new set.
+        key = (self._busy, tuple(ongoing))
+        self._busy, flips = self._sense_memo.get(key) or self._sense_edge(key)
+        for flip in flips:
+            flip()
         self.sim.schedule(duration, partial(self._finish_transmission, tx_id))
         return duration
 
     def _finish_transmission(self, tx_id: int) -> None:
-        transmission = self._ongoing.pop(tx_id)
-        transmitting = self._transmitting
-        transmitting.discard(tx_id)
+        ongoing = self._ongoing
+        transmission = ongoing.pop(tx_id)
         nodes = self._nodes
         # The frame's still-live receptions leave the air with it: they
         # no longer lock their receivers.
         for rx_id, reception in transmission.receptions.items():
             if reception.failure is None:
                 nodes[rx_id].rx_live -= 1
-        # Remove this transmitter's row from every other node's sensed
-        # energy (clamped at zero against float residue) and notify the
-        # nodes that flip to idle.  Ending a transmission only *lowers*
-        # sensed energy and only *removes* from the transmitting set, so
-        # busy can only flip True -> False here.  The subtraction goes
-        # through the begin-time row snapshot, so a position epoch
-        # between begin and finish cannot unbalance the sensed energy.
+        key = (self._busy, tuple(ongoing))
+        self._busy, flips = self._sense_memo.get(key) or self._sense_edge(key)
+        for flip in flips:
+            flip()
+        # Ongoing receptions lose this transmitter's interference: the
+        # begin-time snapshot removes exactly what was added.
         row_mw = transmission.mw_row
-        threshold = self._cs_threshold_mw
-        for node_id, node in nodes.items():
-            if node_id != tx_id:
-                v = node.sensed_mw - row_mw[node_id]
-                node.sensed_mw = v if v > 0.0 else 0.0
-            if node.busy and node.sensed_mw < threshold and node_id not in transmitting:
-                node.busy = False
-                node.listener.on_medium_idle()
-        # Ongoing receptions no longer suffer this transmitter's
-        # interference; as above, the begin-time snapshot removes exactly
-        # what was added.
-        for other in self._ongoing.values():
+        for other in ongoing.values():
             for rx_id, reception in other.receptions.items():
                 if rx_id != tx_id:
                     v = reception.cur_interference_mw - row_mw[rx_id]

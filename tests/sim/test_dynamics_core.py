@@ -1,6 +1,6 @@
 """Core dynamics invariants: incremental power-table rebuilds, memo
-invalidation (held as delivery outcomes), snapshot-balanced sensed energy
-across position epochs, churn fail/revive semantics, and
+invalidation (held as delivery outcomes), sensed energy summed through
+begin-time snapshots across position epochs, churn fail/revive semantics, and
 trajectory/schedule determinism."""
 
 from __future__ import annotations

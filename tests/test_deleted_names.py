@@ -79,6 +79,12 @@ GONE = [
         (),
     ),
     (
+        "a running per-node sensed-energy sum or transmitting set beside the busy set",
+        r"sensed_mw|_transmitting\b",
+        "repro/mac/medium.py",
+        (),
+    ),
+    (
         "a sorted list of heard sequence numbers in the probe log",
         r"bisect|insort",
         "repro/net/probing.py",
