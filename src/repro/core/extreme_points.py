@@ -28,7 +28,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.cliques import independent_set_rows
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.interference import Link
 
@@ -49,7 +48,7 @@ def secondary_extreme_points(
     ``conflict_graph.independent_sets()`` order."""
     links = list(links) if links is not None else list(conflict_graph.links)
     capacity = _capacity_vector(capacities, links)
-    vertices, rows = independent_set_rows(conflict_graph.adjacency)
+    vertices, rows = conflict_graph.independent_set_rows()
     column = {link: i for i, link in enumerate(vertices)}
     return np.where(rows[:, [column[link] for link in links]], capacity, 0.0)
 
@@ -62,9 +61,20 @@ def non_dominated_rows(points: np.ndarray) -> np.ndarray:
     region: any weight on it can move to its dominator and every link
     budget only grows.
     """
-    geq = (points[:, None, :] >= points[None, :, :]).all(axis=2)  # [i, j]: row i >= row j
-    dominated = (geq & ~geq.T).any(axis=0) | np.triu(geq & geq.T, k=1).any(axis=0)
-    return np.flatnonzero(~dominated)
+    # A link of an Eq. (4) point is at 0 or at its capacity.  Where every
+    # link takes at most two values, row i >= row j unless j is at a top
+    # that i is not: a count of such links is a 0/1 product, exact in
+    # floats.  Other points (NaN fails the test) compare link by link.
+    top = np.maximum.reduce(points, axis=0, initial=-np.inf)
+    at_top = points == top
+    if (at_top | (points == np.minimum.reduce(points, axis=0, initial=np.inf))).all():
+        geq = (~at_top).astype(float) @ at_top.T.astype(float) == 0.0  # [i, j]: row i >= row j
+    else:
+        geq = (points[:, None, :] >= points[None, :, :]).all(axis=2)
+    order = np.arange(len(points))
+    # j falls to an i >= j that j does not match, or to an equal i < j.
+    beaten = geq & (~geq.T | (order[:, None] < order))
+    return np.flatnonzero(~np.logical_or.reduce(beaten, axis=0))
 
 
 def _capacity_vector(capacities: Mapping[Link, float], links: Sequence[Link]) -> np.ndarray:

@@ -26,7 +26,12 @@ mean, and moves all variables by one step length: at most 0.999 of the
 way to the boundary, halved until the KKT residual norm falls.  It ends
 when gap + |dual residual| |x|, a bound on the distance to the optimum,
 is within 1e-10 of ``sum_s y_s U'(y_s)``; anything else comes back as
-``success=False`` with the residuals in the message.  Rates are
+``success=False`` with the residuals in the message.  A step allocates
+next to nothing: the iterate and its trial are two buffers that swap
+roles, the step's arrays are written in place, and each BLAS reduction
+reads an operand of the layout a fresh array would have, so its
+summation order, and every bit of the iterate, is the one the
+allocating form of the same operations gives.  Rates are
 normalised internally so the solver sees well-conditioned numbers
 whether capacities are in b/s or Mb/s.  The solver carries only the
 extreme points no other point dominates: under free disposal the
@@ -83,12 +88,31 @@ def solve_rate_program(
     return rates, alpha, converged, message
 
 
+class _Point:
+    """One iterate ``z`` of :func:`_interior_point` and what a step derives
+    from it: U's gradient, the KKT residual and ``z - lower`` (the
+    complementarity pairs' first sides, then their second), with the
+    views a step reads.  Two of them swap roles, iterate and trial, so no
+    step allocates them again."""
+
+    __slots__ = (
+        *("z", "flows", "head", "tail", "grad"),
+        *("res", "pairs", "flow_res", "positive", "first", "second"),
+    )
+
+    def __init__(self, z: np.ndarray, num_flows: int, m: int) -> None:
+        self.z, self.res, self.positive = z, np.empty(m + 1), np.empty(2 * m + 1)
+        self.flows, self.head, self.tail = z[:num_flows], z[: m + 1], z[m + 1 :]
+        self.pairs, self.flow_res = self.res[:m], self.res[:num_flows]
+        self.first, self.second = self.positive[:m], self.positive[m + 1 :]
+
+
 def _interior_point(
     points: np.ndarray, routing: np.ndarray, fairness: float, floor: float
 ) -> tuple[np.ndarray, np.ndarray, bool, str]:
     """The iteration itself, on the program as given."""
     num_links, num_flows = routing.shape
-    capacity_rows = np.hstack([routing, -points.T])
+    capacity_rows = np.concatenate([routing, -points.T], axis=1)
     n = capacity_rows.shape[1]
     m = n + num_links
     # Equilibrated units: a link row in units of its capacity under
@@ -97,12 +121,13 @@ def _interior_point(
     x = np.ones(n)
     x[num_flows:] /= n - num_flows
     budget = x[num_flows:] @ points
-    share = budget / np.maximum(routing.sum(axis=1), 1.0)
-    rate_unit = np.maximum(2 * floor, 0.5 * np.where(routing.T > 0, share, np.inf).min(axis=1))
+    share = budget / np.maximum(np.add.reduce(routing, axis=1), 1.0)
+    tightest = np.minimum.reduce(np.where(routing.T > 0, share, np.inf), axis=1)
+    rate_unit = np.maximum(2 * floor, 0.5 * tightest)
     rows = capacity_rows / np.where(budget > 0.0, budget, 1.0)[:, None]
     rows[:, :num_flows] *= rate_unit
     weight = rate_unit ** (1.0 - fairness)  # U'(y) = weight y^-alpha in those units
-    weight /= weight.max()
+    neg_weight = -(weight / np.maximum.reduce(weight))
     # z = [x = (y, alpha), link prices, nu | bound multipliers, link
     # slacks]: (z - lower)[i] and z[m + 1 + i] are the two sides of
     # complementarity pair i, and nu (entry m) is free.
@@ -119,74 +144,109 @@ def _interior_point(
     constant[num_flows:n, m] = constant[m, num_flows:n] = 1.0
     kkt = constant.copy()
     diagonal = kkt.reshape(-1)[:: m + 2][:m]
+    flow_diagonal = diagonal[:num_flows]
+    # What the residual subtracts from constant @ z: [sign * slacks, 1].
+    shift = np.ones(m + 1)
+    signed_tail = shift[:m]
 
-    def residuals(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad = -weight * z[:num_flows] ** -fairness
-        res = constant @ z[: m + 1]  # [dual (n), link rows (L), simplex]
-        res[:m] -= sign * z[m + 1 :]
-        res[:num_flows] += grad
-        res[m] -= 1.0
-        return grad, res
+    def evaluate(point: _Point) -> float:
+        """Fill ``point`` in from its ``z``; the residual's squared norm."""
+        point.grad = neg_weight * point.flows ** -fairness
+        np.matmul(constant, point.head, out=point.res)  # [dual (n), link rows (L), simplex]
+        np.multiply(sign, point.tail, out=signed_tail)
+        np.subtract(point.res, shift, out=point.res)
+        np.add(point.flow_res, point.grad, out=point.flow_res)
+        np.subtract(point.z, lower, out=point.positive)
+        return float(point.res.dot(point.res))
 
-    grad, res = residuals(z)
-    rhs, dz, weights = np.zeros((m + 1, 2)), np.empty((2, 2 * m + 1)), np.ones(2)
+    current, trial = _Point(z, num_flows, m), _Point(np.empty_like(z), num_flows, m)
+    res_norm2 = evaluate(current)
+    # The step's work arrays, written in place.  Every reduction (a dot,
+    # the KKT product, a 2-row combination) reads operands of the shape
+    # and strides a fresh array would have: BLAS sums in an order fixed by
+    # that layout, so every iterate keeps its bits.
+    ratio, centrality = np.empty(m), np.empty(m)
+    rhs, sides = np.zeros((2, m + 1)), np.empty((2, m))
+    neg_second, inv_first = sides
+    rhs_pairs, rhs_affine = rhs[:, :m], rhs[0, :m]
+    dz, reach = np.empty((2, 2 * m + 1)), np.empty((2, 2 * m + 1))
+    solved, head, tail = dz[:, : m + 1], dz[:, :m], dz[:, m + 1 :]
+    affine_head, affine_tail, affine_reach = dz[0, :m], dz[0, m + 1 :], reach[0]
+    weights, converged = np.ones(2), False
     # inf / nan (the floor does not fit) end the loop as a failure.
     with np.errstate(all="ignore"):
         for iteration in range(_MAX_NEWTON_STEPS):
+            z, grad, res = current.z, current.grad, current.res
             # Keep the largest marginal utility near 1 as the rates move.
-            if not 0.5 < (rescale := -1.0 / grad.min()) < 2.0:
-                weight *= rescale
+            if not 0.5 < (rescale := -1.0 / np.minimum.reduce(grad)) < 2.0:
+                neg_weight *= rescale
                 z[n : m + 1 + n] *= rescale
-                grad, res[:n] = grad * rescale, res[:n] * rescale
-            positive = z - lower
-            first, second = positive[:m], positive[m + 1 :]
-            gap, error = first @ second, np.abs(res)
+                grad *= rescale
+                res[:n] *= rescale
+                np.subtract(z, lower, out=current.positive)
+                res_norm2 = float(res.dot(res))
+            first, second = current.first, current.second
+            gap = float(first.dot(second))
             # gap + |dual residual| |x| bounds the distance to the optimum
             # (the gap alone says no until the last steps).
-            tolerance = _OBJECTIVE_TOLERANCE * -(grad @ z[:num_flows])
-            if converged := gap <= tolerance and (
-                gap + error[:n].max() * z[:n].sum() <= tolerance
-                and error[n:].max() <= _FEASIBILITY_TOLERANCE
-            ):
-                break
-            ratio = second / first
-            diagonal[:] = sign * ratio
-            diagonal[:num_flows] -= fairness * grad / z[:num_flows]
+            tolerance = _OBJECTIVE_TOLERANCE * -float(grad.dot(current.flows))
+            if gap <= tolerance:
+                error = np.abs(res)
+                if converged := bool(
+                    gap + float(np.maximum.reduce(error[:n])) * float(z[:n].sum()) <= tolerance
+                    and np.maximum.reduce(error[n:]) <= _FEASIBILITY_TOLERANCE
+                ):
+                    break
+            np.divide(second, first, out=ratio)
+            np.multiply(sign, ratio, out=diagonal)
+            flow_diagonal -= fairness * grad / current.flows
             # Two right-hand sides: the affine-scaling step, and the
-            # change per unit of centering target.
-            rhs[:m, 0] = -res[:m] - sign * second
-            rhs[m, 0] = -res[m]
-            rhs[:m, 1] = sign / first
+            # change per unit of centering target.  sign = +-1 makes each
+            # product with it an exact negation or copy.
+            np.negative(second, out=neg_second)
+            np.divide(1.0, first, out=inv_first)
+            np.multiply(sign, sides, out=rhs_pairs)
+            np.subtract(rhs_affine, current.pairs, out=rhs_affine)
+            rhs[0, m] = -res[m]
             try:
-                dz[:, : m + 1] = np.linalg.solve(kkt, rhs).T
+                solved[...] = np.linalg.solve(kkt, rhs.T).T
             except np.linalg.LinAlgError:
                 break
-            dz[:, m + 1 :] = [-second, 1.0 / first] - ratio * dz[:, :m]
-            # -1 / min(reach) is the step at which a pair's side hits zero.
-            reach = dz / positive
-            a = -1.0 / min(reach[0].min(), -1.0)
+            np.multiply(ratio, head, out=tail)
+            np.subtract(sides, tail, out=tail)
+            # -1 / min(reach) is the step at which a pair's side hits zero
+            # (the entry argmin finds: the minimum, or the first NaN).
+            np.divide(dz, current.positive, out=reach)
+            a = -1.0 / min(float(affine_reach[affine_reach.argmin()]), -1.0)
             # The affine step takes a off every product, to first order.
-            affine_gap = (1.0 - a) * gap + a * a * (dz[0, :m] @ dz[0, m + 1 :])
-            weights[1] = target = max((affine_gap / gap) ** 3 * gap, 0.1 * tolerance) / m
-            step = weights @ dz
-            a = -_BOUNDARY_FRACTION / min((weights @ reach).min(), -_BOUNDARY_FRACTION)
+            affine_gap = (1.0 - a) * gap + a * a * float(affine_head.dot(affine_tail))
+            shrink = np.float64(affine_gap) / gap  # numpy's: inf, not an exception, at 0
+            weights[1] = target = float(max(shrink**3 * gap, 0.1 * tolerance) / m)
+            step, step_reach = weights @ dz, weights @ reach
+            a = -_BOUNDARY_FRACTION / min(
+                float(step_reach[step_reach.argmin()]), -_BOUNDARY_FRACTION
+            )
             # Backtrack on the perturbed KKT residual's norm.
-            centrality = first * second - target
-            norm2 = res @ res + centrality @ centrality
+            np.multiply(first, second, out=centrality)
+            centrality -= target
+            norm2 = res_norm2 + float(centrality.dot(centrality))
             while a > _MIN_STEP:
-                trial = z + a * step
-                grad, res = residuals(trial)
-                centrality = (trial[:m] - lower[:m]) * trial[m + 1 :] - target
-                if res @ res + centrality @ centrality <= (1.0 - 0.01 * a) ** 2 * norm2:
+                np.multiply(step, a, out=trial.z)
+                trial.z += z
+                trial_norm2 = evaluate(trial)
+                np.multiply(trial.first, trial.second, out=centrality)
+                centrality -= target
+                if trial_norm2 + float(centrality.dot(centrality)) <= (1.0 - 0.01 * a) ** 2 * norm2:
                     break
                 a *= 0.5
             else:  # nothing lowers it: the floor does not fit, or precision ran out
                 break
-            z = trial
+            current, trial, res_norm2 = trial, current, trial_norm2
+    error = np.abs(res)  # at the start of the last step, as the gap
     found = "optimum" if converged else "no optimum"
     message = f"interior point: {found} after {iteration} Newton steps (gap {gap:.3g}, dual "
     message += f"residual {error[:n].max():.3g}, primal residual {error[n:].max():.3g})"
-    return z[:num_flows] * rate_unit, z[num_flows:n], bool(converged), message
+    return current.z[:num_flows] * rate_unit, current.z[num_flows:n], converged, message
 
 
 class SolverError(RuntimeError):
@@ -230,7 +290,7 @@ class RateOptimizer:
     ) -> None:
         if list(routing.links) != list(region.links):
             raise ValueError("routing matrix and feasibility region must use the same link order")
-        if routing.matrix.shape[0] != region.num_links:
+        if routing.matrix.shape[0] != len(region.links):
             raise ValueError("routing matrix row count must equal the number of links")
         self.region = region
         self.routing = routing
@@ -262,7 +322,7 @@ class RateOptimizer:
         self, rates: np.ndarray, alpha: np.ndarray, success: bool, message: str
     ) -> OptimizationResult:
         y = rates * self._scale
-        weights = np.zeros(self.region.num_extreme_points)
+        weights = np.zeros(len(self.region.extreme_points))
         weights[self._kept] = alpha
         objective = self.utility.value(np.maximum(y, self.rate_floor))
         return OptimizationResult(y, weights, self._r @ y, objective, success, message)

@@ -16,6 +16,9 @@ The probing system exposes per-directed-link loss *series* (ordered 0/1
 loss indicators) and loss *rates*, and combines the DATA loss of the
 forward direction with the ACK loss of the reverse direction into the
 link loss rate ``p_l = 1 - (1 - p_DATA)(1 - p_ACK)`` used by Eq. (6).
+Each stream is a byte bitmap indexed by sequence number; a window is a
+slice of it, and the controller's window reads every stream it needs
+into one stacked loss matrix in a single pass (:meth:`ProbingSystem.loss_matrix`).
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ class ProbePayload:
     rate_name: str = ""
 
 
-#: Byte map turning a reception bitmap (1 = heard) into loss indicators.
-_LOST = bytes.maketrans(b"\0\1", b"\1\0")
+#: Byte map turning a reception bitmap (1 = heard) into loss indicators,
+#: and the padding (2) that ends a short row of a loss matrix into 0.
+_LOST = bytes.maketrans(b"\0\1\2", b"\1\0\0")
 
 
 class ProbingSystem:
@@ -205,10 +209,35 @@ class ProbingSystem:
         ``sender`` (all of them when ``last_n`` is None) — the "probing
         window" consumed by the channel-loss estimator.
         """
-        label, start, sent = self._window(sender, kind, last_n, rate)
-        log = self._logs.get((sender, receiver, label), b"")
-        heard = log[start:sent].ljust(sent - start, b"\0")
-        return np.frombuffer(heard.translate(_LOST), np.uint8).astype(int)
+        losses, _ = self.loss_matrix([(sender, receiver, kind, rate)], last_n)
+        return losses[0].astype(int)
+
+    def loss_matrix(
+        self, streams: list[tuple[int, int, str, PhyRate | None]], last_n: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(losses, lengths)``: the :meth:`loss_series` of each ``(sender,
+        receiver, kind, rate)`` in ``streams`` as the rows of one int8 0/1
+        matrix, each in its leading columns and zeros after, and their
+        lengths — what :func:`repro.core.loss_estimator.stack_series` makes
+        of the series, read from the bitmaps in one pass: the window slices
+        joined (a short row padded with 2), one translate, one frombuffer."""
+        windows = [
+            (self._window(sender, kind, last_n, rate), sender, receiver)
+            for sender, receiver, kind, rate in streams
+        ]
+        lengths = [sent - start for (_, start, sent), _, _ in windows]
+        width = max(lengths, default=0)
+        logs = self._logs
+        rows = bytearray().join(
+            [
+                logs.get((sender, receiver, label), b"")[start:sent]
+                .ljust(sent - start, b"\0")
+                .ljust(width, b"\2")
+                for (label, start, sent), sender, receiver in windows
+            ]
+        )
+        losses = np.frombuffer(rows.translate(_LOST), np.int8).reshape(len(windows), width)
+        return losses, np.array(lengths, dtype=int)
 
     def loss_rate(
         self,

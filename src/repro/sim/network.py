@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.controller import LinkProbes, ProbeWindow
+from repro.core.controller import ProbeWindow
 from repro.core.rate_control import tcp_ack_airtime_factor
 from repro.mac.constants import DEFAULT_MAC_CONFIG, MacConfig
 from repro.mac.medium import WirelessMedium
@@ -333,18 +333,17 @@ class MeshNetwork:
     def probe_window(self, links: list[Link], last_n: int) -> ProbeWindow:
         """The controller's measurement record (§5.2): each link's last
         ``last_n`` DATA probes forward at its rate and ACK probes in
-        reverse, and the ACK loss rate of every ordered node pair."""
+        reverse, read into ``losses`` in one pass (DATA rows first), and
+        the ACK loss rate of every ordered node pair."""
         probing = self.probing
         if probing is None:
             raise RuntimeError("probing is not enabled on the network")
-        probes = {}
-        for tx, rx in links:
-            rate = self.link_rate((tx, rx))
-            probes[tx, rx] = LinkProbes(
-                rate,
-                probing.loss_series(tx, rx, "data", last_n, rate),
-                probing.loss_series(rx, tx, "ack", last_n),
-            )
-        return ProbeWindow.from_probes(
-            probes, list(probing.nodes), probing.loss_table("ack", last_n), self.mac_config
+        links = list(dict.fromkeys(map(tuple, links)))  # each link once, first use first
+        rates = [self.link_rate(link) for link in links]
+        streams = [(tx, rx, "data", rate) for (tx, rx), rate in zip(links, rates)]
+        streams += [(rx, tx, "ack", None) for tx, rx in links]
+        losses, lengths = probing.loss_matrix(streams, last_n)
+        ack_loss = probing.loss_table("ack", last_n)
+        return ProbeWindow(
+            links, rates, losses, lengths, list(probing.nodes), ack_loss, self.mac_config
         )

@@ -29,6 +29,14 @@ the three linear programs as they ran on HiGHS until the interior-point
 iteration took them over too: the max-throughput and max-min solves,
 region membership and the scaling factor.  They are the only place
 ``scipy.optimize.linprog`` still appears.
+
+Last, ``solve_rate_program`` / ``_interior_point``, ``non_dominated_rows``
+and ``probe_window`` are the code of commit cdda2ef, before the Newton
+step moved to work arrays, the presolve to a dominance count and the
+window read to one stacked pass: the allocating step with ``ndarray.min``
+and numpy scalars, the ``K x K x L`` comparison, one ``loss_series`` per
+link direction stacked again.  The tests hold the new code to them byte
+for byte.
 """
 
 from __future__ import annotations
@@ -471,3 +479,162 @@ def linprog_max_scaling(region, direction):
     )
     assert result.success, result.message
     return float(result.x[0])
+
+
+# --------------------------------------------- the controller cycle, bit for bit
+def solve_rate_program(points, routing, fairness, floor=0.0):
+    """``optimizer.solve_rate_program`` at commit cdda2ef."""
+    if fairness > 0:
+        return _interior_point(points, routing, fairness, floor)
+    rates = np.zeros(routing.shape[1])
+    served = points.max(axis=0) > 0
+    open_flows = ~routing[~served].any(axis=0)
+    if not open_flows.any():
+        return rates, np.eye(len(points))[0], True, "every flow crosses a link no point serves"
+    routes, group, count = np.unique(
+        routing[served][:, open_flows], axis=1, return_inverse=True, return_counts=True
+    )
+    total, alpha, converged, message = _interior_point(points[:, served], routes, 0.0, 0.0)
+    rates[open_flows] = (total / count)[group.reshape(-1)]
+    return rates, alpha, converged, message
+
+
+_MAX_NEWTON_STEPS = 500
+_BOUNDARY_FRACTION = 0.999
+_MIN_STEP = 1e-10
+_OBJECTIVE_TOLERANCE = 1e-10
+_FEASIBILITY_TOLERANCE = 1e-9
+
+
+def _interior_point(points, routing, fairness, floor):
+    """``optimizer._interior_point`` at commit cdda2ef: a fresh array per
+    operation, ``ndarray.min`` and numpy scalars."""
+    num_links, num_flows = routing.shape
+    capacity_rows = np.hstack([routing, -points.T])
+    n = capacity_rows.shape[1]
+    m = n + num_links
+    # Equilibrated units: a link row in units of its capacity under
+    # uniform alpha, a flow in units of half its tightest per-link
+    # share of that budget, so y = 1, alpha = 1 / K is interior.
+    x = np.ones(n)
+    x[num_flows:] /= n - num_flows
+    budget = x[num_flows:] @ points
+    share = budget / np.maximum(routing.sum(axis=1), 1.0)
+    rate_unit = np.maximum(2 * floor, 0.5 * np.where(routing.T > 0, share, np.inf).min(axis=1))
+    rows = capacity_rows / np.where(budget > 0.0, budget, 1.0)[:, None]
+    rows[:, :num_flows] *= rate_unit
+    weight = rate_unit ** (1.0 - fairness)  # U'(y) = weight y^-alpha in those units
+    weight /= weight.max()
+    # z = [x = (y, alpha), link prices, nu | bound multipliers, link
+    # slacks]: (z - lower)[i] and z[m + 1 + i] are the two sides of
+    # complementarity pair i, and nu (entry m) is free.
+    lower = np.zeros(2 * m + 1)
+    lower[:num_flows], lower[m] = floor / rate_unit, -np.inf
+    slack = np.maximum(-(rows @ x), floor)
+    z = np.concatenate([x, 1.0 / slack, [0.0], 1.0 / (x - lower[:n]), slack])
+    # The Newton matrix, constant but for its diagonal.  Eliminating the
+    # link rows squares its conditioning: two tied points then stall it.
+    sign = np.ones(m)
+    sign[n:] = -1.0
+    constant = np.zeros((m + 1, m + 1))
+    constant[:n, n:m], constant[n:m, :n] = rows.T, rows
+    constant[num_flows:n, m] = constant[m, num_flows:n] = 1.0
+    kkt = constant.copy()
+    diagonal = kkt.reshape(-1)[:: m + 2][:m]
+
+    def residuals(z):
+        grad = -weight * z[:num_flows] ** -fairness
+        res = constant @ z[: m + 1]  # [dual (n), link rows (L), simplex]
+        res[:m] -= sign * z[m + 1 :]
+        res[:num_flows] += grad
+        res[m] -= 1.0
+        return grad, res
+
+    grad, res = residuals(z)
+    rhs, dz, weights = np.zeros((m + 1, 2)), np.empty((2, 2 * m + 1)), np.ones(2)
+    # inf / nan (the floor does not fit) end the loop as a failure.
+    with np.errstate(all="ignore"):
+        for iteration in range(_MAX_NEWTON_STEPS):
+            # Keep the largest marginal utility near 1 as the rates move.
+            if not 0.5 < (rescale := -1.0 / grad.min()) < 2.0:
+                weight *= rescale
+                z[n : m + 1 + n] *= rescale
+                grad, res[:n] = grad * rescale, res[:n] * rescale
+            positive = z - lower
+            first, second = positive[:m], positive[m + 1 :]
+            gap, error = first @ second, np.abs(res)
+            # gap + |dual residual| |x| bounds the distance to the optimum
+            # (the gap alone says no until the last steps).
+            tolerance = _OBJECTIVE_TOLERANCE * -(grad @ z[:num_flows])
+            if converged := gap <= tolerance and (
+                gap + error[:n].max() * z[:n].sum() <= tolerance
+                and error[n:].max() <= _FEASIBILITY_TOLERANCE
+            ):
+                break
+            ratio = second / first
+            diagonal[:] = sign * ratio
+            diagonal[:num_flows] -= fairness * grad / z[:num_flows]
+            # Two right-hand sides: the affine-scaling step, and the
+            # change per unit of centering target.
+            rhs[:m, 0] = -res[:m] - sign * second
+            rhs[m, 0] = -res[m]
+            rhs[:m, 1] = sign / first
+            try:
+                dz[:, : m + 1] = np.linalg.solve(kkt, rhs).T
+            except np.linalg.LinAlgError:
+                break
+            dz[:, m + 1 :] = [-second, 1.0 / first] - ratio * dz[:, :m]
+            # -1 / min(reach) is the step at which a pair's side hits zero.
+            reach = dz / positive
+            a = -1.0 / min(reach[0].min(), -1.0)
+            # The affine step takes a off every product, to first order.
+            affine_gap = (1.0 - a) * gap + a * a * (dz[0, :m] @ dz[0, m + 1 :])
+            weights[1] = target = max((affine_gap / gap) ** 3 * gap, 0.1 * tolerance) / m
+            step = weights @ dz
+            a = -_BOUNDARY_FRACTION / min((weights @ reach).min(), -_BOUNDARY_FRACTION)
+            # Backtrack on the perturbed KKT residual's norm.
+            centrality = first * second - target
+            norm2 = res @ res + centrality @ centrality
+            while a > _MIN_STEP:
+                trial = z + a * step
+                grad, res = residuals(trial)
+                centrality = (trial[:m] - lower[:m]) * trial[m + 1 :] - target
+                if res @ res + centrality @ centrality <= (1.0 - 0.01 * a) ** 2 * norm2:
+                    break
+                a *= 0.5
+            else:  # nothing lowers it: the floor does not fit, or precision ran out
+                break
+            z = trial
+    found = "optimum" if converged else "no optimum"
+    message = f"interior point: {found} after {iteration} Newton steps (gap {gap:.3g}, dual "
+    message += f"residual {error[:n].max():.3g}, primal residual {error[n:].max():.3g})"
+    return z[:num_flows] * rate_unit, z[num_flows:n], bool(converged), message
+
+
+def non_dominated_rows(points):
+    """``extreme_points.non_dominated_rows`` at commit cdda2ef, its K x K x L
+    comparison in one piece."""
+    geq = (points[:, None, :] >= points[None, :, :]).all(axis=2)  # [i, j]: row i >= row j
+    dominated = (geq & ~geq.T).any(axis=0) | np.triu(geq & geq.T, k=1).any(axis=0)
+    return np.flatnonzero(~dominated)
+
+
+def probe_window(network, links, last_n):
+    """``MeshNetwork.probe_window`` at commit cdda2ef: one ``loss_series``
+    per link direction, stacked again by ``ProbeWindow.from_probes``."""
+    from repro.core.controller import LinkProbes, ProbeWindow
+
+    probing = network.probing
+    if probing is None:
+        raise RuntimeError("probing is not enabled on the network")
+    probes = {}
+    for tx, rx in links:
+        rate = network.link_rate((tx, rx))
+        probes[tx, rx] = LinkProbes(
+            rate,
+            probing.loss_series(tx, rx, "data", last_n, rate),
+            probing.loss_series(rx, tx, "ack", last_n),
+        )
+    return ProbeWindow.from_probes(
+        probes, list(probing.nodes), probing.loss_table("ack", last_n), network.mac_config
+    )

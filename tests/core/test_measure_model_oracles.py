@@ -1,8 +1,8 @@
 """The controller's measure -> model half against the per-link, per-pair
-code it replaced (``_parent_oracles``): every ``LinkEstimate`` field and
-the conflict graph's adjacency must be ``==`` on the states the
-performance ledger times, on the recorded ``controller_dense`` window and
-on the conventions for probe-less links.
+code it replaced (``_parent_oracles``): the probe window, every
+``LinkEstimate`` field and the conflict graph's adjacency must be ``==``
+on the states the performance ledger times, on the recorded
+``controller_dense`` window and on the conventions for probe-less links.
 On the same states the solve is refereed, once, by the SLSQP call it
 replaced."""
 
@@ -40,6 +40,14 @@ from ledger_tracing import NullTracer  # noqa: E402
 def _assert_equals_oracles(controller: OnlineOptimizer) -> dict:
     window = controller.network.probe_window(controller.links, controller.probing_window)
     assert list(window.links) == controller.links
+    # The stacked read is the parent's per-stream one, dtypes included.
+    per_stream = oracle.probe_window(
+        controller.network, controller.links, controller.probing_window
+    )
+    assert window == per_stream
+    assert [a.dtype for a in (window.losses, window.lengths, window.ack_loss)] == [
+        a.dtype for a in (per_stream.losses, per_stream.lengths, per_stream.ack_loss)
+    ]
     estimates = controller.estimate_links()
     assert list(estimates) == controller.links
     assert {link: dataclasses.astuple(est) for link, est in estimates.items()} == (
@@ -186,14 +194,14 @@ def test_no_golden_reads_a_probe_less_direction(monkeypatch):
     every window a golden run hands the capacity estimator holds probes."""
     golden = _golden_module()
     sizes: list[int] = []
-    loss_series = ProbingSystem.loss_series
+    loss_matrix = ProbingSystem.loss_matrix
 
     def recording(self, *args, **kwargs):
-        series = loss_series(self, *args, **kwargs)
-        sizes.append(series.size)
-        return series
+        losses, lengths = loss_matrix(self, *args, **kwargs)
+        sizes.extend(lengths.tolist())
+        return losses, lengths
 
-    monkeypatch.setattr(ProbingSystem, "loss_series", recording)
+    monkeypatch.setattr(ProbingSystem, "loss_matrix", recording)
     controlled = [name for name, spec in golden.GOLDEN_SPECS.items() if spec.controller.enabled]
     for name in controlled:
         assert golden.compute(name) == golden.golden_path(name).read_text(encoding="utf-8")

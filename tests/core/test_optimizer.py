@@ -1,15 +1,19 @@
 """Tests for the utility-maximising rate optimizer (Section 6.1)."""
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import decide
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.extreme_points import FeasibilityRegion, non_dominated_rows
 from repro.core.interference import PairwiseInterferenceMap
-from repro.core.optimizer import RateOptimizer
+import repro.core.optimizer as optimizer_module
+from repro.core.optimizer import RateOptimizer, solve_rate_program
 from repro.core.utility import MAX_THROUGHPUT, PROPORTIONAL_FAIR, AlphaFairUtility
 from repro.net.routing import FlowRoute, RoutingMatrix, build_routing_matrix
 
@@ -331,12 +335,7 @@ class TestPresolveOracle:
         once used overshot on its first step, its line search gave up,
         and the *starting point* came back with success=True - a fifth
         of the optimum's utility."""
-        links = _links(4)
-        capacities = dict(zip(links, [3480546.0, 4391383.0, 4188278.0, 241688.0]))
-        conflicts = [(links[0], links[2]), (links[1], links[2]), (links[1], links[3]), (links[2], links[3])]
-        region = _region(links, capacities, conflicts)
-        matrix = np.array([[0, 1, 1, 1], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]]).T
-        _assert_matches_oracle(region, _routing(region, matrix), 2.0)
+        _assert_matches_oracle(*_starved_flows(), 2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(_small_networks(single_hop=True))
@@ -433,24 +432,64 @@ class TestLinearProgramReferee:
 ALPHAS = [0.5, 1.0, 2.0, 3.0, 4.0]
 
 
+def _tied_points():
+    a, b, c = links = _links(3)
+    region = _region(links, dict(zip(links, [3e6, 2e6, 1e6])), [(b, c)])
+    return region, _routing(region, [[1, 1], [0, 0], [0, 0]])
+
+
+def _idle_link():
+    a, b, c = links = _links(3)
+    region = _region(links, dict(zip(links, [3e6, 2e6, 1e6])), [(a, b), (b, c)])
+    return region, _routing(region, [[1, 0], [0, 1], [0, 0]])
+
+
+def _floor_does_not_fit():
+    a, b = links = _links(2)
+    region = _region(links, {a: 2.0, b: 4e6}, [(a, b)])
+    return region, _routing(region, [[1, 1, 1], [0, 0, 1]])
+
+
+def _starved_flows():
+    links = _links(4)
+    capacities = dict(zip(links, [3480546.0, 4391383.0, 4188278.0, 241688.0]))
+    conflicts = [(links[0], links[2]), (links[1], links[2]), (links[1], links[3]), (links[2], links[3])]
+    region = _region(links, capacities, conflicts)
+    matrix = np.array([[0, 1, 1, 1], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]]).T
+    return region, _routing(region, matrix)
+
+
+#: The shapes that break a careless Newton iteration, by name: each builds
+#: ``(region, routing)``.
+DEGENERATE_SHAPES = {
+    "two kept points tied on every loaded link": _tied_points,
+    "a single kept point": lambda: _two_single_hop_flows(c1=3e6, c2=1e6, interfering=False),
+    "a link no flow crosses": _idle_link,
+    "a capacity a millionth of the largest": lambda: _two_single_hop_flows(
+        c1=5e6, c2=5.0, interfering=True
+    ),
+    "a rate floor that does not fit": _floor_does_not_fit,
+    "starved flows": _starved_flows,
+}
+
+
 class TestDegenerateShapes:
-    """The shapes that break a careless Newton iteration, by name; each is
-    held to the LP-only oracle at ``TOLERANCE``."""
+    """The shapes of ``DEGENERATE_SHAPES``; each is held to the LP-only
+    oracle at ``TOLERANCE``."""
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_two_kept_points_tied_on_every_loaded_link(self, alpha):
         """{A, B} and {A, C} are both maximal and neither dominates, but
         the flows cross A alone: the weights are not unique, and the
         Newton matrix loses rank along the tie as the gap closes."""
-        a, b, c = links = _links(3)
-        region = _region(links, dict(zip(links, [3e6, 2e6, 1e6])), [(b, c)])
+        region, routing = DEGENERATE_SHAPES["two kept points tied on every loaded link"]()
         assert non_dominated_rows(region.extreme_points).size == 2
-        result = _assert_matches_oracle(region, _routing(region, [[1, 1], [0, 0], [0, 0]]), alpha)
+        result = _assert_matches_oracle(region, routing, alpha)
         assert result.flow_rates == pytest.approx([1.5e6, 1.5e6], rel=1e-9)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_a_single_kept_point(self, alpha):
-        region, routing = _two_single_hop_flows(c1=3e6, c2=1e6, interfering=False)
+        region, routing = DEGENERATE_SHAPES["a single kept point"]()
         assert non_dominated_rows(region.extreme_points).size == 1
         result = _assert_matches_oracle(region, routing, alpha)
         assert result.flow_rates == pytest.approx([3e6, 1e6], rel=1e-9)
@@ -458,9 +497,7 @@ class TestDegenerateShapes:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_a_link_no_flow_crosses(self, alpha):
-        a, b, c = links = _links(3)
-        region = _region(links, dict(zip(links, [3e6, 2e6, 1e6])), [(a, b), (b, c)])
-        _assert_matches_oracle(region, _routing(region, [[1, 0], [0, 1], [0, 0]]), alpha)
+        _assert_matches_oracle(*DEGENERATE_SHAPES["a link no flow crosses"](), alpha)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_a_capacity_a_millionth_of_the_largest(self, alpha):
@@ -470,7 +507,7 @@ class TestDegenerateShapes:
         flows sharing the air have a closed form: the airtime split
         equalises c U'(c a), clipped where the 1 b/s floor binds.)"""
         c1, c2 = 5e6, 5.0
-        region, routing = _two_single_hop_flows(c1=c1, c2=c2, interfering=True)
+        region, routing = DEGENERATE_SHAPES["a capacity a millionth of the largest"]()
         result = RateOptimizer(region, routing, AlphaFairUtility(alpha=alpha)).solve()
         _assert_consistent(region, result)
         slow = max(1.0, c2 / (1.0 + (c1 / c2) ** ((1.0 - alpha) / alpha)))
@@ -481,11 +518,8 @@ class TestDegenerateShapes:
         """Three flows through a 2 b/s link cannot each have the 1 b/s
         floor: no optimum exists, and the solve says so (the controller
         turns that into ``SolverError``)."""
-        a, b = links = _links(2)
-        region = _region(links, {a: 2.0, b: 4e6}, [(a, b)])
-        result = RateOptimizer(
-            region, _routing(region, [[1, 1, 1], [0, 0, 1]]), AlphaFairUtility(alpha=alpha)
-        ).solve()
+        region, routing = DEGENERATE_SHAPES["a rate floor that does not fit"]()
+        result = RateOptimizer(region, routing, AlphaFairUtility(alpha=alpha)).solve()
         assert not result.success
         assert "no optimum" in result.message and "primal residual" in result.message
 
@@ -530,3 +564,98 @@ class TestSolveProperties:
         scaled = RateOptimizer(scaled_region, routing, utility, rate_floor=factor).solve()
         assert straight.success and scaled.success
         assert scaled.flow_rates == pytest.approx(straight.flow_rates * factor, rel=1e-9)
+
+
+# ------------------------------------------------------------- the parent's bits
+#: The programs the controller and the region hand the iteration.
+BIT_ALPHAS = [0.0, 0.5, 1.0, 2.0, 4.0]
+
+
+def _assert_parents_bits(points, routing, fairness, floor=0.0):
+    """``solve_rate_program`` against the parent's (``_parent_oracles``):
+    the same ``(y, alpha)`` bytes, verdict and message (which carries the
+    Newton step count and the residuals)."""
+    shipped = solve_rate_program(points, routing, fairness, floor)
+    parent = oracle.solve_rate_program(points, routing, fairness, floor)
+    assert shipped[0].tobytes() == parent[0].tobytes()
+    assert shipped[1].tobytes() == parent[1].tobytes()
+    assert shipped[2:] == parent[2:]
+
+
+def _assert_every_program_keeps_its_bits(region, routing, alphas=BIT_ALPHAS):
+    """The presolve, each alpha-fair program, max-min and the scaling
+    factor along the load vector, each as the parent computed it."""
+    points = region.extreme_points
+    kept = non_dominated_rows(points)
+    assert kept.tobytes() == oracle.non_dominated_rows(points).tobytes()
+    for alpha in alphas:
+        optimizer = RateOptimizer(region, routing, AlphaFairUtility(alpha=alpha))
+        floor = optimizer.rate_floor / optimizer._scale
+        _assert_parents_bits(optimizer._c, optimizer._r, alpha, floor)
+    _assert_parents_bits(optimizer._c, optimizer._r.sum(axis=1, keepdims=True), 0.0)
+    load = routing.matrix.sum(axis=1)
+    if load.any():
+        scale, top = points.max(), load.max()
+        theta = oracle.solve_rate_program(points[kept] / scale, load[:, None] / top, 0.0)[0]
+        assert region.max_scaling(load) == float(theta[0] * scale / top)
+
+
+class TestTheParentsBits:
+    """The Newton step writes into work arrays and reads its dots with
+    ``ndarray.dot``; the presolve counts dominance with one product.  Both
+    must leave every iterate, weight and message as the parent's code had
+    them: equality of bytes, never a tolerance."""
+
+    def test_the_recorded_window(self):
+        golden = str(Path(__file__).resolve().parent / "golden")
+        if golden not in sys.path:
+            sys.path.insert(0, golden)
+        from record_window import load
+
+        window, routes, kwargs, _ = load()
+        region = decide(window, routes, **kwargs).region
+        _assert_every_program_keeps_its_bits(region, build_routing_matrix(routes, links=region.links))
+
+    @pytest.mark.parametrize("shape", sorted(DEGENERATE_SHAPES))
+    def test_every_degenerate_shape(self, shape):
+        _assert_every_program_keeps_its_bits(*DEGENERATE_SHAPES[shape](), BIT_ALPHAS + [3.0])
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_a_solve_cut_short(self, monkeypatch, steps):
+        """With the step budget spent before the optimum, the message
+        reports the last step's own gap and residuals, not its trial's."""
+        monkeypatch.setattr(optimizer_module, "_MAX_NEWTON_STEPS", steps)
+        monkeypatch.setattr(oracle, "_MAX_NEWTON_STEPS", steps)
+        for shape in DEGENERATE_SHAPES.values():
+            region, routing = shape()
+            for alpha in BIT_ALPHAS:
+                optimizer = RateOptimizer(region, routing, AlphaFairUtility(alpha=alpha))
+                floor = optimizer.rate_floor / optimizer._scale
+                _assert_parents_bits(optimizer._c, optimizer._r, alpha, floor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_networks())
+    def test_small_regions(self, network):
+        region, routing, _ = network
+        _assert_every_program_keeps_its_bits(region, routing)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda rows: st.integers(0, 5).flatmap(
+                lambda columns: st.lists(
+                    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, np.inf, -np.inf, np.nan]),
+                    min_size=rows * columns,
+                    max_size=rows * columns,
+                ).map(lambda values: np.array(values, dtype=float).reshape(rows, columns))
+            )
+        )
+    )
+    def test_non_dominated_rows_of_any_points(self, points):
+        """Two-valued links (the Eq. (4) shape) take the product; three
+        values, NaN or an empty side take the pairwise comparison.  (Some
+        numpy builds flag a comparison with NaN as invalid; both sides
+        compare it, so the flag is silenced for both.)"""
+        with np.errstate(invalid="ignore"):
+            shipped, parent = non_dominated_rows(points), oracle.non_dominated_rows(points)
+        assert shipped.tobytes() == parent.tobytes()

@@ -10,9 +10,12 @@ build, and CI runs this file on the oldest and the latest numpy.
 
 One decision's work is also counted, not timed: the number of Python
 function calls it makes into ``repro`` (``sys.setprofile``; the
-interpreter may predate ``sys.monitoring``).  The measure -> model half
-is one array pass, so a per-link or per-pair Python loop that comes back
+interpreter may predate ``sys.monitoring``), and so is one live window
+read's.  The measure -> model half is one array pass and the window one
+stacked read, so a per-link or per-pair Python loop that comes back
 shows up here as a count over the ceiling, whatever the machine's noise.
+The live cell also referees the stacked read against the parent's
+per-stream one (``_parent_oracles.probe_window``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _parent_oracles as oracle
 import repro
 from repro.core import decide
 
@@ -53,23 +57,28 @@ def test_the_pinned_targets_hold_at_the_decision_grain(recorded):
     assert decide(window, routes, **kwargs).target_outputs_bps == targets
 
 
-def test_the_recorded_decision_is_the_live_cycle(recorded):
-    window, routes, kwargs, _ = recorded
+@pytest.fixture(scope="module")
+def live():
+    """The ``controller_dense`` cell after its probing warm-up."""
     controller = record_window.build_live()
-    try:
-        assert controller._flow_routes() == routes
-        assert record_window.settings(controller) == kwargs
-        live_window = controller.network.probe_window(controller.links, controller.probing_window)
-        live = controller.optimize()
-    finally:
-        controller.network.close()
+    yield controller
+    controller.network.close()
+
+
+def test_the_recorded_decision_is_the_live_cycle(recorded, live):
+    controller = live
+    window, routes, kwargs, _ = recorded
+    assert controller._flow_routes() == routes
+    assert record_window.settings(controller) == kwargs
+    live_window = controller.network.probe_window(controller.links, controller.probing_window)
+    decision = controller.optimize()
     assert live_window == window
     replayed = decide(window, routes, **kwargs)
-    assert replayed.link_estimates == live.link_estimates
-    assert replayed.conflict_graph.adjacency == live.conflict_graph.adjacency
-    np.testing.assert_array_equal(replayed.optimization.flow_rates, live.optimization.flow_rates)
-    assert replayed.target_outputs_bps == live.target_outputs_bps
-    assert replayed.input_rates_bps == live.input_rates_bps
+    assert replayed.link_estimates == decision.link_estimates
+    assert replayed.conflict_graph.adjacency == decision.conflict_graph.adjacency
+    np.testing.assert_array_equal(replayed.optimization.flow_rates, decision.optimization.flow_rates)
+    assert replayed.target_outputs_bps == decision.target_outputs_bps
+    assert replayed.input_rates_bps == decision.input_rates_bps
 
 
 def test_a_window_equals_its_reload_and_not_a_flipped_copy():
@@ -90,15 +99,33 @@ def test_a_window_equals_its_reload_and_not_a_flipped_copy():
     assert first != None  # noqa: E711
 
 
+def test_the_stacked_read_is_the_per_stream_read(live):
+    """``probe_window`` fills the loss matrix from the probe bitmaps in one
+    pass; the parent read one series per link direction and stacked them
+    again.  The two windows are equal, array for array and dtype for
+    dtype, at every window length."""
+    network, links = live.network, live.links
+    for last_n in (1, 40, 80, 10**6):
+        stacked = network.probe_window(links, last_n)
+        per_stream = oracle.probe_window(network, links, last_n)
+        assert stacked == per_stream
+        for name in ("losses", "lengths", "ack_loss"):
+            assert getattr(stacked, name).dtype == getattr(per_stream, name).dtype
+        assert stacked.losses.flags.writeable
+
+
 #: Python calls into ``repro`` one ``decide`` on the recording makes,
-#: the interior-point solve's 11 residual evaluations included; the
-#: per-link and per-pair code the array pass replaced made 675.
-CALL_CEILING = 131
+#: the interior-point solve's 11 point evaluations included; the
+#: per-link and per-pair code the array pass replaced made 675, and the
+#: parent of the stacked window read and the work-array Newton step 131.
+CALL_CEILING = 130
 
 
-def test_one_decision_makes_a_bounded_number_of_python_calls(recorded):
-    window, routes, kwargs, _ = recorded
-    decide(window, routes, **kwargs)  # fill the per-length caches first
+def _calls_into_repro(run) -> Counter[str]:
+    """The Python function calls ``run()`` makes into ``repro``, by name.
+    ``sys.setprofile`` sees Python frames and C functions only: numpy's
+    ufunc operators emit no event, so this counts calls into the package,
+    not array operations."""
     package = str(Path(repro.__file__).parent)
     calls: Counter[str] = Counter()
 
@@ -108,7 +135,27 @@ def test_one_decision_makes_a_bounded_number_of_python_calls(recorded):
 
     sys.setprofile(count)
     try:
-        decide(window, routes, **kwargs)
+        run()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def test_one_decision_makes_a_bounded_number_of_python_calls(recorded):
+    window, routes, kwargs, _ = recorded
+    decide(window, routes, **kwargs)  # fill the per-length caches first
+    calls = _calls_into_repro(lambda: decide(window, routes, **kwargs))
     assert 0 < sum(calls.values()) <= CALL_CEILING, calls.most_common()
+
+
+#: Python calls into ``repro`` one live ``probe_window(links, 80)`` makes:
+#: a label and a window per probe stream (32 series, 18 ACK senders), a
+#: rate per link; the per-stream read it replaced made 157.
+WINDOW_CALL_CEILING = 126
+
+
+def test_one_window_read_makes_a_bounded_number_of_python_calls(live):
+    network, links = live.network, live.links
+    calls = _calls_into_repro(lambda: network.probe_window(links, 80))
+    assert 0 < sum(calls.values()) <= WINDOW_CALL_CEILING, calls.most_common()
+    assert calls["loss_matrix"] == 1 and "loss_series" not in calls

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.loss_estimator import stack_series
 from repro.mac.nominal import nominal_throughput_bps
 from repro.net.adhoc_probe import AdHocProbe
 from repro.net.packet import Packet, PacketKind
@@ -163,6 +164,14 @@ class TestProbingSystem:
                 assert rate_value == lists.loss_rate(key, start, total), (label, last_n)
                 if series.size:
                     assert rate_value == float(series.mean()), (label, last_n)
+        for last_n in (None, 0, 1, 40, sent, sent + 25):
+            # One stacked read: each stream's series in its leading columns.
+            losses, lengths = probing.loss_matrix([stream[:4] for stream in streams], last_n)
+            expected = stack_series(
+                [probing.loss_series(s, r, kind, last_n, rate) for s, r, kind, rate, _ in streams]
+            )
+            assert (losses.dtype, lengths.dtype) == (expected[0].dtype, expected[1].dtype)
+            assert np.array_equal(losses, expected[0]) and np.array_equal(lengths, expected[1])
         for kind in ("data", "ack"):
             for last_n in (None, 0, 40):
                 assert probing.loss_rates(kind, last_n) == oracle.loss_rates(probing, kind, last_n)
@@ -215,9 +224,10 @@ class TestProbingSystem:
         for sender in range(3):
             heard = [seq for s, seq in receptions if s == sender]
             probing._sent[(sender, "ack")] = max(heard, default=-1) + 1 + extra_sent[sender]
+        start_of = {}
         for sender in range(3):
             total = probing.probes_sent(sender, "ack")
-            start = 0 if last_n is None else max(0, total - last_n)
+            start = start_of[sender] = 0 if last_n is None else max(0, total - last_n)
             for receiver in range(3):
                 key = (sender, receiver, "ack")
                 assert probing.loss_series(sender, receiver, "ack", last_n).tolist() == (
@@ -227,6 +237,15 @@ class TestProbingSystem:
                     lists.loss_rate(key, start, total)
                 )
         assert probing.loss_rates("ack", last_n) == oracle.loss_rates(probing, "ack", last_n)
+        pairs = [(sender, receiver) for sender in range(3) for receiver in range(3)]
+        losses, lengths = probing.loss_matrix([(s, r, "ack", None) for s, r in pairs], last_n)
+        expected = stack_series(
+            [
+                lists.loss_series((s, r, "ack"), start_of[s], probing.probes_sent(s, "ack"))
+                for s, r in pairs
+            ]
+        )
+        assert np.array_equal(losses, expected[0]) and np.array_equal(lengths, expected[1])
         table = probing.loss_table("ack", last_n)
         assert np.isnan(np.diag(table)).all()
         for sender in range(3):
