@@ -94,23 +94,7 @@ def maximal_cliques(adjacency: Adjacency) -> list[frozenset]:
 def independent_set_rows(adjacency: Adjacency) -> tuple[list, np.ndarray]:
     """``(vertices, rows)``: :func:`maximal_independent_sets` as boolean
     rows over ``vertices`` — the maximal cliques of the complement."""
-    return _independent_rows(*_bit_graph(adjacency))
-
-
-def matrix_independent_set_rows(vertices: list, matrix: np.ndarray) -> tuple[list, np.ndarray]:
-    """:func:`independent_set_rows` of the graph whose edges are the true
-    entries of ``matrix`` (symmetric, false diagonal; ``[i, j]`` joins
-    ``vertices[i]`` and ``vertices[j]``): its rows, renumbered in descending
-    ``repr`` order, are packed into the bitmasks directly."""
-    reprs = list(map(repr, vertices))
-    order = sorted(range(len(vertices)), key=reprs.__getitem__, reverse=True)
-    size = (len(order) + 7) // 8 or 1
-    packed = np.packbits(matrix[order][:, order], axis=1, bitorder="little").tobytes()
-    masks = [int.from_bytes(packed[k : k + size], "little") for k in range(0, len(packed), size)]
-    return _independent_rows(list(map(vertices.__getitem__, order)), masks)
-
-
-def _independent_rows(vertices: list, masks: list[int]) -> tuple[list, np.ndarray]:
+    vertices, masks = _bit_graph(adjacency)
     everyone = (1 << len(masks)) - 1
     return vertices, _clique_rows([everyone & ~(mask | 1 << i) for i, mask in enumerate(masks)])
 

@@ -8,18 +8,10 @@ define the secondary extreme points of Eq. (4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from repro.core.cliques import (
-    adjacency_from_edges,
-    independent_set_rows,
-    matrix_independent_set_rows,
-    maximal_independent_sets,
-)
+from repro.core.cliques import adjacency_from_edges, maximal_independent_sets
 from repro.core.interference import Link, PairwiseInterferenceMap
 
 if TYPE_CHECKING:
@@ -32,9 +24,6 @@ class ConflictGraph:
 
     links: list[Link]
     adjacency: dict[Link, set[Link]]
-    #: The relation as a boolean matrix over ``links``, kept by
-    #: :meth:`from_matrix` so the enumeration reads it without the sets.
-    matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if set(self.adjacency) != set(self.links):
@@ -45,20 +34,6 @@ class ConflictGraph:
     def from_interference_map(cls, interference: PairwiseInterferenceMap) -> "ConflictGraph":
         adjacency = {link: set(others) for link, others in interference.adjacency.items()}
         return cls(links=list(interference.links), adjacency=adjacency)
-
-    @classmethod
-    def from_matrix(cls, links: Iterable[Link], matrix: np.ndarray) -> "ConflictGraph":
-        """The graph whose ``links[i]`` and ``links[j]`` conflict where
-        ``matrix[i, j]`` (a symmetric boolean matrix, false diagonal)."""
-        links = list(links)
-        if matrix.shape != (len(links), len(links)) or matrix.diagonal().any():
-            raise ValueError("the conflict matrix must be square over the links, without self-loops")
-        if (matrix != matrix.T).any():
-            raise ValueError("the conflict matrix must be symmetric")
-        rows = matrix.tolist()
-        graph = cls(links, {link: set(compress(links, row)) for link, row in zip(links, rows)})
-        graph.matrix = matrix
-        return graph
 
     @classmethod
     def from_edges(
@@ -81,13 +56,6 @@ class ConflictGraph:
     def independent_sets(self) -> list[frozenset]:
         """All maximal independent sets (each is a set of links)."""
         return maximal_independent_sets(self.adjacency)
-
-    def independent_set_rows(self) -> tuple[list[Link], np.ndarray]:
-        """:meth:`independent_sets` as boolean rows over the returned links
-        (:func:`repro.core.cliques.independent_set_rows`)."""
-        if self.matrix is None:
-            return independent_set_rows(self.adjacency)
-        return matrix_independent_set_rows(self.links, self.matrix)
 
     def to_networkx(self) -> "nx.Graph":
         """Export to a :class:`networkx.Graph` (for cross-checks and plots).

@@ -18,6 +18,7 @@ figures of Sections 4.5 and 6.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from typing import Any, Literal
 
 import numpy as np
@@ -181,7 +182,8 @@ def build_conflict_graph(
     ends = np.array([(index[tx], index[rx]) for tx, rx in links], dtype=int).reshape(-1, 2)
     heard = np.zeros(loss.shape, dtype=bool)
     np.greater_equal(1.0 - loss, connectivity_threshold, out=heard, where=~np.isnan(loss))
-    return ConflictGraph.from_matrix(links, two_hop_conflict_matrix(ends, heard | heard.T))
+    rows = two_hop_conflict_matrix(ends, heard | heard.T).tolist()
+    return ConflictGraph(list(links), {a: set(compress(links, r)) for a, r in zip(links, rows)})
 
 
 def _decision(

@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.cliques import independent_set_rows
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.interference import Link
 
@@ -48,7 +49,7 @@ def secondary_extreme_points(
     ``conflict_graph.independent_sets()`` order."""
     links = list(links) if links is not None else list(conflict_graph.links)
     capacity = _capacity_vector(capacities, links)
-    vertices, rows = conflict_graph.independent_set_rows()
+    vertices, rows = independent_set_rows(conflict_graph.adjacency)
     column = {link: i for i, link in enumerate(vertices)}
     return np.where(rows[:, [column[link] for link in links]], capacity, 0.0)
 

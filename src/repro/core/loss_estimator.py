@@ -141,14 +141,20 @@ def _knee_of_log_fit(min_window: int, total: int) -> tuple[int, np.ndarray]:
 
 
 def stack_series(series: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
-    """``(losses, lengths)``: loss series (nonzero = lost) as the rows of an
-    int8 0/1 matrix, each in its leading columns, and their lengths."""
-    lengths = np.array([len(one) for one in series], dtype=int)
-    losses = np.zeros((lengths.size, lengths.max(initial=0)), dtype=np.int8)
-    losses[np.arange(losses.shape[1]) < lengths[:, None]] = np.concatenate(
-        [np.zeros(0, dtype=np.int8), *map(np.asarray, series)]
-    ).astype(bool)
-    return losses, lengths
+    """``(losses, lengths)``: loss series (nonzero = lost) as a loss matrix
+    (:func:`stack_loss_rows`)."""
+    return stack_loss_rows([np.asarray(one, dtype=bool).tobytes() for one in series])
+
+
+def stack_loss_rows(rows: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """``(losses, lengths)``: the loss matrix of ``rows`` of 0/1 bytes (1 =
+    lost), the one layout the batch estimator reads — an int8 row per
+    series, the series in its leading columns and 0 after, and the series'
+    lengths as ints."""
+    lengths = [len(row) for row in rows]
+    width = max(lengths, default=0)
+    joined = bytearray().join([row.ljust(width, b"\0") for row in rows])
+    return np.frombuffer(joined, np.int8).reshape(len(rows), width), np.array(lengths, dtype=int)
 
 
 def estimate_channel_loss_rates(

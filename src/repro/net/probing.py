@@ -29,6 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.loss_estimator import stack_loss_rows
 from repro.mac.constants import ACK_FRAME_BYTES
 from repro.net.node import MeshNode
 from repro.phy.radio import PhyRate, RATE_1MBPS
@@ -51,9 +52,8 @@ class ProbePayload:
     rate_name: str = ""
 
 
-#: Byte map turning a reception bitmap (1 = heard) into loss indicators,
-#: and the padding (2) that ends a short row of a loss matrix into 0.
-_LOST = bytes.maketrans(b"\0\1\2", b"\1\0\0")
+#: Byte map turning a reception bitmap (1 = heard) into loss indicators.
+_LOST = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class ProbingSystem:
@@ -216,28 +216,17 @@ class ProbingSystem:
         self, streams: list[tuple[int, int, str, PhyRate | None]], last_n: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(losses, lengths)``: the :meth:`loss_series` of each ``(sender,
-        receiver, kind, rate)`` in ``streams`` as the rows of one int8 0/1
-        matrix, each in its leading columns and zeros after, and their
-        lengths — what :func:`repro.core.loss_estimator.stack_series` makes
-        of the series, read from the bitmaps in one pass: the window slices
-        joined (a short row padded with 2), one translate, one frombuffer."""
-        windows = [
-            (self._window(sender, kind, last_n, rate), sender, receiver)
-            for sender, receiver, kind, rate in streams
-        ]
-        lengths = [sent - start for (_, start, sent), _, _ in windows]
-        width = max(lengths, default=0)
+        receiver, kind, rate)`` in ``streams`` as the rows of one loss matrix
+        (:func:`repro.core.loss_estimator.stack_loss_rows`), read from the
+        bitmaps: each stream's window slice, unheard to its length, mapped
+        to loss indicators."""
         logs = self._logs
-        rows = bytearray().join(
-            [
-                logs.get((sender, receiver, label), b"")[start:sent]
-                .ljust(sent - start, b"\0")
-                .ljust(width, b"\2")
-                for (label, start, sent), sender, receiver in windows
-            ]
-        )
-        losses = np.frombuffer(rows.translate(_LOST), np.int8).reshape(len(windows), width)
-        return losses, np.array(lengths, dtype=int)
+        rows = []
+        for sender, receiver, kind, rate in streams:
+            label, start, sent = self._window(sender, kind, last_n, rate)
+            log = logs.get((sender, receiver, label), b"")
+            rows.append(log[start:sent].ljust(sent - start, b"\0").translate(_LOST))
+        return stack_loss_rows(rows)
 
     def loss_rate(
         self,

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 import _parent_oracles as oracle
 from repro.core.cliques import (
     adjacency_from_edges,
-    independent_set_rows,
-    matrix_independent_set_rows,
     maximal_cliques,
     maximal_independent_sets,
 )
@@ -283,13 +281,6 @@ class TestCliques:
         adjacency = {name(v): {name(u) for u in graph.neighbors(v)} for v in graph.nodes}
         assert maximal_cliques(adjacency) == oracle.maximal_cliques(adjacency)
         assert maximal_independent_sets(adjacency) == oracle.maximal_independent_sets(adjacency)
-        # The same graph as a boolean matrix, packed into the masks directly.
-        vertices = list(adjacency)
-        matrix = np.array([[u in adjacency[v] for u in vertices] for v in vertices], dtype=bool)
-        by_sets = independent_set_rows(adjacency)
-        by_matrix = matrix_independent_set_rows(vertices, matrix)
-        assert by_matrix[0] == by_sets[0]
-        assert by_matrix[1].tobytes() == by_sets[1].tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -335,13 +326,3 @@ class TestConflictGraph:
     def test_adjacency_must_cover_links(self):
         with pytest.raises(ValueError):
             ConflictGraph(links=[(0, 1)], adjacency={})
-
-    def test_a_conflict_matrix_is_square_symmetric_and_loop_free(self):
-        links = [(0, 1), (2, 3)]
-        graph = ConflictGraph.from_matrix(links, np.array([[False, True], [True, False]]))
-        assert graph == ConflictGraph(links, {links[0]: {links[1]}, links[1]: {links[0]}})
-        vertices, rows = graph.independent_set_rows()  # from the kept matrix
-        assert (vertices, rows.tolist()) == ([(2, 3), (0, 1)], [[False, True], [True, False]])
-        for bad in ([[False, True], [False, False]], [[True, False], [False, False]], [[False]]):
-            with pytest.raises(ValueError):
-                ConflictGraph.from_matrix(links, np.array(bad))
