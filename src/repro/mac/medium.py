@@ -22,9 +22,12 @@ table per unit (``dBm[tx][rx]`` and ``mW[tx][rx]``, plain floats keyed
 by node id), filled by :meth:`WirelessMedium._link_power` — at
 construction for every pair, at a position epoch
 (:meth:`WirelessMedium.update_positions`) for the pairs that moved.
-Carrier sense is a function of the on-air set: a node is busy while it
-transmits or while the begin-time ``mW`` rows of the other transmitters
-on the air, summed in start order, reach the CS threshold.  A begin or
+Carrier sense and reception interference are functions of the on-air
+set: each sums the begin-time ``mW`` rows of the other transmitters on
+the air, in start order.  A node is busy while it transmits or while
+that sum at it reaches the CS threshold; a reception's peak
+interference is the largest such sum at its receiver over the on-air
+sets seen during the frame, so only a begin can raise it.  A begin or
 end moves the busy set with one memo lookup.  The from-scratch
 definitions are the oracle in ``tests/sim/test_medium_properties.py``.
 """
@@ -90,7 +93,6 @@ class _NodeState:
 class _Reception:
     """Tracks one intended receiver of an ongoing transmission."""
 
-    cur_interference_mw: float = 0.0
     peak_interference_mw: float = 0.0
     failure: str | None = None
 
@@ -99,11 +101,10 @@ class _Reception:
 class _Transmission:
     """An ongoing transmission and the state of its intended receivers.
 
-    ``mw_row`` is the ``mW[tx]`` row at begin time.  Carrier sense sums
-    these snapshots and finish subtracts this frame's interference
-    through it, so a position epoch mid-flight (which replaces rows,
-    never mutates them) fires no busy/idle flip and every per-reception
-    add/remove pair stays exactly balanced.
+    ``mw_row`` is the ``mW[tx]`` row at begin time.  Carrier sense and
+    reception interference sum these snapshots, so a frame in flight
+    across a position epoch (which replaces rows, never mutates them)
+    counts with the row it began with.
     """
 
     tx_id: int
@@ -160,7 +161,6 @@ class WirelessMedium:
         self._busy = 0
         self._sense_memo: dict[tuple[int, tuple[int, ...]], _Edge] = {}
         self.loss_counts: Counter[str] = Counter()
-        self.delivered_frames = 0
         self.frame_observers: list[Callable[[Frame, int, bool, str | None], None]] = []
         self._rng = sim.rng_stream("medium")
         # Buffered uniform draws: ``Generator.random(n)`` produces the
@@ -220,20 +220,15 @@ class WirelessMedium:
         For each moved node the full row *and* column of both tables are
         recomputed by :meth:`_link_power`.  For in-flight transmissions:
 
-        * ``mW`` rows are *replaced*, never mutated: carrier sense sums
-          the begin-time snapshots on :class:`_Transmission`, so no
-          busy/idle flip fires at the epoch instant, and a finish
-          removes exactly the interference its begin added;
+        * ``mW`` rows are *replaced*, never mutated: carrier sense and
+          reception interference sum the begin-time snapshots on
+          :class:`_Transmission`, so no busy/idle flip fires at the
+          epoch instant and a frame in flight interferes through the
+          row it began with;
         * both memos of the tables, ``_resolve_cache`` and
           ``_sense_memo``, are cleared;
         * no RNG stream is touched and no event is scheduled, so a run
           with zero moves is event- and draw-identical to a static run.
-
-        A reception that *begins* after the epoch while an old
-        transmission still interferes sees the new table for the add
-        and the old snapshot for the remove; the residual is clamped at
-        zero and bounded by one frame airtime — deterministic, and far
-        below the position-epoch timescale.
         """
         if not moved:
             return
@@ -391,25 +386,15 @@ class WirelessMedium:
         if tx_id in ongoing:
             raise RuntimeError(f"node {tx_id} is already transmitting")
         duration = frame_airtime(frame.size_bytes, frame.rate)
-        mw = self._mw
-        row_mw = mw[tx_id]
-        transmission = _Transmission(tx_id, frame, row_mw)
+        transmission = _Transmission(tx_id, frame, self._mw[tx_id])
         nodes = self._nodes
 
-        # The new transmission interferes with, and may destroy, receptions
-        # already in progress.
+        # Half duplex: a transmitting node stops receiving.
         for other in ongoing.values():
-            for rx_id, reception in other.receptions.items():
-                if rx_id == tx_id:
-                    # Half duplex: a transmitting node stops receiving.
-                    if reception.failure is None:
-                        reception.failure = "half_duplex"
-                        nodes[rx_id].rx_live -= 1
-                    continue
-                cur = reception.cur_interference_mw + row_mw[rx_id]
-                reception.cur_interference_mw = cur
-                if cur > reception.peak_interference_mw:
-                    reception.peak_interference_mw = cur
+            reception = other.receptions.get(tx_id)
+            if reception is not None and reception.failure is None:
+                reception.failure = "half_duplex"
+                nodes[tx_id].rx_live -= 1
 
         # Build reception state for the new frame's intended receivers.
         inactive = self._inactive
@@ -425,13 +410,21 @@ class WirelessMedium:
                 reception.failure = "rx_locked"
             else:
                 rx.rx_live += 1
-            interference = 0.0
-            for other in ongoing.values():
-                interference += mw[other.tx_id][rx_id]
-            reception.cur_interference_mw = interference
-            reception.peak_interference_mw = interference
 
         ongoing[tx_id] = transmission
+        # Every live reception hears the other frames on the air, summed in
+        # start order through their begin-time rows; its peak keeps the
+        # largest sum.  A frame alone on the air hears nothing.
+        if len(ongoing) > 1:
+            for other in ongoing.values():
+                for rx_id, reception in other.receptions.items():
+                    if reception.failure is None:
+                        interference = 0.0
+                        for on_air in ongoing.values():
+                            if on_air is not other:
+                                interference += on_air.mw_row[rx_id]
+                        if interference > reception.peak_interference_mw:
+                            reception.peak_interference_mw = interference
         # Carrier sense follows the on-air set; a flip sees the new set.
         key = (self._busy, tuple(ongoing))
         self._busy, flips = self._sense_memo.get(key) or self._sense_edge(key)
@@ -453,15 +446,6 @@ class WirelessMedium:
         self._busy, flips = self._sense_memo.get(key) or self._sense_edge(key)
         for flip in flips:
             flip()
-        # Ongoing receptions lose this transmitter's interference: the
-        # begin-time snapshot removes exactly what was added.
-        row_mw = transmission.mw_row
-        for other in ongoing.values():
-            for rx_id, reception in other.receptions.items():
-                if rx_id != tx_id:
-                    v = reception.cur_interference_mw - row_mw[rx_id]
-                    reception.cur_interference_mw = v if v > 0.0 else 0.0
-
         self._deliver(transmission)
         nodes[tx_id].listener.on_transmission_end(transmission.frame)
 
@@ -558,7 +542,6 @@ class WirelessMedium:
             for observer in observers:
                 observer(frame, rx_id, success, failure)
             if success:
-                self.delivered_frames += 1
                 nodes[rx_id].listener.on_frame_received(frame, tx_id)
             else:
                 self.loss_counts[failure] += 1

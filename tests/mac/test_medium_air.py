@@ -110,16 +110,33 @@ def test_sensed_energy_is_exactly_zero_when_the_air_clears():
     assert not residue, residue[:5]
 
 
+def _log_deliveries(sim: Simulator, medium: WirelessMedium) -> list[tuple]:
+    """Every delivery attempt, as ``(time, frame fields, rx, success,
+    failure)`` — the frame's id counts across runs, so it is left out."""
+    log: list[tuple] = []
+
+    def observe(frame: Frame, rx: int, success: bool, failure: str | None) -> None:
+        frame_fields = (frame.kind, frame.src, frame.dst, frame.size_bytes)
+        log.append((sim.now, frame_fields, rx, success, failure))
+
+    medium.add_frame_observer(observe)
+    return log
+
+
 def test_a_full_carrier_sense_memo_starts_over(monkeypatch):
     """With the memo bounded at a handful of entries it is cleared again
-    and again, and every node hears the same flips in the same order."""
+    and again; every node hears the same flips in the same order, and
+    every reception ends the same way."""
     unbounded: list[tuple[int, bool]] = []
     sim, medium = _sequence(flips=unbounded)
+    unbounded_log = _log_deliveries(sim, medium)
     sim.run()
+    unbounded_losses = medium.loss_counts
     assert len(medium._sense_memo) > 8
     monkeypatch.setattr(medium_module, "SENSE_MEMO_ENTRIES", 8)
     bounded: list[tuple[int, bool]] = []
     sim, medium = _sequence(flips=bounded)
+    bounded_log = _log_deliveries(sim, medium)
     sizes: list[int] = []
     original = medium._sense_edge
 
@@ -131,13 +148,15 @@ def test_a_full_carrier_sense_memo_starts_over(monkeypatch):
     sim.run()
     assert bounded == unbounded and len(unbounded) > 100
     assert max(sizes) == 8
+    assert (bounded_log, medium.loss_counts) == (unbounded_log, unbounded_losses)
 
 
 #: Python calls into ``repro`` for the whole sequence: the kernel's
 #: schedules and dispatches, and the medium's begins, finishes and
 #: deliveries.  Carrier sense adds one call per memo miss (46 of the
-#: 288 edges here) and none per hit.  A per-node loop makes no calls, so
-#: this count holds the edge path call-free but cannot see per-node work.
+#: 288 edges here) and none per hit; a reception's interference is summed
+#: inline.  A per-node loop makes no calls, so this count holds the edge
+#: path call-free but cannot see per-node work.
 CALL_CEILING = 1891
 
 

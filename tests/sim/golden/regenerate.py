@@ -94,8 +94,8 @@ def _hidden_terminal() -> MeshNetwork:
 
     Transmitters 0 and 2 cannot sense each other while receiver 1 hears
     both — the collision/capture pathology of Section 4.3.  Freezing this
-    trace pins the interference bookkeeping and the capture/SINR path,
-    which the chain scenario barely exercises.
+    trace pins each reception's peak interference and the capture/SINR
+    path, which the chain scenario barely exercises.
     """
     net = MeshNetwork(
         information_asymmetry_pair().positions,

@@ -1,9 +1,8 @@
-"""Property tests for the medium's carrier sense and incremental bookkeeping.
+"""Property tests for the medium's carrier sense, interference and power tables.
 
-Carrier sense is defined by the on-air set; per-reception interference
-(``cur_interference_mw``) is kept incrementally; the pairwise power
-tables are precomputed.  These properties pin each to its definition,
-read through the medium's public readers:
+Carrier sense and per-reception interference are defined by the on-air
+set; the pairwise power tables are precomputed.  These properties pin
+each to its definition, read through the medium's public readers:
 
 * after an arbitrary random interleaving of overlapping transmissions,
   every node's sensed energy equals (``==``) the start-order sum of the
@@ -13,10 +12,10 @@ read through the medium's public readers:
   the MAC was told it, equals the carrier-sense definition on that sum;
 * a MAC replaced by ``register_mac`` mid-run hears nothing afterwards,
   and every MAC is told of each flip exactly once;
-* in runs without epochs, every live reception's current interference
-  equals the from-scratch sum over the other ongoing transmitters (an
-  epoch leaves a transient that ``update_positions`` documents and
-  bounds);
+* every live reception's peak interference equals (``==``) the largest,
+  over the on-air sets seen since its frame began, of the start-order
+  sum of the other transmitters' begin-time ``mW`` rows at its receiver
+  — across position epochs too;
 * the power tables carry exactly (``==``, not approximately) the value
   of the scalar link-budget formula.
 """
@@ -26,7 +25,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import Simulator
 from repro.mac.frames import Frame, FrameKind
@@ -93,16 +92,18 @@ def _check_invariants(
     medium: WirelessMedium,
     macs: dict[int, _RecordingMac],
     rows: dict[int, dict[int, float]],
+    peaks: dict[tuple[int, int], float],
     failures: list[str],
-    interference: bool = True,
 ) -> None:
     """Compare the medium's state against from-scratch recomputation.
 
     ``rows`` maps each transmitter to the ``mW`` row the tables held when
-    its latest frame began, in start order of those frames.
+    its latest frame began, in start order of those frames; ``peaks``
+    holds each on-air ``(tx, rx)`` pair's largest interference sum so
+    far, which this call raises to the on-air set it sees.
     """
     ongoing = list(medium._ongoing.values())
-    on_air = [(tx, row) for tx, row in rows.items() if tx in medium._ongoing]
+    on_air = _on_air_rows(medium, rows)
     if [tx for tx, _ in on_air] != [t.tx_id for t in ongoing]:
         failures.append("on-air set is not in start order")
     cs_threshold_mw = dbm_to_mw(medium.radio.cs_threshold_dbm)
@@ -121,26 +122,45 @@ def _check_invariants(
             failures.append(f"is_busy({node}) != carrier-sense definition")
         if node in macs and macs[node].busy != busy_expected:
             failures.append(f"mac[{node}].busy != carrier-sense definition")
-    if not interference:
-        return
-    # Live receptions: current interference equals the sum over the
-    # *other* ongoing transmitters (a live reception's receiver is never
-    # itself transmitting — that would have failed it as half-duplex).
+    _raise_peaks(medium, rows, peaks)
     for t in ongoing:
         for rx_id, reception in t.receptions.items():
             if reception.failure is not None:
                 continue
-            expected = 0.0
-            for other in ongoing:
-                if other.tx_id != t.tx_id:
-                    expected += medium.rx_power_mw(other.tx_id, rx_id)
-            actual = reception.cur_interference_mw
-            if not math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-18):
+            expected = peaks[t.tx_id, rx_id]
+            if reception.peak_interference_mw != expected:
                 failures.append(
-                    f"interference({t.tx_id}->{rx_id}): {actual!r} != sum {expected!r}"
+                    f"peak({t.tx_id}->{rx_id}): {reception.peak_interference_mw!r}"
+                    f" != {expected!r}"
                 )
-            if reception.peak_interference_mw < actual - 1e-18:
-                failures.append(f"peak < current for {t.tx_id}->{rx_id}")
+
+
+def _on_air_rows(
+    medium: WirelessMedium, rows: dict[int, dict[int, float]]
+) -> list[tuple[int, dict[int, float]]]:
+    """The begin-time rows of the transmitters on the air, in start order."""
+    return [(tx, row) for tx, row in rows.items() if tx in medium._ongoing]
+
+
+def _raise_peaks(
+    medium: WirelessMedium,
+    rows: dict[int, dict[int, float]],
+    peaks: dict[tuple[int, int], float],
+) -> None:
+    """Raise every live reception's running maximum to the start-order
+    sum, at its receiver, of the *other* on-air transmitters' begin-time
+    rows (a live reception's receiver is never itself transmitting —
+    that would have failed it as half-duplex)."""
+    on_air = _on_air_rows(medium, rows)
+    for t in medium._ongoing.values():
+        for rx_id, reception in t.receptions.items():
+            if reception.failure is None:
+                interference = 0.0
+                for tx, row in on_air:
+                    if tx != t.tx_id:
+                        interference += row[rx_id]
+                pair = (t.tx_id, rx_id)
+                peaks[pair] = max(peaks.get(pair, 0.0), interference)
 
 
 _coords = st.frozensets(
@@ -169,12 +189,16 @@ def _run(coords, ops, with_mac, swap, moves=()) -> None:
     ids = sorted(medium.positions)
     n = len(ids)
     rows: dict[int, dict[int, float]] = {}
-    check = partial(_check_invariants, medium, macs, rows, errors, interference=not moves)
+    peaks: dict[tuple[int, int], float] = {}
+    check = partial(_check_invariants, medium, macs, rows, peaks, errors)
 
     def begin(node: int, frame: Frame) -> None:
         rows.pop(node, None)
         rows[node] = {b: medium.rx_power_mw(node, b) for b in ids}
+        for pair in [pair for pair in peaks if pair[0] == node]:
+            del peaks[pair]
         medium.begin_transmission(node, frame)
+        _raise_peaks(medium, rows, peaks)
 
     def replace(node: int) -> None:
         if node in macs:
@@ -216,13 +240,22 @@ _swap = st.tuples(st.integers(0, 11), st.integers(0, 5))
 
 @settings(max_examples=30, deadline=None)
 @given(coords=_coords, ops=_ops, with_mac=st.frozensets(st.integers(0, 5)), swap=_swap)
+# Node 1 hears 0's frame under 2, then under 2 and 3; 2 leaves the air
+# and 4 joins: a running sum that takes 2 out again is an ulp off the
+# start-order sum of 3 and 4.
+@example(
+    coords=frozenset({(4, 0), (5, 3), (5, 6), (7, 8), (8, 7)}),
+    ops=[(0, 0.0, 1500), (2, 1e-5, 40), (3, 1e-5, 1500), (4, 3e-4, 40), (2, 1e-5, 40)],
+    with_mac=frozenset(),
+    swap=(0, 0),
+)
 def test_incremental_state_matches_recomputation(
     coords: frozenset[tuple[int, int]], ops, with_mac: frozenset[int], swap
 ) -> None:
     """Random overlapping transmissions, MACs on an arbitrary subset of
     the nodes, one listener replaced mid-run: sensed energy, busy state
-    and per-reception interference all equal their from-scratch
-    definitions at every event boundary."""
+    and per-reception peak interference all equal their from-scratch
+    definitions at every begin and check."""
     _run(coords, ops, with_mac, swap)
 
 
@@ -230,13 +263,23 @@ def test_incremental_state_matches_recomputation(
 @given(
     coords=_coords, ops=_ops, with_mac=st.frozensets(st.integers(0, 5)), swap=_swap, moves=_moves
 )
+# Node 0's frame begins, then node 0 moves; 1's second frame (to 2) begins
+# under 0's, and 2 must hear 0 through 0's row from before the move.
+@example(
+    coords=frozenset({(0, 0), (0, 1), (1, 0)}),
+    ops=[(1, 0.0, 40), (0, 6.593399832976556e-05, 40), (1, 0.0, 40)],
+    with_mac=frozenset(),
+    swap=(0, 0),
+    moves=[(0, 0, (0, 1))],
+)
 def test_carrier_sense_matches_its_definition_across_epochs(
     coords: frozenset[tuple[int, int]], ops, with_mac: frozenset[int], swap, moves
 ) -> None:
     """As above, with position epochs landing while frames are on the
     air: a frame from before an epoch keeps its begin-time row in every
-    node's sum, and the edges it takes part in are computed, not looked
-    up from before the epoch."""
+    node's sensed energy and every reception's interference, and the
+    edges it takes part in are computed, not looked up from before the
+    epoch."""
     _run(coords, ops, with_mac, swap, moves)
 
 
@@ -296,3 +339,26 @@ def test_an_edge_summed_through_a_pre_epoch_row_is_not_memoised():
     (stale_sum, stale_busy), (fresh_sum, fresh_busy) = seen
     assert math.isclose(stale_sum, 0.8, rel_tol=1e-9) and not stale_busy
     assert math.isclose(fresh_sum, 1.4, rel_tol=1e-9) and fresh_busy
+
+
+def test_a_reception_after_an_epoch_hears_an_interferer_through_its_begin_time_row():
+    """Node 0's frame is on the air when an epoch moves node 0 closer to
+    node 3; node 2's frame to 3 then begins.  Its peak interference is
+    0's row from 0's begin, not the row the tables now hold."""
+    sim = Simulator(seed=0)
+    positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (200.0, 0.0), 3: (210.0, 0.0)}
+    medium = WirelessMedium(sim, positions, propagation=no_shadowing_propagation())
+    frame = partial(Frame, FrameKind.DATA, size_bytes=1500, rate=_RATE)
+    begin_row = medium.rx_power_mw(0, 3)
+    peaks: list[float] = []
+
+    def observe() -> None:
+        peaks.append(medium._ongoing[2].receptions[3].peak_interference_mw)
+
+    sim.schedule_at(0.0, partial(medium.begin_transmission, 0, frame(src=0, dst=1)))
+    sim.schedule_at(2e-4, partial(medium.update_positions, {0: (100.0, 0.0)}))
+    sim.schedule_at(4e-4, partial(medium.begin_transmission, 2, frame(src=2, dst=3)))
+    sim.schedule_at(5e-4, observe)
+    sim.run_until(1e-2)
+    assert medium.rx_power_mw(0, 3) > 5.0 * begin_row
+    assert peaks == [begin_row]

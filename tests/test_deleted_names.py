@@ -85,6 +85,12 @@ GONE = [
         (),
     ),
     (
+        "a running per-reception interference sum beside the on-air set",
+        r"cur_interference_mw",
+        "repro/mac/medium.py",
+        (),
+    ),
+    (
         "a sorted list of heard sequence numbers in the probe log",
         r"bisect|insort",
         "repro/net/probing.py",
