@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import _parent_oracles as oracle
+from reference import paper
 from repro.core.capacity import CapacityModel, combine_data_ack_losses, max_udp_throughputs_bps
 from repro.mac.constants import DEFAULT_MAC_CONFIG, MacConfig
 from repro.mac.nominal import nominal_throughput_bps
@@ -106,7 +106,7 @@ class TestVectorEq6:
     def test_the_vector_pass_is_the_scalar_model_bit_for_bit(self, mac, payload):
         """Every link's Eq. (6) in one vector pass (integer backoff-slot
         sums) equals ``max_udp_throughput_bps`` one loss at a time, and
-        the per-stage float loop it replaced, to the last bit."""
+        the per-stage float loop of the reference, to the last bit."""
         grid = _loss_grid(mac)
         models = [CapacityModel(payload, rate, mac) for rate in (RATE_1MBPS, RATE_11MBPS)]
         rates = np.repeat([0, 1], grid.size)
@@ -116,8 +116,8 @@ class TestVectorEq6:
         assert vector.dtype == np.float64 and vector.shape == losses.shape
         pairs = list(zip(rates.tolist(), losses.tolist()))
         scalar = [models[r].max_udp_throughput_bps(p) for r, p in pairs]
-        parent = [oracle.max_udp_throughput_bps(models[r], p) for r, p in pairs]
-        assert vector.tolist() == scalar == parent
+        loop = [paper.max_udp_throughput_bps(models[r], p) for r, p in pairs]
+        assert vector.tolist() == scalar == loop
         assert all(type(value) is float for value in scalar)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import paper
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.extreme_points import (
     FeasibilityRegion,
@@ -238,6 +239,9 @@ class TestNonDominatedRows:
         # *is* its independent-set point, and the earlier copy stays.
         secondary = secondary_extreme_points(capacities, graph, links)
         assert sorted(map(tuple, kept)) == sorted(map(tuple, secondary))
+        # Section 3.2 by subset enumeration: the same points in the same order.
+        reference = paper.extreme_points(capacities, links, graph.adjacency)
+        assert region.extreme_points.tobytes() == reference.tobytes()
 
 
 class TestTwoLinkRegions:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import _parent_oracles as oracle
+from reference import paper
 from repro.core.loss_estimator import (
     ChannelLossEstimate,
     _knee_of_log_fit,
@@ -80,7 +80,7 @@ class TestSlidingMinCurve:
     )
     def test_curve_is_bit_identical_to_the_per_window_loop(self, bits, min_window):
         sizes, curve = sliding_min_loss_curve(np.array(bits), min_window)
-        expected_sizes, expected_curve = oracle.sliding_min_loss_curve(bits, min_window)
+        expected_sizes, expected_curve = paper.sliding_min_loss_curve(bits, min_window)
         assert sizes.dtype == expected_sizes.dtype and curve.dtype == expected_curve.dtype
         assert np.array_equal(sizes, expected_sizes)
         assert np.array_equal(curve, expected_curve)
@@ -168,9 +168,9 @@ class TestEstimator:
 
 
 # --------------------------------------------------------------------------
-# The batch against the per-series estimator it replaced (the oracle runs
-# np.polyfit + two np.gradient on every Case-2 series): equality, not
-# tolerance, on channel loss, case and selected window.
+# The batch against the §5.3 reference (np.polyfit + two np.gradient on
+# every Case-2 series): equality, not tolerance, on channel loss, case and
+# selected window.
 @st.composite
 def _loss_series(draw, min_size=1, max_size=250):
     """i.i.d., bursty, all-zero and all-one series of every length."""
@@ -190,10 +190,10 @@ def _loss_series(draw, min_size=1, max_size=250):
     return series
 
 
-def _assert_equals_oracle(series, row):
+def _assert_equals_reference(series, row):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the oracle must not hit polyfit's rank warning
-        measured, channel, case, window, coefficients = oracle.estimate_channel_loss_rate(series)
+        warnings.simplefilter("error")  # the reference must not hit polyfit's rank warning
+        measured, channel, case, window, coefficients = paper.estimate_channel_loss_rate(series)
     assert row == (channel, case, window)
     assert [type(value) for value in row] == [float, int, int]
     scalar = estimate_channel_loss_rate(series)
@@ -203,12 +203,12 @@ def _assert_equals_oracle(series, row):
     return case
 
 
-class TestBatchEqualsThePerSeriesEstimator:
+class TestBatchEqualsTheReference:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_loss_series(), min_size=1, max_size=6))
     def test_mixed_lengths_in_one_batch(self, batch):
         for series, row in zip(batch, _batch(batch)):
-            _assert_equals_oracle(series, row)
+            _assert_equals_reference(series, row)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -225,7 +225,7 @@ class TestBatchEqualsThePerSeriesEstimator:
             burst |= rng.random(burst.size) < 0.8
             batch.append(series)
         for series, row in zip(batch, _batch(batch)):
-            _assert_equals_oracle(series, row)
+            _assert_equals_reference(series, row)
 
     @pytest.mark.parametrize("total", [10, 40, 80, 127, 128, 200, 300])
     def test_stacked_counts_at_every_count_width(self, total):
@@ -245,9 +245,9 @@ class TestBatchEqualsThePerSeriesEstimator:
         counts = np.min_scalar_type(-total - 1)
         assert counts == (np.int8 if total < 128 else np.int16)
         for column, series in enumerate(batch):
-            assert np.array_equal(curves[:, column], oracle.sliding_min_loss_curve(series)[1])
-        cases = [_assert_equals_oracle(s, row) for s, row in zip(batch, _batch(batch))]
-        cases += [_assert_equals_oracle(s, row) for s, row in zip(ragged, _batch(ragged))]
+            assert np.array_equal(curves[:, column], paper.sliding_min_loss_curve(series)[1])
+        cases = [_assert_equals_reference(s, row) for s, row in zip(batch, _batch(batch))]
+        cases += [_assert_equals_reference(s, row) for s, row in zip(ragged, _batch(ragged))]
         if total >= 40:
             assert set(cases) == {1, 2}
 
@@ -264,7 +264,7 @@ class TestBatchEqualsThePerSeriesEstimator:
             _batch([np.array([], dtype=int)])
         short = [np.array([1]), np.array([0, 1, 0]), np.zeros(9, dtype=int), np.ones(10, dtype=int)]
         for series, row in zip(short, _batch(short)):
-            _assert_equals_oracle(series, row)
+            _assert_equals_reference(series, row)
         # Anything truthy is a lost probe; lists and floats are series too.
         assert _batch([[0, 1.0, 0, True] * 10]) == _batch([np.array([0, 1, 0, 1] * 10)])
 
@@ -294,8 +294,8 @@ class TestKneeDependsOnTheLengthsOnly:
                 series = (rng.random(total) < rng.choice([0.02, 0.1, 0.3])).astype(int)
                 start = int(rng.integers(0, total - 1))
                 series[start : start + int(rng.integers(2, total))] = 1
-                _, curve = oracle.sliding_min_loss_curve(series)
-                window, (a, _), flat = oracle.knee_of_log_fit(sizes, curve)
+                _, curve = paper.sliding_min_loss_curve(series)
+                window, (a, _), flat = paper.knee_of_log_fit(sizes, curve)
                 # The closed-form rise of the fit is polyfit's, to rounding.
                 assert weights @ curve == pytest.approx(
                     a * (np.log(total) - np.log(10)), rel=1e-9, abs=1e-15

@@ -1,10 +1,9 @@
-"""The controller's measure -> model half against the per-link, per-pair
-code it replaced (``_parent_oracles``): the probe window, every
+"""The controller's measure -> model half against the paper's equations,
+one link and one pair at a time (``reference.paper``): every
 ``LinkEstimate`` field and the conflict graph's adjacency must be ``==``
 on the states the performance ledger times, on the recorded
 ``controller_dense`` window and on the conventions for probe-less links.
-On the same states the solve is refereed, once, by the SLSQP call it
-replaced."""
+On the same states the solve is refereed, once, by SLSQP."""
 
 from __future__ import annotations
 
@@ -16,48 +15,52 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import _parent_oracles as oracle
+from reference import paper
 from repro.core import CapacityModel, OnlineOptimizer, RateOptimizer, decide
+from repro.core.controller import LinkProbes, ProbeWindow
 from repro.core.extreme_points import non_dominated_rows
 from repro.net.routing import build_routing_matrix
 from repro.net.probing import ProbingSystem
 from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
 
 _REPO = Path(__file__).resolve().parents[2]
-_LEDGER = _REPO / "benchmarks" / "ledger"
-for _path in (_LEDGER, Path(__file__).resolve().parent / "golden"):
-    if str(_path) not in sys.path:
-        sys.path.insert(0, str(_path))
+_LEDGER = str(_REPO / "benchmarks" / "ledger")
+if _LEDGER not in sys.path:
+    sys.path.insert(0, _LEDGER)
 
 import ledger_cells  # noqa: E402
 import ledger_controller  # noqa: E402
-import record_window  # noqa: E402
 from ledger_replay import replay_cell  # noqa: E402
 from ledger_spec import SMOKE  # noqa: E402
 from ledger_tracing import NullTracer  # noqa: E402
 
 
-def _assert_equals_oracles(controller: OnlineOptimizer) -> dict:
-    window = controller.network.probe_window(controller.links, controller.probing_window)
+def _assert_equals_reference(controller: OnlineOptimizer) -> dict:
+    network, last_n = controller.network, controller.probing_window
+    window = network.probe_window(controller.links, last_n)
     assert list(window.links) == controller.links
-    # The stacked read is the parent's per-stream one, dtypes included.
-    per_stream = oracle.probe_window(
-        controller.network, controller.links, controller.probing_window
-    )
-    assert window == per_stream
-    assert [a.dtype for a in (window.losses, window.lengths, window.ack_loss)] == [
-        a.dtype for a in (per_stream.losses, per_stream.lengths, per_stream.ack_loss)
-    ]
+    # The stacked read is its streams' own series (each held to the §5.2
+    # reference in tests/net), stacked again: dtypes and padding included.
+    probing, streams = network.probing, {}
+    for tx, rx in controller.links:
+        data = probing.loss_series(tx, rx, "data", last_n, network.link_rate((tx, rx)))
+        ack = probing.loss_series(rx, tx, "ack", last_n)
+        streams[tx, rx] = LinkProbes(network.link_rate((tx, rx)), data, ack)
+    ack_loss = probing.loss_table("ack", last_n)
+    restacked = ProbeWindow.from_probes(streams, list(probing.nodes), ack_loss, network.mac_config)
+    assert window == restacked
+    dtypes = [[a.dtype for a in (w.losses, w.lengths, w.ack_loss)] for w in (window, restacked)]
+    assert dtypes[0] == dtypes[1]
     estimates = controller.estimate_links()
     assert list(estimates) == controller.links
     assert {link: dataclasses.astuple(est) for link, est in estimates.items()} == (
-        oracle.estimate_links(
+        paper.estimate_links(
             window, controller.payload_bytes, controller.min_probes_for_estimator
         )
     )
     graph = controller.build_conflict_graph()
     assert graph.links == controller.links
-    assert graph.adjacency == oracle.conflict_adjacency(
+    assert graph.adjacency == paper.conflict_adjacency(
         window, controller.connectivity_threshold
     )
     decision = controller.optimize()
@@ -67,9 +70,9 @@ def _assert_equals_oracles(controller: OnlineOptimizer) -> dict:
 
 
 def _assert_slsqp_referees(controller: OnlineOptimizer) -> None:
-    """The interior-point solve of a live cycle's program against the
-    parent's SLSQP call on the same presolved program: at least as good
-    an objective, the same rates to what SLSQP resolved."""
+    """The interior-point solve of a live cycle's program against SLSQP on
+    the same presolved program: at least as good an objective, the same
+    rates to what SLSQP resolved."""
     decision = controller.optimize()
     region = decision.region
     routing = build_routing_matrix(controller._flow_routes(), links=region.links)
@@ -77,11 +80,11 @@ def _assert_slsqp_referees(controller: OnlineOptimizer) -> None:
     result = optimizer.solve()
     assert result.success
     np.testing.assert_array_equal(result.flow_rates, decision.optimization.flow_rates)
-    parent_rates, _, parent_success = oracle.slsqp_solve(optimizer)
-    assert parent_success
-    parent_objective = controller.utility.value(np.maximum(parent_rates, optimizer.rate_floor))
-    assert result.objective >= parent_objective - 1e-9
-    np.testing.assert_allclose(result.flow_rates, parent_rates, rtol=1e-4)
+    slsqp_rates, _, slsqp_success = paper.slsqp_solve(optimizer)
+    assert slsqp_success
+    slsqp_objective = controller.utility.value(np.maximum(slsqp_rates, optimizer.rate_floor))
+    assert result.objective >= slsqp_objective - 1e-9
+    np.testing.assert_allclose(result.flow_rates, slsqp_rates, rtol=1e-4)
     assert result.alpha.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.delete(result.alpha, non_dominated_rows(region.extreme_points)) == 0.0)
     assert region.contains(result.link_rates, tolerance=1e-9 * region.extreme_points.max())
@@ -93,7 +96,7 @@ def test_controller_dense_state(seed):
     """The frozen state ``controller_dense`` times: 16 links, S = 80."""
     state = ledger_controller.setup("controller_dense", seed, SMOKE)
     try:
-        estimates = _assert_equals_oracles(state.controller)
+        estimates = _assert_equals_reference(state.controller)
         assert len(estimates) == 16
         assert {est.estimator_case for est in estimates.values()} == {1, 2}
         _assert_slsqp_referees(state.controller)
@@ -108,21 +111,21 @@ def test_final_cycle_of_the_ledger_cells(build):
     last cycle (flows running, and mobility + churn on the dynamic one)."""
     _, controller = replay_cell(build(ledger_cells.FIRST_RUN_SEED), NullTracer(), "oracle")
     try:
-        _assert_equals_oracles(controller)
+        _assert_equals_reference(controller)
         _assert_slsqp_referees(controller)
     finally:
         controller.network.close()
 
 
-def test_the_recorded_window():
+def test_the_recorded_window(recorded_window):
     """The recorded ``controller_dense`` window (both estimator cases),
     reloaded from JSON with no network behind it."""
-    window, routes, kwargs, _ = record_window.load()
+    window, routes, kwargs, _ = recorded_window.load()
     decision = decide(window, routes, **kwargs)
     assert {link: dataclasses.astuple(est) for link, est in decision.link_estimates.items()} == (
-        oracle.estimate_links(window, kwargs["payload_bytes"], kwargs["min_probes_for_estimator"])
+        paper.estimate_links(window, kwargs["payload_bytes"], kwargs["min_probes_for_estimator"])
     )
-    assert decision.conflict_graph.adjacency == oracle.conflict_adjacency(
+    assert decision.conflict_graph.adjacency == paper.conflict_adjacency(
         window, kwargs["connectivity_threshold"]
     )
 
@@ -149,7 +152,7 @@ def test_a_direction_with_no_probes_reads_as_a_perfect_link(min_probes):
     controller = OnlineOptimizer(
         net, flows, probing_window=80, min_probes_for_estimator=min_probes
     )
-    estimates = _assert_equals_oracles(controller)
+    estimates = _assert_equals_reference(controller)
     nominal = CapacityModel(1470, net.link_rate((0, 1)), net.mac_config)
     for link, estimate in estimates.items():
         assert probing.loss_series(*link, "data", 80).size == 0
@@ -171,7 +174,7 @@ def test_short_windows_keep_the_raw_rate_and_long_ones_are_estimated(min_probes)
     controller = OnlineOptimizer(
         net, flows, probing_window=200, min_probes_for_estimator=min_probes
     )
-    estimates = _assert_equals_oracles(controller)
+    estimates = _assert_equals_reference(controller)
     probing = net.probing
     for (tx, rx), estimate in estimates.items():
         series = probing.loss_series(tx, rx, "data", 200)

@@ -1,77 +1,39 @@
 """Tests for the utility-maximising rate optimizer (Section 6.1)."""
 
-import itertools
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import decide
-from repro.core.conflict_graph import ConflictGraph
+from repro.core.cliques import adjacency_from_edges
 from repro.core.extreme_points import FeasibilityRegion, non_dominated_rows
-from repro.core.interference import PairwiseInterferenceMap
-import repro.core.optimizer as optimizer_module
-from repro.core.optimizer import RateOptimizer, solve_rate_program
+from repro.core.optimizer import RateOptimizer
 from repro.core.utility import MAX_THROUGHPUT, PROPORTIONAL_FAIR, AlphaFairUtility
-from repro.net.routing import FlowRoute, RoutingMatrix, build_routing_matrix
+from repro.net.routing import FlowRoute, build_routing_matrix
 
-import _parent_oracles as oracle
-
-
-def _region(links, capacities, conflicts):
-    imap = PairwiseInterferenceMap(links)
-    for a, b in conflicts:
-        imap.add_conflict(a, b)
-    graph = ConflictGraph.from_interference_map(imap)
-    return FeasibilityRegion.from_capacities_and_conflicts(capacities, graph)
-
-
-def _links(count):
-    return [(2 * i, 2 * i + 1) for i in range(count)]
-
-
-def _routing(region, matrix):
-    """A routing matrix given outright (links x flows): the optimizer
-    reads the matrix alone, the routes are labels."""
-    matrix = np.asarray(matrix, dtype=float)
-    flows = [FlowRoute(f, 0, 1, [0, 1]) for f in range(matrix.shape[1])]
-    return RoutingMatrix(links=list(region.links), flows=flows, matrix=matrix)
-
-
-def _two_single_hop_flows(c1=1e6, c2=1e6, interfering=True):
-    links = [(0, 1), (2, 3)]
-    region = _region(
-        links,
-        {links[0]: c1, links[1]: c2},
-        [(links[0], links[1])] if interfering else [],
-    )
-    flows = [FlowRoute(0, 0, 1, [0, 1]), FlowRoute(1, 2, 3, [2, 3])]
-    routing = build_routing_matrix(flows, links=region.links)
-    return region, routing
+from reference import paper
+from shapes import DEGENERATE_SHAPES, link_list, make_region, routing_of, two_single_hop_flows
 
 
 class TestLinearObjectives:
     def test_max_throughput_uses_full_capacity(self):
-        region, routing = _two_single_hop_flows(interfering=True)
+        region, routing = two_single_hop_flows(interfering=True)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         assert result.success
         assert result.aggregate_rate == pytest.approx(1e6, rel=1e-6)
 
     def test_max_throughput_independent_links(self):
-        region, routing = _two_single_hop_flows(interfering=False)
+        region, routing = two_single_hop_flows(interfering=False)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         assert result.aggregate_rate == pytest.approx(2e6, rel=1e-6)
 
     def test_max_throughput_prefers_high_capacity_link(self):
-        region, routing = _two_single_hop_flows(c1=2e6, c2=1e6, interfering=True)
+        region, routing = two_single_hop_flows(c1=2e6, c2=1e6, interfering=True)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         assert result.flow_rates[0] == pytest.approx(2e6, rel=1e-4)
         assert result.flow_rates[1] == pytest.approx(0.0, abs=2.0)
 
     def test_max_min_equalises_rates(self):
-        region, routing = _two_single_hop_flows(c1=2e6, c2=1e6, interfering=True)
+        region, routing = two_single_hop_flows(c1=2e6, c2=1e6, interfering=True)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve_max_min()
         assert result.flow_rates[0] == pytest.approx(result.flow_rates[1], rel=1e-5)
         assert result.flow_rates[0] > 0.5e6
@@ -80,8 +42,8 @@ class TestLinearObjectives:
         """The tie rule: HiGHS gave one flow the whole link; the central
         path splits a tied rate evenly."""
         links = [(0, 1)]
-        region = _region(links, {links[0]: 1e6}, [])
-        result = RateOptimizer(region, _routing(region, [[1, 1]]), MAX_THROUGHPUT).solve()
+        region = make_region(links, {links[0]: 1e6}, [])
+        result = RateOptimizer(region, routing_of(region, [[1, 1]]), MAX_THROUGHPUT).solve()
         assert result.success
         assert result.flow_rates[0] == pytest.approx(result.flow_rates[1], rel=1e-9)
         assert result.aggregate_rate == pytest.approx(1e6, rel=1e-9)
@@ -90,22 +52,23 @@ class TestLinearObjectives:
         """Three one-hop flows on a three-link chain whose end links do not
         conflict: the third link could carry more than t*, and HiGHS gave
         it more; max-min is every flow at t*."""
-        a, b, c = links = _links(3)
-        region = _region(links, dict(zip(links, [2e6, 1e6, 3e6])), [(a, b), (b, c)])
-        result = RateOptimizer(region, _routing(region, np.eye(3)), MAX_THROUGHPUT).solve_max_min()
+        a, b, c = links = link_list(3)
+        region = make_region(links, dict(zip(links, [2e6, 1e6, 3e6])), [(a, b), (b, c)])
+        routing = routing_of(region, np.eye(3))
+        result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve_max_min()
         assert result.success
         assert result.flow_rates == pytest.approx([2e6 / 3] * 3, rel=1e-9)
         assert np.ptp(result.flow_rates) == 0.0
 
     def test_link_rates_consistent_with_routing(self):
-        region, routing = _two_single_hop_flows()
+        region, routing = two_single_hop_flows()
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         np.testing.assert_allclose(result.link_rates, routing.matrix @ result.flow_rates)
 
 
 class TestProportionalFairness:
     def test_equal_split_for_symmetric_flows(self):
-        region, routing = _two_single_hop_flows(interfering=True)
+        region, routing = two_single_hop_flows(interfering=True)
         result = RateOptimizer(region, routing, PROPORTIONAL_FAIR).solve()
         assert result.success
         assert result.flow_rates[0] == pytest.approx(0.5e6, rel=0.01)
@@ -115,7 +78,7 @@ class TestProportionalFairness:
         """The classic chain result: the 2-link flow gets half of what the
         1-link flow gets under proportional fairness."""
         links = [(0, 1), (1, 2)]
-        region = _region(
+        region = make_region(
             links, {links[0]: 1e6, links[1]: 1e6}, [(links[0], links[1])]
         )
         flows = [FlowRoute(0, 0, 2, [0, 1, 2]), FlowRoute(1, 1, 2, [1, 2])]
@@ -126,18 +89,18 @@ class TestProportionalFairness:
         assert result.flow_rates[1] == pytest.approx(0.5e6, rel=0.05)
 
     def test_no_flow_starves_under_proportional_fairness(self):
-        region, routing = _two_single_hop_flows(c1=5e6, c2=0.5e6, interfering=True)
+        region, routing = two_single_hop_flows(c1=5e6, c2=0.5e6, interfering=True)
         result = RateOptimizer(region, routing, PROPORTIONAL_FAIR).solve()
         assert result.flow_rates.min() > 0.05e6
 
     def test_rates_stay_feasible(self):
-        region, routing = _two_single_hop_flows(c1=3e6, c2=1e6, interfering=True)
+        region, routing = two_single_hop_flows(c1=3e6, c2=1e6, interfering=True)
         result = RateOptimizer(region, routing, PROPORTIONAL_FAIR).solve()
         assert region.contains(result.link_rates * 0.99)
 
     def test_higher_alpha_is_more_fair(self):
         links = [(0, 1), (1, 2)]
-        region = _region(links, {links[0]: 1e6, links[1]: 1e6}, [(links[0], links[1])])
+        region = make_region(links, {links[0]: 1e6, links[1]: 1e6}, [(links[0], links[1])])
         flows = [FlowRoute(0, 0, 2, [0, 1, 2]), FlowRoute(1, 1, 2, [1, 2])]
         routing = build_routing_matrix(flows, links=region.links)
         ratios = []
@@ -147,14 +110,14 @@ class TestProportionalFairness:
         assert ratios[0] < ratios[1] < ratios[2] <= 1.05
 
     def test_alpha_weights_sum_to_one(self):
-        region, routing = _two_single_hop_flows()
+        region, routing = two_single_hop_flows()
         result = RateOptimizer(region, routing, PROPORTIONAL_FAIR).solve()
         assert result.alpha.sum() == pytest.approx(1.0, abs=1e-4)
 
 
 class TestValidation:
     def test_mismatched_links_rejected(self):
-        region, _ = _two_single_hop_flows()
+        region, _ = two_single_hop_flows()
         flows = [FlowRoute(0, 0, 1, [0, 1])]
         routing = build_routing_matrix(flows)  # only one link
         with pytest.raises(ValueError):
@@ -162,7 +125,7 @@ class TestValidation:
 
     def test_zero_capacity_region_rejected(self):
         links = [(0, 1)]
-        region = _region(links, {links[0]: 0.0}, [])
+        region = make_region(links, {links[0]: 0.0}, [])
         flows = [FlowRoute(0, 0, 1, [0, 1])]
         routing = build_routing_matrix(flows, links=region.links)
         with pytest.raises(ValueError):
@@ -175,7 +138,7 @@ class TestValidation:
         st.booleans(),
     )
     def test_solutions_always_feasible_property(self, c1, c2, interfering):
-        region, routing = _two_single_hop_flows(c1=c1, c2=c2, interfering=interfering)
+        region, routing = two_single_hop_flows(c1=c1, c2=c2, interfering=interfering)
         for utility in (MAX_THROUGHPUT, PROPORTIONAL_FAIR):
             result = RateOptimizer(region, routing, utility).solve()
             assert result.success
@@ -259,18 +222,18 @@ def _small_networks(draw, single_hop=False):
     """A conflict graph on <= 6 links with positive capacities and <= 4
     flows, each over 1-3 of the links (exactly one when ``single_hop``)."""
     num_links = draw(st.integers(2, 6))
-    links = _links(num_links)
+    links = link_list(num_links)
     pairs = [(a, b) for i, a in enumerate(links) for b in links[i + 1 :]]
     conflicts = [pair for pair in pairs if draw(st.booleans())]
     capacities = {link: draw(st.floats(0.2e6, 6e6)) for link in links}
-    region = _region(links, capacities, conflicts)
+    region = make_region(links, capacities, conflicts)
     num_flows = draw(st.integers(1, 4))
     matrix = np.zeros((num_links, num_flows))
     for f in range(num_flows):
         hops = 1 if single_hop else draw(st.integers(1, min(3, num_links)))
         used = draw(st.lists(st.integers(0, num_links - 1), min_size=hops, max_size=hops, unique=True))
         matrix[used, f] = 1.0
-    return region, _routing(region, matrix), conflicts
+    return region, routing_of(region, matrix), conflicts
 
 
 def _assert_consistent(region, result):
@@ -335,24 +298,20 @@ class TestPresolveOracle:
         once used overshot on its first step, its line search gave up,
         and the *starting point* came back with success=True - a fifth
         of the optimum's utility."""
-        _assert_matches_oracle(*_starved_flows(), 2.0)
+        _assert_matches_oracle(*DEGENERATE_SHAPES["starved flows"](), 2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(_small_networks(single_hop=True))
     def test_max_throughput_is_the_best_independent_set(self, network):
-        """With one-hop flows the alpha = 0 optimum sits on a vertex:
-        the independent set (enumerated here straight from the conflict
-        pairs, all 2^L subsets) whose flow-carrying links have the
-        largest total capacity."""
+        """With one-hop flows the alpha = 0 optimum sits on a vertex: the
+        maximal independent set (the §3.2 reference's subset enumeration)
+        whose flow-carrying links have the largest total capacity."""
         region, routing, conflicts = network
-        capacity = region.extreme_points[: region.num_links].diagonal()
-        carries_flow = routing.matrix.sum(axis=1) > 0
-        best = 0.0
-        for size in range(1, region.num_links + 1):
-            for subset in itertools.combinations(range(region.num_links), size):
-                members = {region.links[i] for i in subset}
-                if not any(a in members and b in members for a, b in conflicts):
-                    best = max(best, sum(capacity[i] for i in subset if carries_flow[i]))
+        loaded = routing.matrix.sum(axis=1) > 0
+        diagonal = region.extreme_points[: region.num_links].diagonal()
+        capacity = dict(zip(region.links, diagonal * loaded))
+        sets = paper.maximal_independent_sets(adjacency_from_edges(region.links, conflicts))
+        best = max(sum(capacity[link] for link in members) for members in sets)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         _assert_consistent(region, result)
         assert result.aggregate_rate == pytest.approx(best, rel=TOLERANCE)
@@ -370,8 +329,8 @@ def _direction(data, region):
 
 
 class TestLinearProgramReferee:
-    """The linear programs against the parent's HiGHS ``linprog`` solves
-    (``_parent_oracles``): the objective and the scaling factor within
+    """The linear programs against HiGHS ``linprog`` solves of the same
+    programs (``reference.paper``): the objective and the scaling factor within
     ``REFEREE_TOLERANCE`` relative, membership wherever it is not decided
     within that distance of the boundary."""
 
@@ -381,7 +340,7 @@ class TestLinearProgramReferee:
         region, routing, _ = network
         optimizer = RateOptimizer(region, routing, MAX_THROUGHPUT)
         result = optimizer.solve()
-        rates, _, success = oracle.linprog_solve(optimizer, max_min=False)
+        rates, _, success = paper.linprog_solve(optimizer, max_min=False)
         assert result.success and success
         assert result.aggregate_rate == pytest.approx(rates.sum(), rel=REFEREE_TOLERANCE)
 
@@ -391,7 +350,7 @@ class TestLinearProgramReferee:
         region, routing, _ = network
         optimizer = RateOptimizer(region, routing, MAX_THROUGHPUT)
         result = optimizer.solve_max_min()
-        rates, _, success = oracle.linprog_solve(optimizer, max_min=True)
+        rates, _, success = paper.linprog_solve(optimizer, max_min=True)
         assert result.success and success
         assert result.flow_rates.min() == pytest.approx(rates.min(), rel=REFEREE_TOLERANCE)
 
@@ -401,7 +360,7 @@ class TestLinearProgramReferee:
         region = network[0]
         direction = _direction(data, region)
         assert region.max_scaling(direction) == pytest.approx(
-            oracle.linprog_max_scaling(region, direction), rel=REFEREE_TOLERANCE
+            paper.linprog_max_scaling(region, direction), rel=REFEREE_TOLERANCE
         )
 
     @settings(max_examples=100, deadline=None)
@@ -418,59 +377,18 @@ class TestLinearProgramReferee:
         beyond 1e-6, outside HiGHS's 1e-7 primal feasibility tolerance."""
         region = network[0]
         direction = _direction(data, region)
-        rates = direction * oracle.linprog_max_scaling(region, direction) * factor
+        rates = direction * paper.linprog_max_scaling(region, direction) * factor
         target = np.maximum(rates - tolerance, 0.0)
-        theta = oracle.linprog_max_scaling(region, target) if target.any() else np.inf
+        theta = paper.linprog_max_scaling(region, target) if target.any() else np.inf
         contained = region.contains(rates, tolerance)
         if abs(theta - 1.0) > REFEREE_TOLERANCE:
             assert contained == (theta >= 1.0)
         if abs(theta - 1.0) > 1e-6:
-            assert contained == oracle.linprog_contains(region, rates, tolerance)
+            assert contained == paper.linprog_contains(region, rates, tolerance)
 
 
 # ------------------------------------------------- the interior-point iteration
 ALPHAS = [0.5, 1.0, 2.0, 3.0, 4.0]
-
-
-def _tied_points():
-    a, b, c = links = _links(3)
-    region = _region(links, dict(zip(links, [3e6, 2e6, 1e6])), [(b, c)])
-    return region, _routing(region, [[1, 1], [0, 0], [0, 0]])
-
-
-def _idle_link():
-    a, b, c = links = _links(3)
-    region = _region(links, dict(zip(links, [3e6, 2e6, 1e6])), [(a, b), (b, c)])
-    return region, _routing(region, [[1, 0], [0, 1], [0, 0]])
-
-
-def _floor_does_not_fit():
-    a, b = links = _links(2)
-    region = _region(links, {a: 2.0, b: 4e6}, [(a, b)])
-    return region, _routing(region, [[1, 1, 1], [0, 0, 1]])
-
-
-def _starved_flows():
-    links = _links(4)
-    capacities = dict(zip(links, [3480546.0, 4391383.0, 4188278.0, 241688.0]))
-    conflicts = [(links[0], links[2]), (links[1], links[2]), (links[1], links[3]), (links[2], links[3])]
-    region = _region(links, capacities, conflicts)
-    matrix = np.array([[0, 1, 1, 1], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]]).T
-    return region, _routing(region, matrix)
-
-
-#: The shapes that break a careless Newton iteration, by name: each builds
-#: ``(region, routing)``.
-DEGENERATE_SHAPES = {
-    "two kept points tied on every loaded link": _tied_points,
-    "a single kept point": lambda: _two_single_hop_flows(c1=3e6, c2=1e6, interfering=False),
-    "a link no flow crosses": _idle_link,
-    "a capacity a millionth of the largest": lambda: _two_single_hop_flows(
-        c1=5e6, c2=5.0, interfering=True
-    ),
-    "a rate floor that does not fit": _floor_does_not_fit,
-    "starved flows": _starved_flows,
-}
 
 
 class TestDegenerateShapes:
@@ -546,7 +464,8 @@ class TestSolveProperties:
         random.shuffle(order)
         utility = AlphaFairUtility(alpha=alpha)
         straight = RateOptimizer(region, routing, utility).solve()
-        permuted = RateOptimizer(region, _routing(region, routing.matrix[:, order]), utility).solve()
+        reordered = routing_of(region, routing.matrix[:, order])
+        permuted = RateOptimizer(region, reordered, utility).solve()
         assert straight.success and permuted.success
         assert permuted.flow_rates == pytest.approx(straight.flow_rates[order], rel=1e-9)
 
@@ -564,98 +483,3 @@ class TestSolveProperties:
         scaled = RateOptimizer(scaled_region, routing, utility, rate_floor=factor).solve()
         assert straight.success and scaled.success
         assert scaled.flow_rates == pytest.approx(straight.flow_rates * factor, rel=1e-9)
-
-
-# ------------------------------------------------------------- the parent's bits
-#: The programs the controller and the region hand the iteration.
-BIT_ALPHAS = [0.0, 0.5, 1.0, 2.0, 4.0]
-
-
-def _assert_parents_bits(points, routing, fairness, floor=0.0):
-    """``solve_rate_program`` against the parent's (``_parent_oracles``):
-    the same ``(y, alpha)`` bytes, verdict and message (which carries the
-    Newton step count and the residuals)."""
-    shipped = solve_rate_program(points, routing, fairness, floor)
-    parent = oracle.solve_rate_program(points, routing, fairness, floor)
-    assert shipped[0].tobytes() == parent[0].tobytes()
-    assert shipped[1].tobytes() == parent[1].tobytes()
-    assert shipped[2:] == parent[2:]
-
-
-def _assert_every_program_keeps_its_bits(region, routing, alphas=BIT_ALPHAS):
-    """The presolve, each alpha-fair program, max-min and the scaling
-    factor along the load vector, each as the parent computed it."""
-    points = region.extreme_points
-    kept = non_dominated_rows(points)
-    assert kept.tobytes() == oracle.non_dominated_rows(points).tobytes()
-    for alpha in alphas:
-        optimizer = RateOptimizer(region, routing, AlphaFairUtility(alpha=alpha))
-        floor = optimizer.rate_floor / optimizer._scale
-        _assert_parents_bits(optimizer._c, optimizer._r, alpha, floor)
-    _assert_parents_bits(optimizer._c, optimizer._r.sum(axis=1, keepdims=True), 0.0)
-    load = routing.matrix.sum(axis=1)
-    if load.any():
-        scale, top = points.max(), load.max()
-        theta = oracle.solve_rate_program(points[kept] / scale, load[:, None] / top, 0.0)[0]
-        assert region.max_scaling(load) == float(theta[0] * scale / top)
-
-
-class TestTheParentsBits:
-    """The Newton step writes into work arrays and reads its dots with
-    ``ndarray.dot``; the presolve counts dominance with one product.  Both
-    must leave every iterate, weight and message as the parent's code had
-    them: equality of bytes, never a tolerance."""
-
-    def test_the_recorded_window(self):
-        golden = str(Path(__file__).resolve().parent / "golden")
-        if golden not in sys.path:
-            sys.path.insert(0, golden)
-        from record_window import load
-
-        window, routes, kwargs, _ = load()
-        region = decide(window, routes, **kwargs).region
-        _assert_every_program_keeps_its_bits(region, build_routing_matrix(routes, links=region.links))
-
-    @pytest.mark.parametrize("shape", sorted(DEGENERATE_SHAPES))
-    def test_every_degenerate_shape(self, shape):
-        _assert_every_program_keeps_its_bits(*DEGENERATE_SHAPES[shape](), BIT_ALPHAS + [3.0])
-
-    @pytest.mark.parametrize("steps", [1, 4])
-    def test_a_solve_cut_short(self, monkeypatch, steps):
-        """With the step budget spent before the optimum, the message
-        reports the last step's own gap and residuals, not its trial's."""
-        monkeypatch.setattr(optimizer_module, "_MAX_NEWTON_STEPS", steps)
-        monkeypatch.setattr(oracle, "_MAX_NEWTON_STEPS", steps)
-        for shape in DEGENERATE_SHAPES.values():
-            region, routing = shape()
-            for alpha in BIT_ALPHAS:
-                optimizer = RateOptimizer(region, routing, AlphaFairUtility(alpha=alpha))
-                floor = optimizer.rate_floor / optimizer._scale
-                _assert_parents_bits(optimizer._c, optimizer._r, alpha, floor)
-
-    @settings(max_examples=60, deadline=None)
-    @given(_small_networks())
-    def test_small_regions(self, network):
-        region, routing, _ = network
-        _assert_every_program_keeps_its_bits(region, routing)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(0, 8).flatmap(
-            lambda rows: st.integers(0, 5).flatmap(
-                lambda columns: st.lists(
-                    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, np.inf, -np.inf, np.nan]),
-                    min_size=rows * columns,
-                    max_size=rows * columns,
-                ).map(lambda values: np.array(values, dtype=float).reshape(rows, columns))
-            )
-        )
-    )
-    def test_non_dominated_rows_of_any_points(self, points):
-        """Two-valued links (the Eq. (4) shape) take the product; three
-        values, NaN or an empty side take the pairwise comparison.  (Some
-        numpy builds flag a comparison with NaN as invalid; both sides
-        compare it, so the flag is silenced for both.)"""
-        with np.errstate(invalid="ignore"):
-            shipped, parent = non_dominated_rows(points), oracle.non_dominated_rows(points)
-        assert shipped.tobytes() == parent.tobytes()

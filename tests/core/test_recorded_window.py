@@ -14,8 +14,6 @@ interpreter may predate ``sys.monitoring``), and so is one live window
 read's.  The measure -> model half is one array pass and the window one
 stacked read, so a per-link or per-pair Python loop that comes back
 shows up here as a count over the ceiling, whatever the machine's noise.
-The live cell also referees the stacked read against the parent's
-per-stream one (``_parent_oracles.probe_window``).
 """
 
 from __future__ import annotations
@@ -28,19 +26,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import _parent_oracles as oracle
 import repro
 from repro.core import decide
 
-_GOLDEN = str(Path(__file__).resolve().parent / "golden")
-if _GOLDEN not in sys.path:
-    sys.path.insert(0, _GOLDEN)
-import record_window  # noqa: E402
-
 
 @pytest.fixture(scope="module")
-def recorded():
-    return record_window.load()
+def recorded(recorded_window):
+    return recorded_window.load()
 
 
 def test_the_window_reaches_both_estimator_cases(recorded):
@@ -58,18 +50,18 @@ def test_the_pinned_targets_hold_at_the_decision_grain(recorded):
 
 
 @pytest.fixture(scope="module")
-def live():
+def live(recorded_window):
     """The ``controller_dense`` cell after its probing warm-up."""
-    controller = record_window.build_live()
+    controller = recorded_window.build_live()
     yield controller
     controller.network.close()
 
 
-def test_the_recorded_decision_is_the_live_cycle(recorded, live):
+def test_the_recorded_decision_is_the_live_cycle(recorded_window, recorded, live):
     controller = live
     window, routes, kwargs, _ = recorded
     assert controller._flow_routes() == routes
-    assert record_window.settings(controller) == kwargs
+    assert recorded_window.settings(controller) == kwargs
     live_window = controller.network.probe_window(controller.links, controller.probing_window)
     decision = controller.optimize()
     assert live_window == window
@@ -81,11 +73,11 @@ def test_the_recorded_decision_is_the_live_cycle(recorded, live):
     assert replayed.input_rates_bps == decision.input_rates_bps
 
 
-def test_a_window_equals_its_reload_and_not_a_flipped_copy():
+def test_a_window_equals_its_reload_and_not_a_flipped_copy(recorded_window):
     """Measurement records compare by value: two loads of the recording
     are equal, and one flipped probe or one changed ACK-table entry is
     not."""
-    first, second = record_window.load()[0], record_window.load()[0]
+    first, second = recorded_window.load()[0], recorded_window.load()[0]
     assert first == second and not first != second
     assert first.probes == second.probes
     losses = first.losses.copy()
@@ -97,21 +89,6 @@ def test_a_window_equals_its_reload_and_not_a_flipped_copy():
     ack_loss[0, 1] = 1.0 - ack_loss[0, 1]
     assert dataclasses.replace(first, ack_loss=ack_loss) != second
     assert first != None  # noqa: E711
-
-
-def test_the_stacked_read_is_the_per_stream_read(live):
-    """``probe_window`` fills the loss matrix from the probe bitmaps in one
-    pass; the parent read one series per link direction and stacked them
-    again.  The two windows are equal, array for array and dtype for
-    dtype, at every window length."""
-    network, links = live.network, live.links
-    for last_n in (1, 40, 80, 10**6):
-        stacked = network.probe_window(links, last_n)
-        per_stream = oracle.probe_window(network, links, last_n)
-        assert stacked == per_stream
-        for name in ("losses", "lengths", "ack_loss"):
-            assert getattr(stacked, name).dtype == getattr(per_stream, name).dtype
-        assert stacked.losses.flags.writeable
 
 
 #: Python calls into ``repro`` one ``decide`` on the recording makes,

@@ -1,8 +1,5 @@
 """Tests for mesh-node forwarding, the probing system and Ad Hoc Probe."""
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +13,7 @@ from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
 from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
 from repro.sim.measurement import measure_isolated
 
-_CORE_TESTS = str(Path(__file__).resolve().parents[1] / "core")
-if _CORE_TESTS not in sys.path:
-    sys.path.insert(0, _CORE_TESTS)
-import _parent_oracles as oracle  # noqa: E402
+from reference import paper
 
 
 def _packet(src, dst, flow_id=0, size=1000, kind=PacketKind.UDP):
@@ -114,13 +108,13 @@ class TestProbingSystem:
         assert probing.loss_rate(0, 99, "data") >= 0.0
         assert probing.loss_series(99, 0, "data").size == 0
 
-    def test_loss_counts_equal_the_list_log_oracle(self, monkeypatch):
-        """Every reception also goes into the list-of-heard-numbers log the
-        bitmaps replaced: ``loss_series``, ``loss_rate`` and
-        ``loss_rates`` read from the bitmaps equal that log read over the
-        same window, for every window shape and stream kind — including
+    def test_loss_counts_equal_the_heard_set_reference(self, monkeypatch):
+        """Every reception also goes into the §5.2 reference, a set of heard
+        sequence numbers per stream: ``loss_series``, ``loss_rate`` and
+        ``loss_rates`` read from the bitmaps equal the reference read over
+        the same window, for every window shape and stream kind — including
         1 Mb/s DATA probes, tracked apart from 11 Mb/s ones."""
-        lists = oracle.ListProbeLog()
+        lists = paper.HeardLog()
         record = ProbingSystem._record
 
         def recording(self, receiver_id, payload):
@@ -172,22 +166,25 @@ class TestProbingSystem:
             )
             assert (losses.dtype, lengths.dtype) == (expected[0].dtype, expected[1].dtype)
             assert np.array_equal(losses, expected[0]) and np.array_equal(lengths, expected[1])
-        for kind in ("data", "ack"):
+        nodes = list(probing.nodes)
+        for kind, label in (("data", "data@11Mbps"), ("ack", "ack")):
+            sent_by = {node: probing.probes_sent(node, kind) for node in nodes}
             for last_n in (None, 0, 40):
-                assert probing.loss_rates(kind, last_n) == oracle.loss_rates(probing, kind, last_n)
+                expected = paper.loss_rates(lists, nodes, label, sent_by, last_n)
+                assert probing.loss_rates(kind, last_n) == expected
         assert 0 < sum(probing.loss_series(0, 2, "data")) < sent  # a mixed series
 
     def test_a_sequence_number_counts_once_in_any_arrival_order(self, chain_network):
         """A probe that arrives late or twice (neither happens on a FIFO
         broadcast queue) sets the same byte of the bitmap again: the
-        readers see it once, as the ordered list of heard numbers did."""
+        readers see it once, as the set of heard numbers does."""
         probing = chain_network.enable_probing(start=False)
         probing._sent[(0, "ack")] = 10
-        lists = oracle.ListProbeLog()
+        lists = paper.HeardLog()
         for seq in (0, 1, 4, 4, 2, 7, 0, 7, 3, 9):
             probing._record(1, ProbePayload(sender=0, seq=seq, kind="ack"))
             lists.record((0, 1, "ack"), seq)
-        assert lists.logs[(0, 1, "ack")] == [0, 1, 2, 3, 4, 7, 9]
+        assert lists[(0, 1, "ack")] == {0, 1, 2, 3, 4, 7, 9}
         assert probing.loss_series(0, 1, "ack").tolist() == [0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
         assert probing.loss_series(0, 1, "ack", last_n=4).tolist() == [1, 0, 1, 0]
         assert probing.loss_rate(0, 1, "ack") == 3 / 10
@@ -211,12 +208,12 @@ class TestProbingSystem:
     def test_the_bitmap_reads_as_the_list_log(self, receptions, extra_sent, last_n):
         """Late, duplicated and gapped sequence numbers, on any number of
         streams, then windows reaching past the last heard probe: the
-        bitmaps read as the list log in every reader."""
+        bitmaps read as the set of heard numbers in every reader."""
         net = MeshNetwork(
             chain_topology(3, spacing_m=60.0), seed=2, propagation=no_shadowing_propagation()
         )
         probing = net.enable_probing(start=False)
-        lists = oracle.ListProbeLog()
+        lists = paper.HeardLog()
         for sender, seq in receptions:
             receiver = (sender + 1) % 3
             probing._record(receiver, ProbePayload(sender=sender, seq=seq, kind="ack"))
@@ -236,7 +233,10 @@ class TestProbingSystem:
                 assert probing.loss_rate(sender, receiver, "ack", last_n) == (
                     lists.loss_rate(key, start, total)
                 )
-        assert probing.loss_rates("ack", last_n) == oracle.loss_rates(probing, "ack", last_n)
+        sent_by = {sender: probing.probes_sent(sender, "ack") for sender in range(3)}
+        assert probing.loss_rates("ack", last_n) == paper.loss_rates(
+            lists, list(probing.nodes), "ack", sent_by, last_n
+        )
         pairs = [(sender, receiver) for sender in range(3) for receiver in range(3)]
         losses, lengths = probing.loss_matrix([(s, r, "ack", None) for s, r in pairs], last_n)
         expected = stack_series(

@@ -91,6 +91,12 @@ GONE = [
         (),
     ),
     (
+        "networkx under src/ (ConflictGraph.to_networkx, deleted: no caller outside tests)",
+        r"networkx",
+        "**/*.py",
+        (),
+    ),
+    (
         "a sorted list of heard sequence numbers in the probe log",
         r"bisect|insort",
         "repro/net/probing.py",
@@ -126,6 +132,20 @@ def test_deleted_name_is_absent_from_src(what, pattern, glob, exempt):
     assert not found, f"{what} is back under src/:\n" + "\n".join(found)
 
 
+def test_no_test_module_keeps_a_copy_of_its_parent():
+    """Bits are held to git's base by ``tests/parent_bits.py``, meaning to
+    ``tests/reference/paper.py``: no module under ``tests/`` is named
+    ``_parent_oracles*`` or imports one."""
+    tests = Path(__file__).resolve().parent
+    importing = re.compile(r"^\s*(from|import)\s.*\b_parent_oracles", re.MULTILINE)
+    back = [str(p) for p in tests.glob("**/_parent_oracles*") if "__pycache__" not in p.parts] + [
+        str(path)
+        for path in tests.glob("**/*.py")
+        if importing.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not back, back
+
+
 def test_the_analyzer_package_is_gone():  # tests/invariants holds its rules
     assert not list((SRC / "repro" / "lint").glob("**/*.py"))
 
@@ -158,7 +178,7 @@ def test_no_scipy_and_no_linprog_under_src():
     max-min, ``FeasibilityRegion.contains`` / ``max_scaling``) followed.
     ``scipy.optimize.minimize``, ``linprog`` and the string ``"SLSQP"`` are
     gone from ``src/``, and nothing there imports scipy: it is a test-extra
-    referee (the parent's calls live in ``tests/core/_parent_oracles.py``)."""
+    referee (its calls live in ``tests/reference/paper.py``)."""
     back = []
     for name, tree in _src_trees():
         for node in ast.walk(tree):
