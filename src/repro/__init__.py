@@ -105,7 +105,6 @@ from repro.experiment import (
     register_scenario,
     resolve_backend,
     run_experiment,
-    scenario_description,
     scenario_names,
     seed_sweep,
     spec_digest,
@@ -154,7 +153,6 @@ __all__ = [
     "register_scenario",
     "resolve_backend",
     "run_experiment",
-    "scenario_description",
     "scenario_names",
     "seed_sweep",
     "spec_digest",

@@ -3,10 +3,8 @@ reporting helpers used by the benchmark harness."""
 
 from repro.analysis.metrics import (
     cdf_fraction_below,
-    empirical_cdf,
     feasibility_ratio,
     jain_fairness_index,
-    relative_error,
     rmse,
     stability_deviations,
 )
@@ -20,10 +18,8 @@ from repro.analysis.reporting import (
 
 __all__ = [
     "cdf_fraction_below",
-    "empirical_cdf",
     "feasibility_ratio",
     "jain_fairness_index",
-    "relative_error",
     "rmse",
     "stability_deviations",
     "ExperimentReport",

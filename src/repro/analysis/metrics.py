@@ -1,7 +1,7 @@
 """Evaluation metrics used throughout the paper's figures.
 
 Jain's fairness index (Figure 14b), root-mean-square error (Figures 10
-and 12), empirical CDFs (most figures), and the flow-isolation metrics of
+and 12), CDF fractions (most figures), and the flow-isolation metrics of
 Section 6.2: feasibility (achieved over optimized rate) and stability
 (relative deviation from the per-scenario mean).
 """
@@ -48,15 +48,6 @@ def rmse(estimates: Sequence[float], truths: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((est - truth) ** 2)))
 
 
-def empirical_cdf(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: returns (sorted values, cumulative fractions)."""
-    x = np.sort(np.asarray(list(values), dtype=float))
-    if x.size == 0:
-        raise ValueError("at least one value is required")
-    fractions = np.arange(1, x.size + 1) / x.size
-    return x, fractions
-
-
 def cdf_fraction_below(values: Iterable[float], threshold: float) -> float:
     """Fraction of the samples that are <= ``threshold``."""
     x = np.asarray(list(values), dtype=float)
@@ -81,10 +72,3 @@ def stability_deviations(throughputs: Sequence[float]) -> list[float]:
     if mean == 0.0:
         return [0.0] * x.size
     return list(np.abs(x - mean) / mean)
-
-
-def relative_error(estimate: float, truth: float) -> float:
-    """``|estimate - truth| / truth`` with a zero-truth guard."""
-    if truth == 0.0:
-        return 0.0 if estimate == 0.0 else float("inf")
-    return abs(estimate - truth) / abs(truth)

@@ -31,10 +31,8 @@ from repro.core.feasibility import TwoLinkRegions
 from repro.core.lir_error import (
     ExpectedErrors,
     PairSample,
-    best_threshold,
     expected_errors,
     pair_error,
-    synthetic_pair_from_lir,
     threshold_sweep,
 )
 from repro.core.utility import (
@@ -67,10 +65,8 @@ __all__ = [
     "TwoLinkRegions",
     "ExpectedErrors",
     "PairSample",
-    "best_threshold",
     "expected_errors",
     "pair_error",
-    "synthetic_pair_from_lir",
     "threshold_sweep",
     "AlphaFairUtility",
     "MAX_THROUGHPUT",

@@ -16,8 +16,6 @@ of its *channel* loss rate ``p_l``::
   window has saturated at stage ``m`` (the paper's ``F(a, b)`` terms).
 
 At ``p_l = 0`` the expression reduces exactly to the nominal throughput.
-The inverse mapping (loss rate from an observed max UDP throughput) is
-provided for validation and testing.
 """
 
 from __future__ import annotations
@@ -56,21 +54,6 @@ class CapacityModel:
             self.payload_bytes, self.rate, self.mac, self.header_bytes, self.ack_rate
         ).cycle_s
 
-    def expected_transmissions(self, loss_rate: float) -> float:
-        """ETX: expected MAC attempts per delivered packet."""
-        p = self._validate_loss(loss_rate)
-        if p >= 1.0:
-            return float("inf")
-        return 1.0 / (1.0 - p)
-
-    def idle_time_s(self, loss_rate: float) -> float:
-        """Extra average idle (backoff escalation) time per delivered packet."""
-        p = self._validate_loss(loss_rate)
-        if p >= 1.0:
-            return float("inf")
-        attempts = int(self.expected_transmissions(p))
-        return self.mac.slot_s * float(_backoff_slots(attempts, self.mac))
-
     # ----------------------------------------------------------------- outputs
     def max_udp_throughput_bps(self, loss_rate: float) -> float:
         """Eq. (6): max UDP throughput of the link at channel loss ``p_l``."""
@@ -82,28 +65,6 @@ class CapacityModel:
     def nominal_throughput_bps(self) -> float:
         """Throughput of a loss-free link (equals Jun et al.'s TMT)."""
         return self.max_udp_throughput_bps(0.0)
-
-    def loss_rate_from_throughput(
-        self, throughput_bps: float, tolerance: float = 1e-6
-    ) -> float:
-        """Invert the capacity representation by bisection.
-
-        Returns the channel loss rate that would produce the observed max
-        UDP throughput; clamps to [0, 1) and returns 0 for throughputs at
-        or above the nominal value.
-        """
-        if throughput_bps <= 0:
-            return 1.0
-        if throughput_bps >= self.nominal_throughput_bps():
-            return 0.0
-        low, high = 0.0, 1.0 - 1e-9
-        while high - low > tolerance:
-            mid = (low + high) / 2.0
-            if self.max_udp_throughput_bps(mid) > throughput_bps:
-                low = mid
-            else:
-                high = mid
-        return (low + high) / 2.0
 
     @staticmethod
     def _validate_loss(loss_rate: float) -> float:
@@ -130,7 +91,7 @@ def max_udp_throughputs_bps(
     return payload_bytes * 8 / (etx * cycle_s + idle)
 
 
-def _backoff_slots(attempts: np.ndarray | int, mac: MacConfig) -> np.ndarray:
+def _backoff_slots(attempts: np.ndarray, mac: MacConfig) -> np.ndarray:
     """Average backoff slots over ``attempts`` MAC attempts: the paper's
     ``F(1, attempts - 1)`` (``F(a, b) = sum_{i=a}^{b} (2^i W0 - 1) / 2``)
     while the window doubles, ``(Wm - 1) / 2`` per attempt past stage

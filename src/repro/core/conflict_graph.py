@@ -40,15 +40,9 @@ class ConflictGraph:
         return cls(links=links, adjacency=adjacency_from_edges(links, edges))
 
     # ---------------------------------------------------------------- queries
-    def interferes(self, link_a: Link, link_b: Link) -> bool:
-        return link_b in self.adjacency.get(link_a, set())
-
     @property
     def num_edges(self) -> int:
         return sum(len(neigh) for neigh in self.adjacency.values()) // 2
-
-    def degree(self, link: Link) -> int:
-        return len(self.adjacency[link])
 
     def independent_sets(self) -> list[frozenset]:
         """All maximal independent sets (each is a set of links)."""

@@ -143,8 +143,7 @@ def estimate_links(
     through the Section 5.3 estimator in one batch, but for two kinds:
     a direction with fewer than ``min_probes_for_estimator`` probes in
     its window keeps its raw measured loss rate (Case 1), and one with
-    *no* probes at all reads as loss ``0.0`` — optimistic, where
-    :meth:`ProbingSystem.loss_rate` says ``1.0`` of the same stream.
+    *no* probes at all reads as loss ``0.0`` (optimistic).
     """
     lengths = window.lengths
     loss = window.losses.sum(axis=1) / np.maximum(lengths, 1)

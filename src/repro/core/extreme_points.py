@@ -119,13 +119,6 @@ class FeasibilityRegion:
     def num_extreme_points(self) -> int:
         return int(self.extreme_points.shape[0])
 
-    def link_index(self, link: Link) -> int:
-        return self.links.index(link)
-
-    def max_single_link_rate(self, link: Link) -> float:
-        """The largest rate the region allows on one link alone."""
-        return float(self.extreme_points[:, self.link_index(link)].max())
-
     # -------------------------------------------------------------- membership
     def contains(self, rates: Sequence[float] | np.ndarray, tolerance: float = 1e-9) -> bool:
         """Whether the link-rate vector ``rates`` is estimated feasible:

@@ -17,7 +17,7 @@ Three ways of deciding which link pairs conflict appear in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -56,8 +56,9 @@ class BinaryLirClassifier:
 class PairwiseInterferenceMap:
     """A symmetric conflict relation over a set of directed links.
 
-    Built from measured LIRs (:meth:`from_lir_measurements`) and consumed
-    by the conflict-graph / extreme-point machinery; the two-hop rule is
+    Built from measured LIRs (a :class:`BinaryLirClassifier` verdict per
+    pair, through :meth:`add_conflict`) and consumed by the conflict-graph /
+    extreme-point machinery; the two-hop rule is
     :func:`two_hop_conflict_matrix`.
     """
 
@@ -77,33 +78,6 @@ class PairwiseInterferenceMap:
             raise KeyError("both links must belong to the map")
         self.adjacency[link_a].add(link_b)
         self.adjacency[link_b].add(link_a)
-
-    # -------------------------------------------------------------- queries
-    def interferes(self, link_a: Link, link_b: Link) -> bool:
-        return link_b in self.adjacency.get(link_a, ())
-
-    def conflicts_of(self, link: Link) -> list[Link]:
-        """All links that conflict with ``link``."""
-        return [other for other in self.links if self.interferes(link, other)]
-
-    # ---------------------------------------------------------- constructors
-    @classmethod
-    def from_lir_measurements(
-        cls,
-        lir_values: Mapping[tuple[Link, Link], float],
-        links: Iterable[Link],
-        classifier: BinaryLirClassifier | None = None,
-    ) -> "PairwiseInterferenceMap":
-        """Build the conflict relation from measured pairwise LIRs.
-
-        Pairs absent from ``lir_values`` are assumed non-interfering.
-        """
-        classifier = classifier or BinaryLirClassifier()
-        mapping = cls(links)
-        for (link_a, link_b), lir in lir_values.items():
-            if classifier.interferes(lir):
-                mapping.add_conflict(link_a, link_b)
-        return mapping
 
 
 def two_hop_conflict_matrix(endpoints: np.ndarray, neighbors: np.ndarray) -> np.ndarray:

@@ -52,30 +52,6 @@ class PairSample:
         return TwoLinkRegions(c11=self.c11, c22=self.c22, c31=self.c31, c32=self.c32)
 
 
-def synthetic_pair_from_lir(
-    lir: float, c11: float = 1.0, c22: float = 1.0, split: float | None = None
-) -> PairSample:
-    """Construct a pair whose simultaneous throughputs realise ``lir``.
-
-    All points with the same LIR lie on the line
-    ``c31 + c32 = lir * (c11 + c22)`` (the dotted line of Figure 6); the
-    ``split`` argument chooses the position along that line as the share
-    of the sum assigned to link 1.  By default the sum is split in
-    proportion to the isolated capacities, which is the symmetric choice
-    the paper's analysis uses when ``c11 = c22``.
-    """
-    if lir < 0:
-        raise ValueError("LIR must be non-negative")
-    total = lir * (c11 + c22)
-    if split is None:
-        split = c11 / (c11 + c22)
-    if not 0.0 <= split <= 1.0:
-        raise ValueError("split must lie in [0, 1]")
-    c31 = min(total * split, c11)
-    c32 = min(total - c31, c22)
-    return PairSample(c11=c11, c22=c22, c31=c31, c32=c32)
-
-
 def pair_error(sample: PairSample, threshold: float = DEFAULT_LIR_THRESHOLD) -> tuple[float, float]:
     """(FP error, FN error) committed by the binary model on one pair.
 
@@ -97,11 +73,6 @@ class ExpectedErrors:
     expected_false_negative: float
     num_samples: int
     num_classified_interfering: int
-
-    @property
-    def combined(self) -> float:
-        """Simple sum of the two expected errors (used to rank thresholds)."""
-        return self.expected_false_positive + self.expected_false_negative
 
 
 def expected_errors(
@@ -133,11 +104,3 @@ def threshold_sweep(
 ) -> list[ExpectedErrors]:
     """Expected errors for each candidate threshold (Figure 6 methodology)."""
     return [expected_errors(samples, threshold) for threshold in thresholds]
-
-
-def best_threshold(
-    samples: Sequence[PairSample], thresholds: Iterable[float]
-) -> ExpectedErrors:
-    """The threshold minimising the combined expected FP + FN error."""
-    sweep = threshold_sweep(samples, thresholds)
-    return min(sweep, key=lambda e: e.combined)

@@ -264,10 +264,6 @@ class OptimizationResult:
     success: bool
     message: str = ""
 
-    @property
-    def aggregate_rate(self) -> float:
-        return float(self.flow_rates.sum())
-
 
 class RateOptimizer:
     """Solves the convex optimization of Section 6.1.
@@ -296,7 +292,8 @@ class RateOptimizer:
         self.routing = routing
         self.utility = utility
         self.rate_floor = rate_floor
-        self._r = routing.matrix
+        # One layout, so no caller's order changes a BLAS sum's last bits.
+        self._r = np.ascontiguousarray(routing.matrix)
         self._scale = float(region.extreme_points.max())
         if self._scale <= 0:
             raise ValueError("the feasibility region has zero capacity everywhere")

@@ -47,14 +47,6 @@ class AlphaFairUtility:
         return y ** (-self.alpha)
 
     # ------------------------------------------------------------ descriptors
-    @property
-    def is_throughput_maximising(self) -> bool:
-        return self.alpha == 0.0
-
-    @property
-    def is_proportional_fair(self) -> bool:
-        return self.alpha == 1.0
-
     def describe(self) -> str:
         """Human-readable name of the objective."""
         if self.alpha == 0.0:

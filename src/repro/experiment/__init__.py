@@ -67,7 +67,6 @@ from repro.experiment.registry import (
     BuiltScenario,
     build_scenario,
     register_scenario,
-    scenario_description,
     scenario_names,
 )
 from repro.experiment.runner import (
@@ -123,7 +122,6 @@ __all__ = [
     "BuiltScenario",
     "build_scenario",
     "register_scenario",
-    "scenario_description",
     "scenario_names",
     "CycleResult",
     "Experiment",

@@ -83,18 +83,6 @@ class PlannerStats:
         """Duplicate slots over all slots; 0.0 for an empty sweep."""
         return self.duplicates / self.total if self.total else 0.0
 
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "total": self.total,
-            "unique": self.unique,
-            "duplicates": self.duplicates,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "dedup_rate": self.dedup_rate,
-        }
-
 
 @dataclass
 class SweepPlan:

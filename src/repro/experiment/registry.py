@@ -3,8 +3,7 @@
 A *scenario builder* materializes a :class:`ScenarioSpec` into a live
 :class:`MeshNetwork` plus flow handles.  Builders register under a name
 with :func:`register_scenario`, which makes every scenario discoverable
-(``scenario_names()``), describable (``scenario_description()``) and
-runnable by name through :class:`repro.experiment.runner.Experiment`.
+(``scenario_names()``) and runnable by name through :class:`repro.experiment.runner.Experiment`.
 
 One built-in constructs networks: ``generated``, the declarative
 composition of the generator layer of :mod:`repro.sim.generators` — any
@@ -77,11 +76,10 @@ class ScenarioBuilder(Protocol):
 
 _SCENARIOS: Registry[ScenarioBuilder] = Registry("scenario", error=SpecError)
 
-#: ``@register_scenario(name, description=...)`` registers
+#: ``@register_scenario(name)`` registers
 #: ``builder(spec: ScenarioSpec) -> BuiltScenario``.
 register_scenario = _SCENARIOS.register
 scenario_names = _SCENARIOS.names
-scenario_description = _SCENARIOS.description
 
 
 def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
@@ -115,10 +113,7 @@ def _add_flows(
     return handles
 
 
-@register_scenario(
-    "generated",
-    description="declarative topology x workload x radio-profile composition",
-)
+@register_scenario("generated")
 def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
     """The one builder that constructs a network: every axis is a
     registered generator driven purely by the spec, so new interference
@@ -255,5 +250,5 @@ def _build_preset(spec: ScenarioSpec) -> BuiltScenario:
 
 
 for _name, _preset in SCENARIO_PRESETS.items():
-    register_scenario(_name, description=_preset.description)(_build_preset)
+    register_scenario(_name)(_build_preset)
 del _name, _preset

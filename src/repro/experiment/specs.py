@@ -688,7 +688,6 @@ class ScenarioPreset(NamedTuple):
     it fixes or derives, and the ``meta`` its results have always
     carried."""
 
-    description: str
     reads: frozenset[str]
     expand: Callable[[ScenarioSpec], dict[str, Any]]
     meta: Callable[[ScenarioSpec, list[Any]], dict[str, object]] = _no_meta
@@ -735,19 +734,19 @@ def _starvation(spec: ScenarioSpec) -> dict[str, Any]:
 #: Every built-in name but ``generated``, as the ``generated`` spec it
 #: stands for.
 SCENARIO_PRESETS: dict[str, ScenarioPreset] = {
+    # N-node chain with explicit flows (deterministic propagation)
     "chain": ScenarioPreset(
-        "N-node chain with explicit flows (deterministic propagation)",
         frozenset({"data_rate_mbps", "shadowing_sigma_db", "topology", "radio", "flows",
                    "transport"}),
         _chain,
     ),
+    # the synthetic 18-node testbed with explicit flows
     "testbed": ScenarioPreset(
-        "the synthetic 18-node testbed with explicit flows",
         frozenset({"data_rate_mbps", "shadowing_sigma_db", "radio", "flows"}),
         _testbed,
     ),
+    # ETT-routed random multi-flow testbed configuration (Sections 4.5/6.3)
     "random_multiflow": ScenarioPreset(
-        "ETT-routed random multi-flow testbed configuration (Sections 4.5/6.3)",
         frozenset({"num_flows", "max_hops", "rate_mode", "transport"}),
         _random_multiflow,
         lambda spec, flows: {
@@ -755,8 +754,8 @@ SCENARIO_PRESETS: dict[str, ScenarioPreset] = {
             "routes": [list(flow.path) for flow in flows],
         },
     ),
+    # two-flow upstream TCP starvation at a gateway (Figure 13)
     "starvation": ScenarioPreset(
-        "two-flow upstream TCP starvation at a gateway (Figure 13)",
         frozenset({"data_rate_mbps"}),
         _starvation,
         lambda spec, flows: {"two_hop": flows[0].flow_id, "one_hop": flows[1].flow_id},

@@ -90,7 +90,7 @@ class Monitor(Protocol):
 
 MONITORS: Registry[Callable[[], Monitor]] = Registry("monitor")
 
-#: ``@register_monitor(name, description=...)`` registers a zero-argument
+#: ``@register_monitor(name)`` registers a zero-argument
 #: monitor factory (usually a class).
 register_monitor = MONITORS.register
 monitor_names = MONITORS.names

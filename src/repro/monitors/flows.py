@@ -79,7 +79,7 @@ class _SeriesBuilder:
         )
 
 
-@register_monitor("pdr", description="per-window packet delivery ratio per flow")
+@register_monitor("pdr")
 class PDRMonitor:
     """Packet delivery ratio per window: delivered delta / sent delta.
 
@@ -118,7 +118,7 @@ class PDRMonitor:
         return [builder.build() for builder in self._builders]
 
 
-@register_monitor("throughput", description="per-window goodput (bit/s) per flow")
+@register_monitor("throughput")
 class ThroughputMonitor:
     """Per-window goodput through each flow handle's ``throughput_bps``
     (UDP payload goodput; TCP unique-segment goodput)."""
@@ -142,7 +142,7 @@ class ThroughputMonitor:
         return [builder.build() for builder in self._builders]
 
 
-@register_monitor("e2e_latency", description="per-window mean end-to-end delay per flow")
+@register_monitor("e2e_latency")
 class E2ELatencyMonitor:
     """Mean end-to-end delay (``now - packet.created_at``) of the data
     packets delivered to each flow's destination during the window.

@@ -96,7 +96,6 @@ class MeshNode:
         self._delivery_handlers: list[Callable[[Packet, int], None]] = []
         self._broadcast_handlers: list[Callable[[object, int], None]] = []
         self._dequeue_listeners: list[Callable[[], None]] = []
-        self._tx_done_listeners: list[Callable[[Packet, bool], None]] = []
 
     # ------------------------------------------------------------- handlers
     def add_delivery_handler(self, handler: Callable[[Packet, int], None]) -> None:
@@ -114,10 +113,6 @@ class MeshNode:
         """
         self._dequeue_listeners.append(listener)
 
-    def add_tx_done_listener(self, listener: Callable[[Packet, bool], None]) -> None:
-        """Register ``listener(packet, success)`` fired per MAC-level completion."""
-        self._tx_done_listeners.append(listener)
-
     def close(self) -> None:
         """Close the MAC and drop every registered handler and listener
         (each one is bound to a source, sink, prober or monitor that
@@ -127,7 +122,6 @@ class MeshNode:
             self._delivery_handlers,
             self._broadcast_handlers,
             self._dequeue_listeners,
-            self._tx_done_listeners,
         ):
             registered.clear()
 
@@ -214,10 +208,6 @@ class MeshNode:
     def _on_mac_tx_done(self, frame: Frame, success: bool) -> None:
         if not success:
             self.stats.mac_drops += 1
-        packet = frame.payload
-        if isinstance(packet, Packet):
-            for listener in self._tx_done_listeners:
-                listener(packet, success)
 
     def _on_mac_dequeue(self) -> None:
         for listener in self._dequeue_listeners:

@@ -13,10 +13,10 @@ channel errors and collisions; the channel-loss estimator of Section 5.3
 then separates the two.
 
 The probing system exposes per-directed-link loss *series* (ordered 0/1
-loss indicators) and loss *rates*, and combines the DATA loss of the
-forward direction with the ACK loss of the reverse direction into the
-link loss rate ``p_l = 1 - (1 - p_DATA)(1 - p_ACK)`` used by Eq. (6).
-Each stream is a byte bitmap indexed by sequence number; a window is a
+loss indicators) and the table of window loss *rates* of every ordered
+pair; the controller combines the DATA loss of the forward direction with
+the ACK loss of the reverse direction into the link loss rate ``p_l = 1 -
+(1 - p_DATA)(1 - p_ACK)`` used by Eq. (6).  Each stream is a byte bitmap indexed by sequence number; a window is a
 slice of it, and the controller's window reads every stream it needs
 into one stacked loss matrix in a single pass (:meth:`ProbingSystem.loss_matrix`).
 """
@@ -142,10 +142,6 @@ class ProbingSystem:
             offset = float(self._rng.uniform(0.0, self.period_s))
             self.sim.schedule(offset, partial(self._probe_once, node_id))
 
-    def stop(self) -> None:
-        """Stop scheduling new probes (in-flight probes still complete)."""
-        self._running = False
-
     def _data_rates_of(self, node: MeshNode) -> list[PhyRate]:
         """Distinct modulations this node's DATA frames may use."""
         rates = {node.data_rate.name: node.data_rate}
@@ -154,8 +150,6 @@ class ProbingSystem:
         return list(rates.values())
 
     def _probe_once(self, node_id: int) -> None:
-        if not self._running:
-            return
         node = self.nodes[node_id]
         probes: list[tuple[str, int, PhyRate]] = [
             ("data", self.data_probe_bytes, rate) for rate in self._data_rates_of(node)
@@ -228,28 +222,14 @@ class ProbingSystem:
             rows.append(log[start:sent].ljust(sent - start, b"\0").translate(_LOST))
         return stack_loss_rows(rows)
 
-    def loss_rate(
-        self,
-        sender: int,
-        receiver: int,
-        kind: str = "data",
-        last_n: int | None = None,
-        rate: PhyRate | None = None,
-    ) -> float:
-        """Fraction of probes of ``kind`` from ``sender`` lost at
-        ``receiver`` (``1.0`` when the window holds no probe at all).
-        Counted, not averaged: ``lost / n`` of two integers is the float64
-        that ``loss_series(...).mean()`` rounds to."""
-        label, start, sent = self._window(sender, kind, last_n, rate)
-        if sent == start:
-            return 1.0
-        heard = self._logs.get((sender, receiver, label), b"").count(1, start, sent)
-        return (sent - start - heard) / (sent - start)
-
     def loss_table(self, kind: str = "data", last_n: int | None = None) -> np.ndarray:
-        """:meth:`loss_rate` of every ordered pair of ``nodes`` (``[i, j]``:
-        sender ``i`` to receiver ``j``; DATA at the sender's default rate),
-        NaN on the diagonal and in the row of a sender that sent none."""
+        """The §5.2 window loss of every ordered pair of ``nodes`` (``[i,
+        j]``: the fraction of the ``last_n`` most recent probes of ``kind``
+        from sender ``i`` that receiver ``j`` did not hear; DATA at the
+        sender's default rate), counted, not averaged: ``lost / n`` of two
+        integers is the float64 that the :meth:`loss_series` mean rounds
+        to.  ``1.0`` for an empty window, NaN on the diagonal and in the
+        row of a sender that sent none."""
         nodes = list(self.nodes)
         index = {node: i for i, node in enumerate(nodes)}
         lost, sizes = [], []
@@ -263,24 +243,3 @@ class ProbingSystem:
         np.divide(lost, sizes, out=table, where=np.array(sizes) != 0)
         np.fill_diagonal(table, np.nan)
         return table
-
-    def loss_rates(
-        self, kind: str = "data", last_n: int | None = None
-    ) -> dict[tuple[int, int], float]:
-        """:meth:`loss_table` as ``{(sender, receiver): loss}``, NaNs left out."""
-        nodes = list(self.nodes)
-        rows = zip(nodes, self.loss_table(kind, last_n).tolist())
-        return {(a, b): loss for a, row in rows for b, loss in zip(nodes, row) if loss == loss}
-
-    def link_loss_rate(
-        self, tx: int, rx: int, last_n: int | None = None, rate: PhyRate | None = None
-    ) -> float:
-        """Combined DATA/ACK loss rate of the directed link ``tx -> rx``.
-
-        DATA probes travel in the forward direction (tx to rx) at the
-        link's modulation and ACK probes in the reverse direction (rx to
-        tx), mirroring where real DATA and ACK frames would be lost.
-        """
-        p_data = self.loss_rate(tx, rx, "data", last_n, rate)
-        p_ack = self.loss_rate(rx, tx, "ack", last_n)
-        return 1.0 - (1.0 - p_data) * (1.0 - p_ack)

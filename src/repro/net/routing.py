@@ -118,10 +118,6 @@ class FlowRoute:
         """Directed links traversed by the flow, in order."""
         return list(zip(self.path[:-1], self.path[1:]))
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.path) - 1
-
 
 @dataclass
 class RoutingMatrix:
@@ -130,13 +126,6 @@ class RoutingMatrix:
     links: list[Link]
     flows: list[FlowRoute]
     matrix: np.ndarray
-
-    def link_index(self, link: Link) -> int:
-        return self.links.index(link)
-
-    def flows_on_link(self, link: Link) -> list[FlowRoute]:
-        idx = self.link_index(link)
-        return [f for j, f in enumerate(self.flows) if self.matrix[idx, j] > 0]
 
 
 class Router:
@@ -153,33 +142,10 @@ class Router:
         self.weights = dict(weights)
         self._route_cache: dict[int, RouteResult] = {}
 
-    def update_weights(self, weights: dict[Link, float]) -> None:
-        """Replace the link weights and invalidate cached shortest paths."""
-        self.weights = dict(weights)
-        self._route_cache.clear()
-
     def shortest_path(self, source: int, destination: int) -> list[int] | None:
         if source not in self._route_cache:
             self._route_cache[source] = dijkstra(self.nodes, self.weights, source)
         return self._route_cache[source].path_to(destination)
-
-    def route_flows(
-        self, demands: list[tuple[int, int]], first_flow_id: int = 0
-    ) -> list[FlowRoute]:
-        """Route a list of (source, destination) demands.
-
-        Raises:
-            ValueError: if any demand has no path under the current weights.
-        """
-        flows = []
-        for offset, (src, dst) in enumerate(demands):
-            path = self.shortest_path(src, dst)
-            if path is None:
-                raise ValueError(f"no route from {src} to {dst}")
-            flows.append(
-                FlowRoute(flow_id=first_flow_id + offset, source=src, destination=dst, path=path)
-            )
-        return flows
 
 
 def first_use_links(flows: Iterable[Any]) -> list[Link]:

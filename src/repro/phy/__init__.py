@@ -24,19 +24,15 @@ from repro.phy.radio import (
 from repro.phy.propagation import (
     PropagationModel,
     LogDistancePathLoss,
-    FreeSpacePathLoss,
     dbm_to_mw,
     mw_to_dbm,
 )
 from repro.phy.sinr import (
     NOISE_FLOOR_DBM,
-    sinr_db,
-    snr_db,
     CaptureModel,
 )
 from repro.phy.error_models import (
     ErrorModel,
-    SnrThresholdErrorModel,
     BerPacketErrorModel,
     FixedPacketErrorModel,
 )
@@ -52,15 +48,11 @@ __all__ = [
     "frame_airtime",
     "PropagationModel",
     "LogDistancePathLoss",
-    "FreeSpacePathLoss",
     "dbm_to_mw",
     "mw_to_dbm",
     "NOISE_FLOOR_DBM",
-    "sinr_db",
-    "snr_db",
     "CaptureModel",
     "ErrorModel",
-    "SnrThresholdErrorModel",
     "BerPacketErrorModel",
     "FixedPacketErrorModel",
 ]

@@ -53,21 +53,6 @@ class FixedPacketErrorModel(ErrorModel):
 
 
 @dataclass
-class SnrThresholdErrorModel(ErrorModel):
-    """Hard SNR threshold: perfect above sensitivity, lost below.
-
-    The simplest possible model; used when experiments want to isolate
-    collision behaviour from channel noise.
-    """
-
-    def packet_error_probability(
-        self, snr_db: float, rate: PhyRate, frame_bytes: int
-    ) -> float:
-        required = rate.min_sinr_db
-        return 0.0 if snr_db >= required else 1.0
-
-
-@dataclass
 class BerPacketErrorModel(ErrorModel):
     """Smooth BER-derived packet error model.
 

@@ -44,32 +44,6 @@ class PropagationModel:
     def path_loss_db(self, distance_m: float, link_key: tuple[int, int] | None = None) -> float:
         raise NotImplementedError
 
-    def received_power_dbm(
-        self,
-        tx_power_dbm: float,
-        distance_m: float,
-        link_key: tuple[int, int] | None = None,
-    ) -> float:
-        """Received power for a given transmit power and distance."""
-        return tx_power_dbm - self.path_loss_db(distance_m, link_key)
-
-
-@dataclass
-class FreeSpacePathLoss(PropagationModel):
-    """Free-space (Friis) path loss at 2.4 GHz.
-
-    Mostly useful in unit tests where a clean, monotone distance/power
-    relation is convenient.
-    """
-
-    frequency_hz: float = 2.437e9
-    min_distance_m: float = 1.0
-
-    def path_loss_db(self, distance_m: float, link_key: tuple[int, int] | None = None) -> float:
-        d = max(distance_m, self.min_distance_m)
-        # FSPL(dB) = 20 log10(d) + 20 log10(f) - 147.55
-        return 20.0 * math.log10(d) + 20.0 * math.log10(self.frequency_hz) - 147.55
-
 
 @dataclass
 class LogDistancePathLoss(PropagationModel):

@@ -42,9 +42,6 @@ class PhyRate:
     rx_sensitivity_dbm: float
     base_ber: float = 1e-7
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 RATE_1MBPS = PhyRate(bps=1e6, name="1Mbps", min_sinr_db=4.0, rx_sensitivity_dbm=-94.0)
 RATE_2MBPS = PhyRate(bps=2e6, name="2Mbps", min_sinr_db=6.0, rx_sensitivity_dbm=-91.0)
@@ -106,8 +103,3 @@ class RadioConfig:
     antenna_gain_dbi: float = 5.0
     data_rate: PhyRate = field(default_factory=lambda: RATE_11MBPS)
     basic_rate: PhyRate = field(default_factory=lambda: RATE_1MBPS)
-
-    @property
-    def eirp_dbm(self) -> float:
-        """Effective isotropic radiated power (single antenna gain)."""
-        return self.tx_power_dbm + self.antenna_gain_dbi

@@ -24,28 +24,6 @@ from repro.phy.radio import PhyRate
 NOISE_FLOOR_DBM = -94.0
 
 
-def snr_db(signal_dbm: float, noise_dbm: float = NOISE_FLOOR_DBM) -> float:
-    """Signal-to-noise ratio in dB."""
-    return signal_dbm - noise_dbm
-
-
-def sinr_db(
-    signal_dbm: float,
-    interference_mw: float,
-    noise_dbm: float = NOISE_FLOOR_DBM,
-) -> float:
-    """Signal-to-interference-plus-noise ratio in dB.
-
-    Args:
-        signal_dbm: received power of the wanted frame.
-        interference_mw: total interference power in milliwatts (sum of
-            received powers of all overlapping transmissions).
-        noise_dbm: thermal noise floor.
-    """
-    denom_mw = dbm_to_mw(noise_dbm) + max(interference_mw, 0.0)
-    return signal_dbm - mw_to_dbm(denom_mw)
-
-
 @dataclass
 class CaptureModel:
     """Decides frame decodability from signal, interference and rate.
@@ -68,7 +46,8 @@ class CaptureModel:
         # is ``mw_to_dbm(dbm_to_mw(noise))`` — NOT the noise floor itself
         # (the round trip is a ULP off) — so the interference-free fast
         # path in :meth:`sinr` returns bit-identical values to the full
-        # ``sinr_db`` formula with ``interference_mw == 0``.
+        # formula ``signal - mw_to_dbm(noise_mw + interference_mw)`` with
+        # ``interference_mw == 0``.
         self._noise_mw = dbm_to_mw(self.noise_floor_dbm)
         self._noise_round_trip_dbm = mw_to_dbm(self._noise_mw)
 
@@ -84,9 +63,9 @@ class CaptureModel:
         return self.sinr(signal_dbm, interference_mw) >= rate.min_sinr_db + self.sinr_margin_db
 
     def sinr(self, signal_dbm: float, interference_mw: float) -> float:
-        """Convenience accessor for the SINR under this model's noise."""
+        """Signal-to-interference-plus-noise ratio (dB) under this model's
+        noise: ``signal_dbm - mw_to_dbm(noise_mw + interference_mw)``."""
         if interference_mw <= 0.0:
-            # denom == noise exactly, so skip the log10 — same float as
-            # ``sinr_db(signal, 0.0, noise_floor)``.
+            # denom == noise exactly, so skip the log10 — the same float.
             return signal_dbm - self._noise_round_trip_dbm
         return signal_dbm - mw_to_dbm(self._noise_mw + interference_mw)

@@ -1,8 +1,8 @@
 """The one name registry behind every pluggable axis.
 
 Topology generators, workload generators, mobility models, monitors and
-scenarios are all looked up the same way: a name, the object registered
-under it, a one-line description.  The duplicate-name check, the sorted
+scenarios are all looked up the same way: a name and the object
+registered under it.  The duplicate-name check, the sorted
 name list and the unknown-name error that lists what *is* registered
 live here once; each axis keeps only its own vocabulary (what an entry
 is and what it is called with).
@@ -18,7 +18,7 @@ T = TypeVar("T")
 
 
 class Registry(dict, Generic[T]):
-    """``name -> (entry, description)`` for one kind of registered thing.
+    """``name -> entry`` for one kind of registered thing.
 
     A plain ``dict`` underneath, so membership, iteration and removal
     (tests unregister what they registered) need no code of their own.
@@ -31,16 +31,15 @@ class Registry(dict, Generic[T]):
         self.kind = kind
         self.error = error
 
-    def register(self, name: str, *, description: str = "") -> Callable[[T], T]:
-        """Decorator: register the decorated object under ``name``,
-        described by ``description`` or else its docstring.  A name can
-        be registered once: silently replacing an entry would change
-        what every spec naming it means."""
+    def register(self, name: str) -> Callable[[T], T]:
+        """Decorator: register the decorated object under ``name``.  A
+        name can be registered once: silently replacing an entry would
+        change what every spec naming it means."""
 
         def decorator(entry: T) -> T:
             if name in self:
                 raise ValueError(f"{self.kind} {name!r} is already registered")
-            self[name] = (entry, description or (entry.__doc__ or "").strip())
+            self[name] = entry
             return entry
 
         return decorator
@@ -51,13 +50,6 @@ class Registry(dict, Generic[T]):
 
     def lookup(self, name: str) -> T:
         """The entry registered under ``name``."""
-        return self._registered(name)[0]
-
-    def description(self, name: str) -> str:
-        """The one-line description ``name`` registered with."""
-        return self._registered(name)[1]
-
-    def _registered(self, name: str) -> tuple[T, str]:
         if name not in self:
             raise self.error(
                 f"unknown {self.kind} {name!r}; registered: {self.names()}"

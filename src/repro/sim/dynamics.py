@@ -87,7 +87,7 @@ MobilityBuilder = Callable[[Positions, Mapping[str, Any], int], Trajectory]
 
 MOBILITY_MODELS: Registry[MobilityBuilder] = Registry("mobility model")
 
-#: ``@register_mobility(name, description=...)`` registers
+#: ``@register_mobility(name)`` registers
 #: ``builder(positions, params, seed) -> Trajectory``.  ``params`` is the
 #: plain-dict form of :meth:`repro.experiment.specs.MobilitySpec.params`
 #: (builders read the keys they care about), so a registered model is
@@ -120,11 +120,10 @@ def build_mobility(
 # The ``params.get`` defaults below are the library-level defaults of
 # :func:`build_mobility` for callers that pass a partial dict; a
 # ``MobilitySpec`` always passes every parameter.
-@register_mobility(
-    "waypoint",
-    description="random waypoint inside the initial bounding box plus margin",
-)
+@register_mobility("waypoint")
 class _WaypointTrajectory(Trajectory):
+    """Random waypoint inside the initial bounding box plus margin."""
+
     def __init__(self, positions: Positions, params: Mapping[str, Any], seed: int) -> None:
         self._order = sorted(positions)
         self._pos = {node: positions[node] for node in self._order}
@@ -184,11 +183,10 @@ class _WaypointTrajectory(Trajectory):
         return dict(self._pos)
 
 
-@register_mobility(
-    "drift",
-    description="per-epoch Gaussian displacement clipped to the initial box",
-)
+@register_mobility("drift")
 class _DriftTrajectory(Trajectory):
+    """Per-epoch Gaussian displacement clipped to the initial box."""
+
     def __init__(self, positions: Positions, params: Mapping[str, Any], seed: int) -> None:
         self._order = sorted(positions)
         self._pos = {node: positions[node] for node in self._order}

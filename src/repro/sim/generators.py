@@ -10,7 +10,7 @@ axes:
   chain/line, grid, ring, random-disk, binary-tree, parking-lot — plus
   the paper's 18-node testbed and explicit coordinates.  Each is one
   :func:`register_topology` declaration (:class:`TopologyGenerator`):
-  build, node count, validity, description.
+  build, node count, validity.
 * **Workload generators** map a built :class:`MeshNetwork` plus demand
   parameters to a list of :class:`GeneratedFlow`\\ s over ETT-routed
   paths: saturated-UDP random demands, TCP bulk transfers, mixed
@@ -38,8 +38,7 @@ every unknown-name lookup raises listing the registered names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -69,8 +68,6 @@ __all__ = [
     "register_workload",
     "topology_names",
     "workload_names",
-    "build_topology",
-    "generate_workload",
     "workload_rng",
     "scenario_streams",
     "radio_profile_names",
@@ -218,7 +215,7 @@ WORKLOADS: Registry[Callable[["WorkloadContext"], list["GeneratedFlow"]]] = Regi
     "workload generator"
 )
 
-#: ``@register_workload(name, description=...)`` registers
+#: ``@register_workload(name)`` registers
 #: ``builder(ctx: WorkloadContext) -> [GeneratedFlow, ...]``.
 register_workload = WORKLOADS.register
 topology_names = TOPOLOGIES.names
@@ -226,7 +223,7 @@ workload_names = WORKLOADS.names
 
 
 def register_topology(
-    name: str, *, description: str = "", **declaration: Any
+    name: str, **declaration: Any
 ) -> Callable[[TopologyBuilder], TopologyBuilder]:
     """Register ``build(params, seed) -> Positions`` under ``name``;
     ``declaration`` is the rest of its :class:`TopologyGenerator`
@@ -235,23 +232,10 @@ def register_topology(
     and built through this."""
 
     def decorator(build: TopologyBuilder) -> TopologyBuilder:
-        TOPOLOGIES.register(
-            name, description=description or (build.__doc__ or "").strip()
-        )(TopologyGenerator(build, **declaration))
+        TOPOLOGIES.register(name)(TopologyGenerator(build, **declaration))
         return build
 
     return decorator
-
-
-def build_topology(kind: str, params: Any = None, seed: int = 0) -> Positions:
-    """Materialize node positions via the registered generator ``kind``.
-
-    ``params`` is a ``TopologySpec`` or its dict form; a dict must hold
-    every field the generator reads — the defaults belong to the spec.
-    """
-    if isinstance(params, Mapping) or params is None:
-        params = SimpleNamespace(**(params or {}))
-    return TOPOLOGIES.lookup(kind).build(params, seed)
 
 
 _CHAIN: dict[str, Any] = dict(
@@ -260,42 +244,41 @@ _CHAIN: dict[str, Any] = dict(
 )
 
 
-@register_topology("line", description="alias of 'chain': N nodes in a line", **_CHAIN)
-@register_topology(
-    "chain", description="N nodes in a line (classic multi-hop chain)", **_CHAIN
-)
+@register_topology("line", **_CHAIN)
+@register_topology("chain", **_CHAIN)
 def _chain(t: Any, seed: int) -> Positions:
+    """N nodes in a line (classic multi-hop chain); ``line`` is an alias."""
     return chain_topology(t.num_nodes, t.spacing_m)
 
 
 @register_topology(
     "grid",
-    description="rows x cols lattice of nodes",
     node_count=lambda t: t.rows * t.cols,
     problem=lambda t: (t.rows < 1 or t.cols < 1) and "grid dimensions must be positive",
     shape=lambda t: f"{t.rows}x{t.cols}",
 )
 def _grid(t: Any, seed: int) -> Positions:
+    """Rows x cols lattice of nodes."""
     return grid_topology(t.rows, t.cols, t.spacing_m)
 
 
 @register_topology(
     "ring",
-    description="N nodes evenly spaced on a circle",
     node_count=lambda t: t.num_nodes,
     problem=lambda t: t.num_nodes < 3 and "a ring needs at least three nodes",
 )
 def _ring(t: Any, seed: int) -> Positions:
+    """N nodes evenly spaced on a circle."""
     return ring_topology(t.num_nodes, t.radius_m)
 
 
 @register_topology(
     "random_disk",
-    description="N nodes placed uniformly in a disk with a minimum separation",
     node_count=lambda t: t.num_nodes,
     problem=lambda t: t.num_nodes < 2 and "a random disk needs at least two nodes",
 )
 def _random_disk(t: Any, seed: int) -> Positions:
+    """N nodes placed uniformly in a disk with a minimum separation."""
     return random_disk_topology(
         t.num_nodes, t.radius_m, seed=seed, min_separation_m=t.min_separation_m
     )
@@ -303,38 +286,37 @@ def _random_disk(t: Any, seed: int) -> Positions:
 
 @register_topology(
     "binary_tree",
-    description="complete binary tree aggregating towards a root gateway",
     node_count=lambda t: 2**t.depth - 1,
     problem=lambda t: t.depth < 2 and "a binary tree needs at least two levels",
     shape=lambda t: f"d{t.depth}",
 )
 def _binary_tree(t: Any, seed: int) -> Positions:
+    """Complete binary tree aggregating towards a root gateway."""
     return binary_tree_topology(t.depth, t.spacing_m)
 
 
 @register_topology(
     "parking_lot",
-    description="backbone chain with one entry stub per junction",
     node_count=lambda t: 2 * t.num_nodes - 1,
     problem=lambda t: t.num_nodes < 2
     and "a parking lot needs a backbone of at least two nodes",
 )
 def _parking_lot(t: Any, seed: int) -> Positions:
+    """Backbone chain with one entry stub per junction."""
     return parking_lot_topology(t.num_nodes, t.spacing_m, t.stub_m)
 
 
 @register_topology(
     "testbed",
-    description="the paper's synthetic 18-node testbed layout",
     node_count=lambda t: 18,
 )
 def _testbed(t: Any, seed: int) -> Positions:
+    """The paper's synthetic 18-node testbed layout."""
     return testbed_positions(seed=seed, jitter_m=t.jitter_m)
 
 
 @register_topology(
     "positions",
-    description="explicit (node, x, y) coordinates",
     node_count=lambda t: len(t.positions),
     problem=lambda t: (
         len(t.positions) < 2 and "explicit topologies need at least two nodes"
@@ -345,6 +327,7 @@ def _testbed(t: Any, seed: int) -> Positions:
     ),
 )
 def _positions(t: Any, seed: int) -> Positions:
+    """Explicit (node, x, y) coordinates."""
     # Coordinates may be declared as ints; Positions are float pairs.
     return {node: (float(x), float(y)) for node, x, y in t.positions}
 
@@ -551,49 +534,21 @@ def scenario_streams(
     return named_rng(seed, "generated.link_rates"), workload
 
 
-def generate_workload(
-    network: MeshNetwork,
-    generator: str,
-    seed: int = 0,
-    router: Router | None = None,
-    **params: Any,
-) -> list[GeneratedFlow]:
-    """Run the registered workload ``generator`` against ``network``.
-
-    ``params`` populate :class:`WorkloadContext` (``num_flows``,
-    ``max_hops``, ``rate_bps``, ``tcp_fraction``, ``payload_bytes``,
-    ``mss_bytes``, ``demand_exponent``).  ``router`` defaults to an ETT
-    router over the network's ground-truth link weights; the draws come
-    from the generator's stream of ``seed`` (:func:`scenario_streams`).
-    The returned flows are declarative — the caller decides when to add
-    them to the network — and deterministic in ``(generator, params, seed)``.
-    """
-    if router is None:
-        router = Router(network.node_ids, ett_link_weights(network))
-    _, rng = scenario_streams(generator, seed)
-    return WorkloadContext(network, router, rng, **params).generate(generator)
-
-
-@register_workload(
-    "saturated_udp",
-    description="backlogged UDP over randomly sampled routable demands",
-)
+@register_workload("saturated_udp")
 def _saturated_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
+    """Backlogged UDP over randomly sampled routable demands."""
     return [ctx.flow("udp", path, ctx.rate_bps) for _, _, path in ctx.sample_demands()]
 
 
-@register_workload(
-    "tcp_bulk", description="window-limited TCP bulk transfers over routed demands"
-)
+@register_workload("tcp_bulk")
 def _tcp_bulk(ctx: WorkloadContext) -> list[GeneratedFlow]:
+    """Window-limited TCP bulk transfers over routed demands."""
     return [ctx.flow("tcp", path) for _, _, path in ctx.sample_demands()]
 
 
-@register_workload(
-    "mixed_tcp_udp",
-    description="per-flow coin flip between TCP bulk and UDP at tcp_fraction",
-)
+@register_workload("mixed_tcp_udp")
 def _mixed_tcp_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
+    """Per-flow coin flip between TCP bulk and UDP at ``tcp_fraction``."""
     flows: list[GeneratedFlow] = []
     for _, _, path in ctx.sample_demands():
         if ctx.rng.uniform() < ctx.tcp_fraction:
@@ -603,10 +558,7 @@ def _mixed_tcp_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
     return flows
 
 
-@register_workload(
-    "gravity",
-    description="UDP demands biased by per-node gravity weights, CBR budget split",
-)
+@register_workload("gravity")
 def _gravity(ctx: WorkloadContext) -> list[GeneratedFlow]:
     """Gravity-style demands: each node draws a weight, a demand (i, j)
     attracts traffic proportionally to ``(w_i * w_j) ** demand_exponent``.
@@ -656,10 +608,7 @@ def _gravity(ctx: WorkloadContext) -> list[GeneratedFlow]:
     return [ctx.flow("udp", path, rate) for (_, _, path), rate in zip(chosen, rates)]
 
 
-@register_workload(
-    "random_pairs",
-    description="rejection-sampled routable node pairs, TCP at tcp_fraction",
-)
+@register_workload("random_pairs")
 def _random_pairs(ctx: WorkloadContext) -> list[GeneratedFlow]:
     """The demands of the ETT-routed configurations of Sections 4.5 / 6.3:
     ordered node pairs drawn until ``num_flows`` distinct ones route in

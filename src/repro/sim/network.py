@@ -16,7 +16,6 @@ from repro.mac.constants import DEFAULT_MAC_CONFIG, MacConfig
 from repro.mac.medium import WirelessMedium
 from repro.net.node import MeshNode
 from repro.net.probing import ProbingSystem
-from repro.net.routing import FlowRoute, Router
 from repro.phy.error_models import BerPacketErrorModel, ErrorModel
 from repro.phy.propagation import LogDistancePathLoss, PropagationModel
 from repro.phy.radio import PhyRate, RadioConfig, rate_from_mbps
@@ -244,11 +243,6 @@ class MeshNetwork:
             reverse = list(reversed(path))
             for here, nxt in zip(reverse[:-1], reverse[1:]):
                 self.nodes[here].set_route(origin, nxt)
-
-    def install_routes_from_router(self, router: Router, flows: list[FlowRoute]) -> None:
-        """Install next hops for every flow routed by ``router``."""
-        for flow in flows:
-            self.install_path(flow.path, bidirectional=True)
 
     def set_link_rate(self, link: Link, rate: PhyRate | float) -> None:
         """Fix the modulation of a directed link (accepts Mb/s or PhyRate)."""

@@ -147,10 +147,6 @@ class TcpSource:
         node.add_delivery_handler(self._on_delivery)
 
     # ------------------------------------------------------------------ control
-    def set_shaper(self, shaper: TokenBucketShaper | None) -> None:
-        """Attach (or remove) a rate-limiting token bucket."""
-        self.shaper = shaper
-
     def set_rate_limit(self, rate_bps: float | None) -> None:
         """Convenience: install a shaper at ``rate_bps`` (None removes it)."""
         if rate_bps is None:

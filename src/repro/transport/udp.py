@@ -7,9 +7,9 @@ Two source modes cover everything the paper's experiments need:
   primary extreme points (max UDP throughput of an isolated link) and the
   LIR numerator/denominator are measured.
 * *constant bit rate* — the source injects packets at a configured input
-  rate, optionally shaped by a token bucket.  This is how input-rate
-  vectors are applied when sampling the feasibility region and how the
-  rate-control module enforces optimized rates.
+  rate.  This is how input-rate vectors are applied when sampling the
+  feasibility region and how the rate-control module enforces optimized
+  rates.
 
 The sink measures per-flow goodput over arbitrary time windows and
 records per-packet delivery for loss accounting.
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from repro.net.node import MeshNode
 from repro.net.packet import Packet, PacketKind
-from repro.net.shaper import TokenBucketShaper
 from repro.engine import Event, Simulator
 
 
@@ -100,7 +99,6 @@ class UdpSource:
         self.payload_bytes = payload_bytes
         self.rate_bps = rate_bps
         self.target_queue_depth = target_queue_depth
-        self.shaper: TokenBucketShaper | None = None
         self.stats = UdpSourceStats()
         self._active = False
         self._seq = 0
@@ -119,10 +117,6 @@ class UdpSource:
             self._schedule_next_cbr(immediate=True)
         elif self._active and self.backlogged:
             self._fill_queue()
-
-    def set_shaper(self, shaper: TokenBucketShaper | None) -> None:
-        """Attach a token-bucket shaper applied on top of the CBR pacing."""
-        self.shaper = shaper
 
     def start(self) -> None:
         """Begin generating traffic."""
@@ -214,14 +208,6 @@ class UdpSource:
         self._next_send_event = None
         if not self._active or self.backlogged:
             return
-        if self.shaper is not None:
-            wait = self.shaper.time_until_available(self.sim.now, self.payload_bytes)
-            if wait > 0:
-                # Minimum pacing quantum: keep virtual time advancing even
-                # when the shaper is within rounding error of ready.
-                self._next_send_event = self.sim.schedule(max(wait, 1e-4), self._cbr_tick)
-                return
-            self.shaper.try_consume(self.sim.now, self.payload_bytes)
         self._send_one()
         interval = self._packet_interval()
         if interval != float("inf"):

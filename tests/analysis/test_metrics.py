@@ -7,12 +7,10 @@ from hypothesis import given, strategies as st
 from repro.analysis import (
     ExperimentReport,
     cdf_fraction_below,
-    empirical_cdf,
     feasibility_ratio,
     format_cdf_summary,
     format_table,
     jain_fairness_index,
-    relative_error,
     rmse,
     stability_deviations,
 )
@@ -53,24 +51,14 @@ class TestErrorMetrics:
         with pytest.raises(ValueError):
             rmse([], [])
 
-    def test_relative_error(self):
-        assert relative_error(1.1, 1.0) == pytest.approx(0.1)
-        assert relative_error(0.0, 0.0) == 0.0
-        assert relative_error(1.0, 0.0) == float("inf")
-
 
 class TestCdfHelpers:
-    def test_empirical_cdf(self):
-        xs, fractions = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert list(fractions) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
     def test_fraction_below(self):
         assert cdf_fraction_below([1, 2, 3, 4], 2.5) == pytest.approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_cdf([])
+            cdf_fraction_below([], 0.0)
 
 
 class TestIsolationMetrics:

@@ -31,22 +31,6 @@ class TestCapacityModel:
         model = CapacityModel(payload_bytes=1470, rate=RATE_11MBPS)
         assert model.max_udp_throughput_bps(1.0) == 0.0
 
-    def test_etx(self):
-        model = CapacityModel()
-        assert model.expected_transmissions(0.0) == pytest.approx(1.0)
-        assert model.expected_transmissions(0.5) == pytest.approx(2.0)
-        assert model.expected_transmissions(1.0) == float("inf")
-
-    def test_idle_time_zero_without_retransmissions(self):
-        model = CapacityModel(payload_bytes=1470, rate=RATE_11MBPS)
-        assert model.idle_time_s(0.0) == 0.0
-        # Below 50% loss, ETX < 2 so no completed retransmission stage yet.
-        assert model.idle_time_s(0.3) == 0.0
-
-    def test_idle_time_grows_with_loss(self):
-        model = CapacityModel(payload_bytes=1470, rate=RATE_11MBPS)
-        assert model.idle_time_s(0.85) > model.idle_time_s(0.6) > 0.0
-
     def test_invalid_loss_rejected(self):
         model = CapacityModel()
         with pytest.raises(ValueError):
@@ -59,17 +43,6 @@ class TestCapacityModel:
         fast = CapacityModel(payload_bytes=1470, rate=RATE_11MBPS)
         for loss in (0.0, 0.2, 0.5):
             assert slow.max_udp_throughput_bps(loss) < fast.max_udp_throughput_bps(loss)
-
-    def test_inversion_round_trip(self):
-        model = CapacityModel(payload_bytes=1470, rate=RATE_11MBPS)
-        for loss in (0.0, 0.1, 0.3, 0.6):
-            throughput = model.max_udp_throughput_bps(loss)
-            assert model.loss_rate_from_throughput(throughput) == pytest.approx(loss, abs=1e-3)
-
-    def test_inversion_clamps(self):
-        model = CapacityModel(payload_bytes=1470, rate=RATE_11MBPS)
-        assert model.loss_rate_from_throughput(0.0) == 1.0
-        assert model.loss_rate_from_throughput(2 * model.nominal_throughput_bps()) == 0.0
 
     @given(st.floats(min_value=0.0, max_value=0.99))
     def test_throughput_always_positive_below_full_loss(self, loss):

@@ -123,10 +123,6 @@ class TestFeasibilityRegion:
         with pytest.raises(ValueError, match="rates must be finite"):
             region.contains([bad, 0.1])
 
-    def test_max_single_link_rate(self):
-        region = _two_link_region(interfering=True, c1=1.0, c2=2.0)
-        assert region.max_single_link_rate((2, 3)) == pytest.approx(2.0)
-
     def test_boundary_point_on_scaled_direction_is_feasible(self):
         region = _two_link_region(interfering=True, c1=2.0, c2=3.0)
         direction = np.array([1.0, 1.0])

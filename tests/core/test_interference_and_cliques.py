@@ -70,15 +70,12 @@ class TestInterferenceMap:
         links = [(0, 1), (2, 3), (4, 5)]
         imap = PairwiseInterferenceMap(links)
         imap.add_conflict((0, 1), (2, 3))
-        assert imap.interferes((0, 1), (2, 3))
-        assert imap.interferes((2, 3), (0, 1))
-        assert not imap.interferes((0, 1), (4, 5))
-        assert imap.conflicts_of((0, 1)) == [(2, 3)]
+        assert imap.adjacency == {(0, 1): {(2, 3)}, (2, 3): {(0, 1)}, (4, 5): set()}
 
     def test_self_conflict_ignored(self):
         imap = PairwiseInterferenceMap([(0, 1)])
         imap.add_conflict((0, 1), (0, 1))
-        assert not imap.interferes((0, 1), (0, 1))
+        assert imap.adjacency == {(0, 1): set()}
 
     def test_unknown_link_rejected(self):
         imap = PairwiseInterferenceMap([(0, 1)])
@@ -89,31 +86,24 @@ class TestInterferenceMap:
         with pytest.raises(ValueError):
             PairwiseInterferenceMap([(0, 1), (0, 1)])
 
-    def test_from_lir_measurements(self):
-        links = [(0, 1), (2, 3), (4, 5)]
-        lirs = {((0, 1), (2, 3)): 0.5, ((0, 1), (4, 5)): 0.99}
-        imap = PairwiseInterferenceMap.from_lir_measurements(lirs, links)
-        assert imap.interferes((0, 1), (2, 3))
-        assert not imap.interferes((0, 1), (4, 5))
-
     def test_two_hop_shared_endpoint(self):
         links = [(0, 1), (1, 2), (3, 4)]
         graph = _two_hop(links, neighbors={})
-        assert graph.interferes((0, 1), (1, 2))
-        assert not graph.interferes((0, 1), (3, 4))
+        assert (1, 2) in graph.adjacency[(0, 1)]
+        assert (3, 4) not in graph.adjacency[(0, 1)]
 
     def test_two_hop_neighbourhood(self):
         # Links (0,1) and (2,3) don't share endpoints, but node 1 and node 2
         # are neighbours, so the two-hop rule marks them as conflicting.
         links = [(0, 1), (2, 3)]
         graph = _two_hop(links, neighbors={1: {2}, 2: {1}})
-        assert graph.interferes((0, 1), (2, 3))
+        assert (2, 3) in graph.adjacency[(0, 1)]
 
     def test_two_hop_far_links_do_not_conflict(self):
         links = [(0, 1), (4, 5)]
         neighbors = {1: {2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
         graph = _two_hop(links, neighbors)
-        assert not graph.interferes((0, 1), (4, 5))
+        assert (4, 5) not in graph.adjacency[(0, 1)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -160,7 +150,7 @@ class TestInterferenceMap:
         # 1770 edges; a list scan costs ~60 comparisons for each of them.
         assert CountingLink.comparisons < 20 * 1770
         assert all(len(imap.adjacency[link]) == 59 for link in links)
-        assert imap.interferes(links[0], links[59]) and not imap.interferes(links[0], (7, 7))
+        assert links[59] in imap.adjacency[links[0]] and (7, 7) not in imap.adjacency[links[0]]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -307,9 +297,8 @@ class TestConflictGraph:
     def test_edges_and_degree(self):
         graph = self._simple_graph()
         assert graph.num_edges == 2
-        assert graph.degree((2, 3)) == 2
-        assert graph.interferes((0, 1), (2, 3))
-        assert not graph.interferes((0, 1), (4, 5))
+        assert graph.adjacency[(2, 3)] == {(0, 1), (4, 5)}
+        assert graph.adjacency[(0, 1)] == {(2, 3)}
 
     def test_independent_sets(self):
         graph = self._simple_graph()

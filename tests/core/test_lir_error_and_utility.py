@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from repro.core.lir_error import (
     PairSample,
-    best_threshold,
     expected_errors,
     pair_error,
-    synthetic_pair_from_lir,
     threshold_sweep,
 )
 from repro.core.utility import MAX_THROUGHPUT, PROPORTIONAL_FAIR, AlphaFairUtility
@@ -19,19 +17,6 @@ class TestPairSample:
     def test_lir(self):
         sample = PairSample(1.0, 1.0, 0.6, 0.6)
         assert sample.lir == pytest.approx(0.6)
-
-    def test_synthetic_pair_realises_lir(self):
-        for lir in (0.2, 0.5, 0.8, 1.0):
-            sample = synthetic_pair_from_lir(lir)
-            assert sample.lir == pytest.approx(lir, abs=1e-9)
-
-    def test_synthetic_pair_clamps_to_capacities(self):
-        sample = synthetic_pair_from_lir(1.0, c11=1.0, c22=1.0)
-        assert sample.c31 <= 1.0 and sample.c32 <= 1.0
-
-    def test_synthetic_pair_split_validation(self):
-        with pytest.raises(ValueError):
-            synthetic_pair_from_lir(0.5, split=1.5)
 
 
 class TestPairError:
@@ -67,7 +52,7 @@ class TestExpectedErrors:
         lirs = np.concatenate(
             [rng.uniform(0.45, 0.7, size=60), rng.uniform(0.96, 1.0, size=50), rng.uniform(0.8, 0.95, size=20)]
         )
-        return [synthetic_pair_from_lir(float(lir)) for lir in lirs]
+        return [PairSample(1.0, 1.0, float(lir), float(lir)) for lir in lirs]
 
     def test_expected_errors_at_paper_threshold(self):
         samples = self._samples_from_lir_distribution()
@@ -91,12 +76,6 @@ class TestExpectedErrors:
         fps = [entry.expected_false_positive for entry in sweep]
         assert all(b <= a + 1e-12 for a, b in zip(fps, fps[1:]))
 
-    def test_best_threshold_returned(self):
-        samples = self._samples_from_lir_distribution()
-        best = best_threshold(samples, np.linspace(0.5, 0.99, 25))
-        sweep = threshold_sweep(samples, np.linspace(0.5, 0.99, 25))
-        assert best.combined == pytest.approx(min(e.combined for e in sweep))
-
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             expected_errors([], 0.95)
@@ -105,7 +84,6 @@ class TestExpectedErrors:
 class TestUtility:
     def test_max_throughput_is_alpha_zero(self):
         assert MAX_THROUGHPUT.alpha == 0.0
-        assert MAX_THROUGHPUT.is_throughput_maximising
 
     def test_proportional_fair_is_log(self):
         assert PROPORTIONAL_FAIR.alpha == 1.0

@@ -144,9 +144,8 @@ def _chain(seed: int = 21) -> tuple[MeshNetwork, list]:
 @pytest.mark.parametrize("min_probes", [0, 40])
 def test_a_direction_with_no_probes_reads_as_a_perfect_link(min_probes):
     """The capacity model's convention for an empty window is loss 0.0
-    (Case 1), the opposite of ``ProbingSystem.loss_rate``'s 1.0 for the
-    same stream — ROADMAP item 6 carries the question; this pins what
-    the controller does today."""
+    (Case 1) — ROADMAP item 6 carries the question; this pins what the
+    controller does today."""
     net, flows = _chain()
     probing = net.enable_probing(start=False)
     controller = OnlineOptimizer(
@@ -156,7 +155,6 @@ def test_a_direction_with_no_probes_reads_as_a_perfect_link(min_probes):
     nominal = CapacityModel(1470, net.link_rate((0, 1)), net.mac_config)
     for link, estimate in estimates.items():
         assert probing.loss_series(*link, "data", 80).size == 0
-        assert probing.loss_rate(*link, "data", 80) == 1.0
         assert (estimate.data_loss, estimate.ack_loss, estimate.channel_loss) == (0.0, 0.0, 0.0)
         assert estimate.estimator_case == 1
         assert estimate.capacity_bps == nominal.nominal_throughput_bps()

@@ -1,5 +1,7 @@
 """Tests for the utility-maximising rate optimizer (Section 6.1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +21,12 @@ class TestLinearObjectives:
         region, routing = two_single_hop_flows(interfering=True)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         assert result.success
-        assert result.aggregate_rate == pytest.approx(1e6, rel=1e-6)
+        assert result.flow_rates.sum() == pytest.approx(1e6, rel=1e-6)
 
     def test_max_throughput_independent_links(self):
         region, routing = two_single_hop_flows(interfering=False)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
-        assert result.aggregate_rate == pytest.approx(2e6, rel=1e-6)
+        assert result.flow_rates.sum() == pytest.approx(2e6, rel=1e-6)
 
     def test_max_throughput_prefers_high_capacity_link(self):
         region, routing = two_single_hop_flows(c1=2e6, c2=1e6, interfering=True)
@@ -46,7 +48,7 @@ class TestLinearObjectives:
         result = RateOptimizer(region, routing_of(region, [[1, 1]]), MAX_THROUGHPUT).solve()
         assert result.success
         assert result.flow_rates[0] == pytest.approx(result.flow_rates[1], rel=1e-9)
-        assert result.aggregate_rate == pytest.approx(1e6, rel=1e-9)
+        assert result.flow_rates.sum() == pytest.approx(1e6, rel=1e-9)
 
     def test_max_min_gives_every_flow_of_a_chain_one_rate(self):
         """Three one-hop flows on a three-link chain whose end links do not
@@ -251,7 +253,7 @@ def _normalised_objective(region, result, alpha_fair):
     """U of the shipped rates in the units of ``_full_set_optimum``."""
     scale = region.extreme_points.max()
     if alpha_fair == 0.0:  # no floor: a flow the LP leaves at 0 counts 0
-        return result.aggregate_rate / scale
+        return result.flow_rates.sum() / scale
     return AlphaFairUtility(alpha=alpha_fair, rate_floor=1.0 / scale).value(result.flow_rates / scale)
 
 
@@ -314,7 +316,7 @@ class TestPresolveOracle:
         best = max(sum(capacity[link] for link in members) for members in sets)
         result = RateOptimizer(region, routing, MAX_THROUGHPUT).solve()
         _assert_consistent(region, result)
-        assert result.aggregate_rate == pytest.approx(best, rel=TOLERANCE)
+        assert result.flow_rates.sum() == pytest.approx(best, rel=TOLERANCE)
 
 
 #: How close the linear programs land to the HiGHS referee.
@@ -342,7 +344,7 @@ class TestLinearProgramReferee:
         result = optimizer.solve()
         rates, _, success = paper.linprog_solve(optimizer, max_min=False)
         assert result.success and success
-        assert result.aggregate_rate == pytest.approx(rates.sum(), rel=REFEREE_TOLERANCE)
+        assert result.flow_rates.sum() == pytest.approx(rates.sum(), rel=REFEREE_TOLERANCE)
 
     @settings(max_examples=60, deadline=None)
     @given(_small_networks())
@@ -483,3 +485,24 @@ class TestSolveProperties:
         scaled = RateOptimizer(scaled_region, routing, utility, rate_floor=factor).solve()
         assert straight.success and scaled.success
         assert scaled.flow_rates == pytest.approx(straight.flow_rates * factor, rel=1e-9)
+
+
+def _bits(result):
+    return [
+        (value.dtype.str, value.tobytes()) if isinstance(value, np.ndarray) else repr(value)
+        for value in dataclasses.astuple(result)
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.0, *ALPHAS])
+def test_the_routing_matrix_layout_moves_no_bit(alpha):
+    """The starved-flows shape arrives Fortran-ordered; the same values in C
+    order give byte-equal results, ``link_rates`` included: the optimizer
+    fixes the layout its BLAS products read."""
+    region, routing = DEGENERATE_SHAPES["starved flows"]()
+    assert not routing.matrix.flags.c_contiguous
+    c_ordered = routing_of(region, np.ascontiguousarray(routing.matrix))
+    utility = AlphaFairUtility(alpha=alpha)
+    fortran, c = (RateOptimizer(region, r, utility) for r in (routing, c_ordered))
+    assert _bits(fortran.solve()) == _bits(c.solve())
+    assert _bits(fortran.solve_max_min()) == _bits(c.solve_max_min())

@@ -79,7 +79,7 @@ class TestOnlineOptimizer:
         net, two_hop, one_hop = probed_chain
         controller = OnlineOptimizer(net, [two_hop, one_hop], probing_window=100)
         graph = controller.build_conflict_graph()
-        assert graph.interferes((0, 1), (1, 2))
+        assert (1, 2) in graph.adjacency[(0, 1)]
 
     def test_proportional_fair_decision_shape(self, probed_chain):
         net, two_hop, one_hop = probed_chain

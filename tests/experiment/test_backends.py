@@ -277,6 +277,22 @@ class TestTransportContract:
             server.shutdown()
             server.server_close()
 
+    def test_a_heartbeat_keeps_a_claim_past_its_lease(self, clients):
+        """A worker whose task outlives its lease heartbeats the claim: the
+        collect sweep leaves a beaten claim alone, though its lease has run
+        out since the claim, and a beat on a claim gone from under the
+        worker is no error."""
+        submitter, worker = clients
+        submitter.submit([task_envelope("job-00000", {"cell": 0}, lease_s=1.0)])
+        _, token = worker.claim()
+        time.sleep(0.7)
+        worker.heartbeat(token)
+        time.sleep(0.7)
+        assert submitter.collect(match="job-") == {"results": [], "pending": 0, "claimed": 1}
+        worker.complete(token, {"id": "job-00000", "result": {"cell": 0}, "attempts": 0})
+        submitter.collect(match="job-")
+        worker.heartbeat(token)
+
     def test_submit_collect_ack_cancel_and_exhaustion(self, clients):
         submitter, worker = clients
         ids = [f"job-{index:05d}" for index in range(3)]
@@ -403,6 +419,24 @@ class TestTransportContract:
         pool = DrainerPool(command=[], log_dir=tmp_path, cap=0, env={})
         with pytest.raises(BackendError, match="malformed outcome.*job-00000.*'result'"):
             backend._collect(client, ["job-00000"], pool, "job-", str(tmp_path))
+
+    def test_drainers_that_keep_exiting_fail_the_sweep_with_their_own_log(self, tmp_path):
+        """A broken environment - here drainer arguments the worker refuses
+        - is not a worker death a lease would heal: after a few spawns
+        without progress the submitter gives up, showing the failing
+        drainer's own log instead of waiting out its timeout."""
+        client = FileQueueClient(tmp_path / "queue")
+        client.submit([task_envelope("job-00000", {"cell": 0})])
+        backend = WorkQueueBackend(tmp_path / "queue", workers=1, timeout_s=60.0)
+        pool = DrainerPool(command=["--no-such-option"], log_dir=tmp_path, cap=1, env={})
+        try:
+            with pytest.raises(BackendError) as excinfo:
+                backend._collect(client, ["job-00000"], pool, "job-", str(tmp_path))
+        finally:
+            pool.terminate()
+        message = str(excinfo.value)
+        assert "keep exiting without progress" in message
+        assert "[drainer exit status 2, log worker-" in message and "--no-such-option" in message
 
 
 class TestLeasePolicyTravelsInTheEnvelope:

@@ -227,9 +227,11 @@ def test_a_sigkilled_submitter_takes_its_host_and_drainers_with_it(tmp_path):
 
 #: The real host, with each fork's ``main`` wrapped to append one JSON line
 #: to ``argv[1]``: the host's frozen object count, read before the drainer
-#: ran anything, and the modules its whole run imported.
+#: ran anything, and the modules its whole run imported.  A submitter that
+#: has every result SIGTERMs its drainers, often before a drainer's ``run``
+#: returns, and waits for them to exit: the line is written on the way out.
 _PROBED_HOST = """
-import gc, json, sys
+import gc, json, signal, sys
 from repro.experiment import worker
 
 run = worker.main
@@ -237,11 +239,14 @@ run = worker.main
 def main(argv):
     frozen = gc.get_freeze_count()
     before = set(sys.modules)
-    code = run(argv)
-    report = {"frozen": frozen, "imported": sorted(set(sys.modules) - before)}
-    with open(sys.argv[1], "a", encoding="utf-8") as out:
-        out.write(json.dumps(report) + "\\n")
-    return code
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
+    try:
+        return run(argv)
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        report = {"frozen": frozen, "imported": sorted(set(sys.modules) - before)}
+        with open(sys.argv[1], "a", encoding="utf-8") as out:
+            out.write(json.dumps(report) + "\\n")
 
 worker.main = main
 sys.exit(worker.serve_forks())

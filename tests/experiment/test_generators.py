@@ -30,14 +30,16 @@ from repro.experiment import (
     build_scenario,
     spec_digest,
 )
+from repro.net.routing import Router
 from repro.sim.generators import TOPOLOGIES as TOPOLOGY_REGISTRY
 from repro.sim.generators import (
-    build_topology,
-    generate_workload,
+    WorkloadContext,
+    ett_link_weights,
     radio_profile_config,
     radio_profile_names,
     radio_profile_params,
     register_topology,
+    scenario_streams,
     topology_names,
     workload_names,
     workload_rng,
@@ -85,6 +87,15 @@ def generated_scenario(
     )
 
 
+def _generate(network, name, seed=0, **params):
+    """The flows of workload ``name`` on ``network``, drawn as a generated
+    scenario draws them: over an ETT router, from the generator's stream
+    of ``seed``."""
+    router = Router(network.node_ids, ett_link_weights(network))
+    _, rng = scenario_streams(name, seed)
+    return WorkloadContext(network, router, rng, **params).generate(name)
+
+
 class TestTopologyGenerators:
     def test_registry_covers_the_advertised_generators(self):
         assert set(EXPECTED_NODES) <= set(topology_names())
@@ -95,7 +106,7 @@ class TestTopologyGenerators:
         assert len(positions) == EXPECTED_NODES[kind]
         assert TOPOLOGIES[kind].node_count() == EXPECTED_NODES[kind]
         # ... and the serialized spec drives the generator to the same layout.
-        assert build_topology(kind, TOPOLOGIES[kind].to_dict(), seed=1) == positions
+        assert TopologySpec.from_dict(TOPOLOGIES[kind].to_dict()).build(seed=1) == positions
 
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
     def test_build_is_deterministic_in_seed(self, kind):
@@ -117,7 +128,7 @@ class TestTopologyGenerators:
 
     def test_unknown_generator_lists_registered_names(self):
         with pytest.raises(KeyError, match="registered:.*grid"):
-            build_topology("moebius_strip", {})
+            TOPOLOGY_REGISTRY.lookup("moebius_strip")
         with pytest.raises(SpecError, match="registered generator"):
             TopologySpec(kind="moebius_strip")
 
@@ -127,7 +138,6 @@ class TestTopologyGenerators:
         kind-switch to extend."""
         @register_topology(
             "test-only-cross",
-            description="a centre node plus num_nodes arms",
             node_count=lambda t: t.num_nodes + 1,
             problem=lambda t: t.num_nodes < 2 and "a cross needs at least two arms",
             shape=lambda t: f"{t.num_nodes} arms",
@@ -160,14 +170,14 @@ class TestWorkloadGenerators:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_same_spec_produces_identical_flows(self, name, network):
         workload = WORKLOADS[name]
-        first = generate_workload(network, name, seed=5, **workload.params())
-        second = generate_workload(network, name, seed=5, **workload.params())
+        first = _generate(network, name, seed=5, **workload.params())
+        second = _generate(network, name, seed=5, **workload.params())
         assert first == second
 
     def test_different_seeds_draw_from_different_streams(self, network):
         workload = WORKLOADS["saturated_udp"]
         seeds = {
-            tuple(f.path for f in generate_workload(
+            tuple(f.path for f in _generate(
                 network, "saturated_udp", seed=seed, **workload.params()
             ))
             for seed in range(8)
@@ -180,11 +190,11 @@ class TestWorkloadGenerators:
         assert a != b
 
     def test_paths_respect_max_hops(self, network):
-        flows = generate_workload(network, "saturated_udp", seed=2, num_flows=4, max_hops=2)
+        flows = _generate(network, "saturated_udp", seed=2, num_flows=4, max_hops=2)
         assert all(1 <= len(f.path) - 1 <= 2 for f in flows)
 
     def test_gravity_splits_the_rate_budget(self, network):
-        flows = generate_workload(
+        flows = _generate(
             network, "gravity", seed=2, num_flows=3, rate_bps=100e3
         )
         total = sum(f.rate_bps for f in flows)
@@ -193,7 +203,7 @@ class TestWorkloadGenerators:
 
     def test_unknown_generator_lists_registered_names(self, network):
         with pytest.raises(KeyError, match="registered:.*gravity"):
-            generate_workload(network, "broadcast_storm", seed=0)
+            _generate(network, "broadcast_storm", seed=0)
         with pytest.raises(SpecError, match="registered name"):
             WorkloadSpec(generator="broadcast_storm")
 
@@ -344,7 +354,7 @@ class TestEdgeCases:
         import math
 
         network = build_scenario(generated_scenario("grid", "saturated_udp")).network
-        flows = generate_workload(
+        flows = _generate(
             network, "gravity", seed=2, num_flows=3, rate_bps=90e3,
             demand_exponent=400.0,
         )

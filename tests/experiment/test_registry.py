@@ -15,7 +15,6 @@ from repro.experiment import (
     WorkloadSpec,
     build_scenario,
     register_scenario,
-    scenario_description,
     scenario_names,
 )
 from repro.experiment.registry import BuiltScenario
@@ -71,10 +70,6 @@ def _plain(value):
 class TestDiscovery:
     def test_all_builtins_registered(self):
         assert set(BUILTIN_SCENARIOS) <= set(scenario_names())
-
-    def test_every_builtin_has_a_description(self):
-        for name in BUILTIN_SCENARIOS:
-            assert scenario_description(name)
 
     def test_unknown_scenario_raises_spec_error(self):
         with pytest.raises(SpecError, match="unknown scenario"):
@@ -218,7 +213,7 @@ class TestCustomRegistration:
     def test_registered_builder_is_discoverable_and_buildable(self):
         name = "test-only-two-node"
 
-        @register_scenario(name, description="two nodes, one UDP flow")
+        @register_scenario(name)
         def _build(spec: ScenarioSpec) -> BuiltScenario:
             from repro.sim.network import MeshNetwork
             from repro.sim.topology import no_shadowing_propagation

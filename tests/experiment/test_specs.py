@@ -253,8 +253,8 @@ class TestMaterialization:
         assert config.data_rate is RATE_11MBPS
 
     def test_controller_spec_utility(self):
-        assert ControllerSpec(alpha=1.0).utility.is_proportional_fair
-        assert ControllerSpec(alpha=0.0).utility.is_throughput_maximising
+        assert ControllerSpec(alpha=1.0).utility.alpha == 1.0
+        assert ControllerSpec(alpha=0.0).utility.alpha == 0.0
 
     def test_with_seed_re_seeds_scenario(self):
         spec = ExperimentSpec(scenario=ScenarioSpec(scenario="chain", seed=1))

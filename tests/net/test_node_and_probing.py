@@ -16,6 +16,14 @@ from repro.sim.measurement import measure_isolated
 from reference import paper
 
 
+def _loss_rates(probing, kind, last_n):
+    """``loss_table`` as ``{(sender, receiver): loss}``, NaNs left out: the
+    shape of the reference's ``loss_rates``."""
+    nodes = list(probing.nodes)
+    rows = zip(nodes, probing.loss_table(kind, last_n).tolist())
+    return {(a, b): loss for a, row in rows for b, loss in zip(nodes, row) if loss == loss}
+
+
 def _packet(src, dst, flow_id=0, size=1000, kind=PacketKind.UDP):
     return Packet(kind=kind, src=src, dst=dst, flow_id=flow_id, payload_bytes=size, created_at=0.0)
 
@@ -82,15 +90,16 @@ class TestProbingSystem:
 
     def test_neighbours_receive_probes(self, probed_network):
         probing = probed_network.probing
-        assert probing.loss_rate(0, 1, "data") < 0.1
-        assert probing.loss_rate(1, 0, "ack") < 0.1
+        assert probing.loss_series(0, 1, "data").mean() < 0.1
+        assert probing.loss_series(1, 0, "ack").mean() < 0.1
 
     def test_distant_nodes_lose_many_probes(self, probed_network):
         probing = probed_network.probing
         # Node 0 and node 2 are 120 m apart: 11 Mb/s DATA probes suffer
         # heavy channel losses, unlike the adjacent 60 m links.
-        assert probing.loss_rate(0, 2, "data") > 0.15
-        assert probing.loss_rate(0, 2, "data") > 5 * probing.loss_rate(0, 1, "data")
+        far, near = (probing.loss_series(0, receiver, "data").mean() for receiver in (2, 1))
+        assert far > 0.15
+        assert far > 5 * near
 
     def test_loss_series_length_matches_window(self, probed_network):
         probing = probed_network.probing
@@ -98,20 +107,15 @@ class TestProbingSystem:
         assert series.size == 40
         assert set(series.tolist()) <= {0, 1}
 
-    def test_link_loss_combines_directions(self, probed_network):
-        probing = probed_network.probing
-        combined = probing.link_loss_rate(0, 1)
-        assert combined >= probing.loss_rate(0, 1, "data") - 1e-9
-
     def test_unknown_sender_has_full_loss(self, probed_network):
         probing = probed_network.probing
-        assert probing.loss_rate(0, 99, "data") >= 0.0
+        assert probing.loss_series(0, 99, "data").all()
         assert probing.loss_series(99, 0, "data").size == 0
 
     def test_loss_counts_equal_the_heard_set_reference(self, monkeypatch):
         """Every reception also goes into the §5.2 reference, a set of heard
-        sequence numbers per stream: ``loss_series``, ``loss_rate`` and
-        ``loss_rates`` read from the bitmaps equal the reference read over
+        sequence numbers per stream: ``loss_series``, ``loss_matrix`` and
+        ``loss_table`` read from the bitmaps equal the reference read over
         the same window, for every window shape and stream kind — including
         1 Mb/s DATA probes, tracked apart from 11 Mb/s ones."""
         lists = paper.HeardLog()
@@ -154,10 +158,9 @@ class TestProbingSystem:
                 series = probing.loss_series(sender, receiver, kind, last_n, rate)
                 assert series.dtype == np.dtype(int)
                 assert series.tolist() == lists.loss_series(key, start, total).tolist()
-                rate_value = probing.loss_rate(sender, receiver, kind, last_n, rate)
-                assert rate_value == lists.loss_rate(key, start, total), (label, last_n)
-                if series.size:
-                    assert rate_value == float(series.mean()), (label, last_n)
+                if series.size:  # the controller's raw window loss: the row mean
+                    expected = lists.loss_rate(key, start, total)
+                    assert float(series.mean()) == expected, (label, last_n)
         for last_n in (None, 0, 1, 40, sent, sent + 25):
             # One stacked read: each stream's series in its leading columns.
             losses, lengths = probing.loss_matrix([stream[:4] for stream in streams], last_n)
@@ -171,7 +174,7 @@ class TestProbingSystem:
             sent_by = {node: probing.probes_sent(node, kind) for node in nodes}
             for last_n in (None, 0, 40):
                 expected = paper.loss_rates(lists, nodes, label, sent_by, last_n)
-                assert probing.loss_rates(kind, last_n) == expected
+                assert _loss_rates(probing, kind, last_n) == expected
         assert 0 < sum(probing.loss_series(0, 2, "data")) < sent  # a mixed series
 
     def test_a_sequence_number_counts_once_in_any_arrival_order(self, chain_network):
@@ -187,17 +190,18 @@ class TestProbingSystem:
         assert lists[(0, 1, "ack")] == {0, 1, 2, 3, 4, 7, 9}
         assert probing.loss_series(0, 1, "ack").tolist() == [0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
         assert probing.loss_series(0, 1, "ack", last_n=4).tolist() == [1, 0, 1, 0]
-        assert probing.loss_rate(0, 1, "ack") == 3 / 10
-        assert probing.loss_rate(0, 1, "ack", last_n=4) == 2 / 4
-        assert probing.loss_rate(0, 1, "ack", last_n=0) == 1.0
-        assert probing.loss_rate(0, 2, "ack") == 1.0  # node 2 logged nothing
+        assert list(probing.nodes) == [0, 1, 2]
+        assert probing.loss_table("ack")[0, 1] == 3 / 10
+        assert probing.loss_table("ack", last_n=4)[0, 1] == 2 / 4
+        assert probing.loss_table("ack", last_n=0)[0, 1] == 1.0
+        assert probing.loss_table("ack")[0, 2] == 1.0  # node 2 logged nothing
         for last_n in (None, 0, 3, 4, 10, 11):
             start = 0 if last_n is None else max(0, 10 - last_n)
             assert probing.loss_series(0, 1, "ack", last_n).tolist() == (
                 lists.loss_series((0, 1, "ack"), start, 10).tolist()
             )
             expected = lists.loss_rate((0, 1, "ack"), start, 10)
-            assert probing.loss_rate(0, 1, "ack", last_n) == expected
+            assert probing.loss_table("ack", last_n)[0, 1] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -230,11 +234,8 @@ class TestProbingSystem:
                 assert probing.loss_series(sender, receiver, "ack", last_n).tolist() == (
                     lists.loss_series(key, start, total).tolist()
                 )
-                assert probing.loss_rate(sender, receiver, "ack", last_n) == (
-                    lists.loss_rate(key, start, total)
-                )
         sent_by = {sender: probing.probes_sent(sender, "ack") for sender in range(3)}
-        assert probing.loss_rates("ack", last_n) == paper.loss_rates(
+        assert _loss_rates(probing, "ack", last_n) == paper.loss_rates(
             lists, list(probing.nodes), "ack", sent_by, last_n
         )
         pairs = [(sender, receiver) for sender in range(3) for receiver in range(3)]
@@ -250,30 +251,6 @@ class TestProbingSystem:
         assert np.isnan(np.diag(table)).all()
         for sender in range(3):
             assert np.isnan(table[sender]).all() == (probing.probes_sent(sender, "ack") == 0)
-
-    def test_loss_rates_is_loss_rate_of_every_ordered_pair(self, probed_network):
-        probing = probed_network.probing
-        nodes = probed_network.node_ids
-        for kind in ("ack", "data"):
-            for last_n in (None, 0, 40, 10_000):
-                assert probing.loss_rates(kind, last_n) == {
-                    (tx, rx): probing.loss_rate(tx, rx, kind, last_n)
-                    for tx in nodes
-                    for rx in nodes
-                    if tx != rx
-                }
-        # A sender that never probed has no row, as its window has no probes.
-        silent = MeshNetwork(
-            chain_topology(2, spacing_m=60.0), seed=2, propagation=no_shadowing_propagation()
-        )
-        assert silent.enable_probing(start=False).loss_rates("ack", 80) == {}
-
-    def test_stop_halts_probing(self, probed_network):
-        probing = probed_network.probing
-        probing.stop()
-        before = probing.probes_sent(0, "data")
-        probed_network.run(2.0)
-        assert probing.probes_sent(0, "data") <= before + 1
 
 
 class TestAdHocProbe:

@@ -91,29 +91,19 @@ class TestDijkstra:
 
 
 class TestRouter:
-    def test_route_flows(self):
+    def test_shortest_paths(self):
         nodes = [0, 1, 2, 3]
         weights = {}
         for a, b in [(0, 1), (1, 2), (2, 3)]:
             weights[(a, b)] = 1.0
             weights[(b, a)] = 1.0
         router = Router(nodes, weights)
-        flows = router.route_flows([(0, 3), (1, 3)])
-        assert flows[0].path == [0, 1, 2, 3]
-        assert flows[1].path == [1, 2, 3]
-        assert flows[0].hop_count == 3
+        assert router.shortest_path(0, 3) == [0, 1, 2, 3]
+        assert router.shortest_path(1, 3) == [1, 2, 3]
 
-    def test_route_flows_no_path_raises(self):
+    def test_no_path_is_none(self):
         router = Router([0, 1, 2], {(0, 1): 1.0, (1, 0): 1.0})
-        with pytest.raises(ValueError):
-            router.route_flows([(0, 2)])
-
-    def test_update_weights_invalidates_cache(self):
-        weights = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 10.0}
-        router = Router([0, 1, 2], weights)
-        assert router.shortest_path(0, 2) == [0, 1, 2]
-        router.update_weights({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 0.5})
-        assert router.shortest_path(0, 2) == [0, 2]
+        assert router.shortest_path(0, 2) is None
 
 
 class TestRoutingMatrix:
@@ -141,12 +131,6 @@ class TestRoutingMatrix:
         flows = [FlowRoute(0, 0, 1, [0, 1])]
         with pytest.raises(ValueError):
             build_routing_matrix(flows, links=[(5, 6)])
-
-    def test_flows_on_link(self):
-        flows = [FlowRoute(0, 0, 2, [0, 1, 2]), FlowRoute(1, 1, 2, [1, 2])]
-        routing = build_routing_matrix(flows)
-        on_12 = routing.flows_on_link((1, 2))
-        assert {f.flow_id for f in on_12} == {0, 1}
 
 
 class TestPathLoss:

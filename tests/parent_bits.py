@@ -94,7 +94,8 @@ def probe_decide():
 
 def probe_shapes():
     """Every program on each degenerate shape (alpha 3 included), then with
-    the Newton step budget cut to 1 and to 4."""
+    the Newton step budget cut to 1 and to 4: one digest per shape and
+    budget, so a declared move of one shape hides no other."""
     import repro.core.optimizer as optimizer_module
     from core.shapes import DEGENERATE_SHAPES
 
@@ -104,10 +105,12 @@ def probe_shapes():
     for steps in (1, 4):
         optimizer_module._MAX_NEWTON_STEPS = steps
         try:
-            shapes = [_programs(*shape(), BIT_ALPHAS) for shape in DEGENERATE_SHAPES.values()]
+            shapes = {name: _programs(*shape(), BIT_ALPHAS)
+                      for name, shape in DEGENERATE_SHAPES.items()}
         finally:
             optimizer_module._MAX_NEWTON_STEPS = budget
-        yield f"shapes/steps={steps}", shapes
+        for name, programs in shapes.items():
+            yield f"shapes/steps={steps}/{name}", programs
 
 
 def probe_regions():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.phy.propagation import (
-    FreeSpacePathLoss,
     LogDistancePathLoss,
     dbm_to_mw,
     mw_to_dbm,
@@ -33,21 +32,6 @@ class TestPowerConversions:
             assert dbm_to_mw(a) <= dbm_to_mw(b)
 
 
-class TestFreeSpace:
-    def test_loss_increases_with_distance(self):
-        model = FreeSpacePathLoss()
-        assert model.path_loss_db(100.0) > model.path_loss_db(10.0)
-
-    def test_loss_follows_20db_per_decade(self):
-        model = FreeSpacePathLoss()
-        delta = model.path_loss_db(100.0) - model.path_loss_db(10.0)
-        assert delta == pytest.approx(20.0, abs=1e-6)
-
-    def test_minimum_distance_clamp(self):
-        model = FreeSpacePathLoss(min_distance_m=1.0)
-        assert model.path_loss_db(0.1) == model.path_loss_db(1.0)
-
-
 class TestLogDistance:
     def test_loss_follows_exponent(self):
         model = LogDistancePathLoss(exponent=3.0, shadowing_sigma_db=0.0)
@@ -72,12 +56,6 @@ class TestLogDistance:
     def test_zero_sigma_removes_shadowing(self):
         model = LogDistancePathLoss(shadowing_sigma_db=0.0)
         assert model.path_loss_db(50.0, (1, 2)) == model.path_loss_db(50.0, (3, 4))
-
-    def test_received_power_decreases_with_distance(self):
-        model = LogDistancePathLoss(shadowing_sigma_db=0.0)
-        near = model.received_power_dbm(19.0, 10.0)
-        far = model.received_power_dbm(19.0, 200.0)
-        assert near > far
 
     @given(st.floats(min_value=1.0, max_value=2000.0), st.floats(min_value=1.0, max_value=2000.0))
     def test_monotone_in_distance(self, d1, d2):

@@ -60,7 +60,3 @@ class TestRadioConfig:
         config = RadioConfig()
         assert config.tx_power_dbm == pytest.approx(19.0)
         assert config.antenna_gain_dbi == pytest.approx(5.0)
-
-    def test_eirp_includes_antenna_gain(self):
-        config = RadioConfig(tx_power_dbm=19.0, antenna_gain_dbi=5.0)
-        assert config.eirp_dbm == pytest.approx(24.0)

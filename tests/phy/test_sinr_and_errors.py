@@ -6,29 +6,29 @@ from hypothesis import given, strategies as st
 from repro.phy.error_models import (
     BerPacketErrorModel,
     FixedPacketErrorModel,
-    SnrThresholdErrorModel,
 )
 from repro.phy.propagation import dbm_to_mw
 from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
-from repro.phy.sinr import NOISE_FLOOR_DBM, CaptureModel, sinr_db, snr_db
+from repro.phy.sinr import NOISE_FLOOR_DBM, CaptureModel
 
 
 class TestSinr:
     def test_no_interference_equals_snr(self):
-        assert sinr_db(-70.0, 0.0) == pytest.approx(snr_db(-70.0))
+        assert CaptureModel().sinr(-70.0, 0.0) == pytest.approx(-70.0 - NOISE_FLOOR_DBM)
 
     def test_interference_lowers_sinr(self):
-        assert sinr_db(-70.0, dbm_to_mw(-80.0)) < sinr_db(-70.0, 0.0)
+        sinr = CaptureModel().sinr
+        assert sinr(-70.0, dbm_to_mw(-80.0)) < sinr(-70.0, 0.0)
 
     def test_dominant_interference(self):
         # Interference much stronger than noise: SINR ~ SIR.
-        value = sinr_db(-60.0, dbm_to_mw(-70.0))
+        value = CaptureModel().sinr(-60.0, dbm_to_mw(-70.0))
         assert value == pytest.approx(10.0, abs=0.2)
 
     @given(st.floats(min_value=0.0, max_value=1e-3))
     def test_monotone_in_interference(self, extra_mw):
-        base = sinr_db(-65.0, 1e-9)
-        assert sinr_db(-65.0, 1e-9 + extra_mw) <= base + 1e-9
+        sinr = CaptureModel().sinr
+        assert sinr(-65.0, 1e-9 + extra_mw) <= sinr(-65.0, 1e-9) + 1e-9
 
 
 class TestCaptureModel:
@@ -67,11 +67,6 @@ class TestErrorModels:
     def test_fixed_model_validates_range(self):
         with pytest.raises(ValueError):
             FixedPacketErrorModel(per=1.5)
-
-    def test_threshold_model(self):
-        model = SnrThresholdErrorModel()
-        assert model.packet_error_probability(30.0, RATE_11MBPS, 1500) == 0.0
-        assert model.packet_error_probability(0.0, RATE_11MBPS, 1500) == 1.0
 
     def test_ber_model_monotone_in_snr(self):
         model = BerPacketErrorModel()

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+import census
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUEUE_COMMON = "repro/experiment/backends/queue_common.py"
 
@@ -262,3 +264,76 @@ def test_one_function_constructs_a_scenario_network():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "MeshNetwork"
     ]
     assert len(calls) == 1
+
+
+#: Functions no entry point reached and only their own tests called
+#: (``tests/census.py``), deleted with those tests; the verdict table keeps
+#: ``UdpSource.refresh`` (a churn rejoin calls it).
+UNREACHED = (
+    "repro/analysis/metrics.py:empirical_cdf",
+    "repro/analysis/metrics.py:relative_error",
+    "repro/core/capacity.py:CapacityModel.expected_transmissions",
+    "repro/core/capacity.py:CapacityModel.idle_time_s",
+    "repro/core/capacity.py:CapacityModel.loss_rate_from_throughput",
+    "repro/core/conflict_graph.py:ConflictGraph.interferes",
+    "repro/core/conflict_graph.py:ConflictGraph.degree",
+    "repro/core/interference.py:PairwiseInterferenceMap.interferes",
+    "repro/core/interference.py:PairwiseInterferenceMap.conflicts_of",
+    "repro/core/interference.py:PairwiseInterferenceMap.from_lir_measurements",
+    "repro/core/lir_error.py:synthetic_pair_from_lir",
+    "repro/core/lir_error.py:ExpectedErrors.combined",
+    "repro/core/lir_error.py:best_threshold",
+    "repro/core/optimizer.py:OptimizationResult.aggregate_rate",
+    "repro/core/utility.py:AlphaFairUtility.is_throughput_maximising",
+    "repro/core/utility.py:AlphaFairUtility.is_proportional_fair",
+    "repro/net/node.py:MeshNode.add_tx_done_listener",
+    "repro/net/probing.py:ProbingSystem.loss_rate",
+    "repro/net/probing.py:ProbingSystem.loss_rates",
+    "repro/net/probing.py:ProbingSystem.link_loss_rate",
+    "repro/net/routing.py:FlowRoute.hop_count",
+    "repro/net/routing.py:RoutingMatrix.link_index",
+    "repro/net/routing.py:RoutingMatrix.flows_on_link",
+    "repro/net/routing.py:Router.update_weights",
+    "repro/net/routing.py:Router.route_flows",
+    "repro/phy/error_models.py:SnrThresholdErrorModel.packet_error_probability",
+    "repro/phy/propagation.py:FreeSpacePathLoss.path_loss_db",
+    "repro/phy/propagation.py:PropagationModel.received_power_dbm",
+    "repro/phy/radio.py:PhyRate.__str__",
+    "repro/phy/radio.py:RadioConfig.eirp_dbm",
+    "repro/phy/sinr.py:snr_db",
+    "repro/phy/sinr.py:sinr_db",
+    "repro/registry.py:Registry.description",
+    "repro/sim/generators.py:build_topology",
+    "repro/sim/generators.py:generate_workload",
+    "repro/sim/network.py:MeshNetwork.install_routes_from_router",
+    "repro/transport/tcp.py:TcpSource.set_shaper",
+    "repro/transport/udp.py:UdpSource.set_shaper",
+)
+
+#: Their names wherever no kept function shares one, with the aliases and
+#: state that went with them.
+UNREACHED_NAMES = (
+    "empirical_cdf", "relative_error", "expected_transmissions", "idle_time_s",
+    "loss_rate_from_throughput", "conflicts_of", "from_lir_measurements",
+    "synthetic_pair_from_lir", "best_threshold", "aggregate_rate",
+    "is_throughput_maximising", "is_proportional_fair", "add_tx_done_listener",
+    "_tx_done_listeners", "link_loss_rate", "hop_count", "flows_on_link", "update_weights",
+    "route_flows", "SnrThresholdErrorModel", "FreeSpacePathLoss", "received_power_dbm",
+    "sinr_db", "eirp_dbm", "scenario_description", "build_topology", "generate_workload",
+    "install_routes_from_router", "set_shaper",
+)
+
+
+def test_a_function_deleted_as_unreached_stays_deleted():
+    defs = census.functions()
+    assert not [key for key in UNREACHED if key in defs]
+    pattern = re.compile(rf"\b({'|'.join(UNREACHED_NAMES)})\b|\bdef snr_db\b")
+    root = SRC.parent
+    found = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for top in ("src", "benchmarks", "examples")
+        for path in sorted((root / top).glob("**/*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, "\n".join(found)
