@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
+from repro.experiment import (
     BatchRunner,
     ControllerSpec,
     ExperimentSpec,

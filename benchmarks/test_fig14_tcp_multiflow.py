@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
+from repro.experiment import (
     BatchRunner,
     ControllerSpec,
     ExperimentSpec,

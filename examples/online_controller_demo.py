@@ -2,12 +2,12 @@
 """The full online optimization loop on the 18-node testbed.
 
 Declares a mixed-rate (1 / 11 Mb/s) multi-flow scenario on the synthetic
-testbed and lets the :class:`repro.Experiment` runner drive the
+testbed and lets the :class:`repro.experiment.Experiment` runner drive the
 probing/estimation/optimization/rate-control loop for several control
 cycles — the operational mode of Section 6 of the paper.  A multi-seed
-:class:`repro.BatchRunner` sweep of the same experiment follows, showing
+:class:`repro.experiment.BatchRunner` sweep of the same experiment follows, showing
 how a whole evaluation matrix is enumerated from one spec — and then the
-same sweep again through a :class:`repro.ResultCache`, where every cell
+same sweep again through a :class:`repro.experiment.ResultCache`, where every cell
 is a content-addressed lookup and no worker process is spawned.
 
 Run with:  python examples/online_controller_demo.py
@@ -18,7 +18,7 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro import (
+from repro.experiment import (
     BatchRunner,
     ControllerSpec,
     Experiment,

@@ -2,11 +2,11 @@
 """Quickstart: optimize two UDP flows on a small mesh, declaratively.
 
 Declares a three-node chain scenario with a 2-hop and a 1-hop UDP flow,
-runs it through the :class:`repro.Experiment` runner (probe warmup, one
+runs it through the :class:`repro.experiment.Experiment` runner (probe warmup, one
 online optimization cycle, measurement) and prints the typed results:
 per-link online estimates, optimized rates and achieved throughput.
 Finishes by re-running the identical spec through a
-:class:`repro.ResultCache`, where the second run is a content-addressed
+:class:`repro.experiment.ResultCache`, where the second run is a content-addressed
 lookup instead of a simulation.
 
 Run with:  python examples/quickstart.py
@@ -17,7 +17,7 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro import (
+from repro.experiment import (
     ControllerSpec,
     Experiment,
     ExperimentSpec,

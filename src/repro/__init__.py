@@ -24,7 +24,7 @@ The package is organised as the paper's system is:
 
 Quickstart — declare a scenario, run it, read typed results::
 
-    from repro import ControllerSpec, Experiment, ExperimentSpec, FlowSpec, ScenarioSpec
+    from repro.experiment import ControllerSpec, Experiment, ExperimentSpec, FlowSpec, ScenarioSpec
 
     spec = ExperimentSpec(
         scenario=ScenarioSpec(
@@ -44,9 +44,7 @@ Sweep seeds through a planned, pluggable backend — duplicates simulate
 once, cache hits resolve before fan-out, and serial, process-pool and
 work-queue execution all return byte-identical results::
 
-    from repro import BatchRunner, seed_sweep
-
-    from repro import WorkQueueBackend
+    from repro.experiment import BatchRunner, WorkQueueBackend, seed_sweep
 
     sweep = seed_sweep(spec, range(4))
     batch = BatchRunner(sweep).run()          # local process pool
@@ -57,10 +55,10 @@ work-queue execution all return byte-identical results::
     print(batch.report().render())
 
 Cache results on disk so repeated sweep cells skip the simulation
-(:class:`repro.ResultCache` keys on a content digest of the spec;
+(:class:`repro.experiment.ResultCache` keys on a content digest of the spec;
 exporting ``REPRO_CACHE_DIR`` enables it everywhere by default)::
 
-    from repro import ResultCache
+    from repro.experiment import ResultCache
 
     cache = ResultCache("~/.cache/repro-mesh")
     warm = BatchRunner(seed_sweep(spec, range(4)), cache=cache).run()
@@ -72,89 +70,4 @@ The original imperative path still works — build a
 is built on.
 """
 
-from repro.experiment import (
-    BackendError,
-    BatchResult,
-    BatchRunner,
-    BrokerBackend,
-    CacheStats,
-    ControllerSpec,
-    CycleResult,
-    ExecutionBackend,
-    Experiment,
-    ExperimentResult,
-    ExperimentSpec,
-    FlowSpec,
-    NO_RATE_CONTROL,
-    PlannerStats,
-    ProbingSpec,
-    ProcessPoolBackend,
-    RadioSpec,
-    ResultCache,
-    ScenarioSpec,
-    SerialBackend,
-    SpecError,
-    SweepPlan,
-    SweepPlanner,
-    TopologySpec,
-    WorkloadSpec,
-    WorkQueueBackend,
-    backend_names,
-    build_scenario,
-    default_cache,
-    register_scenario,
-    resolve_backend,
-    run_experiment,
-    scenario_names,
-    seed_sweep,
-    spec_digest,
-)
-
 __version__ = "1.10.0"
-
-__all__ = [
-    "phy",
-    "mac",
-    "net",
-    "transport",
-    "sim",
-    "core",
-    "analysis",
-    "experiment",
-    "BackendError",
-    "BatchResult",
-    "BatchRunner",
-    "BrokerBackend",
-    "CacheStats",
-    "ControllerSpec",
-    "CycleResult",
-    "ExecutionBackend",
-    "Experiment",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FlowSpec",
-    "NO_RATE_CONTROL",
-    "PlannerStats",
-    "ProbingSpec",
-    "ProcessPoolBackend",
-    "RadioSpec",
-    "ResultCache",
-    "ScenarioSpec",
-    "SerialBackend",
-    "SpecError",
-    "SweepPlan",
-    "SweepPlanner",
-    "TopologySpec",
-    "WorkloadSpec",
-    "WorkQueueBackend",
-    "backend_names",
-    "build_scenario",
-    "default_cache",
-    "register_scenario",
-    "resolve_backend",
-    "run_experiment",
-    "scenario_names",
-    "seed_sweep",
-    "spec_digest",
-    "__version__",
-]

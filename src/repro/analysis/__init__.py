@@ -3,28 +3,18 @@ reporting helpers used by the benchmark harness."""
 
 from repro.analysis.metrics import (
     cdf_fraction_below,
-    feasibility_ratio,
     jain_fairness_index,
     rmse,
     stability_deviations,
 )
-from repro.analysis.reporting import (
-    ExperimentReport,
-    batch_summary_table,
-    drain_emitted_reports,
-    format_cdf_summary,
-    format_table,
-)
+from repro.analysis.reporting import ExperimentReport, format_cdf_summary, format_table
 
 __all__ = [
     "cdf_fraction_below",
-    "feasibility_ratio",
     "jain_fairness_index",
     "rmse",
     "stability_deviations",
     "ExperimentReport",
-    "batch_summary_table",
-    "drain_emitted_reports",
     "format_cdf_summary",
     "format_table",
 ]

@@ -35,108 +35,50 @@ This package is the canonical public entry point to the reproduction:
   exporting ``REPRO_CACHE_DIR``).
 """
 
-from repro.experiment.backends import (
-    BackendError,
-    BrokerAuthError,
-    BrokerBackend,
-    BrokerClient,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    QueueStats,
-    SerialBackend,
-    WorkQueueBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-    run_spec_payload,
-)
+from repro.experiment.backends.base import ExecutionBackend, backend_names, resolve_backend
+from repro.experiment.backends.broker_client import BrokerBackend
+from repro.experiment.backends.work_queue import WorkQueueBackend
 from repro.experiment.batch import BatchResult, BatchRunner, seed_sweep
-from repro.experiment.cache import (
-    CacheStats,
-    ResultCache,
-    default_cache,
-    resolve_cache,
-)
-from repro.experiment.planner import (
-    PlannedJob,
-    PlannerStats,
-    SweepPlan,
-    SweepPlanner,
-)
-from repro.experiment.registry import (
-    BuiltScenario,
-    build_scenario,
-    register_scenario,
-    scenario_names,
-)
-from repro.experiment.runner import (
-    CycleResult,
-    Experiment,
-    ExperimentResult,
-    run_experiment,
-)
+from repro.experiment.cache import ResultCache
+from repro.experiment.planner import SweepPlanner
+from repro.experiment.registry import build_scenario
+from repro.experiment.runner import Experiment, ExperimentResult, run_experiment
 from repro.experiment.specs import (
-    NO_RATE_CONTROL,
-    SPEC_SCHEMA_VERSION,
     ChurnSpec,
     ControllerSpec,
     ExperimentSpec,
     FlowSpec,
     MobilitySpec,
     ProbingSpec,
-    RadioSpec,
     ScenarioSpec,
-    SpecError,
     TopologySpec,
     WorkloadSpec,
     spec_digest,
 )
 
 __all__ = [
-    "BackendError",
-    "BrokerAuthError",
-    "BrokerBackend",
-    "BrokerClient",
     "ExecutionBackend",
-    "QueueStats",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "WorkQueueBackend",
     "backend_names",
-    "register_backend",
     "resolve_backend",
-    "run_spec_payload",
+    "BrokerBackend",
+    "WorkQueueBackend",
     "BatchResult",
     "BatchRunner",
     "seed_sweep",
-    "PlannedJob",
-    "PlannerStats",
-    "SweepPlan",
-    "SweepPlanner",
-    "CacheStats",
     "ResultCache",
-    "default_cache",
-    "resolve_cache",
-    "SPEC_SCHEMA_VERSION",
-    "spec_digest",
-    "BuiltScenario",
+    "SweepPlanner",
     "build_scenario",
-    "register_scenario",
-    "scenario_names",
-    "CycleResult",
     "Experiment",
     "ExperimentResult",
     "run_experiment",
-    "NO_RATE_CONTROL",
     "ChurnSpec",
     "ControllerSpec",
     "ExperimentSpec",
     "FlowSpec",
     "MobilitySpec",
     "ProbingSpec",
-    "RadioSpec",
     "ScenarioSpec",
-    "SpecError",
     "TopologySpec",
     "WorkloadSpec",
+    "spec_digest",
 ]

@@ -44,78 +44,14 @@ one explicitly, which is how the CI backend matrix drives the whole
 experiment test package through each backend in turn.
 """
 
-from repro.experiment.backends.base import (
-    BACKEND_ENV_VAR,
-    BackendError,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    backend_names,
-    register_backend,
-    resolve_backend,
-    run_spec_payload,
-)
-from repro.experiment.backends.queue_common import (
-    BROKER_TOKEN_ENV_VAR,
-    BROKER_URL_ENV_VAR,
-    DEFAULT_LEASE_S,
-    DEFAULT_MAX_ATTEMPTS,
-    LEASE_ENV_VAR,
-    MAX_ATTEMPTS_ENV_VAR,
-    PollBackoff,
-    QueueBackend,
-    QueueStats,
-    default_broker_token,
-    task_envelope,
-)
-from repro.experiment.backends.work_queue import (
-    CLAIMED_DIR,
-    RESULTS_DIR,
-    TASKS_DIR,
-    FileQueueClient,
-    WorkQueueBackend,
-    claim_next_task,
-    ensure_queue_dirs,
-    requeue_expired_claims,
-)
-from repro.experiment.backends.broker_client import (
-    BrokerAuthError,
-    BrokerBackend,
-    BrokerClient,
-    BrokerUnavailable,
-)
+# Importing the two queue transports registers them with resolve_backend.
+from repro.experiment.backends.queue_common import task_envelope
+from repro.experiment.backends.work_queue import TASKS_DIR, ensure_queue_dirs
+from repro.experiment.backends.broker_client import BrokerClient
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BROKER_TOKEN_ENV_VAR",
-    "BROKER_URL_ENV_VAR",
-    "BackendError",
-    "BrokerAuthError",
-    "BrokerBackend",
     "BrokerClient",
-    "BrokerUnavailable",
-    "CLAIMED_DIR",
-    "DEFAULT_LEASE_S",
-    "DEFAULT_MAX_ATTEMPTS",
-    "ExecutionBackend",
-    "FileQueueClient",
-    "LEASE_ENV_VAR",
-    "MAX_ATTEMPTS_ENV_VAR",
-    "PollBackoff",
-    "ProcessPoolBackend",
-    "QueueBackend",
-    "QueueStats",
-    "RESULTS_DIR",
-    "SerialBackend",
     "TASKS_DIR",
-    "WorkQueueBackend",
-    "backend_names",
-    "claim_next_task",
-    "default_broker_token",
     "ensure_queue_dirs",
-    "register_backend",
-    "requeue_expired_claims",
-    "resolve_backend",
-    "run_spec_payload",
     "task_envelope",
 ]

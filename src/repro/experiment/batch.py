@@ -7,7 +7,7 @@ stages:
 1. the :class:`repro.experiment.planner.SweepPlanner` deduplicates
    identical specs and resolves :class:`ResultCache` hits up front; the
    remaining unique cells keep submission order;
-2. a pluggable :class:`repro.experiment.backends.ExecutionBackend`
+2. a pluggable :class:`repro.experiment.ExecutionBackend`
    executes those cells — inline (:class:`SerialBackend`), across local
    processes (:class:`ProcessPoolBackend`), through a shared directory
    any worker host can drain (:class:`WorkQueueBackend`), or through an
@@ -20,7 +20,7 @@ stages:
    the cache (once per unique spec).
 
 Every backend speaks the same dict-in/dict-out protocol
-(:func:`repro.experiment.backends.run_spec_payload`): only plain dicts
+(:func:`repro.experiment.backends.base.run_spec_payload`): only plain dicts
 cross an execution boundary, and the simulator's RNG streams are derived
 from the spec seeds with stable CRC32 spawn keys (see
 :func:`repro.engine.rng_spawn_key`) — which is why serial, process-pool
@@ -40,13 +40,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.analysis.reporting import ExperimentReport, batch_summary_table
-from repro.experiment.backends import BackendError
+from repro.experiment.backends.base import BackendError
 from repro.experiment.planner import PlannerStats
 from repro.experiment.runner import ExperimentResult
 from repro.experiment.specs import ExperimentSpec
 
 if TYPE_CHECKING:
-    from repro.experiment.backends import ExecutionBackend, QueueStats
+    from repro.experiment.backends.base import ExecutionBackend
+    from repro.experiment.backends.queue_common import QueueStats
     from repro.experiment.cache import ResultCache
 
 
@@ -79,7 +80,7 @@ class BatchResult:
     ``backend`` names the execution backend that ran the misses, and
     ``planner`` carries the full :class:`PlannerStats` of the submission
     (dedup and cache resolution).  ``queue`` carries the
-    :class:`~repro.experiment.backends.QueueStats` of queue-shaped
+    :class:`~repro.experiment.backends.queue_common.QueueStats` of queue-shaped
     backends — drainers spawned, leases requeued after worker deaths,
     retry budgets exhausted — and stays ``None`` for in-process ones.
     """
@@ -156,7 +157,7 @@ class BatchRunner:
             (``"serial"``, ``"process"``, ``"work_queue"``,
             ``"broker"``), or ``None`` to resolve from
             ``REPRO_BATCH_BACKEND``, defaulting to the process pool (see
-            :func:`repro.experiment.backends.resolve_backend`).
+            :func:`repro.experiment.resolve_backend`).
     """
 
     experiments: Sequence[ExperimentSpec]
@@ -173,7 +174,7 @@ class BatchRunner:
     def run(self) -> BatchResult:
         import time
 
-        from repro.experiment.backends import resolve_backend
+        from repro.experiment.backends.base import resolve_backend
         from repro.experiment.cache import resolve_cache
         from repro.experiment.planner import SweepPlanner
 

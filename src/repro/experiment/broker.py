@@ -751,7 +751,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiment.broker",
         description="Serve the repro task/claim/result protocol over HTTP "
-        "(see repro.experiment.backends.BrokerBackend).",
+        "(see repro.experiment.BrokerBackend).",
     )
     parser.add_argument(
         "--host",

@@ -41,7 +41,7 @@ from repro.analysis.metrics import jain_fairness_index
 from repro.core.controller import ControlDecision, OnlineOptimizer
 from repro.experiment.registry import BuiltScenario, build_scenario
 from repro.experiment.specs import ExperimentSpec
-from repro.monitors import FlowSeries, MonitorHost
+from repro.monitors.base import FlowSeries, MonitorHost
 
 
 @dataclass

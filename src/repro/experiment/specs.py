@@ -42,7 +42,7 @@ from functools import lru_cache
 from typing import Any, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 from repro.core.utility import AlphaFairUtility
-from repro.monitors import monitor_names
+from repro.monitors.base import monitor_names
 from repro.phy.radio import RATE_TABLE, RadioConfig, rate_from_mbps
 from repro.sim.dynamics import mobility_names
 from repro.sim.generators import (

@@ -6,12 +6,12 @@ forked, imports already paid, by a submitter's ``--serve-forks`` host
 (:func:`serve_forks`: its local drainers).  A worker claims task
 envelopes (``{"id": ..., "spec": <canonical spec dict>, "attempts": ...,
 "lease_s": ..., "max_attempts": ...}``), runs
-:func:`repro.experiment.backends.run_spec_payload` on the spec, and
+:func:`repro.experiment.backends.base.run_spec_payload` on the spec, and
 reports ``{"id": ..., "result": <result dict>}`` (or ``{"id": ...,
 "error": <traceback>}``) back — over either transport:
 
 * ``python -m repro.experiment.worker <queue_dir>`` drains a
-  shared-directory :class:`~repro.experiment.backends.WorkQueueBackend`
+  shared-directory :class:`~repro.experiment.WorkQueueBackend`
   queue (claim = atomic rename into ``claimed/``; exactly one claimant
   wins);
 * ``python -m repro.experiment.worker --broker http://host:port`` drains
@@ -67,14 +67,15 @@ import traceback
 import warnings
 from typing import TYPE_CHECKING, Any
 
-from repro.experiment.backends import (
+from repro.experiment.backends.base import run_spec_payload
+from repro.experiment.backends.broker_client import BrokerClient
+from repro.experiment.backends.queue_common import (
     DEFAULT_LEASE_S,
-    BrokerClient,
-    FileQueueClient,
     PollBackoff,
-    run_spec_payload,
+    lease_of,
+    lease_policy,
 )
-from repro.experiment.backends.queue_common import lease_of, lease_policy
+from repro.experiment.backends.work_queue import FileQueueClient
 
 if TYPE_CHECKING:
     from repro.experiment.cache import ResultCache
@@ -346,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiment.worker",
         description="Drain a repro work queue — a shared directory "
-        "(repro.experiment.backends.WorkQueueBackend) or an HTTP broker "
+        "(repro.experiment.WorkQueueBackend) or an HTTP broker "
         "(repro.experiment.broker).",
     )
     parser.add_argument(

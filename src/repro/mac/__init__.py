@@ -1,45 +1,3 @@
 """802.11 DCF MAC substrate: frames, timing, the shared medium and the
 per-station CSMA/CA state machine, plus the nominal-throughput calculator
 used by the paper's capacity representation (Eq. 6)."""
-
-from repro.mac.constants import (
-    ACK_FRAME_BYTES,
-    DEFAULT_MAC_CONFIG,
-    IP_HEADER_BYTES,
-    MAC_OVERHEAD_BYTES,
-    MacConfig,
-    TCP_ACK_BYTES,
-    TCP_HEADER_BYTES,
-    UDP_HEADER_BYTES,
-    UDP_TOTAL_HEADER_BYTES,
-)
-from repro.mac.frames import BROADCAST_ADDR, Frame, FrameKind, make_ack
-from repro.mac.medium import WirelessMedium
-from repro.mac.dcf import DcfMac, MacStats
-from repro.mac.nominal import (
-    NominalThroughputBreakdown,
-    nominal_cycle_breakdown,
-    nominal_throughput_bps,
-)
-
-__all__ = [
-    "ACK_FRAME_BYTES",
-    "DEFAULT_MAC_CONFIG",
-    "IP_HEADER_BYTES",
-    "MAC_OVERHEAD_BYTES",
-    "MacConfig",
-    "TCP_ACK_BYTES",
-    "TCP_HEADER_BYTES",
-    "UDP_HEADER_BYTES",
-    "UDP_TOTAL_HEADER_BYTES",
-    "BROADCAST_ADDR",
-    "Frame",
-    "FrameKind",
-    "make_ack",
-    "WirelessMedium",
-    "DcfMac",
-    "MacStats",
-    "NominalThroughputBreakdown",
-    "nominal_cycle_breakdown",
-    "nominal_throughput_bps",
-]

@@ -29,6 +29,10 @@ from repro.mac.medium import WirelessMedium
 from repro.phy.radio import PhyRate, RATE_1MBPS, frame_airtime
 from repro.engine import Event, Simulator
 
+#: Module-level aliases: a global load, not an Enum class-attribute lookup.
+_ACK = FrameKind.ACK
+_DATA = FrameKind.DATA
+
 
 @dataclass
 class MacStats:
@@ -285,7 +289,7 @@ class DcfMac:
             # The station was quiesced while this frame was on the air:
             # its completion is moot and must not restart channel access.
             return
-        if frame.kind is FrameKind.ACK:
+        if frame.kind is _ACK:
             self._flush_control()
             self._try_access()
             return
@@ -299,7 +303,7 @@ class DcfMac:
 
     def on_frame_received(self, frame: Frame, from_id: int) -> None:
         """The medium successfully delivered a frame to this station."""
-        if frame.kind is FrameKind.ACK:
+        if frame.kind is _ACK:
             if (
                 self._waiting_ack
                 and self.current is not None
@@ -312,7 +316,7 @@ class DcfMac:
                 self._waiting_ack = False
                 self._complete_current(success=True)
             return
-        if frame.kind is FrameKind.DATA and frame.dst == self.node_id:
+        if frame.kind is _DATA and frame.dst == self.node_id:
             self.stats.data_received += 1
             self._ack_outbox.append(make_ack(frame, ACK_FRAME_BYTES, self.ack_rate))
             self.sim.schedule(self.config.sifs_s, self._send_next_control_frame)

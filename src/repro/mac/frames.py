@@ -34,6 +34,11 @@ class FrameKind(Enum):
     __hash__ = object.__hash__
 
 
+#: Module-level aliases: a global load, not an Enum class-attribute lookup.
+_ACK = FrameKind.ACK
+_BROADCAST = FrameKind.BROADCAST
+
+
 @dataclass(slots=True)
 class Frame:
     """A MAC frame in flight.
@@ -47,6 +52,8 @@ class Frame:
         rate: modulation used for the frame body.
         payload: opaque upper-layer object delivered to the receiver.
         retries: number of retransmissions already performed.
+        is_broadcast: whether ``kind`` is BROADCAST, set once at
+            construction; a frame whose ``dst`` disagrees is refused.
     """
 
     kind: FrameKind
@@ -57,20 +64,23 @@ class Frame:
     payload: Any = None
     retries: int = 0
     frame_id: int = field(default_factory=_frame_ids.__next__)
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST_ADDR or self.kind is FrameKind.BROADCAST
+    is_broadcast: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("frame size must be positive")
+        self.is_broadcast = self.kind is _BROADCAST
+        if self.is_broadcast != (self.dst == BROADCAST_ADDR):
+            raise ValueError(
+                f"frame kind {self.kind.name} disagrees with dst={self.dst}: BROADCAST "
+                f"frames, and only they, go to BROADCAST_ADDR ({BROADCAST_ADDR})"
+            )
 
 
 def make_ack(data_frame: Frame, ack_bytes: int, rate: PhyRate) -> Frame:
     """Build the 802.11 ACK frame acknowledging ``data_frame``."""
     return Frame(
-        kind=FrameKind.ACK,
+        kind=_ACK,
         src=data_frame.dst,
         dst=data_frame.src,
         size_bytes=ack_bytes,

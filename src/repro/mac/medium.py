@@ -19,9 +19,10 @@ losses:
 
 Each fact has one home.  Every pairwise received power lives in one
 table per unit (``dBm[tx][rx]`` and ``mW[tx][rx]``, plain floats keyed
-by node id), filled by :meth:`WirelessMedium._link_power` — at
-construction for every pair, at a position epoch
-(:meth:`WirelessMedium.update_positions`) for the pairs that moved.
+by node id), filled by :meth:`WirelessMedium._link_power`, one call
+per unordered pair for both directions — at construction for every
+pair, at a position epoch (:meth:`WirelessMedium.update_positions`)
+for the pairs that moved.
 Carrier sense and reception interference are functions of the on-air
 set: each sums the begin-time ``mW`` rows of the other transmitters on
 the air, in start order.  A node is busy while it transmits or while
@@ -90,27 +91,23 @@ class _NodeState:
 
 
 @dataclass(slots=True)
-class _Reception:
-    """Tracks one intended receiver of an ongoing transmission."""
-
-    peak_interference_mw: float = 0.0
-    failure: str | None = None
-
-
-@dataclass(slots=True)
 class _Transmission:
     """An ongoing transmission and the state of its intended receivers.
 
     ``mw_row`` is the ``mW[tx]`` row at begin time.  Carrier sense and
     reception interference sum these snapshots, so a frame in flight
     across a position epoch (which replaces rows, never mutates them)
-    counts with the row it began with.
+    counts with the row it began with.  ``failures`` holds every
+    intended receiver, ``None`` while its reception is live; ``peaks``
+    holds a receiver's peak interference (mW) once a sum exceeded zero,
+    so ``peaks.get(rx, 0.0)`` reads it.
     """
 
     tx_id: int
     frame: Frame
     mw_row: dict[int, float]
-    receptions: dict[int, _Reception] = field(default_factory=dict)
+    failures: dict[int, str | None] = field(default_factory=dict)
+    peaks: dict[int, float] = field(default_factory=dict)
 
 
 class WirelessMedium:
@@ -187,14 +184,18 @@ class WirelessMedium:
         # inactive node fail with "rx_off"; the empty-set falsy check
         # keeps the static hot path to one local load and a bool test.
         self._inactive: set[int] = set()
-        # The power tables, ``dBm[tx][rx]`` and ``mW[tx][rx]``.  The
-        # diagonal holds the zero-distance value of the same formula; no
-        # loop reads it (a node never senses or interferes with itself).
-        self._dbm: dict[int, dict[int, float]] = {a: {} for a in self.positions}
-        self._mw: dict[int, dict[int, float]] = {a: {} for a in self.positions}
-        for a in self.positions:
-            for b in self.positions:
-                self._dbm[a][b], self._mw[a][b] = self._link_power(a, b)
+        # The power tables, ``dBm[tx][rx]`` and ``mW[tx][rx]``, rows in
+        # position order.  The diagonal holds the zero-distance value of
+        # the same formula; no loop reads it (a node never senses or
+        # interferes with itself).  The link budget is reciprocal, so one
+        # call fills both entries of a pair.
+        nodes = list(self.positions)
+        self._dbm: dict[int, dict[int, float]] = {a: dict.fromkeys(nodes, 0.0) for a in nodes}
+        self._mw: dict[int, dict[int, float]] = {a: dict.fromkeys(nodes, 0.0) for a in nodes}
+        dbm, mw = self._dbm, self._mw
+        for i, a in enumerate(nodes):
+            for b in nodes[i:]:
+                dbm[a][b], mw[a][b] = dbm[b][a], mw[b][a] = self._link_power(a, b)
         self._cs_threshold_mw = dbm_to_mw(self.radio.cs_threshold_dbm)
 
     def _link_power(self, tx: int, rx: int) -> tuple[float, float]:
@@ -203,7 +204,10 @@ class WirelessMedium:
         The only place the link budget is written.  Shadowing offsets are
         keyed per pair (not by draw order), so a recomputed entry equals
         what a fresh medium at the same positions would compute, bit for
-        bit.
+        bit; and it is reciprocal, ``_link_power(a, b) ==
+        _link_power(b, a)`` bit for bit: one radio, ``|a - b| == |b -
+        a|`` exactly, and a path loss that is symmetric in its link key
+        (:meth:`PropagationModel.path_loss_db`).
         """
         radio = self.radio
         dbm = (
@@ -218,7 +222,8 @@ class WirelessMedium:
         """Move nodes and recompute only the affected table entries.
 
         For each moved node the full row *and* column of both tables are
-        recomputed by :meth:`_link_power`.  For in-flight transmissions:
+        recomputed by :meth:`_link_power`, one call per pair.  For
+        in-flight transmissions:
 
         * ``mW`` rows are *replaced*, never mutated: carrier sense and
           reception interference sum the begin-time snapshots on
@@ -239,11 +244,12 @@ class WirelessMedium:
             self.positions[node_id] = (float(x), float(y))
         dbm = self._dbm
         mw = self._mw = {node: dict(row) for node, row in self._mw.items()}
+        done: set[int] = set()  # moved nodes whose row and column are filled
         for a in moved:
             for b in self.positions:
-                dbm[a][b], mw[a][b] = self._link_power(a, b)
-                if b not in moved:  # else (b, a) is covered by b's own row
-                    dbm[b][a], mw[b][a] = self._link_power(b, a)
+                if b not in done:
+                    dbm[a][b], mw[a][b] = dbm[b][a], mw[b][a] = self._link_power(a, b)
+            done.add(a)
         self._resolve_cache.clear()
         self._sense_memo.clear()
 
@@ -269,9 +275,9 @@ class WirelessMedium:
         # Receptions already in flight at the dying node fail now.
         node = self._nodes[node_id]
         for transmission in self._ongoing.values():
-            reception = transmission.receptions.get(node_id)
-            if reception is not None and reception.failure is None:
-                reception.failure = "rx_off"
+            failures = transmission.failures
+            if node_id in failures and failures[node_id] is None:
+                failures[node_id] = "rx_off"
                 node.rx_live -= 1
 
     # ------------------------------------------------------------ registration
@@ -391,24 +397,24 @@ class WirelessMedium:
 
         # Half duplex: a transmitting node stops receiving.
         for other in ongoing.values():
-            reception = other.receptions.get(tx_id)
-            if reception is not None and reception.failure is None:
-                reception.failure = "half_duplex"
+            failures = other.failures
+            if tx_id in failures and failures[tx_id] is None:
+                failures[tx_id] = "half_duplex"
                 nodes[tx_id].rx_live -= 1
 
-        # Build reception state for the new frame's intended receivers.
+        # Reception state for the new frame's intended receivers.
         inactive = self._inactive
-        receptions = transmission.receptions
+        failures = transmission.failures
         for rx_id in self._intended_receivers(tx_id, frame):
-            reception = receptions[rx_id] = _Reception()
             rx = nodes[rx_id]
             if inactive and rx_id in inactive:
-                reception.failure = "rx_off"
+                failures[rx_id] = "rx_off"
             elif rx_id in ongoing:
-                reception.failure = "half_duplex"
+                failures[rx_id] = "half_duplex"
             elif rx.rx_live > 0:
-                reception.failure = "rx_locked"
+                failures[rx_id] = "rx_locked"
             else:
+                failures[rx_id] = None
                 rx.rx_live += 1
 
         ongoing[tx_id] = transmission
@@ -417,14 +423,15 @@ class WirelessMedium:
         # largest sum.  A frame alone on the air hears nothing.
         if len(ongoing) > 1:
             for other in ongoing.values():
-                for rx_id, reception in other.receptions.items():
-                    if reception.failure is None:
+                peaks = other.peaks
+                for rx_id, failure in other.failures.items():
+                    if failure is None:
                         interference = 0.0
                         for on_air in ongoing.values():
                             if on_air is not other:
                                 interference += on_air.mw_row[rx_id]
-                        if interference > reception.peak_interference_mw:
-                            reception.peak_interference_mw = interference
+                        if interference > peaks.get(rx_id, 0.0):
+                            peaks[rx_id] = interference
         # Carrier sense follows the on-air set; a flip sees the new set.
         key = (self._busy, tuple(ongoing))
         self._busy, flips = self._sense_memo.get(key) or self._sense_edge(key)
@@ -439,8 +446,8 @@ class WirelessMedium:
         nodes = self._nodes
         # The frame's still-live receptions leave the air with it: they
         # no longer lock their receivers.
-        for rx_id, reception in transmission.receptions.items():
-            if reception.failure is None:
+        for rx_id, failure in transmission.failures.items():
+            if failure is None:
                 nodes[rx_id].rx_live -= 1
         key = (self._busy, tuple(ongoing))
         self._busy, flips = self._sense_memo.get(key) or self._sense_edge(key)
@@ -516,14 +523,14 @@ class WirelessMedium:
         nodes = self._nodes
         tx_id = transmission.tx_id
         cache = self._resolve_cache
-        for rx_id, reception in transmission.receptions.items():
-            failure = reception.failure
+        peaks = transmission.peaks
+        for rx_id, failure in transmission.failures.items():
             if failure is None:
                 # The deterministic verdict and both error probabilities
                 # come from the interference-signature memo; only the
                 # uniform draws (in the exact order and under the exact
                 # conditions of the unmemoised path) happen per frame.
-                peak_mw = reception.peak_interference_mw
+                peak_mw = peaks.get(rx_id, 0.0)
                 key = (tx_id, rx_id, rate_bps, size_bytes, peak_mw)
                 resolved = cache.get(key)
                 if resolved is None:

@@ -6,24 +6,13 @@ validates ``ExperimentSpec.monitors`` against :func:`monitor_names`, so
 registration must be an import side effect of the package itself.
 """
 
-from repro.monitors.base import (
-    FlowSeries,
-    Monitor,
-    MonitorHost,
-    create_monitor,
-    monitor_names,
-    register_monitor,
-)
-from repro.monitors.flows import E2ELatencyMonitor, PDRMonitor, ThroughputMonitor
+from repro.monitors.base import FlowSeries, MonitorHost, register_monitor
+
+# Registers the built-in monitors.
+from repro.monitors import flows
 
 __all__ = [
-    "E2ELatencyMonitor",
     "FlowSeries",
-    "Monitor",
     "MonitorHost",
-    "PDRMonitor",
-    "ThroughputMonitor",
-    "create_monitor",
-    "monitor_names",
     "register_monitor",
 ]

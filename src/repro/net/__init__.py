@@ -1,48 +1,2 @@
 """Network-layer substrate: packets, mesh nodes, ETT routing, broadcast
 probing, token-bucket shaping and the Ad Hoc Probe baseline."""
-
-from repro.net.packet import Packet, PacketKind
-from repro.net.node import MeshNode, NodeStats, transport_header_bytes
-from repro.net.routing import (
-    FlowRoute,
-    RouteResult,
-    Router,
-    RoutingMatrix,
-    build_routing_matrix,
-    dijkstra,
-    etx,
-    ett,
-    path_loss_probability,
-)
-from repro.net.probing import (
-    DEFAULT_DATA_PROBE_BYTES,
-    DEFAULT_PROBE_PERIOD_S,
-    ProbePayload,
-    ProbingSystem,
-)
-from repro.net.shaper import TokenBucketShaper
-from repro.net.adhoc_probe import AdHocProbe, PacketPairSample
-
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "MeshNode",
-    "NodeStats",
-    "transport_header_bytes",
-    "FlowRoute",
-    "RouteResult",
-    "Router",
-    "RoutingMatrix",
-    "build_routing_matrix",
-    "dijkstra",
-    "etx",
-    "ett",
-    "path_loss_probability",
-    "DEFAULT_DATA_PROBE_BYTES",
-    "DEFAULT_PROBE_PERIOD_S",
-    "ProbePayload",
-    "ProbingSystem",
-    "TokenBucketShaper",
-    "AdHocProbe",
-    "PacketPairSample",
-]

@@ -28,14 +28,11 @@ from repro.phy.radio import PhyRate, RATE_1MBPS
 from repro.net.packet import Packet, PacketKind
 from repro.engine import Simulator
 
-
-def transport_header_bytes(kind: PacketKind) -> int:
-    """IP + transport header bytes for a packet of the given kind."""
-    if kind in (PacketKind.TCP_DATA, PacketKind.TCP_ACK):
-        return IP_HEADER_BYTES + TCP_HEADER_BYTES
-    if kind is PacketKind.PROBE:
-        return IP_HEADER_BYTES + UDP_HEADER_BYTES
-    return IP_HEADER_BYTES + UDP_HEADER_BYTES
+#: Module-level aliases: a global load, not an Enum class-attribute lookup.
+_BROADCAST = FrameKind.BROADCAST
+_DATA = FrameKind.DATA
+_TCP_DATA = PacketKind.TCP_DATA
+_TCP_ACK = PacketKind.TCP_ACK
 
 
 @dataclass
@@ -141,8 +138,11 @@ class MeshNode:
 
     # ------------------------------------------------------------ data path
     def frame_size_for(self, packet: Packet) -> int:
-        """On-air MAC frame size for a network packet."""
-        return MAC_OVERHEAD_BYTES + transport_header_bytes(packet.kind) + packet.payload_bytes
+        """On-air MAC frame size for a network packet: MAC + IP + transport
+        (TCP for TCP segments and ACKs, UDP for the rest) + payload."""
+        kind = packet.kind
+        transport = TCP_HEADER_BYTES if kind is _TCP_DATA or kind is _TCP_ACK else UDP_HEADER_BYTES
+        return MAC_OVERHEAD_BYTES + IP_HEADER_BYTES + transport + packet.payload_bytes
 
     def send_packet(self, packet: Packet) -> bool:
         """Originate or forward ``packet`` toward its destination.
@@ -158,7 +158,7 @@ class MeshNode:
             return False
         rate = self.link_rates.get(nhop, self.data_rate)
         frame = Frame(
-            kind=FrameKind.DATA,
+            kind=_DATA,
             src=self.node_id,
             dst=nhop,
             size_bytes=self.frame_size_for(packet),
@@ -175,7 +175,7 @@ class MeshNode:
     def broadcast(self, payload: object, size_bytes: int, rate: PhyRate | None = None) -> bool:
         """Send a link-layer broadcast frame (used by probing and routing)."""
         frame = Frame(
-            kind=FrameKind.BROADCAST,
+            kind=_BROADCAST,
             src=self.node_id,
             dst=BROADCAST_ADDR,
             size_bytes=size_bytes,
@@ -186,7 +186,7 @@ class MeshNode:
 
     # ------------------------------------------------------------ callbacks
     def _on_mac_receive(self, payload: object, from_id: int, frame: Frame) -> None:
-        if frame.kind is FrameKind.BROADCAST:
+        if frame.is_broadcast:
             for handler in self._broadcast_handlers:
                 handler(payload, from_id)
             return

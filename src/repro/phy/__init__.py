@@ -10,49 +10,3 @@ optimization layers above only need per-link received powers, carrier
 sense decisions, SINR-based capture outcomes, and per-link residual
 channel error rates.  Those are exactly the quantities exposed here.
 """
-
-from repro.phy.radio import (
-    PhyRate,
-    RATE_1MBPS,
-    RATE_2MBPS,
-    RATE_5_5MBPS,
-    RATE_11MBPS,
-    RATE_TABLE,
-    RadioConfig,
-    frame_airtime,
-)
-from repro.phy.propagation import (
-    PropagationModel,
-    LogDistancePathLoss,
-    dbm_to_mw,
-    mw_to_dbm,
-)
-from repro.phy.sinr import (
-    NOISE_FLOOR_DBM,
-    CaptureModel,
-)
-from repro.phy.error_models import (
-    ErrorModel,
-    BerPacketErrorModel,
-    FixedPacketErrorModel,
-)
-
-__all__ = [
-    "PhyRate",
-    "RATE_1MBPS",
-    "RATE_2MBPS",
-    "RATE_5_5MBPS",
-    "RATE_11MBPS",
-    "RATE_TABLE",
-    "RadioConfig",
-    "frame_airtime",
-    "PropagationModel",
-    "LogDistancePathLoss",
-    "dbm_to_mw",
-    "mw_to_dbm",
-    "NOISE_FLOOR_DBM",
-    "CaptureModel",
-    "ErrorModel",
-    "BerPacketErrorModel",
-    "FixedPacketErrorModel",
-]

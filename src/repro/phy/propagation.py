@@ -42,6 +42,12 @@ class PropagationModel:
     """
 
     def path_loss_db(self, distance_m: float, link_key: tuple[int, int] | None = None) -> float:
+        """Path loss (dB) over ``distance_m`` on the link ``link_key``.
+
+        Reciprocal: ``(tx, rx)`` and ``(rx, tx)`` give the same loss bit
+        for bit, which lets the medium fill both entries of a pair's
+        power tables from one call.
+        """
         raise NotImplementedError
 
 

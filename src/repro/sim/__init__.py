@@ -4,107 +4,26 @@ lots, the 18-node testbed), the composable scenario generator registries
 (:mod:`repro.sim.generators`), delivery-attempt tracing and the two-phase
 measurement drivers of Section 4."""
 
-from repro.engine import Event, Simulator
-from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
-from repro.sim.profile import SimProfiler, SiteStats, callback_site
-from repro.sim.trace import EventTraceRecorder
-from repro.sim.topology import reduced_carrier_sense_radio  # noqa: F401
+from repro.sim.network import MeshNetwork
 from repro.sim.topology import (
-    LinkPairTopology,
-    binary_tree_topology,
     carrier_sense_pair,
     chain_topology,
-    classify_pair,
     grid_topology,
-    independent_pair,
     information_asymmetry_pair,
-    near_far_pair,
     no_shadowing_propagation,
-    parking_lot_topology,
-    random_disk_topology,
     random_link_pair,
-    ring_topology,
     testbed_positions,
 )
-from repro.sim.generators import (
-    GeneratedFlow,
-    WorkloadContext,
-    radio_profile_config,
-    radio_profile_is_adaptive,
-    radio_profile_names,
-    register_topology,
-    register_workload,
-    topology_names,
-    workload_names,
-)
-from repro.sim.dynamics import (
-    ChurnEvent,
-    DynamicsDriver,
-    Trajectory,
-    apply_rate_adaptation,
-    build_mobility,
-    generate_churn_schedule,
-    mobility_names,
-    register_mobility,
-)
-from repro.sim.measurement import (
-    FeasibilityTestResult,
-    FlowMeasurement,
-    PairMeasurement,
-    apply_input_rates,
-    measure_flows,
-    measure_isolated,
-    measure_pair,
-)
+from repro.sim.measurement import measure_isolated
 
 __all__ = [
-    "Event",
-    "Simulator",
     "MeshNetwork",
-    "TcpFlowHandle",
-    "UdpFlowHandle",
-    "EventTraceRecorder",
-    "SimProfiler",
-    "SiteStats",
-    "callback_site",
-    "LinkPairTopology",
-    "binary_tree_topology",
     "carrier_sense_pair",
     "chain_topology",
-    "classify_pair",
     "grid_topology",
-    "independent_pair",
     "information_asymmetry_pair",
-    "near_far_pair",
     "no_shadowing_propagation",
-    "parking_lot_topology",
-    "random_disk_topology",
     "random_link_pair",
-    "reduced_carrier_sense_radio",
-    "ring_topology",
     "testbed_positions",
-    "GeneratedFlow",
-    "WorkloadContext",
-    "radio_profile_config",
-    "radio_profile_is_adaptive",
-    "radio_profile_names",
-    "register_topology",
-    "register_workload",
-    "topology_names",
-    "workload_names",
-    "ChurnEvent",
-    "DynamicsDriver",
-    "Trajectory",
-    "apply_rate_adaptation",
-    "build_mobility",
-    "generate_churn_schedule",
-    "mobility_names",
-    "register_mobility",
-    "FeasibilityTestResult",
-    "FlowMeasurement",
-    "PairMeasurement",
-    "apply_input_rates",
-    "measure_flows",
     "measure_isolated",
-    "measure_pair",
 ]

@@ -1,31 +1,3 @@
 """Transport substrate: backlogged/CBR UDP sources and sinks plus a
 simplified TCP Reno implementation whose ACKs travel the reverse path as
 real packets (required to reproduce the mesh starvation scenarios)."""
-
-from repro.transport.udp import (
-    DEFAULT_UDP_PAYLOAD_BYTES,
-    UdpSink,
-    UdpSource,
-    UdpSourceStats,
-)
-from repro.transport.tcp import (
-    DEFAULT_MSS_BYTES,
-    TcpFlow,
-    TcpSink,
-    TcpSource,
-    TcpStats,
-    make_tcp_flow,
-)
-
-__all__ = [
-    "DEFAULT_UDP_PAYLOAD_BYTES",
-    "UdpSink",
-    "UdpSource",
-    "UdpSourceStats",
-    "DEFAULT_MSS_BYTES",
-    "TcpFlow",
-    "TcpSink",
-    "TcpSource",
-    "TcpStats",
-    "make_tcp_flow",
-]

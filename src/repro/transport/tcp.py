@@ -28,6 +28,10 @@ from repro.net.packet import Packet, PacketKind
 from repro.net.shaper import TokenBucketShaper
 from repro.engine import Event, Simulator
 
+#: Module-level aliases: a global load, not an Enum class-attribute lookup.
+_TCP_DATA = PacketKind.TCP_DATA
+_TCP_ACK = PacketKind.TCP_ACK
+
 
 #: Default TCP maximum segment size (payload bytes).
 DEFAULT_MSS_BYTES = 1460
@@ -60,7 +64,7 @@ class TcpSink:
         node.add_delivery_handler(self._on_delivery)
 
     def _on_delivery(self, packet: Packet, from_id: int) -> None:
-        if packet.kind is not PacketKind.TCP_DATA or packet.flow_id != self.flow_id:
+        if packet.kind is not _TCP_DATA or packet.flow_id != self.flow_id:
             return
         seq = packet.meta["tcp_seq"]
         if seq not in self.received_seqs:
@@ -72,7 +76,7 @@ class TcpSink:
 
     def _send_ack(self) -> None:
         ack = Packet(
-            kind=PacketKind.TCP_ACK,
+            kind=_TCP_ACK,
             src=self.node.node_id,
             dst=self.source,
             flow_id=self.flow_id,
@@ -204,7 +208,7 @@ class TcpSource:
 
     def _transmit_segment(self, seq: int, is_retransmission: bool = False) -> None:
         packet = Packet(
-            kind=PacketKind.TCP_DATA,
+            kind=_TCP_DATA,
             src=self.node.node_id,
             dst=self.destination,
             flow_id=self.flow_id,
@@ -264,7 +268,7 @@ class TcpSource:
         )
 
     def _on_delivery(self, packet: Packet, from_id: int) -> None:
-        if packet.kind is not PacketKind.TCP_ACK or packet.flow_id != self.flow_id:
+        if packet.kind is not _TCP_ACK or packet.flow_id != self.flow_id:
             return
         if not self._active:
             return

@@ -23,6 +23,9 @@ from repro.net.node import MeshNode
 from repro.net.packet import Packet, PacketKind
 from repro.engine import Event, Simulator
 
+#: Module-level aliases: a global load, not an Enum class-attribute lookup.
+_UDP = PacketKind.UDP
+
 
 #: Default UDP payload used throughout the experiments (bytes).
 DEFAULT_UDP_PAYLOAD_BYTES = 1470
@@ -44,7 +47,7 @@ class UdpSink:
         node.add_delivery_handler(self._on_delivery)
 
     def _on_delivery(self, packet: Packet, from_id: int) -> None:
-        if packet.kind is not PacketKind.UDP or packet.flow_id != self.flow_id:
+        if packet.kind is not _UDP or packet.flow_id != self.flow_id:
             return
         self.received_packets += 1
         self.received_bytes += packet.payload_bytes
@@ -138,7 +141,7 @@ class UdpSource:
     # ---------------------------------------------------------------- sending
     def _make_packet(self) -> Packet:
         packet = Packet(
-            kind=PacketKind.UDP,
+            kind=_UDP,
             src=self.node.node_id,
             dst=self.destination,
             flow_id=self.flow_id,

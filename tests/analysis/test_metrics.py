@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import (
-    ExperimentReport,
+from repro.analysis.metrics import (
     cdf_fraction_below,
     feasibility_ratio,
-    format_cdf_summary,
-    format_table,
     jain_fairness_index,
     rmse,
     stability_deviations,
 )
+from repro.analysis.reporting import ExperimentReport, format_cdf_summary, format_table
 
 
 class TestJainIndex:

@@ -12,7 +12,8 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.sim import MeshNetwork, carrier_sense_pair, no_shadowing_propagation  # noqa: E402
+from repro.sim.network import MeshNetwork  # noqa: E402
+from repro.sim.topology import carrier_sense_pair, no_shadowing_propagation  # noqa: E402
 
 
 @pytest.fixture
@@ -27,7 +28,7 @@ def cs_pair_network() -> MeshNetwork:
 @pytest.fixture
 def chain_network() -> MeshNetwork:
     """A three-node chain at 11 Mb/s (deterministic propagation)."""
-    from repro.sim import chain_topology
+    from repro.sim.topology import chain_topology
 
     return MeshNetwork(
         chain_topology(3, spacing_m=55.0),

@@ -27,15 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import AlphaFairUtility, OnlineOptimizer, decide
-from repro.core.controller import LinkProbes, ProbeWindow
-from repro.experiment import (
-    ControllerSpec,
-    ExperimentSpec,
-    ProbingSpec,
-    ScenarioSpec,
-    build_scenario,
-)
+from repro.core.controller import LinkProbes, OnlineOptimizer, ProbeWindow, decide
+from repro.core.utility import AlphaFairUtility
+from repro.experiment.registry import build_scenario
+from repro.experiment.specs import ControllerSpec, ExperimentSpec, ProbingSpec, ScenarioSpec
 from repro.mac.constants import MacConfig
 from repro.net.routing import FlowRoute
 from repro.phy.radio import rate_from_mbps

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from reference import paper
-from repro.core import CapacityModel, OnlineOptimizer, RateOptimizer, decide
-from repro.core.controller import LinkProbes, ProbeWindow
+from repro.core.capacity import CapacityModel
+from repro.core.controller import LinkProbes, OnlineOptimizer, ProbeWindow, decide
+from repro.core.optimizer import RateOptimizer
 from repro.core.extreme_points import non_dominated_rows
 from repro.net.routing import build_routing_matrix
 from repro.net.probing import ProbingSystem
-from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
+from repro.sim.network import MeshNetwork
+from repro.sim.topology import chain_topology, no_shadowing_propagation
 
 _REPO = Path(__file__).resolve().parents[2]
 _LEDGER = str(_REPO / "benchmarks" / "ledger")

@@ -4,15 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.core import (
-    MAX_THROUGHPUT,
-    OnlineOptimizer,
-    PROPORTIONAL_FAIR,
-    RateOptimizer,
-    SolverError,
-    tcp_ack_airtime_factor,
-)
-from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
+from repro.core.controller import OnlineOptimizer
+from repro.core.optimizer import RateOptimizer, SolverError
+from repro.core.rate_control import tcp_ack_airtime_factor
+from repro.core.utility import MAX_THROUGHPUT, PROPORTIONAL_FAIR
+from repro.sim.network import MeshNetwork
+from repro.sim.topology import chain_topology, no_shadowing_propagation
 
 
 class TestRateControlHelpers:

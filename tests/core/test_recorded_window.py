@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import decide
+from repro.core.controller import decide
 
 
 @pytest.fixture(scope="module")

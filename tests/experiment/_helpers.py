@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from repro.experiment import ControllerSpec, ExperimentSpec, FlowSpec, ScenarioSpec
+from repro.experiment.specs import ControllerSpec, ExperimentSpec, FlowSpec, ScenarioSpec
 
 #: Cheap noRC chain cell: no probing warmup, one second of traffic —
 #: fast enough that protocol overhead, not physics, dominates a test.

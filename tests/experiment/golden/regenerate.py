@@ -55,21 +55,21 @@ if __name__ == "__main__":  # running as a script from a source checkout
     if str(_SRC) not in sys.path:
         sys.path.insert(0, str(_SRC))
 
-from repro import (  # noqa: E402
+from repro.experiment.registry import build_scenario  # noqa: E402
+from repro.experiment.runner import ExperimentResult, run_experiment  # noqa: E402
+from repro.experiment.specs import (  # noqa: E402
+    ChurnSpec,
     ControllerSpec,
-    ExperimentResult,
     ExperimentSpec,
     FlowSpec,
+    MobilitySpec,
     ProbingSpec,
     RadioSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    build_scenario,
-    run_experiment,
     spec_digest,
 )
-from repro.experiment import ChurnSpec, MobilitySpec  # noqa: E402
 
 #: One deliberately small experiment per registered scenario, plus extra
 #: regression grids (multi-cycle controller convergence).  Keep these

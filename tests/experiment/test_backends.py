@@ -13,33 +13,35 @@ from typing import Any, Mapping, Sequence
 
 import pytest
 
-from repro.experiment import (
+from repro.experiment.backends.base import (
+    BACKEND_ENV_VAR,
     BackendError,
-    BatchRunner,
-    BrokerBackend,
     ExecutionBackend,
     ProcessPoolBackend,
-    ResultCache,
     SerialBackend,
-    WorkQueueBackend,
     backend_names,
     resolve_backend,
     run_spec_payload,
-    seed_sweep,
 )
-from repro.experiment.backends import (
-    BACKEND_ENV_VAR,
-    DEFAULT_LEASE_S,
-    DEFAULT_MAX_ATTEMPTS,
-    LEASE_ENV_VAR,
-    MAX_ATTEMPTS_ENV_VAR,
+from repro.experiment.backends.broker_client import BrokerBackend, BrokerClient
+from repro.experiment.backends.work_queue import (
     TASKS_DIR,
-    BrokerClient,
+    WorkQueueBackend,
     claim_next_task,
     ensure_queue_dirs,
+)
+from repro.experiment.batch import BatchRunner, seed_sweep
+from repro.experiment.cache import ResultCache
+from repro.experiment.backends.queue_common import (
+    DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
+    DrainerPool,
+    LEASE_ENV_VAR,
+    MAX_ATTEMPTS_ENV_VAR,
+    lease_policy,
+    lease_verdict,
     task_envelope,
 )
-from repro.experiment.backends.queue_common import DrainerPool, lease_policy, lease_verdict
 from repro.experiment.broker import start_broker
 from repro.experiment.worker import FileQueueClient, drain
 

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiment import (
-    BatchRunner,
+from repro.experiment.batch import BatchRunner, seed_sweep
+from repro.experiment.specs import (
     ControllerSpec,
     ExperimentSpec,
     FlowSpec,
     ProbingSpec,
     ScenarioSpec,
-    seed_sweep,
 )
 
 BASE_SPEC = ExperimentSpec(

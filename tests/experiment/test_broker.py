@@ -17,21 +17,20 @@ import time
 
 import pytest
 
-from repro.experiment import (
-    BackendError,
-    BatchRunner,
+from repro.experiment import broker
+from repro.experiment.backends.base import BackendError, SerialBackend
+from repro.experiment.backends.broker_client import (
+    BrokerAuthError,
     BrokerBackend,
     BrokerClient,
-    SerialBackend,
-    broker,
-)
-from repro.experiment.backends import (
-    BROKER_TOKEN_ENV_VAR,
-    BrokerAuthError,
     BrokerUnavailable,
+)
+from repro.experiment.batch import BatchRunner
+from repro.experiment.backends.queue_common import (
+    BROKER_TOKEN_ENV_VAR,
+    ORPHAN_HORIZON_S,
     task_envelope,
 )
-from repro.experiment.backends.queue_common import ORPHAN_HORIZON_S
 from repro.experiment.broker import (
     MAX_BODY_BYTES,
     BrokerQueue,
@@ -218,7 +217,7 @@ class TestPollBackoff:
     flat 20 Hz by tenants with nothing to do."""
 
     def test_grace_then_exponential_growth_to_the_cap(self):
-        from repro.experiment.backends import PollBackoff
+        from repro.experiment.backends.queue_common import PollBackoff
 
         backoff = PollBackoff(0.05, 2.0, grace=2)
         delays = [backoff.next_delay() for _ in range(12)]
@@ -230,7 +229,7 @@ class TestPollBackoff:
             assert 1.0 <= delay <= 2.0
 
     def test_progress_resets_to_the_base(self):
-        from repro.experiment.backends import PollBackoff
+        from repro.experiment.backends.queue_common import PollBackoff
 
         backoff = PollBackoff(0.05, 2.0, grace=0)
         for _ in range(10):
@@ -239,7 +238,7 @@ class TestPollBackoff:
         assert backoff.next_delay() <= 0.05
 
     def test_cap_never_exceeded_even_with_a_tiny_base(self):
-        from repro.experiment.backends import PollBackoff
+        from repro.experiment.backends.queue_common import PollBackoff
 
         backoff = PollBackoff(0.001, 0.5, grace=0)
         assert all(backoff.next_delay() <= 0.5 for _ in range(64))

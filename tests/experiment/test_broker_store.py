@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiment.backends import task_envelope
-from repro.experiment.backends.queue_common import ORPHAN_HORIZON_S
+from repro.experiment.backends.queue_common import ORPHAN_HORIZON_S, task_envelope
 from repro.experiment.broker import BrokerQueue
 from repro.experiment.broker_store import BrokerStore
 

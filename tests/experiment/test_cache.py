@@ -9,21 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiment import (
-    SPEC_SCHEMA_VERSION,
-    BatchRunner,
+from repro.experiment.batch import BatchRunner, seed_sweep
+from repro.experiment.cache import ResultCache, default_cache, resolve_cache
+from repro.experiment.runner import CycleResult, Experiment, ExperimentResult
+from repro.experiment.specs import (
     ControllerSpec,
-    CycleResult,
-    Experiment,
-    ExperimentResult,
     ExperimentSpec,
     FlowSpec,
     ProbingSpec,
-    ResultCache,
+    SPEC_SCHEMA_VERSION,
     ScenarioSpec,
-    default_cache,
-    resolve_cache,
-    seed_sweep,
     spec_digest,
 )
 
@@ -93,7 +88,7 @@ class TestSpecDigest:
         script = (
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "import json\n"
-            "from repro.experiment import ExperimentSpec, spec_digest\n"
+            "from repro.experiment.specs import ExperimentSpec, spec_digest\n"
             "spec = ExperimentSpec.from_dict(json.loads(sys.argv[2]))\n"
             "print(spec_digest(spec))\n"
         )
@@ -317,7 +312,7 @@ class TestResultCacheStorage:
         script = (
             "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
             "from test_cache import SPEC, synthetic_result\n"
-            "from repro.experiment import ResultCache\n"
+            "from repro.experiment.cache import ResultCache\n"
             "cache = ResultCache(sys.argv[3])\n"
             "for seed in range(int(sys.argv[4]), int(sys.argv[4]) + 30):\n"
             "    for _ in range(3):\n"

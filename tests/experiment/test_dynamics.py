@@ -12,22 +12,21 @@ from contextlib import closing
 import pytest
 
 import repro.engine
-from repro.experiment import (
-    SPEC_SCHEMA_VERSION,
-    BatchRunner,
+from repro.experiment.batch import BatchRunner
+from repro.experiment.cache import ResultCache
+from repro.experiment.registry import build_scenario
+from repro.experiment.runner import ExperimentResult, run_experiment
+from repro.experiment.specs import (
     ChurnSpec,
     ControllerSpec,
-    ExperimentResult,
     ExperimentSpec,
     MobilitySpec,
     ProbingSpec,
-    ResultCache,
+    SPEC_SCHEMA_VERSION,
     ScenarioSpec,
     SpecError,
     TopologySpec,
     WorkloadSpec,
-    build_scenario,
-    run_experiment,
     spec_digest,
 )
 

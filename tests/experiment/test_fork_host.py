@@ -25,15 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiment import (
-    BatchRunner,
-    BrokerBackend,
-    ControllerSpec,
-    ProbingSpec,
-    SerialBackend,
-    WorkQueueBackend,
-    seed_sweep,
-)
+from repro.experiment.backends.base import SerialBackend
+from repro.experiment.backends.broker_client import BrokerBackend
+from repro.experiment.backends.work_queue import WorkQueueBackend
+from repro.experiment.batch import BatchRunner, seed_sweep
+from repro.experiment.specs import ControllerSpec, ProbingSpec
 from repro.experiment.backends import queue_common
 from repro.experiment.backends.queue_common import worker_subprocess_env
 
@@ -167,7 +163,7 @@ def test_twenty_submissions_leave_the_host_no_child(warm_host):
 
 _SUBMITTER = """
 import json, sys
-from repro.experiment import WorkQueueBackend
+from repro.experiment.backends.work_queue import WorkQueueBackend
 from repro.experiment.backends import queue_common
 payloads = json.load(open(sys.argv[2]))
 results = WorkQueueBackend(sys.argv[1], workers=2).run(payloads)

@@ -17,8 +17,9 @@ import os
 
 import pytest
 
-from repro.experiment import (
-    BatchRunner,
+from repro.experiment.batch import BatchRunner
+from repro.experiment.registry import build_scenario
+from repro.experiment.specs import (
     ControllerSpec,
     ExperimentSpec,
     FlowSpec,
@@ -27,12 +28,11 @@ from repro.experiment import (
     SpecError,
     TopologySpec,
     WorkloadSpec,
-    build_scenario,
     spec_digest,
 )
 from repro.net.routing import Router
-from repro.sim.generators import TOPOLOGIES as TOPOLOGY_REGISTRY
 from repro.sim.generators import (
+    TOPOLOGIES as TOPOLOGY_REGISTRY,
     WorkloadContext,
     ett_link_weights,
     radio_profile_config,
@@ -250,7 +250,7 @@ class TestSpecRoundTripAndDigest:
         assert len({spec_digest(base), spec_digest(other_topo), spec_digest(other_load)}) == 3
 
     def test_radio_and_profile_are_mutually_exclusive(self):
-        from repro.experiment import RadioSpec
+        from repro.experiment.specs import RadioSpec
 
         with pytest.raises(SpecError, match="not both"):
             ScenarioSpec(

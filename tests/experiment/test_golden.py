@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiment import ExperimentSpec
+from repro.experiment.specs import ExperimentSpec
 from repro.experiment.registry import scenario_names
 from repro.sim.dynamics import mobility_names
 from repro.sim.generators import topology_names, workload_names

@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import jain_fairness_index
 from repro.core.cliques import maximal_cliques
 from repro.core.lir_error import PairSample
-from repro.experiment import (
+from repro.experiment.runner import Experiment
+from repro.experiment.specs import (
     ChurnSpec,
     ControllerSpec,
-    Experiment,
     ExperimentSpec,
     FlowSpec,
     MobilitySpec,
@@ -201,7 +201,8 @@ class TestExperimentInvariants:
 
     def test_lir_estimates_in_unit_interval(self, grid_results):
         """Measured pair throughputs can only realize LIRs in [0, 1]."""
-        from repro.sim import MeshNetwork, carrier_sense_pair, no_shadowing_propagation
+        from repro.sim.network import MeshNetwork
+        from repro.sim.topology import carrier_sense_pair, no_shadowing_propagation
         from repro.sim.measurement import measure_pair
 
         topo = carrier_sense_pair()

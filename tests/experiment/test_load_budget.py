@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiment import ControllerSpec, ProbingSpec
+from repro.experiment.specs import ControllerSpec, ProbingSpec
 from repro.experiment.backends.queue_common import worker_subprocess_env
 
 from _helpers import FAST_SPEC
@@ -54,7 +54,8 @@ def _loaded_after(code: str) -> list[str]:
 
 def _run_experiment(spec) -> str:
     return (
-        "from repro.experiment import ExperimentSpec, run_experiment\n"
+        "from repro.experiment.runner import run_experiment\n"
+        "from repro.experiment.specs import ExperimentSpec\n"
         f"run_experiment(ExperimentSpec.from_dict({spec.to_dict()!r}))"
     )
 
@@ -99,7 +100,8 @@ def test_a_backend_run_loads_its_transport(backend, stack):
     that opens it runs."""
     loaded = set(
         _loaded_after(
-            "from repro.experiment import BrokerBackend, ProcessPoolBackend\n"
+            "from repro.experiment.backends.base import ProcessPoolBackend\n"
+            "from repro.experiment.backends.broker_client import BrokerBackend\n"
             f"{backend}.run([{FAST_SPEC.to_dict()!r}] * 2)"
         )
     )
@@ -116,7 +118,7 @@ def test_the_fork_host_stays_at_the_worker_import_after_serving_an_lp_cell():
     see ``test_fork_host.py``), never a solver.  Read off the host's
     memory map: an import there would leave the extension modules
     mapped."""
-    from repro.experiment import WorkQueueBackend
+    from repro.experiment.backends.work_queue import WorkQueueBackend
     from repro.experiment.backends import queue_common
 
     maps = Path("/proc/self/maps")
@@ -137,7 +139,7 @@ def test_repro_imports_without_networkx():
     code = (
         "import sys; sys.modules['networkx'] = None\n"
         "import repro\n"
-        "from repro.core import ConflictGraph\n"
+        "from repro.core.conflict_graph import ConflictGraph\n"
         "graph = ConflictGraph.from_edges([(0, 1), (1, 2)], [((0, 1), (1, 2))])\n"
         "assert len(graph.independent_sets()) == 2"
     )
@@ -155,7 +157,9 @@ def test_every_rate_program_runs_without_scipy():
         "import runpy, sys; sys.modules['scipy'] = None\n"
         f"runpy.run_path({str(EXAMPLES / 'tcp_starvation.py')!r}, run_name='__main__')\n"
         "import numpy as np\n"
-        "from repro.core import MAX_THROUGHPUT, FeasibilityRegion, RateOptimizer\n"
+        "from repro.core.extreme_points import FeasibilityRegion\n"
+        "from repro.core.optimizer import RateOptimizer\n"
+        "from repro.core.utility import MAX_THROUGHPUT\n"
         "from repro.net.routing import FlowRoute, build_routing_matrix\n"
         "links = [(0, 1), (1, 2)]\n"
         "region = FeasibilityRegion(links, np.array([[2e6, 0.0], [0.0, 1e6]]))\n"

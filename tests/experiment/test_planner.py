@@ -3,17 +3,10 @@
 from __future__ import annotations
 
 import repro.experiment
-from repro.experiment import (
-    BatchResult,
-    ControllerSpec,
-    ExperimentSpec,
-    FlowSpec,
-    PlannerStats,
-    ResultCache,
-    ScenarioSpec,
-    SweepPlanner,
-    seed_sweep,
-)
+from repro.experiment.batch import BatchResult, seed_sweep
+from repro.experiment.cache import ResultCache
+from repro.experiment.planner import PlannerStats, SweepPlanner
+from repro.experiment.specs import ControllerSpec, ExperimentSpec, FlowSpec, ScenarioSpec
 
 
 def _spec(seed: int = 0, **kwargs) -> ExperimentSpec:

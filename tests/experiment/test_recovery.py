@@ -27,23 +27,19 @@ import time
 
 import pytest
 
-from repro.experiment import (
-    BackendError,
-    BatchRunner,
-    BrokerBackend,
-    BrokerClient,
-    SerialBackend,
-    WorkQueueBackend,
-    seed_sweep,
-)
-from repro.experiment.backends import CLAIMED_DIR, ensure_queue_dirs, task_envelope
-from repro.experiment.backends.queue_common import worker_subprocess_env
+from repro.experiment.backends.base import BackendError, SerialBackend
+from repro.experiment.backends.broker_client import BrokerBackend, BrokerClient
 from repro.experiment.backends.work_queue import (
+    CLAIMED_DIR,
     RESULTS_DIR,
     TASKS_DIR,
+    WorkQueueBackend,
     _atomic_write_json,
+    ensure_queue_dirs,
     requeue_expired_claims,
 )
+from repro.experiment.batch import BatchRunner, seed_sweep
+from repro.experiment.backends.queue_common import task_envelope, worker_subprocess_env
 from repro.experiment.worker import drain
 
 from _helpers import FAST_SPEC, canonical_batch, strip_runtime

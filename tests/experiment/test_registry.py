@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiment import (
+from repro.experiment.registry import (
+    BuiltScenario,
+    build_scenario,
+    register_scenario,
+    scenario_names,
+)
+from repro.experiment.specs import (
     ChurnSpec,
     FlowSpec,
     MobilitySpec,
@@ -13,11 +19,7 @@ from repro.experiment import (
     SpecError,
     TopologySpec,
     WorkloadSpec,
-    build_scenario,
-    register_scenario,
-    scenario_names,
 )
-from repro.experiment.registry import BuiltScenario
 from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
 
 BUILTIN_SCENARIOS = ["chain", "generated", "random_multiflow", "starvation", "testbed"]
@@ -246,7 +248,9 @@ class TestCustomRegistration:
         from dataclasses import replace
         from pathlib import Path
 
-        from repro.experiment import ControllerSpec, ExperimentSpec, registry, run_experiment
+        from repro.experiment import registry
+        from repro.experiment.runner import run_experiment
+        from repro.experiment.specs import ControllerSpec, ExperimentSpec
         from repro.monitors.base import MONITORS
         from repro.sim.dynamics import MOBILITY_MODELS
         from repro.sim.generators import TOPOLOGIES, WORKLOADS

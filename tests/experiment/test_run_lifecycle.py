@@ -26,15 +26,10 @@ import pytest
 
 import repro
 import repro.experiment.runner as runner_module
-from repro.core import SolverError
+from repro.core.optimizer import SolverError
 from repro.core.controller import OnlineOptimizer
-from repro.experiment import (
-    ChurnSpec,
-    ControllerSpec,
-    Experiment,
-    ExperimentSpec,
-    run_experiment,
-)
+from repro.experiment.runner import Experiment, run_experiment
+from repro.experiment.specs import ChurnSpec, ControllerSpec, ExperimentSpec
 
 from _helpers import FAST_SPEC
 from test_golden import golden

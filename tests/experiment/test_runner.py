@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiment import (
+from repro.experiment.runner import Experiment, ExperimentResult, run_experiment
+from repro.experiment.specs import (
     ControllerSpec,
-    Experiment,
     ExperimentSpec,
     FlowSpec,
     NO_RATE_CONTROL,
     ProbingSpec,
     ScenarioSpec,
-    run_experiment,
 )
-from repro.experiment.runner import ExperimentResult
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiment import ScenarioSpec
+from repro.experiment.specs import ScenarioSpec
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiment import (
+from repro.experiment.specs import (
     ChurnSpec,
     ControllerSpec,
     ExperimentSpec,

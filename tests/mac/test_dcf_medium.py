@@ -21,7 +21,8 @@ from repro.mac.nominal import nominal_throughput_bps
 from repro.phy.error_models import FixedPacketErrorModel
 from repro.phy.propagation import LogDistancePathLoss
 from repro.phy.radio import RATE_11MBPS, RadioConfig
-from repro.sim import MeshNetwork, carrier_sense_pair, no_shadowing_propagation
+from repro.sim.network import MeshNetwork
+from repro.sim.topology import carrier_sense_pair, no_shadowing_propagation
 from repro.sim.measurement import measure_flows, measure_isolated
 
 

@@ -157,7 +157,7 @@ def test_a_full_carrier_sense_memo_starts_over(monkeypatch):
 #: 288 edges here) and none per hit; a reception's interference is summed
 #: inline.  A per-node loop makes no calls, so this count holds the edge
 #: path call-free but cannot see per-node work.
-CALL_CEILING = 1891
+CALL_CEILING = 1747
 
 
 def test_the_sequence_makes_a_bounded_number_of_python_calls():

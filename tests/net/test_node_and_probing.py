@@ -10,7 +10,8 @@ from repro.net.adhoc_probe import AdHocProbe
 from repro.net.packet import Packet, PacketKind
 from repro.net.probing import ProbePayload, ProbingSystem
 from repro.phy.radio import RATE_1MBPS, RATE_11MBPS
-from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
+from repro.sim.network import MeshNetwork
+from repro.sim.topology import chain_topology, no_shadowing_propagation
 from repro.sim.measurement import measure_isolated
 
 from reference import paper

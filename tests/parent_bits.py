@@ -61,7 +61,8 @@ def _attempt(function, *args):
 def _programs(region, routing, alphas):
     """The presolve, each alpha-fair program, max-min and the scaling
     factor along the load vector: rates, weights, verdicts, messages."""
-    from repro.core import MAX_THROUGHPUT, AlphaFairUtility, RateOptimizer
+    from repro.core.optimizer import RateOptimizer
+    from repro.core.utility import AlphaFairUtility, MAX_THROUGHPUT
     from repro.core.extreme_points import non_dominated_rows
 
     optimizers = [RateOptimizer(region, routing, AlphaFairUtility(alpha=a)) for a in alphas]
@@ -76,7 +77,8 @@ def probe_decide():
     """``decide`` on the recorded ``controller_dense`` window, and every
     program of its region."""
     from core.golden import record_window
-    from repro.core import AlphaFairUtility, decide
+    from repro.core.controller import decide
+    from repro.core.utility import AlphaFairUtility
     from repro.net.routing import build_routing_matrix
 
     window, routes, kwargs, _ = record_window.load()
@@ -234,7 +236,8 @@ def probe_probe_window():
     ``last_n`` 1, 40, 80 and 10^6, and a 3-node chain before and after
     20 s of probing."""
     from core.golden import record_window
-    from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
+    from repro.sim.network import MeshNetwork
+    from repro.sim.topology import chain_topology, no_shadowing_propagation
 
     controller = record_window.build_live()
     try:

@@ -44,14 +44,14 @@ if __name__ == "__main__":  # running as a script from a source checkout
     if str(_SRC) not in sys.path:
         sys.path.insert(0, str(_SRC))
 
-from repro.sim import (  # noqa: E402
-    EventTraceRecorder,
-    MeshNetwork,
+from repro.sim.network import MeshNetwork  # noqa: E402
+from repro.sim.topology import (  # noqa: E402
     chain_topology,
     information_asymmetry_pair,
     no_shadowing_propagation,
     reduced_carrier_sense_radio,
 )
+from repro.sim.trace import EventTraceRecorder  # noqa: E402
 
 
 def _chain3() -> MeshNetwork:
@@ -75,7 +75,7 @@ def _drift2() -> MeshNetwork:
     ``update_positions`` path (row recompute, memo invalidation, snapshot
     balance) byte-for-byte across refactors.
     """
-    from repro.sim import DynamicsDriver, build_mobility
+    from repro.sim.dynamics import DynamicsDriver, build_mobility
 
     net = MeshNetwork(chain_topology(2, spacing_m=140.0), seed=5)
     net.add_udp_flow([0, 1]).start()

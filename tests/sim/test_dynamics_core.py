@@ -12,17 +12,17 @@ from repro.mac.frames import BROADCAST_ADDR, Frame, FrameKind
 from repro.mac.medium import WirelessMedium
 from repro.phy.error_models import FixedPacketErrorModel
 from repro.phy.radio import rate_from_mbps
-from repro.sim import (
+from repro.sim.dynamics import (
+    ChurnEvent,
     DynamicsDriver,
-    EventTraceRecorder,
-    MeshNetwork,
+    apply_rate_adaptation,
     build_mobility,
-    chain_topology,
     generate_churn_schedule,
     mobility_names,
-    no_shadowing_propagation,
 )
-from repro.sim.dynamics import ChurnEvent, apply_rate_adaptation
+from repro.sim.network import MeshNetwork
+from repro.sim.topology import chain_topology, no_shadowing_propagation
+from repro.sim.trace import EventTraceRecorder
 
 
 def _net(num_nodes: int = 5, spacing_m: float = 80.0, seed: int = 11) -> MeshNetwork:
@@ -330,7 +330,7 @@ class TestRateAdaptation:
     def test_threshold_assignment(self):
         # 60 m spacing: adjacent links comfortably above 24 dB SNR at
         # 0 dB shadowing; the 2-hop pair far below it.
-        from repro.sim import no_shadowing_propagation
+        from repro.sim.topology import no_shadowing_propagation
 
         net = MeshNetwork(
             chain_topology(3, spacing_m=60.0),

@@ -16,15 +16,10 @@ import json
 
 import pytest
 
-from repro.experiment import (
-    BatchRunner,
-    ControllerSpec,
-    ExperimentSpec,
-    ProbingSpec,
-    ScenarioSpec,
-    SerialBackend,
-    WorkQueueBackend,
-)
+from repro.experiment.backends.base import SerialBackend
+from repro.experiment.backends.work_queue import WorkQueueBackend
+from repro.experiment.batch import BatchRunner
+from repro.experiment.specs import ControllerSpec, ExperimentSpec, ProbingSpec, ScenarioSpec
 
 #: The cell the ledger's ``cell_static`` workload times: the repeated
 #: unit of the Figure 14 grid.

@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.sim import (
-    MeshNetwork,
+from repro.sim.measurement import apply_input_rates, measure_flows, measure_isolated, measure_pair
+from repro.sim.network import MeshNetwork
+from repro.sim.topology import (
     carrier_sense_pair,
     independent_pair,
     information_asymmetry_pair,
-    measure_flows,
-    measure_isolated,
-    measure_pair,
     no_shadowing_propagation,
 )
-from repro.sim.measurement import apply_input_rates
 
 
 def _pair_network(factory, mbps=11, seed=13, **kwargs):

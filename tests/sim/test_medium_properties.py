@@ -17,7 +17,8 @@ each to its definition, read through the medium's public readers:
   sum of the other transmitters' begin-time ``mW`` rows at its receiver
   — across position epochs too;
 * the power tables carry exactly (``==``, not approximately) the value
-  of the scalar link-budget formula.
+  of the scalar link-budget formula, are exactly symmetric, and after
+  position epochs equal a fresh medium's at the new positions.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.engine import Simulator
 from repro.mac.frames import Frame, FrameKind
 from repro.mac.medium import WirelessMedium
-from repro.phy.propagation import dbm_to_mw
+from repro.phy.propagation import LogDistancePathLoss, dbm_to_mw
 from repro.phy.radio import frame_airtime, rate_from_mbps
-from repro.sim import no_shadowing_propagation
+from repro.sim.topology import no_shadowing_propagation
 
 _RATE = rate_from_mbps(11)
 
@@ -124,14 +125,13 @@ def _check_invariants(
             failures.append(f"mac[{node}].busy != carrier-sense definition")
     _raise_peaks(medium, rows, peaks)
     for t in ongoing:
-        for rx_id, reception in t.receptions.items():
-            if reception.failure is not None:
+        for rx_id, failure in t.failures.items():
+            if failure is not None:
                 continue
             expected = peaks[t.tx_id, rx_id]
-            if reception.peak_interference_mw != expected:
+            if t.peaks.get(rx_id, 0.0) != expected:
                 failures.append(
-                    f"peak({t.tx_id}->{rx_id}): {reception.peak_interference_mw!r}"
-                    f" != {expected!r}"
+                    f"peak({t.tx_id}->{rx_id}): {t.peaks.get(rx_id, 0.0)!r} != {expected!r}"
                 )
 
 
@@ -153,8 +153,8 @@ def _raise_peaks(
     that would have failed it as half-duplex)."""
     on_air = _on_air_rows(medium, rows)
     for t in medium._ongoing.values():
-        for rx_id, reception in t.receptions.items():
-            if reception.failure is None:
+        for rx_id, failure in t.failures.items():
+            if failure is None:
                 interference = 0.0
                 for tx, row in on_air:
                     if tx != t.tx_id:
@@ -284,19 +284,38 @@ def test_carrier_sense_matches_its_definition_across_epochs(
 
 
 @settings(max_examples=30, deadline=None)
-@given(coords=_coords)
+@given(
+    coords=_coords,
+    shadowed=st.booleans(),
+    moves=st.lists(st.tuples(st.integers(0, 5), _cell), max_size=4),
+)
 def test_power_tables_match_scalar_formula_exactly(
-    coords: frozenset[tuple[int, int]]
+    coords: frozenset[tuple[int, int]], shadowed: bool, moves
 ) -> None:
-    """Both tables equal the scalar link-budget formula bit-for-bit
-    (``==`` on floats, no tolerance)."""
-    _sim, medium, _macs = _build_medium(coords)
+    """After random position epochs, both tables equal the scalar
+    link-budget formula and a fresh medium's tables at the moved
+    positions bit-for-bit (``==`` on floats, no tolerance), and are
+    exactly symmetric."""
+
+    def propagation():
+        return LogDistancePathLoss(seed=7) if shadowed else no_shadowing_propagation()
+
+    positions = {
+        i: (float(x) * 30.0, float(y) * 30.0) for i, (x, y) in enumerate(sorted(coords))
+    }
+    medium = WirelessMedium(Simulator(seed=0), positions, propagation=propagation())
+    ids = sorted(positions)
+    for pick, (x, y) in moves:
+        medium.update_positions({ids[pick % len(ids)]: (x * 30.0, y * 30.0)})
+    fresh = WirelessMedium(Simulator(seed=0), medium.positions, propagation=propagation())
     eirp = medium.radio.tx_power_dbm + 2.0 * medium.radio.antenna_gain_dbi
-    for a in medium.positions:
-        for b in medium.positions:
+    for a in ids:
+        for b in ids:
             dbm = eirp - medium.propagation.path_loss_db(medium.distance(a, b), (a, b))
-            assert medium.rx_power_dbm(a, b) == dbm
-            assert medium.rx_power_mw(a, b) == dbm_to_mw(dbm)
+            assert medium.rx_power_dbm(a, b) == dbm == fresh.rx_power_dbm(a, b)
+            assert medium.rx_power_mw(a, b) == dbm_to_mw(dbm) == fresh.rx_power_mw(a, b)
+            assert medium.rx_power_dbm(a, b) == medium.rx_power_dbm(b, a)
+            assert medium.rx_power_mw(a, b) == medium.rx_power_mw(b, a)
 
 
 def test_an_edge_summed_through_a_pre_epoch_row_is_not_memoised():
@@ -353,7 +372,7 @@ def test_a_reception_after_an_epoch_hears_an_interferer_through_its_begin_time_r
     peaks: list[float] = []
 
     def observe() -> None:
-        peaks.append(medium._ongoing[2].receptions[3].peak_interference_mw)
+        peaks.append(medium._ongoing[2].peaks.get(3, 0.0))
 
     sim.schedule_at(0.0, partial(medium.begin_transmission, 0, frame(src=0, dst=1)))
     sim.schedule_at(2e-4, partial(medium.update_positions, {0: (100.0, 0.0)}))

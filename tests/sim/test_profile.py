@@ -5,7 +5,9 @@ from __future__ import annotations
 from functools import partial
 
 from repro.engine import Simulator
-from repro.sim import MeshNetwork, SimProfiler, callback_site, chain_topology
+from repro.sim.network import MeshNetwork
+from repro.sim.profile import SimProfiler, callback_site
+from repro.sim.topology import chain_topology
 
 
 class _Thing:

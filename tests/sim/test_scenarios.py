@@ -4,7 +4,8 @@ quality, the ETT-routed multi-flow configurations, the Figure 13 chain."""
 import numpy as np
 import pytest
 
-from repro.experiment import FlowSpec, ScenarioSpec, build_scenario
+from repro.experiment.registry import build_scenario
+from repro.experiment.specs import FlowSpec, ScenarioSpec
 from repro.sim.generators import (
     assign_link_rates,
     ett_link_weights,

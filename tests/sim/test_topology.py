@@ -4,9 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import MeshNetwork, no_shadowing_propagation
-# Note: the testbed_* helpers are imported under aliases so pytest does
-# not collect them as test functions (their names start with "test").
+from repro.sim.network import MeshNetwork
 from repro.sim.topology import (
     carrier_sense_pair,
     chain_topology,
@@ -15,10 +13,14 @@ from repro.sim.topology import (
     independent_pair,
     information_asymmetry_pair,
     near_far_pair,
+    no_shadowing_propagation,
     random_link_pair,
+    testbed_positions as make_testbed_positions,
 )
-from repro.sim.topology import testbed_positions as make_testbed_positions
-from repro.experiment import FlowSpec, ScenarioSpec, build_scenario
+# Note: the testbed_* helpers are imported under aliases so pytest does
+# not collect them as test functions (their names start with "test").
+from repro.experiment.registry import build_scenario
+from repro.experiment.specs import FlowSpec, ScenarioSpec
 
 import numpy as np
 

@@ -22,16 +22,16 @@ TOP_LEVEL = "(top level)"
 #: Non-blank lines per subpackage of ``repro``; ``TOP_LEVEL`` is the
 #: modules directly under it (``engine.py``, ``scheduler.py``, ...).
 CEILINGS = {
-    TOP_LEVEL: 800,
-    "analysis": 196,
-    "core": 1607,
-    "experiment": 4886,
-    "mac": 1070,
-    "monitors": 315,
-    "net": 815,
-    "phy": 335,
-    "sim": 1894,
-    "transport": 494,
+    TOP_LEVEL: 716,
+    "analysis": 186,
+    "core": 1565,
+    "experiment": 4766,
+    "mac": 1052,
+    "monitors": 303,
+    "net": 772,
+    "phy": 296,
+    "sim": 1813,
+    "transport": 473,
 }
 
 

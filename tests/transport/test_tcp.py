@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.shaper import TokenBucketShaper
-from repro.sim import MeshNetwork, chain_topology, no_shadowing_propagation
+from repro.sim.network import MeshNetwork
+from repro.sim.topology import chain_topology, no_shadowing_propagation
 
 
 def _chain(num_nodes=3, rate_mbps=11, seed=5):
