@@ -6,7 +6,7 @@ This package is the canonical public entry point to the reproduction:
   dataclasses (:class:`ScenarioSpec`, :class:`ExperimentSpec`, ...);
 * :mod:`repro.experiment.registry` — the named scenario registry
   (:func:`register_scenario`): the declarative ``generated``
-  composition of the :mod:`repro.sim.generators` axes, plus the four
+  composition of the :mod:`repro.sim.generators` axes, plus the three
   canned presets;
 * :mod:`repro.experiment.runner` — :class:`Experiment`, which drives
   warmup -> N optimizer cycles -> measurement and returns an

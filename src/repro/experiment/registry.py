@@ -9,8 +9,8 @@ One built-in constructs networks: ``generated``, the declarative
 composition of the generator layer of :mod:`repro.sim.generators` — any
 registered topology generator, flows from a registered workload
 generator (or explicit :class:`FlowSpec`\\ s), link rates per
-``rate_mode`` and an optional radio or named radio profile.  ``chain``,
-``testbed``, ``random_multiflow`` and ``starvation`` are presets of it
+``rate_mode`` and an optional named radio profile.  ``chain``,
+``random_multiflow`` and ``starvation`` are presets of it
 (:data:`repro.experiment.specs.SCENARIO_PRESETS`): each turns the spec
 it is given into a ``generated`` spec, which the same builder
 materializes, and reports the ``meta`` keys that name always has.
@@ -25,19 +25,13 @@ from repro.experiment.specs import SCENARIO_PRESETS, FlowSpec, ScenarioSpec, Spe
 from repro.net.routing import Router, first_use_links
 from repro.phy.propagation import LogDistancePathLoss
 from repro.registry import Registry
-from repro.sim.dynamics import (
-    DynamicsDriver,
-    apply_rate_adaptation,
-    build_mobility,
-    generate_churn_schedule,
-)
+from repro.sim.dynamics import DynamicsDriver, build_mobility, generate_churn_schedule
 from repro.sim.generators import (
     GeneratedFlow,
     WorkloadContext,
     assign_link_rates,
     ett_link_weights,
     radio_profile_config,
-    radio_profile_is_adaptive,
     scenario_streams,
 )
 from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
@@ -125,15 +119,13 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
     scenario is a pure function of the spec):
 
     1. node positions via the topology generator (``spec.topology``);
-    2. radio from ``spec.radio``, else the named ``spec.radio_profile``
-       at the scenario's data rate, else the default radio; the network
+    2. radio from the named ``spec.radio_profile`` at the scenario's
+       data rate, else the default radio; the network
        shadows at the spec's σ (none by default) drawn from ``seed``, and
        ``run_seed`` (defaulting to ``seed``) seeds only its traffic;
     3. per-link modulations per ``spec.rate_mode`` (the ``mixed`` draw
        uses the stream :func:`repro.sim.generators.scenario_streams`
-       picks) — or, under an adaptive
-       radio profile, SNR-thresholded rates via
-       :func:`repro.sim.dynamics.apply_rate_adaptation`;
+       picks);
     4. flows from explicit ``spec.flows``, or routed over ETT paths by
        the workload generator (``spec.workload``);
     5. dynamics, when the spec asks for them: a mobility trajectory
@@ -153,14 +145,11 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
             "spec.workload generator"
         )
     positions = spec.topology.build(seed=spec.seed)
-    if spec.radio is not None:
-        radio = spec.radio.build()
-    elif spec.radio_profile is not None:
+    radio = None
+    if spec.radio_profile is not None:
         radio = radio_profile_config(
             spec.radio_profile, data_rate_mbps=spec.data_rate_mbps
         )
-    else:
-        radio = None
     rates_rng, demands_rng = scenario_streams(
         spec.workload.generator if spec.workload else None, spec.seed
     )
@@ -174,16 +163,7 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
         data_rate_mbps=spec.data_rate_mbps,
     )
     try:
-        adaptive = spec.radio_profile is not None and radio_profile_is_adaptive(
-            spec.radio_profile
-        )
-        if adaptive:
-            # SNR-thresholded initial rates; the DynamicsDriver re-applies
-            # them after every position epoch.  RNG-free, so this never
-            # perturbs the link-rate stream of other specs.
-            apply_rate_adaptation(network)
-        else:
-            assign_link_rates(network, spec.rate_mode, rates_rng)
+        assign_link_rates(network, spec.rate_mode, rates_rng)
         meta: dict[str, object] = {
             "topology_generator": spec.topology.kind,
             "node_count": len(positions),
@@ -201,8 +181,8 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
             handles = _add_flows(network, generated)
             meta["transports"] = [flow.transport for flow in generated]
         meta["routes"] = [list(handle.path) for handle in handles]
-        if spec.mobility is not None or spec.churn is not None or adaptive:
-            dynamics: dict[str, object] = {"rate_adaptation": adaptive}
+        if spec.mobility is not None or spec.churn is not None:
+            dynamics: dict[str, object] = {}
             if spec.mobility is not None:
                 dynamics["epoch_s"] = spec.mobility.epoch_s
                 dynamics["trajectory"] = build_mobility(

@@ -4,16 +4,13 @@ The declarative front door to the reproduction: an experiment is fully
 described by a tree of frozen dataclasses —
 
 * :class:`TopologySpec` — where the nodes are: any registered topology
-  generator of :mod:`repro.sim.generators` (chain/line, grid, ring,
-  random-disk, binary-tree, parking-lot, the 18-node testbed) or
-  explicit positions;
-* :class:`RadioSpec` — transmit power, carrier-sense threshold and PHY
-  rates shared by every node;
+  generator of :mod:`repro.sim.generators` (chain, grid, random disk,
+  the 18-node testbed);
 * :class:`FlowSpec` — one explicit traffic flow (transport, route,
   shaping);
 * :class:`WorkloadSpec` — a *generated* flow set: a registered workload
-  generator name (saturated UDP, TCP bulk, mixed TCP/UDP, gravity
-  demands) plus its demand parameters;
+  generator name (mixed TCP/UDP demands, the paper's random pairs) plus
+  its demand parameters;
 * :class:`ProbingSpec` — the broadcast probing system and its warmup;
 * :class:`ControllerSpec` — the online optimizer (alpha-fair objective,
   probing window, interference model), or disabled for the paper's
@@ -43,7 +40,7 @@ from typing import Any, NamedTuple, TypeVar, get_args, get_origin, get_type_hint
 
 from repro.core.utility import AlphaFairUtility
 from repro.monitors.base import monitor_names
-from repro.phy.radio import RATE_TABLE, RadioConfig, rate_from_mbps
+from repro.phy.radio import RATE_TABLE
 from repro.sim.dynamics import mobility_names
 from repro.sim.generators import (
     TOPOLOGIES,
@@ -95,8 +92,16 @@ class SpecError(ValueError):
 #:    iteration in place of scipy's ``linprog``: on a tied face it
 #:    returns the central-path limit, which spreads the tied rate across
 #:    the face, where HiGHS returned a vertex, so alpha = 0 targets
-#:    cached under version 6 can differ from recomputed ones.
-SPEC_SCHEMA_VERSION = 7
+#:    cached under version 6 can differ from recomputed ones;
+#: 8. the spec keeps only the values a run uses: the ``ring``,
+#:    ``binary_tree``, ``parking_lot``, ``positions`` and ``line``
+#:    topologies, the ``saturated_udp``, ``tcp_bulk`` and ``gravity``
+#:    workloads, ``waypoint`` mobility, the ``e2e_latency`` monitor, every
+#:    radio profile but ``hidden_terminal``, ``ScenarioSpec.radio`` and the
+#:    ``testbed`` preset are gone with their fields, so every canonical
+#:    spec dict lost keys (a version 7 dict holding one is refused by
+#:    ``from_dict``, which names it).
+SPEC_SCHEMA_VERSION = 8
 
 
 def spec_digest(spec: "ExperimentSpec | Mapping[str, Any]",
@@ -127,8 +132,6 @@ Positions = dict[int, tuple[float, float]]
 TRANSPORTS = ("udp", "tcp")
 #: ``"mixed"``, or one rate of :data:`RATE_TABLE` in Mb/s for every link.
 RATE_MODES = (*(f"{rate:g}" for rate in RATE_TABLE), "mixed")
-#: Gravity-workload node-weight distributions (:class:`WorkloadSpec`).
-WEIGHT_TAILS = ("uniform", "pareto")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -164,8 +167,7 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
     :class:`SpecError` naming ``where``.
 
     The field types in use are ``bool``/``int``/``float``/``str``, a
-    nested spec, ``tuple[X, ...]``, fixed-arity ``tuple[X, Y, Z]``, and
-    ``X | None`` of any of those.
+    nested spec, ``tuple[X, ...]``, and ``X | None`` of any of those.
     """
     if tp in _SCALARS:
         if tp is int and isinstance(value, float) and value.is_integer():
@@ -184,10 +186,7 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
         return _decode(tp, value, where)
     if get_origin(tp) is tuple:
         _expect(isinstance(value, (list, tuple)), where, "a list", value)
-        if args[-1] is Ellipsis:
-            return tuple(_decode(args[0], item, where) for item in value)
-        _expect(len(value) == len(args), where, f"{len(args)}-item lists", value)
-        return tuple(_decode(arg, item, where) for arg, item in zip(args, value))
+        return tuple(_decode(args[0], item, where) for item in value)
     _expect(isinstance(value, Mapping), where, "a mapping", value)
     return tp.from_dict(value)  # a nested spec
 
@@ -248,27 +247,20 @@ class TopologySpec(_Spec):
 
     ``kind`` is any generator registered with
     :func:`repro.sim.generators.register_topology`; the built-ins are
-    ``"chain"``/``"line"``, ``"grid"``, ``"ring"``, ``"random_disk"``,
-    ``"binary_tree"``, ``"parking_lot"``, ``"testbed"`` and
-    ``"positions"``.  This class is the parameter vocabulary and its
-    defaults; what a kind builds, how many nodes that is and which
-    parameters it rejects is the generator's registration.  Generators
-    read the parameter fields they care about and ignore the rest:
+    ``"chain"``, ``"grid"``, ``"random_disk"`` and ``"testbed"``.  This
+    class is the parameter vocabulary and its defaults; what a kind
+    builds, how many nodes that is and which parameters it rejects is
+    the generator's registration.  Generators read the parameter fields
+    they care about and ignore the rest:
 
     Attributes:
         kind: registered topology generator name.
-        num_nodes: node count for chains/lines, rings, random disks; the
-            backbone length for parking lots.
+        num_nodes: node count for chains and random disks.
         rows / cols: grid dimensions (``kind="grid"``).
-        spacing_m: inter-node spacing for chains, grids, trees and
-            parking-lot backbones.
+        spacing_m: inter-node spacing for chains and grids.
         jitter_m: placement jitter for the testbed layout.
-        radius_m: circle radius for rings, disk radius for random disks.
-        depth: number of levels of a binary tree (``2**depth - 1`` nodes).
+        radius_m: disk radius for random disks.
         min_separation_m: minimum pairwise node distance for random disks.
-        stub_m: entry-stub offset off the parking-lot backbone.
-        positions: explicit ``(node_id, x, y)`` triples
-            (``kind="positions"``).
     """
 
     kind: str = "chain"
@@ -278,10 +270,7 @@ class TopologySpec(_Spec):
     spacing_m: float = 60.0
     jitter_m: float = 6.0
     radius_m: float = 150.0
-    depth: int = 3
     min_separation_m: float = 25.0
-    stub_m: float = 45.0
-    positions: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self) -> None:
         _require(self.kind in TOPOLOGIES,
@@ -290,7 +279,6 @@ class TopologySpec(_Spec):
         _require(self.spacing_m > 0, "spacing_m must be positive")
         _require(self.radius_m > 0, "radius_m must be positive")
         _require(self.min_separation_m >= 0, "min_separation_m must be non-negative")
-        _require(self.stub_m > 0, "stub_m must be positive")
         problem = self._generator.problem(self)
         _require(not problem, str(problem))
 
@@ -307,38 +295,9 @@ class TopologySpec(_Spec):
         return self._generator.node_count(self)
 
     def describe(self) -> str:
-        """Kind and size, e.g. ``grid 2x3`` or ``ring 6``."""
+        """Kind and size, e.g. ``grid 2x3`` or ``chain 4``."""
         shape = self._generator.shape or self._generator.node_count
         return f"{self.kind} {shape(self)}"
-
-
-# ---------------------------------------------------------------------------
-# Radio
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RadioSpec(_Spec):
-    """Radio configuration shared by all nodes (see :class:`RadioConfig`)."""
-
-    tx_power_dbm: float = 19.0
-    cs_threshold_dbm: float = -91.0
-    antenna_gain_dbi: float = 5.0
-    data_rate_mbps: float = 11.0
-    basic_rate_mbps: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("data_rate_mbps", "basic_rate_mbps"):
-            value = getattr(self, name)
-            _require(value in RATE_TABLE,
-                     f"{name} must be one of {sorted(RATE_TABLE)}, got {value!r}")
-
-    def build(self) -> RadioConfig:
-        return RadioConfig(
-            tx_power_dbm=self.tx_power_dbm,
-            cs_threshold_dbm=self.cs_threshold_dbm,
-            antenna_gain_dbi=self.antenna_gain_dbi,
-            data_rate=rate_from_mbps(self.data_rate_mbps),
-            basic_rate=rate_from_mbps(self.basic_rate_mbps),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +340,7 @@ class WorkloadSpec(_GeneratorSpec):
 
     ``generator`` is any name registered with
     :func:`repro.sim.generators.register_workload`; the built-ins are
-    ``"saturated_udp"``, ``"tcp_bulk"``, ``"mixed_tcp_udp"``,
-    ``"gravity"`` and ``"random_pairs"``.  The generator routes its
+    ``"mixed_tcp_udp"`` and ``"random_pairs"``.  The generator routes its
     demands over ETT paths of the built network and draws all randomness
     from a stream of the scenario seed
     (:func:`repro.sim.generators.scenario_streams`), so the same spec
@@ -390,27 +348,16 @@ class WorkloadSpec(_GeneratorSpec):
 
     ``rate_bps`` follows :class:`FlowSpec` semantics for the UDP flows a
     generator emits: ``None`` saturates, ``0.0`` starts idle until the
-    controller programs the flow, a positive value is a CBR rate (the
-    ``gravity`` generator splits ``rate_bps * num_flows`` across demands
-    by gravity weight instead of handing every flow the same rate).
-
-    ``weight_tail`` selects the gravity node-weight distribution:
-    ``"uniform"`` (the historical default) or ``"pareto"``, which draws
-    heavy-tailed Lomax weights with shape ``tail_index`` so a few nodes
-    dominate the traffic matrix, as in measured mesh deployments.  Both
-    fields are ignored by the non-gravity generators.
+    controller programs the flow, a positive value is a CBR rate.
     """
 
-    generator: str = "saturated_udp"
+    generator: str = "mixed_tcp_udp"
     num_flows: int = 4
     max_hops: int = 4
     rate_bps: float | None = None
     tcp_fraction: float = 0.5
     payload_bytes: int = 1470
     mss_bytes: int = 1460
-    demand_exponent: float = 1.0
-    weight_tail: str = "uniform"
-    tail_index: float = 1.5
 
     def __post_init__(self) -> None:
         _require(self.generator in workload_names(),
@@ -424,11 +371,6 @@ class WorkloadSpec(_GeneratorSpec):
                  "tcp_fraction must lie in [0, 1]")
         _require(self.payload_bytes > 0 and self.mss_bytes > 0,
                  "payload_bytes and mss_bytes must be positive")
-        _require(self.demand_exponent > 0, "demand_exponent must be positive")
-        _require(self.weight_tail in WEIGHT_TAILS,
-                 f"weight_tail must be one of {WEIGHT_TAILS}, "
-                 f"got {self.weight_tail!r}")
-        _require(self.tail_index > 0, "tail_index must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +381,10 @@ class MobilitySpec(_GeneratorSpec):
     """Node mobility for a ``generated`` scenario.
 
     ``model`` is any name registered with
-    :func:`repro.sim.dynamics.register_mobility`; the built-ins are
-    ``"waypoint"`` (random waypoint inside the initial bounding box plus
-    ``area_margin_m``, moving at ``speed_mps`` and pausing ``pause_s`` at
-    each target) and ``"drift"`` (per-epoch Gaussian displacement with
-    standard deviation ``drift_sigma_m``, clipped to the same box).
+    :func:`repro.sim.dynamics.register_mobility`; the built-in is
+    ``"drift"``: per-epoch Gaussian displacement with standard deviation
+    ``drift_sigma_m``, clipped to the initial bounding box plus
+    ``area_margin_m``.
 
     Positions advance in discrete *position epochs* every ``epoch_s``
     seconds of virtual time; each epoch the
@@ -454,10 +395,8 @@ class MobilitySpec(_GeneratorSpec):
     simulation streams.
     """
 
-    model: str = "waypoint"
+    model: str = "drift"
     epoch_s: float = 1.0
-    speed_mps: float = 1.5
-    pause_s: float = 0.0
     drift_sigma_m: float = 2.0
     area_margin_m: float = 25.0
 
@@ -466,8 +405,6 @@ class MobilitySpec(_GeneratorSpec):
                  f"mobility model must be a registered name, one of "
                  f"{mobility_names()}; got {self.model!r}")
         _require(self.epoch_s > 0, "epoch_s must be positive")
-        _require(self.speed_mps >= 0, "speed_mps must be non-negative")
-        _require(self.pause_s >= 0, "pause_s must be non-negative")
         _require(self.drift_sigma_m >= 0, "drift_sigma_m must be non-negative")
         _require(self.area_margin_m >= 0, "area_margin_m must be non-negative")
 
@@ -567,9 +504,9 @@ class ScenarioSpec(_Spec):
     (:func:`repro.experiment.registry.register_scenario`).  The built-in
     ``"generated"`` composes a topology generator (``topology``), a
     workload generator (``workload``, or explicit ``flows``) and a radio
-    (``radio``, or a named ``radio_profile`` resolved at build time at
-    ``data_rate_mbps``); ``"chain"``, ``"testbed"``,
-    ``"random_multiflow"`` and ``"starvation"`` are presets, each
+    (the default one, or a named ``radio_profile`` resolved at build time
+    at ``data_rate_mbps``); ``"chain"``, ``"random_multiflow"`` and
+    ``"starvation"`` are presets, each
     standing for a ``generated`` spec (:data:`SCENARIO_PRESETS`).
     ``seed`` fixes topology and shadowing; ``run_seed`` (defaulting to
     ``seed``) re-seeds only traffic/backoff randomness so one physical
@@ -582,8 +519,7 @@ class ScenarioSpec(_Spec):
     the build: ``generated`` takes its demand knobs from
     :class:`WorkloadSpec`, so ``num_flows`` / ``max_hops`` /
     ``transport`` belong to the presets.  Names registered elsewhere are
-    not checked.  ``radio`` and ``radio_profile`` are mutually
-    exclusive, as are ``flows`` and ``workload``.
+    not checked.  ``flows`` and ``workload`` are mutually exclusive.
     """
 
     scenario: str = "chain"
@@ -592,7 +528,6 @@ class ScenarioSpec(_Spec):
     data_rate_mbps: float = 11.0
     shadowing_sigma_db: float | None = None
     topology: TopologySpec | None = None
-    radio: RadioSpec | None = None
     radio_profile: str | None = None
     flows: tuple[FlowSpec, ...] = ()
     workload: WorkloadSpec | None = None
@@ -618,8 +553,6 @@ class ScenarioSpec(_Spec):
                  f"rate_mode must be one of {RATE_MODES}, got {self.rate_mode!r}")
         _require(self.transport in TRANSPORTS,
                  f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
-        _require(self.radio is None or self.radio_profile is None,
-                 "give either radio or radio_profile, not both")
         _require(not (self.flows and self.workload is not None),
                  "give either explicit flows or a workload generator, not both")
         _require(self.radio_profile is None
@@ -647,7 +580,7 @@ class ScenarioSpec(_Spec):
             parts.append(self.workload.generator)
         elif self.flows:
             parts.append(f"{len(self.flows)} flow(s)")
-        if self.radio_profile and self.radio_profile != "default":
+        if self.radio_profile:
             parts.append(self.radio_profile)
         if self.mobility is not None:
             parts.append(f"{self.mobility.model} mobility")
@@ -666,15 +599,9 @@ _PRESET_ONLY = frozenset({"num_flows", "max_hops", "transport"})
 
 
 def _fixed_rate(spec: ScenarioSpec) -> str:
-    """Every link at ``data_rate_mbps``, as ``chain``, ``testbed`` and
-    ``starvation`` have always run."""
+    """Every link at ``data_rate_mbps``, as ``chain`` and ``starvation``
+    have always run."""
     return f"{spec.data_rate_mbps:g}"
-
-
-def _testbed_sigma(spec: ScenarioSpec) -> float:
-    """The testbed presets shadow at 6 dB unless told otherwise, for link
-    diversity (``generated`` shadows only when asked)."""
-    return 6.0 if spec.shadowing_sigma_db is None else spec.shadowing_sigma_db
 
 
 def _no_meta(spec: ScenarioSpec, flows: list[Any]) -> dict[str, object]:
@@ -706,20 +633,14 @@ def _chain(spec: ScenarioSpec) -> dict[str, Any]:
     return {"topology": topology, "flows": flows, "rate_mode": _fixed_rate(spec)}
 
 
-def _testbed(spec: ScenarioSpec) -> dict[str, Any]:
-    if not spec.flows:
-        raise SpecError("the 'testbed' scenario needs explicit FlowSpecs")
-    return {"topology": TopologySpec(kind="testbed"), "rate_mode": _fixed_rate(spec),
-            "shadowing_sigma_db": _testbed_sigma(spec)}
-
-
 def _random_multiflow(spec: ScenarioSpec) -> dict[str, Any]:
     workload = WorkloadSpec(
         generator="random_pairs", num_flows=spec.num_flows, max_hops=spec.max_hops,
         rate_bps=0.0, tcp_fraction=float(spec.transport == "tcp"),
     )
+    # The testbed shadows at 6 dB, for link diversity.
     return {"topology": TopologySpec(kind="testbed"), "workload": workload,
-            "shadowing_sigma_db": _testbed_sigma(spec)}
+            "shadowing_sigma_db": 6.0}
 
 
 def _starvation(spec: ScenarioSpec) -> dict[str, Any]:
@@ -736,14 +657,9 @@ def _starvation(spec: ScenarioSpec) -> dict[str, Any]:
 SCENARIO_PRESETS: dict[str, ScenarioPreset] = {
     # N-node chain with explicit flows (deterministic propagation)
     "chain": ScenarioPreset(
-        frozenset({"data_rate_mbps", "shadowing_sigma_db", "topology", "radio", "flows",
+        frozenset({"data_rate_mbps", "shadowing_sigma_db", "topology", "flows",
                    "transport"}),
         _chain,
-    ),
-    # the synthetic 18-node testbed with explicit flows
-    "testbed": ScenarioPreset(
-        frozenset({"data_rate_mbps", "shadowing_sigma_db", "radio", "flows"}),
-        _testbed,
     ),
     # ETT-routed random multi-flow testbed configuration (Sections 4.5/6.3)
     "random_multiflow": ScenarioPreset(
@@ -788,8 +704,8 @@ class ExperimentSpec(_Spec):
     from throughput accounting.
 
     ``monitors`` names run-time monitors from the
-    :mod:`repro.monitors` registry (``"pdr"``, ``"throughput"``,
-    ``"e2e_latency"``) attached when the flows start; each samples every
+    :mod:`repro.monitors` registry (``"pdr"``, ``"throughput"``)
+    attached when the flows start; each samples every
     ``monitor_interval_s`` of virtual time and emits typed per-flow time
     series into :attr:`ExperimentResult.monitors`.  Monitor selection
     lives on the spec — not an environment knob — because the series are

@@ -1,7 +1,7 @@
 """Typed run-time monitors: per-flow time series for dynamic scenarios.
 
-Importing this package registers the built-in monitors (``pdr``,
-``throughput``, ``e2e_latency``) — :mod:`repro.experiment.specs`
+Importing this package registers the built-in monitors (``pdr`` and
+``throughput``) — :mod:`repro.experiment.specs`
 validates ``ExperimentSpec.monitors`` against :func:`monitor_names`, so
 registration must be an import side effect of the package itself.
 """

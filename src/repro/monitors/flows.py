@@ -1,4 +1,4 @@
-"""The built-in per-flow monitors: PDR, throughput, end-to-end latency.
+"""The built-in per-flow monitors: PDR and throughput.
 
 Each monitor samples every configured flow once per window and appends
 to a per-flow series, regardless of transport: UDP flows are observed
@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.net.packet import Packet, PacketKind
 from repro.monitors.base import FlowSeries, register_monitor
 
-__all__ = ["E2ELatencyMonitor", "PDRMonitor", "ThroughputMonitor"]
+__all__ = ["PDRMonitor", "ThroughputMonitor"]
 
 
 @dataclass
@@ -137,59 +136,6 @@ class ThroughputMonitor:
             builder.append(
                 window_end, view.handle.throughput_bps(window_start, window_end)
             )
-
-    def series(self) -> list[FlowSeries]:
-        return [builder.build() for builder in self._builders]
-
-
-@register_monitor("e2e_latency")
-class E2ELatencyMonitor:
-    """Mean end-to-end delay (``now - packet.created_at``) of the data
-    packets delivered to each flow's destination during the window.
-
-    Observes deliveries directly via the destination node's delivery
-    handlers (the same hook the transport sinks use), so retransmitted
-    TCP segments that arrive as duplicates are included — this is a MAC
-    and queueing delay measure, not a goodput one.  A window with no
-    deliveries reports 0.0.
-    """
-
-    name = "e2e_latency"
-    metric = "e2e_latency_s"
-
-    _DATA_KINDS = (PacketKind.UDP, PacketKind.TCP_DATA)
-
-    def attach(self, network: Any, flows: list[Any]) -> None:
-        views = _flow_views(flows)
-        self._builders = [_SeriesBuilder(view.flow_id, self.metric) for view in views]
-        # sum of delays and delivery count accumulated in the open window
-        self._accum: dict[int, tuple[float, int]] = {
-            view.flow_id: (0.0, 0) for view in views
-        }
-        self._order = [view.flow_id for view in views]
-        for view in views:
-            destination = network.nodes[view.handle.path[-1]]
-            destination.add_delivery_handler(
-                self._make_handler(view.flow_id, destination)
-            )
-
-    def _make_handler(self, flow_id: int, node: Any) -> Callable[[Packet, int], None]:
-        def on_delivery(packet: Packet, from_id: int) -> None:
-            if packet.kind not in self._DATA_KINDS or packet.flow_id != flow_id:
-                return
-            total, count = self._accum[flow_id]
-            self._accum[flow_id] = (
-                total + (node.sim.now - packet.created_at),
-                count + 1,
-            )
-
-        return on_delivery
-
-    def sample(self, window_start: float, window_end: float) -> None:
-        for flow_id, builder in zip(self._order, self._builders):
-            total, count = self._accum[flow_id]
-            self._accum[flow_id] = (0.0, 0)
-            builder.append(window_end, total / count if count else 0.0)
 
     def series(self) -> list[FlowSeries]:
         return [builder.build() for builder in self._builders]

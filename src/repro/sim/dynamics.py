@@ -1,13 +1,11 @@
-"""Scenario dynamics: mobility trajectories, churn schedules and
-SNR-threshold rate adaptation.
+"""Scenario dynamics: mobility trajectories and churn schedules.
 
 The paper's contribution is an *online* optimizer for a live mesh — its
 measurement/re-optimization loop only earns its keep when the network
-changes underneath it.  This module supplies the three dynamics axes a
+changes underneath it.  This module supplies the two dynamics axes a
 ``generated`` scenario can declare (:class:`repro.experiment.specs.MobilitySpec`,
-:class:`~repro.experiment.specs.ChurnSpec`, the ``rate_adaptation``
-radio profile) and the :class:`DynamicsDriver` that plays them out
-against a built :class:`~repro.sim.network.MeshNetwork`:
+:class:`~repro.experiment.specs.ChurnSpec`) and the :class:`DynamicsDriver`
+that plays them out against a built :class:`~repro.sim.network.MeshNetwork`:
 
 * **Mobility models** are registered trajectory builders
   (:func:`register_mobility`).  A trajectory advances node positions one
@@ -19,10 +17,6 @@ against a built :class:`~repro.sim.network.MeshNetwork`:
   fail/join event lists; the driver applies them via
   :meth:`MeshNetwork.fail_node` / :meth:`MeshNetwork.revive_node`,
   which quiesce or revive the node's MAC deterministically.
-* **Rate adaptation** (:func:`apply_rate_adaptation`) re-selects every
-  directed link's modulation from its current SNR — at build time and
-  again after every position epoch — using the same 24 dB 1↔11 Mb/s
-  threshold the ``mixed`` static assignment centres on.
 
 Determinism discipline: trajectory and churn randomness come from
 model-private ``rng_spawn_key`` streams seeded by the scenario ``seed``
@@ -43,7 +37,6 @@ import numpy as np
 
 from repro.engine import named_rng
 from repro.registry import Registry
-from repro.sim.generators import RATE_ADAPTATION_SNR_DB, apply_rate_adaptation
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import bounding_box
 
@@ -53,8 +46,6 @@ __all__ = [
     "ChurnEvent",
     "DynamicsDriver",
     "Trajectory",
-    "RATE_ADAPTATION_SNR_DB",
-    "apply_rate_adaptation",
     "build_mobility",
     "generate_churn_schedule",
     "mobility_names",
@@ -120,69 +111,6 @@ def build_mobility(
 # The ``params.get`` defaults below are the library-level defaults of
 # :func:`build_mobility` for callers that pass a partial dict; a
 # ``MobilitySpec`` always passes every parameter.
-@register_mobility("waypoint")
-class _WaypointTrajectory(Trajectory):
-    """Random waypoint inside the initial bounding box plus margin."""
-
-    def __init__(self, positions: Positions, params: Mapping[str, Any], seed: int) -> None:
-        self._order = sorted(positions)
-        self._pos = {node: positions[node] for node in self._order}
-        self._box = bounding_box(positions, params.get("area_margin_m", 25.0))
-        self._epoch_s = params.get("epoch_s", 1.0)
-        self._speed = params.get("speed_mps", 1.5)
-        self._pause_s = params.get("pause_s", 0.0)
-        self._rng = mobility_rng("waypoint", seed)
-        self._target: dict[int, tuple[float, float] | None] = {
-            node: None for node in self._order
-        }
-        self._pause_left: dict[int, float] = {node: 0.0 for node in self._order}
-
-    def _draw_target(self) -> tuple[float, float]:
-        x_min, x_max, y_min, y_max = self._box
-        return (
-            float(self._rng.uniform(x_min, x_max)),
-            float(self._rng.uniform(y_min, y_max)),
-        )
-
-    def step(self) -> Positions:
-        speed = self._speed
-        for node in self._order:
-            if speed <= 0.0:
-                break
-            remaining = self._epoch_s
-            x, y = self._pos[node]
-            # A node can pause, arrive and re-target several times within
-            # one epoch; the leg count is bounded to keep a degenerate
-            # geometry (zero-length legs with no pause) from spinning.
-            for _ in range(64):
-                if remaining <= 1e-12:
-                    break
-                pause = self._pause_left[node]
-                if pause > 0.0:
-                    used = min(pause, remaining)
-                    self._pause_left[node] = pause - used
-                    remaining -= used
-                    continue
-                target = self._target[node]
-                if target is None:
-                    target = self._draw_target()
-                    self._target[node] = target
-                dx, dy = target[0] - x, target[1] - y
-                dist = (dx * dx + dy * dy) ** 0.5
-                reach = speed * remaining
-                if reach >= dist:
-                    x, y = target
-                    remaining -= dist / speed
-                    self._target[node] = None
-                    self._pause_left[node] = self._pause_s
-                else:
-                    x += dx * reach / dist
-                    y += dy * reach / dist
-                    remaining = 0.0
-            self._pos[node] = (x, y)
-        return dict(self._pos)
-
-
 @register_mobility("drift")
 class _DriftTrajectory(Trajectory):
     """Per-epoch Gaussian displacement clipped to the initial box."""
@@ -266,10 +194,9 @@ class DynamicsDriver:
     schedules
 
     * a self-rechaining position-epoch event every ``epoch_s`` seconds
-      when a trajectory is present — each epoch advances the trajectory,
-      pushes the moved nodes through
-      :meth:`MeshNetwork.update_positions` and, for adaptive-rate
-      scenarios, re-applies :func:`apply_rate_adaptation`;
+      when a trajectory is present — each epoch advances the trajectory
+      and pushes the moved nodes through
+      :meth:`MeshNetwork.update_positions`;
     * one absolute-time event per :class:`ChurnEvent`, applied via
       :meth:`MeshNetwork.fail_node` / :meth:`MeshNetwork.revive_node`.
 
@@ -287,7 +214,6 @@ class DynamicsDriver:
         trajectory: Trajectory | None = None,
         epoch_s: float = 1.0,
         churn: list[ChurnEvent] | tuple[ChurnEvent, ...] = (),
-        rate_adaptation: bool = False,
     ) -> None:
         if epoch_s <= 0:
             raise ValueError("epoch_s must be positive")
@@ -295,12 +221,10 @@ class DynamicsDriver:
         self.trajectory = trajectory
         self.epoch_s = float(epoch_s)
         self.churn = tuple(churn)
-        self.rate_adaptation = bool(rate_adaptation)
         self._installed = False
         self.meta: dict[str, Any] = {
             "mobility_model": trajectory.model if trajectory is not None else None,
             "epoch_s": self.epoch_s if trajectory is not None else None,
-            "rate_adaptation": self.rate_adaptation,
             "churn_schedule": [
                 [event.time_s, event.node_id, event.action] for event in self.churn
             ],
@@ -332,8 +256,6 @@ class DynamicsDriver:
         }
         if moved:
             self.network.update_positions(moved)
-            if self.rate_adaptation:
-                apply_rate_adaptation(self.network)
         self.meta["epochs_applied"] += 1
         self.meta["nodes_moved"] += len(moved)
         self.network.sim.schedule(self.epoch_s, self._on_epoch)

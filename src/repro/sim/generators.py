@@ -6,19 +6,17 @@ scenario construction into three orthogonal, independently registered
 axes:
 
 * **Topology generators** map parameters plus a seed to node positions
-  (:data:`Positions`).  Built-ins cover the classic mesh layouts —
-  chain/line, grid, ring, random-disk, binary-tree, parking-lot — plus
-  the paper's 18-node testbed and explicit coordinates.  Each is one
+  (:data:`Positions`).  Built-ins are the chain, the grid, the random
+  disk and the paper's 18-node testbed.  Each is one
   :func:`register_topology` declaration (:class:`TopologyGenerator`):
   build, node count, validity.
 * **Workload generators** map a built :class:`MeshNetwork` plus demand
   parameters to a list of :class:`GeneratedFlow`\\ s over ETT-routed
-  paths: saturated-UDP random demands, TCP bulk transfers, mixed
-  TCP/UDP, gravity-style weighted demands, and the rejection-sampled
-  pairs of the Sections 4.5 / 6.3 configurations.  Register new ones
-  with :func:`register_workload`.
+  paths: mixed TCP/UDP random demands, and the rejection-sampled pairs
+  of the Sections 4.5 / 6.3 configurations.  Register new ones with
+  :func:`register_workload`.
 * **Radio profiles** are named radio parameter presets
-  (:func:`radio_profile_config`), including the reduced-carrier-sense
+  (:func:`radio_profile_config`): the reduced-carrier-sense
   ``hidden_terminal`` configuration the Figure 13 starvation scenario is
   built on.
 
@@ -48,12 +46,9 @@ from repro.phy.radio import RATE_1MBPS, RATE_11MBPS, RadioConfig, rate_from_mbps
 from repro.registry import Registry
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import (
-    binary_tree_topology,
     chain_topology,
     grid_topology,
-    parking_lot_topology,
     random_disk_topology,
-    ring_topology,
     testbed_positions,
 )
 
@@ -73,8 +68,6 @@ __all__ = [
     "radio_profile_names",
     "radio_profile_params",
     "radio_profile_config",
-    "radio_profile_is_adaptive",
-    "ADAPTIVE_RADIO_PROFILES",
     "assign_link_rates",
     "ett_link_weights",
     "ground_truth_link_error",
@@ -141,10 +134,9 @@ def ett_link_weights(
     return weights
 
 
-#: SNR (dB) at which a link is strong enough for 11 Mb/s: the fixed
-#: threshold of rate adaptation, and the centre of the jittered one the
-#: static ``mixed`` assignment draws around.
-RATE_ADAPTATION_SNR_DB = 24.0
+#: SNR (dB) at which a link is strong enough for 11 Mb/s: the centre of
+#: the jittered threshold the ``mixed`` assignment draws around.
+MIXED_RATE_SNR_DB = 24.0
 
 
 def assign_link_rates(
@@ -163,23 +155,9 @@ def assign_link_rates(
     for link, snr in link_snrs(network):
         rate = fixed
         if rate is None:
-            threshold = RATE_ADAPTATION_SNR_DB + float(rng.uniform(-2.0, 2.0))
+            threshold = MIXED_RATE_SNR_DB + float(rng.uniform(-2.0, 2.0))
             rate = RATE_11MBPS if snr >= threshold else RATE_1MBPS
         network.set_link_rate(link, rate)
-
-
-def apply_rate_adaptation(network: MeshNetwork) -> None:
-    """Select every directed link's modulation from its current SNR.
-
-    Deliberately RNG-free (a fixed 24 dB threshold, no per-link jitter):
-    re-applying it after every position epoch must not consume any
-    stream, so rate adaptation composes with mobility without perturbing
-    other randomness.
-    """
-    for link, snr in link_snrs(network):
-        network.set_link_rate(
-            link, RATE_11MBPS if snr >= RATE_ADAPTATION_SNR_DB else RATE_1MBPS
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +216,13 @@ def register_topology(
     return decorator
 
 
-_CHAIN: dict[str, Any] = dict(
+@register_topology(
+    "chain",
     node_count=lambda t: t.num_nodes,
     problem=lambda t: t.num_nodes < 2 and "a chain needs at least two nodes",
 )
-
-
-@register_topology("line", **_CHAIN)
-@register_topology("chain", **_CHAIN)
 def _chain(t: Any, seed: int) -> Positions:
-    """N nodes in a line (classic multi-hop chain); ``line`` is an alias."""
+    """N nodes in a line (classic multi-hop chain)."""
     return chain_topology(t.num_nodes, t.spacing_m)
 
 
@@ -263,16 +238,6 @@ def _grid(t: Any, seed: int) -> Positions:
 
 
 @register_topology(
-    "ring",
-    node_count=lambda t: t.num_nodes,
-    problem=lambda t: t.num_nodes < 3 and "a ring needs at least three nodes",
-)
-def _ring(t: Any, seed: int) -> Positions:
-    """N nodes evenly spaced on a circle."""
-    return ring_topology(t.num_nodes, t.radius_m)
-
-
-@register_topology(
     "random_disk",
     node_count=lambda t: t.num_nodes,
     problem=lambda t: t.num_nodes < 2 and "a random disk needs at least two nodes",
@@ -285,51 +250,12 @@ def _random_disk(t: Any, seed: int) -> Positions:
 
 
 @register_topology(
-    "binary_tree",
-    node_count=lambda t: 2**t.depth - 1,
-    problem=lambda t: t.depth < 2 and "a binary tree needs at least two levels",
-    shape=lambda t: f"d{t.depth}",
-)
-def _binary_tree(t: Any, seed: int) -> Positions:
-    """Complete binary tree aggregating towards a root gateway."""
-    return binary_tree_topology(t.depth, t.spacing_m)
-
-
-@register_topology(
-    "parking_lot",
-    node_count=lambda t: 2 * t.num_nodes - 1,
-    problem=lambda t: t.num_nodes < 2
-    and "a parking lot needs a backbone of at least two nodes",
-)
-def _parking_lot(t: Any, seed: int) -> Positions:
-    """Backbone chain with one entry stub per junction."""
-    return parking_lot_topology(t.num_nodes, t.spacing_m, t.stub_m)
-
-
-@register_topology(
     "testbed",
     node_count=lambda t: 18,
 )
 def _testbed(t: Any, seed: int) -> Positions:
     """The paper's synthetic 18-node testbed layout."""
     return testbed_positions(seed=seed, jitter_m=t.jitter_m)
-
-
-@register_topology(
-    "positions",
-    node_count=lambda t: len(t.positions),
-    problem=lambda t: (
-        len(t.positions) < 2 and "explicit topologies need at least two nodes"
-    )
-    or (
-        len({node for node, _, _ in t.positions}) < len(t.positions)
-        and "duplicate node ids in positions"
-    ),
-)
-def _positions(t: Any, seed: int) -> Positions:
-    """Explicit (node, x, y) coordinates."""
-    # Coordinates may be declared as ints; Positions are float pairs.
-    return {node: (float(x), float(y)) for node, x, y in t.positions}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +265,6 @@ def _positions(t: Any, seed: int) -> Positions:
 #: defaults; the data/basic modulation rates are supplied by the caller
 #: (scenarios carry their own ``data_rate_mbps``).
 RADIO_PROFILES: dict[str, dict[str, float]] = {
-    "default": {},
     # Reduced carrier-sense sensitivity: with the default -91 dBm CS
     # threshold every node of a short chain senses every other, which
     # masks hidden-terminal collisions.  Raising the threshold (a knob
@@ -347,29 +272,7 @@ RADIO_PROFILES: dict[str, dict[str, float]] = {
     # hops — the data/ACK collision pattern of Shi et al. that the
     # Figure 13 TCP starvation scenario studies.
     "hidden_terminal": {"cs_threshold_dbm": -74.0},
-    # Milder CS reduction used by the Section 4.3 pair pathologies.
-    "reduced_cs": {"cs_threshold_dbm": -85.0},
-    # Power variants: denser single-cell coverage vs. more spatial reuse.
-    "high_power": {"tx_power_dbm": 25.0},
-    "low_power": {"tx_power_dbm": 12.0},
-    # SNR-threshold auto-rate: radio parameters are the defaults, but the
-    # scenario builder assigns per-link modulations from the current SNR
-    # (apply_rate_adaptation) and re-assigns them on every position
-    # epoch instead of freezing rates at build time.
-    "rate_adaptation": {},
 }
-
-#: Profiles whose link rates track the channel instead of being frozen at
-#: build time.  Their parameter dict must stay empty so
-#: :func:`radio_profile_config` still yields a default radio; the
-#: behavioural difference lives in the scenario builder, which calls
-#: :func:`apply_rate_adaptation` at build and on every position epoch.
-ADAPTIVE_RADIO_PROFILES: frozenset[str] = frozenset({"rate_adaptation"})
-
-
-def radio_profile_is_adaptive(name: str) -> bool:
-    """Whether a named profile re-selects link rates as the channel moves."""
-    return name in ADAPTIVE_RADIO_PROFILES
 
 
 def radio_profile_names() -> list[str]:
@@ -432,9 +335,6 @@ class WorkloadContext:
     tcp_fraction: float = 0.5
     payload_bytes: int = 1470
     mss_bytes: int = 1460
-    demand_exponent: float = 1.0
-    weight_tail: str = "uniform"
-    tail_index: float = 1.5
 
     def routable_demands(self) -> list[tuple[int, int, list[int]]]:
         """Every ordered ``(src, dst, path)`` whose ETT route fits
@@ -451,46 +351,22 @@ class WorkloadContext:
                     demands.append((src, dst, path))
         return demands
 
-    def sample_demand_indices(
-        self,
-        weights: "np.ndarray | None" = None,
-        candidates: list[tuple[int, int, list[int]]] | None = None,
-    ) -> tuple[list[tuple[int, int, list[int]]], list[int]]:
-        """All routable demands plus ``num_flows`` sampled indices into
-        them (all indices when fewer exist), without replacement and
-        optionally biased by per-candidate ``weights``.  The indices are
-        returned sorted, so selection order is deterministic given the
-        RNG stream.  Generators that need per-demand metadata (gravity
-        weights) use the indices; plain generators use
-        :meth:`sample_demands`.
-        """
-        if candidates is None:
-            candidates = self.routable_demands()
+    def sample_demands(self) -> list[tuple[int, int, list[int]]]:
+        """``num_flows`` routable demands sampled uniformly without
+        replacement (all of them when fewer exist), in candidate order,
+        so selection is deterministic given the RNG stream."""
+        candidates = self.routable_demands()
         if not candidates:
             raise RuntimeError(
                 "no routable demands: every candidate route exceeds "
                 f"max_hops={self.max_hops} or has no usable links — "
-                "if the topology is sparse (large ring radius, wide "
-                "random disk), shrink the geometry, drop data_rate_mbps "
-                "to 1, or raise max_hops"
+                "if the topology is sparse (wide random disk), shrink the "
+                "geometry, drop data_rate_mbps to 1, or raise max_hops"
             )
         if len(candidates) <= self.num_flows:
-            return candidates, list(range(len(candidates)))
-        p = None
-        if weights is not None:
-            total = float(weights.sum())
-            if total > 0:
-                p = weights / total
-        chosen = self.rng.choice(
-            len(candidates), size=self.num_flows, replace=False, p=p
-        )
-        return candidates, sorted(int(index) for index in chosen)
-
-    def sample_demands(self) -> list[tuple[int, int, list[int]]]:
-        """``num_flows`` routable demands sampled uniformly without
-        replacement (all of them when fewer exist)."""
-        candidates, indices = self.sample_demand_indices()
-        return [candidates[index] for index in indices]
+            return candidates
+        chosen = self.rng.choice(len(candidates), size=self.num_flows, replace=False)
+        return [candidates[index] for index in sorted(int(index) for index in chosen)]
 
     def flow(
         self, transport: str, path: list[int], rate_bps: float | None = None
@@ -534,18 +410,6 @@ def scenario_streams(
     return named_rng(seed, "generated.link_rates"), workload
 
 
-@register_workload("saturated_udp")
-def _saturated_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
-    """Backlogged UDP over randomly sampled routable demands."""
-    return [ctx.flow("udp", path, ctx.rate_bps) for _, _, path in ctx.sample_demands()]
-
-
-@register_workload("tcp_bulk")
-def _tcp_bulk(ctx: WorkloadContext) -> list[GeneratedFlow]:
-    """Window-limited TCP bulk transfers over routed demands."""
-    return [ctx.flow("tcp", path) for _, _, path in ctx.sample_demands()]
-
-
 @register_workload("mixed_tcp_udp")
 def _mixed_tcp_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
     """Per-flow coin flip between TCP bulk and UDP at ``tcp_fraction``."""
@@ -556,56 +420,6 @@ def _mixed_tcp_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
         else:
             flows.append(ctx.flow("udp", path, ctx.rate_bps))
     return flows
-
-
-@register_workload("gravity")
-def _gravity(ctx: WorkloadContext) -> list[GeneratedFlow]:
-    """Gravity-style demands: each node draws a weight, a demand (i, j)
-    attracts traffic proportionally to ``(w_i * w_j) ** demand_exponent``.
-    With a positive ``rate_bps`` the total budget ``rate_bps * num_flows``
-    is split across the chosen demands proportionally to their gravity
-    weight; with ``rate_bps=None`` sources are saturated and the weights
-    only bias *which* demands exist.
-
-    ``weight_tail="pareto"`` swaps the uniform node weights for
-    heavy-tailed Lomax draws (``1 + Pareto(tail_index)``), so a handful
-    of nodes dominate the traffic matrix as in measured deployments.  The
-    uniform branch keeps its historical draw — one ``uniform`` vector of
-    ``len(node_ids)`` — bit for bit, so pre-v3 specs replay unchanged."""
-    node_ids = ctx.network.node_ids
-    if ctx.weight_tail == "pareto":
-        draws = ctx.rng.pareto(ctx.tail_index, size=len(node_ids)) + 1.0
-    else:
-        draws = ctx.rng.uniform(0.1, 1.0, size=len(node_ids))
-    node_weight = {node: float(w) for node, w in zip(node_ids, draws)}
-    candidates = ctx.routable_demands()
-    gravity = np.array(
-        [
-            (node_weight[src] * node_weight[dst]) ** ctx.demand_exponent
-            for src, dst, _ in candidates
-        ],
-        dtype=float,
-    )
-    candidates, indices = ctx.sample_demand_indices(
-        weights=gravity, candidates=candidates
-    )
-    chosen = [candidates[i] for i in indices]
-    chosen_gravity = gravity[indices]
-    rates: list[float | None]
-    if ctx.rate_bps is None or ctx.rate_bps <= 0.0:
-        rates = [ctx.rate_bps] * len(chosen)
-    else:
-        budget = ctx.rate_bps * ctx.num_flows
-        total_gravity = float(chosen_gravity.sum())
-        if total_gravity > 0.0:
-            share = chosen_gravity / total_gravity
-        else:
-            # Every chosen weight underflowed to 0 (an extreme
-            # demand_exponent): split the budget evenly rather than
-            # handing each flow a NaN rate.
-            share = np.full(len(chosen), 1.0 / len(chosen))
-        rates = [float(budget * s) for s in share]
-    return [ctx.flow("udp", path, rate) for (_, _, path), rate in zip(chosen, rates)]
 
 
 @register_workload("random_pairs")

@@ -164,10 +164,9 @@ def bounding_box(
 ) -> tuple[float, float, float, float]:
     """Axis-aligned bounding box of a placement, expanded by ``margin_m``.
 
-    Returns ``(x_min, x_max, y_min, y_max)``.  Mobility models use this
-    as the movement area: waypoints are drawn inside it and drifting
-    nodes are clipped to it, so a trajectory can roam past the initial
-    hull by at most the margin without wandering off to infinity.
+    Returns ``(x_min, x_max, y_min, y_max)``.  The drift mobility model
+    clips nodes to it, so a trajectory can roam past the initial hull by
+    at most the margin without wandering off to infinity.
     """
     if not positions:
         raise ValueError("bounding_box needs at least one position")
@@ -205,29 +204,6 @@ def grid_topology(rows: int, cols: int, spacing_m: float = 60.0) -> Positions:
     for r in range(rows):
         for c in range(cols):
             positions[r * cols + c] = (c * spacing_m, r * spacing_m)
-    return positions
-
-
-def ring_topology(num_nodes: int, radius_m: float = 150.0) -> Positions:
-    """``num_nodes`` nodes evenly spaced on a circle of radius ``radius_m``.
-
-    Node 0 sits at angle 0 (east) and ids increase counter-clockwise; the
-    circle is centered at ``(radius_m, radius_m)`` so all coordinates stay
-    non-negative.  Rings make every node exactly two-degree, which forces
-    traffic around the circumference and produces chains of mutually
-    interfering links with no routing shortcuts.
-    """
-    if num_nodes < 3:
-        raise ValueError("a ring needs at least three nodes")
-    if radius_m <= 0:
-        raise ValueError("radius_m must be positive")
-    positions: Positions = {}
-    for i in range(num_nodes):
-        angle = 2.0 * np.pi * i / num_nodes
-        positions[i] = (
-            radius_m + radius_m * float(np.cos(angle)),
-            radius_m + radius_m * float(np.sin(angle)),
-        )
     return positions
 
 
@@ -277,58 +253,6 @@ def random_disk_topology(
         tries = 0  # only consecutive rejections count towards relaxing
     for node, point in enumerate(placed):
         positions[node] = point
-    return positions
-
-
-def binary_tree_topology(depth: int, spacing_m: float = 60.0) -> Positions:
-    """A complete binary tree of ``depth`` levels (``2**depth - 1`` nodes).
-
-    Node ids are assigned in level order (0 is the root, node ``i`` has
-    children ``2i + 1`` and ``2i + 2``), the classic sink-tree layout of
-    a mesh access network: leaves generate traffic that aggregates
-    towards the root gateway.  Level ``l`` sits at ``y = l * spacing_m``
-    with its nodes spread evenly in x, so sibling subtrees move apart as
-    the tree deepens.
-    """
-    if depth < 2:
-        raise ValueError("a binary tree needs at least two levels")
-    if spacing_m <= 0:
-        raise ValueError("spacing_m must be positive")
-    positions: Positions = {}
-    leaves = 2 ** (depth - 1)
-    width = leaves * spacing_m
-    node = 0
-    for level in range(depth):
-        count = 2**level
-        step = width / count
-        for j in range(count):
-            positions[node] = ((j + 0.5) * step, level * spacing_m)
-            node += 1
-    return positions
-
-
-def parking_lot_topology(
-    num_nodes: int, spacing_m: float = 60.0, stub_m: float = 45.0
-) -> Positions:
-    """The classic parking-lot layout: a backbone chain plus entry stubs.
-
-    Backbone nodes ``0 .. num_nodes-1`` form a chain along the x-axis
-    (spacing ``spacing_m``); each backbone node except the last carries a
-    stub node ``num_nodes + i`` hanging ``stub_m`` off the lot road.  One
-    long flow down the backbone plus one-hop flows entering at every stub
-    reproduces the cascading-contention workload the name comes from.
-    """
-    if num_nodes < 2:
-        raise ValueError("a parking lot needs a backbone of at least two nodes")
-    if spacing_m <= 0:
-        raise ValueError("spacing_m must be positive")
-    if stub_m <= 0:
-        raise ValueError("stub_m must be positive")
-    positions: Positions = {
-        i: (i * spacing_m, 0.0) for i in range(num_nodes)
-    }
-    for i in range(num_nodes - 1):
-        positions[num_nodes + i] = (i * spacing_m, stub_m)
     return positions
 
 

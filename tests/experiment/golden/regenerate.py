@@ -64,7 +64,6 @@ from repro.experiment.specs import (  # noqa: E402
     FlowSpec,
     MobilitySpec,
     ProbingSpec,
-    RadioSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
@@ -88,15 +87,22 @@ GOLDEN_SPECS: dict[str, ExperimentSpec] = {
         settle_s=0.5,
         label="golden-chain",
     ),
-    "testbed": ExperimentSpec(
+    # The 18-node testbed with one explicit flow and no controller: the
+    # network ``random_multiflow`` runs on, shadowed at its 6 dB.
+    "generated_testbed": ExperimentSpec(
         scenario=ScenarioSpec(
-            scenario="testbed", seed=3, flows=(FlowSpec("udp", (0, 1)),)
+            scenario="generated",
+            seed=3,
+            shadowing_sigma_db=6.0,
+            topology=TopologySpec(kind="testbed"),
+            flows=(FlowSpec("udp", (0, 1)),),
+            rate_mode="11",
         ),
         controller=ControllerSpec(enabled=False),
         cycles=1,
         cycle_measure_s=3.0,
         settle_s=0.5,
-        label="golden-testbed",
+        label="golden-generated-testbed",
     ),
     "random_multiflow": ExperimentSpec(
         scenario=ScenarioSpec(
@@ -179,45 +185,20 @@ DIGEST_SPECS: dict[str, ExperimentSpec] = {
         )
         for topology in (
             TopologySpec(kind="chain"),
-            TopologySpec(kind="line", num_nodes=5, spacing_m=55.0),
             TopologySpec(kind="grid", rows=3, cols=4),
-            TopologySpec(kind="ring", num_nodes=6, radius_m=90.0),
             TopologySpec(kind="random_disk", num_nodes=8, min_separation_m=30.0),
-            TopologySpec(kind="binary_tree", depth=4, spacing_m=50.0),
-            TopologySpec(kind="parking_lot", num_nodes=4, stub_m=40.0),
             TopologySpec(kind="testbed", jitter_m=3.0),
-            TopologySpec(
-                kind="positions",
-                positions=((0, 0.0, 0.0), (1, 50.0, 0.0), (4, 50.0, 42.5)),
-            ),
         )
     },
-    "workload-saturated_udp": _generated(
-        "digest-saturated_udp", workload=WorkloadSpec(generator="saturated_udp")
-    ),
-    "workload-tcp_bulk": _generated(
-        "digest-tcp_bulk",
-        workload=WorkloadSpec(generator="tcp_bulk", num_flows=2, mss_bytes=512),
-    ),
     "workload-mixed_tcp_udp": _generated(
         "digest-mixed_tcp_udp",
         workload=WorkloadSpec(
             generator="mixed_tcp_udp", tcp_fraction=0.25, rate_bps=0.0
         ),
     ),
-    "workload-gravity": _generated(
-        "digest-gravity",
-        workload=WorkloadSpec(
-            generator="gravity", rate_bps=150e3, weight_tail="pareto", tail_index=2.5
-        ),
-    ),
     "workload-random_pairs": _generated(
         "digest-random_pairs",
         workload=WorkloadSpec(generator="random_pairs", num_flows=3, tcp_fraction=1.0),
-    ),
-    "mobility-waypoint": _generated(
-        "digest-waypoint",
-        mobility=MobilitySpec(model="waypoint", epoch_s=0.5, speed_mps=2.0),
     ),
     "mobility-drift": _generated(
         "digest-drift", mobility=MobilitySpec(model="drift", drift_sigma_m=4.0)
@@ -227,7 +208,7 @@ DIGEST_SPECS: dict[str, ExperimentSpec] = {
     ),
     "monitors": ExperimentSpec(
         scenario=ScenarioSpec(scenario="chain", flows=(FlowSpec("tcp", (0, 1, 2)),)),
-        monitors=("pdr", "throughput", "e2e_latency"),
+        monitors=("pdr", "throughput"),
         monitor_interval_s=0.5,
         label="digest-monitors",
     ),
@@ -245,21 +226,10 @@ DIGEST_SPECS: dict[str, ExperimentSpec] = {
             run_seed=9,
             data_rate_mbps=1,
             topology=TopologySpec(kind="chain", num_nodes=4),
-            radio=RadioSpec(cs_threshold_dbm=-85.0, basic_rate_mbps=2),
             transport="tcp",
         ),
         controller=ControllerSpec(alpha=0.0, probing_window=64),
         label="digest-chain",
-    ),
-    "scenario-testbed": ExperimentSpec(
-        scenario=ScenarioSpec(
-            scenario="testbed",
-            seed=3,
-            shadowing_sigma_db=4.0,
-            flows=(FlowSpec("udp", (0, 1)), FlowSpec("tcp", (4, 3), mss_bytes=512)),
-        ),
-        controller=ControllerSpec(enabled=False),
-        label="digest-testbed",
     ),
     "scenario-random_multiflow": ExperimentSpec(
         scenario=ScenarioSpec(
@@ -318,39 +288,87 @@ SCENARIO_BUILDS: dict[str, ScenarioSpec] = {
         topology=TopologySpec(kind="grid", rows=2, cols=3),
         transport="tcp",
     ),
-    "chain-positions-flows": ScenarioSpec(
-        scenario="chain",
-        seed=2,
-        data_rate_mbps=2,
-        topology=TopologySpec(
-            kind="positions", positions=((0, 0.0, 0.0), (3, 50.0, 0.0), (7, 100.0, 10.0))
-        ),
-        flows=(FlowSpec("udp", (0, 3, 7)),),
-    ),
-    "chain-radio-shadowing": ScenarioSpec(
+    "chain-shadowing": ScenarioSpec(
         scenario="chain",
         seed=3,
         run_seed=9,
         data_rate_mbps=1,
         shadowing_sigma_db=4.0,
         topology=TopologySpec(kind="chain", num_nodes=4),
-        radio=RadioSpec(cs_threshold_dbm=-85.0, basic_rate_mbps=2),
         transport="tcp",
     ),
+    "starvation-golden": GOLDEN_SPECS["starvation"].scenario,
+    # ``generated`` itself: every built-in topology under both workloads
+    # at a fixed and a ``mixed`` rate, ...
     **{
-        f"testbed-sigma{sigma}": ScenarioSpec(
-            scenario="testbed", seed=3, shadowing_sigma_db=sigma, flows=_TWO_FLOWS
+        f"generated-{topology.kind}-{generator}-{rate_mode}": ScenarioSpec(
+            scenario="generated",
+            seed=3,
+            topology=topology,
+            workload=WorkloadSpec(generator=generator, num_flows=2, max_hops=3),
+            rate_mode=rate_mode,
         )
-        for sigma in (None, 0.0, 4.0)
+        for topology in (
+            TopologySpec(kind="chain", num_nodes=4, spacing_m=55.0),
+            TopologySpec(kind="grid", rows=2, cols=3, spacing_m=55.0),
+            TopologySpec(kind="random_disk", num_nodes=8, radius_m=60.0),
+            TopologySpec(kind="testbed"),
+        )
+        for generator in ("mixed_tcp_udp", "random_pairs")
+        for rate_mode in ("11", "mixed")
     },
-    "testbed-1-run_seed": ScenarioSpec(
-        scenario="testbed",
+    # ... the testbed with explicit flows at every σ the presets use or
+    # allow, and with a run seed, ...
+    **{
+        f"generated-testbed-sigma{sigma}": ScenarioSpec(
+            scenario="generated",
+            seed=3,
+            shadowing_sigma_db=sigma,
+            topology=TopologySpec(kind="testbed"),
+            flows=_TWO_FLOWS,
+            rate_mode="11",
+        )
+        for sigma in (None, 0.0, 4.0, 6.0)
+    },
+    "generated-testbed-1-run_seed": ScenarioSpec(
+        scenario="generated",
         seed=4,
         run_seed=11,
         data_rate_mbps=1,
+        shadowing_sigma_db=6.0,
+        topology=TopologySpec(kind="testbed"),
         flows=(FlowSpec("tcp", (4, 3)),),
+        rate_mode="1",
     ),
-    "starvation-golden": GOLDEN_SPECS["starvation"].scenario,
+    # ... the radio profile at both rates, and the dynamics a build
+    # schedules (its ``meta["dynamics"]``: the churn schedule drawn).
+    **{
+        f"generated-hidden_terminal-{rate:g}": ScenarioSpec(
+            scenario="generated",
+            seed=2,
+            data_rate_mbps=rate,
+            topology=TopologySpec(kind="chain", num_nodes=3, spacing_m=62.0),
+            radio_profile="hidden_terminal",
+            flows=_TWO_FLOWS,
+            rate_mode=f"{rate:g}",
+        )
+        for rate in (1, 11)
+    },
+    **{
+        f"generated-grid-{name}": ScenarioSpec(
+            scenario="generated",
+            seed=5,
+            topology=TopologySpec(kind="grid", rows=2, cols=3, spacing_m=55.0),
+            workload=WorkloadSpec(num_flows=2, max_hops=2),
+            rate_mode="11",
+            **dynamics,
+        )
+        for name, dynamics in (
+            ("drift", {"mobility": MobilitySpec(epoch_s=0.5)}),
+            ("churn", {"churn": ChurnSpec(num_events=2, start_s=1.0, end_s=3.0)}),
+            ("drift-churn", {"mobility": MobilitySpec(), "churn": ChurnSpec(down_s=0.0)}),
+        )
+    },
     **{
         f"starvation-{rate}-run_seed": ScenarioSpec(
             scenario="starvation", seed=2, run_seed=7, data_rate_mbps=rate

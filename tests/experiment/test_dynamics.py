@@ -1,5 +1,5 @@
 """Dynamic scenarios through the experiment stack: spec round-trips and
-digests at schema v3, end-to-end mobility+churn runs, monitor series
+digests, end-to-end mobility+churn runs, monitor series
 riding the cache and batch-backend payload paths byte-identically, and
 the planner's dynamics-aware cost ordering."""
 
@@ -36,10 +36,13 @@ def _dynamic_spec(seed: int = 3, monitors: tuple[str, ...] = ()) -> ExperimentSp
         scenario=ScenarioSpec(
             scenario="generated",
             seed=seed,
-            topology=TopologySpec(kind="grid", rows=2, cols=2, spacing_m=60.0),
-            workload=WorkloadSpec(generator="saturated_udp", num_flows=2, max_hops=2),
+            # Six nodes: two flows leave at least two relays to churn.
+            topology=TopologySpec(kind="grid", rows=2, cols=3, spacing_m=60.0),
+            workload=WorkloadSpec(
+                generator="mixed_tcp_udp", num_flows=2, max_hops=2, tcp_fraction=0.0
+            ),
             rate_mode="11",
-            mobility=MobilitySpec(model="waypoint", epoch_s=0.5, speed_mps=2.0),
+            mobility=MobilitySpec(model="drift", epoch_s=0.5, drift_sigma_m=4.0),
             churn=ChurnSpec(num_events=1, start_s=0.5, end_s=1.5, down_s=0.5),
         ),
         controller=ControllerSpec(enabled=False),
@@ -58,8 +61,8 @@ def _canonical(payload) -> str:
 
 
 class TestSpecLayer:
-    def test_schema_version_is_7(self):
-        assert SPEC_SCHEMA_VERSION == 7
+    def test_schema_version_is_8(self):
+        assert SPEC_SCHEMA_VERSION == 8
 
     def test_mobility_round_trip(self):
         spec = MobilitySpec(model="drift", epoch_s=0.25, drift_sigma_m=4.0)
@@ -113,7 +116,7 @@ class TestSpecLayer:
 
     def test_describe_names_the_dynamics(self):
         described = _dynamic_spec().scenario.describe()
-        assert "waypoint mobility" in described
+        assert "drift mobility" in described
         assert "churn" in described
 
 
@@ -121,21 +124,21 @@ class TestEndToEnd:
     @pytest.fixture(scope="class")
     def result(self) -> ExperimentResult:
         return run_experiment(
-            _dynamic_spec(monitors=("pdr", "throughput", "e2e_latency")),
+            _dynamic_spec(monitors=("pdr", "throughput")),
             keep_decisions=False,
             cache=False,
         )
 
     def test_dynamics_counters_land_in_meta(self, result):
         dynamics = result.meta["dynamics"]
-        assert dynamics["mobility_model"] == "waypoint"
+        assert dynamics["mobility_model"] == "drift"
         assert dynamics["epochs_applied"] > 0
         assert dynamics["fails_applied"] == 1
         assert dynamics["joins_applied"] == 1
         assert dynamics["churn_schedule"]
 
     def test_monitor_series_are_emitted(self, result):
-        assert set(result.monitors) == {"pdr", "throughput", "e2e_latency"}
+        assert set(result.monitors) == {"pdr", "throughput"}
         for series_list in result.monitors.values():
             assert [s.flow_id for s in series_list] == sorted(result.flow_ids)
             for series in series_list:
@@ -165,7 +168,7 @@ class TestEndToEnd:
 
     def test_rerun_is_deterministic(self, result):
         again = run_experiment(
-            _dynamic_spec(monitors=("pdr", "throughput", "e2e_latency")),
+            _dynamic_spec(monitors=("pdr", "throughput")),
             keep_decisions=False,
             cache=False,
         )
@@ -203,7 +206,7 @@ class TestCrossBackendByteIdentityDynamics:
 class TestMobileFigure14Cell:
     def test_the_mobile_cell_builds_with_both_dynamics(self):
         """The dynamic variant of the Figure 14 cell (a 3x3 grid under
-        waypoint mobility, one churn cycle inside the measured window of
+        drift mobility, one churn cycle inside the measured window of
         a 45 s warm-up + 12 s cycle): a valid spec whose scenario carries
         a trajectory and a fail/rejoin pair."""
         spec = ExperimentSpec(
@@ -213,8 +216,8 @@ class TestMobileFigure14Cell:
                 run_seed=1000,
                 rate_mode="11",
                 topology=TopologySpec(kind="grid", rows=3, cols=3, spacing_m=60.0),
-                workload=WorkloadSpec(generator="saturated_udp", num_flows=3, max_hops=3),
-                mobility=MobilitySpec(model="waypoint", epoch_s=1.0, speed_mps=2.0),
+                workload=WorkloadSpec(generator="mixed_tcp_udp", num_flows=3, max_hops=3),
+                mobility=MobilitySpec(model="drift", epoch_s=1.0),
                 churn=ChurnSpec(num_events=1, start_s=50.0, end_s=55.0, down_s=5.0),
             ),
             probing=ProbingSpec(warmup_s=45.0),
@@ -227,6 +230,6 @@ class TestMobileFigure14Cell:
         assert spec.scenario.churn is not None
         with closing(build_scenario(spec.scenario)) as scenario:
             dynamics = scenario.meta["dynamics"]
-        assert dynamics["mobility_model"] == "waypoint"
+        assert dynamics["mobility_model"] == "drift"
         (fail_s, node, _), (join_s, rejoined, _) = dynamics["churn_schedule"]
         assert 50.0 <= fail_s <= 55.0 and join_s == fail_s + 5.0 and rejoined == node

@@ -46,37 +46,31 @@ from repro.sim.generators import (
 )
 
 # ---------------------------------------------------------------------------
-# The declarative grid this file exercises: five-plus topology generators
-# and three-plus workload generators, all pure ScenarioSpec.
+# The declarative grid this file exercises: every built-in topology and
+# workload generator, all pure ScenarioSpec.
 # ---------------------------------------------------------------------------
 TOPOLOGIES = {
     "chain": TopologySpec(kind="chain", num_nodes=4, spacing_m=55.0),
     "grid": TopologySpec(kind="grid", rows=2, cols=3, spacing_m=55.0),
-    "ring": TopologySpec(kind="ring", num_nodes=6, radius_m=90.0),
     "random_disk": TopologySpec(kind="random_disk", num_nodes=8, radius_m=140.0),
-    "binary_tree": TopologySpec(kind="binary_tree", depth=3, spacing_m=50.0),
-    "parking_lot": TopologySpec(kind="parking_lot", num_nodes=3, spacing_m=55.0),
+    "testbed": TopologySpec(kind="testbed"),
 }
 EXPECTED_NODES = {
     "chain": 4,
     "grid": 6,
-    "ring": 6,
     "random_disk": 8,
-    "binary_tree": 7,
-    "parking_lot": 5,
+    "testbed": 18,
 }
 WORKLOADS = {
-    "saturated_udp": WorkloadSpec(generator="saturated_udp", num_flows=3, max_hops=3),
-    "tcp_bulk": WorkloadSpec(generator="tcp_bulk", num_flows=2, max_hops=2),
     "mixed_tcp_udp": WorkloadSpec(
         generator="mixed_tcp_udp", num_flows=3, max_hops=3, tcp_fraction=0.5
     ),
-    "gravity": WorkloadSpec(generator="gravity", num_flows=3, rate_bps=150e3),
+    "random_pairs": WorkloadSpec(generator="random_pairs", num_flows=2, max_hops=2),
 }
 
 
 def generated_scenario(
-    topology: str = "grid", workload: str = "saturated_udp", seed: int = 3
+    topology: str = "grid", workload: str = "mixed_tcp_udp", seed: int = 3
 ) -> ScenarioSpec:
     return ScenarioSpec(
         scenario="generated",
@@ -98,7 +92,7 @@ def _generate(network, name, seed=0, **params):
 
 class TestTopologyGenerators:
     def test_registry_covers_the_advertised_generators(self):
-        assert set(EXPECTED_NODES) <= set(topology_names())
+        assert set(EXPECTED_NODES) == set(topology_names())
 
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
     def test_build_produces_expected_node_count(self, kind):
@@ -121,10 +115,6 @@ class TestTopologyGenerators:
         for i, (x1, y1) in enumerate(points):
             for x2, y2 in points[i + 1 :]:
                 assert (x1 - x2) ** 2 + (y1 - y2) ** 2 >= spec.min_separation_m**2
-
-    def test_line_is_an_alias_of_chain(self):
-        line = TopologySpec(kind="line", num_nodes=4, spacing_m=55.0)
-        assert line.build() == TOPOLOGIES["chain"].build()
 
     def test_unknown_generator_lists_registered_names(self):
         with pytest.raises(KeyError, match="registered:.*grid"):
@@ -160,12 +150,10 @@ class TestTopologyGenerators:
 class TestWorkloadGenerators:
     @pytest.fixture(scope="class")
     def network(self):
-        return build_scenario(generated_scenario("grid", "saturated_udp")).network
+        return build_scenario(generated_scenario("grid", "mixed_tcp_udp")).network
 
     def test_registry_covers_the_advertised_generators(self):
-        assert {"saturated_udp", "tcp_bulk", "mixed_tcp_udp", "gravity"} <= set(
-            workload_names()
-        )
+        assert set(WORKLOADS) == set(workload_names())
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_same_spec_produces_identical_flows(self, name, network):
@@ -175,34 +163,45 @@ class TestWorkloadGenerators:
         assert first == second
 
     def test_different_seeds_draw_from_different_streams(self, network):
-        workload = WORKLOADS["saturated_udp"]
+        workload = WORKLOADS["mixed_tcp_udp"]
         seeds = {
             tuple(f.path for f in _generate(
-                network, "saturated_udp", seed=seed, **workload.params()
+                network, "mixed_tcp_udp", seed=seed, **workload.params()
             ))
             for seed in range(8)
         }
         assert len(seeds) > 1  # at least some seeds pick different demands
 
     def test_generator_streams_are_independent(self):
-        a = workload_rng("saturated_udp", 3).uniform(size=4).tolist()
-        b = workload_rng("gravity", 3).uniform(size=4).tolist()
+        a = workload_rng("mixed_tcp_udp", 3).uniform(size=4).tolist()
+        b = workload_rng("random_pairs", 3).uniform(size=4).tolist()
         assert a != b
 
+    def test_demands_are_one_uniform_draw_without_replacement(self, network):
+        """``sample_demands`` is ``rng.choice(len(candidates), num_flows,
+        replace=False)`` over the routable demands in node-id order, the
+        chosen indices sorted: a copy of the stream draws the same."""
+        router = Router(network.node_ids, ett_link_weights(network))
+        _, rng = scenario_streams("mixed_tcp_udp", 4)
+        _, copy = scenario_streams("mixed_tcp_udp", 4)
+        context = WorkloadContext(network, router, rng, num_flows=3, max_hops=2)
+        candidates = context.routable_demands()
+        chosen = sorted(int(i) for i in copy.choice(len(candidates), size=3, replace=False))
+        assert context.sample_demands() == [candidates[i] for i in chosen]
+
+    def test_fewer_demands_than_flows_takes_them_all(self, network):
+        router = Router(network.node_ids, ett_link_weights(network))
+        _, rng = scenario_streams("mixed_tcp_udp", 4)
+        context = WorkloadContext(network, router, rng, num_flows=1000, max_hops=1)
+        assert context.sample_demands() == context.routable_demands()
+        assert rng.bit_generator.state == scenario_streams("mixed_tcp_udp", 4)[1].bit_generator.state
+
     def test_paths_respect_max_hops(self, network):
-        flows = _generate(network, "saturated_udp", seed=2, num_flows=4, max_hops=2)
+        flows = _generate(network, "mixed_tcp_udp", seed=2, num_flows=4, max_hops=2)
         assert all(1 <= len(f.path) - 1 <= 2 for f in flows)
 
-    def test_gravity_splits_the_rate_budget(self, network):
-        flows = _generate(
-            network, "gravity", seed=2, num_flows=3, rate_bps=100e3
-        )
-        total = sum(f.rate_bps for f in flows)
-        assert total == pytest.approx(100e3 * 3)
-        assert len({f.rate_bps for f in flows}) > 1  # weighted, not uniform
-
     def test_unknown_generator_lists_registered_names(self, network):
-        with pytest.raises(KeyError, match="registered:.*gravity"):
+        with pytest.raises(KeyError, match="registered:.*random_pairs"):
             _generate(network, "broadcast_storm", seed=0)
         with pytest.raises(SpecError, match="registered name"):
             WorkloadSpec(generator="broadcast_storm")
@@ -238,26 +237,16 @@ class TestSpecRoundTripAndDigest:
         assert ExperimentSpec.from_dict(json.loads(json.dumps(payload))) == spec
 
     def test_digest_is_stable_across_equal_constructions(self):
-        a = ExperimentSpec(scenario=generated_scenario("grid", "gravity"))
-        b = ExperimentSpec(scenario=generated_scenario("grid", "gravity"))
+        a = ExperimentSpec(scenario=generated_scenario("grid", "random_pairs"))
+        b = ExperimentSpec(scenario=generated_scenario("grid", "random_pairs"))
         assert a is not b and spec_digest(a) == spec_digest(b)
         assert spec_digest(a) == spec_digest(a.to_dict())
 
     def test_digest_distinguishes_generator_parameters(self):
-        base = ExperimentSpec(scenario=generated_scenario("grid", "saturated_udp"))
-        other_topo = ExperimentSpec(scenario=generated_scenario("ring", "saturated_udp"))
-        other_load = ExperimentSpec(scenario=generated_scenario("grid", "tcp_bulk"))
+        base = ExperimentSpec(scenario=generated_scenario("grid", "mixed_tcp_udp"))
+        other_topo = ExperimentSpec(scenario=generated_scenario("chain", "mixed_tcp_udp"))
+        other_load = ExperimentSpec(scenario=generated_scenario("grid", "random_pairs"))
         assert len({spec_digest(base), spec_digest(other_topo), spec_digest(other_load)}) == 3
-
-    def test_radio_and_profile_are_mutually_exclusive(self):
-        from repro.experiment.specs import RadioSpec
-
-        with pytest.raises(SpecError, match="not both"):
-            ScenarioSpec(
-                scenario="generated",
-                radio=RadioSpec(),
-                radio_profile="hidden_terminal",
-            )
 
     def test_flows_and_workload_are_mutually_exclusive(self):
         with pytest.raises(SpecError, match="not both"):
@@ -280,10 +269,10 @@ class TestGeneratedBuilder:
             )
 
     def test_meta_records_the_composition(self):
-        built = build_scenario(generated_scenario("parking_lot", "gravity"))
-        assert built.meta["topology_generator"] == "parking_lot"
-        assert built.meta["workload_generator"] == "gravity"
-        assert built.meta["node_count"] == EXPECTED_NODES["parking_lot"]
+        built = build_scenario(generated_scenario("chain", "random_pairs"))
+        assert built.meta["topology_generator"] == "chain"
+        assert built.meta["workload_generator"] == "random_pairs"
+        assert built.meta["node_count"] == EXPECTED_NODES["chain"]
         assert built.meta["routes"] == [list(f.path) for f in built.flows]
         json.dumps(built.meta)  # results must serialize losslessly
 
@@ -298,7 +287,7 @@ class TestGeneratedBuilder:
         assert [f.path for f in built.flows] == [[0, 1, 2]]
 
     def test_same_spec_builds_identical_scenarios(self):
-        spec = generated_scenario("binary_tree", "mixed_tcp_udp", seed=9)
+        spec = generated_scenario("testbed", "mixed_tcp_udp", seed=9)
         a, b = build_scenario(spec), build_scenario(spec)
         assert a.network.positions == b.network.positions
         assert [f.path for f in a.flows] == [f.path for f in b.flows]
@@ -317,8 +306,8 @@ def _fast_generated_spec(seed: int) -> ExperimentSpec:
         scenario=ScenarioSpec(
             scenario="generated",
             seed=seed,
-            topology=TopologySpec(kind="parking_lot", num_nodes=2, spacing_m=55.0),
-            workload=WorkloadSpec(generator="saturated_udp", num_flows=2, max_hops=2),
+            topology=TopologySpec(kind="chain", num_nodes=3, spacing_m=55.0),
+            workload=WorkloadSpec(generator="mixed_tcp_udp", num_flows=2, max_hops=2),
             rate_mode="11",
         ),
         controller=ControllerSpec(enabled=False),
@@ -345,18 +334,3 @@ class TestCrossBackendByteIdentity:
         assert _canonical(ambient.to_dicts(include_runtime=False)) == _canonical(
             reference.to_dicts(include_runtime=False)
         )
-
-
-class TestEdgeCases:
-    def test_gravity_survives_underflowing_weights(self):
-        """demand_exponent extreme enough to underflow every gravity
-        weight to 0 must fall back to an even budget split, not NaN."""
-        import math
-
-        network = build_scenario(generated_scenario("grid", "saturated_udp")).network
-        flows = _generate(
-            network, "gravity", seed=2, num_flows=3, rate_bps=90e3,
-            demand_exponent=400.0,
-        )
-        assert all(math.isfinite(f.rate_bps) for f in flows)
-        assert sum(f.rate_bps for f in flows) == pytest.approx(90e3 * 3)

@@ -39,7 +39,7 @@ from repro.experiment.specs import (
 
 # --------------------------------------------------------------------------
 # The seeded grid: scenarios x controllers — canned presets plus
-# generator-built scenarios (grid and parking-lot topologies with
+# generator-built scenarios (grid and chain topologies with
 # controller-managed workloads) — all cheap enough for tier-1.
 # --------------------------------------------------------------------------
 def _grid() -> list[ExperimentSpec]:
@@ -81,12 +81,12 @@ def _grid() -> list[ExperimentSpec]:
         (
             "grid-generated-grid",
             TopologySpec(kind="grid", rows=2, cols=2, spacing_m=55.0),
-            WorkloadSpec(generator="saturated_udp", num_flows=2, max_hops=2, rate_bps=0.0),
+            WorkloadSpec(generator="mixed_tcp_udp", num_flows=2, max_hops=2, rate_bps=0.0),
         ),
         (
-            "grid-generated-parking-lot",
-            TopologySpec(kind="parking_lot", num_nodes=3, spacing_m=55.0),
-            WorkloadSpec(generator="gravity", num_flows=2, max_hops=3, rate_bps=0.0),
+            "grid-generated-chain",
+            TopologySpec(kind="chain", num_nodes=4, spacing_m=55.0),
+            WorkloadSpec(generator="random_pairs", num_flows=2, max_hops=3, rate_bps=0.0),
         ),
     ]:
         specs.append(
@@ -107,12 +107,12 @@ def _grid() -> list[ExperimentSpec]:
             )
         )
     # Dynamic scenarios: the same invariants must hold per cycle while
-    # nodes move (waypoint epochs rebuilding the power tables mid-run)
+    # nodes move (drift epochs rebuilding the power tables mid-run)
     # and while a relay churns out and back in.
     for label, mobility, churn in [
         (
             "grid-dynamic-mobility",
-            MobilitySpec(model="waypoint", epoch_s=0.5, speed_mps=1.5),
+            MobilitySpec(model="drift", epoch_s=0.5),
             None,
         ),
         (
@@ -126,9 +126,10 @@ def _grid() -> list[ExperimentSpec]:
                 scenario=ScenarioSpec(
                     scenario="generated",
                     seed=5,
-                    topology=TopologySpec(kind="grid", rows=2, cols=2, spacing_m=55.0),
+                    # Six nodes: two flows leave relays for the churn row to fail.
+                    topology=TopologySpec(kind="grid", rows=2, cols=3, spacing_m=55.0),
                     workload=WorkloadSpec(
-                        generator="saturated_udp", num_flows=2, max_hops=2, rate_bps=0.0
+                        generator="mixed_tcp_udp", num_flows=2, max_hops=2, rate_bps=0.0
                     ),
                     rate_mode="11",
                     mobility=mobility,
@@ -195,7 +196,7 @@ class TestExperimentInvariants:
                         share += rate / capacity
                     assert share <= 1.0 + 1e-6
         # The grid genuinely exercises the optimizer — including on the
-        # generator-built grid and parking-lot scenarios and on the
+        # generator-built grid and chain scenarios and on the
         # dynamic mobility/churn rows.
         assert checked >= 7
 

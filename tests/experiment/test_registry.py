@@ -14,7 +14,6 @@ from repro.experiment.specs import (
     ChurnSpec,
     FlowSpec,
     MobilitySpec,
-    RadioSpec,
     ScenarioSpec,
     SpecError,
     TopologySpec,
@@ -22,34 +21,29 @@ from repro.experiment.specs import (
 )
 from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
 
-BUILTIN_SCENARIOS = ["chain", "generated", "random_multiflow", "starvation", "testbed"]
+BUILTIN_SCENARIOS = ["chain", "generated", "random_multiflow", "starvation"]
 
 #: (scenario, field, value): a field off its default that the name does
 #: not read, so it would change the digest and not the build.
 UNREAD = [
     *[
         (scenario, field, value)
-        for scenario in ("chain", "testbed", "random_multiflow", "starvation")
+        for scenario in ("chain", "random_multiflow", "starvation")
         for field, value in (
             ("radio_profile", "hidden_terminal"),
-            ("radio_profile", "low_power"),
-            ("workload", WorkloadSpec(generator="tcp_bulk")),
+            ("workload", WorkloadSpec()),
             ("mobility", MobilitySpec()),
             ("churn", ChurnSpec()),
         )
     ],
     ("random_multiflow", "data_rate_mbps", 1),
     ("random_multiflow", "shadowing_sigma_db", 4.0),
-    ("random_multiflow", "radio", RadioSpec()),
     ("random_multiflow", "topology", TopologySpec()),
     ("random_multiflow", "flows", (FlowSpec("udp", (0, 1)),)),
-    ("testbed", "topology", TopologySpec(kind="testbed")),
-    ("testbed", "rate_mode", "11"),
-    ("testbed", "transport", "tcp"),
     ("chain", "rate_mode", "11"),
     ("chain", "num_flows", 2),
+    ("chain", "max_hops", 2),
     ("starvation", "topology", TopologySpec()),
-    ("starvation", "radio", RadioSpec()),
     ("starvation", "flows", (FlowSpec("tcp", (0, 1)),)),
     ("starvation", "shadowing_sigma_db", 0.0),
     ("starvation", "rate_mode", "11"),
@@ -111,16 +105,6 @@ class TestBuiltinBuilders:
         assert isinstance(built.flows[0], UdpFlowHandle)
         assert isinstance(built.flows[1], TcpFlowHandle)
         assert built.links == [(0, 1), (1, 2)]
-
-    def test_testbed_requires_explicit_flows(self):
-        with pytest.raises(SpecError, match="explicit FlowSpecs"):
-            build_scenario(ScenarioSpec(scenario="testbed"))
-
-    def test_testbed_builds_18_nodes(self):
-        built = build_scenario(
-            ScenarioSpec(scenario="testbed", flows=(FlowSpec("udp", (0, 1)),))
-        )
-        assert len(built.network.nodes) == 18
 
     def test_random_multiflow_builds_requested_flows(self):
         built = build_scenario(
@@ -187,7 +171,7 @@ class TestFailedBuild:
             ),
             ScenarioSpec(
                 scenario="generated",
-                topology=TopologySpec(kind="ring", num_nodes=4, radius_m=2000.0),
+                topology=TopologySpec(kind="random_disk", num_nodes=4, radius_m=2000.0),
                 workload=WorkloadSpec(),
             ),
             ScenarioSpec(scenario="random_multiflow", num_flows=400),

@@ -53,8 +53,8 @@ def _short(name: str, **changes: object) -> ExperimentSpec:
 #: cell shape (controller off, three-node chain, a fraction of a second).
 SPECS: dict[str, ExperimentSpec] = {
     **golden.GOLDEN_SPECS,
-    "mobility-waypoint": _short("mobility-waypoint"),
-    "mobility-drift": _short(
+    "mobility-drift": _short("mobility-drift"),
+    "mobility-drift-norc": _short(
         "mobility-drift", controller=ControllerSpec(enabled=False)
     ),
     # Both failures and one rejoin land inside the shortened run, so
@@ -67,6 +67,7 @@ SPECS: dict[str, ExperimentSpec] = {
         ),
     ),
     "monitors": _short("monitors"),
+    "radio-profile": _short("scenario-generated"),
     "tiny": dataclasses.replace(FAST_SPEC, cycle_measure_s=0.3, settle_s=0.1),
 }
 

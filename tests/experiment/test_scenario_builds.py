@@ -5,8 +5,8 @@
 positions, every directed link's rate, propagation σ and seed, the radio,
 the traffic seed, each flow and ``meta``.  Nothing here simulates, so the
 grid can be wide — ``random_multiflow`` over seeds x rate modes x
-transports x hop budgets, ``chain`` at every PHY rate, ``testbed`` at
-three σ settings, ``starvation`` at both rates with a ``run_seed``.
+transports x hop budgets, ``chain`` at every PHY rate and shadowed at
+4 dB, ``starvation`` at both rates with a ``run_seed``.
 """
 
 from __future__ import annotations

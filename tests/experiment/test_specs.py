@@ -13,14 +13,12 @@ from repro.experiment.specs import (
     FlowSpec,
     MobilitySpec,
     ProbingSpec,
-    RadioSpec,
     ScenarioSpec,
     SpecError,
     TopologySpec,
     WorkloadSpec,
     spec_digest,
 )
-from repro.phy.radio import RATE_11MBPS
 
 
 class TestValidation:
@@ -32,13 +30,9 @@ class TestValidation:
         with pytest.raises(SpecError):
             TopologySpec(kind="chain", num_nodes=1)
 
-    def test_positions_need_unique_ids(self):
-        with pytest.raises(SpecError):
-            TopologySpec(kind="positions", positions=((0, 0.0, 0.0), (0, 1.0, 1.0)))
-
     def test_unsupported_phy_rate_rejected(self):
         with pytest.raises(SpecError):
-            RadioSpec(data_rate_mbps=54.0)
+            ScenarioSpec(data_rate_mbps=54.0)
 
     def test_flow_path_too_short(self):
         with pytest.raises(SpecError):
@@ -83,7 +77,6 @@ class TestRoundTrip:
                 data_rate_mbps=1,
                 shadowing_sigma_db=4.0,
                 topology=TopologySpec(kind="grid", rows=2, cols=3, spacing_m=45.0),
-                radio=RadioSpec(tx_power_dbm=15.0, cs_threshold_dbm=-85.0),
                 flows=(
                     FlowSpec("udp", (0, 1, 2), rate_bps=250e3),
                     FlowSpec("tcp", (4, 3), mss_bytes=512),
@@ -111,8 +104,7 @@ class TestRoundTrip:
 
     def test_sub_specs_round_trip(self):
         for spec in (
-            TopologySpec(kind="positions", positions=((0, 0.0, 0.0), (1, 50.0, 0.0))),
-            RadioSpec(basic_rate_mbps=2),
+            TopologySpec(kind="random_disk", num_nodes=5),
             FlowSpec("tcp", (5, 6, 7)),
             ProbingSpec(data_probe_bytes=1000),
             ControllerSpec(enabled=False),
@@ -125,14 +117,13 @@ class TestRoundTrip:
             ProbingSpec.from_dict({"period_s": 0.5, "warmupp": 3})
 
 
-#: One instance of each of the ten spec classes, away from the defaults
+#: One instance of each of the nine spec classes, away from the defaults
 #: and covering every kind of field (scalars, optional scalars, nested
-#: and optional nested specs, tuples of ints / strings / specs / triples).
+#: and optional nested specs, tuples of ints / strings / specs).
 SPEC_TABLE = [
-    TopologySpec(kind="positions", positions=((0, 0.0, 0.0), (3, 50.0, 1.5))),
-    RadioSpec(tx_power_dbm=15.0, basic_rate_mbps=2),
+    TopologySpec(kind="random_disk", num_nodes=5, radius_m=90.0, min_separation_m=20.0),
     FlowSpec("tcp", (5, 6, 7), mss_bytes=512),
-    WorkloadSpec(generator="gravity", rate_bps=150e3, weight_tail="pareto"),
+    WorkloadSpec(generator="random_pairs", rate_bps=150e3, tcp_fraction=0.25),
     MobilitySpec(model="drift", drift_sigma_m=4.0),
     ChurnSpec(num_events=2, down_s=0.0, protect_endpoints=False),
     ProbingSpec(data_probe_bytes=1000),
@@ -143,7 +134,7 @@ SPEC_TABLE = [
         run_seed=17,
         data_rate_mbps=1,
         topology=TopologySpec(kind="grid", rows=2, cols=3),
-        radio_profile="low_power",
+        radio_profile="hidden_terminal",
         flows=(FlowSpec("udp", (0, 1, 2), rate_bps=250e3), FlowSpec("tcp", (4, 3))),
         mobility=MobilitySpec(),
         churn=ChurnSpec(),
@@ -163,13 +154,12 @@ WRONG_SHAPES = [
     (TopologySpec, "num_nodes", True),  # int <- bool
     (TopologySpec, "spacing_m", "60"),  # float <- str
     (TopologySpec, "kind", 5),  # str <- int
-    (TopologySpec, "positions", [[1, 2]]),  # triple <- pair
-    (TopologySpec, "positions", [[0, "a", 0.0], [1, 1.0, 1.0]]),  # triple item
-    (TopologySpec, "positions", 7),  # tuple of triples <- scalar
     (ChurnSpec, "protect_endpoints", "yes"),  # bool <- str
+    (ChurnSpec, "num_events", "2"),  # int <- str
     (FlowSpec, "path", 3),  # tuple of ints <- scalar
     (FlowSpec, "path", [0, "1"]),  # tuple item
     (FlowSpec, "rate_bps", "fast"),  # optional float <- str
+    (FlowSpec, "transport", None),  # str <- null
     (ScenarioSpec, "run_seed", 1.5),  # optional int <- non-integral float
     (ScenarioSpec, "radio_profile", 3),  # optional str <- int
     (ScenarioSpec, "flows", None),  # tuple of specs <- null
@@ -178,6 +168,18 @@ WRONG_SHAPES = [
     (ExperimentSpec, "scenario", 5),  # spec <- scalar
     (ExperimentSpec, "monitors", 3),  # tuple of strs <- scalar
     (ExperimentSpec, "monitors", [1]),  # tuple of strs, item
+    (WorkloadSpec, "generator", 7),  # str <- int
+    (WorkloadSpec, "num_flows", 1.5),  # int <- non-integral float
+    (WorkloadSpec, "rate_bps", "fast"),  # optional float <- str
+    (MobilitySpec, "model", None),  # str <- null
+    (MobilitySpec, "epoch_s", "1"),  # float <- str
+    (ProbingSpec, "data_probe_bytes", 1.5),  # int <- non-integral float
+    (ControllerSpec, "enabled", "yes"),  # bool <- str
+    (ControllerSpec, "alpha", [1]),  # float <- list
+    (ScenarioSpec, "workload", 3),  # optional spec <- scalar
+    (ScenarioSpec, "mobility", "drift"),  # optional spec <- str
+    (ScenarioSpec, "churn", []),  # optional spec <- list
+    (ExperimentSpec, "probing", 1),  # spec <- scalar
 ]
 
 
@@ -209,6 +211,29 @@ class TestEverySpecClass:
     def test_wrong_shape_names_the_field(self, cls, field, value):
         with pytest.raises(SpecError, match=rf"{cls.__name__}\.{field} must be"):
             cls.from_dict({field: value})
+
+    @pytest.mark.parametrize("cls,field", [
+        (TopologySpec, "depth"), (TopologySpec, "stub_m"), (TopologySpec, "positions"),
+        (WorkloadSpec, "demand_exponent"), (WorkloadSpec, "weight_tail"),
+        (WorkloadSpec, "tail_index"), (MobilitySpec, "speed_mps"), (MobilitySpec, "pause_s"),
+        (ScenarioSpec, "radio"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_a_version_7_field_is_refused_by_name(self, cls, field):
+        """Schema 8 dropped these fields with no migration: a version 7
+        dict holding one is refused, naming it."""
+        with pytest.raises(SpecError, match=rf"{cls.__name__}: unknown fields \['{field}'\]"):
+            cls.from_dict({field: None})
+
+    def test_a_version_7_field_inside_an_experiment_is_refused_by_name(self):
+        payload = ExperimentSpec().to_dict()
+        payload["scenario"]["radio"] = None
+        with pytest.raises(SpecError, match=r"ScenarioSpec: unknown fields \['radio'\]"):
+            ExperimentSpec.from_dict(payload)
+
+    def test_generator_defaults_are_built_in_values(self):
+        """A spec left at its defaults names registered values."""
+        assert WorkloadSpec().generator == "mixed_tcp_udp"
+        assert MobilitySpec().model == "drift"
 
     def test_nested_errors_name_the_innermost_field(self):
         payload = ExperimentSpec().to_dict()
@@ -242,15 +267,7 @@ class TestMaterialization:
         assert len(TopologySpec(kind="chain", num_nodes=5).build()) == 5
         assert len(TopologySpec(kind="grid", rows=2, cols=3).build()) == 6
         assert len(TopologySpec(kind="testbed").build(seed=1)) == 18
-        explicit = TopologySpec(
-            kind="positions", positions=((0, 0.0, 0.0), (4, 10.0, 5.0))
-        ).build()
-        assert explicit == {0: (0.0, 0.0), 4: (10.0, 5.0)}
-
-    def test_radio_spec_builds_radio_config(self):
-        config = RadioSpec(cs_threshold_dbm=-80.0, data_rate_mbps=11).build()
-        assert config.cs_threshold_dbm == -80.0
-        assert config.data_rate is RATE_11MBPS
+        assert len(TopologySpec(kind="random_disk", num_nodes=7).build(seed=1)) == 7
 
     def test_controller_spec_utility(self):
         assert ControllerSpec(alpha=1.0).utility.alpha == 1.0

@@ -15,7 +15,6 @@ from repro.phy.radio import rate_from_mbps
 from repro.sim.dynamics import (
     ChurnEvent,
     DynamicsDriver,
-    apply_rate_adaptation,
     build_mobility,
     generate_churn_schedule,
     mobility_names,
@@ -243,17 +242,12 @@ class TestChurn:
 
 class TestTrajectories:
     def test_registered_models(self):
-        assert "waypoint" in mobility_names()
-        assert "drift" in mobility_names()
+        assert mobility_names() == ["drift"]
 
-    @pytest.mark.parametrize("model,params", [
-        ("waypoint", {"epoch_s": 1.0, "speed_mps": 2.0, "pause_s": 0.5}),
-        ("drift", {"drift_sigma_m": 3.0}),
-    ])
-    def test_same_seed_same_path(self, model, params):
+    def test_same_seed_same_path(self):
         positions = dict(chain_topology(4, spacing_m=70.0))
-        a = build_mobility(model, positions, params, seed=9)
-        b = build_mobility(model, positions, params, seed=9)
+        a = build_mobility("drift", positions, {"drift_sigma_m": 3.0}, seed=9)
+        b = build_mobility("drift", positions, {"drift_sigma_m": 3.0}, seed=9)
         for _ in range(5):
             assert a.step() == b.step()
 
@@ -324,19 +318,3 @@ class TestDynamicsDriver:
         driver.install()
         with pytest.raises(RuntimeError):
             driver.install()
-
-
-class TestRateAdaptation:
-    def test_threshold_assignment(self):
-        # 60 m spacing: adjacent links comfortably above 24 dB SNR at
-        # 0 dB shadowing; the 2-hop pair far below it.
-        from repro.sim.topology import no_shadowing_propagation
-
-        net = MeshNetwork(
-            chain_topology(3, spacing_m=60.0),
-            seed=0,
-            propagation=no_shadowing_propagation(),
-        )
-        apply_rate_adaptation(net)
-        assert net.link_rate((0, 1)).bps == 11e6
-        assert net.link_rate((0, 2)).bps == 1e6

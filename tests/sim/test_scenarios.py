@@ -1,11 +1,11 @@
-"""The preset scenarios as built: the testbed and its ground-truth link
+"""The scenarios as built: the testbed and its ground-truth link
 quality, the ETT-routed multi-flow configurations, the Figure 13 chain."""
 
 import numpy as np
 import pytest
 
 from repro.experiment.registry import build_scenario
-from repro.experiment.specs import FlowSpec, ScenarioSpec
+from repro.experiment.specs import FlowSpec, ScenarioSpec, TopologySpec
 from repro.sim.generators import (
     assign_link_rates,
     ett_link_weights,
@@ -18,8 +18,14 @@ STARVATION = ScenarioSpec(scenario="starvation", data_rate_mbps=1)
 
 
 def _testbed(**fields):
+    """The 18-node testbed at 11 Mb/s with 6 dB shadowing, as
+    ``random_multiflow`` builds it, carrying one explicit flow."""
     return build_scenario(
-        ScenarioSpec(scenario="testbed", flows=(FlowSpec("udp", (0, 1)),), **fields)
+        ScenarioSpec(
+            scenario="generated", topology=TopologySpec(kind="testbed"),
+            shadowing_sigma_db=6.0, rate_mode="11", flows=(FlowSpec("udp", (0, 1)),),
+            **fields,
+        )
     ).network
 
 

@@ -20,7 +20,7 @@ from repro.sim.topology import (
 # Note: the testbed_* helpers are imported under aliases so pytest does
 # not collect them as test functions (their names start with "test").
 from repro.experiment.registry import build_scenario
-from repro.experiment.specs import FlowSpec, ScenarioSpec
+from repro.experiment.specs import FlowSpec, ScenarioSpec, TopologySpec
 
 import numpy as np
 
@@ -33,9 +33,13 @@ def _medium_for(topology):
 
 
 def _testbed_network():
-    """The testbed scenario's network: seeded jitter, 6 dB shadowing."""
+    """The testbed network as ``random_multiflow`` builds it: seeded
+    jitter, 6 dB shadowing."""
     return build_scenario(
-        ScenarioSpec(scenario="testbed", seed=0, flows=(FlowSpec("udp", (0, 1)),))
+        ScenarioSpec(
+            scenario="generated", seed=0, topology=TopologySpec(kind="testbed"),
+            shadowing_sigma_db=6.0, rate_mode="11", flows=(FlowSpec("udp", (0, 1)),),
+        )
     ).network
 
 
@@ -140,26 +144,7 @@ class TestTestbed:
 
 
 class TestGeneratorTopologies:
-    """The new position factories behind the topology generator registry."""
-
-    def test_ring_nodes_sit_on_the_circle(self):
-        from repro.sim.topology import ring_topology
-
-        positions = ring_topology(6, radius_m=100.0)
-        assert len(positions) == 6
-        for x, y in positions.values():
-            radius = math.hypot(x - 100.0, y - 100.0)
-            assert radius == pytest.approx(100.0)
-        assert min(x for x, _ in positions.values()) >= 0.0
-        assert min(y for _, y in positions.values()) >= 0.0
-
-    def test_ring_rejects_degenerate_inputs(self):
-        from repro.sim.topology import ring_topology
-
-        with pytest.raises(ValueError):
-            ring_topology(2)
-        with pytest.raises(ValueError):
-            ring_topology(5, radius_m=0.0)
+    """The random-disk factory behind the topology generator registry."""
 
     def test_random_disk_is_seed_deterministic_and_in_bounds(self):
         from repro.sim.topology import random_disk_topology
@@ -179,31 +164,6 @@ class TestGeneratorTopologies:
             12, radius_m=100.0, seed=1, min_separation_m=400.0, max_tries=50
         )
         assert len(positions) == 12
-
-    def test_binary_tree_level_order_ids(self):
-        from repro.sim.topology import binary_tree_topology
-
-        positions = binary_tree_topology(3, spacing_m=50.0)
-        assert len(positions) == 7  # 2**3 - 1
-        # Children sit one level below their parent, spread around it.
-        for parent in range(3):
-            _, parent_y = positions[parent]
-            for child in (2 * parent + 1, 2 * parent + 2):
-                _, child_y = positions[child]
-                assert child_y == pytest.approx(parent_y + 50.0)
-        with pytest.raises(ValueError):
-            binary_tree_topology(1)
-
-    def test_parking_lot_backbone_and_stubs(self):
-        from repro.sim.topology import parking_lot_topology
-
-        positions = parking_lot_topology(4, spacing_m=60.0, stub_m=40.0)
-        assert len(positions) == 7  # 4 backbone + 3 stubs
-        for i in range(4):
-            assert positions[i] == (i * 60.0, 0.0)
-        for i in range(3):
-            assert positions[4 + i] == (i * 60.0, 40.0)
-
 
     def test_random_disk_separation_holds_for_many_nodes(self):
         """Successful placements must not count towards the relaxation

@@ -104,6 +104,16 @@ GONE = [
         "repro/net/probing.py",
         (),
     ),
+    (
+        "a built-in spec value schema 8 deleted (no entry point named it), or the "
+        "adaptive-rate and weighted-sampling code that served them",
+        r'"(ring|binary_tree|parking_lot|gravity|saturated_udp|tcp_bulk|waypoint|e2e_latency'
+        r'|reduced_cs|high_power|low_power|rate_adaptation)"'
+        r"|ADAPTIVE_RADIO_PROFILES|radio_profile_is_adaptive|sample_demand_indices"
+        r"|_testbed_sigma",
+        "**/*.py",
+        ("repro/sim/topology.py",),  # the testbed's "parking_lot" cluster
+    ),
     *[
         (f"the result cache's or planner's {what}", pattern, "**/*.py", ())
         for what, pattern in (
@@ -308,6 +318,29 @@ UNREACHED = (
     "repro/sim/network.py:MeshNetwork.install_routes_from_router",
     "repro/transport/tcp.py:TcpSource.set_shaper",
     "repro/transport/udp.py:UdpSource.set_shaper",
+    # Spec schema 8: the spec values no entry point names, with their code.
+    "repro/experiment/specs.py:RadioSpec.__post_init__",
+    "repro/experiment/specs.py:RadioSpec.build",
+    "repro/experiment/specs.py:_testbed",
+    "repro/monitors/flows.py:E2ELatencyMonitor._make_handler",
+    "repro/monitors/flows.py:E2ELatencyMonitor._make_handler.<locals>.on_delivery",
+    "repro/monitors/flows.py:E2ELatencyMonitor.attach",
+    "repro/monitors/flows.py:E2ELatencyMonitor.sample",
+    "repro/monitors/flows.py:E2ELatencyMonitor.series",
+    "repro/sim/dynamics.py:_WaypointTrajectory.__init__",
+    "repro/sim/dynamics.py:_WaypointTrajectory._draw_target",
+    "repro/sim/dynamics.py:_WaypointTrajectory.step",
+    "repro/sim/generators.py:_binary_tree",
+    "repro/sim/generators.py:_gravity",
+    "repro/sim/generators.py:_parking_lot",
+    "repro/sim/generators.py:_positions",
+    "repro/sim/generators.py:_ring",
+    "repro/sim/generators.py:_saturated_udp",
+    "repro/sim/generators.py:_tcp_bulk",
+    "repro/sim/generators.py:apply_rate_adaptation",
+    "repro/sim/topology.py:binary_tree_topology",
+    "repro/sim/topology.py:parking_lot_topology",
+    "repro/sim/topology.py:ring_topology",
 )
 
 #: Their names wherever no kept function shares one, with the aliases and
@@ -320,7 +353,9 @@ UNREACHED_NAMES = (
     "_tx_done_listeners", "link_loss_rate", "hop_count", "flows_on_link", "update_weights",
     "route_flows", "SnrThresholdErrorModel", "FreeSpacePathLoss", "received_power_dbm",
     "sinr_db", "eirp_dbm", "scenario_description", "build_topology", "generate_workload",
-    "install_routes_from_router", "set_shaper",
+    "install_routes_from_router", "set_shaper", "ring_topology", "binary_tree_topology",
+    "parking_lot_topology", "_WaypointTrajectory", "E2ELatencyMonitor", "RadioSpec",
+    "apply_rate_adaptation",
 )
 
 

@@ -25,12 +25,12 @@ CEILINGS = {
     TOP_LEVEL: 716,
     "analysis": 186,
     "core": 1565,
-    "experiment": 4766,
+    "experiment": 4672,
     "mac": 1052,
-    "monitors": 303,
+    "monitors": 259,
     "net": 772,
     "phy": 296,
-    "sim": 1813,
+    "sim": 1511,
     "transport": 473,
 }
 

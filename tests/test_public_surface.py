@@ -14,6 +14,13 @@ Two facts are read off them with ``ast`` alone, importing nothing:
 
 Tests are not entry points: they import every name from its defining
 module.
+
+The same entry points, with ``ROADMAP.md``, keep the built-in names of
+the spec registries (topologies, workloads, mobility models, monitors,
+radio profiles, scenarios): each is a string literal of an entry point,
+reached through a preset an entry point names, or a backticked name in
+the ROADMAP.  Only that check imports the registries (its cases are
+the registered names, read when the tests are collected).
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ import ast
 import re
 from collections import defaultdict
 from pathlib import Path
+from typing import Callable
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -91,6 +101,71 @@ def _module_path(module: str) -> Path | None:
         if path.exists():
             return path
     return None
+
+
+def _registries() -> dict[str, Callable[[], list[str]]]:
+    import repro.monitors  # noqa: F401 - registers the built-in monitors
+    from repro.experiment.registry import scenario_names
+    from repro.monitors.base import monitor_names
+    from repro.sim.dynamics import mobility_names
+    from repro.sim.generators import radio_profile_names, topology_names, workload_names
+
+    return {
+        "topology": topology_names,
+        "workload": workload_names,
+        "mobility": mobility_names,
+        "monitor": monitor_names,
+        "radio profile": radio_profile_names,
+        "scenario": scenario_names,
+    }
+
+
+def _named_values() -> set[str]:
+    """Every string literal of an entry point, every registry name a
+    preset so named builds, and every backticked ROADMAP name."""
+    from repro.experiment.specs import SCENARIO_PRESETS, ScenarioSpec
+
+    named = {
+        node.value
+        for _, source in _entry_point_sources()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    for preset in sorted(named & set(SCENARIO_PRESETS)):
+        spec = SCENARIO_PRESETS[preset].generated(ScenarioSpec(scenario=preset))
+        named |= {spec.topology.kind, spec.radio_profile or ""}
+        named |= {spec.workload.generator} if spec.workload else set()
+    roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
+    return named | set(re.findall(r"`([A-Za-z_][\w-]*)`", roadmap))
+
+
+def _built_in_values() -> list[tuple[str, str]]:
+    return [(registry, name) for registry, names in _registries().items() for name in names()]
+
+
+def _unnamed(registry: str) -> list[str]:
+    named = _named_values()
+    return [name for name in _registries()[registry]() if name not in named]
+
+
+@pytest.mark.parametrize(
+    "registry, name", _built_in_values(), ids=[f"{r}-{n}" for r, n in _built_in_values()]
+)
+def test_every_built_in_value_is_named_by_an_entry_point_or_the_roadmap(registry, name):
+    """A built-in spec value no example, figure, ledger workload, docs
+    block or ROADMAP item names is deleted with its code, fields and
+    tests, not kept for the tests that exercise it."""
+    assert name not in _unnamed(registry)
+
+
+def test_a_planted_unused_kind_is_found():
+    from repro.sim.generators import TOPOLOGIES, register_topology
+
+    register_topology("planted-unused-kind", node_count=lambda t: 2)(lambda t, seed: {})
+    try:
+        assert _unnamed("topology") == ["planted-unused-kind"]
+    finally:
+        TOPOLOGIES.pop("planted-unused-kind", None)
 
 
 def test_the_entry_points_import_from_packages():
