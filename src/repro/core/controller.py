@@ -9,7 +9,7 @@ binary-LIR map) gives the conflict graph and the Section 3.2 extreme
 points (:func:`build_conflict_graph`), and the alpha-fair program is
 solved over that polytope.  Measuring and actuating belong to the
 simulated network: ``MeshNetwork.probe_window`` reads a window, and each
-flow handle's ``limit_rate`` programs a decided input rate.
+flow's source programs its decided input rate (``set_rate``).
 :class:`OnlineOptimizer` runs the cycle on a live network, and its
 :class:`ControlDecision` records every intermediate quantity for the
 figures of Sections 4.5 and 6.3.
@@ -249,7 +249,7 @@ def decide(
 class OnlineOptimizer:
     """The measurement + optimization + rate-control loop on a live
     network: ``network.probe_window``, :func:`decide`, then each flow's
-    ``limit_rate``.
+    ``source.set_rate``.
 
     Args:
         network: the live mesh network; its probing must be enabled
@@ -350,7 +350,7 @@ class OnlineOptimizer:
     def apply(self, decision: ControlDecision) -> None:
         """Program every flow's source at its decided input rate."""
         for flow in self.flows:
-            flow.limit_rate(decision.input_rates_bps[flow.flow_id])
+            flow.source.set_rate(decision.input_rates_bps[flow.flow_id])
 
     def run_cycle(self) -> ControlDecision:
         """One full measurement/optimization/rate-control cycle."""

@@ -7,7 +7,7 @@ optimized output rate and what a source is programmed with.
   :func:`repro.core.controller.decide` as the decision's input rates);
 * TCP ACK airtime — when the flow is TCP, the rate limit is scaled down
   by :func:`tcp_ack_airtime_factor` so the reverse ACK stream has airtime
-  left (applied by the TCP flow handle's ``limit_rate``).
+  left (applied by the TCP source's ``set_rate``).
 """
 
 from __future__ import annotations

@@ -34,9 +34,7 @@ from repro.sim.generators import (
     radio_profile_config,
     scenario_streams,
 )
-from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
-
-FlowHandle = UdpFlowHandle | TcpFlowHandle
+from repro.sim.network import FlowHandle, MeshNetwork
 
 
 @dataclass
@@ -90,21 +88,14 @@ def _add_flows(
     """Attach declarative flows — explicit :class:`FlowSpec`\\ s or a
     workload generator's :class:`GeneratedFlow`\\ s, which share the same
     field vocabulary — to the live network, in order."""
-    handles: list[FlowHandle] = []
-    for flow in flows:
-        if flow.transport == "udp":
-            handles.append(
-                network.add_udp_flow(
-                    list(flow.path),
-                    payload_bytes=flow.payload_bytes,
-                    rate_bps=flow.rate_bps,
-                )
-            )
-        else:
-            handles.append(
-                network.add_tcp_flow(list(flow.path), mss_bytes=flow.mss_bytes)
-            )
-    return handles
+    return [
+        network.add_udp_flow(
+            list(flow.path), payload_bytes=flow.payload_bytes, rate_bps=flow.rate_bps
+        )
+        if flow.transport == "udp"
+        else network.add_tcp_flow(list(flow.path), mss_bytes=flow.mss_bytes)
+        for flow in flows
+    ]
 
 
 @register_scenario("generated")
@@ -193,14 +184,18 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
                 )
             if spec.churn is not None:
                 schedule = spec.churn.to_dict()
-                endpoints = frozenset(
-                    node for handle in handles for node in (handle.path[0], handle.path[-1])
+                protect = schedule.pop("protect_endpoints")
+                protected = frozenset(
+                    node for h in handles if protect for node in (h.path[0], h.path[-1])
                 )
+                failable = len(set(network.node_ids) - protected)
+                if spec.churn.num_events > failable:
+                    raise SpecError(
+                        f"ChurnSpec.num_events asks for {spec.churn.num_events} node failures, "
+                        f"but only {failable} of its nodes may fail (protect_endpoints: {protect})"
+                    )
                 dynamics["churn"] = generate_churn_schedule(
-                    network.node_ids,
-                    protected=endpoints if schedule.pop("protect_endpoints") else frozenset(),
-                    seed=spec.seed,
-                    **schedule,
+                    network.node_ids, protected=protected, seed=spec.seed, **schedule
                 )
             driver = DynamicsDriver(network, **dynamics).install()
             # The driver mutates this dict as epochs and churn events apply;

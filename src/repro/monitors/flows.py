@@ -1,59 +1,21 @@
 """The built-in per-flow monitors: PDR and throughput.
 
 Each monitor samples every configured flow once per window and appends
-to a per-flow series, regardless of transport: UDP flows are observed
-through :class:`~repro.transport.udp.UdpSource`/``UdpSink`` counters,
-TCP flows through :class:`~repro.transport.tcp.TcpStats` and the sink's
-unique-segment arrival log (so TCP "delivery" means goodput-counted
-segments, with retransmissions counted on the send side — the same
-convention the end-of-run ``goodput_bps`` uses).
+to a per-flow series, through the one flow handle every transport has:
+the source's ``sent`` counter and the sink's arrival log (``delivered``
+and ``throughput_bps``).  A TCP flow's "delivery" is a goodput-counted
+unique segment, its ``sent`` counts retransmissions — the same
+convention the end-of-run throughput uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.monitors.base import FlowSeries, register_monitor
 
 __all__ = ["PDRMonitor", "ThroughputMonitor"]
-
-
-@dataclass
-class _FlowView:
-    """Transport-agnostic read access to one flow's counters."""
-
-    handle: Any
-    sent: Callable[[], int]
-    delivered: Callable[[], int]
-
-    @property
-    def flow_id(self) -> int:
-        return self.handle.flow_id
-
-
-def _flow_views(flows: list[Any]) -> list[_FlowView]:
-    """Wrap UDP and TCP flow handles behind one counter interface."""
-    views: list[_FlowView] = []
-    for handle in flows:
-        if hasattr(handle, "source"):  # UdpFlowHandle
-            views.append(
-                _FlowView(
-                    handle=handle,
-                    sent=lambda h=handle: h.source.stats.packets_sent,
-                    delivered=lambda h=handle: h.sink.received_packets,
-                )
-            )
-        else:  # TcpFlowHandle
-            views.append(
-                _FlowView(
-                    handle=handle,
-                    sent=lambda h=handle: h.flow.source.stats.segments_sent,
-                    delivered=lambda h=handle: len(h.flow.sink.arrivals),
-                )
-            )
-    views.sort(key=lambda view: view.flow_id)
-    return views
 
 
 @dataclass
@@ -95,19 +57,17 @@ class PDRMonitor:
     metric = "pdr"
 
     def attach(self, network: Any, flows: list[Any]) -> None:
-        self._views = _flow_views(flows)
+        self._flows = sorted(flows, key=lambda f: f.flow_id)
         self._last: dict[int, tuple[int, int]] = {
-            view.flow_id: (view.sent(), view.delivered()) for view in self._views
+            f.flow_id: (f.source.sent, f.sink.delivered) for f in self._flows
         }
-        self._builders = [
-            _SeriesBuilder(view.flow_id, self.metric) for view in self._views
-        ]
+        self._builders = [_SeriesBuilder(f.flow_id, self.metric) for f in self._flows]
 
     def sample(self, window_start: float, window_end: float) -> None:
-        for view, builder in zip(self._views, self._builders):
-            sent, delivered = view.sent(), view.delivered()
-            last_sent, last_delivered = self._last[view.flow_id]
-            self._last[view.flow_id] = (sent, delivered)
+        for flow, builder in zip(self._flows, self._builders):
+            sent, delivered = flow.source.sent, flow.sink.delivered
+            last_sent, last_delivered = self._last[flow.flow_id]
+            self._last[flow.flow_id] = (sent, delivered)
             sent_delta = sent - last_sent
             delivered_delta = delivered - last_delivered
             value = delivered_delta / sent_delta if sent_delta > 0 else 1.0
@@ -126,16 +86,12 @@ class ThroughputMonitor:
     metric = "throughput_bps"
 
     def attach(self, network: Any, flows: list[Any]) -> None:
-        self._views = _flow_views(flows)
-        self._builders = [
-            _SeriesBuilder(view.flow_id, self.metric) for view in self._views
-        ]
+        self._flows = sorted(flows, key=lambda f: f.flow_id)
+        self._builders = [_SeriesBuilder(f.flow_id, self.metric) for f in self._flows]
 
     def sample(self, window_start: float, window_end: float) -> None:
-        for view, builder in zip(self._views, self._builders):
-            builder.append(
-                window_end, view.handle.throughput_bps(window_start, window_end)
-            )
+        for flow, builder in zip(self._flows, self._builders):
+            builder.append(window_end, flow.throughput_bps(window_start, window_end))
 
     def series(self) -> list[FlowSeries]:
         return [builder.build() for builder in self._builders]

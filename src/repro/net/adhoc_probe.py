@@ -47,7 +47,8 @@ class AdHocProbe:
         destination: measured node (must be reachable via routing).
         packet_bytes: UDP payload of each probe packet.
         pair_interval_s: spacing between successive packet pairs.
-        flow_id: flow identifier used for the probe packets.
+        flow_id: flow identifier used for the probe packets; each probe
+            into one destination node needs its own.
     """
 
     def __init__(
@@ -68,8 +69,7 @@ class AdHocProbe:
         self.pairs_sent = 0
         self.samples: dict[int, PacketPairSample] = {}
         self._remaining = 0
-        self._seq = 0
-        destination.add_delivery_handler(self._on_delivery)
+        destination.attach(flow_id, self._on_delivery)
 
     # ----------------------------------------------------------------- probing
     def start(self, num_pairs: int) -> None:
@@ -93,21 +93,17 @@ class AdHocProbe:
                 flow_id=self.flow_id,
                 payload_bytes=self.packet_bytes,
                 created_at=self.sim.now,
-                seq=self._seq,
-                meta={"adhoc_pair": pair_id, "adhoc_index": index},
+                seq=2 * pair_id + index,
             )
-            self._seq += 1
             self.source.send_packet(packet)
         if self._remaining > 0:
             self.sim.schedule(self.pair_interval_s, self._send_pair)
 
     # ---------------------------------------------------------------- receiving
-    def _on_delivery(self, packet: Packet, from_id: int) -> None:
-        if packet.flow_id != self.flow_id or "adhoc_pair" not in packet.meta:
-            return
-        pair_id = packet.meta["adhoc_pair"]
+    def _on_delivery(self, packet: Packet) -> None:
+        pair_id, index = divmod(packet.seq, 2)
         sample = self.samples.setdefault(pair_id, PacketPairSample(pair_id=pair_id))
-        if packet.meta["adhoc_index"] == 0:
+        if index == 0:
             sample.first_arrival = self.sim.now
         else:
             sample.second_arrival = self.sim.now

@@ -4,8 +4,8 @@ A :class:`MeshNode` owns one :class:`repro.mac.dcf.DcfMac` and implements
 the network layer on top of it: it resolves the next hop for each packet
 from its routing table, encapsulates packets into MAC frames (adding MAC
 + IP + transport header overhead), forwards transit packets, and hands
-locally addressed packets to whichever transport/probing entities
-registered themselves as handlers.
+each locally addressed packet to the one endpoint attached for its flow
+id here, and each received broadcast frame to the prober.
 """
 
 from __future__ import annotations
@@ -90,18 +90,18 @@ class MeshNode:
         #: 1 / 11 Mb/s links within one node, as in the paper's testbed).
         self.link_rates: dict[int, PhyRate] = {}
         self.stats = NodeStats()
-        self._delivery_handlers: list[Callable[[Packet, int], None]] = []
-        self._broadcast_handlers: list[Callable[[object, int], None]] = []
+        self._owners: dict[int, Callable[[Packet], None]] = {}
+        #: ``prober(receiver, payload)`` takes every broadcast frame heard here.
+        self.prober: Callable[[int, object], None] | None = None
         self._dequeue_listeners: list[Callable[[], None]] = []
 
-    # ------------------------------------------------------------- handlers
-    def add_delivery_handler(self, handler: Callable[[Packet, int], None]) -> None:
-        """Register ``handler(packet, previous_hop)`` for locally addressed packets."""
-        self._delivery_handlers.append(handler)
-
-    def add_broadcast_handler(self, handler: Callable[[object, int], None]) -> None:
-        """Register ``handler(payload, sender)`` for received broadcast frames."""
-        self._broadcast_handlers.append(handler)
+    # ------------------------------------------------------------ endpoints
+    def attach(self, flow_id: int, owner: Callable[[Packet], None]) -> None:
+        """Make ``owner(packet)`` the one receiver of the packets of flow
+        ``flow_id`` addressed to this node."""
+        if flow_id in self._owners:
+            raise ValueError(f"flow {flow_id} already has an endpoint at node {self.node_id}")
+        self._owners[flow_id] = owner
 
     def add_dequeue_listener(self, listener: Callable[[], None]) -> None:
         """Register a callback fired whenever the MAC dequeues a frame.
@@ -111,16 +111,12 @@ class MeshNode:
         self._dequeue_listeners.append(listener)
 
     def close(self) -> None:
-        """Close the MAC and drop every registered handler and listener
-        (each one is bound to a source, sink, prober or monitor that
-        holds this node)."""
+        """Close the MAC and drop every endpoint and listener (each one is
+        bound to a source, sink or prober that holds this node)."""
         self.mac.close()
-        for registered in (
-            self._delivery_handlers,
-            self._broadcast_handlers,
-            self._dequeue_listeners,
-        ):
-            registered.clear()
+        self._owners.clear()
+        self.prober = None
+        self._dequeue_listeners.clear()
 
     # -------------------------------------------------------------- routing
     def set_route(self, destination: int, next_hop: int) -> None:
@@ -150,7 +146,7 @@ class MeshNode:
         Returns ``True`` if the packet was accepted by the MAC queue.
         """
         if packet.dst == self.node_id:
-            self._deliver_local(packet, self.node_id)
+            self._deliver_local(packet)
             return True
         nhop = self.next_hop(packet.dst)
         if nhop is None:
@@ -187,23 +183,24 @@ class MeshNode:
     # ------------------------------------------------------------ callbacks
     def _on_mac_receive(self, payload: object, from_id: int, frame: Frame) -> None:
         if frame.is_broadcast:
-            for handler in self._broadcast_handlers:
-                handler(payload, from_id)
+            if self.prober is not None:
+                self.prober(self.node_id, payload)
             return
         packet = payload
         if not isinstance(packet, Packet):  # pragma: no cover - defensive
             return
         packet.hops += 1
         if packet.dst == self.node_id:
-            self._deliver_local(packet, from_id)
+            self._deliver_local(packet)
         else:
             self.stats.forwarded += 1
             self.send_packet(packet)
 
-    def _deliver_local(self, packet: Packet, from_id: int) -> None:
+    def _deliver_local(self, packet: Packet) -> None:
         self.stats.delivered += 1
-        for handler in self._delivery_handlers:
-            handler(packet, from_id)
+        owner = self._owners.get(packet.flow_id)
+        if owner is not None:
+            owner(packet)
 
     def _on_mac_tx_done(self, frame: Frame, success: bool) -> None:
         if not success:

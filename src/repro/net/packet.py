@@ -2,19 +2,15 @@
 
 A :class:`Packet` is what flows and probes hand to a mesh node for
 delivery; nodes wrap packets into MAC frames hop by hop.  Packets keep
-their end-to-end addressing (network source/destination), a flow id used
-by sinks and shapers, and free-form ``meta`` used by TCP (sequence and
-acknowledgment numbers) and by the probing system.
+their end-to-end addressing (network source/destination), the flow id
+that names their one receiving endpoint at the destination, and a
+sequence number.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
-
-_packet_ids = itertools.count()
 
 
 class PacketKind(Enum):
@@ -23,8 +19,6 @@ class PacketKind(Enum):
     UDP = "udp"
     TCP_DATA = "tcp_data"
     TCP_ACK = "tcp_ack"
-    PROBE = "probe"
-    CONTROL = "control"
 
 
 @dataclass(slots=True)
@@ -35,13 +29,12 @@ class Packet:
         kind: traffic class.
         src: originating node id.
         dst: final destination node id.
-        flow_id: identifier of the flow the packet belongs to (``-1`` for
-            control traffic and probes).
+        flow_id: identifier of the flow the packet belongs to.
         payload_bytes: transport payload size; headers are added per hop
             by the node when building MAC frames.
         created_at: virtual time at which the packet entered the network.
-        seq: per-flow sequence number.
-        meta: protocol-specific fields (TCP sequence numbers, probe ids).
+        seq: per-flow sequence number (a TCP ACK carries its cumulative
+            acknowledgment number here).
         hops: number of MAC hops traversed so far.
     """
 
@@ -52,9 +45,7 @@ class Packet:
     payload_bytes: int
     created_at: float
     seq: int = 0
-    meta: dict[str, Any] = field(default_factory=dict)
     hops: int = 0
-    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

@@ -97,15 +97,7 @@ class ProbingSystem:
         self._heard_by: dict[tuple[int, str], list[tuple[int, bytearray]]] = {}
         self._running = False
         for node in self.nodes.values():
-            node.add_broadcast_handler(self._make_handler(node.node_id))
-
-    # ---------------------------------------------------------------- wiring
-    def _make_handler(self, receiver_id: int):
-        def handler(payload: object, sender: int) -> None:
-            if isinstance(payload, ProbePayload):
-                self._record(receiver_id, payload)
-
-        return handler
+            node.prober = self.receive
 
     def _label(self, sender: int, kind: str, rate: PhyRate | None) -> str:
         """Internal bookkeeping label: ACK probes share one stream, DATA
@@ -118,8 +110,9 @@ class ProbingSystem:
             rate = self.nodes[sender].data_rate
         return kind if rate is None else f"{kind}@{rate.name}"
 
-    def _record(self, receiver_id: int, payload: ProbePayload) -> None:
-        # One call per probe reception; a late or repeated probe sets its byte again.
+    def receive(self, receiver_id: int, payload: ProbePayload) -> None:
+        """Log one probe reception at ``receiver_id``; a late or repeated
+        probe sets its byte again."""
         rate_name = payload.rate_name
         label = f"{payload.kind}@{rate_name}" if rate_name else payload.kind
         key = (payload.sender, receiver_id, label)

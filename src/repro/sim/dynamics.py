@@ -157,21 +157,18 @@ def generate_churn_schedule(
     """A seeded fail/join schedule over the non-protected nodes.
 
     ``num_events`` distinct victims are chosen uniformly without
-    replacement from ``sorted(set(node_ids) - protected)`` (capped at the
-    candidate count), with failure times uniform in ``[start_s, end_s]``;
-    each victim rejoins ``down_s`` seconds after failing unless
+    replacement from ``sorted(set(node_ids) - protected)`` (numpy raises
+    ``ValueError`` if there are fewer), with failure times uniform in
+    ``[start_s, end_s]``; each victim rejoins ``down_s`` seconds after failing unless
     ``down_s`` is 0 (permanent failure).  All randomness comes from the
     private ``"churn"`` stream of ``seed``, and the returned events are
     sorted by ``(time, node, action)`` so the schedule is a pure function
     of the arguments.
     """
     candidates = sorted(set(node_ids) - set(protected))
-    count = min(num_events, len(candidates))
-    if count <= 0:
-        return []
     rng = named_rng(seed, "churn")
-    chosen = rng.choice(len(candidates), size=count, replace=False)
-    times = rng.uniform(start_s, end_s, size=count)
+    chosen = rng.choice(len(candidates), size=num_events, replace=False)
+    times = rng.uniform(start_s, end_s, size=num_events)
     events: list[ChurnEvent] = []
     for index, time_s in zip(sorted(int(i) for i in chosen), sorted(float(t) for t in times)):
         node_id = candidates[index]

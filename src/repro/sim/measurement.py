@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.network import MeshNetwork, UdpFlowHandle
+from repro.sim.network import FlowHandle, MeshNetwork
 
 
 #: Default settle time before a measurement window opens (seconds).
@@ -73,7 +73,7 @@ class PairMeasurement:
 
 def measure_flows(
     network: MeshNetwork,
-    flows: list[UdpFlowHandle],
+    flows: list[FlowHandle],
     duration_s: float,
     settle_s: float = DEFAULT_SETTLE_S,
     gap_s: float = DEFAULT_GAP_S,
@@ -89,8 +89,8 @@ def measure_flows(
         flow.start()
     network.run(settle_s)
     start_time = network.now
-    sent_before = {f.flow_id: f.source.stats.packets_sent for f in flows}
-    recv_before = {f.flow_id: f.sink.received_packets for f in flows}
+    sent_before = {f.flow_id: f.source.sent for f in flows}
+    recv_before = {f.flow_id: f.sink.delivered for f in flows}
     network.run(duration_s)
     end_time = network.now
     results = []
@@ -99,8 +99,8 @@ def measure_flows(
             FlowMeasurement(
                 flow_id=flow.flow_id,
                 throughput_bps=flow.throughput_bps(start_time, end_time),
-                sent_packets=flow.source.stats.packets_sent - sent_before[flow.flow_id],
-                received_packets=flow.sink.received_packets - recv_before[flow.flow_id],
+                sent_packets=flow.source.sent - sent_before[flow.flow_id],
+                received_packets=flow.sink.delivered - recv_before[flow.flow_id],
             )
         )
     for flow in flows:
@@ -111,7 +111,7 @@ def measure_flows(
 
 def measure_isolated(
     network: MeshNetwork,
-    flow: UdpFlowHandle,
+    flow: FlowHandle,
     duration_s: float,
     settle_s: float = DEFAULT_SETTLE_S,
     gap_s: float = DEFAULT_GAP_S,
@@ -122,8 +122,8 @@ def measure_isolated(
 
 def measure_pair(
     network: MeshNetwork,
-    flow1: UdpFlowHandle,
-    flow2: UdpFlowHandle,
+    flow1: FlowHandle,
+    flow2: FlowHandle,
     duration_s: float,
     settle_s: float = DEFAULT_SETTLE_S,
     gap_s: float = DEFAULT_GAP_S,
@@ -168,7 +168,7 @@ class FeasibilityTestResult:
 
 def apply_input_rates(
     network: MeshNetwork,
-    flows: list[UdpFlowHandle],
+    flows: list[FlowHandle],
     input_rates_bps: list[float],
     loss_rates: list[float] | None = None,
     duration_s: float = 5.0,

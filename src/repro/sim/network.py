@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.controller import ProbeWindow
-from repro.core.rate_control import tcp_ack_airtime_factor
 from repro.mac.constants import DEFAULT_MAC_CONFIG, MacConfig
 from repro.mac.medium import WirelessMedium
 from repro.net.node import MeshNode
@@ -21,7 +20,7 @@ from repro.phy.propagation import LogDistancePathLoss, PropagationModel
 from repro.phy.radio import PhyRate, RadioConfig, rate_from_mbps
 from repro.phy.sinr import CaptureModel
 from repro.engine import Simulator
-from repro.transport.tcp import TcpFlow, make_tcp_flow
+from repro.transport.tcp import TcpSink, TcpSource
 from repro.transport.udp import UdpSink, UdpSource
 
 
@@ -29,12 +28,14 @@ Link = tuple[int, int]
 
 
 @dataclass
-class UdpFlowHandle:
-    """A configured UDP flow: source, sink and its route."""
+class FlowHandle:
+    """A configured flow, UDP or TCP alike: its source, its sink and its
+    route.  The source counts what it ``sent`` and programs its own
+    decided rate (``set_rate``); the sink logs what was ``delivered``."""
 
     flow_id: int
-    source: UdpSource
-    sink: UdpSink
+    source: UdpSource | TcpSource
+    sink: UdpSink | TcpSink
     path: list[int]
 
     @property
@@ -47,40 +48,9 @@ class UdpFlowHandle:
     def stop(self) -> None:
         self.source.stop()
 
-    def limit_rate(self, input_bps: float) -> None:
-        """Drive the source as CBR at a decided input rate (§6.2)."""
-        self.source.set_rate(input_bps)
-
     def throughput_bps(self, start: float, end: float) -> float:
+        """The sink's goodput over the window [start, end)."""
         return self.sink.throughput_bps(start, end)
-
-
-@dataclass
-class TcpFlowHandle:
-    """A configured TCP flow and its route."""
-
-    flow_id: int
-    flow: TcpFlow
-    path: list[int]
-
-    @property
-    def links(self) -> list[Link]:
-        return list(zip(self.path[:-1], self.path[1:]))
-
-    def start(self) -> None:
-        self.flow.start()
-
-    def stop(self) -> None:
-        self.flow.stop()
-
-    def limit_rate(self, input_bps: float) -> None:
-        """Cap the sender's token bucket at a decided input rate, scaled
-        down to leave the reverse ACKs airtime (§6.2); the bucket is
-        created once and re-rated in place after."""
-        self.flow.source.set_rate_limit(input_bps * tcp_ack_airtime_factor())
-
-    def throughput_bps(self, start: float, end: float) -> float:
-        return self.flow.goodput_bps(start, end)
 
 
 class MeshNetwork:
@@ -137,9 +107,7 @@ class MeshNetwork:
             )
             for node_id in positions
         }
-        self.udp_flows: dict[int, UdpFlowHandle] = {}
-        self.tcp_flows: dict[int, TcpFlowHandle] = {}
-        self._next_flow_id = 0
+        self.flows: dict[int, FlowHandle] = {}
         self.probing: ProbingSystem | None = None
         self._closed = False
 
@@ -150,11 +118,6 @@ class MeshNetwork:
     @property
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
-
-    def allocate_flow_id(self) -> int:
-        flow_id = self._next_flow_id
-        self._next_flow_id += 1
-        return flow_id
 
     def run(self, duration: float) -> None:
         """Advance the simulation by ``duration`` seconds."""
@@ -183,10 +146,8 @@ class MeshNetwork:
         if self._closed:
             return
         self._closed = True
-        for udp in self.udp_flows.values():
-            udp.stop()
-        for tcp in self.tcp_flows.values():
-            tcp.stop()
+        for flow in self.flows.values():
+            flow.stop()
         for node in self.nodes.values():
             node.close()
         self.medium.close()
@@ -221,8 +182,8 @@ class MeshNetwork:
         backlogged UDP sources stalled at it."""
         self.medium.set_node_active(node_id, True)
         self.nodes[node_id].mac.revive()
-        for handle in self.udp_flows.values():
-            if handle.path[0] == node_id:
+        for handle in self.flows.values():
+            if handle.path[0] == node_id and isinstance(handle.source, UdpSource):
                 handle.source.refresh()
 
     # ---------------------------------------------------------------- routing
@@ -259,18 +220,12 @@ class MeshNetwork:
     def add_udp_flow(
         self,
         path: list[int],
-        flow_id: int | None = None,
         payload_bytes: int = 1470,
         rate_bps: float | None = None,
         install_route: bool = True,
-    ) -> UdpFlowHandle:
+    ) -> FlowHandle:
         """Create a UDP flow along ``path`` (source is ``path[0]``)."""
-        if len(path) < 2:
-            raise ValueError("a flow path needs at least two nodes")
-        if flow_id is None:
-            flow_id = self.allocate_flow_id()
-        if install_route:
-            self.install_path(path)
+        flow_id = self._new_flow_id(path, install_route)
         source = UdpSource(
             self.sim,
             self.nodes[path[0]],
@@ -279,30 +234,28 @@ class MeshNetwork:
             payload_bytes=payload_bytes,
             rate_bps=rate_bps,
         )
-        sink = UdpSink(self.nodes[path[-1]], flow_id)
-        handle = UdpFlowHandle(flow_id=flow_id, source=source, sink=sink, path=list(path))
-        self.udp_flows[flow_id] = handle
-        return handle
+        return self._add_flow(source, UdpSink(self.nodes[path[-1]], flow_id), path)
 
     def add_tcp_flow(
-        self,
-        path: list[int],
-        flow_id: int | None = None,
-        mss_bytes: int = 1460,
-        install_route: bool = True,
-    ) -> TcpFlowHandle:
+        self, path: list[int], mss_bytes: int = 1460, install_route: bool = True
+    ) -> FlowHandle:
         """Create a TCP flow along ``path`` (source is ``path[0]``)."""
+        flow_id = self._new_flow_id(path, install_route)
+        source = TcpSource(self.sim, self.nodes[path[0]], path[-1], flow_id, mss_bytes=mss_bytes)
+        return self._add_flow(source, TcpSink(self.nodes[path[-1]], flow_id, path[0]), path)
+
+    def _new_flow_id(self, path: list[int], install_route: bool) -> int:
+        """Check ``path``, install its routes both ways if asked, and
+        return the next flow id (flows are numbered 0, 1, ... as added)."""
         if len(path) < 2:
             raise ValueError("a flow path needs at least two nodes")
-        if flow_id is None:
-            flow_id = self.allocate_flow_id()
         if install_route:
-            self.install_path(path, bidirectional=True)
-        flow = make_tcp_flow(
-            self.sim, self.nodes[path[0]], self.nodes[path[-1]], flow_id, mss_bytes=mss_bytes
-        )
-        handle = TcpFlowHandle(flow_id=flow_id, flow=flow, path=list(path))
-        self.tcp_flows[flow_id] = handle
+            self.install_path(path)
+        return len(self.flows)
+
+    def _add_flow(self, source, sink, path: list[int]) -> FlowHandle:
+        handle = FlowHandle(source.flow_id, source, sink, list(path))
+        self.flows[handle.flow_id] = handle
         return handle
 
     # ---------------------------------------------------------------- probing

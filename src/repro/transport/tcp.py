@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.rate_control import tcp_ack_airtime_factor
 from repro.net.node import MeshNode
 from repro.net.packet import Packet, PacketKind
 from repro.net.shaper import TokenBucketShaper
 from repro.engine import Event, Simulator
+from repro.transport.udp import UdpSink
 
 #: Module-level aliases: a global load, not an Enum class-attribute lookup.
 _TCP_DATA = PacketKind.TCP_DATA
@@ -41,7 +43,6 @@ DEFAULT_MSS_BYTES = 1460
 class TcpStats:
     """Sender-side TCP counters."""
 
-    segments_sent: int = 0
     retransmissions: int = 0
     timeouts: int = 0
     fast_retransmits: int = 0
@@ -49,50 +50,34 @@ class TcpStats:
     duplicate_acks: int = 0
 
 
-class TcpSink:
-    """TCP receiver: acknowledges every data segment cumulatively."""
+class TcpSink(UdpSink):
+    """TCP receiver: logs each data segment once (so its goodput counts
+    unique segments) and acknowledges every segment cumulatively."""
 
-    def __init__(self, sim: Simulator, node: MeshNode, flow_id: int, source: int) -> None:
-        self.sim = sim
-        self.node = node
-        self.flow_id = flow_id
+    def __init__(self, node: MeshNode, flow_id: int, source: int) -> None:
+        super().__init__(node, flow_id)
         self.source = source
         self.received_seqs: set[int] = set()
         self.cumulative_ack = 0
-        self.arrivals: list[tuple[float, int]] = []
-        self.acks_sent = 0
-        node.add_delivery_handler(self._on_delivery)
 
-    def _on_delivery(self, packet: Packet, from_id: int) -> None:
-        if packet.kind is not _TCP_DATA or packet.flow_id != self.flow_id:
-            return
-        seq = packet.meta["tcp_seq"]
+    def _on_delivery(self, packet: Packet) -> None:
+        seq = packet.seq
+        now = self.node.sim.now
         if seq not in self.received_seqs:
             self.received_seqs.add(seq)
-            self.arrivals.append((self.sim.now, packet.payload_bytes))
+            self.arrivals.append((now, packet.payload_bytes))
             while self.cumulative_ack in self.received_seqs:
                 self.cumulative_ack += 1
-        self._send_ack()
-
-    def _send_ack(self) -> None:
         ack = Packet(
             kind=_TCP_ACK,
             src=self.node.node_id,
             dst=self.source,
             flow_id=self.flow_id,
             payload_bytes=0,
-            created_at=self.sim.now,
-            meta={"tcp_ack": self.cumulative_ack},
+            created_at=now,
+            seq=self.cumulative_ack,
         )
-        self.acks_sent += 1
         self.node.send_packet(ack)
-
-    def goodput_bps(self, start: float, end: float) -> float:
-        """Unique payload bits per second delivered in [start, end)."""
-        if end <= start:
-            raise ValueError("window end must exceed start")
-        total = sum(b for t, b in self.arrivals if start <= t < end)
-        return total * 8 / (end - start)
 
 
 class TcpSource:
@@ -131,6 +116,8 @@ class TcpSource:
         self.max_rto_s = max_rto_s
         self.max_cwnd_segments = max_cwnd_segments
         self.stats = TcpStats()
+        #: Segments handed to the node, retransmissions included.
+        self.sent = 0
         self.shaper: TokenBucketShaper | None = None
 
         self.cwnd = 1.0
@@ -148,14 +135,18 @@ class TcpSource:
         self._active = False
         # Approximate on-air segment size, used for shaping decisions.
         self._wire_bytes = mss_bytes + 40
-        node.add_delivery_handler(self._on_delivery)
+        node.attach(flow_id, self._on_delivery)
 
     # ------------------------------------------------------------------ control
-    def set_rate_limit(self, rate_bps: float | None) -> None:
-        """Convenience: install a shaper at ``rate_bps`` (None removes it)."""
+    def set_rate(self, rate_bps: float | None) -> None:
+        """Cap the sender's token bucket at a decided input rate, scaled
+        down to leave the reverse ACKs airtime (§6.2); ``None`` removes
+        the cap.  The bucket is created once and re-rated in place after."""
         if rate_bps is None:
             self.shaper = None
-        elif self.shaper is None:
+            return
+        rate_bps *= tcp_ack_airtime_factor()
+        if self.shaper is None:
             self.shaper = TokenBucketShaper(rate_bps=rate_bps)
         else:
             self.shaper.set_rate(rate_bps)
@@ -215,10 +206,9 @@ class TcpSource:
             payload_bytes=self.mss_bytes,
             created_at=self.sim.now,
             seq=seq,
-            meta={"tcp_seq": seq},
         )
         self.node.send_packet(packet)
-        self.stats.segments_sent += 1
+        self.sent += 1
         if is_retransmission:
             self.stats.retransmissions += 1
             self._retransmitted.add(seq)
@@ -267,12 +257,10 @@ class TcpSource:
             self.max_rto_s, max(self.min_rto_s, self._srtt + 4.0 * self._rttvar)
         )
 
-    def _on_delivery(self, packet: Packet, from_id: int) -> None:
-        if packet.kind is not _TCP_ACK or packet.flow_id != self.flow_id:
-            return
+    def _on_delivery(self, packet: Packet) -> None:
         if not self._active:
             return
-        ackno = packet.meta["tcp_ack"]
+        ackno = packet.seq
         self.stats.acks_received += 1
         if ackno > self.send_base:
             self._update_rtt(ackno - 1)
@@ -301,33 +289,3 @@ class TcpSource:
                 self._transmit_segment(self.send_base, is_retransmission=True)
                 self._arm_timer()
 
-
-@dataclass
-class TcpFlow:
-    """A routed TCP connection: source, sink and bookkeeping."""
-
-    flow_id: int
-    source: TcpSource
-    sink: TcpSink
-
-    def start(self) -> None:
-        self.source.start()
-
-    def stop(self) -> None:
-        self.source.stop()
-
-    def goodput_bps(self, start: float, end: float) -> float:
-        return self.sink.goodput_bps(start, end)
-
-
-def make_tcp_flow(
-    sim: Simulator,
-    source_node: MeshNode,
-    destination_node: MeshNode,
-    flow_id: int,
-    mss_bytes: int = DEFAULT_MSS_BYTES,
-) -> TcpFlow:
-    """Wire up a :class:`TcpSource`/:class:`TcpSink` pair."""
-    source = TcpSource(sim, source_node, destination_node.node_id, flow_id, mss_bytes=mss_bytes)
-    sink = TcpSink(sim, destination_node, flow_id, source_node.node_id)
-    return TcpFlow(flow_id=flow_id, source=source, sink=sink)

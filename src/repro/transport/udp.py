@@ -11,13 +11,11 @@ Two source modes cover everything the paper's experiments need:
   feasibility region and how the rate-control module enforces optimized
   rates.
 
-The sink measures per-flow goodput over arbitrary time windows and
-records per-packet delivery for loss accounting.
+The sink logs each arrival, so per-flow goodput can be summed over any
+time window and deliveries counted for loss accounting.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.net.node import MeshNode
 from repro.net.packet import Packet, PacketKind
@@ -32,42 +30,32 @@ DEFAULT_UDP_PAYLOAD_BYTES = 1470
 
 
 class UdpSink:
-    """Receives UDP packets of one flow at the destination node.
+    """The endpoint of one flow at its destination node.
 
-    Records per-packet arrival time and payload size so goodput can be
-    measured over arbitrary time windows.
+    Logs the arrival time and payload size of every packet it receives,
+    so goodput can be measured over arbitrary time windows.
     """
 
     def __init__(self, node: MeshNode, flow_id: int) -> None:
         self.node = node
         self.flow_id = flow_id
-        self.received_packets = 0
-        self.received_bytes = 0
         self.arrivals: list[tuple[float, int]] = []
-        node.add_delivery_handler(self._on_delivery)
+        node.attach(flow_id, self._on_delivery)
 
-    def _on_delivery(self, packet: Packet, from_id: int) -> None:
-        if packet.kind is not _UDP or packet.flow_id != self.flow_id:
-            return
-        self.received_packets += 1
-        self.received_bytes += packet.payload_bytes
+    @property
+    def delivered(self) -> int:
+        """Packets logged so far."""
+        return len(self.arrivals)
+
+    def _on_delivery(self, packet: Packet) -> None:
         self.arrivals.append((self.node.sim.now, packet.payload_bytes))
 
     def throughput_bps(self, start: float, end: float) -> float:
-        """Goodput (payload bits/s) received in the window [start, end)."""
+        """Goodput (payload bits/s) logged in the window [start, end)."""
         if end <= start:
             raise ValueError("window end must exceed start")
         total_bytes = sum(b for t, b in self.arrivals if start <= t < end)
         return total_bytes * 8 / (end - start)
-
-
-@dataclass
-class UdpSourceStats:
-    """Counters for a UDP source."""
-
-    packets_sent: int = 0
-    bytes_sent: int = 0
-    send_failures: int = 0
 
 
 class UdpSource:
@@ -102,7 +90,8 @@ class UdpSource:
         self.payload_bytes = payload_bytes
         self.rate_bps = rate_bps
         self.target_queue_depth = target_queue_depth
-        self.stats = UdpSourceStats()
+        #: Packets the MAC queue accepted.
+        self.sent = 0
         self._active = False
         self._seq = 0
         self._next_send_event: Event | None = None
@@ -114,7 +103,8 @@ class UdpSource:
         return self.rate_bps is None
 
     def set_rate(self, rate_bps: float | None) -> None:
-        """Change the input rate; ``None`` switches to backlogged mode."""
+        """Drive the source as CBR at ``rate_bps`` (a decided input rate,
+        §6.2); ``None`` switches to backlogged mode."""
         self.rate_bps = rate_bps
         if self._active and not self.backlogged:
             self._schedule_next_cbr(immediate=True)
@@ -156,10 +146,7 @@ class UdpSource:
         packet = self._make_packet()
         accepted = self.node.send_packet(packet)
         if accepted:
-            self.stats.packets_sent += 1
-            self.stats.bytes_sent += self.payload_bytes
-        else:
-            self.stats.send_failures += 1
+            self.sent += 1
         return accepted
 
     def refresh(self) -> None:

@@ -22,19 +22,19 @@ class TestRateControlHelpers:
         with pytest.raises(ValueError):
             tcp_ack_airtime_factor(0, 0, 0)
 
-    def test_udp_limit_rate_sets_cbr_rate(self, cs_pair_network):
+    def test_udp_set_rate_sets_cbr_rate(self, cs_pair_network):
         flow = cs_pair_network.add_udp_flow([0, 1])
-        flow.limit_rate(1.25e6)
+        flow.source.set_rate(1.25e6)
         assert flow.source.rate_bps == 1.25e6
 
-    def test_tcp_limit_rate_installs_one_shaper(self, chain_network):
+    def test_tcp_set_rate_installs_one_shaper(self, chain_network):
         flow = chain_network.add_tcp_flow([0, 1, 2])
-        flow.limit_rate(1e6)
-        shaper = flow.flow.source.shaper
+        flow.source.set_rate(1e6)
+        shaper = flow.source.shaper
         assert shaper.rate_bps == 1e6 * tcp_ack_airtime_factor()
         # Re-programming updates the same shaper in place.
-        flow.limit_rate(2e6)
-        assert flow.flow.source.shaper is shaper
+        flow.source.set_rate(2e6)
+        assert flow.source.shaper is shaper
         assert shaper.rate_bps == 2e6 * tcp_ack_airtime_factor()
 
 

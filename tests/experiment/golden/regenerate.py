@@ -69,6 +69,7 @@ from repro.experiment.specs import (  # noqa: E402
     WorkloadSpec,
     spec_digest,
 )
+from repro.transport.udp import UdpSource  # noqa: E402
 
 #: One deliberately small experiment per registered scenario, plus extra
 #: regression grids (multi-cycle controller convergence).  Keep these
@@ -381,14 +382,14 @@ SCENARIO_BUILDS_PATH = GOLDEN_DIR / "scenario_builds.json"
 
 
 def _flow_record(handle) -> dict:
-    if hasattr(handle, "source"):  # a UDP handle; TCP keeps its source on .flow
+    if isinstance(handle.source, UdpSource):
         return {
             "kind": "udp",
             "path": list(handle.path),
             "payload_bytes": handle.source.payload_bytes,
             "rate_bps": handle.source.rate_bps,
         }
-    return {"kind": "tcp", "path": list(handle.path), "mss_bytes": handle.flow.source.mss_bytes}
+    return {"kind": "tcp", "path": list(handle.path), "mss_bytes": handle.source.mss_bytes}
 
 
 def scenario_build_record(spec: ScenarioSpec) -> dict:

@@ -19,7 +19,9 @@ from repro.experiment.specs import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.sim.network import MeshNetwork, TcpFlowHandle, UdpFlowHandle
+from repro.sim.network import MeshNetwork
+from repro.transport.tcp import TcpSource
+from repro.transport.udp import UdpSource
 
 BUILTIN_SCENARIOS = ["chain", "generated", "random_multiflow", "starvation"]
 
@@ -102,8 +104,8 @@ class TestBuiltinBuilders:
                 flows=(FlowSpec("udp", (0, 1, 2)), FlowSpec("tcp", (1, 2))),
             )
         )
-        assert isinstance(built.flows[0], UdpFlowHandle)
-        assert isinstance(built.flows[1], TcpFlowHandle)
+        assert isinstance(built.flows[0].source, UdpSource)
+        assert isinstance(built.flows[1].source, TcpSource)
         assert built.links == [(0, 1), (1, 2)]
 
     def test_random_multiflow_builds_requested_flows(self):
@@ -193,6 +195,23 @@ class TestFailedBuild:
         with pytest.raises((KeyError, RuntimeError)):
             build_scenario(spec)
         assert len(closed) == 1 and closed[0]._closed
+
+    @pytest.mark.parametrize(
+        "protect, failable", [(True, 1), (False, 3)], ids=["endpoints-protected", "any-node"]
+    )
+    def test_churn_refuses_more_failures_than_failable_nodes(self, protect, failable):
+        """A schedule is never cut short without a word: asking for more
+        failures than there are nodes that may fail names both counts."""
+        spec = ScenarioSpec(
+            scenario="generated",
+            topology=TopologySpec(kind="chain", num_nodes=3),
+            flows=(FlowSpec("udp", (0, 1, 2)),),
+            churn=ChurnSpec(num_events=failable + 1, protect_endpoints=protect),
+        )
+        with pytest.raises(
+            SpecError, match=f"asks for {failable + 1} node failures, but only {failable} "
+        ):
+            build_scenario(spec)
 
 
 class TestCustomRegistration:

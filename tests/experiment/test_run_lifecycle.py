@@ -57,13 +57,16 @@ SPECS: dict[str, ExperimentSpec] = {
     "mobility-drift-norc": _short(
         "mobility-drift", controller=ControllerSpec(enabled=False)
     ),
-    # Both failures and one rejoin land inside the shortened run, so
-    # quiesced and revived MACs are part of what gets torn down.
+    # Both failures and both rejoins land inside the shortened run, so
+    # quiesced and revived MACs are part of what gets torn down (the flows'
+    # endpoints leave one relay, so they may fail too).
     "churn": _short(
         "churn",
         scenario=dataclasses.replace(
             golden.DIGEST_SPECS["churn"].scenario,
-            churn=ChurnSpec(num_events=2, start_s=1.0, end_s=3.5, down_s=1.0),
+            churn=ChurnSpec(
+                num_events=2, start_s=1.0, end_s=3.5, down_s=1.0, protect_endpoints=False
+            ),
         ),
     ),
     "monitors": _short("monitors"),

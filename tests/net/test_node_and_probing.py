@@ -33,7 +33,7 @@ class TestNodeForwarding:
     def test_local_delivery_without_radio(self, chain_network):
         node = chain_network.node(0)
         delivered = []
-        node.add_delivery_handler(lambda packet, prev: delivered.append(packet))
+        node.attach(0, delivered.append)
         assert node.send_packet(_packet(0, 0))
         assert len(delivered) == 1
 
@@ -45,12 +45,28 @@ class TestNodeForwarding:
     def test_multi_hop_forwarding(self, chain_network):
         chain_network.install_path([0, 1, 2])
         delivered = []
-        chain_network.node(2).add_delivery_handler(lambda p, prev: delivered.append(p))
+        chain_network.node(2).attach(0, delivered.append)
         chain_network.node(0).send_packet(_packet(0, 2))
         chain_network.run(0.2)
         assert len(delivered) == 1
         assert delivered[0].hops == 2
         assert chain_network.node(1).stats.forwarded == 1
+
+    def test_a_packet_reaches_only_its_flows_endpoint(self, chain_network):
+        node = chain_network.node(0)
+        first, second = [], []
+        node.attach(0, first.append)
+        node.attach(1, second.append)
+        node.send_packet(_packet(0, 0, flow_id=1))
+        node.send_packet(_packet(0, 0, flow_id=7))  # no endpoint: counted, then dropped
+        assert (first, len(second), node.stats.delivered) == ([], 1, 2)
+
+    def test_one_endpoint_per_flow_id_and_node(self, chain_network):
+        node = chain_network.node(1)
+        node.attach(3, lambda packet: None)
+        with pytest.raises(ValueError, match="flow 3 already has an endpoint at node 1"):
+            node.attach(3, lambda packet: None)
+        chain_network.node(2).attach(3, lambda packet: None)  # another node may
 
     def test_reverse_route_installed_for_bidirectional_paths(self, chain_network):
         chain_network.install_path([0, 1, 2], bidirectional=True)
@@ -120,14 +136,14 @@ class TestProbingSystem:
         the same window, for every window shape and stream kind — including
         1 Mb/s DATA probes, tracked apart from 11 Mb/s ones."""
         lists = paper.HeardLog()
-        record = ProbingSystem._record
+        record = ProbingSystem.receive
 
         def recording(self, receiver_id, payload):
             label = f"{payload.kind}@{payload.rate_name}" if payload.rate_name else payload.kind
             lists.record((payload.sender, receiver_id, label), payload.seq)
             record(self, receiver_id, payload)
 
-        monkeypatch.setattr(ProbingSystem, "_record", recording)
+        monkeypatch.setattr(ProbingSystem, "receive", recording)
         net = MeshNetwork(
             chain_topology(3, spacing_m=60.0),
             seed=2,
@@ -186,7 +202,7 @@ class TestProbingSystem:
         probing._sent[(0, "ack")] = 10
         lists = paper.HeardLog()
         for seq in (0, 1, 4, 4, 2, 7, 0, 7, 3, 9):
-            probing._record(1, ProbePayload(sender=0, seq=seq, kind="ack"))
+            probing.receive(1, ProbePayload(sender=0, seq=seq, kind="ack"))
             lists.record((0, 1, "ack"), seq)
         assert lists[(0, 1, "ack")] == {0, 1, 2, 3, 4, 7, 9}
         assert probing.loss_series(0, 1, "ack").tolist() == [0, 0, 0, 0, 0, 1, 1, 0, 1, 0]
@@ -221,7 +237,7 @@ class TestProbingSystem:
         lists = paper.HeardLog()
         for sender, seq in receptions:
             receiver = (sender + 1) % 3
-            probing._record(receiver, ProbePayload(sender=sender, seq=seq, kind="ack"))
+            probing.receive(receiver, ProbePayload(sender=sender, seq=seq, kind="ack"))
             lists.record((sender, receiver, "ack"), seq)
         for sender in range(3):
             heard = [seq for s, seq in receptions if s == sender]
@@ -296,6 +312,19 @@ class TestAdHocProbe:
         probe = AdHocProbe(chain_network.sim, chain_network.node(0), chain_network.node(1))
         with pytest.raises(ValueError):
             probe.start(0)
+
+    def test_two_probes_into_one_node_need_their_own_flow_ids(self, chain_network):
+        sim, node = chain_network.sim, chain_network.node
+        AdHocProbe(sim, node(0), node(1))
+        with pytest.raises(ValueError, match="already has an endpoint"):
+            AdHocProbe(sim, node(2), node(1))
+        AdHocProbe(sim, node(2), node(1), flow_id=-3)
+
+    def test_a_probe_cannot_take_a_flows_id(self, chain_network):
+        flow = chain_network.add_udp_flow([0, 1])
+        with pytest.raises(ValueError, match=f"flow {flow.flow_id} already has an endpoint"):
+            AdHocProbe(chain_network.sim, chain_network.node(0), chain_network.node(1),
+                       flow_id=flow.flow_id)
 
     def test_no_samples_returns_none(self, chain_network):
         probe = AdHocProbe(chain_network.sim, chain_network.node(0), chain_network.node(1))

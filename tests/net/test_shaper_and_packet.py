@@ -70,17 +70,6 @@ class TestTokenBucket:
 
 
 class TestPacket:
-    def test_packet_ids_unique(self):
-        a = Packet(PacketKind.UDP, 0, 1, 0, 100, 0.0)
-        b = Packet(PacketKind.UDP, 0, 1, 0, 100, 0.0)
-        assert a.packet_id != b.packet_id
-
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
             Packet(PacketKind.UDP, 0, 1, 0, -5, 0.0)
-
-    def test_meta_is_per_packet(self):
-        a = Packet(PacketKind.TCP_DATA, 0, 1, 0, 100, 0.0)
-        b = Packet(PacketKind.TCP_DATA, 0, 1, 0, 100, 0.0)
-        a.meta["tcp_seq"] = 1
-        assert "tcp_seq" not in b.meta

@@ -202,35 +202,35 @@ class TestChurn:
         handle = net.add_udp_flow([0, 1])
         handle.start()
         net.run(0.5)
-        delivered_before = handle.sink.received_packets
+        delivered_before = handle.sink.delivered
         assert delivered_before > 0
 
         net.fail_node(1)
         net.run(0.5)
-        assert handle.sink.received_packets == delivered_before
+        assert handle.sink.delivered == delivered_before
         assert net.medium.loss_counts["rx_off"] > 0
 
         net.revive_node(1)
         net.run(0.5)
-        assert handle.sink.received_packets > delivered_before
+        assert handle.sink.delivered > delivered_before
 
     def test_failed_source_quiesces_and_revives(self):
         net = MeshNetwork(chain_topology(2), seed=3)
         handle = net.add_udp_flow([0, 1])
         handle.start()
         net.run(0.5)
-        delivered_before = handle.sink.received_packets
+        delivered_before = handle.sink.delivered
 
         net.fail_node(0)
         assert net.nodes[0].mac.down
         assert net.nodes[0].mac.queue_length == 0
         net.run(0.5)
-        assert handle.sink.received_packets == delivered_before
+        assert handle.sink.delivered == delivered_before
 
         # revive re-primes the backlogged source (the refresh kick)
         net.revive_node(0)
         net.run(0.5)
-        assert handle.sink.received_packets > delivered_before
+        assert handle.sink.delivered > delivered_before
 
     def test_fail_is_idempotent(self):
         net = MeshNetwork(chain_topology(2), seed=3)

@@ -12,7 +12,7 @@ from repro.sim.generators import (
     ground_truth_link_error,
     radio_profile_config,
 )
-from repro.sim.network import TcpFlowHandle
+from repro.transport.tcp import TcpSource
 
 STARVATION = ScenarioSpec(scenario="starvation", data_rate_mbps=1)
 
@@ -78,7 +78,7 @@ class TestMultiFlowScenario:
 
     def test_tcp_transport_option(self):
         scenario = _multiflow(seed=3, num_flows=2, transport="tcp")
-        assert all(isinstance(flow, TcpFlowHandle) for flow in scenario.flows)
+        assert all(isinstance(flow.source, TcpSource) for flow in scenario.flows)
 
     def test_links_property_deduplicates(self):
         scenario = _multiflow(seed=7, num_flows=4)

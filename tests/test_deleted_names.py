@@ -66,7 +66,7 @@ GONE = [
         (),
     ),
     (
-        "a second rate-control path beside decide() and the flow handles' limit_rate, "
+        "a second rate-control path beside decide() and the sources' set_rate, "
         "or the controller's hidden enable_probing()",
         r"RateController|FlowRateAssignment|input_rates_from_outputs|release_udp|release_tcp"
         r"|auto_probing",
@@ -114,6 +114,29 @@ GONE = [
         "**/*.py",
         ("repro/sim/topology.py",),  # the testbed's "parking_lot" cluster
     ),
+    (
+        "a flow handle per transport, or a TCP flow wrapper, beside the one FlowHandle",
+        r"\bTcpFlow\b|make_tcp_flow|UdpFlowHandle|TcpFlowHandle|_FlowView",
+        "**/*.py",
+        (),
+    ),
+    (
+        "a handler list every delivered packet or broadcast frame walks, beside the one "
+        "endpoint per flow id and the prober",
+        r"add_delivery_handler|add_broadcast_handler|_delivery_handlers|_broadcast_handlers",
+        "**/*.py",
+        (),
+    ),
+    (
+        "a packet id or its process-wide counter",
+        r"_packet_ids|packet_id",
+        "**/*.py",
+        (),
+    ),
+    *[
+        (f"a protocol-field dict on a packet ({glob})", r"\bmeta\b", glob, ())
+        for glob in ("repro/net/*.py", "repro/transport/*.py")
+    ],
     *[
         (f"the result cache's or planner's {what}", pattern, "**/*.py", ())
         for what, pattern in (

@@ -25,13 +25,13 @@ CEILINGS = {
     TOP_LEVEL: 716,
     "analysis": 186,
     "core": 1565,
-    "experiment": 4672,
+    "experiment": 4668,
     "mac": 1052,
-    "monitors": 259,
-    "net": 772,
+    "monitors": 221,
+    "net": 753,
     "phy": 296,
-    "sim": 1511,
-    "transport": 473,
+    "sim": 1469,
+    "transport": 430,
 }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.rate_control import tcp_ack_airtime_factor
 from repro.net.shaper import TokenBucketShaper
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import chain_topology, no_shadowing_propagation
@@ -22,7 +23,7 @@ class TestSingleFlow:
         flow = net.add_tcp_flow([0, 1])
         flow.start()
         net.run(3.0)
-        sink = flow.flow.sink
+        sink = flow.sink
         assert sink.cumulative_ack > 50
         assert sink.cumulative_ack == len(sink.received_seqs)
 
@@ -37,7 +38,7 @@ class TestSingleFlow:
     def test_cwnd_grows_from_slow_start(self):
         net = _chain()
         flow = net.add_tcp_flow([0, 1])
-        source = flow.flow.source
+        source = flow.source
         assert source.cwnd == pytest.approx(1.0)
         flow.start()
         net.run(1.0)
@@ -56,9 +57,9 @@ class TestSingleFlow:
         flow.start()
         net.run(1.0)
         flow.stop()
-        sent_before = flow.flow.source.stats.segments_sent
+        sent_before = flow.source.sent
         net.run(1.0)
-        assert flow.flow.source.stats.segments_sent == sent_before
+        assert flow.source.sent == sent_before
 
 
 class TestLossRecovery:
@@ -73,8 +74,8 @@ class TestLossRecovery:
         flow = net.add_tcp_flow([0, 1])
         flow.start()
         net.run(6.0)
-        source = flow.flow.source
-        assert flow.flow.sink.cumulative_ack > 20
+        source = flow.source
+        assert flow.sink.cumulative_ack > 20
         assert source.stats.timeouts + source.stats.fast_retransmits > 0
 
     def test_rto_backs_off_on_dead_path(self):
@@ -88,41 +89,41 @@ class TestLossRecovery:
         flow = net.add_tcp_flow([0, 1])
         flow.start()
         net.run(10.0)
-        source = flow.flow.source
+        source = flow.source
         assert source.stats.timeouts >= 2
         assert source.rto_s > 0.4
-        assert flow.flow.sink.cumulative_ack == 0
+        assert flow.sink.cumulative_ack == 0
 
 
 class TestRateLimiting:
     def test_shaper_caps_tcp_goodput(self):
         net = _chain()
         flow = net.add_tcp_flow([0, 1])
-        flow.flow.source.set_rate_limit(1.0e6)
+        flow.source.set_rate(1.0e6)
         flow.start()
         net.run(4.0)
         goodput = flow.throughput_bps(1.0, 4.0)
         assert goodput < 1.2e6
         assert goodput > 0.6e6
 
-    def test_set_rate_limit_none_removes_cap(self):
+    def test_set_rate_none_removes_cap(self):
         net = _chain()
         flow = net.add_tcp_flow([0, 1])
-        source = flow.flow.source
-        source.set_rate_limit(1.0e6)
+        source = flow.source
+        source.set_rate(1.0e6)
         assert isinstance(source.shaper, TokenBucketShaper)
-        source.set_rate_limit(None)
+        source.set_rate(None)
         assert source.shaper is None
 
     def test_rate_limit_can_be_updated_in_place(self):
         net = _chain()
         flow = net.add_tcp_flow([0, 1])
-        source = flow.flow.source
-        source.set_rate_limit(1.0e6)
+        source = flow.source
+        source.set_rate(1.0e6)
         first_shaper = source.shaper
-        source.set_rate_limit(2.0e6)
+        source.set_rate(2.0e6)
         assert source.shaper is first_shaper
-        assert source.shaper.rate_bps == pytest.approx(2.0e6)
+        assert source.shaper.rate_bps == 2.0e6 * tcp_ack_airtime_factor()
 
 
 class TestStarvation:
