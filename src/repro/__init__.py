@@ -11,7 +11,7 @@ The package is organised as the paper's system is:
   estimator, two-hop interference) and the utility-maximising
   rate-control loop.
 * :mod:`repro.experiment` — the declarative front door: frozen
-  specification dataclasses, a named scenario registry, the
+  specification dataclasses, the scenario builder, the
   :class:`Experiment` runner, and a multi-seed :class:`BatchRunner`
   that plans sweeps (dedup, then cache resolution) and
   executes them on pluggable backends (serial, process pool, a
@@ -28,7 +28,7 @@ Quickstart — declare a scenario, run it, read typed results::
 
     spec = ExperimentSpec(
         scenario=ScenarioSpec(
-            scenario="chain",                 # a registered scenario name
+            scenario="chain",                 # a built-in scenario name
             seed=1,
             flows=(FlowSpec("udp", (0, 1, 2)), FlowSpec("udp", (1, 2))),
         ),

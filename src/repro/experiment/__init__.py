@@ -4,16 +4,16 @@ This package is the canonical public entry point to the reproduction:
 
 * :mod:`repro.experiment.specs` — frozen, serializable specification
   dataclasses (:class:`ScenarioSpec`, :class:`ExperimentSpec`, ...);
-* :mod:`repro.experiment.registry` — the named scenario registry
-  (:func:`register_scenario`): the declarative ``generated``
-  composition of the :mod:`repro.sim.generators` axes, plus the three
-  canned presets;
+* :mod:`repro.experiment.registry` — :func:`build_scenario`: the
+  declarative ``generated`` composition of the
+  :mod:`repro.sim.generators` tables, plus the three canned presets;
 * :mod:`repro.experiment.runner` — :class:`Experiment`, which drives
   warmup -> N optimizer cycles -> measurement and returns an
   :class:`ExperimentResult`;
 * :mod:`repro.experiment.batch` — :class:`BatchRunner`, a multi-seed /
   multi-scenario sweep whose results are bit-identical no matter which
-  backend executes them;
+  backend executes them, and :func:`resolve_backend`, which maps a
+  backend name to one of the four;
 * :mod:`repro.experiment.backends` — the pluggable execution layer
   (:class:`SerialBackend`, :class:`ProcessPoolBackend`, the
   shared-directory :class:`WorkQueueBackend` remote workers drain via
@@ -35,10 +35,16 @@ This package is the canonical public entry point to the reproduction:
   exporting ``REPRO_CACHE_DIR``).
 """
 
-from repro.experiment.backends.base import ExecutionBackend, backend_names, resolve_backend
+from repro.experiment.backends.base import ExecutionBackend
 from repro.experiment.backends.broker_client import BrokerBackend
 from repro.experiment.backends.work_queue import WorkQueueBackend
-from repro.experiment.batch import BatchResult, BatchRunner, seed_sweep
+from repro.experiment.batch import (
+    BatchResult,
+    BatchRunner,
+    backend_names,
+    resolve_backend,
+    seed_sweep,
+)
 from repro.experiment.cache import ResultCache
 from repro.experiment.planner import SweepPlanner
 from repro.experiment.registry import build_scenario

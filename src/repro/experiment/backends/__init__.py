@@ -36,15 +36,15 @@ lease interval, never the sweep.  The policy (``REPRO_QUEUE_LEASE_S``,
 ``REPRO_QUEUE_MAX_ATTEMPTS``) is read by the submitter and travels in
 each task envelope.
 
-:func:`resolve_backend` maps the ``backend`` argument of
-:class:`BatchRunner` (a name, an instance, or ``None``) to an instance;
-exporting ``REPRO_BATCH_BACKEND=serial|process|work_queue|broker``
-selects the default backend for every ``BatchRunner`` that did not pass
-one explicitly, which is how the CI backend matrix drives the whole
+:func:`repro.experiment.batch.resolve_backend` maps the ``backend``
+argument of :class:`BatchRunner` (a name, an instance, or ``None``) to
+an instance; exporting
+``REPRO_BATCH_BACKEND=serial|process|work_queue|broker`` selects the
+default backend for every ``BatchRunner`` that did not pass one
+explicitly, which is how the CI backend matrix drives the whole
 experiment test package through each backend in turn.
 """
 
-# Importing the two queue transports registers them with resolve_backend.
 from repro.experiment.backends.queue_common import task_envelope
 from repro.experiment.backends.work_queue import TASKS_DIR, ensure_queue_dirs
 from repro.experiment.backends.broker_client import BrokerClient

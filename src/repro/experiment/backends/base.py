@@ -10,32 +10,23 @@ where the simulation ran.
 The queue-shaped backends (file-based
 :class:`~repro.experiment.backends.work_queue.WorkQueueBackend`, HTTP
 :class:`~repro.experiment.backends.broker_client.BrokerBackend`) live in
-sibling modules and register themselves here via
-:func:`register_backend`; importing :mod:`repro.experiment.backends`
-loads all of them, which is why :func:`resolve_backend` is normally
-reached through the package namespace.
+sibling modules; :func:`repro.experiment.batch.resolve_backend` maps a
+name to any of the four.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BackendError",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "backend_names",
-    "register_backend",
-    "resolve_backend",
     "run_spec_payload",
 ]
-
-#: Environment variable naming the default backend (see :func:`resolve_backend`).
-BACKEND_ENV_VAR = "REPRO_BATCH_BACKEND"
 
 
 class BackendError(RuntimeError):
@@ -65,7 +56,7 @@ class ExecutionBackend(ABC):
     suite holds every backend to that bar.
     """
 
-    #: Registry name (also the value ``REPRO_BATCH_BACKEND`` takes).
+    #: Its key in :data:`repro.experiment.batch.BACKENDS`.
     name: str = ""
 
     @abstractmethod
@@ -120,56 +111,3 @@ class ProcessPoolBackend(ExecutionBackend):
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_spec_payload, payloads))
-
-
-# ---------------------------------------------------------------------------
-# Resolution
-# ---------------------------------------------------------------------------
-#: name -> factory taking the resolver's ``max_workers`` argument.
-_BACKENDS: dict[str, Callable[[int | None], ExecutionBackend]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[[int | None], ExecutionBackend]
-) -> None:
-    """Register a backend ``name`` for :func:`resolve_backend` /
-    ``REPRO_BATCH_BACKEND``; ``factory(max_workers)`` builds an instance."""
-    _BACKENDS[name] = factory
-
-
-register_backend(SerialBackend.name, lambda max_workers: SerialBackend())
-register_backend(
-    ProcessPoolBackend.name,
-    lambda max_workers: ProcessPoolBackend(max_workers=max_workers),
-)
-
-
-def backend_names() -> list[str]:
-    """The registered backend names, sorted."""
-    return sorted(_BACKENDS)
-
-
-def resolve_backend(
-    backend: "ExecutionBackend | str | None",
-    max_workers: int | None = None,
-) -> ExecutionBackend:
-    """Resolve the ``backend`` argument of :class:`BatchRunner`.
-
-    * an :class:`ExecutionBackend` instance is used as given;
-    * a name (``"serial"``, ``"process"``, ``"work_queue"``,
-      ``"broker"``) is instantiated with ``max_workers``;
-    * ``None`` honors ``REPRO_BATCH_BACKEND`` when set (the CI backend
-      matrix uses this) and defaults to :class:`ProcessPoolBackend`.
-    """
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or ProcessPoolBackend.name
-    name = str(backend)
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; registered: {backend_names()}"
-        ) from None
-    return factory(max_workers)

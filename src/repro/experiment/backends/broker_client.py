@@ -31,7 +31,6 @@ import urllib.parse
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-from repro.experiment.backends.base import register_backend
 from repro.experiment.backends.queue_common import (
     BROKER_TOKEN_ENV_VAR,
     BROKER_URL_ENV_VAR,
@@ -293,8 +292,3 @@ class BrokerBackend(QueueBackend):
             if server is not None:
                 server.shutdown()
                 server.server_close()
-
-
-register_backend(
-    BrokerBackend.name, lambda max_workers: BrokerBackend(workers=max_workers)
-)

@@ -38,7 +38,6 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.experiment.backends.base import register_backend
 from repro.experiment.backends.queue_common import (
     DEFAULT_LEASE_S,
     ORPHAN_HORIZON_S,
@@ -458,8 +457,3 @@ class WorkQueueBackend(QueueBackend):
                 or stack.enter_context(TemporaryDirectory(prefix="repro-queue-"))
             )
             yield client, [str(client.root)], {}
-
-
-register_backend(
-    WorkQueueBackend.name, lambda max_workers: WorkQueueBackend(workers=max_workers)
-)

@@ -36,17 +36,24 @@ JSON reads.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.analysis.reporting import ExperimentReport, batch_summary_table
-from repro.experiment.backends.base import BackendError
+from repro.experiment.backends.base import (
+    BackendError,
+    ExecutionBackend,
+    ProcessPoolBackend,
+    SerialBackend,
+)
+from repro.experiment.backends.broker_client import BrokerBackend
+from repro.experiment.backends.work_queue import WorkQueueBackend
 from repro.experiment.planner import PlannerStats
 from repro.experiment.runner import ExperimentResult
 from repro.experiment.specs import ExperimentSpec
 
 if TYPE_CHECKING:
-    from repro.experiment.backends.base import ExecutionBackend
     from repro.experiment.backends.queue_common import QueueStats
     from repro.experiment.cache import ResultCache
 
@@ -157,7 +164,7 @@ class BatchRunner:
             (``"serial"``, ``"process"``, ``"work_queue"``,
             ``"broker"``), or ``None`` to resolve from
             ``REPRO_BATCH_BACKEND``, defaulting to the process pool (see
-            :func:`repro.experiment.resolve_backend`).
+            :func:`resolve_backend`).
     """
 
     experiments: Sequence[ExperimentSpec]
@@ -174,7 +181,6 @@ class BatchRunner:
     def run(self) -> BatchResult:
         import time
 
-        from repro.experiment.backends.base import resolve_backend
         from repro.experiment.cache import resolve_cache
         from repro.experiment.planner import SweepPlanner
 
@@ -226,3 +232,46 @@ class BatchRunner:
             # instance would otherwise leak the *previous* run's stats.
             queue=getattr(backend, "last_run_stats", None) if plan.jobs else None,
         )
+
+
+# ---------------------------------------------------------------------------
+# Backend resolution
+# ---------------------------------------------------------------------------
+#: Environment variable naming the default backend (see :func:`resolve_backend`).
+BACKEND_ENV_VAR = "REPRO_BATCH_BACKEND"
+
+#: Every backend name (also the values ``REPRO_BATCH_BACKEND`` takes),
+#: with the factory that builds it for ``max_workers``.
+BACKENDS: dict[str, Callable[[int | None], ExecutionBackend]] = {
+    "serial": lambda max_workers: SerialBackend(),
+    "process": lambda max_workers: ProcessPoolBackend(max_workers=max_workers),
+    "work_queue": lambda max_workers: WorkQueueBackend(workers=max_workers),
+    "broker": lambda max_workers: BrokerBackend(workers=max_workers),
+}
+
+
+def backend_names() -> list[str]:
+    """Every backend name, sorted."""
+    return sorted(BACKENDS)
+
+
+def resolve_backend(
+    backend: "ExecutionBackend | str | None",
+    max_workers: int | None = None,
+) -> ExecutionBackend:
+    """Resolve the ``backend`` argument of :class:`BatchRunner`.
+
+    * an :class:`ExecutionBackend` instance is used as given;
+    * a name (a key of :data:`BACKENDS`) is instantiated with
+      ``max_workers``;
+    * ``None`` honors ``REPRO_BATCH_BACKEND`` when set (the CI backend
+      matrix uses this) and defaults to :class:`ProcessPoolBackend`.
+    """
+    if isinstance(backend, ExecutionBackend):
+        return backend
+    if backend is None:
+        backend = os.environ.get(BACKEND_ENV_VAR) or "process"
+    name = str(backend)
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; one of {backend_names()}")
+    return BACKENDS[name](max_workers)

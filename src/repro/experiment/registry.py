@@ -1,30 +1,25 @@
-"""Named scenario registry.
+"""Scenario building: a :class:`ScenarioSpec` materialized into a live
+:class:`MeshNetwork` plus flow handles (:func:`build_scenario`).
 
-A *scenario builder* materializes a :class:`ScenarioSpec` into a live
-:class:`MeshNetwork` plus flow handles.  Builders register under a name
-with :func:`register_scenario`, which makes every scenario discoverable
-(``scenario_names()``) and runnable by name through :class:`repro.experiment.runner.Experiment`.
-
-One built-in constructs networks: ``generated``, the declarative
-composition of the generator layer of :mod:`repro.sim.generators` — any
-registered topology generator, flows from a registered workload
-generator (or explicit :class:`FlowSpec`\\ s), link rates per
+One function constructs networks: the ``generated`` scenario, the
+declarative composition of the generator tables of
+:mod:`repro.sim.generators` — a topology generator, flows from a
+workload generator (or explicit :class:`FlowSpec`\\ s), link rates per
 ``rate_mode`` and an optional named radio profile.  ``chain``,
 ``random_multiflow`` and ``starvation`` are presets of it
 (:data:`repro.experiment.specs.SCENARIO_PRESETS`): each turns the spec
-it is given into a ``generated`` spec, which the same builder
+it is given into a ``generated`` spec, which the same function
 materializes, and reports the ``meta`` keys that name always has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from repro.experiment.specs import SCENARIO_PRESETS, FlowSpec, ScenarioSpec, SpecError
 from repro.net.routing import Router, first_use_links
 from repro.phy.propagation import LogDistancePathLoss
-from repro.registry import Registry
 from repro.sim.dynamics import DynamicsDriver, build_mobility, generate_churn_schedule
 from repro.sim.generators import (
     GeneratedFlow,
@@ -62,21 +57,21 @@ class BuiltScenario:
         self.network.close()
 
 
-class ScenarioBuilder(Protocol):
-    def __call__(self, spec: ScenarioSpec) -> BuiltScenario: ...
-
-
-_SCENARIOS: Registry[ScenarioBuilder] = Registry("scenario", error=SpecError)
-
-#: ``@register_scenario(name)`` registers
-#: ``builder(spec: ScenarioSpec) -> BuiltScenario``.
-register_scenario = _SCENARIOS.register
-scenario_names = _SCENARIOS.names
-
-
 def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
-    """Materialize ``spec`` via its registered builder."""
-    return _SCENARIOS.lookup(spec.scenario)(spec)
+    """Materialize ``spec``: a ``generated`` spec as it is, a preset as
+    the ``generated`` spec it stands for, under the preset's own name,
+    spec and ``meta``."""
+    if spec.scenario == "generated":
+        return _build_generated(spec)
+    preset = SCENARIO_PRESETS[spec.scenario]
+    built = _build_generated(preset.generated(spec))
+    return BuiltScenario(
+        name=spec.scenario,
+        spec=spec,
+        network=built.network,
+        flows=built.flows,
+        meta=preset.meta(spec, built.flows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +93,9 @@ def _add_flows(
     ]
 
 
-@register_scenario("generated")
 def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
     """The one builder that constructs a network: every axis is a
-    registered generator driven purely by the spec, so new interference
+    generator table entry driven purely by the spec, so new interference
     structures need parameters, not builder code.  Whatever raises once
     the network exists (a workload with no routable demands, a flow over
     a missing node) closes it first.
@@ -128,7 +122,7 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
     if spec.topology is None:
         raise SpecError(
             "the 'generated' scenario needs spec.topology naming a "
-            "registered topology generator"
+            "topology generator"
         )
     if not spec.flows and spec.workload is None:
         raise SpecError(
@@ -208,22 +202,3 @@ def _build_generated(spec: ScenarioSpec) -> BuiltScenario:
     return BuiltScenario(
         name="generated", spec=spec, network=network, flows=handles, meta=meta
     )
-
-
-def _build_preset(spec: ScenarioSpec) -> BuiltScenario:
-    """A preset name: the ``generated`` spec it stands for, built, under
-    the preset's own name, spec and ``meta``."""
-    preset = SCENARIO_PRESETS[spec.scenario]
-    built = _build_generated(preset.generated(spec))
-    return BuiltScenario(
-        name=spec.scenario,
-        spec=spec,
-        network=built.network,
-        flows=built.flows,
-        meta=preset.meta(spec, built.flows),
-    )
-
-
-for _name, _preset in SCENARIO_PRESETS.items():
-    register_scenario(_name)(_build_preset)
-del _name, _preset

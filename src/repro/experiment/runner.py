@@ -1,8 +1,8 @@
 """The Experiment runner: spec in, typed results out.
 
-:class:`Experiment` materializes an :class:`ExperimentSpec` through the
-scenario registry and drives the canonical choreography every example
-and benchmark used to hand-roll:
+:class:`Experiment` materializes an :class:`ExperimentSpec` through
+:func:`repro.experiment.registry.build_scenario` and drives the
+canonical choreography every example and benchmark used to hand-roll:
 
 1. enable broadcast probing and warm it up (skipped for noRC baselines —
    those measure raw 802.11 with no probe traffic on the air);
@@ -11,11 +11,11 @@ and benchmark used to hand-roll:
 3. measure achieved throughput over a settle-trimmed window;
 4. repeat optimize+measure for the remaining cycles.
 
-The scenario itself can be any registered builder — the fully
-declarative ``"generated"`` composition of a topology generator, a
-workload generator and a radio profile (see :mod:`repro.sim.generators`)
-or one of its four presets; the runner is agnostic, it drives whatever
-:func:`repro.experiment.registry.build_scenario` hands back.
+The scenario itself is the fully declarative ``"generated"``
+composition of a topology generator, a workload generator and a radio
+profile (see :mod:`repro.sim.generators`) or one of its three presets;
+the runner is agnostic, it drives whatever ``build_scenario`` hands
+back.
 
 The outcome is an :class:`ExperimentResult`: one :class:`CycleResult`
 per cycle (keeping the full :class:`ControlDecision` when requested),
@@ -41,7 +41,8 @@ from repro.analysis.metrics import jain_fairness_index
 from repro.core.controller import ControlDecision, OnlineOptimizer
 from repro.experiment.registry import BuiltScenario, build_scenario
 from repro.experiment.specs import ExperimentSpec
-from repro.monitors.base import FlowSeries, MonitorHost
+from repro.monitors.base import MonitorHost
+from repro.monitors.flows import FlowSeries
 
 
 @dataclass

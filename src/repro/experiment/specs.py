@@ -3,25 +3,26 @@
 The declarative front door to the reproduction: an experiment is fully
 described by a tree of frozen dataclasses —
 
-* :class:`TopologySpec` — where the nodes are: any registered topology
-  generator of :mod:`repro.sim.generators` (chain, grid, random disk,
-  the 18-node testbed);
+* :class:`TopologySpec` — where the nodes are: a topology generator of
+  :mod:`repro.sim.generators` (chain, grid, random disk, the 18-node
+  testbed);
 * :class:`FlowSpec` — one explicit traffic flow (transport, route,
   shaping);
-* :class:`WorkloadSpec` — a *generated* flow set: a registered workload
-  generator name (mixed TCP/UDP demands, the paper's random pairs) plus
-  its demand parameters;
+* :class:`WorkloadSpec` — a *generated* flow set: a workload generator
+  name (mixed TCP/UDP demands, the paper's random pairs) plus its demand
+  parameters;
 * :class:`ProbingSpec` — the broadcast probing system and its warmup;
 * :class:`ControllerSpec` — the online optimizer (alpha-fair objective,
   probing window, interference model), or disabled for the paper's
   ``noRC`` baselines;
-* :class:`ScenarioSpec` — a named, registered scenario (see
-  :mod:`repro.experiment.registry`) plus the knobs its builder reads;
+* :class:`ScenarioSpec` — a built-in scenario name (``generated`` or a
+  preset, see :mod:`repro.experiment.registry`) plus the knobs it reads;
 * :class:`ExperimentSpec` — scenario + probing + controller + the
   warmup/cycle/measure schedule.
 
 Every spec validates its fields on construction (raising
-:class:`SpecError`) and round-trips through ``to_dict``/``from_dict``,
+:class:`SpecError`; a name that is no key of its table is refused
+listing the keys) and round-trips through ``to_dict``/``from_dict``,
 which is what the parallel :class:`repro.experiment.batch.BatchRunner`
 ships across process boundaries.  Both directions are driven by the
 dataclass fields (:class:`_Spec`): a spec class declares its fields,
@@ -39,15 +40,10 @@ from functools import lru_cache
 from typing import Any, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 from repro.core.utility import AlphaFairUtility
-from repro.monitors.base import monitor_names
+from repro.monitors.flows import MONITORS
 from repro.phy.radio import RATE_TABLE
-from repro.sim.dynamics import mobility_names
-from repro.sim.generators import (
-    TOPOLOGIES,
-    TopologyGenerator,
-    radio_profile_names,
-    workload_names,
-)
+from repro.sim.dynamics import MOBILITY_MODELS
+from repro.sim.generators import RADIO_PROFILES, TOPOLOGIES, WORKLOADS, TopologyGenerator
 
 
 class SpecError(ValueError):
@@ -139,6 +135,11 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _require_key(table: Mapping[str, Any], name: Any, what: str) -> None:
+    """Refuse ``name`` unless it is a key of ``table``, listing the keys."""
+    _require(name in table, f"{what} must be one of {sorted(table)}, got {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # The one (de)serializer
 # ---------------------------------------------------------------------------
@@ -228,8 +229,8 @@ class _Spec:
 
 
 class _GeneratorSpec(_Spec):
-    """A spec whose first field names a registered generator and whose
-    other fields are that generator's parameters."""
+    """A spec whose first field names a generator and whose other fields
+    are that generator's parameters."""
 
     def params(self) -> dict[str, Any]:
         """The parameter fields (everything but the name), as the
@@ -245,16 +246,15 @@ class TopologySpec(_Spec):
     """Node placement for a scenario: a topology generator name plus its
     parameters.
 
-    ``kind`` is any generator registered with
-    :func:`repro.sim.generators.register_topology`; the built-ins are
-    ``"chain"``, ``"grid"``, ``"random_disk"`` and ``"testbed"``.  This
+    ``kind`` is a key of :data:`repro.sim.generators.TOPOLOGIES`:
+    ``"chain"``, ``"grid"``, ``"random_disk"`` or ``"testbed"``.  This
     class is the parameter vocabulary and its defaults; what a kind
     builds, how many nodes that is and which parameters it rejects is
-    the generator's registration.  Generators read the parameter fields
+    the kind's table entry.  Generators read the parameter fields
     they care about and ignore the rest:
 
     Attributes:
-        kind: registered topology generator name.
+        kind: topology generator name.
         num_nodes: node count for chains and random disks.
         rows / cols: grid dimensions (``kind="grid"``).
         spacing_m: inter-node spacing for chains and grids.
@@ -273,9 +273,7 @@ class TopologySpec(_Spec):
     min_separation_m: float = 25.0
 
     def __post_init__(self) -> None:
-        _require(self.kind in TOPOLOGIES,
-                 f"topology kind must be a registered generator, one of "
-                 f"{TOPOLOGIES.names()}; got {self.kind!r}")
+        _require_key(TOPOLOGIES, self.kind, "TopologySpec.kind")
         _require(self.spacing_m > 0, "spacing_m must be positive")
         _require(self.radius_m > 0, "radius_m must be positive")
         _require(self.min_separation_m >= 0, "min_separation_m must be non-negative")
@@ -284,7 +282,7 @@ class TopologySpec(_Spec):
 
     @property
     def _generator(self) -> TopologyGenerator:
-        return TOPOLOGIES.lookup(self.kind)
+        return TOPOLOGIES[self.kind]
 
     def build(self, seed: int = 0) -> Positions:
         """Materialize the node id -> (x, y) placement map."""
@@ -338,9 +336,8 @@ class FlowSpec(_Spec):
 class WorkloadSpec(_GeneratorSpec):
     """A generated flow set: workload generator name plus demand knobs.
 
-    ``generator`` is any name registered with
-    :func:`repro.sim.generators.register_workload`; the built-ins are
-    ``"mixed_tcp_udp"`` and ``"random_pairs"``.  The generator routes its
+    ``generator`` is a key of :data:`repro.sim.generators.WORKLOADS`:
+    ``"mixed_tcp_udp"`` or ``"random_pairs"``.  The generator routes its
     demands over ETT paths of the built network and draws all randomness
     from a stream of the scenario seed
     (:func:`repro.sim.generators.scenario_streams`), so the same spec
@@ -360,9 +357,7 @@ class WorkloadSpec(_GeneratorSpec):
     mss_bytes: int = 1460
 
     def __post_init__(self) -> None:
-        _require(self.generator in workload_names(),
-                 f"workload generator must be a registered name, one of "
-                 f"{workload_names()}; got {self.generator!r}")
+        _require_key(WORKLOADS, self.generator, "WorkloadSpec.generator")
         _require(self.num_flows >= 1, "num_flows must be at least 1")
         _require(self.max_hops >= 1, "max_hops must be at least 1")
         _require(self.rate_bps is None or self.rate_bps >= 0,
@@ -380,11 +375,10 @@ class WorkloadSpec(_GeneratorSpec):
 class MobilitySpec(_GeneratorSpec):
     """Node mobility for a ``generated`` scenario.
 
-    ``model`` is any name registered with
-    :func:`repro.sim.dynamics.register_mobility`; the built-in is
-    ``"drift"``: per-epoch Gaussian displacement with standard deviation
-    ``drift_sigma_m``, clipped to the initial bounding box plus
-    ``area_margin_m``.
+    ``model`` is a key of :data:`repro.sim.dynamics.MOBILITY_MODELS`,
+    which has one: ``"drift"``, per-epoch Gaussian displacement with
+    standard deviation ``drift_sigma_m``, clipped to the initial
+    bounding box plus ``area_margin_m``.
 
     Positions advance in discrete *position epochs* every ``epoch_s``
     seconds of virtual time; each epoch the
@@ -401,9 +395,7 @@ class MobilitySpec(_GeneratorSpec):
     area_margin_m: float = 25.0
 
     def __post_init__(self) -> None:
-        _require(self.model in mobility_names(),
-                 f"mobility model must be a registered name, one of "
-                 f"{mobility_names()}; got {self.model!r}")
+        _require_key(MOBILITY_MODELS, self.model, "MobilitySpec.model")
         _require(self.epoch_s > 0, "epoch_s must be positive")
         _require(self.drift_sigma_m >= 0, "drift_sigma_m must be non-negative")
         _require(self.area_margin_m >= 0, "area_margin_m must be non-negative")
@@ -498,10 +490,10 @@ NO_RATE_CONTROL = ControllerSpec(enabled=False)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScenarioSpec(_Spec):
-    """A named scenario plus the knobs its registered builder reads.
+    """A built-in scenario name plus the knobs it reads.
 
-    ``scenario`` is a key in the scenario registry
-    (:func:`repro.experiment.registry.register_scenario`).  The built-in
+    ``scenario`` is ``"generated"`` or a key of :data:`SCENARIO_PRESETS`
+    (:func:`repro.experiment.registry.build_scenario` builds either).
     ``"generated"`` composes a topology generator (``topology``), a
     workload generator (``workload``, or explicit ``flows``) and a radio
     (the default one, or a named ``radio_profile`` resolved at build time
@@ -518,8 +510,8 @@ class ScenarioSpec(_Spec):
     off its default, since such a field would change the digest and not
     the build: ``generated`` takes its demand knobs from
     :class:`WorkloadSpec`, so ``num_flows`` / ``max_hops`` /
-    ``transport`` belong to the presets.  Names registered elsewhere are
-    not checked.  ``flows`` and ``workload`` are mutually exclusive.
+    ``transport`` belong to the presets.  ``flows`` and ``workload`` are
+    mutually exclusive.
     """
 
     scenario: str = "chain"
@@ -539,7 +531,7 @@ class ScenarioSpec(_Spec):
     churn: ChurnSpec | None = None
 
     def __post_init__(self) -> None:
-        _require(bool(self.scenario), "scenario name must be non-empty")
+        _require_key(_UNREAD, self.scenario, "ScenarioSpec.scenario")
         _require(self.seed >= 0, "seed must be non-negative")
         _require(self.run_seed is None or self.run_seed >= 0,
                  "run_seed must be non-negative")
@@ -555,11 +547,9 @@ class ScenarioSpec(_Spec):
                  f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
         _require(not (self.flows and self.workload is not None),
                  "give either explicit flows or a workload generator, not both")
-        _require(self.radio_profile is None
-                 or self.radio_profile in radio_profile_names(),
-                 f"radio_profile must be one of {radio_profile_names()}, "
-                 f"got {self.radio_profile!r}")
-        for name, default in _UNREAD.get(self.scenario, ()):
+        if self.radio_profile is not None:
+            _require_key(RADIO_PROFILES, self.radio_profile, "ScenarioSpec.radio_profile")
+        for name, default in _UNREAD[self.scenario]:
             value = getattr(self, name)
             _require(value == default, f"ScenarioSpec.{name} is not read by the "
                      f"{self.scenario!r} scenario; got {value!r}")
@@ -678,7 +668,8 @@ SCENARIO_PRESETS: dict[str, ScenarioPreset] = {
     ),
 }
 
-#: Per built-in name, the ``(field, default)`` pairs it does not read.
+#: Per built-in name, the ``(field, default)`` pairs it does not read: its
+#: keys are every name ``ScenarioSpec.scenario`` accepts.
 _UNREAD: dict[str, tuple[tuple[str, Any], ...]] = {
     name: tuple((f.name, f.default) for f in fields(ScenarioSpec)
                 if f.name not in reads | _READ_BY_ALL)
@@ -703,8 +694,8 @@ class ExperimentSpec(_Spec):
     ``cycle_measure_s`` long with the first ``settle_s`` seconds excluded
     from throughput accounting.
 
-    ``monitors`` names run-time monitors from the
-    :mod:`repro.monitors` registry (``"pdr"``, ``"throughput"``)
+    ``monitors`` names run-time monitors, keys of
+    :data:`repro.monitors.flows.MONITORS` (``"pdr"``, ``"throughput"``),
     attached when the flows start; each samples every
     ``monitor_interval_s`` of virtual time and emits typed per-flow time
     series into :attr:`ExperimentResult.monitors`.  Monitor selection
@@ -733,9 +724,7 @@ class ExperimentSpec(_Spec):
         _require(len(set(self.monitors)) == len(self.monitors),
                  "monitors must not repeat a name")
         for name in self.monitors:
-            _require(name in monitor_names(),
-                     f"monitors must be registered names, one of "
-                     f"{monitor_names()}; got {name!r}")
+            _require_key(MONITORS, name, "ExperimentSpec.monitors")
 
     def with_seed(self, seed: int, run_seed: int | None = None) -> "ExperimentSpec":
         """The same experiment on a re-seeded scenario."""

@@ -1,18 +1,10 @@
 """Typed run-time monitors: per-flow time series for dynamic scenarios.
 
-Importing this package registers the built-in monitors (``pdr`` and
-``throughput``) — :mod:`repro.experiment.specs`
-validates ``ExperimentSpec.monitors`` against :func:`monitor_names`, so
-registration must be an import side effect of the package itself.
+:mod:`repro.monitors.flows` holds the series and the built-in monitors
+(``MONITORS``: ``pdr`` and ``throughput``), :mod:`repro.monitors.base`
+the host that samples them during a run.
 """
 
-from repro.monitors.base import FlowSeries, MonitorHost, register_monitor
+from repro.monitors.base import MonitorHost
 
-# Registers the built-in monitors.
-from repro.monitors import flows
-
-__all__ = [
-    "FlowSeries",
-    "MonitorHost",
-    "register_monitor",
-]
+__all__ = ["MonitorHost"]

@@ -1,4 +1,4 @@
-"""Monitor protocol, registry and the sampling host.
+"""Monitor protocol and the sampling host.
 
 A *monitor* turns a dynamic run into typed per-flow time series instead
 of a single end-of-run aggregate — the trajectory view the paper's
@@ -17,60 +17,18 @@ the spec digest for the cache and broker paths to stay byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Protocol
 
-from repro.registry import Registry
+from repro.monitors.flows import MONITORS, FlowSeries
 
 __all__ = [
-    "FlowSeries",
     "Monitor",
     "MonitorHost",
-    "create_monitor",
-    "monitor_names",
-    "register_monitor",
 ]
 
 
-@dataclass(frozen=True)
-class FlowSeries:
-    """One flow's sampled metric: parallel time/value tuples.
-
-    ``times`` are virtual-time window *ends*; ``values[i]`` covers the
-    window ``(times[i-1], times[i]]`` (the first window starts when the
-    monitors did).  Round-trips through ``to_dict``/``from_dict``, which
-    is how series travel inside ``ExperimentResult`` payloads.
-    """
-
-    flow_id: int
-    metric: str
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "flow_id": self.flow_id,
-            "metric": self.metric,
-            "times": list(self.times),
-            "values": list(self.values),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowSeries":
-        return cls(
-            flow_id=int(data["flow_id"]),
-            metric=str(data["metric"]),
-            times=tuple(float(t) for t in data["times"]),
-            values=tuple(float(v) for v in data["values"]),
-        )
-
-
 class Monitor(Protocol):
-    """What the host expects from a registered monitor.
+    """What the host expects from a monitor of :data:`MONITORS`.
 
     ``attach`` binds the monitor to a built network and its flow
     handles before traffic starts; ``sample`` closes one observation
@@ -86,19 +44,6 @@ class Monitor(Protocol):
     def sample(self, window_start: float, window_end: float) -> None: ...
 
     def series(self) -> list[FlowSeries]: ...
-
-
-MONITORS: Registry[Callable[[], Monitor]] = Registry("monitor")
-
-#: ``@register_monitor(name)`` registers a zero-argument
-#: monitor factory (usually a class).
-register_monitor = MONITORS.register
-monitor_names = MONITORS.names
-
-
-def create_monitor(name: str) -> Monitor:
-    """Instantiate the registered monitor ``name``."""
-    return MONITORS.lookup(name)()
 
 
 class MonitorHost:
@@ -124,7 +69,7 @@ class MonitorHost:
             raise ValueError("interval_s must be positive")
         self.network = network
         self.interval_s = float(interval_s)
-        self.monitors: list[Monitor] = [create_monitor(name) for name in names]
+        self.monitors: list[Monitor] = [MONITORS[name]() for name in names]
         for monitor in self.monitors:
             monitor.attach(network, flows)
         self._window_start = 0.0

@@ -1,4 +1,4 @@
-"""The built-in per-flow monitors: PDR and throughput.
+"""The per-flow series and the monitors that sample them: PDR and throughput.
 
 Each monitor samples every configured flow once per window and appends
 to a per-flow series, through the one flow handle every transport has:
@@ -11,11 +11,46 @@ convention the end-of-run throughput uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
-from repro.monitors.base import FlowSeries, register_monitor
+__all__ = ["FlowSeries", "MONITORS", "PDRMonitor", "ThroughputMonitor"]
 
-__all__ = ["PDRMonitor", "ThroughputMonitor"]
+
+@dataclass(frozen=True)
+class FlowSeries:
+    """One flow's sampled metric: parallel time/value tuples.
+
+    ``times`` are virtual-time window *ends*; ``values[i]`` covers the
+    window ``(times[i-1], times[i]]`` (the first window starts when the
+    monitors did).  Round-trips through ``to_dict``/``from_dict``, which
+    is how series travel inside ``ExperimentResult`` payloads.
+    """
+
+    flow_id: int
+    metric: str
+    times: tuple[float, ...]
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.times) != len(self.values):
+            raise ValueError("times and values must have equal length")
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "flow_id": self.flow_id,
+            "metric": self.metric,
+            "times": list(self.times),
+            "values": list(self.values),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "FlowSeries":
+        return cls(
+            flow_id=int(data["flow_id"]),
+            metric=str(data["metric"]),
+            times=tuple(float(t) for t in data["times"]),
+            values=tuple(float(v) for v in data["values"]),
+        )
 
 
 @dataclass
@@ -40,7 +75,6 @@ class _SeriesBuilder:
         )
 
 
-@register_monitor("pdr")
 class PDRMonitor:
     """Packet delivery ratio per window: delivered delta / sent delta.
 
@@ -77,7 +111,6 @@ class PDRMonitor:
         return [builder.build() for builder in self._builders]
 
 
-@register_monitor("throughput")
 class ThroughputMonitor:
     """Per-window goodput through each flow handle's ``throughput_bps``
     (UDP payload goodput; TCP unique-segment goodput)."""
@@ -95,3 +128,7 @@ class ThroughputMonitor:
 
     def series(self) -> list[FlowSeries]:
         return [builder.build() for builder in self._builders]
+
+
+#: Every ``ExperimentSpec.monitors`` name, with the class the host makes.
+MONITORS = {"pdr": PDRMonitor, "throughput": ThroughputMonitor}

@@ -1,6 +1,6 @@
 """Simulation substrate: event kernel, the MeshNetwork assembly object,
 topology factories (link pairs, chains, grids, random disks, the
-18-node testbed), the composable scenario generator registries
+18-node testbed), the composable scenario generator tables
 (:mod:`repro.sim.generators`), delivery-attempt tracing and the two-phase
 measurement drivers of Section 4."""
 

@@ -7,8 +7,8 @@ changes underneath it.  This module supplies the two dynamics axes a
 :class:`~repro.experiment.specs.ChurnSpec`) and the :class:`DynamicsDriver`
 that plays them out against a built :class:`~repro.sim.network.MeshNetwork`:
 
-* **Mobility models** are registered trajectory builders
-  (:func:`register_mobility`).  A trajectory advances node positions one
+* **Mobility models** (:data:`MOBILITY_MODELS`) are trajectory classes
+  built by :func:`build_mobility`.  A trajectory advances node positions one
   *position epoch* at a time; each epoch the driver pushes the nodes
   that actually moved through :meth:`MeshNetwork.update_positions`,
   which rebuilds only the affected power-table rows/columns of the
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.engine import named_rng
-from repro.registry import Registry
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import bounding_box
 
@@ -45,48 +44,15 @@ Positions = dict[int, tuple[float, float]]
 __all__ = [
     "ChurnEvent",
     "DynamicsDriver",
-    "Trajectory",
     "build_mobility",
     "generate_churn_schedule",
-    "mobility_names",
     "mobility_rng",
-    "register_mobility",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Mobility model registry
+# Mobility models
 # ---------------------------------------------------------------------------
-class Trajectory:
-    """One scenario's mobility state: positions advanced epoch by epoch.
-
-    ``step()`` advances every node by one position epoch and returns the
-    complete placement after the move.  Implementations must be
-    deterministic — same seed, same call sequence, same positions — and
-    must iterate nodes in sorted-id order so their draw order is a pure
-    function of the node set.
-    """
-
-    #: Registered model name (set by :func:`build_mobility`).
-    model: str = ""
-
-    def step(self) -> Positions:
-        raise NotImplementedError
-
-
-MobilityBuilder = Callable[[Positions, Mapping[str, Any], int], Trajectory]
-
-MOBILITY_MODELS: Registry[MobilityBuilder] = Registry("mobility model")
-
-#: ``@register_mobility(name)`` registers
-#: ``builder(positions, params, seed) -> Trajectory``.  ``params`` is the
-#: plain-dict form of :meth:`repro.experiment.specs.MobilitySpec.params`
-#: (builders read the keys they care about), so a registered model is
-#: immediately drivable from a serialized spec.
-register_mobility = MOBILITY_MODELS.register
-mobility_names = MOBILITY_MODELS.names
-
-
 def mobility_rng(model: str, seed: int) -> np.random.Generator:
     """The model-private stream ``"mobility.<model>"`` of ``seed``
     (:func:`repro.engine.named_rng`): trajectories never share draws with
@@ -94,33 +60,22 @@ def mobility_rng(model: str, seed: int) -> np.random.Generator:
     return named_rng(seed, f"mobility.{model}")
 
 
-def build_mobility(
-    model: str, positions: Positions, params: Mapping[str, Any] | None = None,
-    seed: int = 0,
-) -> Trajectory:
-    """Build a trajectory for ``positions`` via the registered ``model``."""
-    build = MOBILITY_MODELS.lookup(model)
-    trajectory = build(dict(positions), dict(params or {}), seed)
-    trajectory.model = model
-    return trajectory
+class _DriftTrajectory:
+    """Per-epoch Gaussian displacement clipped to the initial box.
 
+    ``step()`` advances every node by one position epoch and returns the
+    complete placement after the move; nodes are drawn for in sorted-id
+    order, so the draw order is a pure function of the node set.
+    """
 
-# ---------------------------------------------------------------------------
-# Built-in mobility models
-# ---------------------------------------------------------------------------
-# The ``params.get`` defaults below are the library-level defaults of
-# :func:`build_mobility` for callers that pass a partial dict; a
-# ``MobilitySpec`` always passes every parameter.
-@register_mobility("drift")
-class _DriftTrajectory(Trajectory):
-    """Per-epoch Gaussian displacement clipped to the initial box."""
+    model = "drift"
 
     def __init__(self, positions: Positions, params: Mapping[str, Any], seed: int) -> None:
         self._order = sorted(positions)
         self._pos = {node: positions[node] for node in self._order}
-        self._box = bounding_box(positions, params.get("area_margin_m", 25.0))
-        self._sigma = params.get("drift_sigma_m", 2.0)
-        self._rng = mobility_rng("drift", seed)
+        self._box = bounding_box(positions, params["area_margin_m"])
+        self._sigma = params["drift_sigma_m"]
+        self._rng = mobility_rng(self.model, seed)
 
     def step(self) -> Positions:
         x_min, x_max, y_min, y_max = self._box
@@ -131,6 +86,19 @@ class _DriftTrajectory(Trajectory):
             y = min(max(y + float(displacements[index, 1]), y_min), y_max)
             self._pos[node] = (x, y)
         return dict(self._pos)
+
+
+#: Every ``MobilitySpec.model``.
+MOBILITY_MODELS = {"drift": _DriftTrajectory}
+
+
+def build_mobility(
+    model: str, positions: Positions, params: Mapping[str, Any], seed: int
+) -> _DriftTrajectory:
+    """The ``model`` trajectory of ``positions``; ``params`` is the
+    plain-dict form of :meth:`repro.experiment.specs.MobilitySpec.params`
+    (every parameter the model reads)."""
+    return MOBILITY_MODELS[model](dict(positions), params, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +176,7 @@ class DynamicsDriver:
     def __init__(
         self,
         network: MeshNetwork,
-        trajectory: Trajectory | None = None,
+        trajectory: _DriftTrajectory | None = None,
         epoch_s: float = 1.0,
         churn: list[ChurnEvent] | tuple[ChurnEvent, ...] = (),
     ) -> None:

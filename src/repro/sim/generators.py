@@ -2,21 +2,20 @@
 
 The paper's online optimizer is only convincing when exercised across
 many interference structures.  This module opens that space by breaking
-scenario construction into three orthogonal, independently registered
-axes:
+scenario construction into three orthogonal axes, each one table of
+name -> entry:
 
-* **Topology generators** map parameters plus a seed to node positions
-  (:data:`Positions`).  Built-ins are the chain, the grid, the random
-  disk and the paper's 18-node testbed.  Each is one
-  :func:`register_topology` declaration (:class:`TopologyGenerator`):
-  build, node count, validity.
-* **Workload generators** map a built :class:`MeshNetwork` plus demand
-  parameters to a list of :class:`GeneratedFlow`\\ s over ETT-routed
-  paths: mixed TCP/UDP random demands, and the rejection-sampled pairs
-  of the Sections 4.5 / 6.3 configurations.  Register new ones with
-  :func:`register_workload`.
-* **Radio profiles** are named radio parameter presets
-  (:func:`radio_profile_config`): the reduced-carrier-sense
+* **Topology generators** (:data:`TOPOLOGIES`) map parameters plus a
+  seed to node positions (:data:`Positions`).  Built-ins are the chain,
+  the grid, the random disk and the paper's 18-node testbed.  Each is
+  one :class:`TopologyGenerator` record: build, node count, validity.
+* **Workload generators** (:data:`WORKLOADS`) map a built
+  :class:`MeshNetwork` plus demand parameters to a list of
+  :class:`GeneratedFlow`\\ s over ETT-routed paths: mixed TCP/UDP random
+  demands, and the rejection-sampled pairs of the Sections 4.5 / 6.3
+  configurations.
+* **Radio profiles** (:data:`RADIO_PROFILES`) are named radio parameter
+  presets (:func:`radio_profile_config`): the reduced-carrier-sense
   ``hidden_terminal`` configuration the Figure 13 starvation scenario is
   built on.
 
@@ -28,9 +27,8 @@ the experiment layer (:mod:`repro.experiment.specs`) serialize generator
 name + params into a canonical spec dict, content-address it with
 ``spec_digest``, and replay it bit-identically on any execution backend.
 
-The registries (:class:`repro.registry.Registry`) are the single source
-of truth for generator names; the spec layer validates against them and
-every unknown-name lookup raises listing the registered names.
+The tables are the single source of truth for generator names: the spec
+layer refuses a name that is not a key, listing the keys.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import numpy as np
 from repro.engine import named_rng
 from repro.net.routing import Router, ett
 from repro.phy.radio import RATE_1MBPS, RATE_11MBPS, RadioConfig, rate_from_mbps
-from repro.registry import Registry
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import (
     chain_topology,
@@ -59,14 +56,8 @@ __all__ = [
     "GeneratedFlow",
     "TopologyGenerator",
     "WorkloadContext",
-    "register_topology",
-    "register_workload",
-    "topology_names",
-    "workload_names",
     "workload_rng",
     "scenario_streams",
-    "radio_profile_names",
-    "radio_profile_params",
     "radio_profile_config",
     "assign_link_rates",
     "ett_link_weights",
@@ -163,9 +154,6 @@ def assign_link_rates(
 # ---------------------------------------------------------------------------
 # Topology generators
 # ---------------------------------------------------------------------------
-TopologyBuilder = Callable[[Any, int], Positions]
-
-
 @dataclass(frozen=True)
 class TopologyGenerator:
     """Everything one topology kind declares, in one place.
@@ -176,9 +164,8 @@ class TopologyGenerator:
     """
 
     #: ``(params, seed) -> Positions``.
-    build: TopologyBuilder
-    #: How many nodes ``build`` would place, without building (the sweep
-    #: planner orders cells by it).
+    build: Callable[[Any, int], Positions]
+    #: How many nodes ``build`` would place, without building.
     node_count: Callable[[Any], int]
     #: Why ``params`` are invalid for this kind (``TopologySpec`` raises
     #: it as a ``SpecError`` on construction), or falsy when they are valid.
@@ -188,60 +175,16 @@ class TopologyGenerator:
     shape: Callable[[Any], str] | None = None
 
 
-TOPOLOGIES: Registry[TopologyGenerator] = Registry("topology generator")
-WORKLOADS: Registry[Callable[["WorkloadContext"], list["GeneratedFlow"]]] = Registry(
-    "workload generator"
-)
-
-#: ``@register_workload(name)`` registers
-#: ``builder(ctx: WorkloadContext) -> [GeneratedFlow, ...]``.
-register_workload = WORKLOADS.register
-topology_names = TOPOLOGIES.names
-workload_names = WORKLOADS.names
-
-
-def register_topology(
-    name: str, **declaration: Any
-) -> Callable[[TopologyBuilder], TopologyBuilder]:
-    """Register ``build(params, seed) -> Positions`` under ``name``;
-    ``declaration`` is the rest of its :class:`TopologyGenerator`
-    (``node_count=``, and ``problem=`` / ``shape=`` where it has them).
-    The name is at once a valid ``TopologySpec.kind``: validated, sized
-    and built through this."""
-
-    def decorator(build: TopologyBuilder) -> TopologyBuilder:
-        TOPOLOGIES.register(name)(TopologyGenerator(build, **declaration))
-        return build
-
-    return decorator
-
-
-@register_topology(
-    "chain",
-    node_count=lambda t: t.num_nodes,
-    problem=lambda t: t.num_nodes < 2 and "a chain needs at least two nodes",
-)
 def _chain(t: Any, seed: int) -> Positions:
     """N nodes in a line (classic multi-hop chain)."""
     return chain_topology(t.num_nodes, t.spacing_m)
 
 
-@register_topology(
-    "grid",
-    node_count=lambda t: t.rows * t.cols,
-    problem=lambda t: (t.rows < 1 or t.cols < 1) and "grid dimensions must be positive",
-    shape=lambda t: f"{t.rows}x{t.cols}",
-)
 def _grid(t: Any, seed: int) -> Positions:
     """Rows x cols lattice of nodes."""
     return grid_topology(t.rows, t.cols, t.spacing_m)
 
 
-@register_topology(
-    "random_disk",
-    node_count=lambda t: t.num_nodes,
-    problem=lambda t: t.num_nodes < 2 and "a random disk needs at least two nodes",
-)
 def _random_disk(t: Any, seed: int) -> Positions:
     """N nodes placed uniformly in a disk with a minimum separation."""
     return random_disk_topology(
@@ -249,13 +192,32 @@ def _random_disk(t: Any, seed: int) -> Positions:
     )
 
 
-@register_topology(
-    "testbed",
-    node_count=lambda t: 18,
-)
 def _testbed(t: Any, seed: int) -> Positions:
     """The paper's synthetic 18-node testbed layout."""
     return testbed_positions(seed=seed, jitter_m=t.jitter_m)
+
+
+#: Every ``TopologySpec.kind``: the spec validates, sizes, labels and
+#: builds through its record, so there is no kind-switch to extend.
+TOPOLOGIES: dict[str, TopologyGenerator] = {
+    "chain": TopologyGenerator(
+        _chain,
+        node_count=lambda t: t.num_nodes,
+        problem=lambda t: t.num_nodes < 2 and "a chain needs at least two nodes",
+    ),
+    "grid": TopologyGenerator(
+        _grid,
+        node_count=lambda t: t.rows * t.cols,
+        problem=lambda t: (t.rows < 1 or t.cols < 1) and "grid dimensions must be positive",
+        shape=lambda t: f"{t.rows}x{t.cols}",
+    ),
+    "random_disk": TopologyGenerator(
+        _random_disk,
+        node_count=lambda t: t.num_nodes,
+        problem=lambda t: t.num_nodes < 2 and "a random disk needs at least two nodes",
+    ),
+    "testbed": TopologyGenerator(_testbed, node_count=lambda t: 18),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +237,14 @@ RADIO_PROFILES: dict[str, dict[str, float]] = {
 }
 
 
-def radio_profile_names() -> list[str]:
-    """Every named radio profile, sorted."""
-    return sorted(RADIO_PROFILES)
-
-
-def radio_profile_params(name: str) -> dict[str, float]:
-    """The parameter overrides of a named radio profile."""
-    if name not in RADIO_PROFILES:
-        raise KeyError(
-            f"unknown radio profile {name!r}; registered: {radio_profile_names()}"
-        )
-    return dict(RADIO_PROFILES[name])
-
-
 def radio_profile_config(
     name: str, data_rate_mbps: float = 11.0, basic_rate_mbps: float = 1.0
 ) -> RadioConfig:
     """A ready :class:`RadioConfig` for a named profile at the given rates."""
-    params = radio_profile_params(name)
     return RadioConfig(
         data_rate=rate_from_mbps(data_rate_mbps),
         basic_rate=rate_from_mbps(basic_rate_mbps),
-        **params,
+        **RADIO_PROFILES[name],
     )
 
 
@@ -316,25 +263,27 @@ class GeneratedFlow:
 
     transport: str
     path: tuple[int, ...]
-    rate_bps: float | None = None
-    payload_bytes: int = 1470
-    mss_bytes: int = 1460
+    rate_bps: float | None
+    payload_bytes: int
+    mss_bytes: int
 
 
 @dataclass
 class WorkloadContext:
     """Everything a workload builder needs: the network, ETT routes and a
-    generator-private RNG stream, plus the demand parameters."""
+    generator-private RNG stream, plus the demand parameters (a
+    :class:`repro.experiment.specs.WorkloadSpec`'s ``params()``, which
+    holds their defaults)."""
 
     network: MeshNetwork
     router: Router
     rng: np.random.Generator
-    num_flows: int = 4
-    max_hops: int = 4
-    rate_bps: float | None = None
-    tcp_fraction: float = 0.5
-    payload_bytes: int = 1470
-    mss_bytes: int = 1460
+    num_flows: int
+    max_hops: int
+    rate_bps: float | None
+    tcp_fraction: float
+    payload_bytes: int
+    mss_bytes: int
 
     def routable_demands(self) -> list[tuple[int, int, list[int]]]:
         """Every ordered ``(src, dst, path)`` whose ETT route fits
@@ -377,8 +326,8 @@ class WorkloadContext:
         )
 
     def generate(self, generator: str) -> list[GeneratedFlow]:
-        """The flows the registered workload ``generator`` draws here."""
-        flows = WORKLOADS.lookup(generator)(self)
+        """The flows the workload ``generator`` draws here."""
+        flows = WORKLOADS[generator](self)
         if not flows:
             raise RuntimeError(f"workload generator {generator!r} produced no flows")
         return flows
@@ -410,7 +359,6 @@ def scenario_streams(
     return named_rng(seed, "generated.link_rates"), workload
 
 
-@register_workload("mixed_tcp_udp")
 def _mixed_tcp_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
     """Per-flow coin flip between TCP bulk and UDP at ``tcp_fraction``."""
     flows: list[GeneratedFlow] = []
@@ -422,7 +370,6 @@ def _mixed_tcp_udp(ctx: WorkloadContext) -> list[GeneratedFlow]:
     return flows
 
 
-@register_workload("random_pairs")
 def _random_pairs(ctx: WorkloadContext) -> list[GeneratedFlow]:
     """The demands of the ETT-routed configurations of Sections 4.5 / 6.3:
     ordered node pairs drawn until ``num_flows`` distinct ones route in
@@ -460,3 +407,10 @@ def _random_pairs(ctx: WorkloadContext) -> list[GeneratedFlow]:
         else ctx.flow("udp", path, ctx.rate_bps)
         for path in paths
     ]
+
+
+#: Every ``WorkloadSpec.generator``.
+WORKLOADS: dict[str, Callable[[WorkloadContext], list[GeneratedFlow]]] = {
+    "mixed_tcp_udp": _mixed_tcp_udp,
+    "random_pairs": _random_pairs,
+}

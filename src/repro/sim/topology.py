@@ -185,7 +185,7 @@ def bounding_box(
 #
 # Keyword defaults here (55 m chain spacing, a 200 m disk, ...) are
 # library-level, for code that places nodes by hand.  ``TopologySpec``
-# has its own, and the registrations in repro.sim.generators pass every
+# has its own, and the table entries in repro.sim.generators pass every
 # argument, so no spec ever builds with a default from this file; the
 # ValueError guards likewise protect direct callers.
 # --------------------------------------------------------------------------

@@ -43,11 +43,8 @@ DEFAULT_MSS_BYTES = 1460
 class TcpStats:
     """Sender-side TCP counters."""
 
-    retransmissions: int = 0
     timeouts: int = 0
     fast_retransmits: int = 0
-    acks_received: int = 0
-    duplicate_acks: int = 0
 
 
 class TcpSink(UdpSink):
@@ -210,7 +207,6 @@ class TcpSource:
         self.node.send_packet(packet)
         self.sent += 1
         if is_retransmission:
-            self.stats.retransmissions += 1
             self._retransmitted.add(seq)
         else:
             self._send_times[seq] = self.sim.now
@@ -261,7 +257,6 @@ class TcpSource:
         if not self._active:
             return
         ackno = packet.seq
-        self.stats.acks_received += 1
         if ackno > self.send_base:
             self._update_rtt(ackno - 1)
             for seq in range(self.send_base, ackno):
@@ -280,7 +275,6 @@ class TcpSource:
                 self._cancel_timer()
             self._try_send()
         else:
-            self.stats.duplicate_acks += 1
             self.dup_acks += 1
             if self.dup_acks == 3:
                 self.stats.fast_retransmits += 1

@@ -2,8 +2,8 @@
 one frozen canonical dict + digest per spec axis.
 
 This module is the single source of truth for the golden regression
-suite: it defines the spec grid (one small experiment per registered
-scenario), the canonical serialization, and the regeneration entry
+suite: it defines the spec grid (one small experiment per built-in
+scenario name), the canonical serialization, and the regeneration entry
 point.  ``tests/experiment/test_golden.py`` imports it to re-run the
 same specs and compare byte-for-byte against the committed JSON.
 
@@ -71,7 +71,7 @@ from repro.experiment.specs import (  # noqa: E402
 )
 from repro.transport.udp import UdpSource  # noqa: E402
 
-#: One deliberately small experiment per registered scenario, plus extra
+#: One deliberately small experiment per built-in scenario name, plus extra
 #: regression grids (multi-cycle controller convergence).  Keep these
 #: cheap (a few seconds each at most): they run in every tier-1 pass.
 GOLDEN_SPECS: dict[str, ExperimentSpec] = {

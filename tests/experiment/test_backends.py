@@ -14,13 +14,10 @@ from typing import Any, Mapping, Sequence
 import pytest
 
 from repro.experiment.backends.base import (
-    BACKEND_ENV_VAR,
     BackendError,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    backend_names,
-    resolve_backend,
     run_spec_payload,
 )
 from repro.experiment.backends.broker_client import BrokerBackend, BrokerClient
@@ -30,7 +27,13 @@ from repro.experiment.backends.work_queue import (
     claim_next_task,
     ensure_queue_dirs,
 )
-from repro.experiment.batch import BatchRunner, seed_sweep
+from repro.experiment.batch import (
+    BACKEND_ENV_VAR,
+    BatchRunner,
+    backend_names,
+    resolve_backend,
+    seed_sweep,
+)
 from repro.experiment.cache import ResultCache
 from repro.experiment.backends.queue_common import (
     DEFAULT_LEASE_S,

@@ -31,17 +31,14 @@ from repro.experiment.specs import (
     spec_digest,
 )
 from repro.net.routing import Router
+from repro.sim import generators
 from repro.sim.generators import (
-    TOPOLOGIES as TOPOLOGY_REGISTRY,
+    RADIO_PROFILES,
+    TopologyGenerator,
     WorkloadContext,
     ett_link_weights,
     radio_profile_config,
-    radio_profile_names,
-    radio_profile_params,
-    register_topology,
     scenario_streams,
-    topology_names,
-    workload_names,
     workload_rng,
 )
 
@@ -84,15 +81,25 @@ def generated_scenario(
 def _generate(network, name, seed=0, **params):
     """The flows of workload ``name`` on ``network``, drawn as a generated
     scenario draws them: over an ETT router, from the generator's stream
-    of ``seed``."""
+    of ``seed``; ``params`` override the ``WorkloadSpec`` defaults."""
     router = Router(network.node_ids, ett_link_weights(network))
     _, rng = scenario_streams(name, seed)
+    params = WorkloadSpec(generator=name, **params).params()
     return WorkloadContext(network, router, rng, **params).generate(name)
+
+
+def _context(network, rng, num_flows, max_hops):
+    """A workload context with every demand parameter given."""
+    router = Router(network.node_ids, ett_link_weights(network))
+    return WorkloadContext(
+        network, router, rng, num_flows=num_flows, max_hops=max_hops,
+        rate_bps=None, tcp_fraction=0.5, payload_bytes=1470, mss_bytes=1460,
+    )
 
 
 class TestTopologyGenerators:
     def test_registry_covers_the_advertised_generators(self):
-        assert set(EXPECTED_NODES) == set(topology_names())
+        assert set(EXPECTED_NODES) == set(generators.TOPOLOGIES)
 
     @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
     def test_build_produces_expected_node_count(self, kind):
@@ -117,25 +124,26 @@ class TestTopologyGenerators:
                 assert (x1 - x2) ** 2 + (y1 - y2) ** 2 >= spec.min_separation_m**2
 
     def test_unknown_generator_lists_registered_names(self):
-        with pytest.raises(KeyError, match="registered:.*grid"):
-            TOPOLOGY_REGISTRY.lookup("moebius_strip")
-        with pytest.raises(SpecError, match="registered generator"):
+        listed = r"TopologySpec\.kind must be one of \['chain', 'grid', 'random_disk', 'testbed'\]"
+        with pytest.raises(SpecError, match=listed):
             TopologySpec(kind="moebius_strip")
+        with pytest.raises(SpecError, match=listed):
+            TopologySpec.from_dict({"kind": "moebius_strip"})
 
     def test_one_declaration_makes_a_kind_buildable_sized_and_validated(self):
-        """A registration is the only place a kind is described: the
+        """A table entry is the only place a kind is described: the
         spec validates against it, sizes by it and labels with it — no
         kind-switch to extend."""
-        @register_topology(
-            "test-only-cross",
-            node_count=lambda t: t.num_nodes + 1,
-            problem=lambda t: t.num_nodes < 2 and "a cross needs at least two arms",
-            shape=lambda t: f"{t.num_nodes} arms",
-        )
         def _cross(t, seed):
             arms = {i + 1: (t.spacing_m * (i + 1), 0.0) for i in range(t.num_nodes)}
             return {0: (0.0, 0.0), **arms}
 
+        generators.TOPOLOGIES["test-only-cross"] = TopologyGenerator(
+            _cross,
+            node_count=lambda t: t.num_nodes + 1,
+            problem=lambda t: t.num_nodes < 2 and "a cross needs at least two arms",
+            shape=lambda t: f"{t.num_nodes} arms",
+        )
         try:
             spec = TopologySpec(kind="test-only-cross", num_nodes=4, spacing_m=50.0)
             assert len(spec.build()) == spec.node_count() == 5
@@ -144,7 +152,7 @@ class TestTopologyGenerators:
             with pytest.raises(SpecError, match="at least two arms"):
                 TopologySpec(kind="test-only-cross", num_nodes=1)
         finally:
-            TOPOLOGY_REGISTRY.pop("test-only-cross", None)
+            generators.TOPOLOGIES.pop("test-only-cross", None)
 
 
 class TestWorkloadGenerators:
@@ -153,7 +161,7 @@ class TestWorkloadGenerators:
         return build_scenario(generated_scenario("grid", "mixed_tcp_udp")).network
 
     def test_registry_covers_the_advertised_generators(self):
-        assert set(WORKLOADS) == set(workload_names())
+        assert set(WORKLOADS) == set(generators.WORKLOADS)
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_same_spec_produces_identical_flows(self, name, network):
@@ -181,18 +189,16 @@ class TestWorkloadGenerators:
         """``sample_demands`` is ``rng.choice(len(candidates), num_flows,
         replace=False)`` over the routable demands in node-id order, the
         chosen indices sorted: a copy of the stream draws the same."""
-        router = Router(network.node_ids, ett_link_weights(network))
         _, rng = scenario_streams("mixed_tcp_udp", 4)
         _, copy = scenario_streams("mixed_tcp_udp", 4)
-        context = WorkloadContext(network, router, rng, num_flows=3, max_hops=2)
+        context = _context(network, rng, num_flows=3, max_hops=2)
         candidates = context.routable_demands()
         chosen = sorted(int(i) for i in copy.choice(len(candidates), size=3, replace=False))
         assert context.sample_demands() == [candidates[i] for i in chosen]
 
     def test_fewer_demands_than_flows_takes_them_all(self, network):
-        router = Router(network.node_ids, ett_link_weights(network))
         _, rng = scenario_streams("mixed_tcp_udp", 4)
-        context = WorkloadContext(network, router, rng, num_flows=1000, max_hops=1)
+        context = _context(network, rng, num_flows=1000, max_hops=1)
         assert context.sample_demands() == context.routable_demands()
         assert rng.bit_generator.state == scenario_streams("mixed_tcp_udp", 4)[1].bit_generator.state
 
@@ -200,11 +206,12 @@ class TestWorkloadGenerators:
         flows = _generate(network, "mixed_tcp_udp", seed=2, num_flows=4, max_hops=2)
         assert all(1 <= len(f.path) - 1 <= 2 for f in flows)
 
-    def test_unknown_generator_lists_registered_names(self, network):
-        with pytest.raises(KeyError, match="registered:.*random_pairs"):
-            _generate(network, "broadcast_storm", seed=0)
-        with pytest.raises(SpecError, match="registered name"):
+    def test_unknown_generator_lists_registered_names(self):
+        listed = r"WorkloadSpec\.generator must be one of \['mixed_tcp_udp', 'random_pairs'\]"
+        with pytest.raises(SpecError, match=listed):
             WorkloadSpec(generator="broadcast_storm")
+        with pytest.raises(SpecError, match=listed):
+            WorkloadSpec.from_dict({"generator": "broadcast_storm"})
 
 
 class TestRadioProfiles:
@@ -214,14 +221,12 @@ class TestRadioProfiles:
         built.close()
 
     def test_every_profile_builds(self):
-        for name in radio_profile_names():
+        for name in sorted(RADIO_PROFILES):
             config = radio_profile_config(name, data_rate_mbps=11)
             assert config.data_rate.bps == 11e6
 
     def test_unknown_profile_lists_registered_names(self):
-        with pytest.raises(KeyError, match="registered:.*hidden_terminal"):
-            radio_profile_params("quantum_entangled")
-        with pytest.raises(SpecError, match="radio_profile must be one of"):
+        with pytest.raises(SpecError, match=r"radio_profile must be one of \['hidden_terminal'\]"):
             ScenarioSpec(scenario="generated", radio_profile="quantum_entangled")
 
 

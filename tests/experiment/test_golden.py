@@ -1,7 +1,7 @@
 """Golden-result regression: frozen ExperimentResult JSON per scenario,
 and the frozen spec digest table.
 
-One small experiment per registered scenario is frozen byte-for-byte
+One small experiment per built-in scenario name is frozen byte-for-byte
 under ``tests/experiment/golden/``.  A failure here means the simulation
 semantics changed — see ``golden/regenerate.py`` (the single source of
 truth for the spec grid and the canonical serialization) for the
@@ -22,10 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiment.specs import ExperimentSpec
-from repro.experiment.registry import scenario_names
-from repro.sim.dynamics import mobility_names
-from repro.sim.generators import topology_names, workload_names
+from repro.experiment.specs import SCENARIO_PRESETS, ExperimentSpec
+from repro.sim.dynamics import MOBILITY_MODELS
+from repro.sim.generators import TOPOLOGIES, WORKLOADS
+
+#: Every name ``ScenarioSpec.scenario`` accepts.
+SCENARIOS = sorted({"generated", *SCENARIO_PRESETS})
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -45,11 +47,11 @@ golden = _load_golden_module()
 def test_every_registered_scenario_has_a_golden() -> None:
     """New scenarios must add a fixture (and existing ones keep theirs).
 
-    Extra fixture keys beyond the registered names are allowed — that is
+    Extra fixture keys beyond the built-in names are allowed — that is
     how regression grids like the multi-cycle chain freeze behaviour a
     single per-scenario cell cannot.
     """
-    assert set(scenario_names()) <= set(golden.GOLDEN_SPECS)
+    assert set(SCENARIOS) <= set(golden.GOLDEN_SPECS)
     for name in golden.GOLDEN_SPECS:
         assert golden.golden_path(name).exists(), (
             f"missing golden fixture for {name!r}; run "
@@ -72,14 +74,14 @@ def _digest_table() -> dict[str, dict[str, str]]:
 
 
 def test_digest_table_covers_every_registered_name() -> None:
-    """A newly registered built-in must add its row, and a deleted one
-    must take its row with it."""
+    """A new built-in must add its row, and a deleted one must take its
+    row with it."""
     assert set(_digest_table()) == set(golden.DIGEST_SPECS)
     expected = (
-        [f"topology-{name}" for name in topology_names()]
-        + [f"workload-{name}" for name in workload_names()]
-        + [f"mobility-{name}" for name in mobility_names()]
-        + [f"scenario-{name}" for name in scenario_names()]
+        [f"topology-{name}" for name in sorted(TOPOLOGIES)]
+        + [f"workload-{name}" for name in sorted(WORKLOADS)]
+        + [f"mobility-{name}" for name in sorted(MOBILITY_MODELS)]
+        + [f"scenario-{name}" for name in SCENARIOS]
         + ["churn", "monitors"]
     )
     assert set(expected) == set(golden.DIGEST_SPECS)

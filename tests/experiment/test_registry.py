@@ -1,17 +1,17 @@
-"""Scenario registry: discovery, building, custom registration."""
+"""Scenario building: the built-in names, what each builds, and the
+names a spec refuses."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from repro.experiment.registry import (
-    BuiltScenario,
-    build_scenario,
-    register_scenario,
-    scenario_names,
-)
+from repro.experiment.registry import build_scenario
 from repro.experiment.specs import (
+    SCENARIO_PRESETS,
     ChurnSpec,
+    ExperimentSpec,
     FlowSpec,
     MobilitySpec,
     ScenarioSpec,
@@ -67,25 +67,19 @@ def _plain(value):
 
 class TestDiscovery:
     def test_all_builtins_registered(self):
-        assert set(BUILTIN_SCENARIOS) <= set(scenario_names())
+        assert sorted({"generated", *SCENARIO_PRESETS}) == BUILTIN_SCENARIOS
 
     def test_unknown_scenario_raises_spec_error(self):
-        with pytest.raises(SpecError, match="unknown scenario"):
-            build_scenario(ScenarioSpec(scenario="no-such-scenario"))
+        with pytest.raises(SpecError, match="ScenarioSpec.scenario must be one of"):
+            ScenarioSpec(scenario="no-such-scenario")
 
     def test_unknown_scenario_error_lists_registered_names(self):
         """A bare lookup failure is useless at a REPL; the error must
-        name every registered scenario (SpecError is a ValueError, so
+        name every built-in scenario (SpecError is a ValueError, so
         generic `except ValueError` handling keeps working)."""
         with pytest.raises(ValueError) as excinfo:
-            build_scenario(ScenarioSpec(scenario="no-such-scenario"))
-        message = str(excinfo.value)
-        for name in scenario_names():
-            assert name in message
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario("chain")(lambda spec: None)
+            ScenarioSpec(scenario="no-such-scenario")
+        assert str(BUILTIN_SCENARIOS) in str(excinfo.value)
 
 
 class TestBuiltinBuilders:
@@ -143,8 +137,15 @@ class TestBuiltinBuilders:
         with pytest.raises(SpecError, match=refused):
             ScenarioSpec.from_dict({"scenario": scenario, field: _plain(value)})
 
-    def test_names_registered_elsewhere_are_not_checked(self):
-        ScenarioSpec(scenario="not-a-built-in", transport="tcp", mobility=MobilitySpec())
+    def test_an_unknown_name_is_refused_where_the_spec_is_made(self):
+        """A spec naming no built-in scenario never gets a digest: it is
+        refused when made, and when read back from a payload, listing the
+        four names, instead of inside whichever worker would build it."""
+        listed = r"ScenarioSpec\.scenario must be one of " + re.escape(str(BUILTIN_SCENARIOS))
+        with pytest.raises(SpecError, match=listed):
+            ScenarioSpec(scenario="no-such-scenario")
+        with pytest.raises(SpecError, match=listed):
+            ExperimentSpec.from_dict({"scenario": {"scenario": "no-such-scenario"}})
 
     def test_meta_is_json_serializable(self):
         import json
@@ -212,83 +213,3 @@ class TestFailedBuild:
             SpecError, match=f"asks for {failable + 1} node failures, but only {failable} "
         ):
             build_scenario(spec)
-
-
-class TestCustomRegistration:
-    def test_registered_builder_is_discoverable_and_buildable(self):
-        name = "test-only-two-node"
-
-        @register_scenario(name)
-        def _build(spec: ScenarioSpec) -> BuiltScenario:
-            from repro.sim.network import MeshNetwork
-            from repro.sim.topology import no_shadowing_propagation
-
-            network = MeshNetwork(
-                {0: (0.0, 0.0), 1: (50.0, 0.0)},
-                seed=spec.seed,
-                propagation=no_shadowing_propagation(),
-            )
-            return BuiltScenario(
-                name=name,
-                spec=spec,
-                network=network,
-                flows=[network.add_udp_flow([0, 1])],
-            )
-
-        try:
-            assert name in scenario_names()
-            built = build_scenario(ScenarioSpec(scenario=name, seed=2))
-            assert built.flows[0].path == [0, 1]
-        finally:
-            from repro.experiment import registry
-
-            registry._SCENARIOS.pop(name, None)
-
-    def test_docs_extension_recipe_runs_as_written(self):
-        """docs/experiment-api.md promises one registration per axis;
-        execute its code blocks verbatim and run what they declare."""
-        import re
-        from dataclasses import replace
-        from pathlib import Path
-
-        from repro.experiment import registry
-        from repro.experiment.runner import run_experiment
-        from repro.experiment.specs import ControllerSpec, ExperimentSpec
-        from repro.monitors.base import MONITORS
-        from repro.sim.dynamics import MOBILITY_MODELS
-        from repro.sim.generators import TOPOLOGIES, WORKLOADS
-
-        doc = Path(__file__).resolve().parents[2] / "docs" / "experiment-api.md"
-        text = doc.read_text(encoding="utf-8")
-        section = text[text.index("## Extending the scenario space"):]
-        section = section[: section.index("\n## ", 1)]
-        namespace: dict = {}
-        registered = {
-            "star": TOPOLOGIES,
-            "to_hub": WORKLOADS,
-            "jitter": MOBILITY_MODELS,
-            "hops": MONITORS,
-            "two_chains": registry._SCENARIOS,
-        }
-        try:
-            for block in re.findall(r"```python\n(.*?)```", section, re.S):
-                exec(block, namespace)
-            assert all(name in axis for name, axis in registered.items())
-            spec = replace(
-                namespace["spec"],
-                controller=ControllerSpec(enabled=False),
-                cycle_measure_s=1.0,
-                settle_s=0.2,
-            )
-            assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-            result = run_experiment(spec, cache=False)
-            assert result.meta["topology_generator"] == "star"
-            assert result.meta["dynamics"]["mobility_model"] == "jitter"
-            assert {series.values[0] for series in result.monitors["hops"]} <= {1.0, 2.0, 3.0}
-            assert build_scenario(ScenarioSpec(scenario="two_chains")).links == [
-                (0, 1),
-                (2, 3),
-            ]
-        finally:
-            for name, axis in registered.items():
-                axis.pop(name, None)

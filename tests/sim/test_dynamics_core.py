@@ -13,11 +13,11 @@ from repro.mac.medium import WirelessMedium
 from repro.phy.error_models import FixedPacketErrorModel
 from repro.phy.radio import rate_from_mbps
 from repro.sim.dynamics import (
+    MOBILITY_MODELS,
     ChurnEvent,
     DynamicsDriver,
     build_mobility,
     generate_churn_schedule,
-    mobility_names,
 )
 from repro.sim.network import MeshNetwork
 from repro.sim.topology import chain_topology, no_shadowing_propagation
@@ -240,26 +240,30 @@ class TestChurn:
         assert not net.medium._inactive
 
 
+#: Every parameter the drift model reads (it has no defaults of its own).
+DRIFT = {"drift_sigma_m": 3.0, "area_margin_m": 25.0}
+
+
 class TestTrajectories:
     def test_registered_models(self):
-        assert mobility_names() == ["drift"]
+        assert sorted(MOBILITY_MODELS) == ["drift"]
 
     def test_same_seed_same_path(self):
         positions = dict(chain_topology(4, spacing_m=70.0))
-        a = build_mobility("drift", positions, {"drift_sigma_m": 3.0}, seed=9)
-        b = build_mobility("drift", positions, {"drift_sigma_m": 3.0}, seed=9)
+        a = build_mobility("drift", positions, DRIFT, seed=9)
+        b = build_mobility("drift", positions, DRIFT, seed=9)
         for _ in range(5):
             assert a.step() == b.step()
 
     def test_different_seed_diverges(self):
         positions = dict(chain_topology(4, spacing_m=70.0))
-        a = build_mobility("drift", positions, {"drift_sigma_m": 3.0}, seed=9)
-        b = build_mobility("drift", positions, {"drift_sigma_m": 3.0}, seed=10)
+        a = build_mobility("drift", positions, DRIFT, seed=9)
+        b = build_mobility("drift", positions, DRIFT, seed=10)
         assert a.step() != b.step()
 
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError):
-            build_mobility("teleport", {0: (0.0, 0.0)}, {}, seed=0)
+            build_mobility("teleport", {0: (0.0, 0.0)}, DRIFT, seed=0)
 
 
 class TestChurnSchedule:
@@ -298,7 +302,7 @@ class TestDynamicsDriver:
         net = MeshNetwork(chain_topology(3, spacing_m=70.0), seed=4)
         net.add_udp_flow([0, 1, 2]).start()
         trajectory = build_mobility(
-            "drift", net.positions, {"drift_sigma_m": 2.0}, seed=4
+            "drift", net.positions, {"drift_sigma_m": 2.0, "area_margin_m": 25.0}, seed=4
         )
         schedule = (
             ChurnEvent(time_s=0.3, node_id=1, action="fail"),

@@ -137,6 +137,24 @@ GONE = [
         (f"a protocol-field dict on a packet ({glob})", r"\bmeta\b", glob, ())
         for glob in ("repro/net/*.py", "repro/transport/*.py")
     ],
+    (
+        "the name registry or a register_* extension point beside each axis's literal table",
+        r"repro\.registry|Registry\(|register_(scenario|topology|workload|mobility|monitor|backend)\b",
+        "**/*.py",
+        (),
+    ),
+    (
+        "a name-list alias of a table (callers sort the table)",
+        r"\b(scenario|topology|workload|mobility|monitor|radio_profile)_names\b",
+        "**/*.py",
+        (),
+    ),
+    (
+        "a TCP sender counter nothing reads",
+        r"acks_received|duplicate_acks|stats\.retransmissions",
+        "repro/transport/*.py",
+        (),
+    ),
     *[
         (f"the result cache's or planner's {what}", pattern, "**/*.py", ())
         for what, pattern in (

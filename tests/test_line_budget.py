@@ -22,16 +22,16 @@ TOP_LEVEL = "(top level)"
 #: Non-blank lines per subpackage of ``repro``; ``TOP_LEVEL`` is the
 #: modules directly under it (``engine.py``, ``scheduler.py``, ...).
 CEILINGS = {
-    TOP_LEVEL: 716,
+    TOP_LEVEL: 673,
     "analysis": 186,
     "core": 1565,
-    "experiment": 4668,
+    "experiment": 4630,
     "mac": 1052,
-    "monitors": 221,
+    "monitors": 200,
     "net": 753,
     "phy": 296,
-    "sim": 1469,
-    "transport": 430,
+    "sim": 1405,
+    "transport": 424,
 }
 
 

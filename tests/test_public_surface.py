@@ -16,11 +16,11 @@ Tests are not entry points: they import every name from its defining
 module.
 
 The same entry points, with ``ROADMAP.md``, keep the built-in names of
-the spec registries (topologies, workloads, mobility models, monitors,
+the spec tables (topologies, workloads, mobility models, monitors,
 radio profiles, scenarios): each is a string literal of an entry point,
 reached through a preset an entry point names, or a backticked name in
-the ROADMAP.  Only that check imports the registries (its cases are
-the registered names, read when the tests are collected).
+the ROADMAP.  Only that check imports the tables (its cases are their
+keys, read when the tests are collected).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import ast
 import re
 from collections import defaultdict
 from pathlib import Path
-from typing import Callable
+from typing import Iterable
 
 import pytest
 
@@ -103,26 +103,25 @@ def _module_path(module: str) -> Path | None:
     return None
 
 
-def _registries() -> dict[str, Callable[[], list[str]]]:
-    import repro.monitors  # noqa: F401 - registers the built-in monitors
-    from repro.experiment.registry import scenario_names
-    from repro.monitors.base import monitor_names
-    from repro.sim.dynamics import mobility_names
-    from repro.sim.generators import radio_profile_names, topology_names, workload_names
+def _tables() -> dict[str, Iterable[str]]:
+    from repro.experiment.specs import SCENARIO_PRESETS
+    from repro.monitors.flows import MONITORS
+    from repro.sim.dynamics import MOBILITY_MODELS
+    from repro.sim.generators import RADIO_PROFILES, TOPOLOGIES, WORKLOADS
 
     return {
-        "topology": topology_names,
-        "workload": workload_names,
-        "mobility": mobility_names,
-        "monitor": monitor_names,
-        "radio profile": radio_profile_names,
-        "scenario": scenario_names,
+        "topology": TOPOLOGIES,
+        "workload": WORKLOADS,
+        "mobility": MOBILITY_MODELS,
+        "monitor": MONITORS,
+        "radio profile": RADIO_PROFILES,
+        "scenario": ["generated", *SCENARIO_PRESETS],
     }
 
 
 def _named_values() -> set[str]:
-    """Every string literal of an entry point, every registry name a
-    preset so named builds, and every backticked ROADMAP name."""
+    """Every string literal of an entry point, every table key a preset
+    so named builds, and every backticked ROADMAP name."""
     from repro.experiment.specs import SCENARIO_PRESETS, ScenarioSpec
 
     named = {
@@ -140,28 +139,28 @@ def _named_values() -> set[str]:
 
 
 def _built_in_values() -> list[tuple[str, str]]:
-    return [(registry, name) for registry, names in _registries().items() for name in names()]
+    return [(table, name) for table, names in _tables().items() for name in sorted(names)]
 
 
-def _unnamed(registry: str) -> list[str]:
+def _unnamed(table: str) -> list[str]:
     named = _named_values()
-    return [name for name in _registries()[registry]() if name not in named]
+    return [name for name in sorted(_tables()[table]) if name not in named]
 
 
 @pytest.mark.parametrize(
-    "registry, name", _built_in_values(), ids=[f"{r}-{n}" for r, n in _built_in_values()]
+    "table, name", _built_in_values(), ids=[f"{t}-{n}" for t, n in _built_in_values()]
 )
-def test_every_built_in_value_is_named_by_an_entry_point_or_the_roadmap(registry, name):
+def test_every_built_in_value_is_named_by_an_entry_point_or_the_roadmap(table, name):
     """A built-in spec value no example, figure, ledger workload, docs
     block or ROADMAP item names is deleted with its code, fields and
     tests, not kept for the tests that exercise it."""
-    assert name not in _unnamed(registry)
+    assert name not in _unnamed(table)
 
 
 def test_a_planted_unused_kind_is_found():
-    from repro.sim.generators import TOPOLOGIES, register_topology
+    from repro.sim.generators import TOPOLOGIES, TopologyGenerator
 
-    register_topology("planted-unused-kind", node_count=lambda t: 2)(lambda t, seed: {})
+    TOPOLOGIES["planted-unused-kind"] = TopologyGenerator(lambda t, seed: {}, lambda t: 2)
     try:
         assert _unnamed("topology") == ["planted-unused-kind"]
     finally:
