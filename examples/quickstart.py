@@ -82,8 +82,8 @@ def main() -> None:
 
     # 6. Results are content-addressed by their spec: store the run we
     #    already have and re-running the same experiment becomes a cache
-    #    lookup instead of a simulation (set REPRO_CACHE_DIR to enable
-    #    this everywhere by default).
+    #    lookup instead of a simulation (a run is cached only when it is
+    #    handed a ResultCache).
     with tempfile.TemporaryDirectory() as cache_dir:
         cache = ResultCache(cache_dir)
         cache.put(result)

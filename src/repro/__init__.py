@@ -56,7 +56,7 @@ work-queue execution all return byte-identical results::
 
 Cache results on disk so repeated sweep cells skip the simulation
 (:class:`repro.experiment.ResultCache` keys on a content digest of the spec;
-exporting ``REPRO_CACHE_DIR`` enables it everywhere by default)::
+a run is cached only when it is handed one)::
 
     from repro.experiment import ResultCache
 

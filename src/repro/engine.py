@@ -154,13 +154,6 @@ class Simulator:
         self._processed = 0
         #: Optional per-instance profiler (duck-typed, see module docs).
         self.profiler = None
-        #: Attachment point for run-time monitors (duck-typed, see
-        #: :mod:`repro.monitors`).  Follows the profiler-hook pattern:
-        #: the run loop never reads it — an attached
-        #: :class:`~repro.monitors.MonitorHost` schedules ordinary
-        #: events for its sampling windows — so a simulation with no
-        #: monitors pays nothing, not even an attribute test per event.
-        self.monitors = None
 
     # ------------------------------------------------------------------ RNG
     def rng_stream(self, name: str) -> np.random.Generator:
@@ -236,11 +229,9 @@ class Simulator:
         self._run_due(self, float("inf"))
 
     def close(self) -> None:
-        """Drop every queued event and the monitor attachment: the
-        simulator's references back into the objects it drove (see
-        "Lifetime" in ``docs/architecture.md``)."""
+        """Drop every queued event: the simulator's references back into
+        the objects it drove (see "Lifetime" in ``docs/architecture.md``)."""
         self._sched.clear()
-        self.monitors = None
 
     @property
     def pending_events(self) -> int:

@@ -19,10 +19,10 @@ This package is the canonical public entry point to the reproduction:
   shared-directory :class:`WorkQueueBackend` remote workers drain via
   ``python -m repro.experiment.worker``, and the HTTP
   :class:`BrokerBackend` whose workers need only a URL in common with
-  the submitter), selectable per-runner or globally with
-  ``REPRO_BATCH_BACKEND``.  Queue claims are heartbeat leases with a
-  per-task retry budget, so a worker killed mid-task costs one lease
-  interval, not the sweep;
+  the submitter), chosen by each runner's ``backend`` argument (the
+  process pool when it passes none).  Queue claims are heartbeat leases
+  with a per-task retry budget, so a worker killed mid-task costs one
+  lease interval, not the sweep;
 * :mod:`repro.experiment.broker` — the stdlib HTTP broker behind
   :class:`BrokerBackend` (``python -m repro.experiment.broker``);
 * :mod:`repro.experiment.planner` — :class:`SweepPlanner`, which
@@ -31,8 +31,8 @@ This package is the canonical public entry point to the reproduction:
 * :mod:`repro.experiment.cache` — :class:`ResultCache`, a
   content-addressed directory of result payloads, one file per
   :func:`spec_digest`, consulted by the runner and the batch runner so
-  repeated sweep cells skip the simulation (enable globally by
-  exporting ``REPRO_CACHE_DIR``).
+  repeated sweep cells skip the simulation (a run is cached only when
+  its caller passes one).
 """
 
 from repro.experiment.backends.base import ExecutionBackend

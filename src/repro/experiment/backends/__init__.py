@@ -32,17 +32,13 @@ claim whose lease expired — a ``kill -9``'d worker — becomes is
 on both transports; local drainers — forks of the submitting process's
 one warm worker host, see :class:`~.queue_common.DrainerPool` — are
 topped up from the observed queue depth, so a dead worker costs one
-lease interval, never the sweep.  The policy (``REPRO_QUEUE_LEASE_S``,
-``REPRO_QUEUE_MAX_ATTEMPTS``) is read by the submitter and travels in
-each task envelope.
+lease interval, never the sweep.  The policy (the ``lease_s`` and
+``max_attempts`` arguments) is set by the submitter and travels in each
+task envelope.
 
 :func:`repro.experiment.batch.resolve_backend` maps the ``backend``
-argument of :class:`BatchRunner` (a name, an instance, or ``None``) to
-an instance; exporting
-``REPRO_BATCH_BACKEND=serial|process|work_queue|broker`` selects the
-default backend for every ``BatchRunner`` that did not pass one
-explicitly, which is how the CI backend matrix drives the whole
-experiment test package through each backend in turn.
+argument of :class:`BatchRunner` (a name, an instance, or ``None`` for
+the process pool) to an instance.
 """
 
 from repro.experiment.backends.queue_common import task_envelope

@@ -36,15 +36,14 @@ class BackendError(RuntimeError):
 def run_spec_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
     """The worker protocol: spec dict in, result dict out.
 
-    Caching is disabled here even when ``REPRO_CACHE_DIR`` is set: the
-    submitting process resolves cache hits before dispatching and writes
-    back what the executors return.
+    Runs uncached: the submitting process resolves cache hits before
+    dispatching and writes back what the executors return.
     """
     from repro.experiment.runner import Experiment
     from repro.experiment.specs import ExperimentSpec
 
     spec = ExperimentSpec.from_dict(payload)
-    return Experiment(spec, keep_decisions=False).run(cache=False).to_dict()
+    return Experiment(spec, keep_decisions=False).run().to_dict()
 
 
 class ExecutionBackend(ABC):

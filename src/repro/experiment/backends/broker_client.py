@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.experiment.backends.queue_common import (
     BROKER_TOKEN_ENV_VAR,
-    BROKER_URL_ENV_VAR,
+    DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
     QueueBackend,
     default_broker_token,
 )
@@ -230,15 +231,12 @@ class BrokerBackend(QueueBackend):
     """:class:`QueueBackend` over an HTTP broker instead of a shared dir.
 
     Args:
-        url: the broker.  ``None`` honors ``REPRO_BROKER_URL``; with
-            neither set, a private in-process broker is started for the
-            duration of each :meth:`run` (local fan-out with zero
-            deployment — and what ``REPRO_BATCH_BACKEND=broker`` gives
-            CI).
+        url: the broker.  ``None`` starts a private in-process broker
+            for the duration of each :meth:`run` (local fan-out with
+            zero deployment — what ``backend="broker"`` gives).
         workers: as in :class:`QueueBackend`; ``0`` (external fleet)
-            requires an explicit or environment-provided ``url``, since
-            a private broker nobody else can discover would hang until
-            timeout.
+            requires a ``url``, since a private broker nobody else can
+            discover would hang until timeout.
         cache_dir, poll_interval_s, timeout_s, lease_s, max_attempts:
             see :class:`QueueBackend`.
         token: shared broker secret; defaults to ``REPRO_BROKER_TOKEN``.
@@ -253,14 +251,14 @@ class BrokerBackend(QueueBackend):
         cache_dir: str | os.PathLike[str] | None = None,
         poll_interval_s: float = 0.05,
         timeout_s: float = 600.0,
-        lease_s: float | None = None,
-        max_attempts: int | None = None,
+        lease_s: float = DEFAULT_LEASE_S,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         token: str | None = None,
     ) -> None:
         super().__init__(
             workers, cache_dir, poll_interval_s, timeout_s, lease_s, max_attempts
         )
-        if workers == 0 and url is None and not os.environ.get(BROKER_URL_ENV_VAR):
+        if workers == 0 and url is None:
             raise ValueError(
                 "workers=0 (external drain) requires a broker url the "
                 "external workers can reach; a private per-run broker "
@@ -271,7 +269,7 @@ class BrokerBackend(QueueBackend):
 
     @contextmanager
     def _open(self) -> Iterator[tuple[BrokerClient, list[str], dict[str, str]]]:
-        url = self.url or os.environ.get(BROKER_URL_ENV_VAR)
+        url = self.url
         token = self.token if self.token is not None else default_broker_token()
         server = None
         if not url:

@@ -13,10 +13,10 @@ three **submitter verbs**::
 :class:`QueueBackend` is everything on the submitting side that is not
 transport — and it is written once:
 
-* the **lease policy**: ``REPRO_QUEUE_LEASE_S`` and
-  ``REPRO_QUEUE_MAX_ATTEMPTS`` are read here, where a submission is
-  born, and written into every task envelope; everything downstream
-  reads the envelope (:func:`lease_policy`), checks it at the edge
+* the **lease policy**: ``lease_s`` and ``max_attempts`` are set here,
+  where a submission is born, and written into every task envelope;
+  everything downstream reads the envelope (:func:`lease_policy`),
+  checks it at the edge
   (:func:`validate_envelope`) and settles an expired claim by the one
   rule both transports call (:func:`lease_verdict`);
 * :class:`QueueStats`, the per-submission account of what self-healing
@@ -62,20 +62,15 @@ from repro.experiment.backends.base import BackendError, ExecutionBackend
 
 __all__ = [
     "BROKER_TOKEN_ENV_VAR",
-    "BROKER_URL_ENV_VAR",
     "DEFAULT_LEASE_S",
     "DEFAULT_MAX_ATTEMPTS",
     "DrainerPool",
-    "LEASE_ENV_VAR",
-    "MAX_ATTEMPTS_ENV_VAR",
     "ORPHAN_HORIZON_S",
     "PollBackoff",
     "QueueBackend",
     "QueueStats",
     "check_task_id",
     "default_broker_token",
-    "default_lease_s",
-    "default_max_attempts",
     "lease_of",
     "lease_policy",
     "lease_verdict",
@@ -89,12 +84,10 @@ __all__ = [
 #: requeue it.  Workers heartbeat at a quarter of the lease, so a live
 #: worker never comes close; a SIGKILL'd one is requeued within one
 #: lease interval.
-LEASE_ENV_VAR = "REPRO_QUEUE_LEASE_S"
 DEFAULT_LEASE_S = 30.0
 
 #: Total executions a task may consume (first run + retries) before the
 #: queue gives up and synthesizes an error envelope naming the task.
-MAX_ATTEMPTS_ENV_VAR = "REPRO_QUEUE_MAX_ATTEMPTS"
 DEFAULT_MAX_ATTEMPTS = 3
 
 #: Idle time after which what a submission left behind belongs to no
@@ -105,31 +98,14 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: beyond any clock skew, suspended submitter or long ``timeout_s``.
 ORPHAN_HORIZON_S = 7 * 24 * 3600.0
 
-#: Default broker URL for ``BrokerBackend()`` / ``REPRO_BATCH_BACKEND=broker``.
-BROKER_URL_ENV_VAR = "REPRO_BROKER_URL"
-
 #: Shared broker secret.  Set on the broker it *requires* the token; set
 #: on clients (submitter, workers) they *send* it.  Export the same
 #: value everywhere; locally spawned drainers get the submitter's token
 #: through their environment either way (see ``BrokerBackend._open``).
+#: Unlike every other setting this one stays an environment variable: a
+#: credential must reach the drainers without riding in their argv,
+#: which ``ps`` shows.
 BROKER_TOKEN_ENV_VAR = "REPRO_BROKER_TOKEN"
-
-
-def default_lease_s() -> float:
-    """The environment's claim lease, or :data:`DEFAULT_LEASE_S`."""
-    try:
-        return lease_policy({"lease_s": float(os.environ.get(LEASE_ENV_VAR, ""))})[0]
-    except ValueError:
-        return DEFAULT_LEASE_S
-
-
-def default_max_attempts() -> int:
-    """The environment's retry budget, or :data:`DEFAULT_MAX_ATTEMPTS`."""
-    raw = os.environ.get(MAX_ATTEMPTS_ENV_VAR, "")
-    try:
-        return lease_policy({"max_attempts": int(raw)})[1]
-    except ValueError:
-        return DEFAULT_MAX_ATTEMPTS
 
 
 def default_broker_token() -> str | None:
@@ -176,25 +152,22 @@ class PollBackoff:
 def task_envelope(
     task_id: str,
     spec: Mapping[str, Any],
-    lease_s: float | None = None,
-    max_attempts: int | None = None,
+    lease_s: float = DEFAULT_LEASE_S,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> dict[str, Any]:
     """The task half of the queue protocol, shared by every transport.
 
     ``attempts`` counts claims so far (bumped by whoever requeues an
     expired claim); ``lease_s``/``max_attempts`` ride inside the
-    envelope so workers and requeuers — possibly on other hosts, with
-    other environments — enforce the *submitter's* policy: this is the
-    last place the environment's defaults are consulted.
+    envelope so workers and requeuers — possibly on other hosts —
+    enforce the *submitter's* policy.
     """
     return {
         "id": task_id,
         "spec": dict(spec),
         "attempts": 0,
-        "lease_s": float(lease_s if lease_s is not None else default_lease_s()),
-        "max_attempts": int(
-            max_attempts if max_attempts is not None else default_max_attempts()
-        ),
+        "lease_s": float(lease_s),
+        "max_attempts": int(max_attempts),
     }
 
 
@@ -529,10 +502,8 @@ class QueueBackend(ExecutionBackend):
             a durable broker may restart mid-sweep, so the loop rides
             out unreachability up to this long before declaring the
             submission lost.
-        lease_s: claim lease embedded in this submission's envelopes;
-            defaults to ``REPRO_QUEUE_LEASE_S`` (30 s).
-        max_attempts: per-task execution budget, likewise embedded;
-            defaults to ``REPRO_QUEUE_MAX_ATTEMPTS`` (3).
+        lease_s: claim lease embedded in this submission's envelopes.
+        max_attempts: per-task execution budget, likewise embedded.
 
     After :meth:`run`, :attr:`last_run_stats` holds the submission's
     :class:`QueueStats`.
@@ -544,8 +515,8 @@ class QueueBackend(ExecutionBackend):
         cache_dir: str | os.PathLike[str] | None,
         poll_interval_s: float,
         timeout_s: float,
-        lease_s: float | None,
-        max_attempts: int | None,
+        lease_s: float,
+        max_attempts: int,
     ) -> None:
         if workers is not None and workers < 0:
             raise ValueError("workers must be non-negative")
@@ -553,18 +524,16 @@ class QueueBackend(ExecutionBackend):
             raise ValueError("poll_interval_s must be positive")
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if lease_s is not None and lease_s <= 0:
+        if lease_s <= 0:
             raise ValueError("lease_s must be positive")
-        if max_attempts is not None and max_attempts < 1:
+        if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         self.workers = workers
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.poll_interval_s = poll_interval_s
         self.timeout_s = timeout_s
-        self.lease_s = lease_s if lease_s is not None else default_lease_s()
-        self.max_attempts = (
-            max_attempts if max_attempts is not None else default_max_attempts()
-        )
+        self.lease_s = lease_s
+        self.max_attempts = max_attempts
         self.last_run_stats: QueueStats | None = None
 
     @abstractmethod

@@ -40,6 +40,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.experiment.backends.queue_common import (
     DEFAULT_LEASE_S,
+    DEFAULT_MAX_ATTEMPTS,
     ORPHAN_HORIZON_S,
     QueueBackend,
     check_task_id,
@@ -435,8 +436,8 @@ class WorkQueueBackend(QueueBackend):
         cache_dir: str | os.PathLike[str] | None = None,
         poll_interval_s: float = 0.05,
         timeout_s: float = 600.0,
-        lease_s: float | None = None,
-        max_attempts: int | None = None,
+        lease_s: float = DEFAULT_LEASE_S,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
         super().__init__(
             workers, cache_dir, poll_interval_s, timeout_s, lease_s, max_attempts

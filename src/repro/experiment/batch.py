@@ -27,16 +27,14 @@ from the spec seeds with stable CRC32 spawn keys (see
 and work-queue sweeps of the same specs return byte-equal payloads, as
 the cross-backend determinism suite asserts.
 
-With a :class:`repro.experiment.cache.ResultCache` attached (or
-``REPRO_CACHE_DIR`` exported), a fully warm sweep dispatches zero cells;
-misses are simulated by the backend and written back on completion — so
-a repeated sweep is bit-identical to the cold run while costing only
-JSON reads.
+With a :class:`repro.experiment.cache.ResultCache` attached, a fully
+warm sweep dispatches zero cells; misses are simulated by the backend
+and written back on completion — so a repeated sweep is bit-identical
+to the cold run while costing only JSON reads.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -155,15 +153,11 @@ class BatchRunner:
             the common multi-seed case).
         max_workers: worker count for backends that fan out (defaults to
             the CPU count, capped at the number of cells to execute).
-        cache: result cache, resolved by
-            :func:`repro.experiment.cache.resolve_cache` — pass a
-            :class:`ResultCache`, ``True`` for the default cache,
-            ``False`` to force caching off; the default ``None`` uses
-            the default cache iff ``REPRO_CACHE_DIR`` is set.
+        cache: a :class:`ResultCache`, or ``None`` / ``False`` for no
+            cache (see :func:`repro.experiment.cache.result_cache`).
         backend: an :class:`ExecutionBackend` instance, a backend name
             (``"serial"``, ``"process"``, ``"work_queue"``,
-            ``"broker"``), or ``None`` to resolve from
-            ``REPRO_BATCH_BACKEND``, defaulting to the process pool (see
+            ``"broker"``), or ``None`` for the process pool (see
             :func:`resolve_backend`).
     """
 
@@ -181,11 +175,11 @@ class BatchRunner:
     def run(self) -> BatchResult:
         import time
 
-        from repro.experiment.cache import resolve_cache
+        from repro.experiment.cache import result_cache
         from repro.experiment.planner import SweepPlanner
 
         wall_start = time.perf_counter()
-        cache = resolve_cache(self.cache)
+        cache = result_cache(self.cache)
         backend = resolve_backend(self.backend, max_workers=self.max_workers)
 
         # Plan in the submitting process, before any fan-out: duplicates
@@ -237,11 +231,7 @@ class BatchRunner:
 # ---------------------------------------------------------------------------
 # Backend resolution
 # ---------------------------------------------------------------------------
-#: Environment variable naming the default backend (see :func:`resolve_backend`).
-BACKEND_ENV_VAR = "REPRO_BATCH_BACKEND"
-
-#: Every backend name (also the values ``REPRO_BATCH_BACKEND`` takes),
-#: with the factory that builds it for ``max_workers``.
+#: Every backend name, with the factory that builds it for ``max_workers``.
 BACKENDS: dict[str, Callable[[int | None], ExecutionBackend]] = {
     "serial": lambda max_workers: SerialBackend(),
     "process": lambda max_workers: ProcessPoolBackend(max_workers=max_workers),
@@ -264,14 +254,11 @@ def resolve_backend(
     * an :class:`ExecutionBackend` instance is used as given;
     * a name (a key of :data:`BACKENDS`) is instantiated with
       ``max_workers``;
-    * ``None`` honors ``REPRO_BATCH_BACKEND`` when set (the CI backend
-      matrix uses this) and defaults to :class:`ProcessPoolBackend`.
+    * ``None`` is :class:`ProcessPoolBackend`.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "process"
-    name = str(backend)
+    name = "process" if backend is None else str(backend)
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; one of {backend_names()}")
     return BACKENDS[name](max_workers)

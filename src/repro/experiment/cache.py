@@ -35,11 +35,8 @@ consults the cache when ``keep_decisions=False``, and writes back
 put-if-absent — an existing entry keeps the exact payload its original
 run serialized.
 
-:func:`default_cache` builds the conventional cache for this machine,
-honoring the ``REPRO_CACHE_DIR`` environment variable; setting that
-variable also turns caching on by default for every
-:meth:`Experiment.run` and :class:`BatchRunner` that was not given an
-explicit ``cache`` argument (see :func:`resolve_cache`).
+A run is cached only when its caller passes a ``ResultCache(path)``
+(see :func:`result_cache`); nothing in the environment turns caching on.
 
 Any number of handles and processes may share one directory — the
 batch runner's bulk writeback, a fleet of work-queue workers
@@ -65,8 +62,7 @@ from repro.experiment.specs import SPEC_SCHEMA_VERSION, ExperimentSpec, spec_dig
 __all__ = [
     "CacheStats",
     "ResultCache",
-    "default_cache",
-    "resolve_cache",
+    "result_cache",
 ]
 
 
@@ -236,39 +232,17 @@ class ResultCache:
         return dropped
 
 
-def default_cache() -> ResultCache:
-    """The conventional on-disk cache for this machine.
-
-    Resolution order for the directory:
-
-    1. ``$REPRO_CACHE_DIR`` when set and non-empty;
-    2. ``$XDG_CACHE_HOME/repro-mesh`` when ``XDG_CACHE_HOME`` is set;
-    3. ``~/.cache/repro-mesh``.
+def result_cache(cache: "ResultCache | None | bool") -> ResultCache | None:
+    """The ``cache`` argument of :meth:`Experiment.run` and
+    :class:`BatchRunner`: a :class:`ResultCache` is used as given, and
+    ``None`` or ``False`` mean no cache.  Anything else — ``True`` too,
+    which names no directory — raises :class:`TypeError`.
     """
-    env_dir = os.environ.get("REPRO_CACHE_DIR")
-    if env_dir:
-        return ResultCache(env_dir)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return ResultCache(base / "repro-mesh")
-
-
-def resolve_cache(
-    cache: "ResultCache | None | bool",
-) -> ResultCache | None:
-    """Resolve the ``cache`` argument of :meth:`Experiment.run` and
-    :class:`BatchRunner`.
-
-    * an explicit :class:`ResultCache` is used as given;
-    * ``True`` forces the default cache;
-    * ``False`` disables caching unconditionally;
-    * ``None`` (the default everywhere) enables the default cache iff
-      ``REPRO_CACHE_DIR`` is set — so exporting that variable turns
-      result caching on for every call site that leaves ``cache``
-      unspecified.
-    """
-    if isinstance(cache, bool):
-        return default_cache() if cache else None
-    if cache is None:
-        return default_cache() if os.environ.get("REPRO_CACHE_DIR") else None
+    if cache is None or cache is False:
+        return None
+    # Not a truthiness test: ``__len__`` makes an empty cache falsy.
+    if not isinstance(cache, ResultCache):
+        raise TypeError(
+            f"cache must be a ResultCache(path), None or False, not {cache!r}"
+        )
     return cache

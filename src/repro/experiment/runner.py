@@ -209,25 +209,26 @@ class Experiment:
         A scenario built here is closed here, on every way out; one the
         caller passed in stays live and is the caller's to ``close()``.
 
-        ``cache`` is resolved by :func:`repro.experiment.cache.resolve_cache`
-        (pass a :class:`ResultCache`, ``True`` for the default cache,
-        ``False`` to disable; the default ``None`` consults the cache iff
-        ``REPRO_CACHE_DIR`` is set).  The cache only participates when no
-        pre-built ``scenario`` was handed in — a caller-provided scenario
-        may diverge from the spec, which would poison a content-addressed
-        store — and lookups additionally require ``keep_decisions=False``,
-        since cached payloads cannot carry :class:`ControlDecision`
-        objects.  Completed spec-built runs are written back regardless of
-        ``keep_decisions`` — but only if the digest is still absent, so an
-        existing entry keeps the exact payload (runtime block included)
-        its original run serialized.
+        ``cache`` is a :class:`ResultCache`, or ``None`` / ``False`` for
+        none (see :func:`repro.experiment.cache.result_cache`).  The
+        cache only participates when no pre-built ``scenario`` was
+        handed in — a caller-provided scenario may diverge from the
+        spec, which would poison a content-addressed store — and lookups
+        additionally require ``keep_decisions=False``, since cached
+        payloads cannot carry :class:`ControlDecision` objects.
+        Completed spec-built runs are written back regardless of
+        ``keep_decisions`` — but only if the digest is still absent, so
+        an existing entry keeps the exact payload (runtime block
+        included) its original run serialized.
         """
-        from repro.experiment.cache import resolve_cache
+        from repro.experiment.cache import result_cache
 
         spec = self.spec
-        result_cache = resolve_cache(cache) if scenario is None else None
-        if result_cache is not None and not self.keep_decisions:
-            cached = result_cache.get(spec)
+        store = result_cache(cache)
+        if scenario is not None:
+            store = None
+        if store is not None and not self.keep_decisions:
+            cached = store.get(spec)
             if cached is not None:
                 return cached
         wall_start = time.perf_counter()
@@ -308,8 +309,8 @@ class Experiment:
                 meta=dict(scenario.meta),
                 monitors=monitor_host.collect() if monitor_host is not None else {},
             )
-            if result_cache is not None and spec not in result_cache:
-                result_cache.put(result)
+            if store is not None and spec not in store:
+                store.put(result)
         return result
 
 

@@ -43,7 +43,9 @@ A remote session with no shared filesystem — broker, workers with
 on every host when the broker requires one (an unauthenticated worker
 is refused with 401 and exits).
 
-Chaos hooks (used by the recovery test suite, harmless otherwise):
+Chaos hooks (test-only: the recovery suites' one way to ``SIGKILL`` a
+forked drainer at claim time, which is why they are environment
+variables and not arguments; harmless otherwise):
 ``REPRO_WORKER_KILL_FILE`` names a flag file — the first worker to claim
 a task while the flag exists unlinks it and ``SIGKILL``s itself, one
 death per flag; ``REPRO_WORKER_KILL_MATCH`` is a substring — every

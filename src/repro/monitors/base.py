@@ -3,10 +3,10 @@
 A *monitor* turns a dynamic run into typed per-flow time series instead
 of a single end-of-run aggregate — the trajectory view the paper's
 online optimizer is judged on.  The design piggybacks the profiler-hook
-pattern of :mod:`repro.engine`: a :class:`MonitorHost` registers itself
-on ``Simulator.monitors`` and drives sampling through ordinary
-self-rechaining events, so the simulator's dispatch loop never tests for
-monitors and an experiment that configures none pays nothing.
+pattern of :mod:`repro.engine`: a :class:`MonitorHost` drives sampling
+through ordinary self-rechaining events, so the simulator's dispatch
+loop never tests for monitors and an experiment that configures none
+pays nothing.
 
 Monitor selection is part of :class:`repro.experiment.specs.ExperimentSpec`
 (``monitors`` / ``monitor_interval_s``), *not* an environment knob: the
@@ -53,9 +53,7 @@ class MonitorHost:
     self-rechaining event (started at flow start, spanning cycle
     boundaries), then :meth:`collect` closes the final partial window —
     deterministically, since both the event times and the run end are
-    pure virtual-time quantities.  It registers itself on
-    ``Simulator.monitors`` as the discoverable attachment point; the run
-    loop itself never reads that attribute.
+    pure virtual-time quantities.
     """
 
     def __init__(
@@ -82,7 +80,6 @@ class MonitorHost:
             raise RuntimeError("MonitorHost is already started")
         self._started = True
         sim = self.network.sim
-        sim.monitors = self
         self._window_start = sim.now
         sim.schedule(self.interval_s, self._on_window)
 

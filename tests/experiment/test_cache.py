@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiment.batch import BatchRunner, seed_sweep
-from repro.experiment.cache import ResultCache, default_cache, resolve_cache
+from repro.experiment.cache import ResultCache, result_cache
 from repro.experiment.runner import CycleResult, Experiment, ExperimentResult
 from repro.experiment.specs import (
     ControllerSpec,
@@ -339,42 +339,24 @@ class TestResultCacheStorage:
         assert len(cache) == 0 and cache.get(SPEC) is None
 
 
-class TestDefaultCacheResolution:
-    def test_env_var_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
-        assert default_cache().cache_dir == tmp_path / "env-cache"
+class TestCacheArgument:
+    def test_none_and_false_mean_no_cache(self):
+        assert result_cache(None) is None and result_cache(False) is None
 
-    def test_xdg_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert default_cache().cache_dir == tmp_path / "repro-mesh"
-
-    def test_home_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
-        monkeypatch.setenv("HOME", str(tmp_path))
-        assert default_cache().cache_dir == tmp_path / ".cache" / "repro-mesh"
-
-    def test_resolve_none_without_env_disables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert resolve_cache(None) is None
-
-    def test_resolve_none_with_env_enables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = resolve_cache(None)
-        assert isinstance(cache, ResultCache) and cache.cache_dir == tmp_path
-
-    def test_resolve_true_uses_the_default_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "forced"))
-        assert resolve_cache(True).cache_dir == tmp_path / "forced"
-
-    def test_resolve_false_always_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert resolve_cache(False) is None
-
-    def test_resolve_passthrough(self, tmp_path):
+    def test_an_empty_cache_is_used_as_given(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert resolve_cache(cache) is cache
+        assert len(cache) == 0 and result_cache(cache) is cache
+
+    @pytest.mark.parametrize("bad", [True, "/tmp/cache", 1])
+    def test_anything_else_is_refused(self, bad):
+        with pytest.raises(TypeError, match=r"ResultCache\(path\)"):
+            result_cache(bad)
+
+    def test_true_is_refused_by_both_entry_points(self):
+        with pytest.raises(TypeError, match=r"ResultCache\(path\)"):
+            Experiment(SPEC).run(cache=True)
+        with pytest.raises(TypeError, match=r"ResultCache\(path\)"):
+            BatchRunner([SPEC], backend="serial", cache=True).run()
 
 
 class TestExperimentIntegration:

@@ -6,13 +6,12 @@ the planner's dynamics-aware cost ordering."""
 from __future__ import annotations
 
 import json
-import os
 from contextlib import closing
 
 import pytest
 
 import repro.engine
-from repro.experiment.batch import BatchRunner
+from repro.experiment.batch import BatchRunner, backend_names
 from repro.experiment.cache import ResultCache
 from repro.experiment.registry import build_scenario
 from repro.experiment.runner import ExperimentResult, run_experiment
@@ -192,15 +191,18 @@ class TestSchedulerIdentity:
 
 
 class TestCrossBackendByteIdentityDynamics:
-    def test_dynamic_sweep_matches_serial_reference_on_ambient_backend(self):
+    @pytest.fixture(scope="class")
+    def sweep_and_reference(self):
         sweep = [_dynamic_spec(seed, monitors=("pdr", "throughput")) for seed in (3, 4)]
-        ambient = BatchRunner(sweep, cache=False).run()
-        reference = BatchRunner(sweep, backend="serial", cache=False).run()
-        expected = os.environ.get("REPRO_BATCH_BACKEND") or "process"
-        assert ambient.backend == expected
-        assert _canonical(ambient.to_dicts(include_runtime=False)) == _canonical(
-            reference.to_dicts(include_runtime=False)
-        )
+        reference = BatchRunner(sweep, backend="serial").run()
+        return sweep, _canonical(reference.to_dicts(include_runtime=False))
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_dynamic_sweep_matches_serial_reference(self, backend, sweep_and_reference):
+        sweep, reference = sweep_and_reference
+        batch = BatchRunner(sweep, backend=backend, max_workers=2).run()
+        assert batch.backend == backend
+        assert _canonical(batch.to_dicts(include_runtime=False)) == reference
 
 
 class TestMobileFigure14Cell:

@@ -5,19 +5,16 @@ Covers the acceptance bar of the generator refactor: every topology /
 workload generator is runnable purely via :class:`ScenarioSpec` (no
 bespoke builder code), generated specs round-trip and digest stably,
 seeded workloads are deterministic, and generator-built sweeps return
-byte-identical payloads on whichever execution backend the environment
-selects (the CI backend matrix drives this file under
-``REPRO_BATCH_BACKEND=serial|process|work_queue``).
+byte-identical payloads on every execution backend.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
-from repro.experiment.batch import BatchRunner
+from repro.experiment.batch import BatchRunner, backend_names
 from repro.experiment.registry import build_scenario
 from repro.experiment.specs import (
     ControllerSpec,
@@ -300,11 +297,9 @@ class TestGeneratedBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Cross-backend byte identity for generator-built sweeps.  Deliberately
-# does NOT pin a backend: under the CI backend matrix
-# (REPRO_BATCH_BACKEND exported) the same sweep genuinely dispatches
-# through serial, process-pool and work-queue execution and must match
-# the serial reference bit for bit.
+# Cross-backend byte identity for generator-built sweeps: the same sweep
+# dispatched through every backend must match the serial reference bit
+# for bit.
 # ---------------------------------------------------------------------------
 def _fast_generated_spec(seed: int) -> ExperimentSpec:
     return ExperimentSpec(
@@ -329,13 +324,18 @@ def _canonical(payloads: list[dict]) -> str:
 
 
 class TestCrossBackendByteIdentity:
-    def test_generated_sweep_matches_serial_reference_on_ambient_backend(self):
+    @pytest.fixture(scope="class")
+    def sweep_and_reference(self):
         sweep = [_fast_generated_spec(seed) for seed in range(2)]
-        ambient = BatchRunner(sweep, cache=False).run()
-        reference = BatchRunner(sweep, backend="serial", cache=False).run()
-        expected = os.environ.get("REPRO_BATCH_BACKEND") or "process"
-        assert ambient.backend == expected
-        assert ambient.planner.executed == 2
-        assert _canonical(ambient.to_dicts(include_runtime=False)) == _canonical(
-            reference.to_dicts(include_runtime=False)
-        )
+        reference = BatchRunner(sweep, backend="serial").run()
+        return sweep, _canonical(reference.to_dicts(include_runtime=False))
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_generated_sweep_matches_serial_reference(
+        self, backend, sweep_and_reference
+    ):
+        sweep, reference = sweep_and_reference
+        batch = BatchRunner(sweep, backend=backend, max_workers=2).run()
+        assert batch.backend == backend
+        assert batch.planner.executed == 2
+        assert _canonical(batch.to_dicts(include_runtime=False)) == reference

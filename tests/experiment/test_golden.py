@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiment.cache import ResultCache
+from repro.experiment.runner import run_experiment
 from repro.experiment.specs import SCENARIO_PRESETS, ExperimentSpec
 from repro.sim.dynamics import MOBILITY_MODELS
 from repro.sim.generators import TOPOLOGIES, WORKLOADS
@@ -104,15 +106,25 @@ def test_spec_digest_table(name: str) -> None:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(golden.GOLDEN_SPECS))
-def test_golden_result_bit_identity(name: str) -> None:
+def test_golden_result_bit_identity(name: str, tmp_path: Path) -> None:
+    """The cold run into a fresh cache, and the warm read back out of it,
+    are both the frozen bytes."""
     frozen = golden.golden_path(name).read_text(encoding="utf-8")
-    computed = golden.compute(name)
-    assert computed == frozen, (
+    cache = ResultCache(tmp_path)
+    cold, warm = (
+        golden.canonical_json(
+            run_experiment(golden.GOLDEN_SPECS[name], keep_decisions=False, cache=cache)
+        )
+        for _ in range(2)
+    )
+    assert cache.stats.as_dict() == {"hits": 1, "misses": 1, "puts": 1, "hit_rate": 0.5}
+    assert cold == frozen, (
         f"golden result for {name!r} drifted — if the simulation change is "
         "intentional, regenerate with "
         "PYTHONPATH=src python tests/experiment/golden/regenerate.py "
         "and explain the move in the commit message"
     )
+    assert warm == frozen, f"the cache does not give back {name!r}'s frozen bytes"
     # The fixture itself stays canonical: sorted keys, two-space indent,
     # trailing newline — regeneration is the only sanctioned writer.
     assert frozen == json.dumps(json.loads(frozen), indent=2, sort_keys=True) + "\n"

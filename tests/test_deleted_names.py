@@ -21,6 +21,15 @@ import census
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUEUE_COMMON = "repro/experiment/backends/queue_common.py"
 
+#: The six variables that duplicated a constructor argument (lease, retry
+#: budget, backend, broker URL, cache directory and its XDG fallback), their
+#: constants, and the functions that read them.
+SETTINGS_FROM_ENV = (
+    r"REPRO_(QUEUE_LEASE_S|QUEUE_MAX_ATTEMPTS|BATCH_BACKEND|BROKER_URL|CACHE_DIR)"
+    r"|XDG_CACHE_HOME|\b(LEASE|MAX_ATTEMPTS|BACKEND|BROKER_URL)_ENV_VAR\b"
+    r"|\b(default_cache|resolve_cache|default_lease_s|default_max_attempts)\b"
+)
+
 #: (what came back, pattern, files it may not appear in, files exempt)
 GONE = [
     (
@@ -30,10 +39,11 @@ GONE = [
         (),
     ),
     (
-        "a lease default read downstream of the envelope (PR 20)",
-        r"default_lease_s\(\)|default_max_attempts\(\)",
+        "a setting read from the environment beside the argument that sets it, "
+        "or a lease default read downstream of the envelope",
+        SETTINGS_FROM_ENV,
         "**/*.py",
-        (QUEUE_COMMON,),
+        (),
     ),
     (
         "a second copy of a queue transition in the broker (PR 20)",
@@ -183,6 +193,23 @@ def test_deleted_name_is_absent_from_src(what, pattern, glob, exempt):
         if re.search(pattern, line)
     ]
     assert not found, f"{what} is back under src/:\n" + "\n".join(found)
+
+
+def test_the_settings_row_catches_a_planted_read():
+    planted = [
+        'os.environ.get("REPRO_BATCH_BACKEND")',
+        "cache = resolve_cache(None)",
+        "lease_s = default_lease_s()",
+        "BROKER_URL_ENV_VAR = ...",
+    ]
+    assert all(re.search(SETTINGS_FROM_ENV, line) for line in planted)
+    # ... and not the medium's memo, nor the variables that stay.
+    kept = [
+        "self._resolve_cache.clear()",
+        'os.environ.get("REPRO_BROKER_TOKEN")',
+        "os.environ.get(KILL_FILE_ENV_VAR)",
+    ]
+    assert not any(re.search(SETTINGS_FROM_ENV, line) for line in kept)
 
 
 def test_no_test_module_keeps_a_copy_of_its_parent():

@@ -22,12 +22,12 @@ TOP_LEVEL = "(top level)"
 #: Non-blank lines per subpackage of ``repro``; ``TOP_LEVEL`` is the
 #: modules directly under it (``engine.py``, ``scheduler.py``, ...).
 CEILINGS = {
-    TOP_LEVEL: 673,
+    TOP_LEVEL: 664,
     "analysis": 186,
     "core": 1565,
-    "experiment": 4630,
+    "experiment": 4568,
     "mac": 1052,
-    "monitors": 200,
+    "monitors": 197,
     "net": 753,
     "phy": 296,
     "sim": 1405,
